@@ -2,7 +2,8 @@
 
 Times a representative slice of the estimation engine — serial vs
 fanned-out sweeps, fixed-count vs adaptive Monte Carlo, compiled
-sampling kernels vs the legacy sampler, cold vs warm cache — and
+sampling kernels vs the legacy sampler, cold vs warm cache — plus
+trace production (synthesis and simulation, in instructions/s), and
 writes the measurements to ``BENCH_<rev>.json`` so the
 perf impact of engine changes is a diffable artifact, not an anecdote::
 
@@ -895,10 +896,52 @@ def lint_cases(repeat: int):
     ]
 
 
+def trace_cases(repeat: int, n_instructions: int = 40_000):
+    """Trace production throughput: synthesis and simulation, instr/s.
+
+    One row per SPEC benchmark that ``repro-experiments --all``
+    simulates (gzip, mcf, swim) at the default 40k-instruction window.
+    Each row carries a SHA-256 over the masking trace, so rows taken on
+    two trees show byte-identity as well as speed. Only the public
+    ``synthesize_trace``/``simulate`` API is used, so the scenario runs
+    unchanged against older trees.
+    """
+    from repro.microarch import MachineConfig, simulate
+    from repro.workloads import spec_benchmark, synthesize_trace
+
+    config = MachineConfig.power4_like()
+    records = []
+    for name in ("gzip", "mcf", "swim"):
+        profile = spec_benchmark(name)
+        synth_s, trace = _timed(
+            lambda: synthesize_trace(profile, n_instructions, seed=0), repeat
+        )
+        sim_s, result = _timed(
+            lambda: simulate(trace, config, workload=name), repeat
+        )
+        digest = hashlib.sha256()
+        masking = result.masking_trace
+        for component in masking.component_names:
+            digest.update(masking.mask(component).tobytes())
+        records.append(
+            {
+                "name": f"trace_{name}",
+                "seconds": round(synth_s + sim_s, 4),
+                "instructions": n_instructions,
+                "synthesize_s": round(synth_s, 4),
+                "simulate_s": round(sim_s, 4),
+                "synthesize_instr_per_s": round(n_instructions / synth_s),
+                "simulate_instr_per_s": round(n_instructions / sim_s),
+                "masks_sha256": digest.hexdigest(),
+            }
+        )
+    return records
+
+
 #: Benchmark sections selectable via --scenario.
 SCENARIOS = (
     "all", "engine", "kernel", "cache", "executors", "fleet",
-    "elastic", "service_load", "lint",
+    "elastic", "service_load", "lint", "trace",
 )
 
 
@@ -1060,6 +1103,16 @@ def run_benchmarks(argv: list[str] | None = None) -> Path:
                 f"files={record['files_scanned']} "
                 f"findings={record['findings']} "
                 f"suppressions={record['audited_suppressions']}"
+            )
+
+    # Trace production: synthesis and simulation throughput.
+    if wants("trace"):
+        for record in trace_cases(args.repeat):
+            results.append(record)
+            print(
+                f"{record['name']:44s} {record['seconds']:8.3f}s  "
+                f"synthesize={record['synthesize_instr_per_s']}/s "
+                f"simulate={record['simulate_instr_per_s']}/s"
             )
 
     payload = {

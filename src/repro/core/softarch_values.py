@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 from ..errors import EstimationError
 from ..microarch.config import MachineConfig
-from ..microarch.isa import InstructionRecord, OpClass
+from ..microarch.isa import InstructionTrace, OpClass
 from ..microarch.pipeline import ScheduleResult
 from ..ser.rates import PAPER_UNIT_RATES_PER_YEAR
 from ..units import per_year_to_per_second
@@ -103,27 +103,30 @@ class SoftArchRates:
 
 
 def _def_use_edges(
-    trace: list[InstructionRecord],
+    trace: InstructionTrace,
 ) -> tuple[list[list[int]], list[list[int]]]:
     """Producer indices per instruction and consumer lists per producer."""
+    trace = InstructionTrace.coerce(trace)
     current_def: dict[int, int] = {}
     producers: list[list[int]] = []
-    consumers: list[list[int]] = [[] for _ in trace]
-    for index, record in enumerate(trace):
+    consumers: list[list[int]] = [[] for _ in range(len(trace))]
+    for index, (srcs, dest) in enumerate(
+        zip(trace.srcs.tolist(), trace.dest.tolist())
+    ):
         sources = []
-        for src in record.srcs:
+        for src in srcs:
             producer = current_def.get(src)
             if producer is not None:
                 sources.append(producer)
                 consumers[producer].append(index)
         producers.append(sources)
-        if record.dest is not None:
-            current_def[record.dest] = index
+        if dest >= 0:
+            current_def[dest] = index
     return producers, consumers
 
 
 def _output_reachability(
-    trace: list[InstructionRecord],
+    trace: InstructionTrace,
     consumers: list[list[int]],
 ) -> list[bool]:
     """Backward pass: can instruction i's result affect program output?
@@ -132,10 +135,11 @@ def _output_reachability(
     instruction is output-reaching if any consumer is an output or
     produces an output-reaching value.
     """
-    reach = [False] * len(trace)
-    for index in range(len(trace) - 1, -1, -1):
-        record = trace[index]
-        if record.op in (OpClass.STORE, OpClass.BRANCH):
+    ops = InstructionTrace.coerce(trace).op.tolist()
+    outputs = (OpClass.STORE, OpClass.BRANCH)
+    reach = [False] * len(ops)
+    for index in range(len(ops) - 1, -1, -1):
+        if ops[index] in outputs:
             reach[index] = True
             continue
         reach[index] = any(reach[c] for c in consumers[index])
@@ -143,7 +147,7 @@ def _output_reachability(
 
 
 def softarch_from_value_graph(
-    trace: list[InstructionRecord],
+    trace: InstructionTrace,
     schedule: ScheduleResult,
     config: MachineConfig,
     rates: SoftArchRates,
@@ -155,6 +159,7 @@ def softarch_from_value_graph(
     :meth:`~repro.core.softarch.SoftArchTimeline.mttf` is directly
     comparable with the profile-based methods.
     """
+    trace = InstructionTrace.coerce(trace)
     if len(schedule.issue) != len(trace):
         raise EstimationError(
             "schedule and trace describe different instruction counts"
@@ -170,8 +175,9 @@ def softarch_from_value_graph(
     producers, consumers = _def_use_edges(trace)
     reach = _output_reachability(trace, consumers)
 
+    op_rate = [unit_instance_rate[op.unit] for op in OpClass]
     events: list[OutputEvent] = []
-    for index, record in enumerate(trace):
+    for index, op in enumerate(trace.op.tolist()):
         if not reach[index]:
             continue  # masked: the value can never affect output
         issue_time = schedule.issue[index] * cycle_time
@@ -179,13 +185,13 @@ def softarch_from_value_graph(
 
         # Error generation in the executing unit, charged to this value.
         occupancy = max(complete_time - issue_time, cycle_time)
-        hazard = unit_instance_rate[record.op.unit] * occupancy
+        hazard = op_rate[op] * occupancy
 
         first_influence = None
-        if record.op is OpClass.STORE:
+        if op == OpClass.STORE:
             # Data reaches memory when the store drains after retirement.
             first_influence = schedule.retire[index] * cycle_time
-        elif record.op is OpClass.BRANCH:
+        elif op == OpClass.BRANCH:
             first_influence = complete_time
         else:
             # Register-file residency: errors striking the value while

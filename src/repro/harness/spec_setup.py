@@ -65,14 +65,26 @@ PAPER_COMPONENTS: tuple[str, ...] = (
 )
 
 
-@lru_cache(maxsize=64)
 def masking_trace_for(
     benchmark: str,
     n_instructions: int | None = None,
     seed: int = 0,
 ) -> MaskingTrace:
-    """Simulate ``benchmark`` and return its masking trace (cached)."""
-    n_instructions = n_instructions or DEFAULT_INSTRUCTIONS
+    """Simulate ``benchmark`` and return its masking trace (cached).
+
+    The cache key is normalised first, so ``masking_trace_for("gzip")``
+    and ``masking_trace_for("gzip", DEFAULT_INSTRUCTIONS, 0)`` share one
+    simulation.
+    """
+    return _masking_trace(
+        benchmark, n_instructions or DEFAULT_INSTRUCTIONS, seed
+    )
+
+
+@lru_cache(maxsize=64)
+def _masking_trace(
+    benchmark: str, n_instructions: int, seed: int
+) -> MaskingTrace:
     profile = spec_benchmark(benchmark)
     trace = synthesize_trace(profile, n_instructions, seed=seed)
     result = simulate(
@@ -130,4 +142,4 @@ def processor_profile(
 
 def clear_trace_cache() -> None:
     """Drop cached masking traces (tests use this to vary windows)."""
-    masking_trace_for.cache_clear()
+    _masking_trace.cache_clear()

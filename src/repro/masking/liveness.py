@@ -43,17 +43,17 @@ def live_counts_from_intervals(
     """
     if n_cycles <= 0:
         raise TraceError(f"cycle count must be positive, got {n_cycles}")
-    diff = np.zeros(n_cycles + 1, dtype=np.int64)
-    for start, end in intervals:
-        if end <= start:
-            continue
-        start = max(int(start), 0)
-        end = min(int(end), n_cycles)
-        if start >= n_cycles or end <= 0:
-            continue
-        diff[start] += 1
-        diff[end] -= 1
-    return np.cumsum(diff[:-1])
+    if not isinstance(intervals, np.ndarray):
+        intervals = list(intervals)
+    pairs = np.asarray(intervals, dtype=np.int64).reshape(-1, 2)
+    start = np.maximum(pairs[:, 0], 0)
+    end = np.minimum(pairs[:, 1], n_cycles)
+    # Reversed/empty intervals and ones wholly outside the window drop out.
+    keep = (pairs[:, 1] > pairs[:, 0]) & (start < n_cycles) & (end > 0)
+    diff = np.bincount(start[keep], minlength=n_cycles + 1) - np.bincount(
+        end[keep], minlength=n_cycles + 1
+    )
+    return np.cumsum(diff[:-1], dtype=np.int64)
 
 
 def live_fraction(

@@ -21,7 +21,7 @@ fraction) and the register file (fraction of entries holding live
 values), plus conventional pipeline statistics.
 """
 
-from .isa import InstructionRecord, OpClass
+from .isa import InstructionRecord, InstructionTrace, OpClass
 from .config import MachineConfig, FunctionalUnitSpec, CacheSpec, TlbSpec
 from .caches import Cache, Tlb
 from .branch import BimodalPredictor
@@ -31,6 +31,7 @@ from .trace_io import load_trace, save_trace
 
 __all__ = [
     "InstructionRecord",
+    "InstructionTrace",
     "OpClass",
     "MachineConfig",
     "FunctionalUnitSpec",

@@ -8,7 +8,7 @@ constraints:
 
 * fetch bandwidth, I-cache/iTLB misses, branch-mispredict redirects;
 * POWER4-style dispatch groups (up to 5 instructions, broken at
-  branches), one group dispatched and one retired per cycle;
+  branches), one group retired per cycle;
 * reorder-buffer, issue-queue, and memory-queue occupancy;
 * operand readiness through architectural register dependences;
 * functional-unit pools (2 INT / 2 FP / 2 LS / 1 BR) with the paper's
@@ -37,7 +37,7 @@ from ..errors import SimulationError
 from .branch import BimodalPredictor
 from .caches import Cache, MemoryHierarchy, Tlb
 from .config import MachineConfig
-from .isa import NUM_ARCH_REGS, InstructionRecord, OpClass
+from .isa import NUM_ARCH_REGS, InstructionTrace, OpClass
 from .stats import PipelineStats
 
 
@@ -63,27 +63,11 @@ class ScheduleResult:
         return self.retire[-1] + 1 if self.retire else 0
 
 
-class _UnitPool:
-    """Functional-unit instances with per-instance availability."""
-
-    def __init__(self, name: str, count: int):
-        self.name = name
-        self.available = [0] * count
-        self.busy_cycles = 0
-
-    def allocate(self, ready: int, occupancy: int, blocking: int) -> int:
-        """Issue an op that is ready at ``ready``.
-
-        ``occupancy`` is how long the instance processes the op (for the
-        busy mask); ``blocking`` is how long before the instance can
-        accept another op (1 for pipelined, = occupancy for unpipelined).
-        Returns the issue cycle.
-        """
-        best = min(range(len(self.available)), key=self.available.__getitem__)
-        issue = max(ready, self.available[best])
-        self.available[best] = issue + blocking
-        self.busy_cycles += occupancy
-        return issue
+#: Functional-unit pools, in ``PipelineStats.unit_busy_cycles`` order.
+_POOLS = ("int", "fp", "ls", "br")
+_LOAD = int(OpClass.LOAD)
+_STORE = int(OpClass.STORE)
+_BRANCH = int(OpClass.BRANCH)
 
 
 class PipelineModel:
@@ -104,11 +88,28 @@ class PipelineModel:
         )
         self.predictor = BimodalPredictor(config.branch_predictor_entries)
 
-    def run(self, trace: list[InstructionRecord]) -> ScheduleResult:
-        if not trace:
+    def run(self, trace: InstructionTrace) -> ScheduleResult:
+        """Schedule ``trace`` (columns, or a list of records)."""
+        if not isinstance(trace, InstructionTrace):
+            trace = InstructionTrace.from_records(trace)
+        n = len(trace)
+        if n == 0:
             raise SimulationError("cannot simulate an empty trace")
         cfg = self.config
-        n = len(trace)
+
+        # Per-op-code lookup tables.
+        classes = list(OpClass)
+        unit_of = [_POOLS.index(op.unit) for op in classes]
+        latency = [cfg.latency_of(op) for op in classes]
+        unpipelined = [op in cfg.unpipelined_ops for op in classes]
+        is_memory = [op.is_memory for op in classes]
+
+        ops = trace.op.tolist()
+        dests = trace.dest.tolist()
+        srcs = trace.srcs.tolist()
+        pcs = trace.pc.tolist()
+        addrs = trace.mem_addr.tolist()
+        takens = trace.taken.tolist()
 
         fetch = [0] * n
         dispatch = [0] * n
@@ -116,252 +117,244 @@ class PipelineModel:
         complete = [0] * n
         retire = [0] * n
 
-        pools = {
-            "int": _UnitPool("int", cfg.int_units.count),
-            "fp": _UnitPool("fp", cfg.fp_units.count),
-            "ls": _UnitPool("ls", cfg.ls_units.count),
-            "br": _UnitPool("br", cfg.br_units.count),
-        }
-        unit_intervals: dict[str, list[tuple[int, int]]] = {
-            name: [] for name in pools
-        }
+        # Per pool: next free cycle of each instance, busy cycles, and
+        # the (start, end) busy interval of every executed op.
+        available = [[0] * cfg.unit_pool(name).count for name in _POOLS]
+        busy = [0] * len(_POOLS)
+        intervals: tuple[list, ...] = tuple([] for _ in _POOLS)
 
-        # Architectural register ready times (cycle the value is usable).
-        reg_ready = [0] * NUM_ARCH_REGS
-
-        # Register-file liveness bookkeeping: per register, the cycle its
-        # current value became available and the latest read of it so far.
-        def_cycle = [-1] * NUM_ARCH_REGS
-        last_read = [-1] * NUM_ARCH_REGS
+        # Per architectural register: the cycle its value is usable, the
+        # cycle its current value became available (liveness) and the
+        # latest read of that value so far. The extra last slot is what
+        # the -1 source padding indexes: never written, so it is always
+        # ready and never live.
+        reg_ready = [0] * (NUM_ARCH_REGS + 1)
+        def_cycle = [-1] * (NUM_ARCH_REGS + 1)
+        last_read = [-1] * (NUM_ARCH_REGS + 1)
         live_intervals: list[tuple[int, int, int]] = []
 
         # Memory-queue occupancy: release cycle of each memory op, FIFO.
         memop_release: list[int] = []
-
         # Finish-width limiting: completions per cycle.
-        completions_in_cycle: dict[int, int] = {}
+        completions: dict[int, int] = {}
+        dispatch_cycles: list[int] = []
 
-        stats = PipelineStats()
+        fetch_width = cfg.fetch_width
+        finish_width = cfg.finish_width
+        group_size = cfg.dispatch_group_size
+        rob_entries = cfg.rob_entries
+        iq_entries = cfg.issue_queue_entries
+        mq_entries = cfg.memory_queue_entries
+        redirect_penalty = cfg.mispredict_redirect_penalty
+        l1i_latency = cfg.l1i.latency
+        l1d_latency = self.dcache.spec.latency
+        line_shift = (cfg.l1i.line_bytes - 1).bit_length()
+        imem_access = self.imem.access
+        dmem_access = self.dmem.access
+        predict = self.predictor.predict_and_update
+
         fetch_line = None  # current I-cache line; refetch on change
         next_fetch_cycle = 0
         fetched_this_cycle = 0
-        redirect_after: int | None = None  # front end blocked until here
-
-        group_members: list[int] = []
-        last_dispatch_cycle = -1
+        redirect_after = None  # front end blocked until here
+        group_start = 0
         last_retire_cycle = -1
-        dispatch_cycles: list[int] = []
+        groups = branches = mispredictions = loads = stores = 0
 
-        line_shift = (cfg.l1i.line_bytes - 1).bit_length()
-
-        def close_group() -> None:
-            """Dispatch the pending group and compute its retirement."""
-            nonlocal last_dispatch_cycle, last_retire_cycle, group_members
-            if not group_members:
-                return
-            # Dispatch constraints: decode pipe after fetch, one group
-            # per cycle, ROB / issue-queue / memory-queue occupancy.
-            earliest = max(fetch[j] for j in group_members) + 1
-            earliest = max(earliest, last_dispatch_cycle + 1)
-            first = group_members[0]
-            rob_blocker = first - cfg.rob_entries + len(group_members)
-            if rob_blocker >= 0:
-                earliest = max(earliest, retire[rob_blocker] + 1)
-            iq_blocker = first - cfg.issue_queue_entries + len(group_members)
-            if iq_blocker >= 0:
-                earliest = max(earliest, issue[iq_blocker] + 1)
-            # Memory queue (FIFO-slot approximation, as for the ROB): the
-            # memop that is memory_queue_entries older than each memop in
-            # this group must have released its slot.
-            ordinal = len(memop_release)
-            for j in group_members:
-                if trace[j].op.is_memory:
-                    blocker = ordinal - cfg.memory_queue_entries
-                    if 0 <= blocker < len(memop_release):
-                        earliest = max(earliest, memop_release[blocker])
-                    elif blocker >= 0 and memop_release:
-                        # The blocking memop is in this same group (the
-                        # group alone overflows the queue); approximate
-                        # by waiting for the newest known release.
-                        earliest = max(earliest, memop_release[-1])
-                    ordinal += 1
-            dispatch_cycle = earliest
-            dispatch_cycles.append(dispatch_cycle)
-            stats.dispatch_groups += 1
-
-            group_complete = 0
-            for j in group_members:
-                dispatch[j] = dispatch_cycle
-                self._schedule_execution(
-                    j,
-                    trace[j],
-                    dispatch_cycle,
-                    reg_ready,
-                    pools,
-                    unit_intervals,
-                    issue,
-                    complete,
-                    completions_in_cycle,
-                    stats,
-                )
-                record = trace[j]
-                # Liveness: reads extend the current value's interval.
-                for src in record.srcs:
-                    if def_cycle[src] >= 0:
-                        last_read[src] = max(last_read[src], issue[j])
-                # A write finalises the previous value's interval.
-                if record.dest is not None:
-                    reg = record.dest
-                    if def_cycle[reg] >= 0 and last_read[reg] > def_cycle[reg]:
-                        live_intervals.append(
-                            (reg, def_cycle[reg], last_read[reg])
-                        )
-                    def_cycle[reg] = complete[j]
-                    last_read[reg] = -1
-                group_complete = max(group_complete, complete[j])
-
-            retire_cycle = max(group_complete + 1, last_retire_cycle + 1)
-            for j in group_members:
-                retire[j] = retire_cycle
-            last_retire_cycle = retire_cycle
-
-            # Memory-queue release: loads free at completion, stores
-            # drain after retirement.
-            for j in group_members:
-                if trace[j].op is OpClass.LOAD:
-                    memop_release.append(complete[j] + 1)
-                elif trace[j].op is OpClass.STORE:
-                    memop_release.append(retire_cycle + 1)
-            group_members = []
-
-        for i, record in enumerate(trace):
+        for i in range(n):
             # ---------------- fetch ----------------
             if redirect_after is not None:
-                next_fetch_cycle = max(next_fetch_cycle, redirect_after)
+                if redirect_after > next_fetch_cycle:
+                    next_fetch_cycle = redirect_after
                 fetched_this_cycle = 0
                 redirect_after = None
-            line = record.pc >> line_shift
+            pc = pcs[i]
+            line = pc >> line_shift
             if line != fetch_line:
                 fetch_line = line
-                miss_latency = self.imem.access(record.pc)
-                if miss_latency > cfg.l1i.latency:
-                    next_fetch_cycle += miss_latency - cfg.l1i.latency
+                miss_latency = imem_access(pc)
+                if miss_latency > l1i_latency:
+                    next_fetch_cycle += miss_latency - l1i_latency
                     fetched_this_cycle = 0
-            if fetched_this_cycle >= cfg.fetch_width:
+            if fetched_this_cycle >= fetch_width:
                 next_fetch_cycle += 1
                 fetched_this_cycle = 0
             fetch[i] = next_fetch_cycle
             fetched_this_cycle += 1
 
             # ---------------- group formation ----------------
-            group_members.append(i)
-            breaks = len(group_members) >= cfg.dispatch_group_size
-            if record.op.is_branch:
-                breaks = True
-            if breaks:
-                close_group()
+            # A group closes at a branch, when full, or at trace end.
+            is_branch = ops[i] == _BRANCH
+            end = i + 1
+            size = end - group_start
+            if not is_branch and size < group_size and end < n:
+                continue
+
+            # ---------------- dispatch ----------------
+            # Decode pipe after fetch (fetch cycles never decrease, so
+            # the newest member was fetched last), then ROB / issue-queue
+            # / memory-queue occupancy. Groups are not limited to one
+            # per dispatch cycle (see DESIGN.md, "Trace production").
+            dispatch_cycle = next_fetch_cycle + 1
+            rob_blocker = group_start - rob_entries + size
+            if rob_blocker >= 0 and retire[rob_blocker] + 1 > dispatch_cycle:
+                dispatch_cycle = retire[rob_blocker] + 1
+            iq_blocker = group_start - iq_entries + size
+            if iq_blocker >= 0 and issue[iq_blocker] + 1 > dispatch_cycle:
+                dispatch_cycle = issue[iq_blocker] + 1
+            # Memory queue (FIFO-slot approximation, as for the ROB): the
+            # memop that is memory_queue_entries older than each memop in
+            # this group must have released its slot.
+            released = len(memop_release)
+            ordinal = released
+            for j in range(group_start, end):
+                if is_memory[ops[j]]:
+                    blocker = ordinal - mq_entries
+                    if 0 <= blocker < released:
+                        if memop_release[blocker] > dispatch_cycle:
+                            dispatch_cycle = memop_release[blocker]
+                    elif blocker >= 0 and released:
+                        # The blocking memop is in this same group (the
+                        # group alone overflows the queue); approximate
+                        # by waiting for the newest known release.
+                        if memop_release[-1] > dispatch_cycle:
+                            dispatch_cycle = memop_release[-1]
+                    ordinal += 1
+            dispatch_cycles.append(dispatch_cycle)
+            groups += 1
+
+            # ---------------- issue / execute ----------------
+            group_complete = 0
+            for j in range(group_start, end):
+                dispatch[j] = dispatch_cycle
+                op = ops[j]
+                a, b, c = srcs[j]
+                ready = dispatch_cycle + 1
+                if reg_ready[a] > ready:
+                    ready = reg_ready[a]
+                if reg_ready[b] > ready:
+                    ready = reg_ready[b]
+                if reg_ready[c] > ready:
+                    ready = reg_ready[c]
+
+                base_latency = latency[op]
+                if op == _LOAD:
+                    loads += 1
+                    # The LS unit is occupied for address generation plus
+                    # the L1 probe; a miss parks in the (modelled-
+                    # unbounded) miss queue and only delays this load's
+                    # completion, as in a non-blocking cache.
+                    occupancy = base_latency + l1d_latency
+                    total_latency = base_latency + dmem_access(addrs[j])
+                elif op == _STORE:
+                    stores += 1
+                    # Stores translate/probe at execute; data is written
+                    # at retirement through the memory queue.
+                    dmem_access(addrs[j])
+                    occupancy = total_latency = base_latency
+                else:
+                    occupancy = total_latency = base_latency
+
+                # The first instance to free up takes the op; the
+                # unpipelined ones stay blocked for the whole latency.
+                unit = unit_of[op]
+                pool = available[unit]
+                free = min(pool)
+                instance = pool.index(free)
+                issue_cycle = ready if ready > free else free
+                pool[instance] = issue_cycle + (
+                    occupancy if unpipelined[op] else 1
+                )
+                busy[unit] += occupancy
+
+                # Finish-width limit: at most finish_width completions
+                # per cycle.
+                complete_cycle = issue_cycle + total_latency
+                finishing = completions.get(complete_cycle, 0)
+                while finishing >= finish_width:
+                    complete_cycle += 1
+                    finishing = completions.get(complete_cycle, 0)
+                completions[complete_cycle] = finishing + 1
+
+                issue[j] = issue_cycle
+                complete[j] = complete_cycle
+                intervals[unit].append((issue_cycle, issue_cycle + occupancy))
+                if complete_cycle > group_complete:
+                    group_complete = complete_cycle
+
+                # Liveness: reads extend the current value's interval.
+                if def_cycle[a] >= 0 and last_read[a] < issue_cycle:
+                    last_read[a] = issue_cycle
+                if def_cycle[b] >= 0 and last_read[b] < issue_cycle:
+                    last_read[b] = issue_cycle
+                if def_cycle[c] >= 0 and last_read[c] < issue_cycle:
+                    last_read[c] = issue_cycle
+                # A write finalises the previous value's interval.
+                reg = dests[j]
+                if reg >= 0:
+                    reg_ready[reg] = complete_cycle
+                    defined = def_cycle[reg]
+                    if defined >= 0 and last_read[reg] > defined:
+                        live_intervals.append((reg, defined, last_read[reg]))
+                    def_cycle[reg] = complete_cycle
+                    last_read[reg] = -1
+
+            # ---------------- retire ----------------
+            retire_cycle = group_complete + 1
+            if last_retire_cycle + 1 > retire_cycle:
+                retire_cycle = last_retire_cycle + 1
+            # Memory-queue release: loads free at completion, stores
+            # drain after retirement.
+            for j in range(group_start, end):
+                retire[j] = retire_cycle
+                op = ops[j]
+                if op == _LOAD:
+                    memop_release.append(complete[j] + 1)
+                elif op == _STORE:
+                    memop_release.append(retire_cycle + 1)
+            last_retire_cycle = retire_cycle
+            group_start = end
 
             # ---------------- branch outcome ----------------
-            if record.op.is_branch:
-                stats.branches += 1
-                correct = self.predictor.predict_and_update(
-                    record.pc, record.taken
-                )
-                if not correct:
-                    stats.mispredictions += 1
-                    redirect_after = (
-                        complete[i] + cfg.mispredict_redirect_penalty
-                    )
-                elif record.taken:
+            if is_branch:
+                branches += 1
+                taken = takens[i]
+                if not predict(pc, taken):
+                    mispredictions += 1
+                    redirect_after = complete[i] + redirect_penalty
+                elif taken:
                     # Taken branches end the fetch group (redirect bubble
                     # is hidden by the predictor; next line fetch below).
-                    fetched_this_cycle = cfg.fetch_width
-
-        close_group()
-
-        stats.instructions = n
-        stats.cycles = retire[-1] + 1
-        stats.l1i_misses = self.icache.misses
-        stats.l1d_misses = self.dcache.misses
-        stats.l2_misses = self.l2.misses
-        stats.itlb_misses = self.itlb.misses
-        stats.dtlb_misses = self.dtlb.misses
-        stats.unit_busy_cycles = {
-            name: pool.busy_cycles for name, pool in pools.items()
-        }
+                    fetched_this_cycle = fetch_width
 
         # Finalise still-open liveness intervals at trace end.
         for reg in range(NUM_ARCH_REGS):
             if def_cycle[reg] >= 0 and last_read[reg] > def_cycle[reg]:
                 live_intervals.append((reg, def_cycle[reg], last_read[reg]))
 
+        stats = PipelineStats(
+            instructions=n,
+            cycles=retire[-1] + 1,
+            dispatch_groups=groups,
+            l1i_misses=self.icache.misses,
+            l1d_misses=self.dcache.misses,
+            l2_misses=self.l2.misses,
+            itlb_misses=self.itlb.misses,
+            dtlb_misses=self.dtlb.misses,
+            branches=branches,
+            mispredictions=mispredictions,
+            loads=loads,
+            stores=stores,
+            unit_busy_cycles=dict(zip(_POOLS, busy)),
+        )
         return ScheduleResult(
             fetch=fetch,
             dispatch=dispatch,
             issue=issue,
             complete=complete,
             retire=retire,
-            unit_intervals=unit_intervals,
+            unit_intervals=dict(zip(_POOLS, intervals)),
             dispatch_cycles=dispatch_cycles,
             live_intervals=live_intervals,
             stats=stats,
         )
-
-    def _schedule_execution(
-        self,
-        index: int,
-        record: InstructionRecord,
-        dispatch_cycle: int,
-        reg_ready: list[int],
-        pools: dict,
-        unit_intervals: dict,
-        issue: list[int],
-        complete: list[int],
-        completions_in_cycle: dict,
-        stats: PipelineStats,
-    ) -> None:
-        cfg = self.config
-        ready = dispatch_cycle + 1
-        for src in record.srcs:
-            ready = max(ready, reg_ready[src])
-
-        base_latency = cfg.latency_of(record.op)
-        if record.op is OpClass.LOAD:
-            stats.loads += 1
-            # The LS unit is occupied for address generation plus the L1
-            # probe; a miss parks in the (modelled-unbounded) miss queue
-            # and only delays this load's completion, as in a
-            # non-blocking cache.
-            extra = self.dmem.access(record.mem_addr)
-            occupancy = base_latency + self.dcache.spec.latency
-            total_latency = base_latency + extra
-        elif record.op is OpClass.STORE:
-            stats.stores += 1
-            # Stores translate/probe at execute; data is written at
-            # retirement through the memory queue.
-            self.dmem.access(record.mem_addr)
-            occupancy = base_latency
-            total_latency = base_latency
-        else:
-            occupancy = base_latency
-            total_latency = base_latency
-
-        pool = pools[record.op.unit]
-        blocking = occupancy if record.op in cfg.unpipelined_ops else 1
-        issue_cycle = pool.allocate(ready, occupancy, blocking)
-
-        complete_cycle = issue_cycle + total_latency
-        # Finish-width limit: at most finish_width completions per cycle.
-        while completions_in_cycle.get(complete_cycle, 0) >= cfg.finish_width:
-            complete_cycle += 1
-        completions_in_cycle[complete_cycle] = (
-            completions_in_cycle.get(complete_cycle, 0) + 1
-        )
-
-        issue[index] = issue_cycle
-        complete[index] = complete_cycle
-        unit_intervals[record.op.unit].append(
-            (issue_cycle, issue_cycle + occupancy)
-        )
-        if record.dest is not None:
-            reg_ready[record.dest] = complete_cycle

@@ -28,7 +28,7 @@ from ..errors import SimulationError
 from ..masking.liveness import live_counts_from_intervals
 from ..masking.trace import MaskingTrace
 from .config import MachineConfig
-from .isa import FP_REG_BASE, InstructionRecord, validate_trace
+from .isa import FP_REG_BASE, InstructionTrace, validate_trace
 from .pipeline import PipelineModel, ScheduleResult
 from .stats import PipelineStats
 
@@ -57,30 +57,19 @@ def _pool_busy_fraction(
 
 
 def _register_file_vulnerability(
-    schedule: ScheduleResult,
-    trace: list[InstructionRecord],
-    config: MachineConfig,
-    n_cycles: int,
+    schedule: ScheduleResult, config: MachineConfig, n_cycles: int
 ) -> np.ndarray:
-    int_intervals = [
-        (start, end)
-        for reg, start, end in schedule.live_intervals
-        if reg < FP_REG_BASE
-    ]
-    fp_intervals = [
-        (start, end)
-        for reg, start, end in schedule.live_intervals
-        if reg >= FP_REG_BASE
-    ]
-    live_int = live_counts_from_intervals(int_intervals, n_cycles)
-    live_fp = live_counts_from_intervals(fp_intervals, n_cycles)
+    live = np.asarray(schedule.live_intervals, dtype=np.int64).reshape(-1, 3)
+    is_int = live[:, 0] < FP_REG_BASE
+    live_int = live_counts_from_intervals(live[is_int, 1:], n_cycles)
+    live_fp = live_counts_from_intervals(live[~is_int, 1:], n_cycles)
     live_int = np.minimum(live_int, config.int_register_entries)
     live_fp = np.minimum(live_fp, config.fp_register_entries)
     return (live_int + live_fp) / float(config.register_file_entries)
 
 
 def simulate(
-    trace: list[InstructionRecord],
+    trace: InstructionTrace,
     config: MachineConfig | None = None,
     workload: str = "",
 ) -> SimulationResult:
@@ -90,7 +79,9 @@ def simulate(
     ----------
     trace:
         Dynamic instruction stream (e.g. from
-        :mod:`repro.workloads.spec`).
+        :func:`repro.workloads.synthesize_trace`), or a list of
+        :class:`~repro.microarch.isa.InstructionRecord`. Its columns
+        are validated here, all at once.
     config:
         Machine description; defaults to the paper's Table-1
         configuration.
@@ -98,7 +89,7 @@ def simulate(
         Label stored in the resulting masking trace.
     """
     config = config or MachineConfig.power4_like()
-    validate_trace(trace)
+    trace = validate_trace(trace)
     model = PipelineModel(config)
     schedule = model.run(trace)
     n_cycles = schedule.total_cycles
@@ -122,7 +113,7 @@ def simulate(
     masks["decode_unit"] = decode
 
     masks["register_file"] = _register_file_vulnerability(
-        schedule, trace, config, n_cycles
+        schedule, config, n_cycles
     )
 
     masking_trace = MaskingTrace(

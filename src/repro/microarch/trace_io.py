@@ -11,6 +11,11 @@ any custom parsing:
 * ``pc``        — int64 instruction addresses;
 * ``mem_addr``  — int64 effective addresses, -1 for non-memory ops;
 * ``taken``     — bool branch outcomes.
+
+These are the columns of :class:`~repro.microarch.isa.InstructionTrace`,
+so saving and loading are column writes and reads. A loaded file is
+validated column-wise (op codes, register ranges, memory addresses,
+store destinations) and a malformed one fails with :class:`TraceError`.
 """
 
 from __future__ import annotations
@@ -20,78 +25,57 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import TraceError
-from .isa import InstructionRecord, OpClass
+from .isa import InstructionTrace
 
 _FORMAT_VERSION = 1
 
+#: On-disk dtype of each column.
+_DTYPES = {
+    "op": np.int8,
+    "dest": np.int16,
+    "srcs": np.int16,
+    "pc": np.int64,
+    "mem_addr": np.int64,
+    "taken": bool,
+}
 
-def save_trace(trace: list[InstructionRecord], path: "str | Path") -> None:
-    """Serialise a trace to a compressed ``.npz`` file."""
-    if not trace:
+
+def save_trace(trace: InstructionTrace, path: "str | Path") -> None:
+    """Serialise a trace (columns or a list of records) to ``.npz``."""
+    trace = InstructionTrace.coerce(trace)
+    if not len(trace):
         raise TraceError("refusing to save an empty trace")
-    n = len(trace)
-    op = np.empty(n, dtype=np.int8)
-    dest = np.full(n, -1, dtype=np.int16)
-    srcs = np.full((n, 3), -1, dtype=np.int16)
-    pc = np.empty(n, dtype=np.int64)
-    mem_addr = np.full(n, -1, dtype=np.int64)
-    taken = np.zeros(n, dtype=bool)
-    for i, record in enumerate(trace):
-        op[i] = int(record.op)
-        if record.dest is not None:
-            dest[i] = record.dest
-        for j, src in enumerate(record.srcs):
-            srcs[i, j] = src
-        pc[i] = record.pc
-        if record.mem_addr is not None:
-            mem_addr[i] = record.mem_addr
-        taken[i] = record.taken
+    trace.validate()
     np.savez_compressed(
         Path(path),
         version=np.asarray(_FORMAT_VERSION),
-        op=op,
-        dest=dest,
-        srcs=srcs,
-        pc=pc,
-        mem_addr=mem_addr,
-        taken=taken,
+        **{
+            name: column.astype(_DTYPES[name])
+            for name, column in trace.columns().items()
+        },
     )
 
 
-def load_trace(path: "str | Path") -> list[InstructionRecord]:
-    """Load a trace saved by :func:`save_trace`."""
+def load_trace(path: "str | Path") -> InstructionTrace:
+    """Load and validate a trace saved by :func:`save_trace`."""
     path = Path(path)
     if not path.exists():
         raise TraceError(f"trace file not found: {path}")
-    with np.load(path, allow_pickle=False) as data:
-        try:
+    try:
+        with np.load(path, allow_pickle=False) as data:
             version = int(data["version"])
-            op = data["op"]
-            dest = data["dest"]
-            srcs = data["srcs"]
-            pc = data["pc"]
-            mem_addr = data["mem_addr"]
-            taken = data["taken"]
-        except KeyError as exc:
-            raise TraceError(f"{path}: missing field {exc}") from exc
+            columns = {name: data[name] for name in _DTYPES}
+    except KeyError as exc:
+        raise TraceError(f"{path}: missing field {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise TraceError(f"{path}: unreadable trace file: {exc}") from exc
     if version != _FORMAT_VERSION:
         raise TraceError(
             f"{path}: unsupported trace format version {version}"
         )
-    lengths = {arr.shape[0] for arr in (op, dest, srcs, pc, mem_addr, taken)}
-    if len(lengths) != 1:
-        raise TraceError(f"{path}: inconsistent array lengths {lengths}")
-    trace: list[InstructionRecord] = []
-    for i in range(op.shape[0]):
-        sources = tuple(int(s) for s in srcs[i] if s >= 0)
-        trace.append(
-            InstructionRecord(
-                op=OpClass(int(op[i])),
-                dest=int(dest[i]) if dest[i] >= 0 else None,
-                srcs=sources,
-                pc=int(pc[i]),
-                mem_addr=int(mem_addr[i]) if mem_addr[i] >= 0 else None,
-                taken=bool(taken[i]),
-            )
-        )
+    trace = InstructionTrace(**columns)
+    try:
+        trace.validate()
+    except TraceError as exc:
+        raise TraceError(f"{path}: {exc}") from exc
     return trace

@@ -19,7 +19,10 @@ instruction stream whose statistics match the profile:
 * optional two-phase modulation (compute-leaning vs memory-leaning),
   giving the within-benchmark time structure the masking traces need.
 
-The generator is fully deterministic given a seed.
+The generator is fully deterministic given a seed. It writes the
+columns of an :class:`~repro.microarch.isa.InstructionTrace` directly;
+the order of its random draws is part of that contract (see DESIGN.md,
+"Trace production"), so a change to it changes every masking trace.
 """
 
 from __future__ import annotations
@@ -27,11 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..microarch.isa import (
-    FP_REG_BASE,
-    InstructionRecord,
-    OpClass,
-)
+from ..microarch.isa import FP_REG_BASE, InstructionTrace, OpClass
 from .spec import BenchmarkProfile
 
 #: Long-lived integer registers (stack/frame/base pointers, globals):
@@ -56,29 +55,12 @@ _WARM_BYTES = 1024 * 1024
 _HOT_PROB = 0.75
 _WARM_PROB = 0.18
 
-#: Source-register counts per op class.
-_N_SRCS = {
-    OpClass.INT_ALU: 2,
-    OpClass.INT_MUL: 2,
-    OpClass.INT_DIV: 2,
-    OpClass.FP_ADD: 2,
-    OpClass.FP_MUL: 2,
-    OpClass.FP_DIV: 2,
-    OpClass.LOAD: 1,
-    OpClass.STORE: 2,
-}
-
-
-class _BlockSkeleton:
-    """One static basic block: op classes, pc, and branch personality."""
-
-    __slots__ = ("ops", "base_pc", "taken_direction", "is_random")
-
-    def __init__(self, ops, base_pc, taken_direction, is_random):
-        self.ops = ops
-        self.base_pc = base_pc
-        self.taken_direction = taken_direction
-        self.is_random = is_random
+#: Source-register counts per op-class code (branches read one).
+_N_SRCS = (2, 2, 2, 2, 2, 2, 1, 2, 1)
+_IS_FP = tuple(OpClass(code).is_fp for code in range(len(OpClass)))
+_LOAD = int(OpClass.LOAD)
+_STORE = int(OpClass.STORE)
+_BRANCH = int(OpClass.BRANCH)
 
 
 def _phase_mix(profile: BenchmarkProfile, phase: int) -> dict:
@@ -95,137 +77,19 @@ def _phase_mix(profile: BenchmarkProfile, phase: int) -> dict:
     return mix
 
 
-def _draw_ops(rng, mix: dict, count: int) -> list[OpClass]:
-    classes = list(mix.keys())
-    weights = np.asarray([mix[c] for c in classes], dtype=float)
-    weights = weights / weights.sum()
-    indices = rng.choice(len(classes), size=count, p=weights)
-    return [classes[i] for i in indices]
-
-
-class _TraceBuilder:
-    """Mutable state of one synthesis run."""
-
-    def __init__(self, profile: BenchmarkProfile, rng: np.random.Generator):
-        self.profile = profile
-        self.rng = rng
-        self.trace: list[InstructionRecord] = []
-        self.recent_int: list[int] = list(_INT_GLOBALS)
-        self.recent_fp: list[int] = list(_FP_GLOBALS)
-        self.stream_addr = 0x4000_0000
-        self.int_dest_cursor = 0
-        self.fp_dest_cursor = 0
-        self.dep_p = min(1.0 / profile.mean_dep_distance, 1.0)
-        working = max(profile.working_set_bytes, _HOT_BYTES)
-        self.hot_span = min(working, _HOT_BYTES)
-        self.warm_span = min(working, _WARM_BYTES)
-        self.cold_span = working
-
-    # -- operand helpers ------------------------------------------------
-
-    def pick_src(self, is_fp: bool) -> int:
-        rng = self.rng
-        if rng.random() < _GLOBAL_SRC_PROB:
-            pool = _FP_GLOBALS if is_fp else _INT_GLOBALS
-            return int(pool[int(rng.integers(len(pool)))])
-        pool = self.recent_fp if is_fp else self.recent_int
-        distance = min(int(rng.geometric(self.dep_p)), len(pool))
-        return pool[-distance]
-
-    def next_dest(self, is_fp: bool) -> int:
-        if is_fp:
-            dest = _FP_DEST_POOL[self.fp_dest_cursor % len(_FP_DEST_POOL)]
-            self.fp_dest_cursor += 1
-        else:
-            dest = _INT_DEST_POOL[self.int_dest_cursor % len(_INT_DEST_POOL)]
-            self.int_dest_cursor += 1
-        return dest
-
-    def note_dest(self, dest: int) -> None:
-        if dest >= FP_REG_BASE:
-            self.recent_fp.append(dest)
-            if len(self.recent_fp) > 64:
-                del self.recent_fp[:32]
-        else:
-            self.recent_int.append(dest)
-            if len(self.recent_int) > 64:
-                del self.recent_int[:32]
-
-    def memory_address(self) -> int:
-        rng = self.rng
-        if rng.random() < self.profile.streaming_fraction:
-            self.stream_addr = (self.stream_addr + 8) & 0x7FFF_FFFF
-            return self.stream_addr
-        roll = rng.random()
-        if roll < _HOT_PROB:
-            span = self.hot_span
-        elif roll < _HOT_PROB + _WARM_PROB:
-            span = self.warm_span
-        else:
-            span = self.cold_span
-        return 0x4000_0000 + (int(rng.integers(0, span)) & ~7)
-
-    # -- emission --------------------------------------------------------
-
-    def emit_preamble(self) -> None:
-        """Define the global registers so their long lives are real."""
-        pc = 0x0FFF_0000
-        for reg in (*_INT_GLOBALS, *_FP_GLOBALS):
-            self.trace.append(
-                InstructionRecord(
-                    op=OpClass.INT_ALU if reg < FP_REG_BASE else OpClass.FP_ADD,
-                    dest=reg,
-                    srcs=(),
-                    pc=pc,
-                )
-            )
-            pc += 4
-
-    def emit_op(self, op: OpClass, pc: int) -> None:
-        is_fp_op = op.is_fp
-        srcs = tuple(self.pick_src(is_fp_op) for _ in range(_N_SRCS[op]))
-        dest = None
-        mem_addr = None
-        if op is OpClass.LOAD:
-            fp_load = self.rng.random() < (
-                0.5 if self.profile.suite == "fp" else 0.05
-            )
-            dest = self.next_dest(fp_load)
-        elif op is not OpClass.STORE:
-            dest = self.next_dest(is_fp_op)
-        if op.is_memory:
-            mem_addr = self.memory_address()
-        self.trace.append(
-            InstructionRecord(
-                op=op, dest=dest, srcs=srcs, pc=pc, mem_addr=mem_addr
-            )
-        )
-        if dest is not None:
-            self.note_dest(dest)
-
-    def emit_branch(self, skeleton: _BlockSkeleton, pc: int) -> bool:
-        rng = self.rng
-        if skeleton.is_random:
-            taken = bool(rng.random() < 0.5)
-        else:
-            flip = rng.random() < _BRANCH_NOISE
-            taken = skeleton.taken_direction != flip
-        self.trace.append(
-            InstructionRecord(
-                op=OpClass.BRANCH,
-                srcs=(self.pick_src(False),),
-                pc=pc,
-                taken=taken,
-            )
-        )
-        return taken
+def _mix_cdf(mix: dict) -> np.ndarray:
+    """The normalised CDF ``Generator.choice(k, p=w)`` searches."""
+    weights = np.asarray(list(mix.values()), dtype=float)
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def synthesize_trace(
     profile: BenchmarkProfile,
     n_instructions: int,
     seed: int = 0,
-) -> list[InstructionRecord]:
+) -> InstructionTrace:
     """Generate a dynamic trace with the profile's statistics.
 
     Parameters
@@ -243,61 +107,196 @@ def synthesize_trace(
         raise ConfigurationError(
             f"need at least one instruction, got {n_instructions}"
         )
+    n = n_instructions
     rng = np.random.default_rng(seed)
+    random = rng.random
+    integers = rng.integers
+    geometric = rng.geometric
 
+    # Op classes are drawn as ``cdf.searchsorted(rng.random(k))``: the
+    # exact draws of ``rng.choice(k, p=w)`` without its per-call checks.
+    classes = np.asarray([int(op) for op in profile.mix], dtype=np.int64)
+    base_cdf = _mix_cdf(profile.mix)
+    phased = profile.phase_length > 0 and profile.phase_intensity > 0
+    phase_cdfs = (
+        _mix_cdf(_phase_mix(profile, 0)),
+        _mix_cdf(_phase_mix(profile, 1)),
+    )
+
+    def draw_ops(cdf: np.ndarray, count: int) -> list[int]:
+        return classes[cdf.searchsorted(random(count), side="right")].tolist()
+
+    # Static skeleton: per block its op codes, base pc and personality.
     mean_block = max(1.0 / profile.branch_fraction - 1.0, 1.0)
     n_blocks = profile.static_blocks
-
-    skeletons: list[_BlockSkeleton] = []
+    block_ops: list[list[int]] = []
+    block_pc: list[int] = []
+    block_taken: list[bool] = []
+    block_random: list[bool] = []
     pc = 0x1000_0000
-    base_mix = profile.mix
     for _ in range(n_blocks):
-        size = int(rng.geometric(1.0 / mean_block))
+        size = int(geometric(1.0 / mean_block))
         size = max(1, min(size, 40))
-        ops = _draw_ops(rng, base_mix, size)
-        is_random = rng.random() < profile.random_branch_fraction
-        taken_direction = bool(rng.random() < profile.branch_taken_bias)
-        skeletons.append(
-            _BlockSkeleton(ops, pc, taken_direction, is_random)
-        )
+        block_ops.append(draw_ops(base_cdf, size))
+        block_random.append(random() < profile.random_branch_fraction)
+        block_taken.append(bool(random() < profile.branch_taken_bias))
+        block_pc.append(pc)
         pc += 4 * (size + 1)  # +1 for the terminating branch
 
-    builder = _TraceBuilder(profile, rng)
-    builder.emit_preamble()
+    # Output columns; srcs is flat, three slots per instruction.
+    op_col: list[int] = []
+    dest_col: list[int] = []
+    srcs_col: list[int] = []
+    pc_col: list[int] = []
+    mem_col: list[int] = []
+    taken_col: list[bool] = []
+
+    # Preamble: define the global registers so their long lives are real.
+    pc = 0x0FFF_0000
+    for reg in (*_INT_GLOBALS, *_FP_GLOBALS):
+        op_col.append(
+            int(OpClass.INT_ALU if reg < FP_REG_BASE else OpClass.FP_ADD)
+        )
+        dest_col.append(reg)
+        srcs_col += (-1, -1, -1)
+        pc_col.append(pc)
+        mem_col.append(-1)
+        taken_col.append(False)
+        pc += 4
+
+    recent_int = list(_INT_GLOBALS)
+    recent_fp = list(_FP_GLOBALS)
+    n_int_globals = len(_INT_GLOBALS)
+    n_fp_globals = len(_FP_GLOBALS)
+    n_int_pool = len(_INT_DEST_POOL)
+    n_fp_pool = len(_FP_DEST_POOL)
+    int_cursor = fp_cursor = 0
+    stream_addr = 0x4000_0000
+    dep_p = min(1.0 / profile.mean_dep_distance, 1.0)
+    streaming = profile.streaming_fraction
+    fp_load_prob = 0.5 if profile.suite == "fp" else 0.05
+    working = max(profile.working_set_bytes, _HOT_BYTES)
+    hot_span = min(working, _HOT_BYTES)
+    warm_span = min(working, _WARM_BYTES)
+    cold_span = working
 
     # Control flow visits a slowly rotating hot set of blocks (loops),
     # occasionally escaping to a fresh region — real programs spend most
     # of their time in small loop nests, which is what gives branch
     # predictors and I-caches their hit rates.
-    loop_set = list(rng.integers(0, n_blocks, size=_LOOP_SET_SIZE))
-    block_index = loop_set[0]
-    phase = 0
-    while len(builder.trace) < n_instructions:
-        if profile.phase_length > 0:
-            phase = len(builder.trace) // profile.phase_length
-        mix = _phase_mix(profile, phase)
-        skeleton = skeletons[block_index]
-        pc = skeleton.base_pc
-        ops = skeleton.ops
-        if mix is not base_mix:
+    loop_set = list(integers(0, n_blocks, size=_LOOP_SET_SIZE))
+    block = loop_set[0]
+    count = len(op_col)
+    while count < n:
+        pc = block_pc[block]
+        ops = block_ops[block]
+        if phased:
             # Resample this visit's ops under the phase mix, keeping the
             # block length (hence pcs and branch structure) fixed.
-            ops = _draw_ops(rng, mix, len(ops))
+            phase = count // profile.phase_length
+            ops = draw_ops(phase_cdfs[phase % 2], len(ops))
         for op in ops:
-            if len(builder.trace) >= n_instructions:
+            if count >= n:
                 break
-            builder.emit_op(op, pc)
+            # Sources: a global, or a recent producer at a geometric
+            # dependence distance.
+            is_fp = _IS_FP[op]
+            recent = recent_fp if is_fp else recent_int
+            for _ in range(_N_SRCS[op]):
+                if random() < _GLOBAL_SRC_PROB:
+                    if is_fp:
+                        srcs_col.append(_FP_GLOBALS[int(integers(n_fp_globals))])
+                    else:
+                        srcs_col.append(
+                            _INT_GLOBALS[int(integers(n_int_globals))]
+                        )
+                else:
+                    distance = min(int(geometric(dep_p)), len(recent))
+                    srcs_col.append(recent[-distance])
+            srcs_col += (-1,) * (3 - _N_SRCS[op])
+
+            dest = -1
+            if op == _LOAD:
+                if random() < fp_load_prob:
+                    dest = _FP_DEST_POOL[fp_cursor % n_fp_pool]
+                    fp_cursor += 1
+                else:
+                    dest = _INT_DEST_POOL[int_cursor % n_int_pool]
+                    int_cursor += 1
+            elif op != _STORE:
+                if is_fp:
+                    dest = _FP_DEST_POOL[fp_cursor % n_fp_pool]
+                    fp_cursor += 1
+                else:
+                    dest = _INT_DEST_POOL[int_cursor % n_int_pool]
+                    int_cursor += 1
+
+            mem_addr = -1
+            if op == _LOAD or op == _STORE:
+                if random() < streaming:
+                    stream_addr = (stream_addr + 8) & 0x7FFF_FFFF
+                    mem_addr = stream_addr
+                else:
+                    roll = random()
+                    if roll < _HOT_PROB:
+                        span = hot_span
+                    elif roll < _HOT_PROB + _WARM_PROB:
+                        span = warm_span
+                    else:
+                        span = cold_span
+                    mem_addr = 0x4000_0000 + (int(integers(0, span)) & ~7)
+
+            op_col.append(op)
+            dest_col.append(dest)
+            pc_col.append(pc)
+            mem_col.append(mem_addr)
+            taken_col.append(False)
+            if dest >= FP_REG_BASE:
+                recent_fp.append(dest)
+                if len(recent_fp) > 64:
+                    del recent_fp[:32]
+            elif dest >= 0:
+                recent_int.append(dest)
+                if len(recent_int) > 64:
+                    del recent_int[:32]
+            count += 1
             pc += 4
-        if len(builder.trace) >= n_instructions:
+        if count >= n:
             break
-        taken = builder.emit_branch(skeleton, pc)
-        if taken:
-            if rng.random() < _LOOP_ESCAPE_PROB:
-                fresh = int(rng.integers(n_blocks))
-                loop_set[int(rng.integers(_LOOP_SET_SIZE))] = fresh
-                block_index = fresh
-            else:
-                block_index = loop_set[int(rng.integers(_LOOP_SET_SIZE))]
+
+        # The block's terminating branch.
+        if block_random[block]:
+            taken = bool(random() < 0.5)
         else:
-            block_index = (block_index + 1) % n_blocks
-    return builder.trace[:n_instructions]
+            taken = block_taken[block] != (random() < _BRANCH_NOISE)
+        if random() < _GLOBAL_SRC_PROB:
+            srcs_col.append(_INT_GLOBALS[int(integers(n_int_globals))])
+        else:
+            distance = min(int(geometric(dep_p)), len(recent_int))
+            srcs_col.append(recent_int[-distance])
+        srcs_col += (-1, -1)
+        op_col.append(_BRANCH)
+        dest_col.append(-1)
+        pc_col.append(pc)
+        mem_col.append(-1)
+        taken_col.append(taken)
+        count += 1
+
+        if taken:
+            if random() < _LOOP_ESCAPE_PROB:
+                fresh = int(integers(n_blocks))
+                loop_set[int(integers(_LOOP_SET_SIZE))] = fresh
+                block = fresh
+            else:
+                block = loop_set[int(integers(_LOOP_SET_SIZE))]
+        else:
+            block = (block + 1) % n_blocks
+
+    return InstructionTrace(
+        op=np.array(op_col[:n], dtype=np.int8),
+        dest=np.array(dest_col[:n], dtype=np.int16),
+        srcs=np.array(srcs_col[: 3 * n], dtype=np.int16).reshape(-1, 3),
+        pc=np.array(pc_col[:n], dtype=np.int64),
+        mem_addr=np.array(mem_col[:n], dtype=np.int64),
+        taken=np.array(taken_col[:n], dtype=bool),
+    )

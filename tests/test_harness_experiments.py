@@ -42,6 +42,20 @@ class TestSpecSetup:
         b = masking_trace_for("gzip", 3_000)
         assert a is b  # lru_cache hit
 
+    def test_default_window_spellings_share_one_trace(self):
+        # table1 asks for masking_trace_for(bench) while the uniprocessor
+        # systems pass (bench, None, 0); all spell the same simulation.
+        from repro.harness import spec_setup
+
+        spec_setup.clear_trace_cache()
+        a = masking_trace_for("gzip")
+        b = masking_trace_for("gzip", None, 0)
+        c = masking_trace_for("gzip", spec_setup.DEFAULT_INSTRUCTIONS, 0)
+        assert a is b is c
+        assert spec_setup._masking_trace.cache_info().misses == 1
+        spec_setup.clear_trace_cache()
+        assert spec_setup._masking_trace.cache_info().currsize == 0
+
     def test_uniprocessor_has_four_components(self):
         system = spec_uniprocessor_system("gzip", 3_000)
         assert [c.name for c in system.components] == list(PAPER_COMPONENTS)

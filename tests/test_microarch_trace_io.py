@@ -71,6 +71,79 @@ class TestTraceRoundTrip:
             load_trace(path)
 
 
+def _write_trace(path, **overrides):
+    """A valid one-load trace file with some columns replaced."""
+    columns = {
+        "version": np.asarray(1),
+        "op": np.asarray([int(OpClass.LOAD)], dtype=np.int8),
+        "dest": np.asarray([4], dtype=np.int16),
+        "srcs": np.asarray([[1, -1, -1]], dtype=np.int16),
+        "pc": np.asarray([0x10], dtype=np.int64),
+        "mem_addr": np.asarray([0x4000_0000], dtype=np.int64),
+        "taken": np.zeros(1, dtype=bool),
+    }
+    columns.update(overrides)
+    np.savez_compressed(path, **columns)
+    return path
+
+
+class TestMalformedTraceFiles:
+    def test_crafted_file_loads(self, tmp_path):
+        trace = load_trace(_write_trace(tmp_path / "ok.npz"))
+        assert list(trace) == [
+            InstructionRecord(
+                OpClass.LOAD, dest=4, srcs=(1,), pc=0x10, mem_addr=0x4000_0000
+            )
+        ]
+
+    @pytest.mark.parametrize("code", [-1, 9, 127])
+    def test_op_code_out_of_range(self, tmp_path, code):
+        path = _write_trace(
+            tmp_path / "op.npz", op=np.asarray([code], dtype=np.int8)
+        )
+        with pytest.raises(TraceError, match="op code"):
+            load_trace(path)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("dest", [64]),
+            ("dest", [-2]),
+            ("srcs", [[1, 70, -1]]),
+            ("srcs", [[-3, -1, -1]]),
+        ],
+    )
+    def test_register_out_of_range(self, tmp_path, column, value):
+        path = _write_trace(
+            tmp_path / "reg.npz", **{column: np.asarray(value, dtype=np.int16)}
+        )
+        with pytest.raises(TraceError, match="register"):
+            load_trace(path)
+
+    def test_memory_op_without_address(self, tmp_path):
+        path = _write_trace(
+            tmp_path / "mem.npz", mem_addr=np.asarray([-1], dtype=np.int64)
+        )
+        with pytest.raises(TraceError, match="memory address"):
+            load_trace(path)
+
+    def test_store_with_destination(self, tmp_path):
+        path = _write_trace(
+            tmp_path / "store.npz",
+            op=np.asarray([int(OpClass.STORE)], dtype=np.int8),
+        )
+        with pytest.raises(TraceError, match="stores"):
+            load_trace(path)
+
+    def test_ragged_columns(self, tmp_path):
+        path = _write_trace(
+            tmp_path / "ragged.npz",
+            pc=np.asarray([0x10, 0x14], dtype=np.int64),
+        )
+        with pytest.raises(TraceError, match="shape"):
+            load_trace(path)
+
+
 class TestSimulateCli:
     def test_synthesize_run(self, capsys):
         code = simulate_main(["gzip", "--instructions", "2000"])
