@@ -176,52 +176,23 @@ def benchmark_cases(trials: int, points: int, workers: int):
                 cache=False,
             ),
         ),
-        # Pipelined-vs-phased. Like-for-like for the method-pipelining
-        # claim is the process pair (sweep_process_streaming_adaptive
-        # vs sweep_process_pipelined_adaptive: both stream reference
-        # chunks, only the method schedule differs). The thread pair
-        # additionally buys per-point chunk fan-out — the classic
-        # thread path runs each point's whole adaptive plan serially
-        # inside one task — so its delta conflates the two effects;
-        # read it as "scheduler vs classic thread path". The
-        # reallocating case also spends freed early-stop budget on the
+        (
+            "sweep_threads_adaptive_2pct",
+            {"trials": trials, "chunks": 8, "workers": workers,
+             "executor": "thread", "target_rel_stderr": 0.02},
+            lambda: run(mc_config=adaptive, workers=workers, cache=False),
+        ),
+        # Budget re-allocation spends freed early-stop budget on the
         # stragglers (its reference_trials metadata shows where the
         # budget went).
         (
-            "sweep_threads_phased_adaptive_2pct",
+            "sweep_threads_realloc_adaptive_2pct",
             {"trials": trials, "chunks": 8, "workers": workers,
              "executor": "thread", "target_rel_stderr": 0.02,
-             "pipeline_methods": False},
-            lambda: run(mc_config=adaptive, workers=workers, cache=False),
-        ),
-        (
-            "sweep_threads_pipelined_adaptive_2pct",
-            {"trials": trials, "chunks": 8, "workers": workers,
-             "executor": "thread", "target_rel_stderr": 0.02,
-             "pipeline_methods": True},
+             "reallocate_budget": True},
             lambda: run(
                 mc_config=adaptive, workers=workers, cache=False,
-                pipeline_methods=True,
-            ),
-        ),
-        (
-            "sweep_process_pipelined_adaptive_2pct",
-            {"trials": trials, "chunks": 8, "workers": workers,
-             "executor": "process", "target_rel_stderr": 0.02,
-             "pipeline_methods": True},
-            lambda: run(
-                mc_config=adaptive, workers=workers, executor="process",
-                cache=False, pipeline_methods=True,
-            ),
-        ),
-        (
-            "sweep_threads_pipelined_realloc_adaptive_2pct",
-            {"trials": trials, "chunks": 8, "workers": workers,
-             "executor": "thread", "target_rel_stderr": 0.02,
-             "pipeline_methods": True, "reallocate_budget": True},
-            lambda: run(
-                mc_config=adaptive, workers=workers, cache=False,
-                pipeline_methods=True, reallocate_budget=True,
+                reallocate_budget=True,
             ),
         ),
     ]
@@ -459,7 +430,6 @@ def fleet_cases(trials: int, points: int, shards: int = 2):
                 mc_config=mc,
                 shard=(index, shards),
                 workers=2,
-                pipeline_methods=True,
                 reallocate_budget=True,
                 cache=False,
                 budget_ledger=ledger,
@@ -593,7 +563,6 @@ def elastic_cases(trials: int, points: int, shards: int = 3):
                 mc_config=mc,
                 shard=(slot, shards),
                 workers=2,
-                pipeline_methods=True,
                 reallocate_budget=True,
                 cache=False,
                 budget_ledger=ledger,
@@ -720,8 +689,8 @@ def executor_cases(trials: int, points: int, workers: int, repeat: int):
     """Backend shoot-out on one fixed sweep (the PR-8 executor layer).
 
     The same fixed-count sweep runs through every registered backend —
-    serial inline, thread pool, process pool, and a two-worker loopback
-    ``repro-worker`` fleet — and each record carries the canonical
+    one-worker thread pool, thread pool, process pool, and a two-worker
+    loopback ``repro-worker`` fleet — and each record carries the canonical
     content hash of its ResultSet next to ``identical_to_serial``, so
     the artifact *proves* the determinism invariant on the hardware
     that produced the timings instead of asserting it. ``cpu_count``

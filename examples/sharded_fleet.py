@@ -83,7 +83,6 @@ def run_shard(space, index, count, ledger_file, out, replay=False):
         methods=["first_principles"],
         mc_config=MC,
         shard=(index, count),
-        pipeline_methods=True,
         reallocate_budget=True,
         budget_ledger=BudgetLedger(
             ledger_file, shard=(index, count), replay=replay,

@@ -164,7 +164,6 @@ def component_sweep(
     cache=None,
     shard: tuple[int, int] | None = None,
     progress=None,
-    pipeline_methods: bool = False,
     reallocate_budget: bool = False,
     budget_ledger=None,
 ) -> SweepOutcome:
@@ -210,7 +209,6 @@ def component_sweep(
         cache=cache,
         shard=shard,
         progress=progress,
-        pipeline_methods=pipeline_methods,
         reallocate_budget=reallocate_budget,
         budget_ledger=budget_ledger,
     )
@@ -242,7 +240,6 @@ def system_sweep(
     cache=None,
     shard: tuple[int, int] | None = None,
     progress=None,
-    pipeline_methods: bool = False,
     reallocate_budget: bool = False,
     budget_ledger=None,
 ) -> SweepOutcome:
@@ -300,7 +297,6 @@ def system_sweep(
         cache=cache,
         shard=shard,
         progress=progress,
-        pipeline_methods=pipeline_methods,
         reallocate_budget=reallocate_budget,
         budget_ledger=budget_ledger,
     )

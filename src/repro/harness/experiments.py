@@ -451,7 +451,6 @@ def run_sec51(
     mc_chunks: int = 1,
     target_stderr: float | None = None,
     kernel: str = "numpy",
-    pipeline_methods: bool = False,
     reallocate_budget: bool = False,
     **_,
 ):
@@ -468,7 +467,6 @@ def run_sec51(
     cache = make_cache(cache_dir)
     engine = dict(
         workers=workers, executor=executor, cache=cache,
-        pipeline_methods=pipeline_methods,
         reallocate_budget=reallocate_budget,
     )
     worst_component = 0.0
@@ -563,7 +561,6 @@ def run_sec52(
     cache_dir: str | None = None,
     shard: tuple[int, int] | None = None,
     progress=None,
-    pipeline_methods: bool = False,
     reallocate_budget: bool = False,
     **_,
 ):
@@ -596,7 +593,6 @@ def run_sec52(
         cache=cache,
         shard=shard,
         progress=progress,
-        pipeline_methods=pipeline_methods,
         reallocate_budget=reallocate_budget,
     )
     worst = 0.0
@@ -645,7 +641,6 @@ def run_fig5(
     kernel: str = "numpy",
     shard: tuple[int, int] | None = None,
     progress=None,
-    pipeline_methods: bool = False,
     reallocate_budget: bool = False,
     budget_ledger: str | None = None,
     ledger_replay: bool = False,
@@ -667,7 +662,6 @@ def run_fig5(
         cache=cache,
         shard=shard,
         progress=progress,
-        pipeline_methods=pipeline_methods,
         reallocate_budget=reallocate_budget,
         budget_ledger=make_ledger(
             budget_ledger, cache_dir, shard, ledger_replay,
@@ -739,7 +733,6 @@ def run_fig6a(
     kernel: str = "numpy",
     shard: tuple[int, int] | None = None,
     progress=None,
-    pipeline_methods: bool = False,
     reallocate_budget: bool = False,
     budget_ledger: str | None = None,
     ledger_replay: bool = False,
@@ -765,7 +758,6 @@ def run_fig6a(
         cache=cache,
         shard=shard,
         progress=progress,
-        pipeline_methods=pipeline_methods,
         reallocate_budget=reallocate_budget,
         budget_ledger=make_ledger(
             budget_ledger, cache_dir, shard, ledger_replay,
@@ -827,7 +819,6 @@ def run_fig6b(
     kernel: str = "numpy",
     shard: tuple[int, int] | None = None,
     progress=None,
-    pipeline_methods: bool = False,
     reallocate_budget: bool = False,
     budget_ledger: str | None = None,
     ledger_replay: bool = False,
@@ -865,8 +856,7 @@ def run_fig6b(
     cache = make_cache(cache_dir)
     engine = dict(
         workers=workers, executor=executor, cache=cache, shard=shard,
-        progress=progress, pipeline_methods=pipeline_methods,
-        reallocate_budget=reallocate_budget,
+        progress=progress, reallocate_budget=reallocate_budget,
     )
     # The two passes are separate sweeps, so a fleet coordinates each
     # through its own ledger file (same run id, per-pass suffix); every
@@ -992,7 +982,6 @@ def run_compare(
     mc_chunks: int = 1,
     target_stderr: float | None = None,
     kernel: str = "numpy",
-    pipeline_methods: bool = False,
     reallocate_budget: bool = False,
     **_,
 ):
@@ -1031,7 +1020,6 @@ def run_compare(
             workers=workers,
             executor=executor,
             cache=cache,
-            pipeline_methods=pipeline_methods,
             reallocate_budget=reallocate_budget,
         )
         comparison = bench_set[0]
@@ -1073,7 +1061,6 @@ def run_sec54(
     kernel: str = "numpy",
     shard: tuple[int, int] | None = None,
     progress=None,
-    pipeline_methods: bool = False,
     reallocate_budget: bool = False,
     budget_ledger: str | None = None,
     ledger_replay: bool = False,
@@ -1121,7 +1108,6 @@ def run_sec54(
         cache=cache,
         shard=shard,
         progress=progress,
-        pipeline_methods=pipeline_methods,
         reallocate_budget=reallocate_budget,
         budget_ledger=make_ledger(
             budget_ledger, cache_dir, shard, ledger_replay,

@@ -42,13 +42,12 @@ a sweep (run every shard against one shared ``--cache-dir``, then
 result), and ``--progress`` streams per-point progress lines to stderr
 as chunk moments merge.
 
-The pipelined scheduler adds two more: ``--pipeline-methods`` submits
-method estimates to the worker pool the moment each point's reference
-finalizes (no post-reference phase; results bit-identical), and
-``--reallocate-budget`` re-grants the trial budget freed by
-early-stopping points to the least-converged stragglers (pair it with
-``--target-stderr``; deterministic across workers and executors, and a
-sharded run redistributes within its own shard only).
+Every sweep runs as one pipelined schedule: method estimates join the
+worker pool the moment each point's reference finalizes. One more
+control rides on it: ``--reallocate-budget`` re-grants the trial budget
+freed by early-stopping points to the least-converged stragglers (pair
+it with ``--target-stderr``; deterministic across workers and
+executors, and a sharded run redistributes within its own shard only).
 
 The cross-shard budget ledger removes that last restriction:
 ``--budget-ledger RUN_ID`` makes K co-running shards (same RUN_ID,
@@ -226,11 +225,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         default="auto",
         metavar="N|auto|HOST:PORT,...",
-        help="fan-out width for the batch engine: an integer, 'auto' "
-        "(default; cpu count for local executors — on a 1-CPU host "
-        "that is the serial inline path — or the fleet size for "
-        "--executor remote), or a comma-separated list of "
-        "repro-worker addresses (implies --executor remote)",
+        help="fan-out width for the batch engine: an integer (1 is a "
+        "one-worker pool of the executor), 'auto' (default; cpu count "
+        "for local executors, or the fleet size for --executor "
+        "remote), or a comma-separated list of repro-worker addresses "
+        "(implies --executor remote)",
     )
     parser.add_argument(
         "--executor",
@@ -285,15 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "sec5.2, sec5.4); merge the per-shard --json artifacts with "
         "'repro-experiments merge'. fig6b splits its computation but "
         "its two-pass artifact is not merge-able (merge fails loudly).",
-    )
-    parser.add_argument(
-        "--pipeline-methods",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="submit method estimates to the worker pool the moment "
-        "each point's reference finalizes instead of running them in a "
-        "post-reference phase (results bit-identical either way; "
-        "--no-pipeline-methods restores the phased schedule)",
     )
     parser.add_argument(
         "--reallocate-budget",
@@ -514,7 +504,6 @@ def main(argv: list[str] | None = None) -> int:
         "target_stderr": args.target_stderr,
         "kernel": args.kernel,
         "shard": args.shard,
-        "pipeline_methods": args.pipeline_methods,
         "reallocate_budget": args.reallocate_budget,
         "budget_ledger": args.budget_ledger,
         "ledger_replay": args.ledger_replay,

@@ -2,7 +2,9 @@
 
 :func:`evaluate_design_space` runs a set of registered methods over many
 systems — the Table-2 grid, a cluster-size sweep, a workload family —
-with one uniform call, replacing the bespoke per-experiment loops. It
+with one uniform call, replacing the bespoke per-experiment loops. Every
+call runs the same work-conserving schedule (:class:`_Scheduler`) on a
+pool of the selected backend; ``workers=1`` is a one-worker pool. It
 
 * memoizes per-component MTTFs *and* whole system-level estimates in a
   shared :class:`~repro.methods.base.ComponentCache`, keyed by content
@@ -24,21 +26,20 @@ with one uniform call, replacing the bespoke per-experiment loops. It
   and cancel their unneeded chunks — as soon as the target precision is
   reached, and every fold can emit a
   :class:`~repro.methods.progress.ProgressEvent`,
-* can run as one **fully-pipelined, work-conserving schedule**
-  (``pipeline_methods=True`` / ``reallocate_budget=True``): method
-  estimator tasks join the pool the moment their point's reference
-  finalizes instead of waiting for a post-reference phase, and trial
-  budget freed by early-stopping points is re-granted to the
-  least-converged stragglers at deterministic quiescent barriers
-  (see :class:`_PipelinedScheduler`),
+* **pipelines** method estimates: a point's estimator tasks join the
+  pool the moment its reference finalizes, with no post-reference
+  phase, and with ``reallocate_budget=True`` trial budget freed by
+  early-stopping points is re-granted to the least-converged
+  stragglers at deterministic quiescent barriers,
 * partitions deterministically across machines: ``shard=(i, n)``
   evaluates every n-th grid point starting at i, and
   :func:`~repro.methods.results.merge_result_sets` reassembles the
   shards into the exact :class:`~repro.methods.results.ResultSet` an
   unsharded run produces, and
 * returns a serializable :class:`~repro.methods.results.ResultSet`
-  whose record order always matches the input order, regardless of
-  worker count, executor, or chunk completion order — at fixed chunking
+  whose record order always matches the input order, and whose
+  per-record estimates follow the method order, regardless of worker
+  count, executor, or completion order — at fixed chunking
   with the stopping rule disabled, ``workers=1`` and ``workers=N``
   produce bit-identical numbers, and even adaptive runs are a pure
   function of the configuration because chunks fold in index order.
@@ -47,12 +48,7 @@ with one uniform call, replacing the bespoke per-experiment loops. It
 from __future__ import annotations
 
 import threading
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    as_completed,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from typing import Iterable, Sequence
 
 from ..core import kernel as _kernel
@@ -155,316 +151,12 @@ def shard_select(sequence: Sequence, shard: tuple[int, int] | None):
     return sequence[index::count]
 
 
-def _emit(progress: ProgressCallback | None, event: ProgressEvent) -> None:
-    if progress is not None:
-        progress(event)
-
-
-def _finish_item(
-    item: tuple[str, SystemModel],
-    ref: MTTFEstimate,
-    method_names: Sequence[str],
-    reference_name: str,
-    config: MethodConfig,
-    cache: ComponentCache | None,
-    skip_unsupported: bool,
-) -> MethodComparison:
-    """Assemble one point's comparison, computing methods in the parent.
-
-    This is the *phased* method step: every method estimate runs (or is
-    replayed from the cache) after the point's reference landed. The
-    pipelined scheduler uses the same support/skip/reference-reuse rules
-    but farms the estimates out to its pool instead.
-    """
-    label, system = item
-    estimates: dict[str, MTTFEstimate] = {}
-    for name in method_names:
-        estimator = registry.get(name)
-        if not estimator.supports(system):
-            if skip_unsupported:
-                continue
-            raise ConfigurationError(
-                f"method {name!r} does not support system {label!r}"
-            )
-        # The reference estimate doubles as the method estimate when
-        # the same method is also selected.
-        if name == reference_name:
-            estimates[name] = ref
-            continue
-        mc = config.mc if estimator.is_stochastic else None
-        if cache is None:
-            estimates[name] = estimator.estimate(system, config)
-        else:
-            estimates[name] = cache.get_or_compute_estimate(
-                name,
-                system,
-                mc,
-                reference_name,
-                lambda: estimator.estimate(system, config),
-            )
-    return MethodComparison(
-        system_label=label, reference=ref, estimates=estimates
-    )
-
-
-def _stream_chunked_references(
-    items: Sequence[tuple[str, SystemModel]],
-    pending: Sequence[int],
-    references: list[MTTFEstimate | None],
-    mc: MonteCarloConfig,
-    pool,
-    workers: int,
-    progress: ProgressCallback | None,
-) -> None:
-    """Streaming reduction of chunked Monte-Carlo references.
-
-    Every pending point's *base* chunk plan (the fixed-chunking split)
-    is submitted up front; chunk moments fold into that point's
-    :class:`MomentAccumulator` as they complete — in chunk-index order,
-    so the merged moments (and any early-stop decision) are identical
-    to a serial run regardless of completion order. A point whose
-    stopping rule is satisfied finalizes immediately and cancels its
-    not-yet-started chunks (already-running stragglers finish in the
-    pool and are ignored); a point that exhausts its submitted chunks
-    without meeting the rule lazily submits its next slice of
-    extension chunks (up to the ``max_trials`` budget), so a run that
-    stops early never speculatively executes its extension tail.
-
-    With a compiled kernel selected (``mc.kernel != "legacy"``) chunk
-    tasks dispatch through fingerprint-cached
-    :class:`~repro.core.kernel.SamplingPlan` batches
-    (:func:`~repro.core.kernel.run_plan_chunks`): contiguous chunk
-    slices coalesce into at most ``workers`` pool tasks, the plan
-    itself ships only until every worker has been hydrated (a key-only
-    task that lands on a cold worker comes back as ``PLAN_MISS`` and is
-    resubmitted with the plan attached), and each batch's moments fold
-    front to back — the accumulator orders folds by chunk index, so
-    every number downstream is bit-identical to the unbatched path.
-    """
-    plan = adaptive_chunk_configs(mc)
-    # The fixed plan has min(chunks, trials) chunks (see chunk_configs);
-    # truncated budgets make the whole plan shorter still.
-    base_count = min(mc.chunks, mc.trials, len(plan))
-    label = f"monte_carlo[{mc.method}]"
-    accumulators = {
-        index: MomentAccumulator(len(plan), mc.stopping)
-        for index in pending
-    }
-    batched = mc.kernel != "legacy"
-    plans = (
-        {index: _kernel.plan_for_system(items[index][1]) for index in pending}
-        if batched
-        else {}
-    )
-    shipped: dict[str, int] = {}
-    submitted_chunks: dict[int, int] = {index: 0 for index in pending}
-    futures_of: dict[int, list[Future]] = {index: [] for index in pending}
-    future_meta: dict[Future, tuple] = {}
-
-    def submit_batch(index, jobs, ship_plan=False) -> Future:
-        point_plan = plans[index]
-        key = point_plan.cache_key
-        payload = None
-        if ship_plan or shipped.get(key, 0) < workers:
-            payload = point_plan
-            shipped[key] = shipped.get(key, 0) + 1
-        future = pool.submit(_kernel.run_plan_chunks, key, payload, jobs)
-        futures_of[index].append(future)
-        future_meta[future] = (index, jobs)
-        return future
-
-    def submit_chunks(index: int, count: int) -> list[Future]:
-        start = submitted_chunks[index]
-        stop = min(start + count, len(plan))
-        submitted_chunks[index] = stop
-        futures = []
-        if batched:
-            jobs = [(ci, plan[ci]) for ci in range(start, stop)]
-            for batch in _plan_batches(jobs, workers):
-                futures.append(submit_batch(index, batch))
-            return futures
-        for chunk_index in range(start, stop):
-            future = pool.submit(
-                system_chunk_moments, items[index][1], plan[chunk_index]
-            )
-            futures_of[index].append(future)
-            future_meta[future] = (index, chunk_index)
-            futures.append(future)
-        return futures
-
-    for index in pending:
-        _emit(
-            progress,
-            ProgressEvent(
-                items[index][0], POINT_START, total_chunks=len(plan)
-            ),
-        )
-        submit_chunks(index, base_count)
-    waiting = set(future_meta)
-    while waiting:
-        completed, waiting = wait(waiting, return_when=FIRST_COMPLETED)
-        for future in completed:
-            index = future_meta[future][0]
-            accumulator = accumulators[index]
-            if accumulator.done or future.cancelled():
-                continue  # straggler of an already-finalized point
-            if batched:
-                status, payload = future.result()
-                if status == _kernel.PLAN_MISS:
-                    # Cold worker without the plan (spawn start method
-                    # or an evicted cache entry): retry with the plan
-                    # attached. Chunk moments are a pure function of
-                    # the chunk configs, so nothing downstream moves.
-                    waiting.add(
-                        submit_batch(
-                            index, future_meta[future][1], ship_plan=True
-                        )
-                    )
-                    continue
-                pairs = payload
-            else:
-                pairs = [(future_meta[future][1], future.result())]
-            merged_before = accumulator.merged_chunks
-            done = False
-            for chunk_index, moments in pairs:
-                done = accumulator.add(chunk_index, moments)
-                if done:
-                    # Later pairs of this batch are stragglers exactly
-                    # like late futures: never folded, never counted.
-                    break
-            if done:
-                references[index] = accumulator.estimate(label)
-                if accumulator.stopped_early:
-                    for leftover in futures_of[index]:
-                        leftover.cancel()
-                _emit(
-                    progress,
-                    ProgressEvent(
-                        items[index][0],
-                        POINT_DONE,
-                        merged_chunks=accumulator.merged_chunks,
-                        total_chunks=len(plan),
-                        trials=accumulator.moments.count,
-                        rel_stderr=relative_stderr(accumulator.moments),
-                        stopped_early=accumulator.stopped_early,
-                    ),
-                )
-                continue
-            if accumulator.merged_chunks > merged_before:
-                _emit(
-                    progress,
-                    ProgressEvent(
-                        items[index][0],
-                        CHUNK_MERGED,
-                        merged_chunks=accumulator.merged_chunks,
-                        total_chunks=len(plan),
-                        trials=accumulator.moments.count,
-                        rel_stderr=relative_stderr(accumulator.moments),
-                    ),
-                )
-            if accumulator.merged_chunks == submitted_chunks[index]:
-                # Every submitted chunk has merged and the target is
-                # still unmet: release the next extension slice. One
-                # pool-width at a time keeps the workers busy without
-                # speculating the whole tail.
-                waiting |= set(submit_chunks(index, max(1, workers)))
-
-
-def _process_references(
-    items: Sequence[tuple[str, SystemModel]],
-    reference_name: str,
-    reference_estimator,
-    config: MethodConfig,
-    cache: ComponentCache | None,
-    workers: int,
-    backend: ChunkExecutor,
-    progress: ProgressCallback | None = None,
-) -> list[MTTFEstimate]:
-    """Reference estimates for every item via a memory-isolated backend.
-
-    The pool comes from ``backend`` (a process pool or a remote worker
-    fleet — any backend with ``shares_memory=False`` takes this path).
-    Cache hits are resolved in the parent; only misses are farmed out.
-    Monte-Carlo references with chunking (or a stopping rule) stream
-    through :func:`_stream_chunked_references` so one expensive grid
-    point spreads across cores and adaptive runs stop at their target
-    precision; everything else fans out whole-estimate and is collected
-    ``as_completed`` (order-independent — results land by index).
-    """
-    mc = config.mc if reference_estimator.is_stochastic else None
-    references: list[MTTFEstimate | None] = [None] * len(items)
-    keys: list[str | None] = [None] * len(items)
-    pending: list[int] = []
-    for index, (label, system) in enumerate(items):
-        if cache is not None:
-            keys[index] = cache.estimate_key(
-                reference_name, system, mc, reference_name
-            )
-            found = cache.lookup_estimate(keys[index])
-            if found is not None:
-                references[index] = found
-                # Cached points still get a start/done pair so progress
-                # consumers see the same event shape on every path.
-                _emit(progress, ProgressEvent(label, POINT_START))
-                _emit(
-                    progress,
-                    ProgressEvent(
-                        label, POINT_DONE, trials=found.trials,
-                        cached=True,
-                    ),
-                )
-                continue
-        pending.append(index)
-    if pending:
-        chunked = reference_name == "monte_carlo" and (
-            config.mc.chunks > 1 or config.mc.adaptive
-        )
-        with backend.pool(workers) as pool:
-            if chunked:
-                _stream_chunked_references(
-                    items, pending, references, config.mc, pool,
-                    workers, progress,
-                )
-            else:
-                futures = {
-                    pool.submit(
-                        estimate_task,
-                        reference_name,
-                        items[index][1],
-                        config.mc,
-                        reference_name,
-                    ): index
-                    for index in pending
-                }
-                for index in pending:
-                    _emit(
-                        progress,
-                        ProgressEvent(items[index][0], POINT_START),
-                    )
-                for future in as_completed(futures):
-                    index = futures[future]
-                    references[index] = future.result()
-                    _emit(
-                        progress,
-                        ProgressEvent(
-                            items[index][0],
-                            POINT_DONE,
-                            trials=references[index].trials,
-                        ),
-                    )
-        if cache is not None:
-            for index in pending:
-                cache.store_estimate(keys[index], references[index])
-    return references  # type: ignore[return-value]
-
-
 class _PointState:
-    """Mutable per-point bookkeeping for the pipelined scheduler."""
+    """Mutable per-point bookkeeping for the scheduler."""
 
     __slots__ = (
         "index", "label", "system", "plan", "accumulator", "submitted",
         "reference", "ref_key", "estimates", "pending_methods",
-        "methods_launched",
     )
 
     def __init__(self, index: int, label: str, system: SystemModel) -> None:
@@ -478,28 +170,40 @@ class _PointState:
         self.submitted = 0
         self.reference: MTTFEstimate | None = None
         self.ref_key: str | None = None
+        #: Method estimates as they land (completion order); the result
+        #: records them in method order.
         self.estimates: dict[str, MTTFEstimate] = {}
         self.pending_methods: set[str] = set()
-        self.methods_launched = False
 
 
-class _PipelinedScheduler:
+class _Scheduler:
     """Work-conserving sweep scheduler: one pool, three work kinds.
 
-    A single executor pool runs, with no phase barriers between them:
+    Every :func:`evaluate_design_space` call runs one. A single
+    executor pool runs, with no phase barriers between them:
 
-    * **reference chunks** — every pending point's Monte-Carlo chunk
-      plan streams through a per-point :class:`MomentAccumulator`
-      exactly as the classic process path does (in-order folds,
-      early-stop cancellation, lazy ``max_trials`` extension);
-    * **method estimates** (``pipeline_methods``) — the moment a
-      point's reference finalizes, its per-method estimator tasks join
-      the same pool and :class:`MethodComparison` inputs are recorded
-      as results land, in any order;
+    * **references** — a cache miss submits the point's reference
+      estimate; a chunked Monte-Carlo reference instead streams its
+      chunk plan through a per-point :class:`MomentAccumulator`
+      (in-order folds, early-stop cancellation, lazy ``max_trials``
+      extension);
+    * **method estimates** — the moment a point's reference finalizes,
+      its per-method estimator tasks join the same pool; results land
+      in any order and are recorded in method order;
     * **budget extensions** (``reallocate_budget``) — trial budget
       freed by early-stopping points accumulates in a ledger and is
       re-granted to the least-converged open points as
       prefix-preserving extension chunks.
+
+    Chunk dispatch depends on whether the pool shares memory. A
+    shared-memory pool (threads) keeps one chunk in flight per point
+    and submits the next only once it has folded: the stopping rule
+    cannot cancel a chunk that is already running, and with no
+    dispatch cost to amortize, any chunk beyond the next one is pure
+    speculation. The pool stays busy across points instead. An
+    isolated pool (processes, a remote fleet) pays per-task pickling
+    and transport, so a point's chunk slices go out as at most
+    ``workers`` batches (:func:`_plan_batches`).
 
     Determinism: chunk moments fold strictly in chunk-index order per
     point (the PR-3 invariant), and re-allocation fires only at
@@ -539,7 +243,6 @@ class _PipelinedScheduler:
         workers: int,
         backend: ChunkExecutor,
         progress: ProgressCallback | None,
-        pipeline_methods: bool,
         reallocate_budget: bool,
         skip_unsupported: bool,
         shard: tuple[int, int] | None,
@@ -554,7 +257,6 @@ class _PipelinedScheduler:
         self.workers = workers
         self.backend = backend
         self.progress = progress
-        self.pipeline_methods = pipeline_methods
         self.reallocate = reallocate_budget
         self.skip_unsupported = skip_unsupported
         self.shard = shard
@@ -596,6 +298,7 @@ class _PipelinedScheduler:
         self._adoption_lock = threading.Lock()
         self.pool = None
         self.waiting: set[Future] = set()
+        #: Per in-flight future: its completion handler and arguments.
         self.future_meta: dict[Future, tuple] = {}
         self.chunk_futures: dict[int, list[Future]] = {}
         #: Outstanding reference-chunk (or batched-plan) futures
@@ -605,7 +308,7 @@ class _PipelinedScheduler:
         #: Compiled-kernel dispatch: chunk slices coalesce into
         #: fingerprint-keyed plan batches (see module helper
         #: :func:`_plan_batches`); ``legacy`` keeps per-chunk
-        #: ``system_chunk_moments`` submissions as the benchmark axis.
+        #: ``system_chunk_moments`` submissions, each a one-pair batch.
         self.use_plans = self.chunked and mc.kernel != "legacy"
         #: Plan-carrying submissions so far, per plan cache key —
         #: after ``workers`` of them every pool worker holds the plan
@@ -615,7 +318,8 @@ class _PipelinedScheduler:
     # -- plumbing ----------------------------------------------------------
 
     def _emit(self, event: ProgressEvent) -> None:
-        _emit(self.progress, event)
+        if self.progress is not None:
+            self.progress(event)
 
     def _reference_mc(self) -> MonteCarloConfig | None:
         if self.reference_estimator.is_stochastic:
@@ -632,15 +336,17 @@ class _PipelinedScheduler:
     # -- prewarm -----------------------------------------------------------
 
     def _prewarm(self) -> None:
-        """Pre-touch every estimate key this run will need (disk cache).
+        """Pre-touch every estimate key this shard will need (disk cache).
 
         Co-running shards pointed at one ``--cache-dir`` publish their
         finished estimates as they land; pulling the shard's keys into
         memory up front means points a sibling already finished are
-        skipped before any work is scheduled.
+        skipped before any work is scheduled. An unsharded run has no
+        sibling to learn from, so it skips the pass and its lookups
+        keep their usual disk hit/miss accounting.
         """
         cache = self.cache
-        if cache is None or cache.disk is None:
+        if self.shard is None or cache is None or cache.disk is None:
             return
         keys = []
         for state in self.points:
@@ -660,13 +366,10 @@ class _PipelinedScheduler:
                     )
                 )
         warmed = cache.prewarm_estimates(keys)
-        label = (
-            "sweep"
-            if self.shard is None
-            else f"shard {self.shard[0]}/{self.shard[1]}"
-        )
         self._emit(
-            ProgressEvent(label, CACHE_PREWARMED, warmed_entries=warmed)
+            ProgressEvent(
+                self._fleet_label(), CACHE_PREWARMED, warmed_entries=warmed
+            )
         )
 
     # -- work submission ---------------------------------------------------
@@ -706,40 +409,51 @@ class _PipelinedScheduler:
             self._submit_chunks(state, base_count)
             return
         self._emit(ProgressEvent(state.label, POINT_START))
-        if not self.backend.shares_memory:
+        self._submit_estimate(
+            self.reference_estimator, state, self._on_reference, state.index
+        )
+
+    def _submit_estimate(self, estimator, state: _PointState, *meta) -> None:
+        """Submit one whole estimate; ``meta`` is its completion handler
+        and the handler's arguments."""
+        if self.backend.shares_memory:
             future = self.pool.submit(
-                estimate_task, self.reference_name, state.system,
-                self.config.mc, self.reference_name,
+                estimator.estimate, state.system, self.config
             )
         else:
+            # Workers rebuild a cache-free config; caching stays in the
+            # parent so it needs no cross-process coordination.
             future = self.pool.submit(
-                self.reference_estimator.estimate, state.system,
-                self.config,
+                estimate_task, estimator.name, state.system,
+                self.config.mc, self.reference_name,
             )
-        self.future_meta[future] = ("reference", state.index)
+        self.future_meta[future] = meta
         self.waiting.add(future)
 
     def _submit_chunks(self, state: _PointState, count: int) -> None:
-        futures = self.chunk_futures.setdefault(state.index, [])
+        """Submit the point's next ``count`` plan chunks.
+
+        A shared-memory pool submits one chunk per call instead (see
+        the class docstring); the refill step in :meth:`_on_batch`
+        submits the next once it has folded.
+        """
+        if self.backend.shares_memory:
+            count = 1
         start = state.submitted
-        stop = min(start + count, len(state.plan))
-        state.submitted = stop
+        state.submitted = min(start + count, len(state.plan))
+        jobs = [
+            (chunk_index, state.plan[chunk_index])
+            for chunk_index in range(start, state.submitted)
+        ]
         if self.use_plans:
-            jobs = [
-                (chunk_index, state.plan[chunk_index])
-                for chunk_index in range(start, stop)
-            ]
             for batch in _plan_batches(jobs, self.workers):
                 self._submit_batch(state, batch)
             return
-        for chunk_index in range(start, stop):
-            future = self.pool.submit(
-                system_chunk_moments, state.system, state.plan[chunk_index]
+        for job in jobs:
+            self._track_batch(
+                self.pool.submit(system_chunk_moments, state.system, job[1]),
+                state, [job],
             )
-            self.future_meta[future] = ("chunk", state.index, chunk_index)
-            futures.append(future)
-            self.waiting.add(future)
-            self.live_chunks += 1
 
     def _submit_batch(self, state: _PointState, jobs, ship_plan=False):
         """Submit one batched-plan task for a contiguous chunk slice."""
@@ -749,18 +463,18 @@ class _PipelinedScheduler:
         if ship_plan or self._plan_shipped.get(key, 0) < self.workers:
             payload = plan
             self._plan_shipped[key] = self._plan_shipped.get(key, 0) + 1
-        future = self.pool.submit(
-            _kernel.run_plan_chunks, key, payload, jobs
+        self._track_batch(
+            self.pool.submit(_kernel.run_plan_chunks, key, payload, jobs),
+            state, jobs,
         )
-        self.future_meta[future] = ("batch", state.index, jobs)
+
+    def _track_batch(self, future: Future, state: _PointState, jobs):
+        self.future_meta[future] = (self._on_batch, state.index, jobs)
         self.chunk_futures.setdefault(state.index, []).append(future)
         self.waiting.add(future)
         self.live_chunks += 1
 
     def _launch_methods(self, state: _PointState) -> None:
-        if not self.pipeline_methods or state.methods_launched:
-            return
-        state.methods_launched = True
         for name in self.method_names:
             estimator = registry.get(name)
             if not estimator.supports(state.system):
@@ -790,43 +504,32 @@ class _PipelinedScheduler:
                         )
                     )
                     continue
-            if not self.backend.shares_memory:
-                if estimator.per_component and self.cache is not None:
-                    # A worker would rebuild a cache-free config and
-                    # re-sample every component MTTF per point; for
-                    # sweeps where hundreds of points share components
-                    # (every C of one profile), parent-side memoization
-                    # beats fan-out by orders of magnitude — keep these
-                    # in the parent, exactly as the phased path does.
-                    # Deliberate trade-off: the first point per distinct
-                    # component runs its MC estimate inline and briefly
-                    # stalls the completion loop — never worse than the
-                    # phased schedule, which serialized all of them.
-                    estimate = estimator.estimate(
-                        state.system, self.config
+            if (
+                not self.backend.shares_memory
+                and estimator.per_component
+                and self.cache is not None
+            ):
+                # A worker would rebuild a cache-free config and
+                # re-sample every component MTTF per point; for sweeps
+                # where hundreds of points share components (every C of
+                # one profile), parent-side memoization beats fan-out
+                # by orders of magnitude — keep these in the parent.
+                # Deliberate trade-off: the first point per distinct
+                # component runs its MC estimate inline and briefly
+                # stalls the completion loop.
+                estimate = estimator.estimate(state.system, self.config)
+                state.estimates[name] = estimate
+                self.cache.store_estimate(key, estimate)
+                self._emit(
+                    ProgressEvent(
+                        state.label, METHOD_DONE, method=name,
+                        trials=estimate.trials,
                     )
-                    state.estimates[name] = estimate
-                    if key is not None:
-                        self.cache.store_estimate(key, estimate)
-                    self._emit(
-                        ProgressEvent(
-                            state.label, METHOD_DONE, method=name,
-                            trials=estimate.trials,
-                        )
-                    )
-                    continue
-                # Workers rebuild a cache-free config; caching stays in
-                # the parent so it needs no cross-process coordination.
-                future = self.pool.submit(
-                    estimate_task, name, state.system, self.config.mc,
-                    self.reference_name,
                 )
-            else:
-                future = self.pool.submit(
-                    estimator.estimate, state.system, self.config
-                )
-            self.future_meta[future] = ("method", state.index, name)
-            self.waiting.add(future)
+                continue
+            self._submit_estimate(
+                estimator, state, self._on_method, state.index, name
+            )
             state.pending_methods.add(name)
             self._emit(
                 ProgressEvent(state.label, METHOD_STARTED, method=name)
@@ -834,7 +537,16 @@ class _PipelinedScheduler:
 
     # -- completions -------------------------------------------------------
 
-    def _on_chunk(self, future: Future, index: int, chunk_index: int) -> None:
+    def _on_batch(self, future: Future, index: int, jobs) -> None:
+        """Fold one reference-chunk batch.
+
+        A batched-plan result carries ``(chunk_index, moments)`` pairs
+        in ascending chunk-index order; a legacy per-chunk result is a
+        one-pair batch. Pairs fold front to back and the accumulator
+        orders folds by chunk index across batches, so the merged
+        moments, the stop decision, and the extension schedule are
+        bit-identical however the chunks were dispatched.
+        """
         self.live_chunks -= 1
         state = self.points[index]
         accumulator = state.accumulator
@@ -843,8 +555,23 @@ class _PipelinedScheduler:
             # never folded and never counted — merged_chunks is always
             # the accumulator's fold count, nothing else.
             return
+        if self.use_plans:
+            status, pairs = future.result()
+            if status == _kernel.PLAN_MISS:
+                # Cold worker without the plan (spawn start method or an
+                # evicted cache entry): retry with the plan attached.
+                self._submit_batch(state, jobs, ship_plan=True)
+                return
+        else:
+            pairs = [(jobs[0][0], future.result())]
         merged_before = accumulator.merged_chunks
-        done = accumulator.add(chunk_index, future.result())
+        done = False
+        for chunk_index, moments in pairs:
+            done = accumulator.add(chunk_index, moments)
+            if done:
+                # Later pairs of this batch are stragglers exactly like
+                # late futures: never folded, never counted.
+                break
         if done:
             if accumulator.satisfied or not self._defer_exhausted():
                 self._finalize_reference(state)
@@ -865,58 +592,14 @@ class _PipelinedScheduler:
         if accumulator.merged_chunks == state.submitted:
             # Every submitted chunk has merged and the target is still
             # unmet: release the next extension slice. One pool-width
-            # at a time keeps the workers busy without speculating the
-            # whole tail.
-            self._submit_chunks(state, max(1, self.workers))
-
-    def _on_batch(self, future: Future, index: int, jobs) -> None:
-        """Fold one batched-plan result (the compiled-kernel path).
-
-        The result pairs arrive in ascending chunk-index order and fold
-        front to back; the accumulator orders folds by chunk index
-        across batches, so the merged moments, the stop decision, and
-        the extension schedule are bit-identical to per-chunk dispatch.
-        """
-        self.live_chunks -= 1
-        state = self.points[index]
-        accumulator = state.accumulator
-        if accumulator.done or future.cancelled():
-            return
-        status, payload = future.result()
-        if status == _kernel.PLAN_MISS:
-            # Cold worker without the plan (spawn start method or an
-            # evicted cache entry): retry with the plan attached.
-            self._submit_batch(state, jobs, ship_plan=True)
-            return
-        merged_before = accumulator.merged_chunks
-        done = False
-        for chunk_index, moments in payload:
-            done = accumulator.add(chunk_index, moments)
-            if done:
-                # Later pairs of this batch are stragglers exactly like
-                # late futures: never folded, never counted.
-                break
-        if done:
-            if accumulator.satisfied or not self._defer_exhausted():
-                self._finalize_reference(state)
-            return
-        if accumulator.merged_chunks > merged_before:
-            self._emit(
-                ProgressEvent(
-                    state.label, CHUNK_MERGED,
-                    merged_chunks=accumulator.merged_chunks,
-                    total_chunks=accumulator.total_chunks,
-                    trials=accumulator.moments.count,
-                    rel_stderr=relative_stderr(accumulator.moments),
-                )
-            )
-        if accumulator.merged_chunks == state.submitted:
+            # at a time (one chunk on a shared-memory pool) keeps the
+            # workers busy without speculating the whole tail.
             self._submit_chunks(state, max(1, self.workers))
 
     def _on_reference(self, future: Future, index: int) -> None:
         state = self.points[index]
         state.reference = future.result()
-        if self.cache is not None and state.ref_key is not None:
+        if state.ref_key is not None:
             self.cache.store_estimate(state.ref_key, state.reference)
         self._emit(
             ProgressEvent(
@@ -964,7 +647,7 @@ class _PipelinedScheduler:
                     accumulator.moments.count,
                 )
             )
-        if self.cache is not None and state.ref_key is not None:
+        if state.ref_key is not None:
             self.cache.store_estimate(state.ref_key, state.reference)
         self._emit(
             ProgressEvent(
@@ -1230,7 +913,6 @@ class _PipelinedScheduler:
                     skip_unsupported=self.skip_unsupported,
                     shard=(slot, self.shard[1]),
                     progress=self.progress,
-                    pipeline_methods=self.pipeline_methods,
                     reallocate_budget=True,
                     budget_ledger=handle,
                 )
@@ -1284,42 +966,44 @@ class _PipelinedScheduler:
             if self.xledger is not None:
                 self.xledger.stop_heartbeat()
 
+    def _drain(self) -> None:
+        """Fold completions and submit follow-up work until none is left."""
+        while True:
+            if not self.waiting:
+                if self.chunked:
+                    if self.reallocate and self._budget_round():
+                        continue
+                    if self._finalize_stragglers():
+                        # Finalizing may pipeline method tasks.
+                        continue
+                return
+            completed, self.waiting = wait(
+                self.waiting, return_when=FIRST_COMPLETED
+            )
+            for future in completed:
+                handler, *args = self.future_meta.pop(future)
+                handler(future, *args)
+            if self.live_chunks == 0 and self.reallocate and self.chunked:
+                if not self._budget_round():
+                    # No grants possible now and the only budget source
+                    # (chunked finalizations) is quiet: release any
+                    # still-open points to the method stage instead of
+                    # leaving them idle.
+                    self._finalize_stragglers()
+
     def _run_schedule(self) -> tuple[MethodComparison, ...]:
         with self.backend.pool(self.workers) as pool:
             self.pool = pool
-            for state in self.points:
-                self._start_point(state)
-            while True:
-                if not self.waiting:
-                    if self.chunked:
-                        if self.reallocate and self._budget_round():
-                            continue
-                        if self._finalize_stragglers():
-                            # Finalizing may pipeline method tasks.
-                            continue
-                    break
-                completed, self.waiting = wait(
-                    self.waiting, return_when=FIRST_COMPLETED
-                )
-                for future in completed:
-                    meta = self.future_meta.pop(future)
-                    if meta[0] == "chunk":
-                        self._on_chunk(future, meta[1], meta[2])
-                    elif meta[0] == "batch":
-                        self._on_batch(future, meta[1], meta[2])
-                    elif meta[0] == "reference":
-                        self._on_reference(future, meta[1])
-                    else:
-                        self._on_method(future, meta[1], meta[2])
-                if self.live_chunks == 0 and self.reallocate and (
-                    self.chunked
-                ):
-                    if not self._budget_round():
-                        # No grants possible now and the only budget
-                        # source (chunked finalizations) is quiet:
-                        # release any still-open points to the method
-                        # stage instead of leaving them idle.
-                        self._finalize_stragglers()
+            try:
+                for state in self.points:
+                    self._start_point(state)
+                self._drain()
+            except BaseException:
+                # Fail fast: leaving the pool's context would otherwise
+                # run every queued task before the error surfaces.
+                for future in self.waiting:
+                    future.cancel()
+                raise
         # Adoptions this member picked up must land before the result
         # is assembled — their ResultSets ride along in `adopted`.
         self._finish_adoptions()
@@ -1330,26 +1014,17 @@ class _PipelinedScheduler:
                     f"scheduler finished with incomplete point "
                     f"{state.label!r}"
                 )  # pragma: no cover - defensive invariant
-            if self.pipeline_methods:
-                comparisons.append(
-                    MethodComparison(
-                        system_label=state.label,
-                        reference=state.reference,
-                        estimates=state.estimates,
-                    )
+            comparisons.append(
+                MethodComparison(
+                    system_label=state.label,
+                    reference=state.reference,
+                    estimates={
+                        name: state.estimates[name]
+                        for name in self.method_names
+                        if name in state.estimates
+                    },
                 )
-            else:
-                comparisons.append(
-                    _finish_item(
-                        (state.label, state.system),
-                        state.reference,
-                        self.method_names,
-                        self.reference_name,
-                        self.config,
-                        self.cache,
-                        self.skip_unsupported,
-                    )
-                )
+            )
         return tuple(comparisons)
 
 
@@ -1364,7 +1039,6 @@ def evaluate_design_space(
     skip_unsupported: bool = False,
     shard: tuple[int, int] | None = None,
     progress: ProgressCallback | None = None,
-    pipeline_methods: bool = False,
     reallocate_budget: bool = False,
     budget_ledger: BudgetLedger | None = None,
 ) -> ResultSet:
@@ -1388,9 +1062,10 @@ def evaluate_design_space(
         stderr is reached. Numbers depend on the chunking and the rule,
         never on the worker count or executor.
     workers:
-        Fan-out width; 1 (default) runs serially, ``"auto"`` asks the
-        backend (cpu count for local pools, fleet size for a remote
-        executor). Results keep the input order either way.
+        Fan-out width; 1 (default) is a one-worker pool of the backend,
+        ``"auto"`` asks the backend (cpu count for local pools, fleet
+        size for a remote executor). Results keep the input order
+        either way.
     executor:
         A registered backend name — ``"thread"`` (default),
         ``"process"``, ``"remote"`` — or a
@@ -1398,9 +1073,9 @@ def evaluate_design_space(
         as ``RemoteExecutor(["hostA:8421", "hostB:8421"])``. Threads
         suit the GIL-releasing NumPy samplers; processes buy true
         parallelism on one host; a remote fleet scales past it.
-        Memory-isolated backends (``shares_memory=False``) stream
-        reference chunks (the expensive part); method estimates and
-        caching stay in the parent. The backend never affects the
+        Memory-isolated backends (``shares_memory=False``) receive
+        only wire-encodable tasks; per-component method estimates and
+        all caching stay in the parent. The backend never affects the
         numbers.
     cache:
         ``None`` (default) uses a fresh per-call cache,
@@ -1420,15 +1095,8 @@ def evaluate_design_space(
         coordination beyond the shard index.
     progress:
         Optional callback receiving
-        :class:`~repro.methods.progress.ProgressEvent` per grid point
-        (and per merged chunk on the streaming process path).
-    pipeline_methods:
-        When True, method estimates are submitted to the pool the
-        moment their point's reference finalizes instead of running in
-        a post-reference phase — the sweep becomes one fully-pipelined
-        stream with no phase barrier. Results are bit-identical to the
-        phased run (method estimates are pure functions of the
-        configuration); only the schedule changes.
+        :class:`~repro.methods.progress.ProgressEvent` per grid point,
+        per merged reference chunk, and per pipelined method estimate.
     reallocate_budget:
         When True (and the Monte-Carlo config carries a
         :class:`~repro.core.montecarlo.StoppingRule`), trial budget
@@ -1505,71 +1173,23 @@ def evaluate_design_space(
                 "stopping rule no budget is ever freed or claimed"
             )
 
-    def finish_item(
-        item: tuple[str, SystemModel], ref: MTTFEstimate
-    ) -> MethodComparison:
-        return _finish_item(
-            item, ref, method_names, reference_name, config, cache,
-            skip_unsupported,
-        )
-
-    def evaluate_one(item: tuple[str, SystemModel]) -> MethodComparison:
-        label, system = item
-        _emit(progress, ProgressEvent(label, POINT_START))
-        mc = config.mc if reference_estimator.is_stochastic else None
-        compute = lambda: reference_estimator.estimate(system, config)
-        if cache is not None:
-            ref, cached_hit = cache.estimate_with_status(
-                reference_name, system, mc, reference_name, compute
-            )
-        else:
-            ref, cached_hit = compute(), False
-        _emit(
-            progress,
-            ProgressEvent(
-                label, POINT_DONE, trials=ref.trials, cached=cached_hit
-            ),
-        )
-        return finish_item(item, ref)
-
-    adopted: tuple[ResultSet, ...] = ()
-    if pipeline_methods or reallocate_budget:
-        scheduler = _PipelinedScheduler(
-            items=items,
-            method_names=method_names,
-            reference_name=reference_name,
-            reference_estimator=reference_estimator,
-            config=config,
-            cache=cache,
-            workers=workers,
-            backend=backend,
-            progress=progress,
-            pipeline_methods=pipeline_methods,
-            reallocate_budget=reallocate_budget,
-            skip_unsupported=skip_unsupported,
-            shard=shard,
-            budget_ledger=budget_ledger,
-            full_items=full_items if budget_ledger is not None else None,
-        )
-        comparisons = scheduler.run()
-        adopted = tuple(
-            scheduler.adopted[slot]
-            for slot in sorted(scheduler.adopted)
-        )
-    elif not backend.shares_memory:
-        references = _process_references(
-            items, reference_name, reference_estimator, config, cache,
-            workers, backend, progress,
-        )
-        comparisons = tuple(
-            finish_item(item, ref)
-            for item, ref in zip(items, references)
-        )
-    elif workers > 1 and len(items) > 1:
-        with backend.pool(workers) as pool:
-            comparisons = tuple(pool.map(evaluate_one, items))
-    else:
-        comparisons = tuple(evaluate_one(item) for item in items)
+    scheduler = _Scheduler(
+        items=items,
+        method_names=method_names,
+        reference_name=reference_name,
+        reference_estimator=reference_estimator,
+        config=config,
+        cache=cache,
+        workers=workers,
+        backend=backend,
+        progress=progress,
+        reallocate_budget=reallocate_budget,
+        skip_unsupported=skip_unsupported,
+        shard=shard,
+        budget_ledger=budget_ledger,
+        full_items=full_items if budget_ledger is not None else None,
+    )
+    comparisons = scheduler.run()
     token = mc_token(config.mc)
     if (
         reallocate_budget
@@ -1590,5 +1210,7 @@ def evaluate_design_space(
         reference_method=reference_name,
         shard=shard,
         mc_token=token,
-        adopted=adopted,
+        adopted=tuple(
+            scheduler.adopted[slot] for slot in sorted(scheduler.adopted)
+        ),
     )

@@ -772,9 +772,8 @@ def resolve_workers(workers, backend: ChunkExecutor) -> int:
     """Resolve a ``workers`` knob to a concrete positive count.
 
     ``"auto"`` (or ``None``) asks the backend: cpu-count for local
-    pools — on a 1-CPU host that resolves to 1 and the engine's serial
-    inline path, which is exactly the BENCH_pr7 fix — and the fleet
-    size for a remote executor.
+    pools — on a 1-CPU host that resolves to 1, a one-worker pool — and
+    the fleet size for a remote executor.
     """
     if workers is None or workers == "auto":
         return backend.auto_workers()

@@ -29,10 +29,11 @@ the same table):
     before its full chunk plan; ``cached`` when the estimate replayed
     from the cache and no sampling ran.
 ``"method-start"`` / ``"method-done"``
-    One pipelined method estimate entered / left the worker pool
-    (``pipeline_methods=True``). Carry ``method``; done additionally
-    carries ``trials`` and ``cached``. Cached method estimates emit
-    only ``"method-done"``.
+    One method estimate entered / left the worker pool once its
+    point's reference was final. Carry ``method``; done additionally
+    carries ``trials`` and ``cached``. Cached method estimates, and
+    per-component estimates a memory-isolated backend computes in the
+    parent, emit only ``"method-done"``.
 ``"budget-reallocated"``
     Freed trial budget was re-granted to this point at a quiescent
     barrier by *shard-local* re-allocation (``reallocate_budget=True``
@@ -66,16 +67,16 @@ Per grid point the lifecycle order is ``point-start`` -> (``chunk`` |
 ``trials`` are non-decreasing along it, and no two events for one
 point are ever emitted concurrently. *Across* points the interleaving
 follows the schedule (and so may vary with workers and executors) —
-only the per-point order and a run-initial ``prewarm`` (when a disk
-cache is attached to the pipelined scheduler) are contractual. Events
+only the per-point order and a run-initial ``prewarm`` (when a sharded
+sweep has a disk cache attached) are contractual. Events
 report the engine's deterministic fold state, so the *numbers* carried
 by each point's event sequence are bit-identical across worker counts
 and executors even though the global interleaving is not.
 
-Events are plain frozen dataclasses; the callback runs inline on
-whichever thread finishes the work, so consumers should be cheap and
-thread-safe (printing is — the engine never emits two events for one
-point concurrently).
+Events are plain frozen dataclasses; the callback runs inline on the
+scheduling thread — the caller's, or an adoption thread's in an elastic
+ledger fleet — so consumers should be cheap and thread-safe (printing
+is — the engine never emits two events for one point concurrently).
 """
 
 from __future__ import annotations

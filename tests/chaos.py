@@ -178,7 +178,6 @@ def run_member_inline(ledger_file, slot, count, **faults):
         mc_config=build_mc(),
         shard=(slot, count),
         workers=1,
-        pipeline_methods=True,
         reallocate_budget=True,
         budget_ledger=make_chaotic_ledger(
             ledger_file, slot, count, **faults
@@ -207,7 +206,6 @@ def unsharded_run():
         methods=METHODS,
         mc_config=build_mc(),
         workers=1,
-        pipeline_methods=True,
         reallocate_budget=True,
     )
 
@@ -340,7 +338,6 @@ def _member_main(argv=None) -> int:
             mc_config=build_mc(),
             shard=(args.slot, args.count),
             workers=1,
-            pipeline_methods=True,
             reallocate_budget=True,
             budget_ledger=make_chaotic_ledger(
                 args.ledger,

@@ -81,7 +81,6 @@ def run_fleet(
             shard=(i, shards),
             workers=workers[i % len(workers)],
             executor=executors[i % len(executors)],
-            pipeline_methods=True,
             reallocate_budget=True,
             progress=progress,
             budget_ledger=BudgetLedger(

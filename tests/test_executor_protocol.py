@@ -336,7 +336,6 @@ class TestBackendConformance:
         self, cluster_space
     ):
         kwargs = dict(
-            pipeline_methods=True,
             reallocate_budget=True,
         )
         baseline = canonical(
@@ -389,7 +388,6 @@ class TestBackendConformance:
                         shard=(i, 2),
                         workers="auto" if executors[i] != "thread" else 1,
                         executor=executors[i],
-                        pipeline_methods=True,
                         reallocate_budget=True,
                         budget_ledger=BudgetLedger(
                             ledger_file,

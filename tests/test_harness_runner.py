@@ -138,22 +138,13 @@ class TestRunnerCli:
         trials = ResultSet.from_json(out).reference_trials()
         assert all(0 < t < 16000 for t in trials.values())
 
-    def test_pipeline_flags_reproduce_the_phased_run(
-        self, tmp_path, capsys
-    ):
-        from repro.methods import ResultSet
-
-        phased = tmp_path / "phased.json"
-        piped = tmp_path / "piped.json"
+    def test_json_bytes_match_across_worker_counts(self, tmp_path):
+        serial = tmp_path / "serial.json"
+        fanned = tmp_path / "fanned.json"
         base = ["fig5", "--trials", "2000", "--mc-chunks", "4"]
-        assert main([*base, "--json", str(phased)]) == 0
-        assert main(
-            [*base, "--pipeline-methods", "--workers", "2",
-             "--json", str(piped)]
-        ) == 0
-        assert ResultSet.from_json(piped) == ResultSet.from_json(phased)
-        # --no-pipeline-methods is accepted and phased again.
-        assert main([*base, "--no-pipeline-methods"]) == 0
+        assert main([*base, "--workers", "1", "--json", str(serial)]) == 0
+        assert main([*base, "--workers", "2", "--json", str(fanned)]) == 0
+        assert fanned.read_bytes() == serial.read_bytes()
 
     def test_reallocate_budget_flag_runs_and_warns_without_target(
         self, tmp_path, capsys
@@ -161,8 +152,8 @@ class TestRunnerCli:
         out = tmp_path / "realloc.json"
         assert main(
             ["fig5", "--trials", "4000", "--mc-chunks", "4",
-             "--target-stderr", "0.05", "--pipeline-methods",
-             "--reallocate-budget", "--progress", "--json", str(out)]
+             "--target-stderr", "0.05", "--reallocate-budget",
+             "--progress", "--json", str(out)]
         ) == 0
         assert out.exists()
         capsys.readouterr()

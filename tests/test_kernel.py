@@ -343,10 +343,7 @@ class TestEngineBitIdentity:
             dict(workers=1, executor="thread"),
             dict(workers=2, executor="thread"),
             dict(workers=2, executor="process"),
-            dict(
-                workers=2, executor="process",
-                pipeline_methods=True, reallocate_budget=True,
-            ),
+            dict(workers=2, executor="process", reallocate_budget=True),
         ):
             assert _result_bytes(space, "numpy", **kwargs) == baseline
 
@@ -375,9 +372,7 @@ class TestEngineBitIdentity:
                 target_rel_stderr=0.08, min_trials=500
             ),
         )
-        shared = dict(
-            mc=mc, pipeline_methods=True, reallocate_budget=True
-        )
+        shared = dict(mc=mc, reallocate_budget=True)
         baseline = _result_bytes(space, "legacy", workers=1, **shared)
         assert (
             _result_bytes(space, "numpy", workers=2, **shared) == baseline

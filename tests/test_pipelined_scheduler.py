@@ -1,13 +1,15 @@
-"""Pipelined work-conserving scheduler tests (PR-4 tentpole).
+"""Work-conserving scheduler tests.
 
-Covers the three scheduler features — method estimates streamed into
+Covers the scheduler every sweep runs — method estimates streamed into
 the pool as references finalize, cancelled-chunk budget re-allocated to
-the least-converged stragglers, shard-aware disk-cache prewarming —
-plus the acceptance bars: bit-identity across worker counts and
-executors, exact reproduction of the phased (PR-3) engine when both
-features are disabled, and budget conservation.
+the least-converged stragglers, shard-aware disk-cache prewarming, and
+the dispatch rules (method-ordered estimates, one chunk in flight per
+point on shared-memory pools) — plus the acceptance bars: bit-identity
+across worker counts and executors against the default one-worker run,
+and budget conservation.
 """
 
+import json
 import math
 
 import pytest
@@ -22,7 +24,7 @@ from repro.core import (
     extension_chunk_config,
     grant_chunk_trials,
 )
-from repro.errors import EstimationError
+from repro.errors import ConfigurationError, EstimationError
 from repro.masking import busy_idle_profile
 from repro.methods import (
     ComponentCache,
@@ -137,9 +139,9 @@ class TestAccumulatorExtension:
 
 
 class TestPipelinedIdentity:
-    """Acceptance bar: pipelining is a schedule change, not a numbers
-    change — and with both features off the engine reproduces the PR-3
-    paths exactly."""
+    """Acceptance bar: the schedule is never a numbers change. Each
+    ``phased`` baseline is the default run (one thread worker); each
+    ``piped`` run fans the same sweep out wider or to processes."""
 
     def test_pipelined_equals_phased_at_fixed_chunking(
         self, cluster_space
@@ -157,7 +159,6 @@ class TestPipelinedIdentity:
                 mc_config=mc,
                 workers=workers,
                 executor=executor,
-                pipeline_methods=True,
             )
             assert piped == phased, executor
 
@@ -178,7 +179,6 @@ class TestPipelinedIdentity:
             methods=["first_principles"],
             mc_config=mc,
             workers=4,
-            pipeline_methods=True,
         )
         assert piped == phased
 
@@ -191,7 +191,6 @@ class TestPipelinedIdentity:
             methods=["avf_sofr"],
             reference="exact",
             workers=2,
-            pipeline_methods=True,
         )
         assert piped == phased
 
@@ -201,7 +200,7 @@ class TestPipelinedIdentity:
         # Per-component methods stay in the parent on the process
         # executor: every C shares one profile, so the whole sweep
         # performs exactly one component-level MC estimation instead of
-        # one per point — matching the phased path's cost.
+        # one per point — matching the one-worker run's cost.
         mc = MonteCarloConfig(trials=2_000, seed=1, chunks=2)
         phased = evaluate_design_space(
             cluster_space[:3], methods=["sofr_only"], mc_config=mc
@@ -213,7 +212,6 @@ class TestPipelinedIdentity:
             mc_config=mc,
             workers=2,
             executor="process",
-            pipeline_methods=True,
             cache=cache,
         )
         assert piped == phased
@@ -228,7 +226,6 @@ class TestPipelinedIdentity:
             methods=["first_principles", "sofr_only"],
             mc_config=MonteCarloConfig(trials=2_000, seed=1, chunks=4),
             workers=2,
-            pipeline_methods=True,
             progress=events.append,
         )
         starts = [e for e in events if e.kind == METHOD_STARTED]
@@ -245,6 +242,94 @@ class TestPipelinedIdentity:
                 e.kind for e in events if e.label == label
             ]
             assert kinds.index(POINT_DONE) < kinds.index(METHOD_STARTED)
+
+
+class TestDispatch:
+    def test_estimates_follow_method_order_on_every_backend(
+        self, cluster_space
+    ):
+        # The reference doubles as the second method's estimate and
+        # lands first; the record still lists methods in method order,
+        # so the JSON bytes never depend on completion timing.
+        methods = ["avf_sofr", "first_principles"]
+        runs = [
+            evaluate_design_space(
+                cluster_space[:3],
+                methods=methods,
+                reference="first_principles",
+                workers=workers,
+                executor=executor,
+            ).to_json()
+            for executor, workers in (
+                ("thread", 1), ("thread", 2), ("process", 2),
+            )
+        ]
+        assert runs[0] == runs[1] == runs[2]
+        for comparison in json.loads(runs[0])["comparisons"]:
+            assert list(comparison["estimates"]) == methods
+
+    def test_shared_memory_pools_sample_only_folded_chunks(
+        self, cluster_space, monkeypatch
+    ):
+        # Every point stops within its first two of 16 chunks; a thread
+        # pool samples only the chunks it folds.
+        from repro.core.kernel import SamplingPlan
+
+        calls = []
+        sample_ttf = SamplingPlan.sample_ttf
+
+        def counting(plan, config):
+            calls.append(config.seed)
+            return sample_ttf(plan, config)
+
+        monkeypatch.setattr(SamplingPlan, "sample_ttf", counting)
+        mc = MonteCarloConfig(
+            trials=64_000,
+            seed=3,
+            chunks=16,
+            stopping=StoppingRule(target_rel_stderr=0.02),
+        )
+        for workers in (1, 2):
+            calls.clear()
+            events: list[ProgressEvent] = []
+            evaluate_design_space(
+                cluster_space,
+                methods=["first_principles"],
+                mc_config=mc,
+                workers=workers,
+                cache=False,
+                progress=events.append,
+            )
+            done = [e for e in events if e.kind == POINT_DONE]
+            assert len(done) == len(cluster_space)
+            assert all(e.stopped_early for e in done)
+            assert len(calls) == sum(e.merged_chunks for e in done)
+
+    def test_an_error_cancels_the_queued_work(
+        self, cluster_space, monkeypatch
+    ):
+        # avf supports single-instance systems only, so launching the
+        # first point's methods raises; the references still queued
+        # behind it must not run before the error surfaces.
+        from repro.methods.base import FunctionEstimator
+
+        calls = []
+        estimate = FunctionEstimator.estimate
+
+        def counting(estimator, system, config=None):
+            if estimator.name == "monte_carlo":
+                calls.append(system)
+            return estimate(estimator, system, config)
+
+        monkeypatch.setattr(FunctionEstimator, "estimate", counting)
+        space = cluster_space * 8
+        with pytest.raises(ConfigurationError, match="does not support"):
+            evaluate_design_space(
+                space,
+                methods=["avf"],
+                mc_config=MonteCarloConfig(trials=20_000, seed=1),
+            )
+        assert len(calls) < len(space)
 
 
 class TestStoppingRuleDeficit:
@@ -299,7 +384,6 @@ class TestBudgetReallocation:
             cluster_space,
             methods=["first_principles"],
             mc_config=STRAGGLER_MC,
-            pipeline_methods=True,
             reallocate_budget=True,
             progress=events.append,
         )
@@ -331,7 +415,6 @@ class TestBudgetReallocation:
         kwargs = dict(
             methods=["first_principles", "sofr_only"],
             mc_config=STRAGGLER_MC,
-            pipeline_methods=True,
             reallocate_budget=True,
         )
         serial = evaluate_design_space(cluster_space, **kwargs)
@@ -419,7 +502,6 @@ class TestBudgetReallocation:
         kwargs = dict(
             methods=["first_principles"],
             mc_config=STRAGGLER_MC,
-            pipeline_methods=True,
             reallocate_budget=True,
         )
         cold = evaluate_design_space(
@@ -508,14 +590,17 @@ class TestPrewarmAndPublication:
     def test_prewarm_event_reports_disk_entries(
         self, cluster_space, tmp_path
     ):
+        # Only sharded runs prewarm: shard 0 of 2 holds three points.
         mc = MonteCarloConfig(trials=1_000, seed=1, chunks=2)
-        run = lambda cache, progress=None: evaluate_design_space(
-            cluster_space[:3],
-            methods=["first_principles"],
-            mc_config=mc,
-            cache=cache,
-            pipeline_methods=True,
-            progress=progress,
+        run = lambda cache, progress=None, shard=(0, 2): (
+            evaluate_design_space(
+                cluster_space,
+                methods=["first_principles"],
+                mc_config=mc,
+                cache=cache,
+                progress=progress,
+                shard=shard,
+            )
         )
         cold = ComponentCache(disk=DiskCache(tmp_path))
         cold_events: list[ProgressEvent] = []
@@ -526,7 +611,7 @@ class TestPrewarmAndPublication:
         assert len(cold_prewarm) == 1
         assert cold_prewarm[0].warmed_entries == 0
         # A fresh in-memory cache over the same directory prewarms
-        # every reference and method estimate the sweep needs.
+        # every reference and method estimate the shard needs.
         warm = ComponentCache(disk=DiskCache(tmp_path))
         warm_events: list[ProgressEvent] = []
         run(warm, warm_events.append)
@@ -537,6 +622,11 @@ class TestPrewarmAndPublication:
         done = [e for e in warm_events if e.kind == POINT_DONE]
         assert done and all(e.cached for e in done)
         assert warm.misses == 0 and warm.estimate_misses == 0
+        # An unsharded run has no sibling to learn from: no prewarm, so
+        # its disk lookups keep their hit/miss accounting.
+        unsharded: list[ProgressEvent] = []
+        run(ComponentCache(disk=DiskCache(tmp_path)), unsharded.append, None)
+        assert all(e.kind != CACHE_PREWARMED for e in unsharded)
 
     def test_estimates_publish_to_disk_as_points_finish(
         self, cluster_space, tmp_path
@@ -552,7 +642,6 @@ class TestPrewarmAndPublication:
             methods=["first_principles", "sofr_only"],
             mc_config=MonteCarloConfig(trials=1_000, seed=1, chunks=2),
             cache=cache,
-            pipeline_methods=True,
         )
         mc = MonteCarloConfig(trials=1_000, seed=1, chunks=2)
         for _label, system in cluster_space[:2]:
@@ -576,7 +665,6 @@ class TestPrewarmAndPublication:
         kwargs = dict(
             methods=["sofr_only", "first_principles"],
             mc_config=mc,
-            pipeline_methods=True,
         )
         shard0 = evaluate_design_space(
             cluster_space,
@@ -609,7 +697,6 @@ class TestPrewarmAndPublication:
             methods=["first_principles"],
             mc_config=STRAGGLER_MC,
             shard=(0, 2),
-            pipeline_methods=True,
             reallocate_budget=True,
         )
         serial = evaluate_design_space(cluster_space, **kwargs)

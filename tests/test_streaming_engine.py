@@ -563,6 +563,23 @@ class TestAdaptiveAudit:
         assert "stopping" not in mc_token(fixed)
 
 
+def _assert_point_lifecycles(events, labels, methods):
+    """Per label: one point-start, then one point-done, then the
+    point's ``methods`` method-done events."""
+    for label in labels:
+        kinds = [e.kind for e in events if e.label == label]
+        assert kinds.count("point-start") == 1, label
+        assert kinds.count("point-done") == 1, label
+        assert kinds.count("method-done") == methods, label
+        done = kinds.index("point-done")
+        assert kinds.index("point-start") < done, label
+        assert all(
+            position > done
+            for position, kind in enumerate(kinds)
+            if kind == "method-done"
+        ), label
+
+
 class TestProgressEvents:
     def test_streaming_process_run_emits_chunk_events(
         self, cluster_space
@@ -590,9 +607,7 @@ class TestProgressEvents:
             reference="exact",
             progress=events.append,
         )
-        assert [e.kind for e in events] == [
-            "point-start", "point-done", "point-start", "point-done",
-        ]
+        _assert_point_lifecycles(events, ("C=2", "C=8"), methods=1)
 
     def test_warm_cache_events_flag_cached_on_every_executor(
         self, cluster_space
@@ -616,12 +631,11 @@ class TestProgressEvents:
                 workers=workers,
                 progress=events.append,
             )
-            kinds = [e.kind for e in events]
-            assert kinds == [
-                "point-start", "point-done",
-                "point-start", "point-done",
-            ], executor
-            done = [e for e in events if e.kind == "point-done"]
+            _assert_point_lifecycles(events, ("C=2", "C=8"), methods=1)
+            done = [
+                e for e in events if e.kind in ("point-done", "method-done")
+            ]
+            assert len(done) == 4, executor
             assert all(e.cached for e in done), executor
 
     def test_relative_stderr_helper(self, day_system):

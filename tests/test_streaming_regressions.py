@@ -113,7 +113,6 @@ class TestMergedChunkAccounting:
             methods=["first_principles"],
             mc_config=mc,
             workers=4,
-            pipeline_methods=True,
             reallocate_budget=True,
             progress=events.append,
         )
