@@ -3,9 +3,10 @@
 Times a representative slice of the estimation engine — serial vs
 fanned-out sweeps, fixed-count vs adaptive Monte Carlo, compiled
 sampling kernels vs the legacy sampler, cold vs warm cache — plus
-trace production (synthesis and simulation, in instructions/s), and
-writes the measurements to ``BENCH_<rev>.json`` so the
-perf impact of engine changes is a diffable artifact, not an anecdote::
+trace production (synthesis and simulation, in instructions/s) and the
+analytical estimators on the paper's sweeps, and writes the
+measurements to ``BENCH_<rev>.json`` so the perf impact of engine
+changes is a diffable artifact, not an anecdote::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py
     PYTHONPATH=src python benchmarks/run_benchmarks.py \\
@@ -907,10 +908,126 @@ def trace_cases(repeat: int, n_instructions: int = 40_000):
     return records
 
 
+def _mttf_sha256(values) -> str:
+    import numpy as np
+
+    digest = hashlib.sha256(np.asarray(values, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+def estimator_cases(repeat: int, n_instructions: int = 40_000):
+    """The analytical estimators on the paper's sweeps, in seconds.
+
+    * SoftArch and the first-principles closed form over the 72 systems
+      of ``repro-experiments sec5.4``, built as ``run_sec54`` builds
+      them (the ``combined`` workload from undilated gzip and swim
+      profiles, SPEC workloads dilated to the paper's window);
+    * the SOFR fold over fig6a's 36 systems (gzip/mcf/swim x three
+      N x S x C in 2/8/5000/50000), with each component's exact MTTF.
+
+    Each row carries a SHA-256 over the MTTFs' float64 bytes, so rows
+    taken on two trees show bit-identity as well as speed. Only the
+    public API is used, so the scenario runs unchanged on older trees.
+    """
+    from repro.core import (
+        exact_component_mttf,
+        first_principles_mttf,
+        softarch_mttf,
+        sofr_mttf_from_components,
+        timeline_from_intensity,
+    )
+    from repro.harness import processor_profile
+    from repro.ser import component_rate_per_second
+    from repro.workloads import (
+        combined_workload,
+        day_workload,
+        week_workload,
+    )
+
+    def spec(bench, dilate):
+        return processor_profile(
+            bench, n_instructions, dilate_to_paper_window=dilate
+        )
+
+    sec54_workloads = {
+        "day": day_workload(),
+        "week": week_workload(),
+        "combined": combined_workload(
+            spec("gzip", False), spec("swim", False)
+        ),
+        **{b: spec(b, True) for b in ("gzip", "mcf", "swim")},
+    }
+    sec54 = [
+        SystemModel(
+            [
+                Component(
+                    name,
+                    component_rate_per_second(n_times_s, 1.0),
+                    profile,
+                    multiplicity=count,
+                )
+            ]
+        )
+        for name, profile in sec54_workloads.items()
+        for n_times_s in (1e8, 1e10, 1e12)
+        for count in (1, 8, 5000, 50000)
+    ]
+    events = sum(
+        timeline_from_intensity(s.combined_intensity()).event_count
+        for s in sec54
+    )
+    records = []
+    for name, estimate in (
+        ("softarch", softarch_mttf),
+        ("first_principles", first_principles_mttf),
+    ):
+        seconds, mttfs = _timed(
+            lambda: [estimate(s).mttf_seconds for s in sec54], repeat
+        )
+        record = {
+            "name": f"estimators_{name}_sec54",
+            "seconds": round(seconds, 4),
+            "systems": len(sec54),
+            "mttf_sha256": _mttf_sha256(mttfs),
+        }
+        if name == "softarch":
+            record["events"] = events
+        records.append(record)
+
+    fig6a = []
+    for bench in ("gzip", "mcf", "swim"):
+        profile = spec(bench, True)
+        for n_times_s in (1e9, 2e12, 5e12):
+            rate = component_rate_per_second(n_times_s, 1.0)
+            value = exact_component_mttf(rate, profile)
+            for count in (2, 8, 5000, 50000):
+                system = SystemModel(
+                    [Component(bench, rate, profile, multiplicity=count)]
+                )
+                fig6a.append((system, value))
+    seconds, mttfs = _timed(
+        lambda: [
+            sofr_mttf_from_components(s, lambda _c, v=v: v).mttf_seconds
+            for s, v in fig6a
+        ],
+        repeat,
+    )
+    records.append(
+        {
+            "name": "estimators_sofr_fig6a",
+            "seconds": round(seconds, 4),
+            "systems": len(fig6a),
+            "instances": sum(s.component_count for s, _ in fig6a),
+            "mttf_sha256": _mttf_sha256(mttfs),
+        }
+    )
+    return records
+
+
 #: Benchmark sections selectable via --scenario.
 SCENARIOS = (
     "all", "engine", "kernel", "cache", "executors", "fleet",
-    "elastic", "service_load", "lint", "trace",
+    "elastic", "service_load", "lint", "trace", "estimators",
 )
 
 
@@ -1082,6 +1199,16 @@ def run_benchmarks(argv: list[str] | None = None) -> Path:
                 f"{record['name']:44s} {record['seconds']:8.3f}s  "
                 f"synthesize={record['synthesize_instr_per_s']}/s "
                 f"simulate={record['simulate_instr_per_s']}/s"
+            )
+
+    # Analytical estimators: SoftArch, first principles, SOFR fold.
+    if wants("estimators"):
+        for record in estimator_cases(args.repeat):
+            results.append(record)
+            print(
+                f"{record['name']:44s} {record['seconds']:8.3f}s  "
+                f"systems={record['systems']} "
+                f"sha256={record['mttf_sha256'][:16]}"
             )
 
     payload = {

@@ -19,18 +19,27 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+import numpy as np
+
 from ..reliability.metrics import MTTFEstimate
 from ..reliability.series import sofr_mttf
 from .avf import avf_mttf
 from .system import Component, SystemModel
 
 
+def _per_instance(system: SystemModel, component_mttf) -> np.ndarray:
+    """Each component's MTTF, repeated once per instance."""
+    return np.repeat(
+        [component_mttf(comp) for comp in system.components],
+        [comp.multiplicity for comp in system.components],
+    )
+
+
 def avf_sofr_mttf(system: SystemModel) -> MTTFEstimate:
     """The complete AVF+SOFR method applied to a system (Figure 1)."""
-    mttfs: list[float] = []
-    for comp in system.components:
-        component_mttf = avf_mttf(comp.rate_per_second, comp.profile)
-        mttfs.extend([component_mttf] * comp.multiplicity)
+    mttfs = _per_instance(
+        system, lambda comp: avf_mttf(comp.rate_per_second, comp.profile)
+    )
     return MTTFEstimate(mttf_seconds=sofr_mttf(mttfs), method="avf+sofr")
 
 
@@ -43,10 +52,7 @@ def sofr_mttf_from_components(
     ``component_mttf`` maps a single component *instance* to its MTTF in
     seconds; multiplicities are expanded here.
     """
-    mttfs: list[float] = []
-    for comp in system.components:
-        value = component_mttf(comp)
-        mttfs.extend([value] * comp.multiplicity)
+    mttfs = _per_instance(system, component_mttf)
     return MTTFEstimate(mttf_seconds=sofr_mttf(mttfs), method="sofr")
 
 
@@ -55,10 +61,8 @@ def sofr_mttf_from_values(
     multiplicities: Sequence[int] | None = None,
 ) -> MTTFEstimate:
     """The SOFR step on raw MTTF values (convenience for analytics)."""
-    if multiplicities is None:
-        values = list(component_mttfs)
-    else:
-        values = []
-        for mttf, mult in zip(component_mttfs, multiplicities, strict=True):
-            values.extend([mttf] * mult)
-    return MTTFEstimate(mttf_seconds=sofr_mttf(values), method="sofr")
+    if multiplicities is not None:
+        if len(multiplicities) != len(component_mttfs):
+            raise ValueError("need one multiplicity per component MTTF")
+        component_mttfs = np.repeat(component_mttfs, multiplicities)
+    return MTTFEstimate(mttf_seconds=sofr_mttf(component_mttfs), method="sofr")

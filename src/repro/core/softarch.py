@@ -13,11 +13,11 @@ Crucially, SoftArch never assumes uniform vulnerability (the AVF step) or
 exponential per-component failure times (the SOFR step). This module
 implements the model's event-accumulation core:
 
-* :class:`SoftArchTimeline` — a chronologically ordered list of
-  potential-failure events within one workload iteration, folded into an
+* :class:`SoftArchTimeline` — the potential-failure events within one
+  workload iteration as chronologically ordered columns, folded into an
   MTTF by forward survival accumulation plus a geometric continuation
   over subsequent iterations (``MTTF = m1 + L(1-q)/q``);
-* :func:`softarch_mttf` — derives the event list for a whole system from
+* :func:`softarch_mttf` — derives the events for a whole system from
   the combined failure intensity, one event per elementary interval in
   which every component's vulnerability is constant, so events never
   overlap and the fold is exact;
@@ -25,6 +25,11 @@ implements the model's event-accumulation core:
   register residency, propagation along data dependences, output events
   at stores/branches) lives in :mod:`repro.core.softarch_values` and
   produces the same :class:`SoftArchTimeline`.
+
+Event construction and the folds are array code with the bits of the
+per-event scalar loops they replaced: libm transcendentals through
+``frompyfunc`` (see :data:`repro.reliability.hazard._libm_exp`),
+sequential ``cumsum``/``cumprod`` folds and a stable sort.
 
 The fold is deliberately a *different code path* from the closed-form
 renewal integral in :mod:`repro.core.firstprinciples`: the paper uses
@@ -38,12 +43,18 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from ..errors import EstimationError
 from ..masking.profile import VulnerabilityProfile
 from ..reliability.hazard import (
     CyclicIntensity,
     NestedHazard,
     PiecewiseHazard,
+    _libm_expm1,
+    _libm_log1p,
+    _libm_pow,
+    _split_repetitions,
 )
 from ..reliability.metrics import MTTFEstimate
 from .system import SystemModel
@@ -86,8 +97,16 @@ class OutputEvent:
 class SoftArchTimeline:
     """Per-iteration output-event timeline folded into an MTTF.
 
+    The timeline is three float64 columns — :attr:`time`,
+    :attr:`probability` and :attr:`mean_time` — sorted chronologically
+    (a stable sort, so events at equal times keep their construction
+    order). The builders below write the columns directly through
+    :meth:`from_columns`; ``SoftArchTimeline(events, period)`` takes a
+    hand-built list of :class:`OutputEvent` records, and :attr:`events`
+    is the record view.
+
     Events must cover disjoint, chronologically ordered intervals (the
-    builders below guarantee this). The fold walks the events once:
+    builders guarantee this). The fold walks the events once:
     ``P(first failure = event j) = p_j · Π_{i<j}(1 - p_i)``, giving the
     iteration failure probability ``q`` and the conditional mean failure
     time ``m1``; independent identical iterations then give
@@ -96,14 +115,52 @@ class SoftArchTimeline:
     """
 
     def __init__(self, events: Sequence[OutputEvent], period: float):
+        self._assign(
+            [e.time for e in events],
+            [e.probability for e in events],
+            [e.mean_time for e in events],
+            period,
+        )
+
+    @classmethod
+    def from_columns(
+        cls, time, probability, mean_time, period: float
+    ) -> "SoftArchTimeline":
+        """A timeline from event columns in any order, checked and sorted."""
+        timeline = cls.__new__(cls)
+        timeline._assign(time, probability, mean_time, period)
+        return timeline
+
+    def _assign(self, time, probability, mean_time, period) -> None:
+        time, probability, mean_time = (
+            np.asarray(column, dtype=float)
+            for column in (time, probability, mean_time)
+        )
+        bad = (
+            ~((probability >= 0.0) & (probability <= 1.0))
+            | (time < 0)
+            | (mean_time > time * (1 + 1e-9))
+        )
+        if bad.any():
+            # The first offending row, as a record, raises its own error.
+            i = int(bad.argmax())
+            OutputEvent(
+                float(time[i]), float(probability[i]), float(mean_time[i])
+            )
         if period <= 0:
             raise EstimationError(f"period must be positive, got {period}")
-        self._events = sorted(events, key=lambda e: e.time)
-        for event in self._events:
-            if event.time > period * (1 + 1e-9):
-                raise EstimationError(
-                    f"event at {event.time} outside iteration of {period}"
-                )
+        order = np.argsort(time, kind="stable")
+        self.time, self.probability, self.mean_time = (
+            time[order], probability[order], mean_time[order]
+        )
+        for column in (self.time, self.probability, self.mean_time):
+            column.flags.writeable = False
+        outside = self.time > period * (1 + 1e-9)
+        if outside.any():
+            raise EstimationError(
+                f"event at {float(self.time[outside.argmax()])} outside "
+                f"iteration of {period}"
+            )
         self._period = float(period)
 
     @property
@@ -112,35 +169,61 @@ class SoftArchTimeline:
 
     @property
     def events(self) -> list[OutputEvent]:
-        return list(self._events)
+        return [
+            OutputEvent(t, p, m)
+            for t, p, m in zip(
+                self.time.tolist(),
+                self.probability.tolist(),
+                self.mean_time.tolist(),
+            )
+        ]
 
     @property
     def event_count(self) -> int:
-        return len(self._events)
+        return self.time.size
 
     def iteration_failure_probability(self) -> float:
         """``q``: probability one iteration fails, by forward survival."""
-        log_survival = 0.0
-        for event in self._events:
-            if event.probability >= 1.0:
-                return 1.0
-            log_survival += math.log1p(-event.probability)
-        return -math.expm1(log_survival)
+        if (self.probability >= 1.0).any():
+            return 1.0
+        log_survival = _running_sum(
+            _libm_log1p(-self.probability).astype(float)
+        )
+        # ``0.0 - expm1`` has the bits of ``-expm1`` except at zero,
+        # where it gives +0.0: a timeline that never fails has q = 0.0.
+        return 0.0 - math.expm1(log_survival)
 
     def mttf(self) -> float:
         """Expected time to first failure over looped iterations."""
-        survival = 1.0
-        weighted_time = 0.0
-        q = 0.0
-        for event in self._events:
-            p_here = survival * event.probability
-            weighted_time += p_here * event.mean_time
-            q += p_here
-            survival *= 1.0 - event.probability
+        q, weighted_time = _first_failure_fold(
+            self.probability, self.mean_time
+        )
         if q <= 0.0:
             return math.inf
         m1 = weighted_time / q
         return m1 + self._period * (1.0 - q) / q
+
+
+def _running_sum(terms: np.ndarray) -> float:
+    """``0.0 + t0 + t1 + ...``, folded left to right.
+
+    ``np.cumsum`` accumulates sequentially, so this is the scalar
+    ``total += term`` loop bit for bit (a pairwise ``np.sum`` is not).
+    """
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
+
+
+def _first_failure_fold(
+    probability: np.ndarray, mean_time: np.ndarray
+) -> tuple[float, float]:
+    """``(q, Σ_j P(first failure = j) · mean_j)`` over chronological events.
+
+    The survival products ``Π_{i<j}(1 - p_i)`` come from ``np.cumprod``,
+    a sequential fold like :func:`_running_sum`.
+    """
+    survival = np.concatenate(([1.0], np.cumprod(1.0 - probability)))[:-1]
+    p_here = survival * probability
+    return _running_sum(p_here), _running_sum(p_here * mean_time)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +231,7 @@ class SoftArchTimeline:
 # ---------------------------------------------------------------------------
 
 
-def _truncated_exp_mean_fraction(x: float) -> float:
+def _truncated_exp_mean_fraction(x: np.ndarray) -> np.ndarray:
     """Mean of a truncated Exp(1) on [0, 1] with total hazard ``x``.
 
     ``g(x) = 1/x - 1/(e^x - 1)``, evaluated stably: a Taylor series for
@@ -157,51 +240,47 @@ def _truncated_exp_mean_fraction(x: float) -> float:
     limit) towards 0 (failures concentrate at the interval start), so
     the conditional mean always lies inside the interval.
     """
-    if x < 1e-5:
-        return 0.5 - x / 12.0 + x**3 / 720.0
-    if x > 700.0:  # e^x overflows; 1/(e^x - 1) is exactly 0 in double
-        return 1.0 / x
-    return 1.0 / x - 1.0 / math.expm1(x)
+    x = np.asarray(x, dtype=float)
+    small = x < 1e-5
+    large = x > 700.0  # e^x overflows; 1/(e^x - 1) is exactly 0 in double
+    mid = ~(small | large)
+    g = np.empty_like(x)
+    xs = x[small]
+    g[small] = 0.5 - xs / 12.0 + _libm_pow(xs, 3.0).astype(float) / 720.0
+    g[large] = 1.0 / x[large]
+    xm = x[mid]
+    g[mid] = 1.0 / xm - 1.0 / _libm_expm1(xm).astype(float)
+    return g
 
 
-def _segment_event(
-    start: float, end: float, rate: float
-) -> OutputEvent | None:
-    """Event for one constant-intensity interval, or ``None`` if inert.
+def _piecewise_columns(
+    hazard: PiecewiseHazard, until: float | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Event columns for one positive-intensity segment each.
 
-    Generation probability is ``1 - e^{-r·d}``; conditional on a strike,
-    its instant is truncated-exponential over the interval, with mean
-    ``start + d·g(r·d)`` (see :func:`_truncated_exp_mean_fraction`).
+    Segments are cut at ``until`` when given. Over ``[t0, t1)`` with
+    rate ``r`` and ``d = t1 - t0`` a strike occurs with probability
+    ``1 - e^{-r·d}``; conditional on one, its instant is
+    truncated-exponential with mean ``t0 + d·g(r·d)`` (see
+    :func:`_truncated_exp_mean_fraction`). Inert segments (``d`` or
+    ``r`` zero, or a probability that underflows to 0) give no event.
     """
-    d = end - start
-    if d <= 0 or rate <= 0:
-        return None
-    x = rate * d
-    prob = -math.expm1(-x)
-    if prob <= 0.0:
-        return None
-    mean_local = d * _truncated_exp_mean_fraction(x)
-    return OutputEvent(time=end, probability=prob, mean_time=start + mean_local)
-
-
-def _events_from_piecewise(
-    hazard: PiecewiseHazard, offset: float = 0.0, until: float | None = None
-) -> list[OutputEvent]:
-    """One event per positive-intensity segment of a piecewise hazard."""
-    events: list[OutputEvent] = []
     bp = hazard.breakpoints
-    rates = hazard.rates
-    for j in range(rates.size):
-        t0 = float(bp[j])
-        t1 = float(bp[j + 1])
-        if until is not None:
-            if t0 >= until:
-                break
-            t1 = min(t1, until)
-        event = _segment_event(offset + t0, offset + t1, float(rates[j]))
-        if event is not None:
-            events.append(event)
-    return events
+    rate = hazard.rates
+    t0 = bp[:-1]
+    t1 = bp[1:]
+    if until is not None:
+        n = int(np.searchsorted(t0, until, side="left"))
+        t0, t1, rate = t0[:n], np.minimum(t1[:n], until), rate[:n]
+    d = t1 - t0
+    live = (d > 0) & (rate > 0)
+    t0, t1, d = t0[live], t1[live], d[live]
+    x = rate[live] * d
+    prob = -(_libm_expm1(-x).astype(float))
+    hit = prob > 0.0
+    d = d[hit]
+    mean = t0[hit] + d * _truncated_exp_mean_fraction(x[hit])
+    return t1[hit], prob[hit], mean
 
 
 #: Below this repetition count, inner cycles are enumerated exactly;
@@ -211,31 +290,30 @@ _ENUMERATION_LIMIT = 1024
 
 
 def _aggregate_blocks(
-    block_events: list[OutputEvent],
+    probability: np.ndarray,
+    mean_time: np.ndarray,
     block_period: float,
     repetitions: int,
     offset: float,
-) -> OutputEvent | None:
+) -> tuple[float, float, float] | None:
     """Collapse ``repetitions`` identical sequential event blocks.
 
-    Within one block: failure probability ``q_b`` and conditional mean
-    ``m_b`` come from the standard fold. Across blocks the first failing
-    block index is geometric, so the aggregate has
+    The block is given by its chronological ``probability`` and
+    ``mean_time`` columns. Within one block: failure probability ``q_b``
+    and conditional mean ``m_b`` come from the standard fold. Across
+    blocks the first failing block index is geometric, so the aggregate
+    ``(time, probability, mean_time)`` has
 
     * probability ``1 - (1 - q_b)^R``,
     * conditional mean ``offset + E[k | fail]·P_block + m_b`` with
       ``E[k | fail] = q_b·Σ_{k<R} k(1-q_b)^k / (1 - (1-q_b)^R)``.
 
-    Exact because blocks are disjoint in time and i.i.d.
+    Exact because blocks are disjoint in time and i.i.d. (The closed
+    form for ``E[k | fail]`` cancels catastrophically when
+    ``R·q_b ≪ 1``; see ROADMAP.md.) Returns ``None`` for a block that
+    never fails.
     """
-    survival = 1.0
-    weighted = 0.0
-    q_b = 0.0
-    for e in block_events:
-        p_here = survival * e.probability
-        weighted += p_here * e.mean_time
-        q_b += p_here
-        survival *= 1.0 - e.probability
+    q_b, weighted = _first_failure_fold(probability, mean_time)
     if q_b <= 0.0:
         return None
     m_b = weighted / q_b
@@ -253,70 +331,60 @@ def _aggregate_blocks(
             q_b * q_b
         )
         mean_k = q_b * sum_k / total_q
-    return OutputEvent(
-        time=offset + r * block_period,
-        probability=total_q,
-        mean_time=offset + mean_k * block_period + m_b,
+    return (
+        offset + r * block_period,
+        total_q,
+        offset + mean_k * block_period + m_b,
     )
 
 
-def _events_from_nested(hazard: NestedHazard) -> list[OutputEvent]:
-    """Events for a nested hazard, aggregating massive inner repetitions."""
-    events: list[OutputEvent] = []
+def _nested_columns(
+    hazard: NestedHazard,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Event columns for a nested hazard, aggregating massive repetitions."""
+    pieces = []
     offset = 0.0
     for duration, inner in hazard.segments:
-        ratio = duration / inner.period
-        full = int(math.floor(ratio + 1e-9))
-        tail = duration - full * inner.period
-        if tail < 0:
-            tail = 0.0
-        block = _events_from_piecewise(inner)
-        if full > 0 and block:
+        full, tail = _split_repetitions(duration, inner.period)
+        time, prob, mean = _piecewise_columns(inner)
+        if full > 0 and time.size:
             if full <= _ENUMERATION_LIMIT:
-                for k in range(full):
-                    shift = offset + k * inner.period
-                    events.extend(
-                        OutputEvent(
-                            time=shift + e.time,
-                            probability=e.probability,
-                            mean_time=shift + e.mean_time,
-                        )
-                        for e in block
+                shift = offset + np.arange(full) * inner.period
+                pieces.append(
+                    (
+                        np.add.outer(shift, time).ravel(),
+                        np.tile(prob, full),
+                        np.add.outer(shift, mean).ravel(),
                     )
+                )
             else:
                 aggregate = _aggregate_blocks(
-                    block, inner.period, full, offset
+                    prob, mean, inner.period, full, offset
                 )
                 if aggregate is not None:
-                    events.append(aggregate)
+                    pieces.append(tuple(np.array([v]) for v in aggregate))
         if tail > 1e-12 * inner.period:
             shift = offset + full * inner.period
-            events.extend(
-                OutputEvent(
-                    time=shift + e.time,
-                    probability=e.probability,
-                    mean_time=shift + e.mean_time,
-                )
-                for e in _events_from_piecewise(inner, until=tail)
-            )
+            time, prob, mean = _piecewise_columns(inner, until=tail)
+            pieces.append((shift + time, prob, shift + mean))
         offset += duration
-    return events
+    if not pieces:
+        return np.empty(0), np.empty(0), np.empty(0)
+    return tuple(np.concatenate(column) for column in zip(*pieces))
 
 
 def timeline_from_intensity(intensity: CyclicIntensity) -> SoftArchTimeline:
     """Build the per-iteration event timeline for a failure intensity."""
     if isinstance(intensity, PiecewiseHazard):
-        return SoftArchTimeline(
-            _events_from_piecewise(intensity), intensity.period
+        columns = _piecewise_columns(intensity)
+    elif isinstance(intensity, NestedHazard):
+        columns = _nested_columns(intensity)
+    else:
+        raise EstimationError(
+            f"SoftArch needs a piecewise or nested intensity, got "
+            f"{type(intensity).__name__}"
         )
-    if isinstance(intensity, NestedHazard):
-        return SoftArchTimeline(
-            _events_from_nested(intensity), intensity.period
-        )
-    raise EstimationError(
-        f"SoftArch needs a piecewise or nested intensity, got "
-        f"{type(intensity).__name__}"
-    )
+    return SoftArchTimeline.from_columns(*columns, intensity.period)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from ..microarch.isa import InstructionTrace, OpClass
 from ..microarch.pipeline import ScheduleResult
 from ..ser.rates import PAPER_UNIT_RATES_PER_YEAR
 from ..units import per_year_to_per_second
-from .softarch import OutputEvent, SoftArchTimeline
+from .softarch import SoftArchTimeline
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,9 @@ def softarch_from_value_graph(
     reach = _output_reachability(trace, consumers)
 
     op_rate = [unit_instance_rate[op.unit] for op in OpClass]
-    events: list[OutputEvent] = []
+    times: list[float] = []
+    probabilities: list[float] = []
+    mean_times: list[float] = []
     for index, op in enumerate(trace.op.tolist()):
         if not reach[index]:
             continue  # masked: the value can never affect output
@@ -209,18 +211,14 @@ def softarch_from_value_graph(
                 first_influence = min(reaching_reads)
         if first_influence is None or hazard <= 0.0:
             continue
-        probability = -math.expm1(-hazard)
         event_time = max(first_influence, complete_time)
-        events.append(
-            OutputEvent(
-                time=event_time,
-                probability=probability,
-                # Strikes spread over [issue, event]; with the tiny
-                # per-value hazards here the conditional mean is the
-                # midpoint.
-                mean_time=0.5 * (issue_time + event_time),
-            )
-        )
+        times.append(event_time)
+        probabilities.append(-math.expm1(-hazard))
+        # Strikes spread over [issue, event]; with the tiny per-value
+        # hazards here the conditional mean is the midpoint.
+        mean_times.append(0.5 * (issue_time + event_time))
 
     period = schedule.total_cycles * cycle_time
-    return SoftArchTimeline(events, period)
+    return SoftArchTimeline.from_columns(
+        times, probabilities, mean_times, period
+    )

@@ -45,14 +45,17 @@ from ..errors import ConfigurationError, ProfileError
 _REL_TOL = 1e-9
 
 #: Elementwise libm transcendentals. The vectorised survival integrals
-#: must reproduce the scalar per-segment closed forms *bit for bit*;
-#: NumPy's SIMD ``exp``/``expm1`` loops differ from libm's in the last
-#: ulp on a few percent of inputs, and the weighted closed form
-#: amplifies that through cancellation. ``frompyfunc`` keeps the exact
-#: ``math.exp``/``math.expm1`` values while everything around them
-#: stays array code.
+#: (and SoftArch's event construction and folds) must reproduce the
+#: scalar closed forms *bit for bit*; NumPy's SIMD ``exp``/``expm1``
+#: loops differ from libm's in the last ulp on a few percent of inputs,
+#: and the weighted closed form amplifies that through cancellation.
+#: ``frompyfunc`` keeps the exact ``math`` values while everything
+#: around them stays array code. Each returns an object array; callers
+#: cast with ``.astype(float)``.
 _libm_exp = np.frompyfunc(math.exp, 1, 1)
 _libm_expm1 = np.frompyfunc(math.expm1, 1, 1)
+_libm_log1p = np.frompyfunc(math.log1p, 1, 1)
+_libm_pow = np.frompyfunc(math.pow, 2, 1)
 
 
 class CyclicIntensity(ABC):

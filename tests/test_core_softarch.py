@@ -33,6 +33,9 @@ class TestTimeline:
     def test_no_events_never_fails(self):
         timeline = SoftArchTimeline([], 5.0)
         assert math.isinf(timeline.mttf())
+        q = timeline.iteration_failure_probability()
+        assert q == 0.0
+        assert math.copysign(1, q) == 1
 
     def test_certain_event(self):
         timeline = SoftArchTimeline(

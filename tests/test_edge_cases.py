@@ -62,7 +62,13 @@ class TestSoftArchInternals:
             OutputEvent(time=1.0, probability=0.02, mean_time=0.7),
         ]
         reps = 50
-        aggregated = _aggregate_blocks(events, 1.0, reps, offset=0.0)
+        aggregated = OutputEvent(
+            *_aggregate_blocks(
+                np.array([e.probability for e in events]),
+                np.array([e.mean_time for e in events]),
+                1.0, reps, offset=0.0,
+            )
+        )
         enumerated = []
         for k in range(reps):
             enumerated.extend(
@@ -84,11 +90,16 @@ class TestSoftArchInternals:
         )
 
     def test_aggregate_blocks_empty(self):
-        assert _aggregate_blocks([], 1.0, 10, 0.0) is None
+        assert (
+            _aggregate_blocks(np.empty(0), np.empty(0), 1.0, 10, 0.0) is None
+        )
 
     def test_aggregate_blocks_certain_failure(self):
-        events = [OutputEvent(time=1.0, probability=1.0, mean_time=0.5)]
-        aggregated = _aggregate_blocks(events, 1.0, 1000, offset=0.0)
+        aggregated = OutputEvent(
+            *_aggregate_blocks(
+                np.array([1.0]), np.array([0.5]), 1.0, 1000, offset=0.0
+            )
+        )
         assert aggregated.probability == 1.0
         assert aggregated.mean_time == pytest.approx(0.5)
 
