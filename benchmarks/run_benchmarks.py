@@ -3,8 +3,9 @@
 Times a representative slice of the estimation engine — serial vs
 fanned-out sweeps, fixed-count vs adaptive Monte Carlo, compiled
 sampling kernels vs the legacy sampler, cold vs warm cache — plus
-trace production (synthesis and simulation, in instructions/s) and the
-analytical estimators on the paper's sweeps, and writes the
+trace production (synthesis and simulation, in instructions/s), the
+analytical estimators on the paper's sweeps and the Monte-Carlo
+sampler (ns/trial), and writes the
 measurements to ``BENCH_<rev>.json`` so the perf impact of engine
 changes is a diffable artifact, not an anecdote::
 
@@ -1024,10 +1025,78 @@ def estimator_cases(repeat: int, n_instructions: int = 40_000):
     return records
 
 
+def sampler_cases(
+    repeat: int, trials: int = 1_000_000, n_instructions: int = 40_000
+):
+    """The Monte-Carlo inverse sampler, in ms and ns per trial.
+
+    One row per system and start phase, ``trials`` draws each, through
+    ``sample_system_ttf`` (default kernel, one chunk):
+
+    * ``day`` — the busy/idle day workload (2 segments);
+    * ``gzip_fig6a`` — fig6a's gzip profile dilated to the paper's
+      window (13,681 segments);
+    * ``combined_sec54`` — sec5.4's nested ``combined`` workload (inner
+      tables of 13,681 and 13,045 segments);
+
+    all at eight components. The plan is built by an untimed warm-up
+    draw. Each row carries a SHA-256 over the samples' float64 bytes,
+    so rows taken on two trees show bit-identity as well as speed. Only
+    the public API is used, so the scenario runs unchanged on older
+    trees.
+    """
+    from repro.core import sample_system_ttf
+    from repro.harness import processor_profile
+    from repro.ser import component_rate_per_second
+    from repro.workloads import combined_workload, day_workload
+
+    def spec(bench, dilate):
+        return processor_profile(
+            bench, n_instructions, dilate_to_paper_window=dilate
+        )
+
+    workloads = {
+        "day": ("day", 1e10, day_workload()),
+        "gzip_fig6a": ("gzip", 2e12, spec("gzip", True)),
+        "combined_sec54": (
+            "combined",
+            1e10,
+            combined_workload(spec("gzip", False), spec("swim", False)),
+        ),
+    }
+    records = []
+    for name, (label, n_times_s, profile) in workloads.items():
+        rate = component_rate_per_second(n_times_s, 1.0)
+        system = SystemModel(
+            [Component(label, rate, profile, multiplicity=8)]
+        )
+        for phase in ("zero", "random"):
+            config = MonteCarloConfig(
+                trials=trials, seed=11, chunks=1, start_phase=phase
+            )
+            sample_system_ttf(system, config)
+            seconds, samples = _timed(
+                lambda: sample_system_ttf(system, config), repeat
+            )
+            records.append(
+                {
+                    "name": f"sampler_{name}_{phase}",
+                    "seconds": round(seconds, 4),
+                    "ms": round(seconds * 1e3, 2),
+                    "ns_per_trial": round(seconds * 1e9 / trials, 1),
+                    "trials": trials,
+                    "samples_sha256": hashlib.sha256(
+                        samples.tobytes()
+                    ).hexdigest(),
+                }
+            )
+    return records
+
+
 #: Benchmark sections selectable via --scenario.
 SCENARIOS = (
     "all", "engine", "kernel", "cache", "executors", "fleet",
-    "elastic", "service_load", "lint", "trace", "estimators",
+    "elastic", "service_load", "lint", "trace", "estimators", "sampler",
 )
 
 
@@ -1209,6 +1278,16 @@ def run_benchmarks(argv: list[str] | None = None) -> Path:
                 f"{record['name']:44s} {record['seconds']:8.3f}s  "
                 f"systems={record['systems']} "
                 f"sha256={record['mttf_sha256'][:16]}"
+            )
+
+    # Monte-Carlo inverse sampler: ms and ns/trial at 1e6 trials.
+    if wants("sampler"):
+        for record in sampler_cases(args.repeat):
+            results.append(record)
+            print(
+                f"{record['name']:44s} {record['seconds']:8.3f}s  "
+                f"{record['ns_per_trial']} ns/trial "
+                f"sha256={record['samples_sha256'][:16]}"
             )
 
     payload = {

@@ -15,15 +15,18 @@ Three layers:
 
 * **Compiled intensities** — :class:`CompiledPiecewise` and
   :class:`CompiledNested` replicate the exact floating-point arithmetic
-  of their :mod:`~repro.reliability.hazard` counterparts (same searches,
-  same guard ``np.where`` chains, same clips) while dropping the
-  per-call Python overhead (object traversal, ``np.unique``,
-  re-validation of static tables). Same inputs, same bits.
+  of their :mod:`~repro.reliability.hazard` counterparts (same segment
+  indices, same guard chains, same clips) while dropping
+  the per-call Python overhead (object traversal, ``np.unique``,
+  re-validation of static tables). Same inputs, same bits. Segment
+  lookups use a bucket-guided search (:class:`_Guide`) that returns
+  ``np.searchsorted``'s index exactly at a fraction of its cost, and
+  the inverse transform runs over cache-sized trial slices.
 * **Sampling plans** — :class:`SamplingPlan` bundles a compiled
-  intensity with the component wire forms (for the arrival sampler,
-  which needs the full model) under the owning model's content
-  fingerprint, and serializes losslessly via :meth:`SamplingPlan.to_dict`
-  (``repro.plan/v1``).
+  intensity with its source model (for the arrival sampler, which
+  needs the full model) under the model's content fingerprint, and
+  serializes losslessly via :meth:`SamplingPlan.to_dict`
+  (``repro.plan/v1``). Wire plans are validated on the way in.
 * **Kernel backends** — :func:`get_backend` resolves
   ``MonteCarloConfig.kernel`` to an execution backend. ``"numpy"``
   (default) is bit-identical to the legacy sampler; ``"numba"`` JIT
@@ -78,10 +81,169 @@ KERNELS = ("numpy", "numba", "legacy")
 
 _SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
 
+#: Trials per slice of the blocked inverse transform. A slice's
+#: temporaries (a few dozen float64/intp arrays of this length, 256 KiB
+#: each) stay cache-resident; 16k-64k measured flat on a 2-CPU x86-64 VM.
+SLICE_TRIALS = 32_768
+
 
 # ---------------------------------------------------------------------------
 # Compiled intensities.
 # ---------------------------------------------------------------------------
+
+
+def _table(kind: str, name: str, values, *, increasing: bool) -> np.ndarray:
+    """``values`` as a finite 1-D float table that starts at 0.
+
+    ``increasing`` demands strictly increasing entries (breakpoints,
+    segment starts); otherwise non-decreasing (cumulative tables, where
+    zero-rate segments repeat an entry). These are the preconditions of
+    both the samplers and :class:`_Guide`, so a wire plan that breaks
+    them is refused here instead of sampling garbage.
+    """
+    table = _float_array(kind, name, values)
+    if table.ndim != 1 or table.size < 2:
+        raise ConfigurationError(
+            f"compiled {kind} table {name!r} needs at least two entries"
+        )
+    steps = np.diff(table)
+    if (
+        not np.all(np.isfinite(table))
+        or table[0] != 0.0
+        or not np.all(steps > 0 if increasing else steps >= 0)
+    ):
+        order = "strictly increasing" if increasing else "non-decreasing"
+        raise ConfigurationError(
+            f"compiled {kind} table {name!r} must be finite, start at 0 "
+            f"and be {order}"
+        )
+    return table
+
+
+def _values(kind: str, name: str, values, *, positive: bool) -> np.ndarray:
+    """``values`` as a finite 1-D float array, ``>= 0`` (or ``> 0``)."""
+    array = _float_array(kind, name, values)
+    if array.ndim != 1 or not np.all(
+        np.isfinite(array) & ((array > 0) if positive else (array >= 0))
+    ):
+        sign = "positive" if positive else "non-negative"
+        raise ConfigurationError(
+            f"compiled {kind} table {name!r} must be finite and {sign}"
+        )
+    return array
+
+
+def _float_array(kind: str, name: str, values) -> np.ndarray:
+    try:
+        return np.ascontiguousarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as error:
+        raise ConfigurationError(
+            f"compiled {kind} table {name!r} is not numeric: {error}"
+        ) from None
+
+
+def _wire_fields(data, what: str, *keys: str) -> list:
+    """The ``keys`` of wire dict ``data``, or a typed refusal."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"{what} wire form must be a dict, got {type(data).__name__}"
+        )
+    try:
+        return [data[key] for key in keys]
+    except KeyError as missing:
+        raise ConfigurationError(
+            f"{what} wire form is missing {missing}"
+        ) from None
+
+
+class _Guide:
+    """Exact bucket-guided replacement for ``np.searchsorted``.
+
+    Built once per sorted table ``t`` (``n >= 1`` finite entries,
+    non-decreasing). :meth:`search` returns ``np.searchsorted(t, x,
+    side)`` — the same integer index — in a few cache-resident probes
+    instead of a ~log2(n)-deep binary search whose branches mispredict
+    on random queries.
+
+    **Why the index is exact.** There is one bucket per entry:
+    ``bucket(x) = clip(floor((x - t[0]) * scale), 0, n - 1)`` with
+    ``scale = n / (t[-1] - t[0])``. Every step (a rounded subtraction,
+    a rounded product with ``scale >= 0``, ``floor``, ``clip``) is
+    monotone non-decreasing, and table entries are bucketed with the
+    very same operations. So an entry in a lower bucket than ``x`` is
+    ``< x`` and an entry in a higher bucket is ``> x``: the answer is
+    the number of entries in lower buckets (``starts``) plus the count
+    of same-bucket entries ``< x`` (``<= x`` for ``side="right"``).
+    That count comes from a branchless power-of-two probe window of
+    ``bit_length(max bucket occupancy)`` probes. Probes that run past
+    the bucket land on later entries (``> x``) or on ``+inf`` padding,
+    so they never count. Queries must be finite; the samplers clip
+    every query into the table's range first.
+
+    If ``scale`` is not finite and positive (all entries equal, a
+    subnormal span whose reciprocal overflows, or a span that itself
+    overflows), every entry and query falls in one bucket: ``0 * inf``
+    would otherwise turn into a NaN bucket index.
+
+    The padded buffer *is* the table's storage: :attr:`table` is a view
+    of it that the owner adopts, so the entries are held once. Guides
+    are a per-process acceleration structure and never pickled or
+    serialized.
+    """
+
+    __slots__ = ("table", "_padded", "_origin", "_scale", "_top", "_starts",
+                 "_steps")
+
+    def __init__(self, table: np.ndarray) -> None:
+        n = table.size
+        with np.errstate(divide="ignore", over="ignore"):
+            scale = float(n / (table[-1] - table[0]))
+        buckets = n if 0.0 < scale < np.inf else 1
+        self._origin = float(table[0])
+        self._scale = scale
+        self._top = float(buckets - 1)
+        occupancy = np.bincount(self._bucket(table), minlength=buckets)
+        self._starts = np.cumsum(occupancy) - occupancy
+        depth = int(occupancy.max()).bit_length()
+        self._steps = tuple(1 << s for s in reversed(range(depth)))
+        self._padded = np.full(n + (1 << depth) - 1, np.inf)
+        self._padded[:n] = table
+        self.table = self._padded[:n]
+
+    def _bucket(self, x: np.ndarray) -> np.ndarray:
+        if self._top == 0.0:
+            return np.zeros(x.shape, dtype=np.intp)
+        with np.errstate(over="ignore"):  # far queries clip to an end
+            b = np.subtract(x, self._origin)
+            b *= self._scale
+        np.floor(b, out=b)
+        np.clip(b, 0.0, self._top, out=b)
+        return b.astype(np.intp)
+
+    def search(self, x: np.ndarray, side: str) -> np.ndarray:
+        """``np.searchsorted(table, x, side)``, exactly."""
+        shape = np.shape(x)
+        x = np.ravel(x)
+        pos = self._starts.take(self._bucket(x))
+        counts = np.less if side == "left" else np.less_equal
+        for step in self._steps:
+            pos += counts(self._padded.take(pos + (step - 1)), x) * step
+        return pos.reshape(shape)
+
+
+def _guided(owner, name: str) -> _Guide:
+    """The guide of ``owner``'s table attribute ``name``, built lazily.
+
+    The owner adopts the guide's view as its table, so the entries are
+    not held twice. Two threads racing here build equal guides over
+    equal tables; either result is correct.
+    """
+    guide = owner._guides.get(name)  # noqa: SLF001 - owner's own cache
+    if guide is None:
+        guide = _Guide(getattr(owner, name))
+        setattr(owner, name, guide.table)
+        owner._guides[name] = guide  # noqa: SLF001
+    return guide
 
 
 class CompiledPiecewise:
@@ -91,19 +253,21 @@ class CompiledPiecewise:
     breakpoints, per-segment rates, and the cumulative-hazard table —
     and evaluates ``cumulative``/``invert`` with the *identical*
     floating-point operation sequence, so every sample drawn through a
-    plan matches the legacy sampler bit for bit.
+    plan matches the legacy sampler bit for bit. Segment lookups go
+    through a :class:`_Guide`, which returns ``np.searchsorted``'s
+    index exactly.
     """
 
-    __slots__ = ("bp", "rates", "cum", "period", "mass")
+    __slots__ = ("bp", "rates", "cum", "period", "mass", "_guides")
 
     kind = "piecewise"
 
     def __init__(
         self, bp: np.ndarray, rates: np.ndarray, cum: np.ndarray
     ) -> None:
-        self.bp = np.ascontiguousarray(bp, dtype=float)
-        self.rates = np.ascontiguousarray(rates, dtype=float)
-        self.cum = np.ascontiguousarray(cum, dtype=float)
+        self.bp = _table("piecewise", "breakpoints", bp, increasing=True)
+        self.rates = _values("piecewise", "rates", rates, positive=False)
+        self.cum = _table("piecewise", "cum", cum, increasing=False)
         if self.bp.size != self.rates.size + 1 or (
             self.cum.size != self.bp.size
         ):
@@ -114,6 +278,11 @@ class CompiledPiecewise:
             )
         self.period = float(self.bp[-1])
         self.mass = float(self.cum[-1])
+        self._guides: dict[str, _Guide] = {}
+
+    def __reduce__(self):
+        # Guides are per-process caches: ship the tables only.
+        return (CompiledPiecewise, (self.bp, self.rates, self.cum))
 
     @classmethod
     def from_hazard(cls, hazard: PiecewiseHazard) -> "CompiledPiecewise":
@@ -129,7 +298,7 @@ class CompiledPiecewise:
             raise ProfileError("tau outside [0, period]")
         tau = np.clip(tau, 0.0, self.period)
         idx = np.clip(
-            np.searchsorted(self.bp, tau, side="right") - 1,
+            _guided(self, "bp").search(tau, "right") - 1,
             0,
             self.rates.size - 1,
         )
@@ -141,7 +310,7 @@ class CompiledPiecewise:
             raise ProfileError("u outside (0, mass]")
         u = np.minimum(u, self.mass)
         idx = np.clip(
-            np.searchsorted(self.cum, u, side="left") - 1,
+            _guided(self, "cum").search(u, "left") - 1,
             0,
             self.rates.size - 1,
         )
@@ -160,16 +329,11 @@ class CompiledPiecewise:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CompiledPiecewise":
-        try:
-            return cls(
-                np.asarray(data["breakpoints"], dtype=float),
-                np.asarray(data["rates"], dtype=float),
-                np.asarray(data["cum"], dtype=float),
+        return cls(
+            *_wire_fields(
+                data, "piecewise plan", "breakpoints", "rates", "cum"
             )
-        except KeyError as missing:
-            raise ConfigurationError(
-                f"piecewise plan wire form is missing {missing}"
-            ) from None
+        )
 
 
 class CompiledNested:
@@ -185,7 +349,10 @@ class CompiledNested:
     bit-identical.
     """
 
-    __slots__ = ("starts", "durations", "cum_mass", "inners", "period", "mass")
+    __slots__ = (
+        "starts", "durations", "cum_mass", "inners", "period", "mass",
+        "_guides",
+    )
 
     kind = "nested"
 
@@ -196,9 +363,13 @@ class CompiledNested:
         cum_mass: np.ndarray,
         inners: Sequence[CompiledPiecewise],
     ) -> None:
-        self.starts = np.ascontiguousarray(starts, dtype=float)
-        self.durations = np.ascontiguousarray(durations, dtype=float)
-        self.cum_mass = np.ascontiguousarray(cum_mass, dtype=float)
+        self.starts = _table("nested", "starts", starts, increasing=True)
+        self.durations = _values(
+            "nested", "durations", durations, positive=True
+        )
+        self.cum_mass = _table(
+            "nested", "cum_mass", cum_mass, increasing=False
+        )
         self.inners = tuple(inners)
         if (
             self.starts.size != len(self.inners) + 1
@@ -212,6 +383,14 @@ class CompiledNested:
             )
         self.period = float(self.starts[-1])
         self.mass = float(self.cum_mass[-1])
+        self._guides: dict[str, _Guide] = {}
+
+    def __reduce__(self):
+        # Guides are per-process caches: ship the tables only.
+        return (
+            CompiledNested,
+            (self.starts, self.durations, self.cum_mass, self.inners),
+        )
 
     @classmethod
     def from_hazard(cls, hazard: NestedHazard) -> "CompiledNested":
@@ -237,7 +416,7 @@ class CompiledNested:
             raise ProfileError("tau outside [0, period]")
         tau = np.clip(tau, 0.0, self.period)
         seg = np.clip(
-            np.searchsorted(self.starts, tau, side="right") - 1,
+            _guided(self, "starts").search(tau, "right") - 1,
             0,
             self.segment_count - 1,
         )
@@ -264,7 +443,7 @@ class CompiledNested:
             raise ProfileError("u outside (0, mass]")
         u = np.minimum(u, self.mass)
         seg = np.clip(
-            np.searchsorted(self.cum_mass, u, side="left") - 1,
+            _guided(self, "cum_mass").search(u, "left") - 1,
             0,
             self.segment_count - 1,
         )
@@ -281,13 +460,15 @@ class CompiledNested:
                 continue
             k = np.floor(rem / inner.mass)
             inner_rem = rem - k * inner.mass
+            # Masked in-place form of the legacy guard chain (see
+            # _invert_extended).
             under = inner_rem <= 0.0
-            k = np.where(under, k - 1, k)
-            inner_rem = np.where(under, inner_rem + inner.mass, inner_rem)
+            np.subtract(k, 1, out=k, where=under)
+            np.add(inner_rem, inner.mass, out=inner_rem, where=under)
             over = inner_rem > inner.mass
-            k = np.where(over, k + 1, k)
-            inner_rem = np.where(over, inner_rem - inner.mass, inner_rem)
-            inner_rem = np.clip(inner_rem, _SMALLEST_SUBNORMAL, inner.mass)
+            np.add(k, 1, out=k, where=over)
+            np.subtract(inner_rem, inner.mass, out=inner_rem, where=over)
+            np.clip(inner_rem, _SMALLEST_SUBNORMAL, inner.mass, out=inner_rem)
             out[sel] = (
                 self.starts[j] + k * inner.period + inner.invert(inner_rem)
             )
@@ -305,20 +486,17 @@ class CompiledNested:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CompiledNested":
-        try:
-            return cls(
-                np.asarray(data["starts"], dtype=float),
-                np.asarray(data["durations"], dtype=float),
-                np.asarray(data["cum_mass"], dtype=float),
-                [
-                    CompiledPiecewise.from_dict(inner)
-                    for inner in data["inners"]
-                ],
-            )
-        except KeyError as missing:
-            raise ConfigurationError(
-                f"nested plan wire form is missing {missing}"
-            ) from None
+        starts, durations, cum_mass, inners = _wire_fields(
+            data, "nested plan", "starts", "durations", "cum_mass", "inners"
+        )
+        if not isinstance(inners, list):
+            raise ConfigurationError("nested plan 'inners' must be a list")
+        return cls(
+            starts,
+            durations,
+            cum_mass,
+            [CompiledPiecewise.from_dict(inner) for inner in inners],
+        )
 
 
 #: A compiled intensity of either shape.
@@ -337,7 +515,7 @@ def compile_intensity(intensity: CyclicIntensity) -> CompiledIntensity:
 
 
 def _intensity_from_dict(data: dict) -> CompiledIntensity:
-    kind = data.get("type")
+    (kind,) = _wire_fields(data, "compiled-intensity", "type")
     if kind == "piecewise":
         return CompiledPiecewise.from_dict(data)
     if kind == "nested":
@@ -374,14 +552,18 @@ def _invert_extended(
         return np.full_like(u, np.inf)
     k = np.floor(u / intensity.mass)
     rem = u - k * intensity.mass
+    # The legacy ``np.where`` guard chain as masked in-place updates:
+    # the same operation on the same elements, without the temporaries.
     under = rem <= 0.0
-    k = np.where(under, k - 1, k)
-    rem = np.where(under, rem + intensity.mass, rem)
+    np.subtract(k, 1, out=k, where=under)
+    np.add(rem, intensity.mass, out=rem, where=under)
     over = rem > intensity.mass
-    k = np.where(over, k + 1, k)
-    rem = np.where(over, rem - intensity.mass, rem)
-    rem = np.clip(rem, _SMALLEST_SUBNORMAL, intensity.mass)
-    return k * intensity.period + intensity.invert(rem)
+    np.add(k, 1, out=k, where=over)
+    np.subtract(rem, intensity.mass, out=rem, where=over)
+    np.clip(rem, _SMALLEST_SUBNORMAL, intensity.mass, out=rem)
+    k *= intensity.period
+    k += intensity.invert(rem)
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +595,29 @@ class NumpyKernel:
 
         Replicates ``montecarlo._inverse_samples`` — same draw order,
         same start-phase convention, same extended-inversion guards.
+        The draws are made at full length, in the legacy order; the
+        elementwise transform then runs over :data:`SLICE_TRIALS`-sized
+        slices into one output, so its temporaries stay in cache
+        instead of streaming whole-array intermediates through memory.
+        Every element sees the same operations, so the bits match, and
+        each slice runs the same checks.
         """
         if intensity.mass <= 0:
             return np.full(config.trials, np.inf)
         e = rng.exponential(size=config.trials)
-        if config.start_phase == "zero":
-            return _invert_extended(intensity, e)
-        offsets = rng.uniform(0.0, intensity.period, size=config.trials)
-        accrued = _cumulative_extended(intensity, offsets)
-        return _invert_extended(intensity, e + accrued) - offsets
+        offsets = None
+        if config.start_phase != "zero":
+            offsets = rng.uniform(0.0, intensity.period, size=config.trials)
+        out = np.empty_like(e)
+        for start in range(0, e.size, SLICE_TRIALS):
+            part = slice(start, start + SLICE_TRIALS)
+            if offsets is None:
+                out[part] = _invert_extended(intensity, e[part])
+                continue
+            shift = offsets[part]
+            accrued = _cumulative_extended(intensity, shift)
+            out[part] = _invert_extended(intensity, e[part] + accrued) - shift
+        return out
 
 
 class NumbaKernel(NumpyKernel):
@@ -571,33 +767,41 @@ class SamplingPlan:
     """Everything a worker needs to draw one target's TTF samples.
 
     ``kind`` is ``"system"`` (inverse draws use the superposed
-    intensity; arrival draws rebuild the full :class:`SystemModel`) or
+    intensity; arrival draws need the full :class:`SystemModel`) or
     ``"component"`` (one instance: inverse draws use the component's own
-    intensity). ``components`` are the lossless component wire dicts —
-    they make the plan self-contained: the arrival sampler, which needs
-    ``profile.value_at``, reconstructs the model once per process and
-    caches it on the plan.
+    intensity). A plan compiled in this process keeps the ``model`` it
+    was built from; one hydrated from a wire form or a pickle carries
+    the lossless component wire dicts instead and rebuilds the model
+    from them once, on first use. :attr:`components` turns a source
+    model into those dicts only when a wire form or pickle needs them:
+    building them up front cost most of a cold plan's time and memory.
     """
 
-    __slots__ = ("kind", "fingerprint", "intensity", "components", "_model")
+    __slots__ = ("kind", "fingerprint", "intensity", "_components", "_model")
 
     def __init__(
         self,
         kind: str,
         fingerprint: str,
         intensity: CompiledIntensity,
-        components: Sequence[dict],
+        components: Sequence[dict] | None = None,
+        model: SystemModel | Component | None = None,
     ) -> None:
         if kind not in ("system", "component"):
             raise ConfigurationError(f"unknown plan kind {kind!r}")
+        if (components is None) == (model is None):
+            raise ConfigurationError(
+                "a sampling plan needs exactly one of its source model "
+                "or its component wire forms"
+            )
         self.kind = kind
         self.fingerprint = fingerprint
         self.intensity = intensity
-        self.components = tuple(components)
-        self._model: SystemModel | Component | None = None
+        self._components = None if components is None else tuple(components)
+        self._model = model
 
     def __getstate__(self) -> dict:
-        # The rebuilt model is a per-process cache, never shipped.
+        # Ship wire dicts, never the model: the receiver rebuilds it.
         return {
             "kind": self.kind,
             "fingerprint": self.fingerprint,
@@ -609,7 +813,7 @@ class SamplingPlan:
         self.kind = state["kind"]
         self.fingerprint = state["fingerprint"]
         self.intensity = state["intensity"]
-        self.components = state["components"]
+        self._components = state["components"]
         self._model = None
 
     @property
@@ -617,11 +821,20 @@ class SamplingPlan:
         """Hydration-cache key: fingerprints are namespaced by kind."""
         return f"{self.kind}:{self.fingerprint}"
 
+    @property
+    def components(self) -> tuple[dict, ...]:
+        """The lossless component wire dicts (built on first use)."""
+        if self._components is None:
+            model = self._model
+            sources = model.components if self.kind == "system" else [model]
+            self._components = tuple(c.to_dict() for c in sources)
+        return self._components
+
     def model(self) -> SystemModel | Component:
-        """The original model, rebuilt (once) from the wire forms."""
+        """The source model, or its rebuild (once) from the wire forms."""
         if self._model is None:
             components = [
-                Component.from_dict(data) for data in self.components
+                Component.from_dict(data) for data in self._components
             ]
             self._model = (
                 SystemModel(components)
@@ -636,8 +849,8 @@ class SamplingPlan:
         Bit-identical to ``sample_system_ttf``/``sample_component_ttf``
         on the original model: the RNG is constructed from the same
         seed, the inverse path replicates the legacy arithmetic, and
-        the arrival path *is* the legacy sampler run on the rebuilt
-        (fingerprint-identical) model.
+        the arrival path *is* the legacy sampler run on the source (or
+        fingerprint-identical rebuilt) model.
         """
         from . import montecarlo as mc
 
@@ -674,23 +887,31 @@ class SamplingPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SamplingPlan":
-        """Rebuild a plan from its :meth:`to_dict` form."""
-        if data.get("schema") != PLAN_SCHEMA:
+        """Rebuild a plan from its :meth:`to_dict` form.
+
+        Malformed input — wrong shapes or types, tables that are not
+        finite and ordered — raises :class:`ConfigurationError`.
+        """
+        (schema,) = _wire_fields(data, "plan", "schema")
+        if schema != PLAN_SCHEMA:
             raise ConfigurationError(
-                f"not a {PLAN_SCHEMA} document "
-                f"(schema={data.get('schema')!r})"
+                f"not a {PLAN_SCHEMA} document (schema={schema!r})"
             )
-        try:
-            return cls(
-                kind=str(data["kind"]),
-                fingerprint=str(data["fingerprint"]),
-                intensity=_intensity_from_dict(data["intensity"]),
-                components=[dict(c) for c in data["components"]],
-            )
-        except KeyError as missing:
+        kind, fingerprint, intensity, components = _wire_fields(
+            data, "plan", "kind", "fingerprint", "intensity", "components"
+        )
+        if not isinstance(components, list) or not all(
+            isinstance(c, dict) for c in components
+        ):
             raise ConfigurationError(
-                f"plan wire form is missing {missing}"
-            ) from None
+                "plan 'components' must be a list of component dicts"
+            )
+        return cls(
+            kind=str(kind),
+            fingerprint=str(fingerprint),
+            intensity=_intensity_from_dict(intensity),
+            components=[dict(c) for c in components],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -701,28 +922,37 @@ class SamplingPlan:
 #: it compiles, and pool workers store plans shipped to them. With the
 #: ``fork`` start method children inherit the parent's hot entries for
 #: free; with ``spawn`` the miss protocol of :func:`run_plan_chunks`
-#: hydrates them on first use.
+#: hydrates them on first use. The table is a bounded LRU: insertion
+#: order is recency order, and every hit moves its entry to the end.
 _PLANS: dict[str, SamplingPlan] = {}
 _PLANS_LOCK = threading.Lock()
 _PLANS_CAP = 256
 
 
-def _remember(plan: SamplingPlan) -> SamplingPlan:
+def _cached(key: str) -> SamplingPlan | None:
+    """The cached plan under ``key`` (now most recently used), if any."""
     with _PLANS_LOCK:
-        existing = _PLANS.get(plan.cache_key)
-        if existing is not None:
-            return existing
-        while len(_PLANS) >= _PLANS_CAP:
-            _PLANS.pop(next(iter(_PLANS)))
-        _PLANS[plan.cache_key] = plan
+        plan = _PLANS.pop(key, None)
+        if plan is not None:
+            _PLANS[key] = plan
     return plan
+
+
+def _remember(plan: SamplingPlan) -> SamplingPlan:
+    """Cache ``plan`` as most recently used; an equal cached plan wins."""
+    with _PLANS_LOCK:
+        kept = _PLANS.pop(plan.cache_key, None)
+        if kept is None:
+            kept = plan
+            while len(_PLANS) >= _PLANS_CAP:
+                _PLANS.pop(next(iter(_PLANS)))
+        _PLANS[plan.cache_key] = kept
+    return kept
 
 
 def plan_for_system(system: SystemModel) -> SamplingPlan:
     """The (memoized) sampling plan of a series system."""
-    key = f"system:{system.content_fingerprint}"
-    with _PLANS_LOCK:
-        plan = _PLANS.get(key)
+    plan = _cached(f"system:{system.content_fingerprint}")
     if plan is not None:
         return plan
     return _remember(
@@ -730,16 +960,14 @@ def plan_for_system(system: SystemModel) -> SamplingPlan:
             kind="system",
             fingerprint=system.content_fingerprint,
             intensity=compile_intensity(system.combined_intensity()),
-            components=[c.to_dict() for c in system.components],
+            model=system,
         )
     )
 
 
 def plan_for_component(component: Component) -> SamplingPlan:
     """The (memoized) sampling plan of a single component instance."""
-    key = f"component:{component.content_fingerprint}"
-    with _PLANS_LOCK:
-        plan = _PLANS.get(key)
+    plan = _cached(f"component:{component.content_fingerprint}")
     if plan is not None:
         return plan
     return _remember(
@@ -747,7 +975,7 @@ def plan_for_component(component: Component) -> SamplingPlan:
             kind="component",
             fingerprint=component.content_fingerprint,
             intensity=compile_intensity(component.intensity),
-            components=[component.to_dict()],
+            model=component,
         )
     )
 
@@ -787,8 +1015,7 @@ def run_plan_chunks(
     if plan is not None:
         plan = _remember(plan)
     else:
-        with _PLANS_LOCK:
-            plan = _PLANS.get(cache_key)
+        plan = _cached(cache_key)
         if plan is None:
             return (PLAN_MISS, cache_key)
     return (

@@ -12,8 +12,16 @@ protocol. Plus the PR-7 satellite invariants: memoized
 ``combined_intensity``, the vectorized survival integral's exact
 agreement with the scalar closed forms, and the kernel field staying
 out of cache tokens and job wire forms.
+
+The cheap-trial layer is held to the same standard: the bucket-guided
+search must return ``np.searchsorted``'s index on fuzzed tables, the
+sliced sampler must match the legacy one at trial counts on both sides
+of every slice edge, wire plans with malformed tables must be refused
+with a typed error, plans must keep their source model and build wire
+dicts lazily, and the plan cache must evict least recently used first.
 """
 
+import copy
 import dataclasses
 import json
 import pickle
@@ -48,7 +56,7 @@ from repro.core.kernel import (
 )
 from repro.core.montecarlo import adaptive_chunk_configs
 from repro.errors import ConfigurationError, EstimationError, ProfileError
-from repro.masking import busy_idle_profile
+from repro.masking import NestedProfile, PiecewiseProfile, busy_idle_profile
 from repro.methods import evaluate_design_space, merge_result_sets
 from repro.methods.cache import mc_token
 from repro.reliability.hazard import (
@@ -123,6 +131,173 @@ def nested_hazards(draw):
         inner = draw(piecewise_hazards(max_segments=3))
         segments.append((duration, inner))
     return NestedHazard(segments)
+
+
+def _profile_of(hazard: PiecewiseHazard) -> PiecewiseProfile:
+    # Rate 1 makes the hazard the vulnerability profile itself.
+    durations = np.diff(hazard.breakpoints)
+    values = np.clip(hazard.rates, 0.0, 1.0)
+    return PiecewiseProfile.from_segments(
+        list(zip(durations.tolist(), values.tolist()))
+    )
+
+
+@st.composite
+def profiles(draw):
+    """A piecewise or a nested vulnerability profile."""
+    if draw(st.booleans()):
+        return _profile_of(draw(piecewise_hazards()))
+    n = draw(st.integers(min_value=1, max_value=3))
+    return NestedProfile(
+        [
+            (
+                draw(st.floats(min_value=0.5, max_value=20.0)),
+                _profile_of(draw(piecewise_hazards(max_segments=3))),
+            )
+            for _ in range(n)
+        ]
+    )
+
+
+#: Trial counts on both sides of the blocked transform's slice edges.
+_SLICE = kernel_mod.SLICE_TRIALS
+SLICE_EDGE_TRIALS = (1, _SLICE - 1, _SLICE, _SLICE + 1, 3 * _SLICE + 7)
+
+
+@st.composite
+def sorted_tables(draw):
+    """Sorted finite tables, 1 to thousands of entries.
+
+    Shapes: spread-out entries (breakpoints), runs of equal entries
+    (cumulative tables over zero-rate segments), tight clusters (most
+    entries in a few buckets), subnormal spans (the bucket scale
+    overflows) and spans over hundreds of decades (up to one that
+    overflows itself).
+    """
+    n = draw(st.integers(min_value=1, max_value=3000))
+    shape = draw(
+        st.sampled_from(["spread", "runs", "clusters", "subnormal", "wide"])
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    origin = draw(st.sampled_from([0.0, 1.0, -3.5, 1e12]))
+    if shape == "spread":
+        table = origin + np.cumsum(rng.exponential(size=n))
+    elif shape == "runs":
+        steps = rng.exponential(size=n) * (rng.random(n) < 0.5)
+        table = origin + np.cumsum(steps)
+    elif shape == "clusters":
+        centers = rng.uniform(0.0, 1e6, size=max(1, n // 50))
+        table = origin + rng.choice(centers, n) + rng.uniform(0, 1e-6, n)
+    elif shape == "subnormal":
+        step = float(draw(st.integers(1, 1000))) * 5e-324
+        table = np.cumsum(rng.integers(0, 3, size=n) * step)
+    else:
+        table = np.sign(rng.uniform(-1, 1, n)) * 10.0 ** rng.uniform(
+            -308, 308, n
+        )
+    return np.sort(table)
+
+
+def _wire_of(system: SystemModel) -> dict:
+    return SamplingPlan(
+        "system",
+        system.content_fingerprint,
+        compile_intensity(system.combined_intensity()),
+        model=system,
+    ).to_dict()
+
+
+#: Small well-formed plan wire forms, one per compiled shape.
+_VALID_WIRES = (
+    _wire_of(
+        SystemModel([Component("a", 0.5, busy_idle_profile(1.0, 2.0, 0.5))])
+    ),
+    _wire_of(
+        SystemModel(
+            [
+                Component(
+                    "n",
+                    0.3,
+                    NestedProfile(
+                        [
+                            (
+                                3.0,
+                                PiecewiseProfile.from_segments(
+                                    [(1.0, 0.5), (0.5, 0.0)]
+                                ),
+                            ),
+                            (2.0, 0.25),
+                        ]
+                    ),
+                )
+            ]
+        )
+    ),
+)
+
+_TABLE_KEYS = (
+    "breakpoints", "rates", "cum", "starts", "durations", "cum_mass"
+)
+
+
+def _wire_paths(wire: dict) -> list[tuple]:
+    """Every field, table and table entry of a plan wire form."""
+    intensity = wire["intensity"]
+    paths = [(key,) for key in wire]
+    paths += [("components", i) for i in range(len(wire["components"]))]
+    sections = [(("intensity",), intensity)] + [
+        (("intensity", "inners", i), inner)
+        for i, inner in enumerate(intensity.get("inners", []))
+    ]
+    for prefix, section in sections:
+        paths.append(prefix)
+        paths += [(*prefix, key) for key in section]
+        for key in _TABLE_KEYS:
+            paths += [
+                (*prefix, key, j) for j in range(len(section.get(key, [])))
+            ]
+    return paths
+
+
+_NUMBERS = st.one_of(
+    st.floats(), st.integers(), st.just(-0.0), st.just(10**400)
+)
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    _NUMBERS,
+    st.lists(_NUMBERS, max_size=6),
+    st.lists(
+        st.one_of(
+            st.none(), st.text(max_size=2), st.lists(_NUMBERS, max_size=2)
+        ),
+        max_size=4,
+    ),
+    st.dictionaries(st.text(max_size=3), _NUMBERS, max_size=2),
+)
+
+
+def _junk_for(value):
+    """Replacements for one wire value: junk, or a same-sized table."""
+    if isinstance(value, list) and value and all(
+        isinstance(v, float) for v in value
+    ):
+        return st.one_of(
+            _JUNK,
+            st.permutations(value),
+            st.lists(_NUMBERS, min_size=len(value), max_size=len(value)),
+        )
+    return _JUNK
+
+
+def _tables_of(intensity) -> list[np.ndarray]:
+    if isinstance(intensity, CompiledNested):
+        tables = [intensity.starts, intensity.durations, intensity.cum_mass]
+        for inner in intensity.inners:
+            tables += _tables_of(inner)
+        return tables
+    return [intensity.bp, intensity.rates, intensity.cum]
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +391,99 @@ class TestCompiledIntensity:
                 np.asarray([0.0, 1.0]),
             )
 
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            ("breakpoints", [0.0, 2.0, 1.0, 3.0]),
+            ("breakpoints", [1.0, 2.0, 3.0, 4.0]),
+            ("breakpoints", [0.0, 1.0, 2.0, np.inf]),
+            ("rates", [1.0, -1.0, 1.0]),
+            ("rates", [1.0, 1.0, np.nan]),
+            ("cum", [0.0, 5.0, 1.0, 6.0]),
+            ("cum", [0.0, 1.0, 2.0, np.inf]),
+            ("cum", [0.5, 1.0, 2.0, 3.0]),
+        ],
+    )
+    def test_rejects_malformed_wire_tables(self, field, values):
+        wire = {
+            "type": "piecewise",
+            "breakpoints": [0.0, 1.0, 2.0, 3.0],
+            "rates": [1.0, 0.0, 2.0],
+            "cum": [0.0, 1.0, 1.0, 3.0],
+        }
+        CompiledPiecewise.from_dict(wire)  # the well-formed original
+        wire[field] = values
+        with pytest.raises(ConfigurationError, match=repr(field)):
+            kernel_mod._intensity_from_dict(wire)
+
+    def test_rejects_malformed_nested_tables(self, nested_system):
+        wire = plan_for_system(nested_system).intensity.to_dict()
+        for field in ("starts", "cum_mass"):
+            broken = copy.deepcopy(wire)
+            broken[field] = broken[field][::-1]
+            with pytest.raises(ConfigurationError, match=repr(field)):
+                CompiledNested.from_dict(broken)
+        broken = copy.deepcopy(wire)
+        broken["inners"][0]["cum"][-1] = float("nan")
+        with pytest.raises(ConfigurationError, match="'cum'"):
+            CompiledNested.from_dict(broken)
+
+
+# ---------------------------------------------------------------------------
+# The bucket-guided search: np.searchsorted's index, exactly.
+# ---------------------------------------------------------------------------
+
+
+def _queries(table, rng):
+    """Every entry, its float neighbours, 0, the extremes, and points
+    drawn between random pairs of entries."""
+    a, b = rng.choice(table, 256), rng.choice(table, 256)
+    w = rng.random(256)
+    return np.concatenate(
+        [
+            table,
+            np.nextafter(table, -np.inf),
+            np.nextafter(table, np.inf),
+            [0.0, -1e308, 1e308, -5e-324, 5e-324],
+            a * w + b * (1.0 - w),
+        ]
+    )
+
+
+class TestGuide:
+    @given(sorted_tables(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_searchsorted_both_sides(self, table, seed):
+        guide = kernel_mod._Guide(table)
+        queries = _queries(table, np.random.default_rng(seed))
+        for side in ("left", "right"):
+            np.testing.assert_array_equal(
+                guide.search(queries, side),
+                np.searchsorted(table, queries, side=side),
+            )
+
+    def test_table_is_a_view_of_the_padded_buffer(self):
+        table = np.asarray([0.0, 1.0, 1.0, 4.0])
+        guide = kernel_mod._Guide(table)
+        np.testing.assert_array_equal(guide.table, table)
+        assert guide.table.base is not None
+        assert guide.table.base.size > table.size
+
+    def test_subnormal_span_falls_back_to_one_bucket(self):
+        table = np.asarray([0.0, 5e-324, 1e-323])
+        guide = kernel_mod._Guide(table)
+        queries = np.asarray([0.0, 5e-324, 1e-323, 1.0, -1.0])
+        for side in ("left", "right"):
+            np.testing.assert_array_equal(
+                guide.search(queries, side),
+                np.searchsorted(table, queries, side=side),
+            )
+
+    def test_scalar_queries(self):
+        guide = kernel_mod._Guide(np.asarray([0.0, 1.0, 2.0]))
+        assert guide.search(np.float64(1.0), "right") == 2
+        assert np.shape(guide.search(np.float64(1.0), "left")) == ()
+
 
 # ---------------------------------------------------------------------------
 # Plan sampling vs the legacy samplers.
@@ -266,6 +534,21 @@ class TestPlanBitIdentity:
         )
         np.testing.assert_array_equal(routed, legacy)
 
+    def test_compiled_path_never_calls_searchsorted(
+        self, monkeypatch, piecewise_system, nested_system
+    ):
+        plans = [
+            plan_for_system(s) for s in (piecewise_system, nested_system)
+        ]
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("np.searchsorted on the compiled path")
+
+        monkeypatch.setattr(np, "searchsorted", refuse)
+        for plan in plans:
+            for start_phase in ("zero", "random"):
+                plan.sample_ttf(_config(start_phase=start_phase))
+
     def test_masked_system_is_all_infinite(self, piecewise_system):
         masked = SystemModel(
             [
@@ -277,20 +560,19 @@ class TestPlanBitIdentity:
         samples = plan_for_system(masked).sample_ttf(_config())
         assert np.all(np.isinf(samples))
 
-    @given(piecewise_hazards())
-    @settings(max_examples=25, deadline=None)
-    def test_property_samples_match_legacy(self, hazard):
-        # Rebuild a profile-backed component carrying this hazard shape:
-        # rate 1 makes the hazard the vulnerability profile itself.
-        from repro.masking import PiecewiseProfile
-
-        durations = np.diff(hazard.breakpoints)
-        values = np.clip(hazard.rates, 0.0, 1.0)
-        profile = PiecewiseProfile.from_segments(
-            list(zip(durations.tolist(), values.tolist()))
-        )
+    @given(
+        profiles(),
+        st.sampled_from(SLICE_EDGE_TRIALS),
+        st.sampled_from(["zero", "random"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_samples_match_legacy(
+        self, profile, trials, start_phase
+    ):
         system = SystemModel([Component("c", 0.8, profile)])
-        config = _config(trials=128, kernel="legacy")
+        config = _config(
+            trials=trials, start_phase=start_phase, kernel="legacy"
+        )
         legacy = sample_system_ttf(system, config)
         clear_plan_cache()
         via_plan = plan_for_system(system).sample_ttf(
@@ -454,6 +736,63 @@ class TestPlanWire:
             == piecewise_system.content_fingerprint
         )
 
+    def test_plan_keeps_its_source_and_builds_dicts_lazily(
+        self, piecewise_system, day_profile
+    ):
+        plan = plan_for_system(piecewise_system)
+        assert plan.model() is piecewise_system
+        assert plan._components is None
+        assert plan.to_dict()["components"] == [
+            c.to_dict() for c in piecewise_system.components
+        ]
+        component = Component("unit", 3.0 / SECONDS_PER_DAY, day_profile)
+        plan = plan_for_component(component)
+        assert plan.model() is component
+        assert plan.to_dict()["components"] == [component.to_dict()]
+
+    def test_plan_needs_exactly_one_source(self, piecewise_system):
+        intensity = plan_for_system(piecewise_system).intensity
+        for sources in ({}, {"components": [], "model": piecewise_system}):
+            with pytest.raises(ConfigurationError, match="exactly one"):
+                SamplingPlan("system", "fp", intensity, **sources)
+
+    def test_guides_stay_out_of_wire_forms_and_pickles(self, nested_system):
+        plan = plan_for_system(nested_system)
+        wire, pickled = plan.to_dict(), pickle.dumps(plan)
+        plan.sample_ttf(_config(start_phase="random"))
+        assert plan.intensity._guides  # sampling built the guides
+        assert plan.to_dict() == wire
+        assert len(pickle.dumps(plan)) == len(pickled)
+        clone = pickle.loads(pickle.dumps(plan))
+        assert clone.intensity._guides == {}
+        assert all(inner._guides == {} for inner in clone.intensity.inners)
+        config = _config(trials=256, start_phase="random")
+        np.testing.assert_array_equal(
+            clone.sample_ttf(config), plan.sample_ttf(config)
+        )
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_malformed_wire_plans_raise_typed_errors(self, data):
+        wire = copy.deepcopy(data.draw(st.sampled_from(_VALID_WIRES)))
+        path = data.draw(st.sampled_from(_wire_paths(wire)))
+        parent = wire
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_junk_for(parent[path[-1]]))
+        try:
+            plan = SamplingPlan.from_dict(wire)
+        except ConfigurationError:
+            return
+        # Whatever got through is a well-formed plan: it samples.
+        for table in _tables_of(plan.intensity):
+            assert np.all(np.isfinite(table))
+        samples = plan.sample_ttf(_config(trials=64))
+        assert samples.shape == (64,) and not np.any(np.isnan(samples))
+
 
 # ---------------------------------------------------------------------------
 # Hydration cache and the batched-dispatch miss protocol.
@@ -461,6 +800,28 @@ class TestPlanWire:
 
 
 class TestHydration:
+    def test_plan_cache_evicts_least_recently_used(self):
+        profile = busy_idle_profile(1.0, 1.0, 0.5)
+        components = [
+            Component(f"c{i}", 1e-3 * (i + 1), profile)
+            for i in range(kernel_mod._PLANS_CAP + 2)
+        ]
+        first, second, *rest = components
+        first_plan = plan_for_component(first)
+        second_plan = plan_for_component(second)
+        for component in rest[:-2]:
+            plan_for_component(component)
+        # Hits refresh recency, through either entry point.
+        assert plan_for_component(first) is first_plan
+        assert run_plan_chunks(second_plan.cache_key, None, [])[0] == PLAN_OK
+        plan_for_component(rest[-2])
+        plan_for_component(rest[-1])
+        assert plan_for_component(first) is first_plan
+        assert plan_for_component(second) is second_plan
+        evicted = {f"component:{c.content_fingerprint}" for c in rest[:2]}
+        assert not evicted & set(kernel_mod._PLANS)
+        assert len(kernel_mod._PLANS) == kernel_mod._PLANS_CAP
+
     def test_plan_for_system_memoizes(self, piecewise_system):
         assert plan_for_system(piecewise_system) is plan_for_system(
             piecewise_system
