@@ -1,13 +1,12 @@
 """Timing benchmark runner: the repository's performance trajectory.
 
 Times a representative slice of the estimation engine — serial vs
-fanned-out sweeps, fixed-count vs adaptive Monte Carlo, compiled
-sampling kernels vs the legacy sampler, cold vs warm cache — plus
-trace production (synthesis and simulation, in instructions/s), the
-analytical estimators on the paper's sweeps and the Monte-Carlo
-sampler (ns/trial), and writes the
-measurements to ``BENCH_<rev>.json`` so the perf impact of engine
-changes is a diffable artifact, not an anecdote::
+fanned-out sweeps, fixed-count vs adaptive Monte Carlo, cold vs warm
+cache — plus trace production (synthesis and simulation, in
+instructions/s), the analytical estimators on the paper's sweeps and
+the Monte-Carlo sampler (ns/trial), and writes the measurements to
+``BENCH_<rev>.json`` so the perf impact of engine changes is a
+diffable artifact, not an anecdote::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py
     PYTHONPATH=src python benchmarks/run_benchmarks.py \\
@@ -83,38 +82,6 @@ def _cluster_space(points: int):
         )
         for i in range(points)
     ]
-
-
-def _nested_space(points: int):
-    """Nested-hazard grid: a day cycle nested inside a week cycle.
-
-    The compiled-kernel layer exists for exactly this shape: every
-    legacy chunk task rebuilds the combined ``NestedHazard`` from the
-    component wire forms and walks it with per-call ``np.unique``
-    segment scans, while a compiled plan flattens the whole profile
-    into dense arrays once per design point and ships by fingerprint.
-    """
-    from repro.workloads.longrun import (
-        combined_workload,
-        day_workload,
-        week_workload,
-    )
-
-    space = []
-    for i in range(points):
-        workload = combined_workload(day_workload(0.5), week_workload(5.0))
-        space.append(
-            (
-                f"nested/day-in-week/v={i}",
-                SystemModel(
-                    [
-                        Component("core", 1e-6 * (1.0 + 0.01 * i), workload),
-                        Component("io", 5e-7 * (1.0 + 0.01 * i), workload),
-                    ]
-                ),
-            )
-        )
-    return space
 
 
 def _timed(fn, repeat: int) -> tuple[float, object]:
@@ -199,172 +166,6 @@ def benchmark_cases(trials: int, points: int, workers: int):
         ),
     ]
     return cases
-
-
-def kernel_cases(trials: int, workers: int, repeat: int):
-    """Compiled sampling kernels vs the legacy object-graph sampler (PR 7).
-
-    Three measurements, all on nested-hazard points (the shape the
-    compiled layer targets) and all bit-identical across kernels by
-    construction, so every delta is pure overhead:
-
-    * ``kernel_nested_chunk_compute_*`` — one paper-scale chunk
-      (``trials``/8 draws) sampled in-process against a hydrated plan
-      vs the legacy sampler. The legacy sampler is already vectorized
-      over trials, so the compiled plan's compute win is confined to
-      the intensity rebuild and the ``np.unique`` segment scans it
-      deletes.
-    * ``kernel_dispatch_marginal_*`` — marginal wall-clock per extra
-      chunk through the streaming process engine, as the difference
-      quotient between a 256-chunk and a 16-chunk run of the same
-      40k-trial sweep (which cancels pool startup). This is the
-      regime batched plan dispatch targets: the legacy path ships one
-      pickled-system task per chunk, the plan path ships
-      fingerprint-keyed batches.
-    * ``kernel_nested_sweep_*`` — the end-to-end nested sweep at
-      ``trials``, serial vs streaming-process, both kernels. On a
-      single-CPU host the process rows record what fan-out actually
-      costs there; read them next to the serial rows, not as a win.
-
-    A final ``kernel_numba_availability`` record documents whether the
-    optional JIT backend could run at all on this host — when numba is
-    absent the fused-loop headroom simply was not measured, rather
-    than silently standing in for the NumPy numbers.
-    """
-    import dataclasses
-
-    from repro.core import kernel as _kernel
-    from repro.core.montecarlo import (
-        adaptive_chunk_configs,
-        system_chunk_moments,
-    )
-
-    records = []
-    space = _nested_space(2)
-    _, system = space[0]
-
-    # Per-chunk sampling compute at the paper-scale chunk size.
-    chunk = adaptive_chunk_configs(
-        MonteCarloConfig(trials=trials, seed=7, chunks=8)
-    )[0]
-    plan = _kernel.plan_for_system(system)
-    compute_seconds = {}
-    for kernel_name, fn in (
-        (
-            "legacy",
-            lambda: system_chunk_moments(
-                system, dataclasses.replace(chunk, kernel="legacy")
-            ),
-        ),
-        (
-            "numpy",
-            lambda: plan.chunk_moments(
-                dataclasses.replace(chunk, kernel="numpy")
-            ),
-        ),
-    ):
-        fn()  # hydrate the plan and warm the allocator before timing
-        seconds, _ = _timed(fn, max(repeat, 3))
-        compute_seconds[kernel_name] = seconds
-        record = {
-            "name": f"kernel_nested_chunk_compute_{kernel_name}",
-            "seconds": round(seconds, 5),
-            "kernel": kernel_name,
-            "chunk_trials": chunk.trials,
-            "trials_per_second": round(chunk.trials / seconds),
-        }
-        if kernel_name != "legacy":
-            record["speedup_vs_legacy"] = round(
-                compute_seconds["legacy"] / seconds, 2
-            )
-        records.append(record)
-
-    def sweep_seconds(kernel_name, chunks, sweep_trials, n_workers,
-                      executor):
-        mc = MonteCarloConfig(
-            trials=sweep_trials, seed=7, chunks=chunks, kernel=kernel_name
-        )
-        seconds, _ = _timed(
-            lambda: evaluate_design_space(
-                space,
-                methods=["sofr_only", "first_principles"],
-                mc_config=mc,
-                workers=n_workers,
-                executor=executor,
-                cache=False,
-            ),
-            repeat,
-        )
-        return seconds
-
-    # Marginal per-chunk dispatch cost through the process engine.
-    lo_chunks, hi_chunks, dispatch_trials = 16, 256, 40_000
-    marginal = {}
-    for kernel_name in ("legacy", "numpy"):
-        lo = sweep_seconds(
-            kernel_name, lo_chunks, dispatch_trials, workers, "process"
-        )
-        hi = sweep_seconds(
-            kernel_name, hi_chunks, dispatch_trials, workers, "process"
-        )
-        per_chunk = (hi - lo) / ((hi_chunks - lo_chunks) * len(space))
-        marginal[kernel_name] = per_chunk
-        record = {
-            "name": f"kernel_dispatch_marginal_{kernel_name}",
-            "seconds": round(hi, 4),
-            "kernel": kernel_name,
-            "trials": dispatch_trials,
-            "chunks_lo": lo_chunks,
-            "chunks_hi": hi_chunks,
-            "workers": workers,
-            "executor": "process",
-            "marginal_ms_per_chunk": round(per_chunk * 1000, 3),
-        }
-        if kernel_name != "legacy":
-            record["speedup_vs_legacy"] = round(
-                marginal["legacy"] / per_chunk, 2
-            )
-        records.append(record)
-
-    # End-to-end nested sweeps at the requested scale.
-    serial_seconds = {}
-    for name, kernel_name, n_workers, executor in (
-        ("kernel_nested_sweep_serial_legacy", "legacy", 1, "thread"),
-        ("kernel_nested_sweep_serial_numpy", "numpy", 1, "thread"),
-        ("kernel_nested_sweep_process_legacy", "legacy", workers,
-         "process"),
-        ("kernel_nested_sweep_process_numpy", "numpy", workers,
-         "process"),
-    ):
-        seconds = sweep_seconds(
-            kernel_name, 8, trials, n_workers, executor
-        )
-        if executor == "thread":
-            serial_seconds[kernel_name] = seconds
-        record = {
-            "name": name,
-            "seconds": round(seconds, 4),
-            "kernel": kernel_name,
-            "trials": trials,
-            "chunks": 8,
-            "workers": n_workers,
-            "executor": executor,
-        }
-        if executor == "process":
-            record["vs_serial_same_kernel"] = round(
-                serial_seconds[kernel_name] / seconds, 2
-            )
-        records.append(record)
-
-    records.append(
-        {
-            "name": "kernel_numba_availability",
-            "seconds": 0.0,
-            "numba_available": "numba" in _kernel.available_kernels(),
-            "available_kernels": list(_kernel.available_kernels()),
-        }
-    )
-    return records
 
 
 def fleet_cases(trials: int, points: int, shards: int = 2):
@@ -1031,7 +832,7 @@ def sampler_cases(
     """The Monte-Carlo inverse sampler, in ms and ns per trial.
 
     One row per system and start phase, ``trials`` draws each, through
-    ``sample_system_ttf`` (default kernel, one chunk):
+    ``sample_system_ttf`` (one chunk):
 
     * ``day`` — the busy/idle day workload (2 segments);
     * ``gzip_fig6a`` — fig6a's gzip profile dilated to the paper's
@@ -1095,7 +896,7 @@ def sampler_cases(
 
 #: Benchmark sections selectable via --scenario.
 SCENARIOS = (
-    "all", "engine", "kernel", "cache", "executors", "fleet",
+    "all", "engine", "cache", "executors", "fleet",
     "elastic", "service_load", "lint", "trace", "estimators", "sampler",
 )
 
@@ -1145,23 +946,6 @@ def run_benchmarks(argv: list[str] | None = None) -> Path:
                 }
             results.append(record)
             print(f"{name:44s} {seconds:8.3f}s")
-
-    # Compiled sampling kernels vs the legacy sampler on nested points.
-    if wants("kernel"):
-        for record in kernel_cases(
-            args.trials, args.workers, args.repeat
-        ):
-            results.append(record)
-            extra = ""
-            if "speedup_vs_legacy" in record:
-                extra = f"  ({record['speedup_vs_legacy']}x vs legacy)"
-            elif "vs_serial_same_kernel" in record:
-                extra = (
-                    f"  ({record['vs_serial_same_kernel']}x vs serial)"
-                )
-            elif "numba_available" in record:
-                extra = f"  numba_available={record['numba_available']}"
-            print(f"{record['name']:44s} {record['seconds']:8.3f}s{extra}")
 
     # Cold vs warm disk cache on the same sweep (one repeat each; the
     # warm number is the content-addressed lookup overhead).

@@ -1,17 +1,15 @@
 """Compiled sampling kernels: fingerprint-cached intensity plans.
 
-The Monte-Carlo reference spends its life in two places: drawing
-inverse-hazard samples, and — before PR 7 — *rebuilding the objects it
-draws from*. Every chunk task used to call
-:meth:`~repro.core.system.SystemModel.combined_intensity`, re-running
-``merge_piecewise``/``_merge_nested`` per chunk, and ``NestedHazard``'s
-``cumulative``/``invert`` walked ``np.unique(seg)`` in Python per call.
-This module compiles any :class:`~repro.reliability.hazard.CyclicIntensity`
-into a **plan**: dense NumPy tables (breakpoints, rates, cumulative-hazard
-and cumulative-mass arrays) built once per design point and memoized on
-the existing content fingerprints.
+Every inverse-method Monte-Carlo draw runs through a **plan**: any
+:class:`~repro.reliability.hazard.CyclicIntensity` compiled into dense
+NumPy tables (breakpoints, rates, cumulative-hazard and cumulative-mass
+arrays), built once per design point and memoized on the content
+fingerprints, so no chunk rebuilds the combined intensity or walks the
+hazard objects' per-call ``np.unique(seg)`` scans. The object-graph
+sampler is the test oracle (``tests/sampler_oracle.py``), which
+:func:`inverse_ttf` must match bit for bit.
 
-Three layers:
+Two layers:
 
 * **Compiled intensities** — :class:`CompiledPiecewise` and
   :class:`CompiledNested` replicate the exact floating-point arithmetic
@@ -27,14 +25,6 @@ Three layers:
   needs the full model) under the model's content fingerprint, and
   serializes losslessly via :meth:`SamplingPlan.to_dict`
   (``repro.plan/v1``). Wire plans are validated on the way in.
-* **Kernel backends** — :func:`get_backend` resolves
-  ``MonteCarloConfig.kernel`` to an execution backend. ``"numpy"``
-  (default) is bit-identical to the legacy sampler; ``"numba"`` JIT
-  compiles the piecewise inverse transform when numba is installed and
-  fails loudly (never silently degrades) when it is not; ``"legacy"``
-  is handled by the callers (``repro.core.montecarlo`` and the batch
-  engine route around plans entirely) and exists so benchmarks can
-  measure the old path.
 
 The **worker-side hydration cache** (:func:`run_plan_chunks`) lets the
 batch engine ship a plan to a process pool *once*: tasks carry only the
@@ -46,38 +36,29 @@ tasks return ``(chunk_index, SampleMoments)`` pairs so the parent's
 chunk in strict index order — the determinism invariants of the
 scheduler stack (workers=1 vs N, thread vs process, shards, ledger
 replay) are untouched; see docs/SCHEDULER.md.
-
-The kernel choice is deliberately **not** part of
-:func:`repro.methods.cache.mc_token` or the job wire forms: backends
-produce bit-identical estimates, so all of them share one cache entry
-and one request fingerprint.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import threading
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError, EstimationError, ProfileError
+from ..errors import ConfigurationError, ProfileError
 from ..reliability.hazard import (
     _REL_TOL,
     CyclicIntensity,
     NestedHazard,
     PiecewiseHazard,
 )
-from .system import Component, SystemModel
+from .system import Component, SystemModel, wire_fields
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .montecarlo import MonteCarloConfig, SampleMoments
 
 #: Schema tag embedded in every serialized sampling plan.
 PLAN_SCHEMA = "repro.plan/v1"
-
-#: Recognised values of ``MonteCarloConfig.kernel``.
-KERNELS = ("numpy", "numba", "legacy")
 
 _SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
 
@@ -139,20 +120,6 @@ def _float_array(kind: str, name: str, values) -> np.ndarray:
     except (TypeError, ValueError, OverflowError) as error:
         raise ConfigurationError(
             f"compiled {kind} table {name!r} is not numeric: {error}"
-        ) from None
-
-
-def _wire_fields(data, what: str, *keys: str) -> list:
-    """The ``keys`` of wire dict ``data``, or a typed refusal."""
-    if not isinstance(data, dict):
-        raise ConfigurationError(
-            f"{what} wire form must be a dict, got {type(data).__name__}"
-        )
-    try:
-        return [data[key] for key in keys]
-    except KeyError as missing:
-        raise ConfigurationError(
-            f"{what} wire form is missing {missing}"
         ) from None
 
 
@@ -253,9 +220,9 @@ class CompiledPiecewise:
     breakpoints, per-segment rates, and the cumulative-hazard table —
     and evaluates ``cumulative``/``invert`` with the *identical*
     floating-point operation sequence, so every sample drawn through a
-    plan matches the legacy sampler bit for bit. Segment lookups go
-    through a :class:`_Guide`, which returns ``np.searchsorted``'s
-    index exactly.
+    plan matches the object sampler over the hazard (the test oracle)
+    bit for bit. Segment lookups go through a :class:`_Guide`, which
+    returns ``np.searchsorted``'s index exactly.
     """
 
     __slots__ = ("bp", "rates", "cum", "period", "mass", "_guides")
@@ -330,7 +297,7 @@ class CompiledPiecewise:
     @classmethod
     def from_dict(cls, data: dict) -> "CompiledPiecewise":
         return cls(
-            *_wire_fields(
+            *wire_fields(
                 data, "piecewise plan", "breakpoints", "rates", "cum"
             )
         )
@@ -460,7 +427,7 @@ class CompiledNested:
                 continue
             k = np.floor(rem / inner.mass)
             inner_rem = rem - k * inner.mass
-            # Masked in-place form of the legacy guard chain (see
+            # Masked in-place form of the hazard's guard chain (see
             # _invert_extended).
             under = inner_rem <= 0.0
             np.subtract(k, 1, out=k, where=under)
@@ -486,7 +453,7 @@ class CompiledNested:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CompiledNested":
-        starts, durations, cum_mass, inners = _wire_fields(
+        starts, durations, cum_mass, inners = wire_fields(
             data, "nested plan", "starts", "durations", "cum_mass", "inners"
         )
         if not isinstance(inners, list):
@@ -515,7 +482,7 @@ def compile_intensity(intensity: CyclicIntensity) -> CompiledIntensity:
 
 
 def _intensity_from_dict(data: dict) -> CompiledIntensity:
-    (kind,) = _wire_fields(data, "compiled-intensity", "type")
+    (kind,) = wire_fields(data, "compiled-intensity", "type")
     if kind == "piecewise":
         return CompiledPiecewise.from_dict(data)
     if kind == "nested":
@@ -552,8 +519,9 @@ def _invert_extended(
         return np.full_like(u, np.inf)
     k = np.floor(u / intensity.mass)
     rem = u - k * intensity.mass
-    # The legacy ``np.where`` guard chain as masked in-place updates:
-    # the same operation on the same elements, without the temporaries.
+    # ``CyclicIntensity.invert_extended``'s ``np.where`` guard chain as
+    # masked in-place updates: the same operation on the same elements,
+    # without the temporaries.
     under = rem <= 0.0
     np.subtract(k, 1, out=k, where=under)
     np.add(rem, intensity.mass, out=rem, where=under)
@@ -566,196 +534,36 @@ def _invert_extended(
     return k
 
 
-# ---------------------------------------------------------------------------
-# Kernel backends.
-# ---------------------------------------------------------------------------
+def inverse_ttf(
+    intensity: CompiledIntensity,
+    config: "MonteCarloConfig",
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Inverse-hazard TTF samples against a compiled intensity.
 
-
-class NumpyKernel:
-    """Default backend: the compiled tables through NumPy ufuncs.
-
-    Bit-identical to the legacy object-based sampler for every
-    (method, start_phase, chunking, stopping-rule) configuration — the
-    property-test suite in ``tests/test_kernel.py`` enforces this.
+    With a random start offset ``u``, ``X = Λ⁻¹(E + Λ(u)) - u`` for
+    ``E ~ Exp(1)``. ``e`` and the offsets are drawn at full length in
+    the oracle's order; the transform then runs over
+    :data:`SLICE_TRIALS`-sized slices into one output, so temporaries
+    stay in cache. Every element sees the oracle's operations, so the
+    bits match, and each slice runs the same checks.
     """
-
-    name = "numpy"
-
-    @property
-    def available(self) -> bool:
-        return True
-
-    def inverse_ttf(
-        self,
-        intensity: CompiledIntensity,
-        config: "MonteCarloConfig",
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Inverse-hazard sampling against a compiled plan.
-
-        Replicates ``montecarlo._inverse_samples`` — same draw order,
-        same start-phase convention, same extended-inversion guards.
-        The draws are made at full length, in the legacy order; the
-        elementwise transform then runs over :data:`SLICE_TRIALS`-sized
-        slices into one output, so its temporaries stay in cache
-        instead of streaming whole-array intermediates through memory.
-        Every element sees the same operations, so the bits match, and
-        each slice runs the same checks.
-        """
-        if intensity.mass <= 0:
-            return np.full(config.trials, np.inf)
-        e = rng.exponential(size=config.trials)
-        offsets = None
-        if config.start_phase != "zero":
-            offsets = rng.uniform(0.0, intensity.period, size=config.trials)
-        out = np.empty_like(e)
-        for start in range(0, e.size, SLICE_TRIALS):
-            part = slice(start, start + SLICE_TRIALS)
-            if offsets is None:
-                out[part] = _invert_extended(intensity, e[part])
-                continue
-            shift = offsets[part]
-            accrued = _cumulative_extended(intensity, shift)
-            out[part] = _invert_extended(intensity, e[part] + accrued) - shift
-        return out
-
-
-class NumbaKernel(NumpyKernel):
-    """Optional JIT backend behind feature detection.
-
-    When numba is installed, the piecewise inverse transform runs as a
-    compiled per-element loop (same IEEE double operations as the NumPy
-    ufunc path, so results match). Nested plans keep the NumPy
-    evaluation — their hot loop is already grouped array work. When
-    numba is missing, :func:`get_backend` refuses the request loudly:
-    a kernel choice never silently degrades.
-    """
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        self._jit = None
-
-    @property
-    def available(self) -> bool:
-        return importlib.util.find_spec("numba") is not None
-
-    def _compiled(self):
-        if self._jit is None:
-            try:
-                import numba
-
-                @numba.njit(cache=False)
-                def invert_extended(
-                    u, bp, rates, cum, period, mass, smallest
-                ):  # pragma: no cover - requires numba
-                    out = np.empty_like(u)
-                    nseg = rates.size
-                    for i in range(u.size):
-                        k = np.floor(u[i] / mass)
-                        rem = u[i] - k * mass
-                        if rem <= 0.0:
-                            k -= 1.0
-                            rem += mass
-                        if rem > mass:
-                            k += 1.0
-                            rem -= mass
-                        if rem < smallest:
-                            rem = smallest
-                        if rem > mass:
-                            rem = mass
-                        # bisect_left on the cumulative table.
-                        lo, hi = 0, cum.size
-                        while lo < hi:
-                            mid = (lo + hi) // 2
-                            if cum[mid] < rem:
-                                lo = mid + 1
-                            else:
-                                hi = mid
-                        idx = lo - 1
-                        if idx < 0:
-                            idx = 0
-                        if idx > nseg - 1:
-                            idx = nseg - 1
-                        rate = rates[idx]
-                        frac = (rem - cum[idx]) / rate if rate > 0 else 0.0
-                        local = bp[idx] + frac
-                        if local > period:
-                            local = period
-                        out[i] = k * period + local
-                    return out
-
-                self._jit = invert_extended
-            except Exception as error:  # pragma: no cover - defensive
-                raise EstimationError(
-                    f"numba backend failed to initialise: {error}"
-                ) from error
-        return self._jit
-
-    def inverse_ttf(
-        self,
-        intensity: CompiledIntensity,
-        config: "MonteCarloConfig",
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        if not self.available:
-            raise EstimationError(
-                "kernel 'numba' requested but numba is not installed; "
-                "use kernel='numpy' or install numba"
-            )
-        if not isinstance(intensity, CompiledPiecewise) or (
-            config.start_phase != "zero"
-        ):
-            # Nested plans and random-phase draws use the grouped NumPy
-            # evaluation; only the dominant zero-phase piecewise
-            # transform is JIT-compiled.
-            return super().inverse_ttf(intensity, config, rng)
-        if intensity.mass <= 0:
-            return np.full(config.trials, np.inf)
-        e = rng.exponential(size=config.trials)
-        if np.any(e <= 0):
-            raise ProfileError("hazard target must be positive")
-        kern = self._compiled()
-        return kern(
-            e,
-            intensity.bp,
-            intensity.rates,
-            intensity.cum,
-            intensity.period,
-            intensity.mass,
-            _SMALLEST_SUBNORMAL,
-        )  # pragma: no cover - requires numba
-
-
-_BACKENDS = {"numpy": NumpyKernel(), "numba": NumbaKernel()}
-
-
-def available_kernels() -> tuple[str, ...]:
-    """The kernel names this interpreter can actually execute."""
-    names = [
-        name for name, backend in _BACKENDS.items() if backend.available
-    ]
-    names.append("legacy")
-    return tuple(names)
-
-
-def get_backend(name: str) -> NumpyKernel:
-    """Resolve a kernel name to its execution backend.
-
-    ``"legacy"`` is not an executable backend — callers route around
-    plans for it — so requesting it here is a programming error.
-    """
-    backend = _BACKENDS.get(name)
-    if backend is None:
-        raise EstimationError(
-            f"unknown kernel {name!r}; choose from {KERNELS}"
-        )
-    if not backend.available:
-        raise EstimationError(
-            f"kernel {name!r} requested but its runtime is not "
-            f"installed; available: {available_kernels()}"
-        )
-    return backend
+    if intensity.mass <= 0:
+        return np.full(config.trials, np.inf)
+    e = rng.exponential(size=config.trials)
+    offsets = None
+    if config.start_phase != "zero":
+        offsets = rng.uniform(0.0, intensity.period, size=config.trials)
+    out = np.empty_like(e)
+    for start in range(0, e.size, SLICE_TRIALS):
+        part = slice(start, start + SLICE_TRIALS)
+        if offsets is None:
+            out[part] = _invert_extended(intensity, e[part])
+            continue
+        shift = offsets[part]
+        accrued = _cumulative_extended(intensity, shift)
+        out[part] = _invert_extended(intensity, e[part] + accrued) - shift
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -846,20 +654,17 @@ class SamplingPlan:
     def sample_ttf(self, config: "MonteCarloConfig") -> np.ndarray:
         """Draw ``config.trials`` i.i.d. TTF samples against this plan.
 
-        Bit-identical to ``sample_system_ttf``/``sample_component_ttf``
-        on the original model: the RNG is constructed from the same
-        seed, the inverse path replicates the legacy arithmetic, and
-        the arrival path *is* the legacy sampler run on the source (or
-        fingerprint-identical rebuilt) model.
+        ``sample_system_ttf``/``sample_component_ttf`` route every
+        inverse draw here. The RNG is built from ``config.seed``; the
+        inverse path is :func:`inverse_ttf` on the compiled tables, and
+        the arrival path is the paper-literal sampler run on the source
+        (or fingerprint-identical rebuilt) model.
         """
         from . import montecarlo as mc
 
         rng = np.random.default_rng(config.seed)
         if config.method == "inverse":
-            backend = get_backend(
-                config.kernel if config.kernel != "legacy" else "numpy"
-            )
-            return backend.inverse_ttf(self.intensity, config, rng)
+            return inverse_ttf(self.intensity, config, rng)
         model = self.model()
         if self.kind == "system":
             return mc._arrival_system_ttf(  # noqa: SLF001
@@ -892,12 +697,12 @@ class SamplingPlan:
         Malformed input — wrong shapes or types, tables that are not
         finite and ordered — raises :class:`ConfigurationError`.
         """
-        (schema,) = _wire_fields(data, "plan", "schema")
+        (schema,) = wire_fields(data, "plan", "schema")
         if schema != PLAN_SCHEMA:
             raise ConfigurationError(
                 f"not a {PLAN_SCHEMA} document (schema={schema!r})"
             )
-        kind, fingerprint, intensity, components = _wire_fields(
+        kind, fingerprint, intensity, components = wire_fields(
             data, "plan", "kind", "fingerprint", "intensity", "components"
         )
         if not isinstance(components, list) or not all(

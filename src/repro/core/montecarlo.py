@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, EstimationError
 from ..reliability.metrics import MTTFEstimate
-from .system import Component, SystemModel
+from .system import Component, SystemModel, wire_int
 
 #: Trials used throughout the paper's evaluation (Section 4.3).
 PAPER_TRIAL_COUNT = 1_000_000
@@ -200,18 +200,6 @@ class MonteCarloConfig:
         trial budget (``stopping.max_trials``, default ``trials``) is
         exhausted. ``None`` (default) reproduces the fixed-count
         behaviour bit-identically.
-    kernel:
-        Execution backend for the samplers (see
-        :mod:`repro.core.kernel`). ``"numpy"`` (default) runs against a
-        compiled, fingerprint-cached intensity plan — bit-identical to
-        the legacy object-based sampler, but the plan is built once per
-        design point instead of once per chunk. ``"numba"`` JIT
-        compiles the hot transform when numba is installed (refused
-        loudly otherwise). ``"legacy"`` forces the original
-        object-traversing path — results are identical; it exists so
-        benchmarks can measure the plan layer itself. Because every
-        kernel produces the same bits, this field is deliberately
-        **excluded** from cache keys (``mc_token``) and job wire forms.
     """
 
     trials: int = 200_000
@@ -221,10 +209,6 @@ class MonteCarloConfig:
     max_arrival_rounds: int | None = None
     chunks: int = 1
     stopping: StoppingRule | None = None
-    # repro: allow[C102] bit-identity proof: every kernel is property-
-    # tested byte-identical to the legacy sampler (tests/test_kernel.py),
-    # so runs under any kernel may share cache entries — see mc_token
-    kernel: str = "numpy"
 
     @property
     def adaptive(self) -> bool:
@@ -245,11 +229,6 @@ class MonteCarloConfig:
             )
         if self.chunks < 1:
             raise EstimationError(f"chunks must be >= 1, got {self.chunks}")
-        if self.kernel not in ("numpy", "numba", "legacy"):
-            raise EstimationError(
-                f"unknown kernel {self.kernel!r}; "
-                "use 'numpy', 'numba', or 'legacy'"
-            )
 
 
 def _estimate_from_samples(
@@ -379,12 +358,6 @@ def estimate_from_moments(
 # ---------------------------------------------------------------------------
 
 #: Fields of the Monte-Carlo wire form (mirrors MonteCarloConfig).
-#: ``kernel`` is deliberately absent: which sampling kernel executes a
-#: configuration is an executor-local performance choice with
-#: bit-identical output, so it is not part of the configuration's
-#: content — cache tokens, job fingerprints, and remote-worker requests
-#: all stay identical across kernels. A remote worker therefore runs a
-#: shipped config with *its own* default kernel.
 _MC_FIELDS = (
     "trials", "seed", "method", "start_phase", "max_arrival_rounds",
     "chunks",
@@ -413,9 +386,25 @@ def stopping_rule_to_dict(rule: StoppingRule) -> dict:
     return {name: getattr(rule, name) for name in _STOPPING_FIELDS}
 
 
+#: Wire fields that must be ints when set; ``None`` is left to the
+#: constructors, which know which fields may be unset.
+_INT_FIELDS = (
+    "trials", "seed", "chunks", "max_arrival_rounds", "min_trials",
+    "max_trials",
+)
+
+
+def _check_ints(data: dict, what: str) -> None:
+    for name in _INT_FIELDS:
+        if data.get(name) is not None:
+            wire_int(data[name], f"{what} {name!r}")
+
+
 def stopping_rule_from_dict(data: dict) -> StoppingRule:
-    """Inverse of :func:`stopping_rule_to_dict` (unknown keys rejected)."""
+    """Inverse of :func:`stopping_rule_to_dict` (unknown keys and
+    non-int counts raise :class:`ConfigurationError`)."""
     _reject_unknown(data, _STOPPING_FIELDS, "stopping rule")
+    _check_ints(data, "stopping rule")
     try:
         return StoppingRule(**data)
     except TypeError as error:
@@ -433,10 +422,20 @@ def mc_config_to_dict(mc: MonteCarloConfig) -> dict:
 
 
 def mc_config_from_dict(data: dict) -> MonteCarloConfig:
-    """Inverse of :func:`mc_config_to_dict` (unknown keys rejected)."""
+    """Inverse of :func:`mc_config_to_dict`.
+
+    Unknown keys, mistyped values (a bool is not an int) and a negative
+    seed raise :class:`ConfigurationError`, so the analysis service and
+    remote workers refuse such a configuration on arrival, not at run.
+    """
+    what = "Monte-Carlo configuration"
+    _reject_unknown(data, (*_MC_FIELDS, "stopping"), what)
+    _check_ints(data, what)
+    seed = data.get("seed", 0)
+    if seed is None or seed < 0:
+        raise ConfigurationError(f"Monte-Carlo seed must be >= 0, got {seed}")
     payload = dict(data)
     stopping = payload.pop("stopping", None)
-    _reject_unknown(payload, _MC_FIELDS, "Monte-Carlo configuration")
     if stopping is not None:
         stopping = stopping_rule_from_dict(stopping)
     try:
@@ -766,7 +765,7 @@ def accumulate_chunks(
 def system_chunk_moments(
     system: SystemModel, config: MonteCarloConfig
 ) -> SampleMoments:
-    """One chunk's reduction for a system (top-level: process-pool safe)."""
+    """One chunk's reduction for a system."""
     return moments_from_samples(sample_system_ttf(system, config))
 
 
@@ -778,27 +777,8 @@ def component_chunk_moments(
 
 
 # ---------------------------------------------------------------------------
-# Inverse-hazard sampler.
+# Samplers.
 # ---------------------------------------------------------------------------
-
-
-def _inverse_samples(
-    intensity, config: MonteCarloConfig, rng: np.random.Generator
-) -> np.ndarray:
-    """Inverse-hazard sampling, honouring the start-phase convention.
-
-    With a random start offset ``u``, the time to failure is
-    ``X = Λ⁻¹(E + Λ(u)) - u`` for ``E ~ Exp(1)`` — the first time the
-    hazard accrued *after* ``u`` reaches ``E``.
-    """
-    if intensity.mass <= 0:
-        return np.full(config.trials, np.inf)
-    e = rng.exponential(size=config.trials)
-    if config.start_phase == "zero":
-        return intensity.invert_extended(e)
-    offsets = rng.uniform(0.0, intensity.period, size=config.trials)
-    accrued = intensity.cumulative_extended(offsets)
-    return intensity.invert_extended(e + accrued) - offsets
 
 
 def sample_system_ttf(
@@ -806,19 +786,14 @@ def sample_system_ttf(
 ) -> np.ndarray:
     """Draw ``trials`` i.i.d. system times to failure (seconds).
 
-    With ``config.kernel != "legacy"`` the inverse draws run against
-    the system's compiled, fingerprint-cached sampling plan (see
-    :mod:`repro.core.kernel`) — bit-identical numbers, but the
-    intensity tables are built once per design point instead of per
-    call. ``"legacy"`` reproduces the original object path.
+    Inverse draws run against the system's compiled, fingerprint-cached
+    sampling plan (:mod:`repro.core.kernel`), built once per design point.
     """
-    if config.method == "inverse" and config.kernel != "legacy":
+    if config.method == "inverse":
         from . import kernel as _kernel
 
         return _kernel.plan_for_system(system).sample_ttf(config)
     rng = np.random.default_rng(config.seed)
-    if config.method == "inverse":
-        return _inverse_samples(system.combined_intensity(), config, rng)
     return _arrival_system_ttf(system, config.trials, rng, config)
 
 
@@ -826,61 +801,48 @@ def sample_component_ttf(
     component: Component, config: MonteCarloConfig
 ) -> np.ndarray:
     """Draw times to failure for a single component instance."""
-    if config.method == "inverse" and config.kernel != "legacy":
+    if config.method == "inverse":
         from . import kernel as _kernel
 
         return _kernel.plan_for_component(component).sample_ttf(config)
     rng = np.random.default_rng(config.seed)
-    if config.method == "inverse":
-        return _inverse_samples(component.intensity, config, rng)
     return _arrival_component_ttf(component, config.trials, rng, config)
 
 
-def monte_carlo_mttf(
-    system: SystemModel, config: MonteCarloConfig | None = None
-) -> MTTFEstimate:
-    """Monte-Carlo system MTTF (the paper's reference value).
+def _mttf(chunk_moments, sample, target, config) -> MTTFEstimate:
+    """One target's estimate: whole, chunked, or adaptive per ``config``.
 
     With ``config.chunks > 1`` the trials run as independent seeded
     chunks whose moments merge in chunk order — the exact computation
-    the batch engine distributes across a process pool, so serial and
-    parallel runs agree to the bit.
+    the batch engine distributes across a pool, so serial and parallel
+    runs agree to the bit.
     """
     config = config or MonteCarloConfig()
     label = f"monte_carlo[{config.method}]"
     if config.adaptive:
         return accumulate_chunks(
-            lambda chunk: system_chunk_moments(system, chunk), config
+            lambda chunk: chunk_moments(target, chunk), config
         ).estimate(label)
     if config.chunks > 1:
-        parts = [
-            system_chunk_moments(system, chunk)
-            for chunk in chunk_configs(config)
-        ]
+        parts = [chunk_moments(target, c) for c in chunk_configs(config)]
         return estimate_from_moments(merge_moments(parts), label)
-    samples = sample_system_ttf(system, config)
-    return _estimate_from_samples(samples, label)
+    return _estimate_from_samples(sample(target, config), label)
+
+
+def monte_carlo_mttf(
+    system: SystemModel, config: MonteCarloConfig | None = None
+) -> MTTFEstimate:
+    """Monte-Carlo system MTTF (the paper's reference value)."""
+    return _mttf(system_chunk_moments, sample_system_ttf, system, config)
 
 
 def monte_carlo_component_mttf(
     component: Component, config: MonteCarloConfig | None = None
 ) -> MTTFEstimate:
     """Monte-Carlo MTTF of one component instance (chunking as above)."""
-    config = config or MonteCarloConfig()
-    label = f"monte_carlo[{config.method}]"
-    if config.adaptive:
-        return accumulate_chunks(
-            lambda chunk: component_chunk_moments(component, chunk),
-            config,
-        ).estimate(label)
-    if config.chunks > 1:
-        parts = [
-            component_chunk_moments(component, chunk)
-            for chunk in chunk_configs(config)
-        ]
-        return estimate_from_moments(merge_moments(parts), label)
-    samples = sample_component_ttf(component, config)
-    return _estimate_from_samples(samples, label)
+    return _mttf(
+        component_chunk_moments, sample_component_ttf, component, config
+    )
 
 
 # ---------------------------------------------------------------------------

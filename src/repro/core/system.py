@@ -10,6 +10,8 @@ homogeneous cluster) without enumerating them.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,6 +23,38 @@ from ..reliability.hazard import (
     PiecewiseHazard,
     merge_piecewise,
 )
+
+
+def wire_fields(data, what: str, *keys: str) -> list:
+    """The ``keys`` of wire dict ``data``, or a typed refusal."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"{what} wire form must be a dict, got {type(data).__name__}"
+        )
+    try:
+        return [data[key] for key in keys]
+    except KeyError as missing:
+        raise ConfigurationError(
+            f"{what} wire form is missing {missing}"
+        ) from None
+
+
+def wire_int(value, what: str) -> int:
+    """A wire form's integer field: an int, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def wire_float(value, what: str) -> float:
+    """A wire form's real field: a finite number, never a bool."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Real) and math.isfinite(value)
+    ):
+        raise ConfigurationError(
+            f"{what} must be a finite number, got {value!r}"
+        )
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -98,20 +132,24 @@ class Component:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Component":
-        """Rebuild a component from its :meth:`to_dict` form."""
+        """Rebuild a component from its :meth:`to_dict` form.
+
+        Malformed input raises :class:`ConfigurationError` (a bad
+        profile, :class:`~repro.errors.ProfileError`).
+        """
         from ..masking.profile import profile_from_dict
 
-        try:
-            return cls(
-                name=str(data["name"]),
-                rate_per_second=float(data["rate_per_second"]),
-                profile=profile_from_dict(data["profile"]),
-                multiplicity=int(data.get("multiplicity", 1)),
-            )
-        except KeyError as missing:
-            raise ConfigurationError(
-                f"component wire form is missing {missing}"
-            ) from None
+        name, rate, profile = wire_fields(
+            data, "component", "name", "rate_per_second", "profile"
+        )
+        return cls(
+            name=str(name),
+            rate_per_second=wire_float(rate, "rate_per_second"),
+            profile=profile_from_dict(profile),
+            multiplicity=wire_int(
+                data.get("multiplicity", 1), "multiplicity"
+            ),
+        )
 
     @property
     def lambda_l(self) -> float:
@@ -202,7 +240,14 @@ class SystemModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemModel":
-        """Rebuild a system from its :meth:`to_dict` form."""
+        """Rebuild a system from its :meth:`to_dict` form.
+
+        Malformed input raises a typed :class:`~repro.errors.ReproError`.
+        """
+        if not isinstance(data, dict):
+            raise ConfigurationError(
+                f"system wire form must be a dict, got {type(data).__name__}"
+            )
         if data.get("schema") != SYSTEM_SCHEMA:
             raise ConfigurationError(
                 f"not a {SYSTEM_SCHEMA} document "

@@ -86,7 +86,6 @@ def _mc_config(
     seed: int = 0,
     chunks: int = 1,
     target_stderr: float | None = None,
-    kernel: str = "numpy",
 ) -> MonteCarloConfig:
     """Monte-Carlo settings for one experiment run.
 
@@ -105,7 +104,6 @@ def _mc_config(
         seed=seed,
         chunks=chunks,
         stopping=stopping,
-        kernel=kernel,
     )
 
 
@@ -272,7 +270,6 @@ def run_table2(
 def run_fig3(
     trials: int | None = None,
     validate_mc: bool = True,
-    kernel: str = "numpy",
     **_,
 ):
     points = figure3_curves()
@@ -316,7 +313,7 @@ def run_fig3(
         profile = busy_idle_profile(8 * SECONDS_PER_DAY, 16 * SECONDS_PER_DAY)
         comp = Component("cache", p16.rate_per_second, profile)
         mc = monte_carlo_component_mttf(
-            comp, _mc_config(trials, kernel=kernel)
+            comp, _mc_config(trials)
         )
         deviation = signed_relative_error(mc.mttf_seconds, p16.exact_mttf)
         notes.append(
@@ -450,7 +447,6 @@ def run_sec51(
     cache_dir: str | None = None,
     mc_chunks: int = 1,
     target_stderr: float | None = None,
-    kernel: str = "numpy",
     reallocate_budget: bool = False,
     **_,
 ):
@@ -476,7 +472,7 @@ def run_sec51(
         system = spec_uniprocessor_system(bench)
         mc = _mc_config(
             trials, seed=_bench_seed(bench), chunks=mc_chunks,
-            target_stderr=target_stderr, kernel=kernel,
+            target_stderr=target_stderr,
         )
         # Component level: AVF step and MC consistency vs the closed form,
         # one single-component system per unit.
@@ -638,7 +634,6 @@ def run_fig5(
     cache_dir: str | None = None,
     mc_chunks: int = 1,
     target_stderr: float | None = None,
-    kernel: str = "numpy",
     shard: tuple[int, int] | None = None,
     progress=None,
     reallocate_budget: bool = False,
@@ -655,7 +650,6 @@ def run_fig5(
         n_times_s_values,
         _mc_config(
             trials, chunks=mc_chunks, target_stderr=target_stderr,
-            kernel=kernel,
         ),
         workers=workers,
         executor=executor,
@@ -730,7 +724,6 @@ def run_fig6a(
     cache_dir: str | None = None,
     mc_chunks: int = 1,
     target_stderr: float | None = None,
-    kernel: str = "numpy",
     shard: tuple[int, int] | None = None,
     progress=None,
     reallocate_budget: bool = False,
@@ -751,7 +744,6 @@ def run_fig6a(
         component_counts,
         _mc_config(
             trials, chunks=mc_chunks, target_stderr=target_stderr,
-            kernel=kernel,
         ),
         workers=workers,
         executor=executor,
@@ -816,7 +808,6 @@ def run_fig6b(
     cache_dir: str | None = None,
     mc_chunks: int = 1,
     target_stderr: float | None = None,
-    kernel: str = "numpy",
     shard: tuple[int, int] | None = None,
     progress=None,
     reallocate_budget: bool = False,
@@ -875,7 +866,6 @@ def run_fig6b(
         reference="monte_carlo",
         mc_config=_mc_config(
             trials, chunks=mc_chunks, target_stderr=target_stderr,
-            kernel=kernel,
         ),
         budget_ledger=pass_ledger("zero"),
         **engine,
@@ -890,7 +880,7 @@ def run_fig6b(
         mc_config=dataclasses.replace(
             _mc_config(
                 trials, seed=1, chunks=mc_chunks,
-                target_stderr=target_stderr, kernel=kernel,
+                target_stderr=target_stderr,
             ),
             start_phase="random",
         ),
@@ -981,7 +971,6 @@ def run_compare(
     cache_dir: str | None = None,
     mc_chunks: int = 1,
     target_stderr: float | None = None,
-    kernel: str = "numpy",
     reallocate_budget: bool = False,
     **_,
 ):
@@ -1015,7 +1004,7 @@ def run_compare(
             reference=reference,
             mc_config=_mc_config(
                 trials, seed=_bench_seed(bench), chunks=mc_chunks,
-                target_stderr=target_stderr, kernel=kernel,
+                target_stderr=target_stderr,
             ),
             workers=workers,
             executor=executor,
@@ -1058,7 +1047,6 @@ def run_sec54(
     cache_dir: str | None = None,
     mc_chunks: int = 1,
     target_stderr: float | None = None,
-    kernel: str = "numpy",
     shard: tuple[int, int] | None = None,
     progress=None,
     reallocate_budget: bool = False,
@@ -1101,7 +1089,6 @@ def run_sec54(
         reference="monte_carlo",
         mc_config=_mc_config(
             trials, chunks=mc_chunks, target_stderr=target_stderr,
-            kernel=kernel,
         ),
         workers=workers,
         executor=executor,

@@ -241,17 +241,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "via --workers — an address list alone implies remote). "
         "Numbers are identical across backends at fixed --mc-chunks",
     )
+    # There is one sampler, so this flag selects nothing and its value
+    # is never forwarded. It stays accepted because the pinned benchmark
+    # load (perfbench/compare.py LOAD_ARGS) passes ``--kernel numpy``.
     parser.add_argument(
-        "--kernel",
-        choices=("numpy", "numba", "legacy"),
-        default="numpy",
-        help="Monte-Carlo sampling kernel: 'numpy' (default) runs "
-        "inverse-method draws against compiled, fingerprint-cached "
-        "intensity plans with batched chunk dispatch; 'numba' JIT-"
-        "compiles the hot invert loop when numba is installed (fails "
-        "loudly otherwise); 'legacy' keeps the original per-chunk "
-        "object-graph sampler as a benchmark/debug axis. All three "
-        "produce bit-identical results and share cache entries",
+        "--kernel", choices=("numpy",), default="numpy",
+        help="Monte-Carlo sampler: 'numpy' (compiled plans), the only one",
     )
     parser.add_argument(
         "--mc-chunks",
@@ -502,7 +497,6 @@ def main(argv: list[str] | None = None) -> int:
         "cache_dir": args.cache_dir,
         "mc_chunks": args.mc_chunks,
         "target_stderr": args.target_stderr,
-        "kernel": args.kernel,
         "shard": args.shard,
         "reallocate_budget": args.reallocate_budget,
         "budget_ledger": args.budget_ledger,

@@ -15,12 +15,9 @@ keep warm caches and shard merges honest:
   field either joins the token (changing it invalidates exactly the
   affected cache entries) or is *proven* bit-identity-preserving and
   carries an explicit ``# repro: allow[C102] <proof>`` annotation on
-  its definition (the ``kernel`` field is the precedent: all kernels
-  are property-tested bit-identical, so the field must stay out of
-  the key or identical runs would stop sharing entries). ``C102``
-  flags any field that does neither — the silently-wrong failure mode
-  is a new knob that changes numbers while warm caches keep serving
-  stale ones.
+  its definition. ``C102`` flags any field that does neither — the
+  silently-wrong failure mode is a new knob that changes numbers while
+  warm caches keep serving stale ones.
 """
 
 from __future__ import annotations

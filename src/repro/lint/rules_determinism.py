@@ -2,8 +2,8 @@
 
 The engine's core contract (docs/SCHEDULER.md, "Determinism
 invariants") is that every ResultSet is a pure function of the run
-configuration: bit-identical across kernels, executors, worker counts,
-shard shapes, and reruns. Anything that injects wall-clock time,
+configuration: bit-identical across executors, worker counts, shard
+shapes, and reruns. Anything that injects wall-clock time,
 process entropy, or interpreter-dependent ordering into a computation
 breaks that contract in ways a 1-CPU CI runner will never reproduce —
 a regression that only manifests on a 32-worker fleet must be caught

@@ -314,10 +314,17 @@ def profile_from_dict(data: dict) -> VulnerabilityProfile:
     The reconstruction is lossless: breakpoints and values come back
     bit-for-bit, so the rebuilt profile's ``fingerprint`` — and with it
     every content-addressed cache key derived from it — matches the
-    original's.
+    original's. Malformed input raises :class:`ProfileError`.
     """
     if not isinstance(data, dict):
         raise ProfileError(f"profile wire form must be a dict, got {data!r}")
+    try:
+        return _profile_from_fields(data)
+    except (TypeError, ValueError, OverflowError) as error:
+        raise ProfileError(f"malformed profile wire form: {error}") from None
+
+
+def _profile_from_fields(data: dict) -> VulnerabilityProfile:
     kind = data.get("kind")
     if kind == "piecewise":
         try:

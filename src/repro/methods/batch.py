@@ -60,7 +60,6 @@ from ..core.montecarlo import (
     allocate_grants,
     extension_chunk_configs,
     grant_chunk_trials,
-    system_chunk_moments,
 )
 from ..core.system import SystemModel
 from ..errors import ConfigurationError
@@ -107,7 +106,7 @@ def _plan_batches(
     half of the compiled-kernel layer. Contiguous slicing keeps every
     batch's chunk indices ascending, so the parent folds each result
     list front to back and the :class:`MomentAccumulator` sees the
-    exact per-chunk fold sequence the unbatched path produces.
+    exact fold sequence one task per chunk would produce.
     """
     if not jobs:
         return []
@@ -301,15 +300,9 @@ class _Scheduler:
         #: Per in-flight future: its completion handler and arguments.
         self.future_meta: dict[Future, tuple] = {}
         self.chunk_futures: dict[int, list[Future]] = {}
-        #: Outstanding reference-chunk (or batched-plan) futures
-        #: (straggler-inclusive); zero means a quiescent barrier for
-        #: re-allocation purposes.
+        #: Outstanding batched-plan futures (straggler-inclusive); zero
+        #: means a quiescent barrier for re-allocation purposes.
         self.live_chunks = 0
-        #: Compiled-kernel dispatch: chunk slices coalesce into
-        #: fingerprint-keyed plan batches (see module helper
-        #: :func:`_plan_batches`); ``legacy`` keeps per-chunk
-        #: ``system_chunk_moments`` submissions, each a one-pair batch.
-        self.use_plans = self.chunked and mc.kernel != "legacy"
         #: Plan-carrying submissions so far, per plan cache key —
         #: after ``workers`` of them every pool worker holds the plan
         #: and steady-state batches ship a 64-byte key instead.
@@ -445,15 +438,8 @@ class _Scheduler:
             (chunk_index, state.plan[chunk_index])
             for chunk_index in range(start, state.submitted)
         ]
-        if self.use_plans:
-            for batch in _plan_batches(jobs, self.workers):
-                self._submit_batch(state, batch)
-            return
-        for job in jobs:
-            self._track_batch(
-                self.pool.submit(system_chunk_moments, state.system, job[1]),
-                state, [job],
-            )
+        for batch in _plan_batches(jobs, self.workers):
+            self._submit_batch(state, batch)
 
     def _submit_batch(self, state: _PointState, jobs, ship_plan=False):
         """Submit one batched-plan task for a contiguous chunk slice."""
@@ -463,12 +449,7 @@ class _Scheduler:
         if ship_plan or self._plan_shipped.get(key, 0) < self.workers:
             payload = plan
             self._plan_shipped[key] = self._plan_shipped.get(key, 0) + 1
-        self._track_batch(
-            self.pool.submit(_kernel.run_plan_chunks, key, payload, jobs),
-            state, jobs,
-        )
-
-    def _track_batch(self, future: Future, state: _PointState, jobs):
+        future = self.pool.submit(_kernel.run_plan_chunks, key, payload, jobs)
         self.future_meta[future] = (self._on_batch, state.index, jobs)
         self.chunk_futures.setdefault(state.index, []).append(future)
         self.waiting.add(future)
@@ -541,11 +522,10 @@ class _Scheduler:
         """Fold one reference-chunk batch.
 
         A batched-plan result carries ``(chunk_index, moments)`` pairs
-        in ascending chunk-index order; a legacy per-chunk result is a
-        one-pair batch. Pairs fold front to back and the accumulator
-        orders folds by chunk index across batches, so the merged
-        moments, the stop decision, and the extension schedule are
-        bit-identical however the chunks were dispatched.
+        in ascending chunk-index order. Pairs fold front to back and
+        the accumulator orders folds by chunk index across batches, so
+        the merged moments, the stop decision, and the extension
+        schedule are bit-identical however the chunks were batched.
         """
         self.live_chunks -= 1
         state = self.points[index]
@@ -555,15 +535,12 @@ class _Scheduler:
             # never folded and never counted — merged_chunks is always
             # the accumulator's fold count, nothing else.
             return
-        if self.use_plans:
-            status, pairs = future.result()
-            if status == _kernel.PLAN_MISS:
-                # Cold worker without the plan (spawn start method or an
-                # evicted cache entry): retry with the plan attached.
-                self._submit_batch(state, jobs, ship_plan=True)
-                return
-        else:
-            pairs = [(jobs[0][0], future.result())]
+        status, pairs = future.result()
+        if status == _kernel.PLAN_MISS:
+            # Cold worker without the plan (spawn start method or an
+            # evicted cache entry): retry with the plan attached.
+            self._submit_batch(state, jobs, ship_plan=True)
+            return
         merged_before = accumulator.merged_chunks
         done = False
         for chunk_index, moments in pairs:

@@ -70,11 +70,6 @@ def mc_token(mc: MonteCarloConfig | None) -> str:
     adaptive runs) the stopping rule. The stopping fragment is appended
     only when a rule is set, so fixed-count tokens — and therefore warm
     disk caches written by earlier releases — stay valid.
-
-    ``mc.kernel`` is deliberately *excluded*: the compiled kernels are
-    bit-identical to the legacy sampler (enforced by the kernel test
-    suite), so runs under any kernel produce — and may reuse — the same
-    cache entries.
     """
     if mc is None:
         return "exact"

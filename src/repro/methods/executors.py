@@ -1,9 +1,9 @@
 """Pluggable chunk-executor backends for the batch engine.
 
-The scheduler stack (``docs/SCHEDULER.md``) submits exactly three kinds
-of pure task — plan-chunk batches (:func:`~repro.core.kernel.run_plan_chunks`),
-single reference chunks (:func:`~repro.core.montecarlo.system_chunk_moments`),
-and whole method estimates (:func:`estimate_task`) — and folds every
+The scheduler stack (``docs/SCHEDULER.md``) submits exactly two kinds
+of pure task — plan-chunk batches
+(:func:`~repro.core.kernel.run_plan_chunks`) and whole method estimates
+(:func:`estimate_task`) — and folds every
 result on the coordinator in strict chunk-index order. That makes the
 *executor* a pluggable detail: any backend that can run those tasks and
 hand back their results produces byte-identical ResultSets, regardless
@@ -60,7 +60,6 @@ from ..core.montecarlo import (
     SampleMoments,
     mc_config_from_dict,
     mc_config_to_dict,
-    system_chunk_moments,
 )
 from ..core.system import SystemModel
 from ..errors import ConfigurationError, EstimationError, WireError
@@ -143,7 +142,7 @@ def read_frame(stream) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# Task vocabulary: the three pure functions the engine ever submits.
+# Task vocabulary: the two pure functions the engine ever submits.
 # ---------------------------------------------------------------------------
 
 
@@ -166,11 +165,9 @@ def estimate_task(
 def encode_task(fn, args: tuple) -> dict:
     """Translate one engine submission into its wire request.
 
-    Only the engine's three task kinds have wire forms; anything else
+    Only the engine's two task kinds have wire forms; anything else
     (e.g. a thread-path closure) cannot leave the process and is a
-    configuration error. ``mc_config_to_dict`` deliberately excludes
-    the kernel choice — kernels are bit-identical, so a remote worker
-    runs shipped configs with its own default kernel.
+    configuration error.
     """
     if fn is _kernel.run_plan_chunks:
         key, plan, jobs = args
@@ -181,13 +178,6 @@ def encode_task(fn, args: tuple) -> dict:
             "jobs": [
                 [index, mc_config_to_dict(cfg)] for index, cfg in jobs
             ],
-        }
-    if fn is system_chunk_moments:
-        system, cfg = args
-        return {
-            "op": "chunk",
-            "system": system.to_dict(),
-            "mc": mc_config_to_dict(cfg),
         }
     if fn is estimate_task:
         method_name, system, mc, reference = args
@@ -200,8 +190,8 @@ def encode_task(fn, args: tuple) -> dict:
         }
     raise ConfigurationError(
         "the remote executor cannot ship task "
-        f"{getattr(fn, '__name__', fn)!r}; only plan-chunk batches, "
-        "reference chunks, and method estimates have wire forms"
+        f"{getattr(fn, '__name__', fn)!r}; only plan-chunk batches "
+        "and method estimates have wire forms"
     )
 
 
@@ -235,15 +225,6 @@ def perform_task(request: dict) -> dict:
             "pairs": [
                 [index, [m.count, m.mean, m.m2]] for index, m in payload
             ],
-        }
-    if op == "chunk":
-        moments = system_chunk_moments(
-            SystemModel.from_dict(request["system"]),
-            mc_config_from_dict(request["mc"]),
-        )
-        return {
-            "op": op,
-            "moments": [moments.count, moments.mean, moments.m2],
         }
     if op == "estimate":
         estimate = estimate_task(
@@ -283,8 +264,6 @@ def decode_result(op: str, reply: dict):
             _kernel.PLAN_OK,
             [(int(index), _moments(m)) for index, m in reply["pairs"]],
         )
-    if op == "chunk":
-        return _moments(reply["moments"])
     if op == "estimate":
         return MTTFEstimate.from_dict(reply["estimate"])
     raise WireError(f"unknown reply op {op!r}")
@@ -303,7 +282,7 @@ class ChunkExecutor:
     ``submit(fn, *args) -> Future`` surface of
     :mod:`concurrent.futures`), and whether those tasks share the
     coordinator's memory (:attr:`shares_memory`). Backends that do not
-    share memory receive only the three wire-encodable task kinds and
+    share memory receive only the two wire-encodable task kinds and
     the engine memoizes per-component work parent-side, exactly as the
     process pool always required. Nothing else may vary: results are
     folded on the coordinator in chunk-index order, so every conforming

@@ -55,11 +55,7 @@ from ..methods.cache import mc_token
 # The MC/stopping codecs live in repro.core.montecarlo (the executor
 # wire protocol in repro.methods.executors shares them, and methods must
 # not depend on the service layer above it); re-exported here because
-# they are part of the job wire vocabulary. ``kernel`` is deliberately
-# absent from the MC wire form: which sampling kernel executes a job is
-# an executor-local performance choice with bit-identical output, so
-# ResultSet JSON bytes stay identical across kernels and request dedup
-# keeps working.
+# they are part of the job wire vocabulary.
 __all__ = [
     "JOB_SCHEMA",
     "JobSpec",
@@ -105,7 +101,7 @@ class JobSpec:
             tuple(registry.get(name).name for name in self.methods),
         )
         object.__setattr__(
-            self, "reference", registry.canonical_name(self.reference)
+            self, "reference", registry.get(self.reference).name
         )
 
     # -- identity ----------------------------------------------------------

@@ -582,6 +582,25 @@ class TestWorkerDaemonProtocol:
         assert replies[1]["op"] == "error"
         assert replies[1]["id"] == 7
 
+    def test_malformed_task_payloads_are_typed_errors(self):
+        """Worker-side decoding refuses what ``repro-serve`` refuses."""
+        estimate = {
+            "op": "estimate", "method": "avf", "system": 5, "mc": {},
+            "reference": "monte_carlo", "id": 3,
+        }
+        batch = {
+            "op": "plan-chunks", "key": "k", "plan": None,
+            "jobs": [[0, {"trials": 400, "seed": -1}]], "id": 4,
+        }
+        with BackgroundWorker() as worker:
+            replies = worker_conversation(
+                worker.address, [encode_frame(estimate), encode_frame(batch)]
+            )
+        assert [reply["id"] for reply in replies[1:]] == [3, 4]
+        for reply in replies[1:]:
+            assert reply["op"] == "error"
+            assert reply["error"].startswith("ConfigurationError")
+
     def test_plan_miss_round_trip(self):
         """A keyed batch with no shipped plan answers PLAN_MISS.
 

@@ -1,33 +1,34 @@
-"""Compiled sampling kernels (PR 7): plans, backends, bit-identity.
+"""Compiled sampling plans: tables, wire forms, bit-identity.
 
-The compiled-kernel layer promises *bit-identical* estimates: any
-result computed through a :class:`~repro.core.kernel.SamplingPlan` —
-with batched dispatch, plan hydration, any backend — must byte-match
-the legacy object-graph sampler. These tests enforce that promise at
-every level: compiled tables vs hazard objects, plan sampling vs the
-legacy samplers (property-tested across profiles, methods, and
-phases), the batch engine end to end (executors, worker counts,
-shards, reallocation), the plan wire forms, and the worker hydration
-protocol. Plus the PR-7 satellite invariants: memoized
-``combined_intensity``, the vectorized survival integral's exact
-agreement with the scalar closed forms, and the kernel field staying
-out of cache tokens and job wire forms.
+Every inverse Monte-Carlo draw runs through a
+:class:`~repro.core.kernel.SamplingPlan`, and the plans promise
+*bit-identical* estimates: with batched dispatch and plan hydration,
+any result must byte-match the legacy object-graph sampler, which
+``sampler_oracle`` keeps as the oracle. These tests enforce that
+promise at every level: compiled tables vs hazard objects, plan
+sampling vs the oracle (property-tested across profiles, methods, and
+phases), the batch engine end to end (executors, worker counts, shards,
+reallocation) against oracle-installed baselines, the plan wire forms,
+and the worker hydration protocol. Plus the satellite invariants:
+memoized ``combined_intensity``, the vectorized survival integral's
+exact agreement with the scalar closed forms, and Monte-Carlo wire
+forms that refuse a ``kernel`` field.
 
 The cheap-trial layer is held to the same standard: the bucket-guided
 search must return ``np.searchsorted``'s index on fuzzed tables, the
-sliced sampler must match the legacy one at trial counts on both sides
-of every slice edge, wire plans with malformed tables must be refused
+sliced sampler must match the oracle at trial counts on both sides of
+every slice edge, wire plans with malformed tables must be refused
 with a typed error, plans must keep their source model and build wire
 dicts lazily, and the plan cache must evict least recently used first.
 """
 
 import copy
-import dataclasses
 import json
 import pickle
 
 import numpy as np
 import pytest
+import sampler_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +37,6 @@ from repro.core import (
     MonteCarloConfig,
     StoppingRule,
     SystemModel,
-    sample_component_ttf,
     sample_system_ttf,
 )
 from repro.core import kernel as kernel_mod
@@ -46,19 +46,16 @@ from repro.core.kernel import (
     PLAN_MISS,
     PLAN_OK,
     SamplingPlan,
-    available_kernels,
     clear_plan_cache,
     compile_intensity,
-    get_backend,
     plan_for_component,
     plan_for_system,
     run_plan_chunks,
 )
 from repro.core.montecarlo import adaptive_chunk_configs
-from repro.errors import ConfigurationError, EstimationError, ProfileError
+from repro.errors import ConfigurationError, ProfileError
 from repro.masking import NestedProfile, PiecewiseProfile, busy_idle_profile
 from repro.methods import evaluate_design_space, merge_result_sets
-from repro.methods.cache import mc_token
 from repro.reliability.hazard import (
     NestedHazard,
     PiecewiseHazard,
@@ -486,7 +483,7 @@ class TestGuide:
 
 
 # ---------------------------------------------------------------------------
-# Plan sampling vs the legacy samplers.
+# Plan sampling vs the oracle samplers.
 # ---------------------------------------------------------------------------
 
 
@@ -503,36 +500,27 @@ class TestPlanBitIdentity:
         self, piecewise_system, nested_system, method, start_phase
     ):
         for system in (piecewise_system, nested_system):
-            config = _config(
-                method=method, start_phase=start_phase, kernel="legacy"
-            )
-            legacy = sample_system_ttf(system, config)
-            plan = plan_for_system(system)
-            via_plan = plan.sample_ttf(
-                dataclasses.replace(config, kernel="numpy")
-            )
+            config = _config(method=method, start_phase=start_phase)
+            legacy = oracle.sample_system_ttf(system, config)
+            via_plan = plan_for_system(system).sample_ttf(config)
             np.testing.assert_array_equal(via_plan, legacy)
 
     @pytest.mark.parametrize("method", ["inverse", "arrival"])
     def test_component_samples_match_legacy(self, day_profile, method):
         component = Component("unit", 3.0 / SECONDS_PER_DAY, day_profile)
-        config = _config(method=method, kernel="legacy")
-        legacy = sample_component_ttf(component, config)
-        plan = plan_for_component(component)
-        via_plan = plan.sample_ttf(
-            dataclasses.replace(config, kernel="numpy")
-        )
+        config = _config(method=method)
+        legacy = oracle.sample_component_ttf(component, config)
+        via_plan = plan_for_component(component).sample_ttf(config)
         np.testing.assert_array_equal(via_plan, legacy)
 
     def test_config_routing_is_transparent(self, piecewise_system):
-        """kernel="numpy" on the config routes through plans by itself."""
-        legacy = sample_system_ttf(
-            piecewise_system, _config(kernel="legacy")
+        """``sample_system_ttf`` routes inverse draws through a plan."""
+        routed = sample_system_ttf(piecewise_system, _config())
+        key = f"system:{piecewise_system.content_fingerprint}"
+        assert key in kernel_mod._PLANS
+        np.testing.assert_array_equal(
+            routed, oracle.sample_system_ttf(piecewise_system, _config())
         )
-        routed = sample_system_ttf(
-            piecewise_system, _config(kernel="numpy")
-        )
-        np.testing.assert_array_equal(routed, legacy)
 
     def test_compiled_path_never_calls_searchsorted(
         self, monkeypatch, piecewise_system, nested_system
@@ -570,14 +558,10 @@ class TestPlanBitIdentity:
         self, profile, trials, start_phase
     ):
         system = SystemModel([Component("c", 0.8, profile)])
-        config = _config(
-            trials=trials, start_phase=start_phase, kernel="legacy"
-        )
-        legacy = sample_system_ttf(system, config)
+        config = _config(trials=trials, start_phase=start_phase)
+        legacy = oracle.sample_system_ttf(system, config)
         clear_plan_cache()
-        via_plan = plan_for_system(system).sample_ttf(
-            dataclasses.replace(config, kernel="numpy")
-        )
+        via_plan = plan_for_system(system).sample_ttf(config)
         np.testing.assert_array_equal(via_plan, legacy)
 
 
@@ -599,13 +583,8 @@ def _space(day_profile):
     ]
 
 
-def _result_bytes(space, kernel, **kwargs):
-    mc = kwargs.pop(
-        "mc",
-        MonteCarloConfig(trials=2_000, seed=3, chunks=4, kernel=kernel),
-    )
-    if mc.kernel != kernel:
-        mc = dataclasses.replace(mc, kernel=kernel)
+def _result_bytes(space, **kwargs):
+    mc = kwargs.pop("mc", MonteCarloConfig(trials=2_000, seed=3, chunks=4))
     result = evaluate_design_space(
         space,
         methods=["avf_sofr"],
@@ -617,17 +596,38 @@ def _result_bytes(space, kernel, **kwargs):
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
+def _oracle_bytes(space, **kwargs):
+    """One ``workers=1`` thread run with every draw through the oracle."""
+    with pytest.MonkeyPatch.context() as patch:
+        oracle.install(patch)
+        baseline = _result_bytes(
+            space, workers=1, executor="thread", **kwargs
+        )
+        assert oracle.draws > 0
+    return baseline
+
+
 class TestEngineBitIdentity:
+    def test_oracle_install_routes_engine_draws(self, day_profile):
+        space = _space(day_profile)
+        with pytest.MonkeyPatch.context() as patch:
+            oracle.install(patch)
+            assert oracle.draws == 0
+            _result_bytes(space, workers=2, executor="thread")
+            # Three points of four chunks each, one draw per chunk.
+            assert oracle.draws == 12
+        assert SamplingPlan.sample_ttf is not oracle._plan_sample_ttf
+
     def test_kernel_matches_legacy_across_schedulers(self, day_profile):
         space = _space(day_profile)
-        baseline = _result_bytes(space, "legacy", workers=1)
+        baseline = _oracle_bytes(space)
         for kwargs in (
             dict(workers=1, executor="thread"),
             dict(workers=2, executor="thread"),
             dict(workers=2, executor="process"),
             dict(workers=2, executor="process", reallocate_budget=True),
         ):
-            assert _result_bytes(space, "numpy", **kwargs) == baseline
+            assert _result_bytes(space, **kwargs) == baseline
 
     def test_adaptive_kernel_matches_legacy(self, day_profile):
         space = _space(day_profile)
@@ -637,12 +637,10 @@ class TestEngineBitIdentity:
                 target_rel_stderr=0.08, min_trials=500
             ),
         )
-        baseline = _result_bytes(space, "legacy", workers=1, mc=mc)
-        assert _result_bytes(space, "numpy", workers=2, mc=mc) == baseline
+        baseline = _oracle_bytes(space, mc=mc)
+        assert _result_bytes(space, workers=2, mc=mc) == baseline
         assert (
-            _result_bytes(
-                space, "numpy", workers=2, executor="process", mc=mc
-            )
+            _result_bytes(space, workers=2, executor="process", mc=mc)
             == baseline
         )
 
@@ -655,22 +653,18 @@ class TestEngineBitIdentity:
             ),
         )
         shared = dict(mc=mc, reallocate_budget=True)
-        baseline = _result_bytes(space, "legacy", workers=1, **shared)
-        assert (
-            _result_bytes(space, "numpy", workers=2, **shared) == baseline
-        )
+        baseline = _oracle_bytes(space, **shared)
+        assert _result_bytes(space, workers=2, **shared) == baseline
 
     def test_shard_merge_matches_unsharded_legacy(self, day_profile):
         space = _space(day_profile)
-        unsharded = _result_bytes(space, "legacy", workers=1)
+        unsharded = _oracle_bytes(space)
         shards = [
             evaluate_design_space(
                 space,
                 methods=["avf_sofr"],
                 reference="monte_carlo",
-                mc_config=MonteCarloConfig(
-                    trials=2_000, seed=3, chunks=4, kernel="numpy"
-                ),
+                mc_config=MonteCarloConfig(trials=2_000, seed=3, chunks=4),
                 skip_unsupported=True,
                 workers=2,
                 executor="process",
@@ -864,63 +858,19 @@ class TestHydration:
 
 
 # ---------------------------------------------------------------------------
-# Backend registry and configuration validation.
-# ---------------------------------------------------------------------------
-
-
-class TestBackends:
-    def test_available_kernels_always_has_numpy_and_legacy(self):
-        names = available_kernels()
-        assert "numpy" in names
-        assert "legacy" in names
-
-    def test_unknown_kernel_is_loud(self):
-        with pytest.raises(EstimationError, match="unknown kernel"):
-            get_backend("cuda")
-
-    def test_legacy_is_not_an_executable_backend(self):
-        with pytest.raises(EstimationError, match="unknown kernel"):
-            get_backend("legacy")
-
-    def test_config_rejects_unknown_kernel(self):
-        with pytest.raises(EstimationError, match="kernel"):
-            MonteCarloConfig(trials=10, kernel="fortran")
-
-    def test_numba_feature_detection(self, piecewise_system):
-        """The numba backend JITs when present, refuses when absent."""
-        backend = kernel_mod._BACKENDS["numba"]
-        config = _config(kernel="numba")
-        if not backend.available:
-            with pytest.raises(EstimationError, match="numba"):
-                sample_system_ttf(piecewise_system, config)
-            assert "numba" not in available_kernels()
-            return
-        legacy = sample_system_ttf(
-            piecewise_system, dataclasses.replace(config, kernel="legacy")
-        )
-        np.testing.assert_array_equal(
-            sample_system_ttf(piecewise_system, config), legacy
-        )
-
-
-# ---------------------------------------------------------------------------
-# The kernel choice never leaks into cache keys or wire forms.
+# There is no kernel choice: wire forms refuse one.
 # ---------------------------------------------------------------------------
 
 
 class TestKernelTransparency:
-    def test_mc_token_ignores_kernel(self):
-        reference = MonteCarloConfig(trials=100, seed=1, kernel="numpy")
-        for name in ("numba", "legacy"):
-            assert mc_token(
-                dataclasses.replace(reference, kernel=name)
-            ) == mc_token(reference)
-
     def test_wire_form_has_no_kernel_field(self):
-        config = MonteCarloConfig(trials=100, seed=1, kernel="legacy")
-        payload = mc_config_to_dict(config)
+        payload = mc_config_to_dict(MonteCarloConfig(trials=100, seed=1))
         assert "kernel" not in payload
-        assert mc_config_from_dict(payload).kernel == "numpy"
+        assert mc_config_from_dict(payload) == MonteCarloConfig(
+            trials=100, seed=1
+        )
+        with pytest.raises(ConfigurationError, match="kernel"):
+            mc_config_from_dict({**payload, "kernel": "numpy"})
 
 
 # ---------------------------------------------------------------------------

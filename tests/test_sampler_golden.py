@@ -12,19 +12,19 @@ segment search, for three systems that span the compiled shapes:
 
 Each is drawn at 100,003 trials — three full slices and a partial one —
 under both start-phase conventions, and each draw must also equal the
-legacy object sampler's. ``WIRE_SHA256`` pins the ``repro.plan/v1``
+legacy object sampler's (``sampler_oracle``). ``WIRE_SHA256`` pins the ``repro.plan/v1``
 bytes of each system's plan. The trace window is fixed at 40k
 instructions so ``REPRO_SPEC_INSTRUCTIONS`` cannot move the profiles.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
+import sampler_oracle as oracle
 
 from repro.core import Component, MonteCarloConfig, SystemModel
 from repro.core import sample_system_ttf
@@ -112,9 +112,7 @@ def test_sample_bits_match_golden_and_legacy(systems, name, start_phase):
     samples = sample_system_ttf(systems[name], config)
     digest = hashlib.sha256(samples.tobytes()).hexdigest()
     assert digest == SAMPLES_SHA256[(name, start_phase)]
-    legacy = sample_system_ttf(
-        systems[name], dataclasses.replace(config, kernel="legacy")
-    )
+    legacy = oracle.sample_system_ttf(systems[name], config)
     np.testing.assert_array_equal(samples, legacy)
 
 

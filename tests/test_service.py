@@ -8,14 +8,19 @@ direct in-process calls, concurrent same-fingerprint submissions
 **documented progress vocabulary** (and shrugs off client disconnects).
 """
 
+import copy
 import json
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Component, MonteCarloConfig, StoppingRule, SystemModel
+from repro.core.montecarlo import adaptive_chunk_configs
 from repro.errors import ConfigurationError
-from repro.masking import PiecewiseProfile, busy_idle_profile
+from repro.masking import NestedProfile, PiecewiseProfile, busy_idle_profile
 from repro.methods import progress as progress_mod
 from repro.service import (
     BackgroundServer,
@@ -51,6 +56,67 @@ def cluster_space(day_profile, sizes=(2, 8)):
         )
         for c in sizes
     )
+
+
+def _valid_job_docs() -> list[dict]:
+    """Two well-formed job documents: fixed-count piecewise, adaptive
+    nested."""
+    day = busy_idle_profile(0.5 * SECONDS_PER_DAY, SECONDS_PER_DAY)
+    nested = NestedProfile(
+        [
+            (2.0, PiecewiseProfile.from_segments([(1.0, 0.5), (0.5, 0.0)])),
+            (3.0, 0.25),
+        ]
+    )
+    fixed = JobSpec(
+        space=cluster_space(day),
+        methods=("sofr_only",),
+        mc=MonteCarloConfig(trials=2_000, seed=7, chunks=2),
+    )
+    adaptive = JobSpec(
+        space=(
+            ("n", SystemModel([Component("a", 1e-3, nested, multiplicity=3)])),
+        ),
+        methods=("avf_sofr", "sofr_only"),
+        reference="first_principles",
+        mc=MonteCarloConfig(
+            trials=400, seed=3, chunks=4,
+            stopping=StoppingRule(
+                target_rel_stderr=0.05, min_trials=100, max_trials=800
+            ),
+        ),
+    )
+    return [json.loads(json.dumps(s.to_dict())) for s in (fixed, adaptive)]
+
+
+_VALID_JOB_DOCS = _valid_job_docs()
+
+#: Bounded integers keep every chunk plan a mutated doc can ask for small.
+_INTS = st.integers(min_value=-3, max_value=64)
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    _INTS,
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.none(), _INTS, st.floats()), max_size=4),
+    st.dictionaries(st.text(max_size=3), _INTS, max_size=2),
+)
+
+
+def _doc_paths(node, prefix=()) -> list[tuple]:
+    """The path of every key and list entry in a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    paths = []
+    for key, child in items:
+        paths.append((*prefix, key))
+        paths += _doc_paths(child, (*prefix, key))
+    return paths
 
 
 @pytest.fixture
@@ -171,6 +237,59 @@ class TestJobSpecWire:
         )
         assert spec.methods == ("first_principles",)
         assert spec.reference == "monte_carlo"
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("space", 0, "system"), 5),
+            (("space", 0, "system", "components", 0), 5),
+            (("space", 0, "system", "components", 0, "rate_per_second"),
+             None),
+            (("space", 0, "system", "components", 0, "rate_per_second"),
+             "x"),
+            (("space", 0, "system", "components", 0, "multiplicity"), None),
+            (("space", 0, "system", "components", 0, "multiplicity"), "x"),
+            (("space", 0, "system", "components", 0, "multiplicity"), 1.5),
+            (("mc",), 5),
+            (("mc", "trials"), 1.5),
+            (("mc", "trials"), True),
+            (("mc", "chunks"), 2.5),
+            (("mc", "seed"), "x"),
+            (("mc", "seed"), -1),
+            (("reference",), "clairvoyance"),
+        ],
+    )
+    def test_malformed_fields_are_refused_at_submission(
+        self, small_spec, path, value
+    ):
+        data = json.loads(json.dumps(small_spec.to_dict()))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(ConfigurationError):
+            JobSpec.from_dict(data)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_property_mutated_docs_are_refused_or_runnable(self, data):
+        doc = copy.deepcopy(data.draw(st.sampled_from(_VALID_JOB_DOCS)))
+        path = data.draw(st.sampled_from(_doc_paths(doc)))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_JUNK)
+        try:
+            spec = JobSpec.from_dict(doc)
+        except ConfigurationError:
+            return
+        # Whatever got through can run: its chunk plan and RNGs build.
+        np.random.default_rng(spec.mc.seed)
+        for chunk in adaptive_chunk_configs(spec.mc):
+            np.random.default_rng(chunk.seed)
 
 
 class TestTrialQuota:
@@ -403,6 +522,13 @@ class TestHttpEndToEnd:
     def test_bad_spec_is_400(self, client):
         with pytest.raises(ServiceError) as error:
             client.submit({"schema": "repro.job/v1", "space": []})
+        assert error.value.status == 400
+
+    def test_non_dict_system_is_400(self, client, module_spec):
+        data = module_spec.to_dict()
+        data["space"][0]["system"] = 5
+        with pytest.raises(ServiceError) as error:
+            client.submit(data)
         assert error.value.status == 400
 
     def test_non_json_body_is_400(self, server):
