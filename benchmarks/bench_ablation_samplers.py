@@ -2,13 +2,13 @@
 
 from conftest import BENCH_TRIALS, emit
 
-from repro.harness.registry import get_experiment
+from repro.harness import EngineOptions, get_experiment
 
 
 def test_ablation_samplers(benchmark):
     experiment = get_experiment("ablation.samplers")
     result = benchmark.pedantic(
-        lambda: experiment.run(trials=BENCH_TRIALS),
+        lambda: experiment.run(EngineOptions(trials=BENCH_TRIALS)),
         rounds=1,
         iterations=1,
     )

@@ -6,13 +6,13 @@ rates with multi-day loops (the curves grow with L and the rate scale).
 
 from conftest import BENCH_TRIALS, emit
 
-from repro.harness.registry import get_experiment
+from repro.harness import EngineOptions, get_experiment
 
 
 def test_fig3_avf_analytical(benchmark):
     experiment = get_experiment("fig3")
     result = benchmark.pedantic(
-        lambda: experiment.run(trials=BENCH_TRIALS),
+        lambda: experiment.run(EngineOptions(trials=BENCH_TRIALS)),
         rounds=1,
         iterations=1,
     )

@@ -6,13 +6,13 @@ occur, so AVF may over- or under-estimate the MTTF.
 
 from conftest import BENCH_TRIALS, emit
 
-from repro.harness.registry import get_experiment
+from repro.harness import EngineOptions, get_experiment
 
 
 def test_fig5_avf_design_space(benchmark):
     experiment = get_experiment("fig5")
     result = benchmark.pedantic(
-        lambda: experiment.run(trials=BENCH_TRIALS),
+        lambda: experiment.run(EngineOptions(trials=BENCH_TRIALS)),
         rounds=1,
         iterations=1,
     )

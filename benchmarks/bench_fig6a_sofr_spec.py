@@ -7,13 +7,13 @@ significant errors only once C >= 5000 *and* N x S is very large
 
 from conftest import BENCH_TRIALS, emit
 
-from repro.harness.registry import get_experiment
+from repro.harness import EngineOptions, get_experiment
 
 
 def test_fig6a_sofr_spec(benchmark):
     experiment = get_experiment("fig6a")
     result = benchmark.pedantic(
-        lambda: experiment.run(trials=BENCH_TRIALS),
+        lambda: experiment.run(EngineOptions(trials=BENCH_TRIALS)),
         rounds=1,
         iterations=1,
     )

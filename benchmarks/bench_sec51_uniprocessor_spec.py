@@ -6,13 +6,13 @@ the processor-level SOFR MTTF matches as well.
 
 from conftest import BENCH_TRIALS, emit
 
-from repro.harness.registry import get_experiment
+from repro.harness import EngineOptions, get_experiment
 
 
 def test_sec51_uniprocessor_spec(benchmark):
     experiment = get_experiment("sec5.1")
     result = benchmark.pedantic(
-        lambda: experiment.run(trials=BENCH_TRIALS),
+        lambda: experiment.run(EngineOptions(trials=BENCH_TRIALS)),
         rounds=1,
         iterations=1,
     )

@@ -13,19 +13,20 @@ These probe the reproduction's own design choices:
   through the dimensionless hazard mass ``λ·V(L)``, which justifies the
   time-dilation bridging of simulated window lengths.
 
-Like the paper experiments, the ablations route their estimation
-through :func:`repro.methods.evaluate_design_space`, emit a
-serializable ``result_set``, and honour the runner's
-``workers``/``executor``/``cache_dir``/``mc_chunks`` knobs. The one
-exception is the exponentiality ablation, whose KS diagnostic is
-sample-level by nature: it draws its samples directly (once) and
-reduces both the diagnostics and its result set from them.
+Like the paper experiments, the ablations take one
+:class:`~repro.harness.experiment.EngineOptions`, route their
+estimation through :func:`repro.methods.evaluate_design_space` with
+``engine.kwargs()``, and emit a serializable ``result_set``. None is a
+sweep, so ``--shard`` and the ledger do not apply, and the sampler and
+convergence ablations set their own seeds and no stopping rule. The
+exponentiality ablation's KS diagnostic is sample-level by nature: it
+draws its samples directly (once) and reduces both the diagnostics and
+its result set from them.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -43,10 +44,8 @@ from ..reliability.metrics import MTTFEstimate, signed_relative_error
 from ..reliability.process import FailureProcess
 from ..units import SECONDS_PER_DAY
 from ..workloads.longrun import day_workload
-from .experiment import ExperimentResult, cache_note, make_cache
+from .experiment import EngineOptions, ExperimentResult
 from .tables import Table, percent
-
-_DEFAULT_TRIALS = int(os.environ.get("REPRO_MC_TRIALS", "100000"))
 
 
 def _day_component(rate: float) -> Component:
@@ -57,15 +56,8 @@ def _day_system(rate: float) -> SystemModel:
     return SystemModel([_day_component(rate)])
 
 
-def run_sampler_equivalence(
-    trials: int | None = None,
-    workers: int = 1,
-    executor: str = "thread",
-    cache_dir: str | None = None,
-    mc_chunks: int = 1,
-    **_,
-):
-    trials = trials or _DEFAULT_TRIALS
+def run_sampler_equivalence(engine: EngineOptions):
+    trials, chunks = engine.trials, engine.mc_chunks
     table = Table(
         "Ablation: arrival vs inverse sampler",
         ["lambda*L", "inverse mean (d)", "arrival mean (d)",
@@ -76,23 +68,21 @@ def run_sampler_equivalence(
         (f"day/lambdaL={lam_l:g}", _day_system(lam_l / SECONDS_PER_DAY))
         for lam_l in lam_ls
     ]
-    cache = make_cache(cache_dir)
-    engine = dict(workers=workers, executor=executor, cache=cache)
     inverse_set = evaluate_design_space(
         space,
         methods=["first_principles"],
         reference="monte_carlo",
-        mc_config=MonteCarloConfig(trials=trials, seed=1, chunks=mc_chunks),
-        **engine,
+        mc_config=MonteCarloConfig(trials=trials, seed=1, chunks=chunks),
+        **engine.kwargs(),
     )
     arrival_set = evaluate_design_space(
         [(f"{label}/arrival", system) for label, system in space],
         methods=["first_principles"],
         reference="monte_carlo",
         mc_config=MonteCarloConfig(
-            trials=trials, seed=2, method="arrival", chunks=mc_chunks
+            trials=trials, seed=2, method="arrival", chunks=chunks
         ),
-        **engine,
+        **engine.kwargs(),
     )
     worst_sigma = 0.0
     deciles = np.linspace(0.1, 0.9, 9)
@@ -136,39 +126,29 @@ def run_sampler_equivalence(
         tables=[table],
         headline=f"mean differences within {worst_sigma:.1f} standard "
         "errors across four hazard regimes",
-        notes=cache_note([], cache, cache_dir),
         result_set=inverse_set.merged(arrival_set),
     )
 
 
-def run_mc_convergence(
-    trials: int | None = None,
-    workers: int = 1,
-    executor: str = "thread",
-    cache_dir: str | None = None,
-    mc_chunks: int = 1,
-    **_,
-):
-    base_trials = trials or _DEFAULT_TRIALS
+def run_mc_convergence(engine: EngineOptions):
     rate = 0.5 / SECONDS_PER_DAY
     system = _day_system(rate)
     table = Table(
         "Ablation: Monte-Carlo convergence",
         ["trials", "MC MTTF (d)", "rel. deviation", "stderr/mean"],
     )
-    cache = make_cache(cache_dir)
     rows = []
     merged: ResultSet | None = None
     for factor in (0.01, 0.1, 1.0):
-        n = max(int(base_trials * factor), 100)
+        n = max(int(engine.trials * factor), 100)
         trial_set = evaluate_design_space(
             [(f"day/trials={n}", system)],
             methods=["first_principles"],
             reference="monte_carlo",
-            mc_config=MonteCarloConfig(trials=n, seed=3, chunks=mc_chunks),
-            workers=workers,
-            executor=executor,
-            cache=cache,
+            mc_config=MonteCarloConfig(
+                trials=n, seed=3, chunks=engine.mc_chunks
+            ),
+            **engine.kwargs(),
         )
         comparison = trial_set[0]
         mc = comparison.reference
@@ -192,13 +172,11 @@ def run_mc_convergence(
         headline=f"stderr ratio {actual_ratio:.1f} vs sqrt-law "
         f"{expected_ratio:.1f} across a {rows[-1][0] // rows[0][0]}x "
         "trial range",
-        notes=cache_note([], cache, cache_dir),
         result_set=merged,
     )
 
 
-def run_exponentiality(trials: int | None = None, **_):
-    trials = trials or _DEFAULT_TRIALS
+def run_exponentiality(engine: EngineOptions):
     table = Table(
         "Ablation: masked TTF vs exponential (day workload)",
         ["lambda*L", "exact CoV", "sample CoV", "KS distance",
@@ -215,7 +193,7 @@ def run_exponentiality(trials: int | None = None, **_):
         comp = _day_component(rate)
         process = FailureProcess(comp.intensity)
         samples = sample_component_ttf(
-            comp, MonteCarloConfig(trials=trials, seed=4)
+            comp, MonteCarloConfig(trials=engine.trials, seed=4)
         )
         report = exponentiality_report(samples)
         table.add_row(
@@ -256,12 +234,7 @@ def run_exponentiality(trials: int | None = None, **_):
     )
 
 
-def run_hybrid_method(
-    workers: int = 1,
-    executor: str = "thread",
-    cache_dir: str | None = None,
-    **_,
-):
+def run_hybrid_method(engine: EngineOptions):
     from ..core.hybrid import hybrid_system_mttf
 
     table = Table(
@@ -284,14 +257,11 @@ def run_hybrid_method(
                 ),
             )
         )
-    cache = make_cache(cache_dir)
     result_set = evaluate_design_space(
         space,
         methods=["avf_sofr", "hybrid"],
         reference="first_principles",
-        workers=workers,
-        executor=executor,
-        cache=cache,
+        **engine.kwargs(),
     )
     worst_hybrid = 0.0
     worst_plain = 0.0
@@ -320,17 +290,11 @@ def run_hybrid_method(
         tables=[table],
         headline=f"hybrid worst error {worst_hybrid:.3%} vs AVF+SOFR "
         f"worst {worst_plain:.0%} across the severity sweep",
-        notes=cache_note([], cache, cache_dir),
         result_set=result_set,
     )
 
 
-def run_dilation_sensitivity(
-    workers: int = 1,
-    executor: str = "thread",
-    cache_dir: str | None = None,
-    **_,
-):
+def run_dilation_sensitivity(engine: EngineOptions):
     from .spec_setup import processor_profile
 
     table = Table(
@@ -353,14 +317,11 @@ def run_dilation_sensitivity(
                 SystemModel([Component("gzip", rate, profile)]),
             )
         )
-    cache = make_cache(cache_dir)
     result_set = evaluate_design_space(
         space,
         methods=["avf"],
         reference="first_principles",
-        workers=workers,
-        executor=executor,
-        cache=cache,
+        **engine.kwargs(),
     )
     for dilation, profile, comparison in zip(
         dilations, profiles, result_set
@@ -382,6 +343,5 @@ def run_dilation_sensitivity(
         tables=[table],
         headline="AVF constant under dilation; error grows exactly with "
         "the dilated hazard mass",
-        notes=cache_note([], cache, cache_dir),
         result_set=result_set,
     )

@@ -2,100 +2,186 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
+from ..core.montecarlo import MonteCarloConfig, StoppingRule
 from ..errors import ConfigurationError
-from ..methods import BudgetLedger, ComponentCache, DiskCache, ledger_path
+from ..methods import (
+    BudgetLedger,
+    ChunkExecutor,
+    ComponentCache,
+    ledger_path,
+)
+from ..methods import registry as method_registry
 from ..methods.cache import resolve_cache_dir
 from .tables import Table
 
 
-def make_cache(cache_dir: str | None) -> ComponentCache:
-    """An experiment's estimate cache, disk-backed when requested.
+@dataclass(frozen=True)
+class EngineOptions:
+    """The engine settings of one invocation, built once by the runner.
 
-    Path resolution (env-var default, ``~`` expansion) goes through
-    :func:`repro.methods.cache.resolve_cache_dir` — the same helper
-    ``repro-serve`` uses, so the CLI and the analysis service can never
-    disagree about where a given ``--cache-dir`` (or an unset one)
-    points.
+    Every experiment takes this object as its only engine argument. Its
+    fields are the runner's flags; building it checks their
+    combinations (raising :class:`ConfigurationError`) and computes the
+    two things every experiment of the invocation shares: the resolved
+    cache directory (``cache_dir``, else ``$REPRO_CACHE_DIR``) and one
+    :class:`ComponentCache` for it, so an estimate several artifacts
+    need is computed once.
+
+    ``trials`` defaults to ``$REPRO_MC_TRIALS`` (else 100,000) and
+    ``mc_chunks`` to 16 under ``target_stderr`` (the stopping rule can
+    only stop at chunk boundaries), else 1. A ``budget_ledger`` run id
+    implies ``reallocate_budget``; the ledger file lives in the cache
+    directory, and ``join``/``ledger_lease``/``ledger_heartbeat``/
+    ``leave_after`` are its elastic-membership settings.
     """
-    resolved = resolve_cache_dir(cache_dir)
-    if resolved is not None:
-        return ComponentCache(disk=DiskCache(resolved))
-    return ComponentCache()
 
+    trials: int | None = None
+    mc_chunks: int | None = None
+    target_stderr: float | None = None
+    workers: int | str = 1
+    executor: str | ChunkExecutor = "thread"
+    cache_dir: str | os.PathLike | None = None
+    shard: tuple[int, int] | None = None
+    progress: Callable | None = None
+    reallocate_budget: bool = False
+    budget_ledger: str | None = None
+    ledger_replay: bool = False
+    ledger_timeout: float | None = None
+    join: bool = False
+    ledger_lease: float | None = None
+    ledger_heartbeat: float | None = None
+    leave_after: int | None = None
+    methods: tuple[str, ...] | None = None
+    reference: str | None = None
+    cache_path: Path | None = field(init=False, repr=False)
+    cache: ComponentCache = field(init=False, repr=False, compare=False)
 
-def make_ledger(
-    budget_ledger: str | None,
-    cache_dir: str | None,
-    shard: tuple[int, int] | None,
-    replay: bool = False,
-    timeout: float | None = None,
-    ledger_opts: dict | None = None,
-) -> BudgetLedger | None:
-    """A sharded fleet's cross-shard budget ledger, or None.
+    def __post_init__(self) -> None:
+        if self.ledger_replay and not self.budget_ledger:
+            raise ConfigurationError(
+                "--ledger-replay needs --budget-ledger RUN_ID (which "
+                "recorded fleet should be replayed?)"
+            )
+        for flag, value in (
+            ("--join", self.join or None),
+            ("--leave-after", self.leave_after),
+            ("--ledger-lease", self.ledger_lease),
+            ("--ledger-heartbeat", self.ledger_heartbeat),
+        ):
+            if value is not None and not self.budget_ledger:
+                raise ConfigurationError(
+                    f"{flag} needs --budget-ledger RUN_ID: elastic "
+                    "membership is a property of a ledger fleet"
+                )
+        if self.join and self.ledger_replay:
+            raise ConfigurationError(
+                "--join and --ledger-replay are mutually exclusive: one "
+                "joins a live fleet, the other reproduces a finished one"
+            )
+        for name in [*(self.methods or ()), self.reference]:
+            if name is not None:
+                method_registry.get(name)
+        cache_path = resolve_cache_dir(self.cache_dir)
+        if self.budget_ledger:
+            missing = [
+                flag
+                for flag, value in (
+                    ("--shard i/N", self.shard),
+                    ("--cache-dir", cache_path),
+                    ("--target-stderr", self.target_stderr),
+                )
+                if value is None
+            ]
+            if missing:
+                raise ConfigurationError(
+                    f"--budget-ledger needs {', '.join(missing)}: the "
+                    "ledger coordinates adaptive co-running shards "
+                    "through the shared cache directory"
+                )
+            object.__setattr__(self, "reallocate_budget", True)
+        if not self.trials:
+            trials = int(os.environ.get("REPRO_MC_TRIALS", "100000"))
+            object.__setattr__(self, "trials", trials)
+        if self.mc_chunks is None:
+            chunks = 16 if self.target_stderr is not None else 1
+            object.__setattr__(self, "mc_chunks", chunks)
+        object.__setattr__(self, "cache_path", cache_path)
+        object.__setattr__(self, "cache", ComponentCache.at(cache_path))
 
-    ``budget_ledger`` is the CLI's ``--budget-ledger RUN_ID`` — a name
-    every shard of one fleet passes identically so they all append to
-    the same ``xshard-<RUN_ID>.ledger`` file inside the shared
-    ``--cache-dir``. ``replay`` is ``--ledger-replay``: follow a
-    completed ledger deterministically instead of coordinating live.
-    ``timeout`` is ``--ledger-timeout``: the rendezvous patience in
-    seconds — a shard's first fleet barrier waits out its slowest
-    sibling's *entire* initial sweep, so paper-scale fleets need more
-    than the default.
+    def mc(self, seed: int = 0) -> MonteCarloConfig:
+        """The invocation's Monte-Carlo settings for ``seed``.
 
-    ``ledger_opts`` carries the elastic-membership knobs:
-    ``join`` (``--join``: take over this slot in an already-running
-    fleet), ``lease`` (``--ledger-lease``: seconds of ledger silence
-    before a blocked sibling is declared departed), ``heartbeat``
-    (``--ledger-heartbeat``: the liveness beat period, default
-    lease/4), and ``leave_after`` (``--leave-after``: voluntarily
-    depart before publishing round N — the chaos knob).
-    """
-    if not budget_ledger:
-        return None
-    if cache_dir is None:
-        raise ConfigurationError(
-            "--budget-ledger needs --cache-dir: the ledger file lives "
-            "in the fleet's shared cache directory"
+        ``target_stderr`` attaches a :class:`StoppingRule`: chunks are
+        scheduled only until the relative stderr meets the target, with
+        ``trials`` as the budget.
+        """
+        stopping = (
+            None
+            if self.target_stderr is None
+            else StoppingRule(target_rel_stderr=self.target_stderr)
         )
-    if shard is None:
-        raise ConfigurationError(
-            "--budget-ledger needs --shard i/N: the ledger coordinates "
-            "co-running shards"
+        return MonteCarloConfig(
+            trials=self.trials,
+            seed=seed,
+            chunks=self.mc_chunks,
+            stopping=stopping,
         )
-    opts = ledger_opts or {}
-    kwargs = {} if timeout is None else {"timeout": timeout}
-    if opts.get("join"):
-        kwargs["takeover"] = True
-    if opts.get("lease") is not None:
-        kwargs["lease"] = opts["lease"]
-    if opts.get("heartbeat") is not None:
-        kwargs["heartbeat_interval"] = opts["heartbeat"]
-    if opts.get("leave_after") is not None:
-        kwargs["leave_after"] = opts["leave_after"]
-    return BudgetLedger(
-        ledger_path(cache_dir, budget_ledger),
-        shard=shard,
-        replay=replay,
-        **kwargs,
-    )
 
+    def kwargs(self, sharded: bool = False) -> dict:
+        """Engine keyword arguments for ``evaluate_design_space``.
 
-def cache_note(
-    notes: list[str], cache: ComponentCache, cache_dir: str | None
-) -> list[str]:
-    """Append the cache-stats note CI's warm-cache smoke test greps for.
+        Only sweeps pass ``sharded=True``: the other experiments
+        ignore ``shard`` and produce the whole artifact.
+        """
+        kwargs = dict(
+            workers=self.workers,
+            executor=self.executor,
+            cache=self.cache,
+            progress=self.progress,
+            reallocate_budget=self.reallocate_budget,
+        )
+        if sharded:
+            kwargs["shard"] = self.shard
+        return kwargs
 
-    The format (``estimate cache [...]: ... misses=0`` on a warm rerun)
-    is asserted by the CI smoke job and the runner tests — keep them in
-    sync when changing it.
-    """
-    if cache_dir:
-        notes.append(f"estimate cache [{cache_dir}]: {cache.stats_line()}")
-    return notes
+    def ledger(self, suffix: str = "") -> BudgetLedger | None:
+        """This shard's handle on the fleet ledger, or None.
+
+        ``suffix`` names one pass of a multi-pass sweep: each pass is
+        its own sweep, so it gets its own ledger file.
+        """
+        if not self.budget_ledger:
+            return None
+        timeout = (
+            {} if self.ledger_timeout is None
+            else {"timeout": self.ledger_timeout}
+        )
+        return BudgetLedger(
+            ledger_path(
+                self.cache_path,
+                f"{self.budget_ledger}.{suffix}" if suffix
+                else self.budget_ledger,
+            ),
+            shard=self.shard,
+            replay=self.ledger_replay,
+            takeover=self.join,
+            lease=self.ledger_lease,
+            heartbeat_interval=self.ledger_heartbeat,
+            leave_after=self.leave_after,
+            **timeout,
+        )
+
+    @property
+    def shard_suffix(self) -> str:
+        """Headline qualifier so per-shard logs never read as full-grid."""
+        if self.shard is None:
+            return ""
+        return f" [shard {self.shard[0]}/{self.shard[1]} only]"
 
 
 @dataclass
@@ -162,8 +248,17 @@ class Experiment:
     paper_claim: str
     runner: Callable[..., ExperimentResult]
 
-    def run(self, **kwargs) -> ExperimentResult:
-        result = self.runner(**kwargs)
+    def run(
+        self, engine: EngineOptions | None = None, **params
+    ) -> ExperimentResult:
+        """Run with ``engine`` (default settings when omitted).
+
+        ``params`` are the artifact's own parameters, such as
+        ``benchmarks`` or ``n_times_s_values``.
+        """
+        result = self.runner(
+            engine if engine is not None else EngineOptions(), **params
+        )
         if result.artifact != self.artifact:
             raise ConfigurationError(
                 f"runner produced artifact {result.artifact!r} for "

@@ -4,23 +4,23 @@ Each ``run_*`` function regenerates one artifact and returns an
 :class:`~repro.harness.experiment.ExperimentResult`. Every experiment
 routes its estimation through the batch engine
 (:func:`repro.methods.evaluate_design_space`), so all of them share the
-same memoization, fan-out, and serializable ``result_set`` machinery,
-and all honour the runner's parallel/caching knobs:
+same memoization, fan-out, and serializable ``result_set`` machinery.
 
-* ``workers`` / ``executor`` — fan the grid out over a thread or
-  process pool (``--workers`` / ``--executor``);
-* ``cache_dir`` — back the estimate cache with an on-disk,
-  content-addressed store so repeated invocations skip re-estimation
-  (``--cache-dir``);
-* ``mc_chunks`` — split each Monte-Carlo estimate into seeded chunks
-  (``--mc-chunks``); numbers depend on the chunking, never on the
-  worker count.
+Each takes one :class:`~repro.harness.experiment.EngineOptions` as its
+first argument, and nothing else about the engine. It carries the
+runner's knobs: trials, ``--mc-chunks`` and ``--target-stderr`` (via
+``engine.mc(seed)``), ``--workers``/``--executor``, ``--progress``,
+``--reallocate-budget`` and the invocation's one estimate cache (via
+``engine.kwargs()``). The sweeps (sec5.2, fig5, fig6a, fig6b, sec5.4)
+also honour ``--shard``, and fig5, fig6a, fig6b and sec5.4 the budget
+ledger. The remaining keyword arguments are the artifact's own grid.
 
 Defaults are sized to finish in seconds; the paper-scale knobs
 (Monte-Carlo trials, SPEC window) are environment variables:
 
 * ``REPRO_MC_TRIALS``          — trials per Monte-Carlo estimate
-  (default 100,000; the paper uses 1,000,000);
+  (default 100,000; the paper uses 1,000,000), read by
+  ``EngineOptions``;
 * ``REPRO_SPEC_INSTRUCTIONS``  — simulated window per benchmark
   (default 40,000; the paper uses 1e8 — see
   :func:`repro.harness.spec_setup.paper_dilation` for how experiments
@@ -30,14 +30,13 @@ Defaults are sized to finish in seconds; the paper-scale knobs
 from __future__ import annotations
 
 import dataclasses
-import os
 import zlib
 
 from ..analytical.busy_idle import figure3_curves
 from ..analytical.sofr_halfnormal import figure4_curve
 from ..core.comparison import MethodComparison
 from ..core.designspace import component_sweep, system_sweep, table2_points
-from ..core.montecarlo import MonteCarloConfig, StoppingRule
+from ..core.montecarlo import MonteCarloConfig
 from ..core.system import Component, SystemModel
 from ..methods import (
     ResultSet,
@@ -57,12 +56,7 @@ from ..ser.rates import component_rate_per_second
 from ..units import SECONDS_PER_YEAR
 from ..workloads.longrun import combined_workload, day_workload, week_workload
 from ..workloads.spec import SPEC_FP_NAMES, SPEC_INT_NAMES
-from .experiment import (
-    ExperimentResult,
-    cache_note,
-    make_cache,
-    make_ledger,
-)
+from .experiment import EngineOptions, ExperimentResult
 from .figures import render_series
 from .spec_setup import (
     masking_trace_for,
@@ -71,9 +65,6 @@ from .spec_setup import (
 )
 from .tables import Table, percent
 
-#: Trials per Monte-Carlo estimate in harness runs.
-DEFAULT_TRIALS = int(os.environ.get("REPRO_MC_TRIALS", "100000"))
-
 #: Benchmarks used where the paper shows "representative" SPEC results.
 REPRESENTATIVE_SPEC = ("gzip", "mcf", "swim")
 
@@ -81,40 +72,9 @@ REPRESENTATIVE_SPEC = ("gzip", "mcf", "swim")
 COMBINED_PAIR = ("gzip", "swim")
 
 
-def _mc_config(
-    trials: int | None,
-    seed: int = 0,
-    chunks: int = 1,
-    target_stderr: float | None = None,
-) -> MonteCarloConfig:
-    """Monte-Carlo settings for one experiment run.
-
-    ``target_stderr`` (the CLI's ``--target-stderr``) attaches a
-    :class:`StoppingRule`: the run becomes adaptive, scheduling trial
-    chunks only until the estimate's relative stderr meets the target,
-    with the configured trial count as the budget.
-    """
-    stopping = (
-        StoppingRule(target_rel_stderr=target_stderr)
-        if target_stderr is not None
-        else None
-    )
-    return MonteCarloConfig(
-        trials=trials or DEFAULT_TRIALS,
-        seed=seed,
-        chunks=chunks,
-        stopping=stopping,
-    )
-
-
 def _bench_seed(bench: str) -> int:
     """Stable per-benchmark seed (``hash(str)`` is process-randomized)."""
     return zlib.crc32(bench.encode("utf-8"))
-
-
-def _shard_suffix(shard: tuple[int, int] | None) -> str:
-    """Headline qualifier so per-shard logs never read as full-grid."""
-    return "" if shard is None else f" [shard {shard[0]}/{shard[1]} only]"
 
 
 def _synthesized_workloads(
@@ -140,11 +100,8 @@ def _synthesized_workloads(
 
 
 def run_table1(
+    engine: EngineOptions,
     benchmarks: tuple[str, ...] = REPRESENTATIVE_SPEC,
-    workers: int = 1,
-    executor: str = "thread",
-    cache_dir: str | None = None,
-    **_,
 ):
     config = MachineConfig.power4_like()
     table = Table("Table 1: base POWER4-like processor configuration",
@@ -174,14 +131,11 @@ def run_table1(
         )
     # Closed-form sanity sweep over the same machines: AVF+SOFR vs exact
     # on each benchmark's uniprocessor (no Monte Carlo — instant).
-    cache = make_cache(cache_dir)
     result_set = evaluate_design_space(
         [(bench, spec_uniprocessor_system(bench)) for bench in benchmarks],
         methods=["avf_sofr"],
         reference="first_principles",
-        workers=workers,
-        executor=executor,
-        cache=cache,
+        **engine.kwargs(),
     )
     return ExperimentResult(
         artifact="table1",
@@ -192,7 +146,6 @@ def run_table1(
         tables=[table, behaviour],
         headline="configuration reproduced field-for-field "
         f"({len(config.table1_rows())} Table-1 rows)",
-        notes=cache_note([], cache, cache_dir),
         result_set=result_set,
     )
 
@@ -202,12 +155,7 @@ def run_table1(
 # ---------------------------------------------------------------------------
 
 
-def run_table2(
-    workers: int = 1,
-    executor: str = "thread",
-    cache_dir: str | None = None,
-    **_,
-):
+def run_table2(engine: EngineOptions):
     table = Table("Table 2: design space dimensions", ["Dimension", "Values"])
     table.add_row("N (elements/component)",
                   " ".join(f"{v:g}" for v in TABLE2_ELEMENT_COUNTS))
@@ -239,14 +187,11 @@ def run_table2(
                     ),
                 )
             )
-    cache = make_cache(cache_dir)
     result_set = evaluate_design_space(
         space,
         methods=["avf_sofr"],
         reference="first_principles",
-        workers=workers,
-        executor=executor,
-        cache=cache,
+        **engine.kwargs(),
     )
     return ExperimentResult(
         artifact="table2",
@@ -257,7 +202,6 @@ def run_table2(
         headline=f"{len(points)} design points enumerable "
         "(5 N x 5 S x 5 C x 5 workload families); "
         f"{len(space)}-point representative corner evaluated",
-        notes=cache_note([], cache, cache_dir),
         result_set=result_set,
     )
 
@@ -267,11 +211,7 @@ def run_table2(
 # ---------------------------------------------------------------------------
 
 
-def run_fig3(
-    trials: int | None = None,
-    validate_mc: bool = True,
-    **_,
-):
+def run_fig3(engine: EngineOptions, validate_mc: bool = True):
     points = figure3_curves()
     table = Table(
         "Figure 3: AVF-step relative error, 100MB cache, busy/idle loop",
@@ -313,7 +253,7 @@ def run_fig3(
         profile = busy_idle_profile(8 * SECONDS_PER_DAY, 16 * SECONDS_PER_DAY)
         comp = Component("cache", p16.rate_per_second, profile)
         mc = monte_carlo_component_mttf(
-            comp, _mc_config(trials)
+            comp, MonteCarloConfig(trials=engine.trials)
         )
         deviation = signed_relative_error(mc.mttf_seconds, p16.exact_mttf)
         notes.append(
@@ -360,7 +300,7 @@ def run_fig3(
 # ---------------------------------------------------------------------------
 
 
-def run_fig4(trials: int | None = None, validate_mc: bool = True, **_):
+def run_fig4(engine: EngineOptions, validate_mc: bool = True):
     points = figure4_curve()
     table = Table(
         "Figure 4: SOFR error for f(x) = (2/sqrt(pi)) e^{-x^2} components",
@@ -386,9 +326,8 @@ def run_fig4(trials: int | None = None, validate_mc: bool = True, **_):
         rng = np.random.default_rng(0)
         n_comp = 8
         dist = HalfNormalSquare()
-        n_trials = trials or DEFAULT_TRIALS
-        samples = dist.sample(n_trials * n_comp, rng).reshape(
-            n_trials, n_comp
+        samples = dist.sample(engine.trials * n_comp, rng).reshape(
+            engine.trials, n_comp
         ).min(axis=1)
         point = next(p for p in points if p.n_components == n_comp)
         deviation = signed_relative_error(
@@ -396,7 +335,7 @@ def run_fig4(trials: int | None = None, validate_mc: bool = True, **_):
         )
         notes.append(
             f"Monte-Carlo check at N=8: numerical integral within "
-            f"{deviation:+.3%} of sampled min (n={n_trials})"
+            f"{deviation:+.3%} of sampled min (n={engine.trials})"
         )
     two = next(p for p in points if p.n_components == 2)
     last = points[-1]
@@ -440,15 +379,8 @@ def run_fig4(trials: int | None = None, validate_mc: bool = True, **_):
 
 
 def run_sec51(
+    engine: EngineOptions,
     benchmarks: tuple[str, ...] | None = None,
-    trials: int | None = None,
-    workers: int = 1,
-    executor: str = "thread",
-    cache_dir: str | None = None,
-    mc_chunks: int = 1,
-    target_stderr: float | None = None,
-    reallocate_budget: bool = False,
-    **_,
 ):
     benchmarks = benchmarks or REPRESENTATIVE_SPEC
     table = Table(
@@ -460,20 +392,12 @@ def run_sec51(
         "Section 5.1: processor-level AVF+SOFR error",
         ["benchmark", "AVF+SOFR MTTF (y)", "exact MTTF (y)", "error"],
     )
-    cache = make_cache(cache_dir)
-    engine = dict(
-        workers=workers, executor=executor, cache=cache,
-        reallocate_budget=reallocate_budget,
-    )
     worst_component = 0.0
     worst_sofr = 0.0
     merged: ResultSet | None = None
     for bench in benchmarks:
         system = spec_uniprocessor_system(bench)
-        mc = _mc_config(
-            trials, seed=_bench_seed(bench), chunks=mc_chunks,
-            target_stderr=target_stderr,
-        )
+        mc = engine.mc(_bench_seed(bench))
         # Component level: AVF step and MC consistency vs the closed form,
         # one single-component system per unit.
         component_set = evaluate_design_space(
@@ -484,7 +408,7 @@ def run_sec51(
             methods=["avf", "monte_carlo"],
             reference="first_principles",
             mc_config=mc,
-            **engine,
+            **engine.kwargs(),
         )
         for comp, comparison in zip(system.components, component_set):
             error = comparison.error("avf")
@@ -506,7 +430,7 @@ def run_sec51(
             methods=["avf_sofr"],
             reference="first_principles",
             mc_config=mc,
-            **engine,
+            **engine.kwargs(),
         )
         comparison = bench_set[0]
         sofr_error = comparison.error("avf_sofr")
@@ -531,15 +455,11 @@ def run_sec51(
         headline=f"worst component error {worst_component:.4%}, worst "
         f"processor error {worst_sofr:.4%} (both far below the paper's "
         "0.5% bound)",
-        notes=cache_note(
-            [
-                "MC consistency column: |MC - exact| in standard errors; "
-                "values of O(1) confirm the Monte-Carlo engine estimates "
-                "the same quantity the closed form computes."
-            ],
-            cache,
-            cache_dir,
-        ),
+        notes=[
+            "MC consistency column: |MC - exact| in standard errors; "
+            "values of O(1) confirm the Monte-Carlo engine estimates "
+            "the same quantity the closed form computes."
+        ],
         result_set=merged,
     )
 
@@ -550,15 +470,9 @@ def run_sec51(
 
 
 def run_sec52(
+    engine: EngineOptions,
     benchmarks: tuple[str, ...] | None = None,
     n_times_s_values: tuple[float, ...] = (1e5, 1e7, 1e9, 5e12),
-    workers: int = 1,
-    executor: str = "thread",
-    cache_dir: str | None = None,
-    shard: tuple[int, int] | None = None,
-    progress=None,
-    reallocate_budget: bool = False,
-    **_,
 ):
     benchmarks = benchmarks or REPRESENTATIVE_SPEC
     table = Table(
@@ -579,21 +493,17 @@ def run_sec52(
                 )
             )
             masses.append(rate * profile.vulnerable_time)
-    cache = make_cache(cache_dir)
     result_set = evaluate_design_space(
         space,
         methods=["avf"],
         reference="first_principles",
-        workers=workers,
-        executor=executor,
-        cache=cache,
-        shard=shard,
-        progress=progress,
-        reallocate_budget=reallocate_budget,
+        **engine.kwargs(sharded=True),
     )
     worst = 0.0
     for (label, _system), mass, comparison in zip(
-        shard_select(space, shard), shard_select(masses, shard), result_set
+        shard_select(space, engine.shard),
+        shard_select(masses, engine.shard),
+        result_set,
     ):
         bench, n_label = label.split("/NxS=")
         error = comparison.error("avf")
@@ -607,16 +517,12 @@ def run_sec52(
         tables=[table],
         headline=f"worst AVF-step error {worst:.4%} across "
         f"{len(benchmarks)} benchmarks x {len(n_times_s_values)} N*S "
-        f"points{_shard_suffix(shard)}",
-        notes=cache_note(
-            [
-                "SPEC loop lengths are milliseconds, so lambda*V(L) stays "
-                "tiny even at N x S = 5e12 — exactly why the paper finds "
-                "the AVF step safe for SPEC-like workloads."
-            ],
-            cache,
-            cache_dir,
-        ),
+        f"points{engine.shard_suffix}",
+        notes=[
+            "SPEC loop lengths are milliseconds, so lambda*V(L) stays "
+            "tiny even at N x S = 5e12 — exactly why the paper finds "
+            "the AVF step safe for SPEC-like workloads."
+        ],
         result_set=result_set,
     )
 
@@ -627,40 +533,16 @@ def run_sec52(
 
 
 def run_fig5(
-    trials: int | None = None,
+    engine: EngineOptions,
     n_times_s_values: tuple[float, ...] = (1e8, 1e9, 1e10, 1e11, 1e12),
-    workers: int = 1,
-    executor: str = "thread",
-    cache_dir: str | None = None,
-    mc_chunks: int = 1,
-    target_stderr: float | None = None,
-    shard: tuple[int, int] | None = None,
-    progress=None,
-    reallocate_budget: bool = False,
-    budget_ledger: str | None = None,
-    ledger_replay: bool = False,
-    ledger_timeout: float | None = None,
-    ledger_opts: dict | None = None,
-    **_,
 ):
     workloads = _synthesized_workloads()
-    cache = make_cache(cache_dir)
     results = component_sweep(
         workloads,
         n_times_s_values,
-        _mc_config(
-            trials, chunks=mc_chunks, target_stderr=target_stderr,
-        ),
-        workers=workers,
-        executor=executor,
-        cache=cache,
-        shard=shard,
-        progress=progress,
-        reallocate_budget=reallocate_budget,
-        budget_ledger=make_ledger(
-            budget_ledger, cache_dir, shard, ledger_replay,
-            ledger_timeout, ledger_opts,
-        ),
+        engine.mc(),
+        budget_ledger=engine.ledger(),
+        **engine.kwargs(sharded=True),
     )
     table = Table(
         "Figure 5: AVF-step error vs Monte Carlo, synthesized workloads",
@@ -687,7 +569,7 @@ def run_fig5(
                 series,
             )
         ]
-        if shard is None
+        if engine.shard is None
         else []
     )
     peak = max((abs(r.avf_error) for r in results), default=0.0)
@@ -703,8 +585,7 @@ def run_fig5(
         tables=[table],
         figures=figures,
         headline=f"peak |error| {peak:.0%}; {len(big)} points with "
-        f">1% error at N x S >= 1e9{_shard_suffix(shard)}",
-        notes=cache_note([], cache, cache_dir),
+        f">1% error at N x S >= 1e9{engine.shard_suffix}",
         result_set=results.result_set,
     )
 
@@ -715,46 +596,22 @@ def run_fig5(
 
 
 def run_fig6a(
-    trials: int | None = None,
+    engine: EngineOptions,
     benchmarks: tuple[str, ...] = REPRESENTATIVE_SPEC,
     n_times_s_values: tuple[float, ...] = (1e9, 2e12, 5e12),
     component_counts: tuple[int, ...] = (2, 8, 5000, 50000),
-    workers: int = 1,
-    executor: str = "thread",
-    cache_dir: str | None = None,
-    mc_chunks: int = 1,
-    target_stderr: float | None = None,
-    shard: tuple[int, int] | None = None,
-    progress=None,
-    reallocate_budget: bool = False,
-    budget_ledger: str | None = None,
-    ledger_replay: bool = False,
-    ledger_timeout: float | None = None,
-    ledger_opts: dict | None = None,
-    **_,
 ):
     workloads = {
         bench: processor_profile(bench, dilate_to_paper_window=True)
         for bench in benchmarks
     }
-    cache = make_cache(cache_dir)
     results = system_sweep(
         workloads,
         n_times_s_values,
         component_counts,
-        _mc_config(
-            trials, chunks=mc_chunks, target_stderr=target_stderr,
-        ),
-        workers=workers,
-        executor=executor,
-        cache=cache,
-        shard=shard,
-        progress=progress,
-        reallocate_budget=reallocate_budget,
-        budget_ledger=make_ledger(
-            budget_ledger, cache_dir, shard, ledger_replay,
-            ledger_timeout, ledger_opts,
-        ),
+        engine.mc(),
+        budget_ledger=engine.ledger(),
+        **engine.kwargs(sharded=True),
     )
     table = Table(
         "Figure 6(a): SOFR-step error vs Monte Carlo, SPEC workloads "
@@ -785,37 +642,20 @@ def run_fig6a(
         tables=[table],
         headline=f"C<=8 worst error {safe_worst:.2%}; overall worst "
         f"{worst:.0%} at the largest C x (N x S) corner"
-        f"{_shard_suffix(shard)}",
-        notes=cache_note(
-            [
-                "Profiles are time-dilated to the paper's 1e8-instruction "
-                "loop; the dimensionless hazard mass matches the paper's "
-                "points (see DESIGN.md)."
-            ],
-            cache,
-            cache_dir,
-        ),
+        f"{engine.shard_suffix}",
+        notes=[
+            "Profiles are time-dilated to the paper's 1e8-instruction "
+            "loop; the dimensionless hazard mass matches the paper's "
+            "points (see DESIGN.md)."
+        ],
         result_set=results.result_set,
     )
 
 
 def run_fig6b(
-    trials: int | None = None,
+    engine: EngineOptions,
     n_times_s_values: tuple[float, ...] = (1e8, 1e9),
     component_counts: tuple[int, ...] = (2, 8, 5000, 50000, 500000),
-    workers: int = 1,
-    executor: str = "thread",
-    cache_dir: str | None = None,
-    mc_chunks: int = 1,
-    target_stderr: float | None = None,
-    shard: tuple[int, int] | None = None,
-    progress=None,
-    reallocate_budget: bool = False,
-    budget_ledger: str | None = None,
-    ledger_replay: bool = False,
-    ledger_timeout: float | None = None,
-    ledger_opts: dict | None = None,
-    **_,
 ):
     workloads = _synthesized_workloads()
     table = Table(
@@ -844,19 +684,9 @@ def run_fig6b(
                     )
                 )
                 meta.append((name, n_times_s, c_count))
-    cache = make_cache(cache_dir)
-    engine = dict(
-        workers=workers, executor=executor, cache=cache, shard=shard,
-        progress=progress, reallocate_budget=reallocate_budget,
-    )
     # The two passes are separate sweeps, so a fleet coordinates each
     # through its own ledger file (same run id, per-pass suffix); every
     # shard runs the passes in the same order, so the rounds pair up.
-    pass_ledger = lambda suffix: make_ledger(
-        f"{budget_ledger}.{suffix}" if budget_ledger else None,
-        cache_dir, shard, ledger_replay, ledger_timeout,
-        ledger_opts,
-    )
     # Zero-phase pass: the SOFR step (fed zero-phase MC component MTTFs,
     # memoized once per distinct component across every C) against the
     # zero-phase Monte-Carlo reference.
@@ -864,11 +694,9 @@ def run_fig6b(
         space,
         methods=["sofr_only"],
         reference="monte_carlo",
-        mc_config=_mc_config(
-            trials, chunks=mc_chunks, target_stderr=target_stderr,
-        ),
-        budget_ledger=pass_ledger("zero"),
-        **engine,
+        mc_config=engine.mc(),
+        budget_ledger=engine.ledger("zero"),
+        **engine.kwargs(sharded=True),
     )
     # Random-phase pass: only the reference changes convention; the SOFR
     # estimate stays the zero-phase one (the literal reading of the
@@ -878,18 +706,14 @@ def run_fig6b(
         methods=["first_principles"],
         reference="monte_carlo",
         mc_config=dataclasses.replace(
-            _mc_config(
-                trials, seed=1, chunks=mc_chunks,
-                target_stderr=target_stderr,
-            ),
-            start_phase="random",
+            engine.mc(seed=1), start_phase="random"
         ),
-        budget_ledger=pass_ledger("random"),
-        **engine,
+        budget_ledger=engine.ledger("random"),
+        **engine.kwargs(sharded=True),
     )
     key_points: dict = {}
     for (name, n_times_s, c_count), zero_cmp, random_cmp in zip(
-        shard_select(meta, shard), zero_set, random_set
+        shard_select(meta, engine.shard), zero_set, random_set
     ):
         sofr = zero_cmp.estimates["sofr_only"].mttf_seconds
         mc_zero = zero_cmp.reference.mttf_seconds
@@ -931,27 +755,23 @@ def run_fig6b(
             "; ".join(headline_bits)
             or (
                 "see table (paper key points reproduced)"
-                if shard is None
+                if engine.shard is None
                 else "see table"
             )
         )
-        + _shard_suffix(shard),
-        notes=cache_note(
-            [
-                "Two loop-phase conventions are reported: 'zero' starts "
-                "every trial at the beginning of the busy period (the "
-                "literal reading of the paper's Monte-Carlo procedure); "
-                "'random' starts at a uniform offset into the loop. In the "
-                "regime the paper highlights (MTTF comparable to one "
-                "iteration) the convention changes the numbers but not the "
-                "structure: SOFR is accurate for C <= 8 and breaks by tens "
-                "of percent for C >= 5000, errors growing with C and with "
-                "the workload period (week > day > combined), exactly the "
-                "paper's pattern."
-            ],
-            cache,
-            cache_dir,
-        ),
+        + engine.shard_suffix,
+        notes=[
+            "Two loop-phase conventions are reported: 'zero' starts "
+            "every trial at the beginning of the busy period (the "
+            "literal reading of the paper's Monte-Carlo procedure); "
+            "'random' starts at a uniform offset into the loop. In the "
+            "regime the paper highlights (MTTF comparable to one "
+            "iteration) the convention changes the numbers but not the "
+            "structure: SOFR is accurate for C <= 8 and breaks by tens "
+            "of percent for C >= 5000, errors growing with C and with "
+            "the workload period (week > day > combined), exactly the "
+            "paper's pattern."
+        ],
         result_set=zero_set.merged(random_set),
     )
 
@@ -962,17 +782,8 @@ def run_fig6b(
 
 
 def run_compare(
+    engine: EngineOptions,
     benchmarks: tuple[str, ...] | None = None,
-    trials: int | None = None,
-    methods: tuple[str, ...] | None = None,
-    reference: str | None = None,
-    workers: int = 1,
-    executor: str = "thread",
-    cache_dir: str | None = None,
-    mc_chunks: int = 1,
-    target_stderr: float | None = None,
-    reallocate_budget: bool = False,
-    **_,
 ):
     """Compare any registered methods on the SPEC uniprocessor systems.
 
@@ -982,14 +793,13 @@ def run_compare(
     immediately selectable here without touching this file.
     """
     benchmarks = benchmarks or REPRESENTATIVE_SPEC
-    methods = tuple(methods) if methods else (
+    methods = engine.methods or (
         "avf_sofr", "sofr_only", "first_principles", "hybrid"
     )
     # Estimates come back keyed by canonical registry names, so resolve
     # aliases ("exact", "mc") up front before using them as table keys.
     methods = tuple(dict.fromkeys(canonical_name(m) for m in methods))
-    reference = reference or "exact"
-    cache = make_cache(cache_dir)
+    reference = engine.reference or "exact"
     table = Table(
         f"Method comparison vs {reference} (SPEC uniprocessor)",
         ["benchmark"] + [f"{m} error" for m in methods],
@@ -1002,14 +812,8 @@ def run_compare(
             [(bench, spec_uniprocessor_system(bench))],
             methods=methods,
             reference=reference,
-            mc_config=_mc_config(
-                trials, seed=_bench_seed(bench), chunks=mc_chunks,
-                target_stderr=target_stderr,
-            ),
-            workers=workers,
-            executor=executor,
-            cache=cache,
-            reallocate_budget=reallocate_budget,
+            mc_config=engine.mc(_bench_seed(bench)),
+            **engine.kwargs(),
         )
         comparison = bench_set[0]
         table.add_row(
@@ -1028,7 +832,6 @@ def run_compare(
         paper_claim="(ours) every method, one pluggable call surface.",
         tables=[table],
         headline=f"worst |error| vs {reference}: {worst_text}",
-        notes=cache_note([], cache, cache_dir),
         result_set=result_set,
     )
 
@@ -1039,22 +842,9 @@ def run_compare(
 
 
 def run_sec54(
-    trials: int | None = None,
+    engine: EngineOptions,
     n_times_s_values: tuple[float, ...] = (1e8, 1e10, 1e12),
     component_counts: tuple[int, ...] = (1, 8, 5000, 50000),
-    workers: int = 1,
-    executor: str = "thread",
-    cache_dir: str | None = None,
-    mc_chunks: int = 1,
-    target_stderr: float | None = None,
-    shard: tuple[int, int] | None = None,
-    progress=None,
-    reallocate_budget: bool = False,
-    budget_ledger: str | None = None,
-    ledger_replay: bool = False,
-    ledger_timeout: float | None = None,
-    ledger_opts: dict | None = None,
-    **_,
 ):
     workloads = _synthesized_workloads()
     spec_profiles = {
@@ -1082,24 +872,13 @@ def run_sec54(
                     )
                 )
                 meta.append((name, n_times_s, c_count))
-    cache = make_cache(cache_dir)
     result_set = evaluate_design_space(
         space,
         methods=["softarch", "first_principles"],
         reference="monte_carlo",
-        mc_config=_mc_config(
-            trials, chunks=mc_chunks, target_stderr=target_stderr,
-        ),
-        workers=workers,
-        executor=executor,
-        cache=cache,
-        shard=shard,
-        progress=progress,
-        reallocate_budget=reallocate_budget,
-        budget_ledger=make_ledger(
-            budget_ledger, cache_dir, shard, ledger_replay,
-            ledger_timeout, ledger_opts,
-        ),
+        mc_config=engine.mc(),
+        budget_ledger=engine.ledger(),
+        **engine.kwargs(sharded=True),
     )
     table = Table(
         "Section 5.4: SoftArch error vs Monte Carlo / exact",
@@ -1108,7 +887,7 @@ def run_sec54(
     )
     worst_exact = 0.0
     for (name, n_times_s, c_count), comparison in zip(
-        shard_select(meta, shard), result_set
+        shard_select(meta, engine.shard), result_set
     ):
         sa = comparison.estimates["softarch"].mttf_seconds
         exact = comparison.estimates["first_principles"].mttf_seconds
@@ -1132,7 +911,6 @@ def run_sec54(
         tables=[table],
         headline=f"worst SoftArch-vs-exact error {worst_exact:.2e} "
         "(all points far inside the paper's 1%/2% bounds); deviations "
-        f"from MC are pure sampling noise{_shard_suffix(shard)}",
-        notes=cache_note([], cache, cache_dir),
+        f"from MC are pure sampling noise{engine.shard_suffix}",
         result_set=result_set,
     )

@@ -31,7 +31,10 @@ fleet size remotely), ``--mc-chunks`` splits each
 Monte-Carlo estimate into seeded chunks (numbers depend on the chunking,
 never the worker count), and ``--cache-dir`` persists every estimate in
 a content-addressed on-disk cache so repeated invocations skip
-re-estimation entirely.
+re-estimation entirely. The flags become one
+:class:`~repro.harness.experiment.EngineOptions`, built before any
+work (a refused combination exits 2), and its one estimate cache serves
+every artifact of the invocation.
 
 The streaming engine adds three scaling controls: ``--target-stderr``
 makes Monte-Carlo references adaptive (chunks are scheduled only until
@@ -299,9 +302,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--target-stderr and --reallocate-budget) and budget freed by "
         "any shard's early-stopping points reaches the fleet's "
         "least-converged point. Honoured by the adaptive Monte-Carlo "
-        "sweeps (fig5, fig6a, fig6b, sec5.4); merged results are "
-        "deterministic given the ledger and tagged +xshard so merge "
-        "only combines ledger-coordinated shards with each other.",
+        "sweeps (fig5, fig6a, fig6b, sec5.4), one artifact per run "
+        "id; merged results are deterministic given the ledger and "
+        "tagged +xshard so merge only combines ledger-coordinated "
+        "shards with each other.",
     )
     parser.add_argument(
         "--ledger-replay",
@@ -408,117 +412,62 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {artifact:24s} {experiment.title}")
         return 0
 
-    # Adaptive stopping happens at chunk boundaries, so --target-stderr
-    # with a single monolithic chunk could never stop early; give it a
-    # useful default granularity unless the user chose one.
-    if args.mc_chunks is None:
-        args.mc_chunks = 16 if args.target_stderr is not None else 1
-        if args.target_stderr is not None:
-            print(
-                "note: --target-stderr without --mc-chunks; using 16 "
-                "chunks as the stopping granularity",
-                file=sys.stderr,
-            )
+    from ..errors import ConfigurationError
+    from ..methods import ShardDeparted
+    from ..methods.executors import executor_from_cli, parse_workers
+    from .experiment import EngineOptions
 
+    selected = sorted(experiments) if args.all else args.artifacts
+    try:
+        if args.budget_ledger and len(selected) > 1:
+            raise ConfigurationError(
+                f"--budget-ledger coordinates one sweep, so it takes one "
+                f"artifact (got {len(selected)}: {' '.join(selected)})"
+            )
+        executor, workers = executor_from_cli(
+            args.executor, parse_workers(args.workers)
+        )
+        engine = EngineOptions(
+            trials=args.trials,
+            mc_chunks=args.mc_chunks,
+            target_stderr=args.target_stderr,
+            workers=workers,
+            executor=executor,
+            cache_dir=args.cache_dir,
+            shard=args.shard,
+            progress=ProgressReporter() if args.progress else None,
+            reallocate_budget=args.reallocate_budget,
+            budget_ledger=args.budget_ledger,
+            ledger_replay=args.ledger_replay,
+            ledger_timeout=args.ledger_timeout,
+            join=args.join,
+            ledger_lease=args.ledger_lease,
+            ledger_heartbeat=args.ledger_heartbeat,
+            leave_after=args.leave_after,
+            methods=tuple(args.methods) if args.methods else None,
+            reference=args.reference,
+        )
+    except ConfigurationError as error:
+        print(str(error), file=sys.stderr)
+        return 2
+    if args.mc_chunks is None and args.target_stderr is not None:
+        print(
+            "note: --target-stderr without --mc-chunks; using 16 "
+            "chunks as the stopping granularity",
+            file=sys.stderr,
+        )
     if args.reallocate_budget and args.target_stderr is None:
         print(
             "note: --reallocate-budget without --target-stderr is a "
             "no-op (no stopping rule ever frees budget)",
             file=sys.stderr,
         )
-
-    if args.ledger_replay and not args.budget_ledger:
+    if args.budget_ledger and not args.reallocate_budget:
         print(
-            "--ledger-replay needs --budget-ledger RUN_ID (which "
-            "recorded fleet should be replayed?)",
+            "note: --budget-ledger implies --reallocate-budget",
             file=sys.stderr,
         )
-        return 2
-    if args.budget_ledger:
-        missing = [
-            flag
-            for flag, value in (
-                ("--shard i/N", args.shard),
-                ("--cache-dir", args.cache_dir),
-                ("--target-stderr", args.target_stderr),
-            )
-            if value is None
-        ]
-        if missing:
-            print(
-                f"--budget-ledger needs {', '.join(missing)}: the "
-                "ledger coordinates adaptive co-running shards through "
-                "the shared cache directory",
-                file=sys.stderr,
-            )
-            return 2
-        if not args.reallocate_budget:
-            print(
-                "note: --budget-ledger implies --reallocate-budget",
-                file=sys.stderr,
-            )
-            args.reallocate_budget = True
-    for flag, value in (
-        ("--join", args.join or None),
-        ("--leave-after", args.leave_after),
-        ("--ledger-lease", args.ledger_lease),
-        ("--ledger-heartbeat", args.ledger_heartbeat),
-    ):
-        if value is not None and not args.budget_ledger:
-            print(
-                f"{flag} needs --budget-ledger RUN_ID: elastic "
-                "membership is a property of a ledger fleet",
-                file=sys.stderr,
-            )
-            return 2
-    if args.join and args.ledger_replay:
-        print(
-            "--join and --ledger-replay are mutually exclusive: one "
-            "joins a live fleet, the other reproduces a finished one",
-            file=sys.stderr,
-        )
-        return 2
 
-    from ..errors import ConfigurationError
-    from ..methods.executors import executor_from_cli, parse_workers
-
-    try:
-        executor, workers = executor_from_cli(
-            args.executor, parse_workers(args.workers)
-        )
-    except ConfigurationError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-
-    run_kwargs: dict = {
-        "trials": args.trials,
-        "workers": workers,
-        "executor": executor,
-        "cache_dir": args.cache_dir,
-        "mc_chunks": args.mc_chunks,
-        "target_stderr": args.target_stderr,
-        "shard": args.shard,
-        "reallocate_budget": args.reallocate_budget,
-        "budget_ledger": args.budget_ledger,
-        "ledger_replay": args.ledger_replay,
-        "ledger_timeout": args.ledger_timeout,
-        "ledger_opts": {
-            "join": args.join,
-            "lease": args.ledger_lease,
-            "heartbeat": args.ledger_heartbeat,
-            "leave_after": args.leave_after,
-        },
-    }
-    if args.progress:
-        run_kwargs["progress"] = ProgressReporter()
-    if args.methods:
-        run_kwargs["methods"] = tuple(args.methods)
-    if args.reference:
-        run_kwargs["reference"] = args.reference
-
-    selected = (
-        sorted(experiments) if args.all else args.artifacts
-    )
     sections = []
     merged_set = None
     for artifact in selected:
@@ -526,10 +475,8 @@ def main(argv: list[str] | None = None) -> int:
         # repro: allow[D101] console elapsed-time display only; the
         # experiment's numbers come from experiment.run alone
         started = time.perf_counter()
-        from ..methods import ShardDeparted
-
         try:
-            result = experiment.run(**run_kwargs)
+            result = experiment.run(engine)
         except ShardDeparted as departed:
             # A voluntary --leave-after departure is a clean exit: the
             # depart record is on the ledger and a survivor (or a
@@ -552,6 +499,13 @@ def main(argv: list[str] | None = None) -> int:
                 if merged_set is None
                 else merged_set.merged(result.result_set)
             )
+    if engine.cache_path is not None:
+        # One cache serves the whole invocation, so its counts do too.
+        # CI's warm-cache smoke job greps this line for ``misses=0``.
+        print(
+            f"note: estimate cache [{engine.cache_path}]: "
+            f"{engine.cache.stats_line()}"
+        )
 
     if args.markdown:
         with open(args.markdown, "w", encoding="utf-8") as handle:

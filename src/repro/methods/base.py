@@ -12,6 +12,7 @@ batch engine can fan them out freely.
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, Protocol, runtime_checkable
@@ -19,7 +20,7 @@ from typing import Callable, Protocol, runtime_checkable
 from ..core.montecarlo import MonteCarloConfig
 from ..core.system import Component, SystemModel
 from ..reliability.metrics import MTTFEstimate
-from .cache import DiskCache, mc_token
+from .cache import DiskCache, mc_token, resolve_cache_dir
 
 
 class ComponentCache:
@@ -63,6 +64,18 @@ class ComponentCache:
         self.estimate_misses = 0
         #: Disk hits at either level.
         self.disk_hits = 0
+
+    @classmethod
+    def at(cls, cache_dir: str | os.PathLike | None) -> ComponentCache:
+        """The estimate cache for ``cache_dir``, shared by every entry point.
+
+        The directory resolves by the one cache-path rule
+        (:func:`~repro.methods.cache.resolve_cache_dir`: the explicit
+        path, else ``$REPRO_CACHE_DIR``); the cache is disk-backed when
+        it resolves and memory-only otherwise.
+        """
+        resolved = resolve_cache_dir(cache_dir)
+        return cls(disk=None if resolved is None else DiskCache(resolved))
 
     def __len__(self) -> int:
         return len(self._entries) + len(self._estimates)

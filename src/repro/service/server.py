@@ -1,7 +1,7 @@
 """Service composition and the ``repro-serve`` console entry point.
 
-:class:`AnalysisService` wires the pieces together — cache (resolved
-through the same :func:`~repro.methods.cache.resolve_cache_dir` rule
+:class:`AnalysisService` wires the pieces together — cache (built by
+:meth:`~repro.methods.base.ComponentCache.at`, the same cache-path rule
 the CLI uses), :class:`~repro.service.quota.TrialQuota`,
 :class:`~repro.service.jobs.JobManager`, and the asyncio HTTP layer —
 into one object that can be started inside any event loop.
@@ -17,24 +17,10 @@ import asyncio
 import threading
 
 from ..methods.base import ComponentCache
-from ..methods.cache import DiskCache, resolve_cache_dir
 from ..methods.executors import RemoteExecutor, available_executors
 from .http import ApiHandler
 from .jobs import JobManager
 from .quota import TrialQuota
-
-
-def build_cache(cache_dir: str | None) -> ComponentCache:
-    """The server's shared estimate cache, disk-backed when resolvable.
-
-    Identical resolution to the CLI's ``--cache-dir`` (explicit path,
-    else ``$REPRO_CACHE_DIR``, else memory-only) — pointing both at one
-    directory makes server jobs and command-line sweeps share estimates.
-    """
-    resolved = resolve_cache_dir(cache_dir)
-    if resolved is not None:
-        return ComponentCache(disk=DiskCache(resolved))
-    return ComponentCache()
 
 
 class AnalysisService:
@@ -68,7 +54,7 @@ class AnalysisService:
         self.host = host
         self.port = port
         self.manager = JobManager(
-            cache if cache is not None else build_cache(cache_dir),
+            cache if cache is not None else ComponentCache.at(cache_dir),
             workers=workers,
             engine_workers=engine_workers,
             engine_executor=engine_executor,

@@ -7,7 +7,7 @@ qualitative claims, mirroring the benchmark suite but at unit-test cost.
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.harness import all_experiments, get_experiment
+from repro.harness import EngineOptions, all_experiments, get_experiment
 from repro.harness.spec_setup import (
     PAPER_COMPONENTS,
     masking_trace_for,
@@ -87,7 +87,7 @@ class TestSpecSetup:
 class TestExperimentClaims:
     def test_fig3_shape(self):
         result = get_experiment("fig3").run(
-            trials=FAST_TRIALS, validate_mc=False
+            EngineOptions(trials=FAST_TRIALS), validate_mc=False
         )
         errors = [
             float(c.strip("%+")) / 100
@@ -98,7 +98,7 @@ class TestExperimentClaims:
 
     def test_fig4_endpoints(self):
         result = get_experiment("fig4").run(
-            trials=FAST_TRIALS, validate_mc=False
+            EngineOptions(trials=FAST_TRIALS), validate_mc=False
         )
         errors = [
             abs(float(c.strip("%+-"))) / 100
@@ -109,7 +109,7 @@ class TestExperimentClaims:
 
     def test_sec51_bound(self):
         result = get_experiment("sec5.1").run(
-            benchmarks=("gzip",), trials=FAST_TRIALS
+            EngineOptions(trials=FAST_TRIALS), benchmarks=("gzip",)
         )
         errors = [
             abs(float(c.strip("%+-"))) / 100
@@ -127,7 +127,7 @@ class TestExperimentClaims:
 
     def test_fig5_error_grows(self):
         result = get_experiment("fig5").run(
-            trials=FAST_TRIALS, n_times_s_values=(1e8, 1e12)
+            EngineOptions(trials=FAST_TRIALS), n_times_s_values=(1e8, 1e12)
         )
         by_workload: dict = {}
         table = result.tables[0]
@@ -142,7 +142,7 @@ class TestExperimentClaims:
 
     def test_fig6b_small_clusters_safe(self):
         result = get_experiment("fig6b").run(
-            trials=FAST_TRIALS,
+            EngineOptions(trials=FAST_TRIALS),
             n_times_s_values=(1e8,),
             component_counts=(2, 5000),
         )
@@ -164,7 +164,7 @@ class TestExperimentClaims:
 
     def test_sec54_softarch_exact(self):
         result = get_experiment("sec5.4").run(
-            trials=FAST_TRIALS,
+            EngineOptions(trials=FAST_TRIALS),
             n_times_s_values=(1e10,),
             component_counts=(1, 5000),
         )
@@ -178,3 +178,38 @@ class TestExperimentClaims:
         result = get_experiment("table2").run()
         assert "table2" in result.render()
         assert "###" in result.render_markdown()
+
+
+class TestEngineOptions:
+    def test_misspelled_parameter_is_an_error(self):
+        with pytest.raises(TypeError):
+            get_experiment("fig5").run(trails=10)
+
+    def test_flag_combinations_checked_for_library_callers(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        with pytest.raises(ConfigurationError, match="needs --cache-dir"):
+            EngineOptions(
+                budget_ledger="run", shard=(0, 1), target_stderr=0.05
+            )
+        with pytest.raises(ConfigurationError, match="unknown method"):
+            EngineOptions(methods=("avf", "bogus"))
+        engine = EngineOptions(
+            budget_ledger="run", shard=(0, 1), target_stderr=0.05,
+            cache_dir=str(tmp_path),
+        )
+        assert engine.reallocate_budget and engine.mc_chunks == 16
+        assert engine.ledger("zero").path.name == "xshard-run.zero.ledger"
+
+    def test_defaults_and_derived_settings(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.setenv("REPRO_MC_TRIALS", "1234")
+        engine = EngineOptions(shard=(1, 2))
+        assert (engine.trials, engine.mc_chunks) == (1234, 1)
+        assert engine.cache_path is None and engine.cache.disk is None
+        assert engine.ledger() is None
+        assert engine.mc(seed=7).seed == 7 and engine.mc().stopping is None
+        assert "shard" not in engine.kwargs()
+        assert engine.kwargs(sharded=True)["shard"] == (1, 2)
+        assert engine.shard_suffix == " [shard 1/2 only]"
