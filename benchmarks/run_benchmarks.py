@@ -33,16 +33,11 @@ import time
 from pathlib import Path
 
 from repro.core import Component, MonteCarloConfig, StoppingRule, SystemModel
-from repro.errors import ConfigurationError
 from repro.masking import busy_idle_profile
 from repro.methods import (
-    BudgetLedger,
     ComponentCache,
     DiskCache,
-    LedgerState,
-    ShardDeparted,
     evaluate_design_space,
-    merge_result_sets,
 )
 from repro.units import SECONDS_PER_DAY
 
@@ -165,320 +160,6 @@ def benchmark_cases(trials: int, points: int, workers: int):
             ),
         ),
     ]
-    return cases
-
-
-def fleet_cases(trials: int, points: int, shards: int = 2):
-    """Ledger-coordinated vs independent co-running shards (PR 5).
-
-    Both variants run the same adaptive sweep as ``shards`` co-running
-    reallocating shards (threads standing in for machines); only the
-    cross-shard ledger differs. The grid is deliberately *asymmetric*:
-    exactly one hard point (C=2, the largest MTTF) at global index 0,
-    so it lands on shard 0 while every other shard's early stoppers
-    free budget that shard-local re-allocation can only strand. The
-    tight absolute half-width target keeps the straggler hungry past
-    its own shard's freed budget — the regime where coordination
-    matters. Each case records total trials spent, wall-clock, and the
-    worst point's achieved precision, so the artifact shows what the
-    fleet bought: the coordinated run converts stranded budget into
-    precision at the fleet's worst point.
-    """
-    import threading
-
-    profile = busy_idle_profile(0.5 * SECONDS_PER_DAY, SECONDS_PER_DAY)
-    rate = 2.0 / SECONDS_PER_DAY
-    easy_counts = (100, 5000, 50000, 8, 1000)
-    counts = [2] + [
-        easy_counts[i % len(easy_counts)] for i in range(points - 1)
-    ]
-    space = [
-        (
-            f"day/C={count}/v={i}",
-            SystemModel(
-                [
-                    Component(
-                        "node",
-                        rate * (1.0 + 0.01 * i),
-                        profile,
-                        multiplicity=count,
-                    )
-                ]
-            ),
-        )
-        for i, count in enumerate(counts)
-    ]
-    mc = MonteCarloConfig(
-        trials=trials,
-        seed=7,
-        chunks=8,
-        stopping=StoppingRule(target_ci_halfwidth=100.0),
-    )
-
-    def run_shards(ledger_dir: str | None):
-        results = [None] * shards
-
-        def one(index):
-            ledger = None
-            if ledger_dir is not None:
-                ledger = BudgetLedger(
-                    Path(ledger_dir) / "bench.ledger",
-                    shard=(index, shards),
-                    poll_interval=0.01,
-                    timeout=300.0,
-                )
-            results[index] = evaluate_design_space(
-                space,
-                methods=["first_principles"],
-                mc_config=mc,
-                shard=(index, shards),
-                workers=2,
-                reallocate_budget=True,
-                cache=False,
-                budget_ledger=ledger,
-            )
-
-        threads = [
-            threading.Thread(target=one, args=(index,))
-            for index in range(shards)
-        ]
-        started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        seconds = time.perf_counter() - started
-        return seconds, merge_result_sets(results)
-
-    cases = []
-    for name, ledgered in (
-        ("xshard_fleet_independent", False),
-        ("xshard_fleet_ledger", True),
-    ):
-        if ledgered:
-            with tempfile.TemporaryDirectory(
-                prefix="bench-ledger-"
-            ) as ledger_dir:
-                seconds, merged = run_shards(ledger_dir)
-                totals = LedgerState.scan(
-                    Path(ledger_dir) / "bench.ledger", shards
-                ).totals()
-        else:
-            seconds, merged = run_shards(None)
-            totals = None
-        halfwidths = [
-            mc.stopping.z * c.reference.std_error_seconds
-            for c in merged
-        ]
-        record = {
-            "name": name,
-            "seconds": round(seconds, 4),
-            "trials": trials,
-            "chunks": 8,
-            "shards": shards,
-            "workers": 2,
-            "executor": "thread",
-            "target_ci_halfwidth": mc.stopping.target_ci_halfwidth,
-            "total_reference_trials": sum(
-                merged.reference_trials().values()
-            ),
-            "worst_ci_halfwidth_seconds": round(max(halfwidths), 2),
-        }
-        if totals is not None:
-            record["ledger"] = {
-                "freed_trials": totals["freed_trials"],
-                "claimed_trials": totals["claimed_trials"],
-                "rounds": totals["rounds"],
-            }
-        cases.append(record)
-    return cases
-
-
-def elastic_cases(trials: int, points: int, shards: int = 3):
-    """Fixed membership vs kill+rejoin on one ledger fleet (PR 10).
-
-    Three fleets over the same asymmetric grid — one straggler per
-    slot, so every member stays active across grant rounds:
-
-    * ``elastic_fleet_fixed`` — plain PR-5 fleet, no lease: the
-      baseline the membership machinery must not tax.
-    * ``elastic_fleet_leased`` — same fixed fleet with heartbeats and
-      lease checks on: the record's ``membership_overhead`` ratio is
-      the standing cost of failure detection.
-    * ``elastic_fleet_kill_adopt`` — one member departs before its
-      first grant round (the cooperative stand-in for a kill: the
-      ledger trail and the recovery path are identical) and a survivor
-      adopts its points; the record carries the epoch trail and the
-      trials the adoption recomputed, the real price of elasticity.
-    * ``elastic_fleet_kill_rejoin`` — same kill, but a replacement
-      takes the slot over mid-run (the ``--join`` path) as soon as the
-      depart record lands.
-
-    All three merges are asserted byte-identical — elasticity may cost
-    wall-clock, never bits.
-    """
-    import threading
-
-    profile = busy_idle_profile(0.5 * SECONDS_PER_DAY, SECONDS_PER_DAY)
-    rate = 2.0 / SECONDS_PER_DAY
-    easy_counts = (100, 5000, 50000, 1000)
-    counts = [2, 3, 4] + [
-        easy_counts[i % len(easy_counts)] for i in range(max(points, 4) - 3)
-    ]
-    space = [
-        (
-            f"day/C={count}/v={i}",
-            SystemModel(
-                [
-                    Component(
-                        "node",
-                        rate * (1.0 + 0.01 * i),
-                        profile,
-                        multiplicity=count,
-                    )
-                ]
-            ),
-        )
-        for i, count in enumerate(counts)
-    ]
-    mc = MonteCarloConfig(
-        trials=trials,
-        seed=7,
-        chunks=8,
-        stopping=StoppingRule(target_ci_halfwidth=100.0),
-    )
-
-    def member(ledger_path, slot, results, *, lease, leave_after=None,
-               takeover=False):
-        ledger = BudgetLedger(
-            ledger_path,
-            shard=(slot, shards),
-            poll_interval=0.01,
-            timeout=300.0,
-            lease=lease,
-            leave_after=leave_after,
-            takeover=takeover,
-        )
-        try:
-            results[slot] = evaluate_design_space(
-                space,
-                methods=["first_principles"],
-                mc_config=mc,
-                shard=(slot, shards),
-                workers=2,
-                reallocate_budget=True,
-                cache=False,
-                budget_ledger=ledger,
-            )
-        except ShardDeparted:
-            pass
-        except ConfigurationError:
-            if not takeover:
-                raise
-            # The joiner raced an adopter that already finished the
-            # slot (and the run): a refused join of a finished run is
-            # the documented loud behaviour, and the survivors'
-            # adopted sets cover the slot in the merge.
-
-    def run_fleet(ledger_dir, *, lease, mode=None):
-        ledger_path = Path(ledger_dir) / "bench.ledger"
-        results = [None] * shards
-        threads = [
-            threading.Thread(
-                target=member,
-                args=(ledger_path, slot, results),
-                kwargs={
-                    "lease": lease,
-                    "leave_after": (
-                        0 if mode and slot == shards - 1 else None
-                    ),
-                },
-            )
-            for slot in range(shards)
-        ]
-        started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        if mode == "rejoin":
-            # A replacement joins the running fleet once the departed
-            # slot is on the ledger (the --join path).
-            deadline = time.monotonic() + 300.0
-            while time.monotonic() < deadline:
-                # depart_event, not departed(): an adopter's takeover
-                # handle re-joins the slot, flipping departed() back.
-                if LedgerState.scan(ledger_path, shards).depart_event(
-                    shards - 1
-                ):
-                    break
-                time.sleep(0.02)
-            joiner_results = [None] * shards
-            joiner = threading.Thread(
-                target=member,
-                args=(ledger_path, shards - 1, joiner_results),
-                kwargs={"lease": lease, "takeover": True},
-            )
-            joiner.start()
-            joiner.join()
-            results[shards - 1] = joiner_results[shards - 1]
-        for thread in threads:
-            thread.join()
-        seconds = time.perf_counter() - started
-        merged = merge_result_sets([r for r in results if r is not None])
-        state = LedgerState.scan(ledger_path, shards)
-        return seconds, merged, results, state
-
-    cases = []
-    merges = {}
-    for name, lease, mode in (
-        ("elastic_fleet_fixed", None, None),
-        ("elastic_fleet_leased", 5.0, None),
-        ("elastic_fleet_kill_adopt", 2.0, "adopt"),
-        ("elastic_fleet_kill_rejoin", 2.0, "rejoin"),
-    ):
-        with tempfile.TemporaryDirectory(
-            prefix="bench-elastic-"
-        ) as ledger_dir:
-            seconds, merged, results, state = run_fleet(
-                ledger_dir, lease=lease, mode=mode
-            )
-        merges[name] = merged
-        record = {
-            "name": name,
-            "seconds": round(seconds, 4),
-            "trials": trials,
-            "chunks": 8,
-            "shards": shards,
-            "workers": 2,
-            "executor": "thread",
-            "lease_seconds": lease,
-            "target_ci_halfwidth": mc.stopping.target_ci_halfwidth,
-            "total_reference_trials": sum(
-                merged.reference_trials().values()
-            ),
-            "epoch": state.epoch(),
-            "heartbeat_beats": sum(state.heartbeats.values()),
-        }
-        if mode:
-            record["trials_recomputed_by_adoption"] = sum(
-                sum(adopted.reference_trials().values())
-                for result in results
-                if result is not None
-                for adopted in result.adopted
-            )
-            record["epoch_history"] = [
-                list(event) for event in state.epoch_history()
-            ]
-        cases.append(record)
-    fixed = merges["elastic_fleet_fixed"]
-    for name, merged in merges.items():
-        assert merged.comparisons == fixed.comparisons, (
-            f"{name} changed the merged bits"
-        )
-    baseline = cases[0]["seconds"]
-    for record in cases[1:]:
-        record["overhead_vs_fixed"] = round(
-            record["seconds"] / baseline, 3
-        )
     return cases
 
 
@@ -896,8 +577,8 @@ def sampler_cases(
 
 #: Benchmark sections selectable via --scenario.
 SCENARIOS = (
-    "all", "engine", "cache", "executors", "fleet",
-    "elastic", "service_load", "lint", "trace", "estimators", "sampler",
+    "all", "engine", "cache", "executors", "service_load", "lint",
+    "trace", "estimators", "sampler",
 )
 
 
@@ -923,11 +604,15 @@ def run_benchmarks(argv: list[str] | None = None) -> Path:
         "pass an explicit label when measuring an uncommitted tree)",
     )
     args = parser.parse_args(argv)
+    rev = args.rev or repo_revision()
+    output = Path(args.output_dir) / f"BENCH_{rev}.json"
+    # Before any scenario runs: a missing directory would otherwise
+    # fail the final write and lose every measurement.
+    output.parent.mkdir(parents=True, exist_ok=True)
 
     def wants(section: str) -> bool:
         return args.scenario in ("all", section)
 
-    rev = args.rev or repo_revision()
     results = []
     if wants("engine"):
         for name, metadata, thunk in benchmark_cases(
@@ -986,39 +671,6 @@ def run_benchmarks(argv: list[str] | None = None) -> Path:
             print(
                 f"{record['name']:44s} {record['seconds']:8.3f}s  "
                 f"identical_to_serial={record['identical_to_serial']}"
-            )
-
-    # Cross-shard fleet: ledger-coordinated vs independent shards.
-    if wants("fleet"):
-        for record in fleet_cases(args.trials, args.points):
-            results.append(record)
-            extra = ""
-            if "ledger" in record:
-                extra = (
-                    f"  (claimed {record['ledger']['claimed_trials']} of "
-                    f"{record['ledger']['freed_trials']} freed trials)"
-                )
-            print(
-                f"{record['name']:44s} {record['seconds']:8.3f}s  "
-                f"trials={record['total_reference_trials']} "
-                f"worst_hw={record['worst_ci_halfwidth_seconds']}s{extra}"
-            )
-
-    # Elastic membership: fixed fleet vs leased fleet vs kill+rejoin.
-    if wants("elastic"):
-        for record in elastic_cases(args.trials, args.points):
-            results.append(record)
-            extra = ""
-            if "overhead_vs_fixed" in record:
-                extra = f"  ({record['overhead_vs_fixed']}x vs fixed)"
-            if "trials_recomputed_by_adoption" in record:
-                extra += (
-                    f"  readopted="
-                    f"{record['trials_recomputed_by_adoption']} trials"
-                )
-            print(
-                f"{record['name']:44s} {record['seconds']:8.3f}s  "
-                f"epoch={record['epoch']}{extra}"
             )
 
     # Serving layer: concurrent duplicate-heavy load over HTTP.
@@ -1088,7 +740,6 @@ def run_benchmarks(argv: list[str] | None = None) -> Path:
         },
         "results": results,
     }
-    output = Path(args.output_dir) / f"BENCH_{rev}.json"
     output.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {output}")
     return output

@@ -83,14 +83,12 @@ from .core import (
 from . import methods
 from .methods import (
     Analysis,
-    BudgetLedger,
     ComponentCache,
     DiskCache,
     MethodConfig,
     ResultSet,
     analyze,
     evaluate_design_space,
-    ledger_path,
     merge_result_sets,
     register_method,
 )
@@ -119,7 +117,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Analysis",
-    "BudgetLedger",
     "ComponentCache",
     "Component",
     "DiskCache",
@@ -128,7 +125,6 @@ __all__ = [
     "ResultSet",
     "analyze",
     "evaluate_design_space",
-    "ledger_path",
     "merge_result_sets",
     "methods",
     "register_method",

@@ -165,7 +165,6 @@ def component_sweep(
     shard: tuple[int, int] | None = None,
     progress=None,
     reallocate_budget: bool = False,
-    budget_ledger=None,
 ) -> SweepOutcome:
     """AVF-step sweep: single component (C = 1), as in Figure 5 / §5.2.
 
@@ -173,10 +172,7 @@ def component_sweep(
     (Section 5.2), points are parameterised by it directly.
     ``shard=(i, n)`` evaluates this machine's round-robin share of the
     grid (the outcome's ``result_set`` records the shard and merges
-    back with :func:`repro.methods.merge_result_sets`);
-    ``budget_ledger`` (a :class:`repro.methods.BudgetLedger`) lets the
-    co-running shards of one fleet coordinate freed trial budget
-    through the shared cache directory.
+    back with :func:`repro.methods.merge_result_sets`).
     """
     from ..methods import evaluate_design_space, shard_select
 
@@ -210,7 +206,6 @@ def component_sweep(
         shard=shard,
         progress=progress,
         reallocate_budget=reallocate_budget,
-        budget_ledger=budget_ledger,
     )
     results = [
         SweepResult(
@@ -241,7 +236,6 @@ def system_sweep(
     shard: tuple[int, int] | None = None,
     progress=None,
     reallocate_budget: bool = False,
-    budget_ledger=None,
 ) -> SweepOutcome:
     """SOFR-step sweep over (workload, N x S, C), as in Figure 6.
 
@@ -250,7 +244,7 @@ def system_sweep(
     engine's component cache computes each distinct (workload, N x S)
     component once and re-uses it for every C. Every system here is
     homogeneous (C identical components), matching the paper's cluster
-    experiments. ``shard``/``progress``/``budget_ledger`` behave as in
+    experiments. ``shard``/``progress`` behave as in
     :func:`component_sweep`.
     """
     from ..methods import evaluate_design_space, shard_select
@@ -298,7 +292,6 @@ def system_sweep(
         shard=shard,
         progress=progress,
         reallocate_budget=reallocate_budget,
-        budget_ledger=budget_ledger,
     )
     results = [
         SweepResult(

@@ -34,8 +34,8 @@ the parent answers by resubmitting with the plan attached. Batched
 tasks return ``(chunk_index, SampleMoments)`` pairs so the parent's
 :class:`~repro.core.montecarlo.MomentAccumulator` still folds every
 chunk in strict index order — the determinism invariants of the
-scheduler stack (workers=1 vs N, thread vs process, shards, ledger
-replay) are untouched; see docs/SCHEDULER.md.
+scheduler stack (workers=1 vs N, thread vs process, shards) are
+untouched; see docs/SCHEDULER.md.
 """
 
 from __future__ import annotations

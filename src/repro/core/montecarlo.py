@@ -577,37 +577,13 @@ def extension_chunk_configs(
 
     One budget grant appends these to a point's chunk plan; because
     each chunk is :func:`extension_chunk_config` at its own index, a
-    plan grown by many grants — local re-allocation rounds or
-    cross-shard ledger claims, in any mixture — equals the plan one
-    up-front extension to the same total budget would have produced.
+    plan grown by many grants equals the plan one up-front extension
+    to the same total budget would have produced.
     """
     return [
         extension_chunk_config(config, start + offset, trials)
         for offset, trials in enumerate(sizes)
     ]
-
-
-def transfer_chunk_configs(
-    config: MonteCarloConfig, grant_sizes: Sequence[Sequence[int]]
-) -> list[MonteCarloConfig]:
-    """A point's full chunk plan after ownership transfers and grants.
-
-    The ownership-transfer invariant behind elastic ledger fleets: a
-    member that adopts a departed sibling's open point rebuilds the
-    point's plan as the base adaptive plan
-    (:func:`adaptive_chunk_configs`) followed by each granted round's
-    :func:`extension_chunk_configs`, in round order. Every chunk's
-    seed is a pure function of ``(config.seed, chunk index)``, so the
-    adopter — starting from nothing but the point's base config and
-    the grant schedule replayed from the ledger — draws *exactly* the
-    chunks the departed member would have drawn, and the fold (strict
-    index order) produces the identical moments. ``grant_sizes`` is
-    one sequence of chunk sizes per grant, in grant order.
-    """
-    plan = adaptive_chunk_configs(config)
-    for sizes in grant_sizes:
-        plan.extend(extension_chunk_configs(config, len(plan), sizes))
-    return plan
 
 
 def allocate_grants(
@@ -618,15 +594,13 @@ def allocate_grants(
     """Deterministically split freed trial budget over ranked demands.
 
     The single allocation policy behind both the pipelined scheduler's
-    local budget re-allocation and the cross-shard ledger: ``demands``
-    are ``(deficit, key)`` pairs (keys are point indices — local to one
-    scheduler, or global across a sharded fleet); candidates are
+    budget re-allocation and the analysis service's quotas:
+    ``demands`` are ``(deficit, key)`` pairs; candidates are
     ordered worst-deficit first with ties broken by ascending key, and
     ``pool`` trials are granted round-robin in ``unit``-sized chunks
     (the final grant may be partial so the pool is spent exactly).
     Returns ``key -> chunk sizes`` for every key that received budget.
-    A pure function of its arguments: every shard of a fleet computes
-    the identical allocation from the identical ledger state.
+    A pure function of its arguments.
     """
     if unit < 1:
         raise EstimationError(f"grant unit must be >= 1, got {unit}")

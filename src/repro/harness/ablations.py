@@ -17,7 +17,7 @@ Like the paper experiments, the ablations take one
 :class:`~repro.harness.experiment.EngineOptions`, route their
 estimation through :func:`repro.methods.evaluate_design_space` with
 ``engine.kwargs()``, and emit a serializable ``result_set``. None is a
-sweep, so ``--shard`` and the ledger do not apply, and the sampler and
+sweep, so ``--shard`` does not apply, and the sampler and
 convergence ablations set their own seeds and no stopping rule. The
 exponentiality ablation's KS diagnostic is sample-level by nature: it
 draws its samples directly (once) and reduces both the diagnostics and

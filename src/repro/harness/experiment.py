@@ -9,12 +9,7 @@ from typing import Callable
 
 from ..core.montecarlo import MonteCarloConfig, StoppingRule
 from ..errors import ConfigurationError
-from ..methods import (
-    BudgetLedger,
-    ChunkExecutor,
-    ComponentCache,
-    ledger_path,
-)
+from ..methods import ChunkExecutor, ComponentCache
 from ..methods import registry as method_registry
 from ..methods.cache import resolve_cache_dir
 from .tables import Table
@@ -25,19 +20,16 @@ class EngineOptions:
     """The engine settings of one invocation, built once by the runner.
 
     Every experiment takes this object as its only engine argument. Its
-    fields are the runner's flags; building it checks their
-    combinations (raising :class:`ConfigurationError`) and computes the
-    two things every experiment of the invocation shares: the resolved
-    cache directory (``cache_dir``, else ``$REPRO_CACHE_DIR``) and one
+    fields are the runner's flags; building it checks the method names
+    (raising :class:`ConfigurationError`) and computes the two things
+    every experiment of the invocation shares: the resolved cache
+    directory (``cache_dir``, else ``$REPRO_CACHE_DIR``) and one
     :class:`ComponentCache` for it, so an estimate several artifacts
     need is computed once.
 
     ``trials`` defaults to ``$REPRO_MC_TRIALS`` (else 100,000) and
     ``mc_chunks`` to 16 under ``target_stderr`` (the stopping rule can
-    only stop at chunk boundaries), else 1. A ``budget_ledger`` run id
-    implies ``reallocate_budget``; the ledger file lives in the cache
-    directory, and ``join``/``ledger_lease``/``ledger_heartbeat``/
-    ``leave_after`` are its elastic-membership settings.
+    only stop at chunk boundaries), else 1.
     """
 
     trials: int | None = None
@@ -49,67 +41,22 @@ class EngineOptions:
     shard: tuple[int, int] | None = None
     progress: Callable | None = None
     reallocate_budget: bool = False
-    budget_ledger: str | None = None
-    ledger_replay: bool = False
-    ledger_timeout: float | None = None
-    join: bool = False
-    ledger_lease: float | None = None
-    ledger_heartbeat: float | None = None
-    leave_after: int | None = None
     methods: tuple[str, ...] | None = None
     reference: str | None = None
     cache_path: Path | None = field(init=False, repr=False)
     cache: ComponentCache = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.ledger_replay and not self.budget_ledger:
-            raise ConfigurationError(
-                "--ledger-replay needs --budget-ledger RUN_ID (which "
-                "recorded fleet should be replayed?)"
-            )
-        for flag, value in (
-            ("--join", self.join or None),
-            ("--leave-after", self.leave_after),
-            ("--ledger-lease", self.ledger_lease),
-            ("--ledger-heartbeat", self.ledger_heartbeat),
-        ):
-            if value is not None and not self.budget_ledger:
-                raise ConfigurationError(
-                    f"{flag} needs --budget-ledger RUN_ID: elastic "
-                    "membership is a property of a ledger fleet"
-                )
-        if self.join and self.ledger_replay:
-            raise ConfigurationError(
-                "--join and --ledger-replay are mutually exclusive: one "
-                "joins a live fleet, the other reproduces a finished one"
-            )
         for name in [*(self.methods or ()), self.reference]:
             if name is not None:
                 method_registry.get(name)
-        cache_path = resolve_cache_dir(self.cache_dir)
-        if self.budget_ledger:
-            missing = [
-                flag
-                for flag, value in (
-                    ("--shard i/N", self.shard),
-                    ("--cache-dir", cache_path),
-                    ("--target-stderr", self.target_stderr),
-                )
-                if value is None
-            ]
-            if missing:
-                raise ConfigurationError(
-                    f"--budget-ledger needs {', '.join(missing)}: the "
-                    "ledger coordinates adaptive co-running shards "
-                    "through the shared cache directory"
-                )
-            object.__setattr__(self, "reallocate_budget", True)
         if not self.trials:
             trials = int(os.environ.get("REPRO_MC_TRIALS", "100000"))
             object.__setattr__(self, "trials", trials)
         if self.mc_chunks is None:
             chunks = 16 if self.target_stderr is not None else 1
             object.__setattr__(self, "mc_chunks", chunks)
+        cache_path = resolve_cache_dir(self.cache_dir)
         object.__setattr__(self, "cache_path", cache_path)
         object.__setattr__(self, "cache", ComponentCache.at(cache_path))
 
@@ -148,33 +95,6 @@ class EngineOptions:
         if sharded:
             kwargs["shard"] = self.shard
         return kwargs
-
-    def ledger(self, suffix: str = "") -> BudgetLedger | None:
-        """This shard's handle on the fleet ledger, or None.
-
-        ``suffix`` names one pass of a multi-pass sweep: each pass is
-        its own sweep, so it gets its own ledger file.
-        """
-        if not self.budget_ledger:
-            return None
-        timeout = (
-            {} if self.ledger_timeout is None
-            else {"timeout": self.ledger_timeout}
-        )
-        return BudgetLedger(
-            ledger_path(
-                self.cache_path,
-                f"{self.budget_ledger}.{suffix}" if suffix
-                else self.budget_ledger,
-            ),
-            shard=self.shard,
-            replay=self.ledger_replay,
-            takeover=self.join,
-            lease=self.ledger_lease,
-            heartbeat_interval=self.ledger_heartbeat,
-            leave_after=self.leave_after,
-            **timeout,
-        )
 
     @property
     def shard_suffix(self) -> str:

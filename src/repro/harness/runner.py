@@ -51,23 +51,6 @@ control rides on it: ``--reallocate-budget`` re-grants the trial budget
 freed by early-stopping points to the least-converged stragglers (pair
 it with ``--target-stderr``; deterministic across workers and
 executors, and a sharded run redistributes within its own shard only).
-
-The cross-shard budget ledger removes that last restriction:
-``--budget-ledger RUN_ID`` makes K co-running shards (same RUN_ID,
-same shared ``--cache-dir``) coordinate their freed trial budget
-through one append-only ledger file — budget freed on any machine
-reaches the fleet's least-converged point, the merged result is
-deterministic given the ledger, and ``--ledger-replay`` re-derives any
-shard's run from a completed ledger bit-identically (see
-docs/SCHEDULER.md and the sharded-fleet recipe in EXPERIMENTS.md)::
-
-    repro-experiments fig5 --shard 0/2 --cache-dir /shared/cache \\
-        --target-stderr 0.02 --reallocate-budget \\
-        --budget-ledger run1 --json shard0.json &   # machine A
-    repro-experiments fig5 --shard 1/2 --cache-dir /shared/cache \\
-        --target-stderr 0.02 --reallocate-budget \\
-        --budget-ledger run1 --json shard1.json     # machine B
-    repro-experiments merge shard0.json shard1.json --json full.json
 """
 
 from __future__ import annotations
@@ -129,19 +112,8 @@ class ProgressReporter:
                 f"budget +{event.granted_trials} trials "
                 f"({event.granted_chunks} chunks)"
             )
-        elif event.kind == "budget-claimed":
-            parts.append(
-                f"budget +{event.granted_trials} trials "
-                f"({event.granted_chunks} chunks) [cross-shard]"
-            )
         elif event.kind == "prewarm":
             parts.append(f"prewarmed {event.warmed_entries} cache entries")
-        elif event.kind == "shard-departed":
-            parts.append(
-                f"shard {event.shard} departed before round {event.round}"
-            )
-        elif event.kind == "shard-adopted":
-            parts.append(f"adopting departed shard {event.shard}")
         else:
             parts.append("done")
             parts.append(f"trials={event.trials}")
@@ -293,79 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers/--executor)",
     )
     parser.add_argument(
-        "--budget-ledger",
-        metavar="RUN_ID",
-        default=None,
-        help="coordinate trial budget across co-running shards through "
-        "an append-only ledger file in the shared --cache-dir: every "
-        "shard of one fleet passes the same RUN_ID (plus --shard i/N, "
-        "--target-stderr and --reallocate-budget) and budget freed by "
-        "any shard's early-stopping points reaches the fleet's "
-        "least-converged point. Honoured by the adaptive Monte-Carlo "
-        "sweeps (fig5, fig6a, fig6b, sec5.4), one artifact per run "
-        "id; merged results are deterministic given the ledger and "
-        "tagged +xshard so merge only combines ledger-coordinated "
-        "shards with each other.",
-    )
-    parser.add_argument(
-        "--ledger-replay",
-        action="store_true",
-        help="replay a completed --budget-ledger run instead of "
-        "coordinating live: recorded rounds drive the identical grant "
-        "schedule with no waiting, reproducing each shard's live "
-        "results bit-for-bit (fails loudly on any divergence)",
-    )
-    parser.add_argument(
-        "--ledger-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="rendezvous patience for --budget-ledger fleets (default "
-        "600): a shard's first fleet barrier waits out its slowest "
-        "sibling's entire initial sweep, so paper-scale fleets need "
-        "more",
-    )
-    parser.add_argument(
-        "--join",
-        action="store_true",
-        help="join an already-running --budget-ledger fleet by taking "
-        "over this --shard slot mid-run (after its member crashed or "
-        "left): already-sealed rounds verify like a replay, then this "
-        "member goes live at the first unsealed round. Joining a "
-        "finished run is refused loudly.",
-    )
-    parser.add_argument(
-        "--leave-after",
-        type=int,
-        default=None,
-        metavar="N",
-        help="voluntarily depart the --budget-ledger fleet before "
-        "publishing round N (0 = before the first fleet barrier), "
-        "recording a shard-depart so survivors adopt this slot's open "
-        "points — the chaos-testing knob behind the elastic-fleet "
-        "suite; exits with status 0 and no artifact",
-    )
-    parser.add_argument(
-        "--ledger-lease",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="declare a blocked --budget-ledger sibling departed after "
-        "this many seconds without any new ledger record from it, and "
-        "adopt its slot (heartbeat records keep healthy-but-slow "
-        "members alive); without a lease a lost member times out the "
-        "whole fleet",
-    )
-    parser.add_argument(
-        "--ledger-heartbeat",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="liveness heartbeat period for --budget-ledger members "
-        "(default: lease/4 when --ledger-lease is set); beats are "
-        "monotone counters, never clock values",
-    )
-    parser.add_argument(
         "--progress",
         action="store_true",
         help="stream per-point progress lines to stderr as trial "
@@ -413,17 +312,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     from ..errors import ConfigurationError
-    from ..methods import ShardDeparted
     from ..methods.executors import executor_from_cli, parse_workers
     from .experiment import EngineOptions
 
     selected = sorted(experiments) if args.all else args.artifacts
     try:
-        if args.budget_ledger and len(selected) > 1:
-            raise ConfigurationError(
-                f"--budget-ledger coordinates one sweep, so it takes one "
-                f"artifact (got {len(selected)}: {' '.join(selected)})"
-            )
         executor, workers = executor_from_cli(
             args.executor, parse_workers(args.workers)
         )
@@ -437,13 +330,6 @@ def main(argv: list[str] | None = None) -> int:
             shard=args.shard,
             progress=ProgressReporter() if args.progress else None,
             reallocate_budget=args.reallocate_budget,
-            budget_ledger=args.budget_ledger,
-            ledger_replay=args.ledger_replay,
-            ledger_timeout=args.ledger_timeout,
-            join=args.join,
-            ledger_lease=args.ledger_lease,
-            ledger_heartbeat=args.ledger_heartbeat,
-            leave_after=args.leave_after,
             methods=tuple(args.methods) if args.methods else None,
             reference=args.reference,
         )
@@ -462,11 +348,6 @@ def main(argv: list[str] | None = None) -> int:
             "no-op (no stopping rule ever frees budget)",
             file=sys.stderr,
         )
-    if args.budget_ledger and not args.reallocate_budget:
-        print(
-            "note: --budget-ledger implies --reallocate-budget",
-            file=sys.stderr,
-        )
 
     sections = []
     merged_set = None
@@ -475,18 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         # repro: allow[D101] console elapsed-time display only; the
         # experiment's numbers come from experiment.run alone
         started = time.perf_counter()
-        try:
-            result = experiment.run(engine)
-        except ShardDeparted as departed:
-            # A voluntary --leave-after departure is a clean exit: the
-            # depart record is on the ledger and a survivor (or a
-            # --join replacement) owns this slot's remaining rounds.
-            print(
-                f"[{artifact}] {departed} — departed cleanly, no "
-                "artifact written",
-                file=sys.stderr,
-            )
-            return 0
+        result = experiment.run(engine)
         # repro: allow[D101] second half of the same display timer
         elapsed = time.perf_counter() - started
         print(result.render())

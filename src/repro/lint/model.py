@@ -45,7 +45,7 @@ FINDING_SCHEMA = "repro.lint-finding/v1"
 ENGINE_PREFIXES = ("repro/core/", "repro/methods/", "repro/service/")
 
 #: Wire modules: every byte they emit must be a sealed single-write
-#: frame (docs/SCHEDULER.md Layer 4; methods/cache.py append_record).
+#: frame (docs/SCHEDULER.md Layer 3; the executor frame codec).
 WIRE_FILES = frozenset(
     {
         "repro/methods/worker.py",

@@ -2,13 +2,12 @@
 
 The repo's registries are its public vocabulary: estimation methods
 (``@register_method``), executor backends (``register_executor``),
-progress-event kinds (``methods/progress.py``), cross-shard ledger
-record kinds (``methods/ledger.py``), and the wire-schema tags every
-protocol speaks. DESIGN.md and ``docs/`` promise that each vocabulary
-is documented in full; these rules make the promise a static check by
-cross-referencing the AST of the scanned sources against the doc
-texts — generalizing the ad-hoc guards that used to live in
-``tests/test_docs_consistency.py`` (which is now a thin
+progress-event kinds (``methods/progress.py``), and the wire-schema
+tags every protocol speaks. DESIGN.md and ``docs/`` promise that each
+vocabulary is documented in full; these rules make the promise a
+static check by cross-referencing the AST of the scanned sources
+against the doc texts — generalizing the ad-hoc guards that used to
+live in ``tests/test_docs_consistency.py`` (which is now a thin
 ``repro-lint --rules R1`` invocation).
 
 * ``R100`` — the referenced documentation files exist at all;
@@ -18,7 +17,6 @@ texts — generalizing the ad-hoc guards that used to live in
   DESIGN.md;
 * ``R103`` — every progress-event kind is in DESIGN.md's vocabulary
   table (backticked) and in the progress module's docstrings;
-* ``R104`` — every ledger record kind is in DESIGN.md (backticked);
 * ``R105`` — every progress-event constant is actually used by the
   batch engine (a stale constant documents a kind nothing emits);
 * ``R106`` — every wire-schema tag (``*_SCHEMA = "repro.<x>/v<n>"``)
@@ -173,10 +171,6 @@ def progress_kinds(project: "Project") -> list[tuple[str, str, str, int]]:
     return _module_constants(project, "methods/progress.py")
 
 
-def ledger_kinds(project: "Project") -> list[tuple[str, str, str, int]]:
-    return _module_constants(project, "methods/ledger.py")
-
-
 def _docstrings(src) -> str:
     """Module docstring + every class docstring of one source file."""
     texts = [ast.get_docstring(src.tree) or ""]
@@ -281,30 +275,6 @@ class ProgressKindsDocumentedRule(Rule):
                     rel, line,
                     f"progress-event kind {const} = {value!r} missing "
                     "from the progress module/class docstrings",
-                )
-
-
-@register_rule
-class LedgerKindsDocumentedRule(Rule):
-    rule_id = "R104"
-    title = "ledger record kinds documented"
-    scope = "project"
-    rationale = (
-        "ledger records are replayed bit-for-bit across shard fleets; "
-        "an undocumented record kind cannot be audited against "
-        "DESIGN.md's cross-shard protocol"
-    )
-
-    def check_project(self, project: "Project") -> Iterable[Finding]:
-        design = project.doc_text("DESIGN.md")
-        if design is None:
-            return
-        for const, value, rel, line in ledger_kinds(project):
-            if f"`{value}`" not in design:
-                yield self.finding(
-                    rel, line,
-                    f"ledger record kind {const} = {value!r} missing "
-                    "from DESIGN.md",
                 )
 
 

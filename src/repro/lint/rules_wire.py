@@ -1,14 +1,13 @@
 """W1 — wire-discipline rules.
 
-Every byte the engine stack puts on a wire or a shared log leaves
-through a *sealed single-write frame*: the payload is assembled and
-length/shape-checked by one helper, then written with exactly one
-``sendall``/``os.write`` call, so a peer (or a crash) can never
-observe half a frame (docs/SCHEDULER.md Layer 4; the ledger/cache
-torn-entry discipline in ``methods/cache.py``). These rules bind the
-wire modules — ``methods/worker.py``, ``methods/executors.py``,
-``methods/cache.py``, and everything under ``service/`` — to that
-discipline statically:
+Every byte the engine stack puts on a wire leaves through a *sealed
+single-write frame*: the payload is assembled and length/shape-checked
+by one helper, then written with exactly one ``sendall`` call, so a
+peer (or a crash) can never observe half a frame (docs/SCHEDULER.md
+Layer 3; the same torn-entry discipline ``methods/cache.py`` applies
+to cache entries). These rules bind the wire modules —
+``methods/worker.py``, ``methods/executors.py``, ``methods/cache.py``,
+and everything under ``service/`` — to that discipline statically:
 
 * ``W101`` — a raw write whose payload is not (transitively) the
   return value of a sealed frame helper;
@@ -35,13 +34,11 @@ from .model import Finding, SourceFile
 from .registry import Rule, register_rule
 
 #: The trusted frame builders: every one returns a single complete
-#: frame (length-prefixed executor frame, newline-sealed ledger
-#: record, HTTP response, SSE event). Their *bodies* hold the only
-#: legal raw writes.
+#: frame (length-prefixed executor frame, HTTP response, SSE event).
+#: Their *bodies* hold the only legal raw writes.
 SEALED_HELPERS = frozenset(
     {
         "encode_frame",      # methods/executors.py  repro.executor/v1
-        "append_record",     # methods/cache.py      ledger records
         "response_bytes",    # service/http.py       HTTP responses
         "sse_preamble",      # service/http.py       SSE stream head
         "sse_event",         # service/http.py       SSE events
@@ -186,8 +183,7 @@ class SealedWriteRule(Rule):
     rationale = (
         "a frame must leave in one write of helper-sealed bytes so a "
         "receiver can always tell a whole record from a torn one "
-        "(docs/SCHEDULER.md Layer 4; ledger/cache torn-entry "
-        "discipline)"
+        "(docs/SCHEDULER.md Layer 3; cache torn-entry discipline)"
     )
 
     def check_file(self, src: SourceFile) -> Iterable[Finding]:

@@ -44,25 +44,20 @@ from .executors import (
     unregister_executor,
 )
 from .facade import Analysis, analyze
-from .ledger import BudgetLedger, LedgerState, ShardDeparted, ledger_path
 from .progress import ProgressEvent
 from .results import ResultSet, merge_result_sets
 
 __all__ = [
     "Analysis",
-    "BudgetLedger",
     "ChunkExecutor",
     "ComponentCache",
     "DiskCache",
     "Estimator",
-    "LedgerState",
-    "ledger_path",
     "FunctionEstimator",
     "MethodConfig",
     "ProgressEvent",
     "RemoteExecutor",
     "ResultSet",
-    "ShardDeparted",
     "all_methods",
     "analyze",
     "available",

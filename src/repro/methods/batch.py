@@ -47,7 +47,6 @@ pool of the selected backend; ``workers=1`` is a one-worker pool. It
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from typing import Iterable, Sequence
 
@@ -73,9 +72,7 @@ from .executors import (
     get_executor,
     resolve_workers,
 )
-from .ledger import BudgetLedger, ShardDeparted
 from .progress import (
-    BUDGET_CLAIMED,
     BUDGET_REALLOCATED,
     CACHE_PREWARMED,
     CHUNK_MERGED,
@@ -83,8 +80,6 @@ from .progress import (
     METHOD_STARTED,
     POINT_DONE,
     POINT_START,
-    SHARD_ADOPTED,
-    SHARD_DEPARTED,
     ProgressCallback,
     ProgressEvent,
     relative_stderr,
@@ -215,20 +210,8 @@ class _Scheduler:
     executor, or completion order. Extension chunk seeds are spawned by
     chunk index (:func:`~repro.core.montecarlo.extension_chunk_config`),
     so grants preserve every previously drawn sample. Within one
-    invocation the budget is conserved.
-
-    A plain sharded run redistributes within its own shard only. With
-    a :class:`~repro.methods.ledger.BudgetLedger` attached
-    (``budget_ledger=...``), the quiescent barriers become *fleet*
-    barriers instead: the shard publishes its freed budget and open
-    points to the shared ledger file, waits for its co-running
-    siblings' rounds, and every shard computes the identical global
-    allocation (worst deficit first across the whole fleet, ties by
-    global point index) with the same
-    :func:`~repro.core.montecarlo.allocate_grants` policy the local
-    path uses — N shards behave as one work-conserving fleet, and the
-    grant schedule is deterministic given the ledger contents (see
-    :mod:`repro.methods.ledger` and docs/SCHEDULER.md).
+    invocation the budget is conserved, and a sharded run
+    redistributes within its own shard only.
     """
 
     def __init__(
@@ -245,8 +228,6 @@ class _Scheduler:
         reallocate_budget: bool,
         skip_unsupported: bool,
         shard: tuple[int, int] | None,
-        budget_ledger: BudgetLedger | None = None,
-        full_items: Sequence[tuple[str, SystemModel]] | None = None,
     ) -> None:
         self.method_names = method_names
         self.reference_name = reference_name
@@ -277,24 +258,8 @@ class _Scheduler:
         )
         self.mc_label = f"monte_carlo[{mc.method}]"
         self.grant_unit = grant_chunk_trials(mc)
-        #: Freed trial budget awaiting re-allocation (or, with a
-        #: cross-shard ledger, awaiting publication to the fleet pool).
+        #: Freed trial budget awaiting re-allocation.
         self.ledger = 0
-        #: Cross-shard coordination (None: shard-local re-allocation).
-        self.xledger = budget_ledger
-        self.xshard_round = 0
-        self.xshard_active = budget_ledger is not None
-        #: Points finalized since the last ledger publication:
-        #: ``(global index, trials)`` audit records.
-        self._xshard_converged: list[tuple[int, int]] = []
-        #: Elastic membership: the *unsharded* space, needed to re-run
-        #: a departed sibling's slot; adopted slots' ResultSets; the
-        #: adoption worker threads and their first error.
-        self.full_items = full_items
-        self.adopted: dict[int, "ResultSet"] = {}
-        self._adoption_threads: list[threading.Thread] = []
-        self._adoption_errors: list[BaseException] = []
-        self._adoption_lock = threading.Lock()
         self.pool = None
         self.waiting: set[Future] = set()
         #: Per in-flight future: its completion handler and arguments.
@@ -361,7 +326,8 @@ class _Scheduler:
         warmed = cache.prewarm_estimates(keys)
         self._emit(
             ProgressEvent(
-                self._fleet_label(), CACHE_PREWARMED, warmed_entries=warmed
+                f"shard {self.shard[0]}/{self.shard[1]}", CACHE_PREWARMED,
+                warmed_entries=warmed,
             )
         )
 
@@ -617,13 +583,6 @@ class _Scheduler:
         if accumulator.stopped_early:
             for leftover in self.chunk_futures.get(state.index, ()):
                 leftover.cancel()
-        if self.xledger is not None:
-            self._xshard_converged.append(
-                (
-                    self._global_index(state.index),
-                    accumulator.moments.count,
-                )
-            )
         if state.ref_key is not None:
             self.cache.store_estimate(state.ref_key, state.reference)
         self._emit(
@@ -671,15 +630,8 @@ class _Scheduler:
         ranked.sort(key=lambda pair: (-pair[0], pair[1].index))
         return ranked
 
-    def _apply_grant(
-        self, state: _PointState, sizes: Sequence[int], kind: str
-    ) -> None:
-        """Extend one point's plan with granted chunks and submit them.
-
-        ``kind`` distinguishes the funding pool in the progress stream:
-        ``budget-reallocated`` for shard-local grants,
-        ``budget-claimed`` for cross-shard ledger grants.
-        """
+    def _apply_grant(self, state: _PointState, sizes: Sequence[int]) -> None:
+        """Extend one point's plan with granted chunks and submit them."""
         state.plan.extend(
             extension_chunk_configs(
                 self.config.mc, len(state.plan), sizes
@@ -688,7 +640,7 @@ class _Scheduler:
         state.accumulator.extend_plan(len(sizes))
         self._emit(
             ProgressEvent(
-                state.label, kind,
+                state.label, BUDGET_REALLOCATED,
                 merged_chunks=state.accumulator.merged_chunks,
                 total_chunks=state.accumulator.total_chunks,
                 trials=state.accumulator.moments.count,
@@ -722,195 +674,8 @@ class _Scheduler:
         for _deficit, state in ranked:
             sizes = grants.get(state.index)
             if sizes:
-                self._apply_grant(state, sizes, BUDGET_REALLOCATED)
+                self._apply_grant(state, sizes)
         return True
-
-    # -- cross-shard budget ledger -----------------------------------------
-
-    def _global_index(self, local: int) -> int:
-        """Map a local point index to its full-space (fleet) index.
-
-        Round-robin sharding puts global point ``k`` at position
-        ``k // n`` of shard ``k % n``, so local position ``p`` of shard
-        ``(i, n)`` is global ``p * n + i`` — the key space the ledger's
-        demand ranking and grant records use.
-        """
-        index, count = self.shard
-        return local * count + index
-
-    def _drain_converged(self) -> list[tuple[int, int]]:
-        pending = self._xshard_converged
-        self._xshard_converged = []
-        return pending
-
-    def _budget_round(self) -> bool:
-        """One quiescent-barrier budget decision (local or fleet-wide)."""
-        if self.xledger is not None:
-            if not self.xshard_active:
-                return False
-            return self._xshard_rounds()
-        return self._grant_round()
-
-    def _xshard_rounds(self) -> bool:
-        """Run ledger rounds until this shard gains work or leaves.
-
-        Each iteration publishes one sealed round block (freed budget
-        and open points), rendezvouses with the co-running shards, and
-        computes the fleet-wide allocation every shard derives
-        identically from the ledger. Returns True when this shard
-        received grants (extension chunks were submitted); False when
-        the protocol ended for this shard — in which case the
-        remaining open points are finalized as budget-exhausted and
-        the departure is recorded.
-        """
-        ledger = self.xledger
-        while True:
-            if (
-                ledger.leave_after is not None
-                and self.xshard_round >= ledger.leave_after
-            ):
-                self._leave_fleet(ledger)
-            ranked = self._open_candidates()
-            opens = [
-                (
-                    self._global_index(state.index),
-                    deficit,
-                    state.accumulator.moments.count,
-                )
-                for deficit, state in ranked
-            ]
-            number = self.xshard_round
-            ledger.publish_round(
-                number, self.ledger, opens, self._drain_converged()
-            )
-            self.ledger = 0
-            grants = ledger.rendezvous(number, self.grant_unit)
-            self.xshard_round += 1
-            count = self.shard[1]
-            mine = {
-                index: sizes
-                for index, sizes in grants.items()
-                if index % count == self.shard[0]
-            }
-            if mine:
-                ledger.record_claims(number, mine)
-                for _deficit, state in ranked:
-                    sizes = mine.get(self._global_index(state.index))
-                    if sizes:
-                        self._apply_grant(state, sizes, BUDGET_CLAIMED)
-                return True
-            if not grants or not ranked:
-                # Protocol over (no grants anywhere), or every grant
-                # went elsewhere and this shard has nothing open:
-                # leave the fleet. Finalize the still-open stragglers
-                # first so their final trial counts land in the audit
-                # trail.
-                self.xshard_active = False
-                self._finalize_stragglers()
-                ledger.close(number, self._drain_converged())
-                return False
-            # Open points but no grants this round: the pool went to
-            # worse-converged points elsewhere; wait for the next
-            # round (new budget can still be freed by their grants
-            # stopping early).
-
-    # -- elastic membership ------------------------------------------------
-
-    def _fleet_label(self) -> str:
-        return f"shard {self.shard[0]}/{self.shard[1]}"
-
-    def _leave_fleet(self, ledger: BudgetLedger) -> None:
-        """Voluntary mid-run departure (``leave_after`` rounds).
-
-        Writes the ``shard-depart`` record *before* going silent so
-        survivors adopt immediately instead of waiting out a lease,
-        then aborts this member's run with :class:`ShardDeparted`.
-        """
-        number = self.xshard_round
-        ledger.depart(number, reason="leave")
-        ledger.stop_heartbeat()
-        self._emit(
-            ProgressEvent(
-                self._fleet_label(),
-                SHARD_DEPARTED,
-                shard=self.shard[0],
-                round=number,
-            )
-        )
-        raise ShardDeparted(
-            f"shard {self.shard[0]}/{self.shard[1]} left the fleet "
-            f"before round {number} (leave_after={ledger.leave_after}); "
-            "its open points pass to the recorded adopter",
-            slot=self.shard[0],
-            round_number=number,
-        )
-
-    def _on_shard_depart(self, slot: int, number: int) -> None:
-        self._emit(
-            ProgressEvent(
-                self._fleet_label(),
-                SHARD_DEPARTED,
-                shard=slot,
-                round=number,
-            )
-        )
-
-    def _adopt_slot(self, slot: int) -> None:
-        """Adopt a departed sibling's slot (ledger ``on_adopt`` hook).
-
-        Runs the vacant slot's *entire* deterministic schedule in a
-        worker thread via a nested :func:`evaluate_design_space` on a
-        takeover ledger handle: rounds the departed member already
-        sealed verify like a replay, the rest seal live, and the
-        slot's complete ResultSet lands in :attr:`adopted` — so this
-        member's output can stand in for the lost one at merge time.
-        The thread coordinates with this scheduler purely through the
-        ledger file, exactly as a separate ``--join`` process would.
-        """
-        if self.full_items is None:  # pragma: no cover - defensive
-            raise ConfigurationError(
-                "cannot adopt a departed shard without the full design "
-                "space (internal wiring error)"
-            )
-        self._emit(
-            ProgressEvent(self._fleet_label(), SHARD_ADOPTED, shard=slot)
-        )
-        handle = self.xledger.takeover_handle(slot)
-
-        def adopt() -> None:
-            try:
-                result = evaluate_design_space(
-                    self.full_items,
-                    self.method_names,
-                    reference=self.reference_name,
-                    mc_config=self.config.mc,
-                    workers=self.workers,
-                    executor=self.backend,
-                    cache=self.cache if self.cache is not None else False,
-                    skip_unsupported=self.skip_unsupported,
-                    shard=(slot, self.shard[1]),
-                    progress=self.progress,
-                    reallocate_budget=True,
-                    budget_ledger=handle,
-                )
-            except BaseException as error:  # noqa: BLE001 - re-raised
-                with self._adoption_lock:
-                    self._adoption_errors.append(error)
-            else:
-                with self._adoption_lock:
-                    self.adopted[slot] = result
-
-        thread = threading.Thread(
-            target=adopt, name=f"adopt-slot-{slot}", daemon=True
-        )
-        self._adoption_threads.append(thread)
-        thread.start()
-
-    def _finish_adoptions(self) -> None:
-        for thread in self._adoption_threads:
-            thread.join()
-        if self._adoption_errors:
-            raise self._adoption_errors[0]
 
     def _finalize_stragglers(self) -> bool:
         """Finalize open points no grant will ever reach."""
@@ -927,28 +692,12 @@ class _Scheduler:
 
     # -- main loop ---------------------------------------------------------
 
-    def run(self) -> tuple[MethodComparison, ...]:
-        self._prewarm()
-        if self.xledger is not None:
-            self.xledger.on_depart = self._on_shard_depart
-            self.xledger.on_adopt = self._adopt_slot
-            self.xledger.open_run(
-                mc_token(self.config.mc),
-                self.method_names,
-                self.reference_name,
-            )
-        try:
-            return self._run_schedule()
-        finally:
-            if self.xledger is not None:
-                self.xledger.stop_heartbeat()
-
     def _drain(self) -> None:
         """Fold completions and submit follow-up work until none is left."""
         while True:
             if not self.waiting:
                 if self.chunked:
-                    if self.reallocate and self._budget_round():
+                    if self.reallocate and self._grant_round():
                         continue
                     if self._finalize_stragglers():
                         # Finalizing may pipeline method tasks.
@@ -961,14 +710,15 @@ class _Scheduler:
                 handler, *args = self.future_meta.pop(future)
                 handler(future, *args)
             if self.live_chunks == 0 and self.reallocate and self.chunked:
-                if not self._budget_round():
+                if not self._grant_round():
                     # No grants possible now and the only budget source
                     # (chunked finalizations) is quiet: release any
                     # still-open points to the method stage instead of
                     # leaving them idle.
                     self._finalize_stragglers()
 
-    def _run_schedule(self) -> tuple[MethodComparison, ...]:
+    def run(self) -> tuple[MethodComparison, ...]:
+        self._prewarm()
         with self.backend.pool(self.workers) as pool:
             self.pool = pool
             try:
@@ -981,9 +731,6 @@ class _Scheduler:
                 for future in self.waiting:
                     future.cancel()
                 raise
-        # Adoptions this member picked up must land before the result
-        # is assembled — their ResultSets ride along in `adopted`.
-        self._finish_adoptions()
         comparisons = []
         for state in self.points:
             if state.reference is None or state.pending_methods:
@@ -1017,7 +764,6 @@ def evaluate_design_space(
     shard: tuple[int, int] | None = None,
     progress: ProgressCallback | None = None,
     reallocate_budget: bool = False,
-    budget_ledger: BudgetLedger | None = None,
 ) -> ResultSet:
     """Run ``methods`` against ``reference`` on every system in ``space``.
 
@@ -1084,23 +830,9 @@ def evaluate_design_space(
         numbers stay bit-identical across worker counts and executors —
         but they *differ* from a non-reallocating run (stragglers get
         more trials), and a sharded run redistributes within its own
-        shard only unless a ``budget_ledger`` is attached. A no-op
-        without a stopping rule.
-    budget_ledger:
-        A :class:`~repro.methods.ledger.BudgetLedger` handle on the
-        fleet's shared ledger file (typically
-        ``ledger_path(cache_dir, run_id)``), turning shard-local
-        re-allocation into *cross-shard* coordination: freed budget is
-        published to — and claimed from — a global pool shared by the
-        co-running shards of one sweep, at deterministic fleet
-        barriers. Requires ``shard=`` (matching the ledger's own
-        coordinates), ``reallocate_budget=True``, and an adaptive
-        ``monte_carlo`` reference. The result's ``mc_token`` is tagged
-        ``+xshard`` so :func:`~repro.methods.results.merge_result_sets`
-        only combines ledger-coordinated shards with each other.
+        shard only. A no-op without a stopping rule.
     """
     items = _normalize_space(space)
-    full_items = items
     if shard is not None:
         shard = validate_shard(shard)
         items = shard_select(items, shard)
@@ -1125,32 +857,7 @@ def evaluate_design_space(
         cache=cache,
     )
     reference_estimator = registry.get(reference_name)
-    if budget_ledger is not None:
-        if shard is None:
-            raise ConfigurationError(
-                "budget_ledger coordinates co-running shards; pass the "
-                "matching shard=(i, n)"
-            )
-        if budget_ledger.shard != shard:
-            raise ConfigurationError(
-                f"budget_ledger belongs to shard "
-                f"{budget_ledger.index}/{budget_ledger.count} but this "
-                f"run is shard {shard[0]}/{shard[1]}"
-            )
-        if not reallocate_budget:
-            raise ConfigurationError(
-                "budget_ledger requires reallocate_budget=True (the "
-                "ledger is the cross-shard extension of budget "
-                "re-allocation)"
-            )
-        if reference_name != "monte_carlo" or not config.mc.adaptive:
-            raise ConfigurationError(
-                "budget_ledger needs an adaptive monte_carlo reference "
-                "(a MonteCarloConfig with a StoppingRule); without a "
-                "stopping rule no budget is ever freed or claimed"
-            )
-
-    scheduler = _Scheduler(
+    comparisons = _Scheduler(
         items=items,
         method_names=method_names,
         reference_name=reference_name,
@@ -1163,10 +870,7 @@ def evaluate_design_space(
         reallocate_budget=reallocate_budget,
         skip_unsupported=skip_unsupported,
         shard=shard,
-        budget_ledger=budget_ledger,
-        full_items=full_items if budget_ledger is not None else None,
-    )
-    comparisons = scheduler.run()
+    ).run()
     token = mc_token(config.mc)
     if (
         reallocate_budget
@@ -1177,17 +881,11 @@ def evaluate_design_space(
         # ledger, so these numbers are not interchangeable with a
         # non-reallocating run of the same MC configuration — tag the
         # token so merge_result_sets refuses to interleave the two.
-        # Cross-shard-coordinated references additionally depend on the
-        # *fleet's* ledger, so they get their own tag: merge combines
-        # +xshard shards only with other +xshard shards.
-        token += "+xshard" if budget_ledger is not None else "+realloc"
+        token += "+realloc"
     return ResultSet(
         comparisons=comparisons,
         methods=tuple(method_names),
         reference_method=reference_name,
         shard=shard,
         mc_token=token,
-        adopted=tuple(
-            scheduler.adopted[slot] for slot in sorted(scheduler.adopted)
-        ),
     )

@@ -83,66 +83,6 @@ def mc_token(mc: MonteCarloConfig | None) -> str:
     return token
 
 
-def append_record(path: str | Path, record: dict) -> None:
-    """Append one JSON record to a shared newline-delimited log file.
-
-    This is the write half of the ledger discipline
-    (:mod:`repro.methods.ledger`): the record is serialized compactly
-    and written with a *leading* newline in a single ``O_APPEND``
-    ``write`` call. On a local filesystem concurrent appenders
-    therefore never interleave bytes, and — the same torn-entry
-    discipline :class:`DiskCache` applies — a writer killed
-    mid-``write`` leaves at worst one torn line that the next append's
-    leading newline re-synchronizes past: every record written before
-    or after the tear stays readable by :func:`scan_records`.
-    """
-    line = "\n" + json.dumps(
-        record, sort_keys=True, separators=(",", ":")
-    ) + "\n"
-    fd = os.open(
-        os.fspath(path),
-        os.O_APPEND | os.O_CREAT | os.O_WRONLY,
-        0o644,
-    )
-    try:
-        os.write(fd, line.encode("utf-8"))
-    finally:
-        os.close(fd)
-
-
-def scan_records(path: str | Path) -> list[dict]:
-    """Every parseable record of an append-only log, in file order.
-
-    The read half of the ledger discipline: blank lines (the record
-    separators) are passed over, and any line that is not a complete
-    JSON object — the torn tail of a writer that died mid-append, or
-    a record a concurrent writer has not finished flushing — is
-    *silently skipped*, exactly as :meth:`DiskCache.get` treats a torn
-    cache entry as a miss. A missing file reads as an empty log
-    (shards poll for a ledger their siblings may not have created
-    yet); any *other* I/O failure propagates — masking an EACCES or a
-    flaky mount as "empty" would surface as a baffling rendezvous
-    timeout instead of the real error.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except FileNotFoundError:
-        return []
-    records = []
-    for line in text.split("\n"):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(record, dict):
-            records.append(record)
-    return records
-
-
 class DiskCache:
     """JSON-per-entry persistent cache under one directory.
 

@@ -19,7 +19,7 @@ of worker count, placement, or completion order.
   to a fleet of ``repro-worker`` daemons (``repro.methods.worker``).
 
 The remote wire protocol reuses the sealed-record discipline of
-``methods/ledger.py``/``methods/cache.py``, adapted to a stream: every
+``methods/cache.py``, adapted to a stream: every
 frame is one length-checked, newline-terminated JSON record written
 with a single ``sendall`` (:func:`encode_frame`), and a receiver that
 sees a length mismatch, unparsable body, or missing terminator treats
@@ -76,7 +76,7 @@ CONNECT_TIMEOUT = 10.0
 
 
 # ---------------------------------------------------------------------------
-# Frame codec: the ledger/cache sealed-record discipline, on a stream.
+# Frame codec: the cache's sealed-record discipline, on a stream.
 # ---------------------------------------------------------------------------
 
 

@@ -36,34 +36,19 @@ the same table):
     parent, emit only ``"method-done"``.
 ``"budget-reallocated"``
     Freed trial budget was re-granted to this point at a quiescent
-    barrier by *shard-local* re-allocation (``reallocate_budget=True``
-    without a ledger). Carries ``granted_trials``/``granted_chunks``
-    plus the point's running chunk position and precision.
-``"budget-claimed"``
-    Same grant, but funded through the *cross-shard budget ledger*
-    (``budget_ledger=...``): the trials may have been freed by a
-    co-running shard. Field shape is identical to
-    ``"budget-reallocated"``; only the funding pool differs.
+    barrier by *shard-local* re-allocation (``reallocate_budget=True``).
+    Carries ``granted_trials``/``granted_chunks`` plus the point's
+    running chunk position and precision.
 ``"prewarm"``
     The one-shot disk-cache prewarm a sharded sweep performs before
     scheduling any work. Run-level label; carries ``warmed_entries``.
-``"shard-departed"``
-    A ledger-fleet member left mid-run — voluntarily (``--leave-after``)
-    or declared dead by lease expiry — and its slot's open points await
-    adoption. Run-level label; carries ``shard`` (the vacant slot) and
-    ``round`` (the first round the departed member will not seal).
-``"shard-adopted"``
-    This member adopted a vacant slot: it re-runs the departed
-    member's deterministic schedule (verifying sealed rounds, sealing
-    the rest) so the fleet's merged bits match the static-fleet run.
-    Run-level label; carries ``shard`` (the adopted slot).
 
 Ordering guarantees
 -------------------
 
 Per grid point the lifecycle order is ``point-start`` -> (``chunk`` |
-``budget-reallocated`` | ``budget-claimed``)* -> ``point-done`` ->
-(``method-start`` -> ``method-done``)*; ``merged_chunks`` and
+``budget-reallocated``)* -> ``point-done`` -> (``method-start`` ->
+``method-done``)*; ``merged_chunks`` and
 ``trials`` are non-decreasing along it, and no two events for one
 point are ever emitted concurrently. *Across* points the interleaving
 follows the schedule (and so may vary with workers and executors) —
@@ -74,9 +59,7 @@ by each point's event sequence are bit-identical across worker counts
 and executors even though the global interleaving is not.
 
 Events are plain frozen dataclasses; the callback runs inline on the
-scheduling thread — the caller's, or an adoption thread's in an elastic
-ledger fleet — so consumers should be cheap and thread-safe (printing
-is — the engine never emits two events for one point concurrently).
+caller's scheduling thread, so consumers should be cheap.
 """
 
 from __future__ import annotations
@@ -97,15 +80,6 @@ METHOD_DONE = "method-done"
 BUDGET_REALLOCATED = "budget-reallocated"
 CACHE_PREWARMED = "prewarm"
 
-#: Cross-shard ledger event: budget freed somewhere in the fleet was
-#: claimed for this point through the shared ledger file.
-BUDGET_CLAIMED = "budget-claimed"
-
-#: Elastic-membership events: a fleet member departed mid-run (crash,
-#: lease expiry, or --leave-after) and a survivor adopted its slot.
-SHARD_DEPARTED = "shard-departed"
-SHARD_ADOPTED = "shard-adopted"
-
 
 @dataclass(frozen=True)
 class ProgressEvent:
@@ -124,12 +98,8 @@ class ProgressEvent:
         ``"method-start"`` / ``"method-done"`` (one pipelined method
         estimate entered / left the pool),
         ``"budget-reallocated"`` (shard-local freed budget granted to
-        this point), ``"budget-claimed"`` (cross-shard ledger budget
-        granted to this point), ``"prewarm"`` (shard-aware
-        disk-cache prewarm completed before scheduling),
-        ``"shard-departed"`` (a fleet member left mid-run and its
-        slot awaits adoption), or ``"shard-adopted"`` (this member
-        adopted a vacant slot's schedule).
+        this point), or ``"prewarm"`` (shard-aware disk-cache prewarm
+        completed before scheduling).
     merged_chunks / total_chunks:
         Streaming position within the point's chunk plan. ``0/0`` for
         unchunked or non-stochastic references. ``merged_chunks`` is
@@ -151,15 +121,11 @@ class ProgressEvent:
     method:
         On ``method-start`` / ``method-done``: the method name.
     granted_trials / granted_chunks:
-        On ``budget-reallocated`` / ``budget-claimed``: how much freed
-        budget this point received, in trials and in extension chunks.
+        On ``budget-reallocated``: how much freed budget this point
+        received, in trials and in extension chunks.
     warmed_entries:
         On ``prewarm``: disk entries pulled into the in-memory cache
         before any work was scheduled.
-    shard / round:
-        On ``shard-departed`` / ``shard-adopted``: the fleet slot that
-        changed hands and (departed only) the first round its old
-        member will not seal.
     """
 
     label: str
@@ -174,15 +140,13 @@ class ProgressEvent:
     granted_trials: int = 0
     granted_chunks: int = 0
     warmed_entries: int = 0
-    shard: int | None = None
-    round: int | None = None
 
     def to_dict(self) -> dict:
         """Compact plain-dict wire form — the analysis service's SSE payload.
 
         ``label`` and ``kind`` are always present; every other field is
         included only when it differs from its default, so a ``chunk``
-        event serializes to a handful of keys instead of twelve. The
+        event serializes to a handful of keys instead of ten. The
         round trip is lossless (``from_dict(to_dict(e)) == e``), and
         the key set is exactly the dataclass field set — a consistency
         test pins the two together so the SSE schema cannot drift from
@@ -200,8 +164,6 @@ class ProgressEvent:
             ("granted_trials", 0),
             ("granted_chunks", 0),
             ("warmed_entries", 0),
-            ("shard", None),
-            ("round", None),
         ):
             value = getattr(self, name)
             if value != default:
@@ -222,7 +184,7 @@ class ProgressEvent:
         allowed = {
             "merged_chunks", "total_chunks", "trials", "rel_stderr",
             "stopped_early", "cached", "method", "granted_trials",
-            "granted_chunks", "warmed_entries", "shard", "round",
+            "granted_chunks", "warmed_entries",
         }
         unknown = set(payload) - allowed
         if unknown:

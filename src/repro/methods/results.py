@@ -58,12 +58,6 @@ class ResultSet:
     :func:`repro.methods.cache.mc_token`), so merging shards produced
     with different settings fails loudly instead of interleaving
     inconsistent estimates.
-
-    ``adopted`` carries the shard ResultSets this member produced *for
-    other fleet slots* after adopting them mid-run (elastic ledger
-    fleets): each has its own ``shard=(j, n)``.
-    :func:`merge_result_sets` flattens them, so one surviving member's
-    output can complete the partition that crashed members left short.
     """
 
     comparisons: tuple[MethodComparison, ...]
@@ -71,12 +65,10 @@ class ResultSet:
     reference_method: str = "monte_carlo"
     shard: tuple[int, int] | None = None
     mc_token: str | None = None
-    adopted: tuple["ResultSet", ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "comparisons", tuple(self.comparisons))
         object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "adopted", tuple(self.adopted))
         if self.shard is not None:
             object.__setattr__(self, "shard", validate_shard(self.shard))
 
@@ -175,8 +167,6 @@ class ResultSet:
             data["shard"] = list(self.shard)
         if self.mc_token is not None:
             data["mc_token"] = self.mc_token
-        if self.adopted:
-            data["adopted"] = [s.to_dict() for s in self.adopted]
         return data
 
     def to_json(self, path: str | Path | None = None, indent: int = 2) -> str:
@@ -201,9 +191,6 @@ class ResultSet:
             reference_method=data.get("reference_method", "monte_carlo"),
             shard=tuple(shard) if shard is not None else None,
             mc_token=data.get("mc_token"),
-            adopted=tuple(
-                cls.from_dict(s) for s in data.get("adopted", ())
-            ),
         )
 
     @classmethod
@@ -232,24 +219,16 @@ def merge_result_sets(sets: Sequence[ResultSet]) -> ResultSet:
     the round-robin invariant so a missing or truncated shard fails
     loudly rather than merging silently short.
 
-    Elastic fleets: sets produced by members that adopted departed
-    slots carry the adopted slots' ResultSets in ``adopted`` — those
-    are flattened in as shards of their own. Duplicate shard indices
-    are tolerated only when the copies are identical (the determinism
-    guarantee makes a zombie member and its adopter produce the same
-    bits; anything else is a real conflict and fails loudly).
+    Duplicate shard indices are tolerated only when the copies are
+    identical (the determinism guarantee makes two runs of one shard
+    produce the same bits, say a retried machine's; anything else is a
+    real conflict and fails loudly).
     """
     if not sets:
         raise ConfigurationError("no result sets to merge")
-    flattened: list[ResultSet] = []
-    stack = list(sets)
-    while stack:
-        result_set = stack.pop(0)
-        flattened.append(result_set)
-        stack.extend(result_set.adopted)
     by_index: dict[int, ResultSet] = {}
     count = None
-    for result_set in flattened:
+    for result_set in sets:
         if result_set.shard is None:
             raise ConfigurationError(
                 "merge_result_sets needs sharded inputs (shard=(i, n)); "
@@ -271,7 +250,7 @@ def merge_result_sets(sets: Sequence[ResultSet]) -> ResultSet:
                 == result_set.reference_method
                 and existing.mc_token == result_set.mc_token
             ):
-                continue  # identical duplicate (zombie + adopter)
+                continue  # identical duplicate (a rerun shard)
             raise ConfigurationError(
                 f"duplicate shard {index}/{n} with conflicting contents"
             )

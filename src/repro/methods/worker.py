@@ -10,7 +10,7 @@ hydrates each :class:`~repro.core.kernel.SamplingPlan` once (on the
 first ``PLAN_MISS`` resubmission) and serves every later batch for that
 fingerprint from its plan cache, across jobs and coordinators.
 
-Fault discipline mirrors the ledger/cache files: a torn or unparsable
+Fault discipline mirrors the cache files: a torn or unparsable
 inbound frame drops that connection loudly (never a guessed-at reply);
 an estimation error inside a task travels back as an ``error`` reply
 and fails only that task's future. Determinism needs no cooperation

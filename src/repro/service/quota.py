@@ -3,7 +3,7 @@
 The batch engine already has one budget-allocation policy —
 :func:`repro.core.montecarlo.allocate_grants`, the deterministic
 worst-deficit-first round-robin splitter behind the pipelined
-scheduler's re-allocation and the cross-shard ledger. The service
+scheduler's re-allocation. The service
 generalizes that same policy one level up, from *grid points inside a
 sweep* to *tenants inside a server*: the server's trial pool is split
 round-robin (in ``unit``-sized grants, worst-deficit-first) over every

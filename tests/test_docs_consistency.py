@@ -83,9 +83,9 @@ class TestDesign:
 class TestProgressEventVocabulary:
     """Every progress-event kind the engine can emit is documented.
 
-    The vocabulary cross-checks themselves (progress kinds and ledger
-    record kinds against DESIGN.md and the module docstrings, stale
-    constants against the batch engine) migrated onto ``repro-lint``'s
+    The vocabulary cross-checks themselves (progress kinds against
+    DESIGN.md and the module docstrings, stale constants against the
+    batch engine) migrated onto ``repro-lint``'s
     R1 rule family — one source of truth, shared by this suite, the
     CLI, and the ``lint-gate`` CI job.
     """
@@ -97,8 +97,8 @@ class TestProgressEventVocabulary:
         )
 
     def test_registry_docs_rules_clean(self):
-        # R101-R106: methods/executors/progress kinds/ledger kinds/
-        # schema tags documented, no stale progress constants.
+        # R101-R106: methods/executors/progress kinds/schema tags
+        # documented, no stale progress constants.
         from repro.lint import run_lint
 
         report = run_lint([ROOT / "src"], rules=["R1"], root=ROOT)
@@ -119,14 +119,9 @@ class TestProgressEventVocabulary:
     def test_scheduler_doc_exists_and_is_linked(
         self, scheduler_doc, readme, design
     ):
-        assert "cross-shard budget ledger" in scheduler_doc.lower()
+        assert "who runs each layer" in scheduler_doc.lower()
         assert "docs/SCHEDULER.md" in readme
         assert "docs/SCHEDULER.md" in design
-
-    def test_fleet_recipe_in_experiments_doc(self, experiments_doc):
-        assert "--budget-ledger" in experiments_doc
-        assert "--ledger-replay" in experiments_doc
-        assert "sharded_fleet.py" in experiments_doc
 
 
 class TestProgressEventWire:
@@ -166,8 +161,6 @@ class TestProgressEventWire:
             granted_trials=4_000,
             granted_chunks=2,
             warmed_entries=17,
-            shard=2,
-            round=1,
         )
 
     def test_wire_keys_equal_dataclass_fields(

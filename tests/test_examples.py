@@ -61,13 +61,6 @@ class TestExamples:
         assert "hybrid" in out
         assert "best combination" in out
 
-    def test_sharded_fleet(self, capsys):
-        out = run_example("sharded_fleet", [], capsys)
-        assert "one budget ledger" in out
-        assert "cross-shard budget bought" in out
-        assert "budget conserved" in out
-        assert "bit-identical" in out
-
     def test_analysis_server(self, capsys):
         out = run_example("analysis_server", [], capsys)
         assert "request dedup" in out

@@ -5,8 +5,8 @@ engine's determinism invariant: every registered
 :class:`~repro.methods.executors.ChunkExecutor` backend — thread,
 process, and the remote TCP worker fleet — must produce ResultSets
 whose canonical JSON bytes are identical to a serial single-worker run,
-for any worker count, completion order, scheduling mode, or ledger
-shard split. On top of the identity bar, this file covers the sealed
+for any worker count, completion order, scheduling mode, or shard
+split. On top of the identity bar, this file covers the sealed
 wire-frame codec (torn frames are loud, never silently wrong), the
 PLAN_MISS hydration handshake, mid-batch worker death with failover to
 survivors, and the CLI/knob resolution helpers (``--workers auto``,
@@ -20,7 +20,6 @@ exercised with a raw-socket request carrying an unknown key.
 import io
 import json
 import socket
-import threading
 
 import pytest
 
@@ -28,15 +27,12 @@ from repro.core import Component, MonteCarloConfig, StoppingRule, SystemModel
 from repro.core import kernel as _kernel
 from repro.errors import ConfigurationError, EstimationError, WireError
 from repro.methods import (
-    BudgetLedger,
     ChunkExecutor,
     RemoteExecutor,
     available_executors,
     evaluate_design_space,
     executor_name,
     get_executor,
-    ledger_path,
-    merge_result_sets,
     register_executor,
     unregister_executor,
 )
@@ -353,69 +349,6 @@ class TestBackendConformance:
                 **kwargs,
             )
         assert canonical(result) == baseline
-
-    def test_remote_ledger_fleet_matches_thread_fleet(
-        self, cluster_space, day_profile, tmp_path
-    ):
-        """``+xshard`` shards on remote executors merge bit-identically."""
-        rate = 2.0 / SECONDS_PER_DAY
-        space = cluster_space + [
-            (
-                "C=100",
-                SystemModel(
-                    [Component("node", rate, day_profile, multiplicity=100)]
-                ),
-            )
-        ]
-        mc = MonteCarloConfig(
-            trials=2_000,
-            seed=3,
-            chunks=4,
-            stopping=StoppingRule(target_ci_halfwidth=250.0),
-        )
-
-        def run_fleet(executors, run_id):
-            ledger_file = ledger_path(tmp_path, run_id)
-            results = [None, None]
-            errors = []
-
-            def one(i):
-                try:
-                    results[i] = evaluate_design_space(
-                        space,
-                        methods=["first_principles"],
-                        mc_config=mc,
-                        shard=(i, 2),
-                        workers="auto" if executors[i] != "thread" else 1,
-                        executor=executors[i],
-                        reallocate_budget=True,
-                        budget_ledger=BudgetLedger(
-                            ledger_file,
-                            shard=(i, 2),
-                            poll_interval=0.01,
-                            timeout=120.0,
-                        ),
-                    )
-                except Exception as error:  # pragma: no cover - surfaced
-                    errors.append(error)
-
-            threads = [
-                threading.Thread(target=one, args=(index,))
-                for index in range(2)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            if errors:
-                raise errors[0]
-            return merge_result_sets(results)
-
-        with BackgroundWorker() as w1, BackgroundWorker() as w2:
-            remote = RemoteExecutor([w1.address, w2.address])
-            merged_remote = run_fleet((remote, remote), "remote-fleet")
-        merged_thread = run_fleet(("thread", "thread"), "thread-fleet")
-        assert canonical(merged_remote) == canonical(merged_thread)
 
     def test_workers_auto_accepted_by_the_engine(self, cluster_space):
         result = evaluate_design_space(

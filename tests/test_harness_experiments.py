@@ -4,6 +4,8 @@ Each experiment runs with reduced trials; assertions check the paper's
 qualitative claims, mirroring the benchmark suite but at unit-test cost.
 """
 
+import re
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -162,6 +164,51 @@ class TestExperimentClaims:
         assert max(small) < 0.05
         assert max(large) > 0.25
 
+    def test_fig6b_note_orderings_match_its_table(self):
+        # Each workload ordering the note states must hold in the rows
+        # it summarizes: C >= 5000, per phase convention.
+        result = get_experiment("fig6b").run(EngineOptions(trials=2_000))
+        note = " ".join(result.notes)
+        random_order = re.search(
+            r"Random phase: [^.]*?(\w+) > (\w+) > (\w+)", note
+        )
+        zero_largest = re.search(r"Zero phase: (\w+) is largest", note)
+        assert random_order and zero_largest, note
+        table = result.tables[0]
+        errors: dict = {}
+        small: dict = {}
+        for workload, n_times_s, c, zero, random in zip(
+            table.column("workload"), table.column("N x S"),
+            table.column("C"), table.column("error (zero phase)"),
+            table.column("error (random phase)"),
+        ):
+            pair = (
+                float(zero.strip("%")) / 100,
+                float(random.strip("%")) / 100,
+            )
+            if int(c) >= 5000:
+                errors.setdefault((n_times_s, c), {})[workload] = pair
+            else:
+                small[(workload, n_times_s, c)] = pair
+        assert len(errors) == 6 and len(small) == 12
+        # C <= 8 within a few percent, save the one stated exception.
+        exception = small.pop(("week", "1e+09", "8"))
+        assert exception[0] > 0.1
+        assert max(abs(e) for pair in small.values() for e in pair) < 0.03
+        for point in errors.values():
+            first, second, third = random_order.groups()
+            assert (
+                abs(point[first][1]) > abs(point[second][1])
+                > abs(point[third][1])
+            )
+            largest = zero_largest.group(1)
+            assert abs(point[largest][0]) == max(
+                abs(zero) for zero, _random in point.values()
+            )
+            # The stated zero-phase ranges and their 1/b - 1 caps.
+            assert 0.97 <= point["day"][0] <= 1.0
+            assert 0.35 <= point["week"][0] <= 0.4
+
     def test_sec54_softarch_exact(self):
         result = get_experiment("sec5.4").run(
             EngineOptions(trials=FAST_TRIALS),
@@ -189,18 +236,12 @@ class TestEngineOptions:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        with pytest.raises(ConfigurationError, match="needs --cache-dir"):
-            EngineOptions(
-                budget_ledger="run", shard=(0, 1), target_stderr=0.05
-            )
         with pytest.raises(ConfigurationError, match="unknown method"):
             EngineOptions(methods=("avf", "bogus"))
         engine = EngineOptions(
-            budget_ledger="run", shard=(0, 1), target_stderr=0.05,
-            cache_dir=str(tmp_path),
+            shard=(0, 1), target_stderr=0.05, cache_dir=str(tmp_path),
         )
-        assert engine.reallocate_budget and engine.mc_chunks == 16
-        assert engine.ledger("zero").path.name == "xshard-run.zero.ledger"
+        assert engine.mc_chunks == 16
 
     def test_defaults_and_derived_settings(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
@@ -208,7 +249,6 @@ class TestEngineOptions:
         engine = EngineOptions(shard=(1, 2))
         assert (engine.trials, engine.mc_chunks) == (1234, 1)
         assert engine.cache_path is None and engine.cache.disk is None
-        assert engine.ledger() is None
         assert engine.mc(seed=7).seed == 7 and engine.mc().stopping is None
         assert "shard" not in engine.kwargs()
         assert engine.kwargs(sharded=True)["shard"] == (1, 2)

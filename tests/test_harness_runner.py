@@ -186,67 +186,26 @@ def _exit_code(argv) -> int:
 class TestUsageErrors:
     """Every refused flag combination exits 2 with a message, no work."""
 
-    LEDGER = ["--budget-ledger", "run", "--shard", "0/1",
-              "--target-stderr", "0.05"]
-
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--ledger-replay"], "--ledger-replay needs --budget-ledger"),
-            (["--budget-ledger", "run", "--cache-dir", "{cache}",
-              "--target-stderr", "0.05"], "needs --shard i/N"),
-            (["--budget-ledger", "run", "--shard", "0/1",
-              "--target-stderr", "0.05"], "needs --cache-dir"),
-            (["--budget-ledger", "run", "--shard", "0/1",
-              "--cache-dir", "{cache}"], "needs --target-stderr"),
-            (["--join"], "--join needs --budget-ledger"),
-            (["--leave-after", "0"], "--leave-after needs --budget-ledger"),
-            (["--ledger-lease", "5"], "--ledger-lease needs --budget-ledger"),
-            (["--ledger-heartbeat", "1"],
-             "--ledger-heartbeat needs --budget-ledger"),
-            ([*LEDGER, "--cache-dir", "{cache}", "--join",
-              "--ledger-replay"], "mutually exclusive"),
+            (["--budget-ledger", "run"], "unrecognized arguments"),
             (["--kernel", "legacy"], "invalid choice: 'legacy'"),
             (["--shard", "2/2"], "shard must look like 'i/N'"),
             (["--executor", "thread", "--workers", "a:1"],
              "implies --executor remote"),
         ],
         ids=[
-            "replay-without-ledger", "ledger-without-shard",
-            "ledger-without-cache-dir", "ledger-without-target-stderr",
-            "join-without-ledger", "leave-after-without-ledger",
-            "lease-without-ledger", "heartbeat-without-ledger",
-            "join-with-replay", "kernel-legacy", "bad-shard",
+            "removed-ledger-flag", "kernel-legacy", "bad-shard",
             "thread-executor-with-fleet",
         ],
     )
-    def test_refused_before_any_work(
-        self, argv, message, tmp_path, monkeypatch, capsys
-    ):
+    def test_refused_before_any_work(self, argv, message, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        cache = tmp_path / "cache"
-        argv = [arg.replace("{cache}", str(cache)) for arg in argv]
         assert _exit_code(["fig5", "--trials", "200", *argv]) == 2
         captured = capsys.readouterr()
         assert message in captured.err
         assert "[fig5]" not in captured.out
-
-    @pytest.mark.parametrize(
-        "artifacts", [["fig5", "sec5.4"], ["--all"]], ids=["two", "all"]
-    )
-    def test_ledger_takes_one_artifact(
-        self, artifacts, tmp_path, monkeypatch, capsys
-    ):
-        # One ledger run id coordinates one sweep: a second ledger
-        # artifact would find the first one's records.
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        assert _exit_code(
-            [*artifacts, "--trials", "2000", *self.LEDGER,
-             "--cache-dir", str(tmp_path / "cache"), "--workers", "1"]
-        ) == 2
-        captured = capsys.readouterr()
-        assert "--budget-ledger coordinates one sweep" in captured.err
-        assert "completed in" not in captured.out
 
     @pytest.mark.parametrize(
         "argv, name",
@@ -274,17 +233,6 @@ class TestCacheDirEnv:
         assert f"estimate cache [{tmp_path / 'cache'}]" in cold
         assert main(["ablation.hybrid"]) == 0
         assert "misses=0" in capsys.readouterr().out
-
-    def test_env_cache_hosts_the_ledger(self, tmp_path, monkeypatch, capsys):
-        from repro.methods import ledger_path
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        assert main(
-            ["fig5", "--trials", "2000", "--mc-chunks", "4",
-             "--shard", "0/1", "--target-stderr", "0.05",
-             "--budget-ledger", "env", "--workers", "1"]
-        ) == 0
-        assert ledger_path(tmp_path / "cache", "env").is_file()
 
 
 class TestOneCachePerInvocation:

@@ -294,16 +294,6 @@ class TestRegistryDocsRules:
             f for f in report.findings if f.rule_id == "R103"
         ]
 
-    def test_r104_ledger_kinds(self, tmp_path):
-        make_docs(tmp_path, design="records: `hello`")
-        path = write(tmp_path, "repro/methods/ledger.py", """\
-            HELLO = "hello"
-            GOODBYE = "goodbye"
-            """)
-        report = lint(path, ["R104"], root=tmp_path)
-        assert rule_ids(report) == ["R104"]
-        assert "goodbye" in report.findings[0].message
-
     def test_r106_schema_tag_documented_or_caught(self, tmp_path):
         make_docs(tmp_path, design="speaks repro.known/v1 frames")
         path = write(tmp_path, "repro/core/wire.py", """\

@@ -452,9 +452,9 @@ class TestSharding:
         )
         with pytest.raises(ConfigurationError, match="missing"):
             merge_result_sets([s0])
-        # Byte-identical duplicates collapse (an elastic fleet's
-        # zombie + adopter legitimately both produce a slot) — but a
-        # lone shard repeated still leaves the partition incomplete.
+        # Byte-identical duplicates collapse (a shard run twice
+        # legitimately produces the same bytes) — but a lone shard
+        # repeated still leaves the partition incomplete.
         with pytest.raises(ConfigurationError, match="missing"):
             merge_result_sets([s0, s0])
         assert merge_result_sets([s0, s1, s0]) == merge_result_sets(

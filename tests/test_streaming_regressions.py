@@ -214,9 +214,9 @@ class TestDuplicateShardRejection:
         from repro.methods import ResultSet
 
         shard0, shard1 = self._shard_files(cluster_space, tmp_path)
-        # An identical duplicate artifact is deduplicated (the elastic
-        # zombie + adopter case: both legitimately produced the slot,
-        # byte-for-byte the same) — the merge equals the honest one.
+        # An identical duplicate artifact is deduplicated (a shard run
+        # twice, say after a retry, produces the same bytes) — the
+        # merge equals the honest one.
         honest = merge_result_sets(
             [ResultSet.from_json(shard0), ResultSet.from_json(shard1)]
         )
