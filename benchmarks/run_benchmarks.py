@@ -172,21 +172,15 @@ def _result_hash(result_set) -> str:
 def executor_cases(trials: int, points: int, workers: int, repeat: int):
     """Backend shoot-out on one fixed sweep (the PR-8 executor layer).
 
-    The same fixed-count sweep runs through every registered backend —
-    one-worker thread pool, thread pool, process pool, and a two-worker
-    loopback ``repro-worker`` fleet — and each record carries the canonical
-    content hash of its ResultSet next to ``identical_to_serial``, so
-    the artifact *proves* the determinism invariant on the hardware
-    that produced the timings instead of asserting it. ``cpu_count``
-    rides along in every record: on a 1-CPU host the fan-out rows
-    document what parallelism costs there (the honest number), not a
-    hoped-for speedup. The remote row measures loopback TCP framing +
-    JSON codec overhead, i.e. the protocol tax in isolation from any
-    real network.
+    The same fixed-count sweep runs through every executor —
+    one-worker thread pool, thread pool and process pool — and each
+    record carries the canonical content hash of its ResultSet next to
+    ``identical_to_serial``, so the artifact *proves* the determinism
+    invariant on the hardware that produced the timings instead of
+    asserting it. ``cpu_count`` rides along in every record: on a 1-CPU
+    host the fan-out rows document what parallelism costs there (the
+    honest number), not a hoped-for speedup.
     """
-    from repro.methods import RemoteExecutor
-    from repro.methods.worker import BackgroundWorker
-
     space = _cluster_space(points)
     mc = MonteCarloConfig(trials=trials, seed=7, chunks=8)
     cpus = os.cpu_count() or 1
@@ -203,22 +197,14 @@ def executor_cases(trials: int, points: int, workers: int, repeat: int):
 
     records = []
     serial_hash = None
-    for name, n_workers, executor, label in (
-        ("executors_serial", 1, "thread", "thread"),
-        ("executors_thread", workers, "thread", "thread"),
-        ("executors_process", workers, "process", "process"),
-        ("executors_remote_2loopback", 2, None, "remote"),
+    for name, n_workers, executor in (
+        ("executors_serial", 1, "thread"),
+        ("executors_thread", workers, "thread"),
+        ("executors_process", workers, "process"),
     ):
-        if label == "remote":
-            with BackgroundWorker() as w1, BackgroundWorker() as w2:
-                backend = RemoteExecutor([w1.address, w2.address])
-                seconds, result_set = _timed(
-                    lambda: run("auto", backend), repeat
-                )
-        else:
-            seconds, result_set = _timed(
-                lambda: run(n_workers, executor), repeat
-            )
+        seconds, result_set = _timed(
+            lambda: run(n_workers, executor), repeat
+        )
         digest = _result_hash(result_set)
         if serial_hash is None:
             serial_hash = digest
@@ -229,7 +215,7 @@ def executor_cases(trials: int, points: int, workers: int, repeat: int):
                 "trials": trials,
                 "chunks": 8,
                 "workers": n_workers,
-                "executor": label,
+                "executor": executor,
                 "cpu_count": cpus,
                 "result_hash": digest,
                 "identical_to_serial": digest == serial_hash,

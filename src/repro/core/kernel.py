@@ -22,9 +22,9 @@ Two layers:
   the inverse transform runs over cache-sized trial slices.
 * **Sampling plans** — :class:`SamplingPlan` bundles a compiled
   intensity with its source model (for the arrival sampler, which
-  needs the full model) under the model's content fingerprint, and
-  serializes losslessly via :meth:`SamplingPlan.to_dict`
-  (``repro.plan/v1``). Wire plans are validated on the way in.
+  needs the full model) under the model's content fingerprint. A plan
+  pickles as its tables plus lossless component dicts, and the
+  constructors validate the tables a process-pool worker receives.
 
 The **worker-side hydration cache** (:func:`run_plan_chunks`) lets the
 batch engine ship a plan to a process pool *once*: tasks carry only the
@@ -52,13 +52,10 @@ from ..reliability.hazard import (
     NestedHazard,
     PiecewiseHazard,
 )
-from .system import Component, SystemModel, wire_fields
+from .system import Component, SystemModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .montecarlo import MonteCarloConfig, SampleMoments
-
-#: Schema tag embedded in every serialized sampling plan.
-PLAN_SCHEMA = "repro.plan/v1"
 
 _SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
 
@@ -79,8 +76,9 @@ def _table(kind: str, name: str, values, *, increasing: bool) -> np.ndarray:
     ``increasing`` demands strictly increasing entries (breakpoints,
     segment starts); otherwise non-decreasing (cumulative tables, where
     zero-rate segments repeat an entry). These are the preconditions of
-    both the samplers and :class:`_Guide`, so a wire plan that breaks
-    them is refused here instead of sampling garbage.
+    both the samplers and :class:`_Guide`, so a table that breaks them
+    (say, in a plan unpickled by a pool worker) is refused here instead
+    of sampling garbage.
     """
     table = _float_array(kind, name, values)
     if table.ndim != 1 or table.size < 2:
@@ -286,22 +284,6 @@ class CompiledPiecewise:
             frac = np.where(rate > 0, (u - self.cum[idx]) / rate, 0.0)
         return np.minimum(self.bp[idx] + frac, self.period)
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "piecewise",
-            "breakpoints": self.bp.tolist(),
-            "rates": self.rates.tolist(),
-            "cum": self.cum.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CompiledPiecewise":
-        return cls(
-            *wire_fields(
-                data, "piecewise plan", "breakpoints", "rates", "cum"
-            )
-        )
-
 
 class CompiledNested:
     """Dense-table replica of :class:`NestedHazard`.
@@ -442,29 +424,6 @@ class CompiledNested:
         out = np.minimum(out, self.period)
         return out[0] if scalar else out
 
-    def to_dict(self) -> dict:
-        return {
-            "type": "nested",
-            "starts": self.starts.tolist(),
-            "durations": self.durations.tolist(),
-            "cum_mass": self.cum_mass.tolist(),
-            "inners": [inner.to_dict() for inner in self.inners],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CompiledNested":
-        starts, durations, cum_mass, inners = wire_fields(
-            data, "nested plan", "starts", "durations", "cum_mass", "inners"
-        )
-        if not isinstance(inners, list):
-            raise ConfigurationError("nested plan 'inners' must be a list")
-        return cls(
-            starts,
-            durations,
-            cum_mass,
-            [CompiledPiecewise.from_dict(inner) for inner in inners],
-        )
-
 
 #: A compiled intensity of either shape.
 CompiledIntensity = CompiledPiecewise | CompiledNested
@@ -478,17 +437,6 @@ def compile_intensity(intensity: CyclicIntensity) -> CompiledIntensity:
         return CompiledNested.from_hazard(intensity)
     raise ConfigurationError(
         f"cannot compile intensity of type {type(intensity).__name__}"
-    )
-
-
-def _intensity_from_dict(data: dict) -> CompiledIntensity:
-    (kind,) = wire_fields(data, "compiled-intensity", "type")
-    if kind == "piecewise":
-        return CompiledPiecewise.from_dict(data)
-    if kind == "nested":
-        return CompiledNested.from_dict(data)
-    raise ConfigurationError(
-        f"unknown compiled-intensity type {kind!r}"
     )
 
 
@@ -578,11 +526,11 @@ class SamplingPlan:
     intensity; arrival draws need the full :class:`SystemModel`) or
     ``"component"`` (one instance: inverse draws use the component's own
     intensity). A plan compiled in this process keeps the ``model`` it
-    was built from; one hydrated from a wire form or a pickle carries
-    the lossless component wire dicts instead and rebuilds the model
-    from them once, on first use. :attr:`components` turns a source
-    model into those dicts only when a wire form or pickle needs them:
-    building them up front cost most of a cold plan's time and memory.
+    was built from; one unpickled by a pool worker carries the lossless
+    component wire dicts instead and rebuilds the model from them once,
+    on first use. :attr:`components` turns a source model into those
+    dicts only when a pickle needs them: building them up front cost
+    most of a cold plan's time and memory.
     """
 
     __slots__ = ("kind", "fingerprint", "intensity", "_components", "_model")
@@ -679,44 +627,6 @@ class SamplingPlan:
         from .montecarlo import moments_from_samples
 
         return moments_from_samples(self.sample_ttf(config))
-
-    def to_dict(self) -> dict:
-        """Lossless plain-dict wire form (inverse of :meth:`from_dict`)."""
-        return {
-            "schema": PLAN_SCHEMA,
-            "kind": self.kind,
-            "fingerprint": self.fingerprint,
-            "intensity": self.intensity.to_dict(),
-            "components": [dict(c) for c in self.components],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SamplingPlan":
-        """Rebuild a plan from its :meth:`to_dict` form.
-
-        Malformed input — wrong shapes or types, tables that are not
-        finite and ordered — raises :class:`ConfigurationError`.
-        """
-        (schema,) = wire_fields(data, "plan", "schema")
-        if schema != PLAN_SCHEMA:
-            raise ConfigurationError(
-                f"not a {PLAN_SCHEMA} document (schema={schema!r})"
-            )
-        kind, fingerprint, intensity, components = wire_fields(
-            data, "plan", "kind", "fingerprint", "intensity", "components"
-        )
-        if not isinstance(components, list) or not all(
-            isinstance(c, dict) for c in components
-        ):
-            raise ConfigurationError(
-                "plan 'components' must be a list of component dicts"
-            )
-        return cls(
-            kind=str(kind),
-            fingerprint=str(fingerprint),
-            intensity=_intensity_from_dict(intensity),
-            components=[dict(c) for c in components],
-        )
 
 
 # ---------------------------------------------------------------------------

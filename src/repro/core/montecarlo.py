@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, EstimationError
 from ..reliability.metrics import MTTFEstimate
-from .system import Component, SystemModel, wire_int
+from .system import Component, SystemModel, reject_unknown, wire_int
 
 #: Trials used throughout the paper's evaluation (Section 4.3).
 PAPER_TRIAL_COUNT = 1_000_000
@@ -83,9 +83,10 @@ class StoppingRule:
                 "a StoppingRule needs target_rel_stderr and/or "
                 "target_ci_halfwidth"
             )
+        # ``not value > 0`` also refuses NaN, which ``value <= 0`` passes.
         for name in ("target_rel_stderr", "target_ci_halfwidth"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:
                 raise EstimationError(
                     f"{name} must be positive, got {value}"
                 )
@@ -97,7 +98,7 @@ class StoppingRule:
             raise EstimationError(
                 f"max_trials must be >= 1, got {self.max_trials}"
             )
-        if self.z <= 0:
+        if not self.z > 0:
             raise EstimationError(f"z must be positive, got {self.z}")
 
     def satisfied(self, moments: "SampleMoments") -> bool:
@@ -370,17 +371,6 @@ _STOPPING_FIELDS = (
 )
 
 
-def _reject_unknown(data, allowed, what: str) -> None:
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{what} wire form must be a dict")
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {what} fields {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}"
-        )
-
-
 def stopping_rule_to_dict(rule: StoppingRule) -> dict:
     """Plain-dict form of a stopping rule (defaults included)."""
     return {name: getattr(rule, name) for name in _STOPPING_FIELDS}
@@ -403,7 +393,7 @@ def _check_ints(data: dict, what: str) -> None:
 def stopping_rule_from_dict(data: dict) -> StoppingRule:
     """Inverse of :func:`stopping_rule_to_dict` (unknown keys and
     non-int counts raise :class:`ConfigurationError`)."""
-    _reject_unknown(data, _STOPPING_FIELDS, "stopping rule")
+    reject_unknown(data, _STOPPING_FIELDS, "stopping rule")
     _check_ints(data, "stopping rule")
     try:
         return StoppingRule(**data)
@@ -425,11 +415,11 @@ def mc_config_from_dict(data: dict) -> MonteCarloConfig:
     """Inverse of :func:`mc_config_to_dict`.
 
     Unknown keys, mistyped values (a bool is not an int) and a negative
-    seed raise :class:`ConfigurationError`, so the analysis service and
-    remote workers refuse such a configuration on arrival, not at run.
+    seed raise :class:`ConfigurationError`, so the analysis service
+    refuses such a configuration on arrival, not at run.
     """
     what = "Monte-Carlo configuration"
-    _reject_unknown(data, (*_MC_FIELDS, "stopping"), what)
+    reject_unknown(data, (*_MC_FIELDS, "stopping"), what)
     _check_ints(data, what)
     seed = data.get("seed", 0)
     if seed is None or seed < 0:

@@ -39,6 +39,29 @@ def wire_fields(data, what: str, *keys: str) -> list:
         ) from None
 
 
+def reject_unknown(data, allowed, what: str) -> None:
+    """Refuse wire dict ``data`` if it has a key outside ``allowed``.
+
+    A misspelled optional key (``"multiplicty"``) would otherwise decode
+    silently as its default.
+    """
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{what} wire form must be a dict")
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {what} fields {sorted(unknown, key=str)}; "
+            f"allowed: {sorted(allowed)}"
+        )
+
+
+def wire_str(value, what: str) -> str:
+    """A wire form's string field: a ``str``, never coerced."""
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def wire_int(value, what: str) -> int:
     """A wire form's integer field: an int, never a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -48,13 +71,21 @@ def wire_int(value, what: str) -> int:
 
 def wire_float(value, what: str) -> float:
     """A wire form's real field: a finite number, never a bool."""
+    try:
+        finite = math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number; an int past float
+        finite = False
     if isinstance(value, bool) or not (
-        isinstance(value, numbers.Real) and math.isfinite(value)
+        isinstance(value, numbers.Real) and finite
     ):
         raise ConfigurationError(
             f"{what} must be a finite number, got {value!r}"
         )
     return float(value)
+
+
+#: Keys of the component wire form (``multiplicity`` is optional).
+_COMPONENT_FIELDS = ("name", "rate_per_second", "profile", "multiplicity")
 
 
 @dataclass(frozen=True)
@@ -142,8 +173,9 @@ class Component:
         name, rate, profile = wire_fields(
             data, "component", "name", "rate_per_second", "profile"
         )
+        reject_unknown(data, _COMPONENT_FIELDS, "component")
         return cls(
-            name=str(name),
+            name=wire_str(name, "component name"),
             rate_per_second=wire_float(rate, "rate_per_second"),
             profile=profile_from_dict(profile),
             multiplicity=wire_int(
@@ -253,6 +285,7 @@ class SystemModel:
                 f"not a {SYSTEM_SCHEMA} document "
                 f"(schema={data.get('schema')!r})"
             )
+        reject_unknown(data, ("schema", "components"), "system")
         components = data.get("components")
         if not isinstance(components, list):
             raise ConfigurationError(

@@ -32,9 +32,5 @@ class EstimationError(ReproError):
     """A reliability estimate could not be computed (e.g. no failures)."""
 
 
-class WireError(ReproError):
-    """A wire frame was torn, malformed, or spoke the wrong schema."""
-
-
 class DesignSpaceError(ReproError):
     """A design-space sweep was given an invalid specification."""

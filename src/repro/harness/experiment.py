@@ -8,11 +8,23 @@ from pathlib import Path
 from typing import Callable
 
 from ..core.montecarlo import MonteCarloConfig, StoppingRule
-from ..errors import ConfigurationError
-from ..methods import ChunkExecutor, ComponentCache
+from ..errors import ConfigurationError, EstimationError
+from ..methods import ComponentCache
 from ..methods import registry as method_registry
+from ..methods.batch import check_executor, resolve_workers
 from ..methods.cache import resolve_cache_dir
 from .tables import Table
+
+
+def _env_trials() -> int:
+    """``$REPRO_MC_TRIALS`` as an integer, else 100,000."""
+    text = os.environ.get("REPRO_MC_TRIALS", "100000")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigurationError(
+            f"REPRO_MC_TRIALS must be an integer, got {text!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -20,12 +32,13 @@ class EngineOptions:
     """The engine settings of one invocation, built once by the runner.
 
     Every experiment takes this object as its only engine argument. Its
-    fields are the runner's flags; building it checks the method names
-    (raising :class:`ConfigurationError`) and computes the two things
-    every experiment of the invocation shares: the resolved cache
-    directory (``cache_dir``, else ``$REPRO_CACHE_DIR``) and one
-    :class:`ComponentCache` for it, so an estimate several artifacts
-    need is computed once.
+    fields are the runner's flags; building it checks them (raising
+    :class:`ConfigurationError` before any work: the method names, the
+    executor, the worker count and the Monte-Carlo settings) and
+    computes the two things every experiment of the invocation shares:
+    the resolved cache directory (``cache_dir``, else
+    ``$REPRO_CACHE_DIR``) and one :class:`ComponentCache` for it, so an
+    estimate several artifacts need is computed once.
 
     ``trials`` defaults to ``$REPRO_MC_TRIALS`` (else 100,000) and
     ``mc_chunks`` to 16 under ``target_stderr`` (the stopping rule can
@@ -36,7 +49,7 @@ class EngineOptions:
     mc_chunks: int | None = None
     target_stderr: float | None = None
     workers: int | str = 1
-    executor: str | ChunkExecutor = "thread"
+    executor: str = "thread"
     cache_dir: str | os.PathLike | None = None
     shard: tuple[int, int] | None = None
     progress: Callable | None = None
@@ -50,12 +63,17 @@ class EngineOptions:
         for name in [*(self.methods or ()), self.reference]:
             if name is not None:
                 method_registry.get(name)
-        if not self.trials:
-            trials = int(os.environ.get("REPRO_MC_TRIALS", "100000"))
-            object.__setattr__(self, "trials", trials)
+        check_executor(self.executor)
+        resolve_workers(self.workers)
+        if self.trials is None:
+            object.__setattr__(self, "trials", _env_trials())
         if self.mc_chunks is None:
             chunks = 16 if self.target_stderr is not None else 1
             object.__setattr__(self, "mc_chunks", chunks)
+        try:
+            self.mc()
+        except EstimationError as error:
+            raise ConfigurationError(str(error)) from None
         cache_path = resolve_cache_dir(self.cache_dir)
         object.__setattr__(self, "cache_path", cache_path)
         object.__setattr__(self, "cache", ComponentCache.at(cache_path))

@@ -10,8 +10,6 @@ Usage::
         --reference exact --json compare.json
     repro-experiments fig5 --executor process --workers 8 \\
         --mc-chunks 16 --cache-dir ~/.cache/repro
-    repro-experiments fig5 --executor remote \\
-        --workers hostA:8421,hostB:8421 --mc-chunks 16
     repro-experiments fig5 --trials 1000000 --mc-chunks 32 \\
         --target-stderr 0.01 --progress
     repro-experiments fig5 --shard 0/2 --cache-dir /shared/cache \\
@@ -25,16 +23,16 @@ Usage::
 ``ResultSet.from_json``); ``--method``/``--reference`` select estimators
 from the method registry for experiments that support pluggable method
 sets (e.g. ``compare``). ``--workers``/``--executor`` fan the batch
-engine out over threads, processes, or a remote ``repro-worker`` fleet
-(``--workers auto``, the default, asks the backend — cpu count locally,
-fleet size remotely), ``--mc-chunks`` splits each
+engine out over threads or processes (``--workers auto``, the default,
+is the cpu count), ``--mc-chunks`` splits each
 Monte-Carlo estimate into seeded chunks (numbers depend on the chunking,
 never the worker count), and ``--cache-dir`` persists every estimate in
 a content-addressed on-disk cache so repeated invocations skip
 re-estimation entirely. The flags become one
 :class:`~repro.harness.experiment.EngineOptions`, built before any
-work (a refused combination exits 2), and its one estimate cache serves
-every artifact of the invocation.
+work (a refused flag or ``$REPRO_MC_TRIALS`` value exits 2 with one
+line), and its one estimate cache serves every artifact of the
+invocation.
 
 The streaming engine adds three scaling controls: ``--target-stderr``
 makes Monte-Carlo references adaptive (chunks are scheduled only until
@@ -60,6 +58,21 @@ import sys
 import time
 
 from .registry import all_experiments, get_experiment
+
+
+def parse_workers(text: str) -> int | str:
+    """Parse a CLI ``--workers`` value: an integer or ``"auto"``."""
+    from ..errors import ConfigurationError
+
+    value = str(text).strip()
+    if value.lower() == "auto":
+        return "auto"
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigurationError(
+            f"bad --workers value {text!r}: expected an integer or 'auto'"
+        ) from None
 
 
 def parse_shard(text: str) -> tuple[int, int]:
@@ -194,27 +207,23 @@ def _build_parser() -> argparse.ArgumentParser:
         help="reference method errors are measured against "
         "('monte_carlo' or 'exact')",
     )
-    from ..methods.executors import available_executors
+    from ..methods.batch import EXECUTORS
 
     parser.add_argument(
         "--workers",
         default="auto",
-        metavar="N|auto|HOST:PORT,...",
+        metavar="N|auto",
         help="fan-out width for the batch engine: an integer (1 is a "
-        "one-worker pool of the executor), 'auto' (default; cpu count "
-        "for local executors, or the fleet size for --executor "
-        "remote), or a comma-separated list of repro-worker addresses "
-        "(implies --executor remote)",
+        "one-worker pool of the executor) or 'auto' (default; the cpu "
+        "count)",
     )
     parser.add_argument(
         "--executor",
-        choices=available_executors(),
-        default=None,
-        help="fan-out backend from the executor registry: 'thread' "
-        "(default), 'process' (single-host true parallelism), or "
-        "'remote' (TCP repro-worker fleet; pass the worker addresses "
-        "via --workers — an address list alone implies remote). "
-        "Numbers are identical across backends at fixed --mc-chunks",
+        choices=EXECUTORS,
+        default="thread",
+        help="fan-out pool: 'thread' (default) or 'process' "
+        "(single-host true parallelism). Numbers are identical across "
+        "executors at fixed --mc-chunks",
     )
     # There is one sampler, so this flag selects nothing and its value
     # is never forwarded. It stays accepted because the pinned benchmark
@@ -312,20 +321,16 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     from ..errors import ConfigurationError
-    from ..methods.executors import executor_from_cli, parse_workers
     from .experiment import EngineOptions
 
     selected = sorted(experiments) if args.all else args.artifacts
     try:
-        executor, workers = executor_from_cli(
-            args.executor, parse_workers(args.workers)
-        )
         engine = EngineOptions(
             trials=args.trials,
             mc_chunks=args.mc_chunks,
             target_stderr=args.target_stderr,
-            workers=workers,
-            executor=executor,
+            workers=parse_workers(args.workers),
+            executor=args.executor,
             cache_dir=args.cache_dir,
             shard=args.shard,
             progress=ProgressReporter() if args.progress else None,

@@ -5,7 +5,7 @@ across executors x workers x shards, SeedSequence-only
 randomness, sealed single-write wire frames, documented registry
 vocabularies — docs/SCHEDULER.md) are runtime-tested by the
 conformance suites, but a regression that only manifests on a 32-worker
-fleet slips past a 1-CPU CI runner. This package checks the invariants
+pool slips past a 1-CPU CI runner. This package checks the invariants
 at the AST instead, so violations are caught at commit time:
 
 * rule families ``D1`` (determinism), ``W1`` (wire discipline), ``R1``

@@ -20,9 +20,9 @@ Scope model
 The determinism invariants of ``docs/SCHEDULER.md`` bind the *engine
 paths* — ``repro/core/``, ``repro/methods/``, ``repro/service/`` —
 where any wall-clock or entropy leak changes published numbers. The
-*wire modules* — ``methods/worker.py``, ``methods/executors.py``,
-``methods/cache.py``, and everything under ``service/`` — additionally
-carry the sealed single-write frame discipline. :func:`classify_scope`
+*wire modules* — ``methods/cache.py`` and everything under
+``service/`` — additionally carry the sealed single-write frame
+discipline. :func:`classify_scope`
 maps a file path onto those sets; rules consult
 :attr:`SourceFile.engine` / :attr:`SourceFile.wire` instead of
 re-deriving paths.
@@ -45,14 +45,8 @@ FINDING_SCHEMA = "repro.lint-finding/v1"
 ENGINE_PREFIXES = ("repro/core/", "repro/methods/", "repro/service/")
 
 #: Wire modules: every byte they emit must be a sealed single-write
-#: frame (docs/SCHEDULER.md Layer 3; the executor frame codec).
-WIRE_FILES = frozenset(
-    {
-        "repro/methods/worker.py",
-        "repro/methods/executors.py",
-        "repro/methods/cache.py",
-    }
-)
+#: frame (the cache's sealed entries; the service's HTTP and SSE frames).
+WIRE_FILES = frozenset({"repro/methods/cache.py"})
 WIRE_PREFIX = "repro/service/"
 
 #: Inline-suppression syntax. The reason is mandatory (rule L101).

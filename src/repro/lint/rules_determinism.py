@@ -6,7 +6,7 @@ configuration: bit-identical across executors, worker counts, shard
 shapes, and reruns. Anything that injects wall-clock time,
 process entropy, or interpreter-dependent ordering into a computation
 breaks that contract in ways a 1-CPU CI runner will never reproduce —
-a regression that only manifests on a 32-worker fleet must be caught
+a regression that only manifests on a 32-worker pool must be caught
 at the AST, not in production. These rules flag every such source:
 
 * ``D101`` — wall-clock reads (``time.time``/``monotonic``/

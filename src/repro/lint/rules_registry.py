@@ -1,9 +1,8 @@
 """R1 — registry/documentation consistency rules.
 
 The repo's registries are its public vocabulary: estimation methods
-(``@register_method``), executor backends (``register_executor``),
-progress-event kinds (``methods/progress.py``), and the wire-schema
-tags every protocol speaks. DESIGN.md and ``docs/`` promise that each
+(``@register_method``), progress-event kinds (``methods/progress.py``),
+and the wire-schema tags every protocol speaks. DESIGN.md and ``docs/`` promise that each
 vocabulary is documented in full; these rules make the promise a
 static check by cross-referencing the AST of the scanned sources
 against the doc texts — generalizing the ad-hoc guards that used to
@@ -13,8 +12,6 @@ live in ``tests/test_docs_consistency.py`` (which is now a thin
 * ``R100`` — the referenced documentation files exist at all;
 * ``R101`` — every registered method name appears in DESIGN.md *and*
   README.md;
-* ``R102`` — every registered executor backend name appears in
-  DESIGN.md;
 * ``R103`` — every progress-event kind is in DESIGN.md's vocabulary
   table (backticked) and in the progress module's docstrings;
 * ``R105`` — every progress-event constant is actually used by the
@@ -94,41 +91,6 @@ def registered_methods(project: "Project") -> list[tuple[str, str, int]]:
                     name = _str_arg(decorator)
                     if name:
                         found.append((name, rel, decorator.lineno))
-    return found
-
-
-def registered_executors(project: "Project") -> list[tuple[str, str, int]]:
-    """``(name, rel, line)`` for every ``register_executor(Cls())``.
-
-    The backend's name is its class-level ``name = "..."`` attribute,
-    resolved within the registering module.
-    """
-    found = []
-    for rel, src in sorted(project.files.items()):
-        class_names = {}
-        for node in ast.walk(src.tree):
-            if isinstance(node, ast.ClassDef):
-                for stmt in node.body:
-                    if (
-                        isinstance(stmt, ast.Assign)
-                        and len(stmt.targets) == 1
-                        and isinstance(stmt.targets[0], ast.Name)
-                        and stmt.targets[0].id == "name"
-                        and isinstance(stmt.value, ast.Constant)
-                        and isinstance(stmt.value.value, str)
-                    ):
-                        class_names[node.name] = stmt.value.value
-        for node in ast.walk(src.tree):
-            if (
-                isinstance(node, ast.Call)
-                and _terminal(node.func) == "register_executor"
-                and node.args
-                and isinstance(node.args[0], ast.Call)
-            ):
-                cls = _terminal(node.args[0].func)
-                name = class_names.get(cls or "")
-                if name:
-                    found.append((name, rel, node.lineno))
     return found
 
 
@@ -223,30 +185,6 @@ class MethodsDocumentedRule(Rule):
                         f"registered method {name!r} missing from "
                         f"{doc}",
                     )
-
-
-@register_rule
-class ExecutorsDocumentedRule(Rule):
-    rule_id = "R102"
-    title = "registered executors documented"
-    scope = "project"
-    rationale = (
-        "executor backend names legalize --executor spellings "
-        "everywhere; DESIGN.md's execution-layer section must name "
-        "each registered backend"
-    )
-
-    def check_project(self, project: "Project") -> Iterable[Finding]:
-        text = project.doc_text("DESIGN.md")
-        if text is None:
-            return
-        for name, rel, line in registered_executors(project):
-            if not _word_in(name, text):
-                yield self.finding(
-                    rel, line,
-                    f"registered executor {name!r} missing from "
-                    "DESIGN.md",
-                )
 
 
 @register_rule

@@ -3,11 +3,10 @@
 Every byte the engine stack puts on a wire leaves through a *sealed
 single-write frame*: the payload is assembled and length/shape-checked
 by one helper, then written with exactly one ``sendall`` call, so a
-peer (or a crash) can never observe half a frame (docs/SCHEDULER.md
-Layer 3; the same torn-entry discipline ``methods/cache.py`` applies
-to cache entries). These rules bind the wire modules —
-``methods/worker.py``, ``methods/executors.py``, ``methods/cache.py``,
-and everything under ``service/`` — to that discipline statically:
+peer (or a crash) can never observe half a frame (the same torn-entry
+discipline ``methods/cache.py`` applies to cache entries). These rules
+bind the wire modules — ``methods/cache.py`` and everything under
+``service/`` — to that discipline statically:
 
 * ``W101`` — a raw write whose payload is not (transitively) the
   return value of a sealed frame helper;
@@ -34,11 +33,10 @@ from .model import Finding, SourceFile
 from .registry import Rule, register_rule
 
 #: The trusted frame builders: every one returns a single complete
-#: frame (length-prefixed executor frame, HTTP response, SSE event).
-#: Their *bodies* hold the only legal raw writes.
+#: frame (HTTP response, SSE stream head, SSE event). Their *bodies*
+#: hold the only legal raw writes.
 SEALED_HELPERS = frozenset(
     {
-        "encode_frame",      # methods/executors.py  repro.executor/v1
         "response_bytes",    # service/http.py       HTTP responses
         "sse_preamble",      # service/http.py       SSE stream head
         "sse_event",         # service/http.py       SSE events

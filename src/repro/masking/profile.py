@@ -314,7 +314,9 @@ def profile_from_dict(data: dict) -> VulnerabilityProfile:
     The reconstruction is lossless: breakpoints and values come back
     bit-for-bit, so the rebuilt profile's ``fingerprint`` — and with it
     every content-addressed cache key derived from it — matches the
-    original's. Malformed input raises :class:`ProfileError`.
+    original's. Malformed input raises :class:`ProfileError`, and a key
+    the kind does not define raises
+    :class:`~repro.errors.ConfigurationError`.
     """
     if not isinstance(data, dict):
         raise ProfileError(f"profile wire form must be a dict, got {data!r}")
@@ -324,8 +326,19 @@ def profile_from_dict(data: dict) -> VulnerabilityProfile:
         raise ProfileError(f"malformed profile wire form: {error}") from None
 
 
+#: Keys of each profile kind's wire form.
+_PROFILE_FIELDS = {
+    "piecewise": ("kind", "breakpoints", "values"),
+    "nested": ("kind", "segments"),
+}
+
+
 def _profile_from_fields(data: dict) -> VulnerabilityProfile:
+    from ..core.system import reject_unknown
+
     kind = data.get("kind")
+    if kind in _PROFILE_FIELDS:
+        reject_unknown(data, _PROFILE_FIELDS[kind], f"{kind} profile")
     if kind == "piecewise":
         try:
             return PiecewiseProfile(data["breakpoints"], data["values"])

@@ -12,9 +12,8 @@ makes the method set a first-class, pluggable axis:
 * :func:`~repro.methods.facade.analyze` — the fluent entry point:
   ``analyze(system).using("avf_sofr").against("exact").run()``;
 * :func:`~repro.methods.batch.evaluate_design_space` — the batch engine
-  with per-component memoization, fanning out through a pluggable
-  :class:`~repro.methods.executors.ChunkExecutor` backend (thread /
-  process / remote TCP worker fleet);
+  with per-component memoization, fanning out over a thread or process
+  pool (:data:`~repro.methods.batch.EXECUTORS`);
 * :class:`~repro.methods.results.ResultSet` — serializable results
   (``to_json``/``from_json`` round-trip losslessly).
 """
@@ -33,46 +32,31 @@ from .registry import (
 )
 from . import adapters as _adapters  # noqa: F401 - populates the registry
 from . import uncore as _uncore  # noqa: F401 - registers uncore_ecc
-from .batch import evaluate_design_space, shard_select
-from .executors import (
-    ChunkExecutor,
-    RemoteExecutor,
-    available_executors,
-    executor_name,
-    get_executor,
-    register_executor,
-    unregister_executor,
-)
+from .batch import EXECUTORS, evaluate_design_space, shard_select
 from .facade import Analysis, analyze
 from .progress import ProgressEvent
 from .results import ResultSet, merge_result_sets
 
 __all__ = [
+    "EXECUTORS",
     "Analysis",
-    "ChunkExecutor",
     "ComponentCache",
     "DiskCache",
     "Estimator",
     "FunctionEstimator",
     "MethodConfig",
     "ProgressEvent",
-    "RemoteExecutor",
     "ResultSet",
     "all_methods",
     "analyze",
     "available",
-    "available_executors",
     "canonical_name",
     "estimate",
     "evaluate_design_space",
-    "executor_name",
     "get",
-    "get_executor",
     "merge_result_sets",
     "register",
-    "register_executor",
     "register_method",
     "shard_select",
     "unregister",
-    "unregister_executor",
 ]

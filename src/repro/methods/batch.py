@@ -4,20 +4,16 @@
 systems — the Table-2 grid, a cluster-size sweep, a workload family —
 with one uniform call, replacing the bespoke per-experiment loops. Every
 call runs the same work-conserving schedule (:class:`_Scheduler`) on a
-pool of the selected backend; ``workers=1`` is a one-worker pool. It
+pool of the selected executor; ``workers=1`` is a one-worker pool. It
 
 * memoizes per-component MTTFs *and* whole system-level estimates in a
   shared :class:`~repro.methods.base.ComponentCache`, keyed by content
   fingerprint (give the cache a
   :class:`~repro.methods.cache.DiskCache` and a warm rerun of a sweep
   performs zero re-estimations),
-* fans out through a pluggable :class:`~repro.methods.executors.ChunkExecutor`
-  backend — a thread pool (``executor="thread"``; the NumPy samplers
-  release the GIL for the heavy draws), a process pool
-  (``executor="process"``; true parallelism on one host), or a TCP
-  worker fleet (``executor="remote"`` /
-  :class:`~repro.methods.executors.RemoteExecutor`; paper-scale
-  1e6-trial sweeps across machines),
+* fans out over a thread pool (``executor="thread"``; the NumPy
+  samplers release the GIL for the heavy draws) or a process pool
+  (``executor="process"``; true parallelism on one host),
 * **streams** Monte-Carlo references at *chunk* granularity: chunk
   moments are folded into a per-point
   :class:`~repro.core.montecarlo.MomentAccumulator` the moment they
@@ -47,7 +43,14 @@ pool of the selected backend; ``workers=1`` is a one-worker pool. It
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, Future, wait
+import os
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    wait,
+)
 from typing import Iterable, Sequence
 
 from ..core import kernel as _kernel
@@ -66,12 +69,6 @@ from ..reliability.metrics import MTTFEstimate
 from . import registry
 from .base import ComponentCache, MethodConfig
 from .cache import mc_token
-from .executors import (
-    ChunkExecutor,
-    estimate_task,
-    get_executor,
-    resolve_workers,
-)
 from .progress import (
     BUDGET_REALLOCATED,
     CACHE_PREWARMED,
@@ -88,6 +85,57 @@ from .results import ResultSet, validate_shard
 
 #: A design space item: a system, optionally labeled.
 SpaceItem = SystemModel | tuple[str, SystemModel]
+
+#: The pools ``executor=`` selects. Threads share the
+#: coordinator's memory; processes receive only picklable top-level
+#: tasks (:func:`estimate_task` and
+#: :func:`~repro.core.kernel.run_plan_chunks`).
+EXECUTORS = ("thread", "process")
+
+
+def check_executor(executor) -> str:
+    """``executor`` if it names one of :data:`EXECUTORS`, else refuse."""
+    if not isinstance(executor, str) or executor not in EXECUTORS:
+        raise ConfigurationError(
+            f"unknown executor {executor!r}; use one of {EXECUTORS}"
+        )
+    return executor
+
+
+def resolve_workers(workers) -> int:
+    """Resolve a ``workers`` knob to a concrete positive count.
+
+    ``"auto"`` (or ``None``) is the cpu count; on a 1-CPU host that is
+    a one-worker pool.
+    """
+    if workers is None or workers == "auto":
+        return os.cpu_count() or 1
+    if not isinstance(workers, int) or isinstance(workers, bool):
+        raise ConfigurationError(
+            f"workers must be a positive integer or 'auto', got "
+            f"{workers!r}"
+        )
+    if workers < 1:
+        raise ConfigurationError(
+            f"workers must be a positive integer, got {workers}"
+        )
+    return workers
+
+
+def estimate_task(
+    method_name: str,
+    system: SystemModel,
+    mc: MonteCarloConfig,
+    reference: str,
+) -> MTTFEstimate:
+    """Run one estimate in a process-pool worker (top level: picklable).
+
+    The worker rebuilds a cache-free :class:`MethodConfig`; caching
+    happens only on the coordinator so the shared cache needs no
+    cross-process coordination.
+    """
+    config = MethodConfig(mc=mc, reference=reference, cache=None)
+    return registry.get(method_name).estimate(system, config)
 
 
 def _plan_batches(
@@ -190,13 +238,12 @@ class _Scheduler:
       prefix-preserving extension chunks.
 
     Chunk dispatch depends on whether the pool shares memory. A
-    shared-memory pool (threads) keeps one chunk in flight per point
-    and submits the next only once it has folded: the stopping rule
-    cannot cancel a chunk that is already running, and with no
-    dispatch cost to amortize, any chunk beyond the next one is pure
-    speculation. The pool stays busy across points instead. An
-    isolated pool (processes, a remote fleet) pays per-task pickling
-    and transport, so a point's chunk slices go out as at most
+    thread pool keeps one chunk in flight per point and submits the
+    next only once it has folded: the stopping rule cannot cancel a
+    chunk that is already running, and with no dispatch cost to
+    amortize, any chunk beyond the next one is pure speculation. The
+    pool stays busy across points instead. A process pool pays
+    per-task pickling, so a point's chunk slices go out as at most
     ``workers`` batches (:func:`_plan_batches`).
 
     Determinism: chunk moments fold strictly in chunk-index order per
@@ -223,7 +270,7 @@ class _Scheduler:
         config: MethodConfig,
         cache: ComponentCache | None,
         workers: int,
-        backend: ChunkExecutor,
+        executor: str,
         progress: ProgressCallback | None,
         reallocate_budget: bool,
         skip_unsupported: bool,
@@ -235,7 +282,9 @@ class _Scheduler:
         self.config = config
         self.cache = cache
         self.workers = workers
-        self.backend = backend
+        #: Threads share this process's memory (closures, the cache);
+        #: process-pool tasks must be picklable top-level functions.
+        self.shares_memory = executor == "thread"
         self.progress = progress
         self.reallocate = reallocate_budget
         self.skip_unsupported = skip_unsupported
@@ -375,7 +424,7 @@ class _Scheduler:
     def _submit_estimate(self, estimator, state: _PointState, *meta) -> None:
         """Submit one whole estimate; ``meta`` is its completion handler
         and the handler's arguments."""
-        if self.backend.shares_memory:
+        if self.shares_memory:
             future = self.pool.submit(
                 estimator.estimate, state.system, self.config
             )
@@ -396,7 +445,7 @@ class _Scheduler:
         the class docstring); the refill step in :meth:`_on_batch`
         submits the next once it has folded.
         """
-        if self.backend.shares_memory:
+        if self.shares_memory:
             count = 1
         start = state.submitted
         state.submitted = min(start + count, len(state.plan))
@@ -452,7 +501,7 @@ class _Scheduler:
                     )
                     continue
             if (
-                not self.backend.shares_memory
+                not self.shares_memory
                 and estimator.per_component
                 and self.cache is not None
             ):
@@ -719,7 +768,10 @@ class _Scheduler:
 
     def run(self) -> tuple[MethodComparison, ...]:
         self._prewarm()
-        with self.backend.pool(self.workers) as pool:
+        pool_class = (
+            ThreadPoolExecutor if self.shares_memory else ProcessPoolExecutor
+        )
+        with pool_class(max_workers=self.workers) as pool:
             self.pool = pool
             try:
                 for state in self.points:
@@ -758,7 +810,7 @@ def evaluate_design_space(
     reference: str = "monte_carlo",
     mc_config: MonteCarloConfig | None = None,
     workers: int | str = 1,
-    executor: str | ChunkExecutor = "thread",
+    executor: str = "thread",
     cache: ComponentCache | bool | None = None,
     skip_unsupported: bool = False,
     shard: tuple[int, int] | None = None,
@@ -785,20 +837,14 @@ def evaluate_design_space(
         stderr is reached. Numbers depend on the chunking and the rule,
         never on the worker count or executor.
     workers:
-        Fan-out width; 1 (default) is a one-worker pool of the backend,
-        ``"auto"`` asks the backend (cpu count for local pools, fleet
-        size for a remote executor). Results keep the input order
-        either way.
+        Fan-out width; 1 (default) is a one-worker pool, ``"auto"`` the
+        cpu count. Results keep the input order either way.
     executor:
-        A registered backend name — ``"thread"`` (default),
-        ``"process"``, ``"remote"`` — or a
-        :class:`~repro.methods.executors.ChunkExecutor` instance such
-        as ``RemoteExecutor(["hostA:8421", "hostB:8421"])``. Threads
-        suit the GIL-releasing NumPy samplers; processes buy true
-        parallelism on one host; a remote fleet scales past it.
-        Memory-isolated backends (``shares_memory=False``) receive
-        only wire-encodable tasks; per-component method estimates and
-        all caching stay in the parent. The backend never affects the
+        ``"thread"`` (default) or ``"process"`` (:data:`EXECUTORS`).
+        Threads suit the GIL-releasing NumPy samplers; processes buy
+        true parallelism on one host. A process pool receives only
+        picklable top-level tasks; per-component method estimates and
+        all caching stay in the parent. The executor never affects the
         numbers.
     cache:
         ``None`` (default) uses a fresh per-call cache,
@@ -840,11 +886,8 @@ def evaluate_design_space(
         raise ConfigurationError(
             f"methods must not be empty; available: {registry.available()}"
         )
-    # The executor registry is the one source of truth: registering a
-    # backend (see executors.register_executor) legalizes its spelling
-    # here, on the CLI, and in repro-serve alike.
-    backend = get_executor(executor)
-    workers = resolve_workers(workers, backend)
+    executor = check_executor(executor)
+    workers = resolve_workers(workers)
     method_names = [registry.get(name).name for name in methods]
     reference_name = registry.canonical_name(reference)
     if cache is None or cache is True:
@@ -865,7 +908,7 @@ def evaluate_design_space(
         config=config,
         cache=cache,
         workers=workers,
-        backend=backend,
+        executor=executor,
         progress=progress,
         reallocate_budget=reallocate_budget,
         skip_unsupported=skip_unsupported,

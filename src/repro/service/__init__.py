@@ -1,10 +1,10 @@
 """Reliability-analysis service: the serving layer over the estimator stack.
 
 The DSN'07 methodology behind :func:`repro.analyze` and
-:func:`repro.evaluate_design_space` is deterministic, cache-backed, and
-fleet-capable — but until this package it could only run as a one-shot
-CLI process. :mod:`repro.service` turns it into a long-lived analysis
-server (console entry point ``repro-serve``):
+:func:`repro.evaluate_design_space` is deterministic and cache-backed —
+but until this package it could only run as a one-shot CLI process.
+:mod:`repro.service` turns it into a long-lived analysis server
+(console entry point ``repro-serve``):
 
 * an **asyncio HTTP/JSON API** built on stdlib ``asyncio`` streams — no
   framework, no new runtime dependencies (:mod:`repro.service.http`);
@@ -21,7 +21,7 @@ server (console entry point ``repro-serve``):
 * **SSE progress streaming**: the engine's
   :class:`~repro.methods.progress.ProgressEvent` stream becomes a live
   ``text/event-stream`` client protocol, and ``GET /v1/fleet`` exposes
-  queue/cache/quota/ledger state for dashboards.
+  queue/cache/quota state for dashboards.
 
 Results served over HTTP are **bit-identical** to the direct in-process
 call with the same spec — the server adds scheduling, never numerics.

@@ -37,7 +37,7 @@ import threading
 from typing import Sequence
 
 from ..methods.base import ComponentCache
-from ..methods.executors import executor_name
+from ..methods.batch import check_executor, resolve_workers
 from .quota import TrialQuota
 from .wire import JobSpec
 
@@ -149,11 +149,10 @@ class JobManager:
     executes via :meth:`JobSpec.run` with the shared ``cache`` and the
     engine-level ``engine_workers``/``engine_executor`` scaling knobs
     (which, by the engine's determinism invariants, never change the
-    numbers). ``engine_executor`` takes any registered backend name or
-    :class:`~repro.methods.executors.ChunkExecutor` instance — point a
-    :class:`~repro.methods.executors.RemoteExecutor` at a
-    ``repro-worker`` fleet and every served job fans out over it. The manager is fully usable without any HTTP in front of
-    it — the server layer is a thin translation onto these methods.
+    numbers). Both knobs are checked here, so a bad one refuses the
+    manager instead of failing every job. The manager is fully usable
+    without any HTTP in front of it — the server layer is a thin
+    translation onto these methods.
     """
 
     def __init__(
@@ -167,8 +166,8 @@ class JobManager:
     ) -> None:
         self.cache = cache if cache is not None else ComponentCache()
         self.quota = quota if quota is not None else TrialQuota()
-        self.engine_workers = engine_workers
-        self.engine_executor = engine_executor
+        self.engine_workers = resolve_workers(engine_workers)
+        self.engine_executor = check_executor(engine_executor)
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
         self._by_fingerprint: dict[str, Job] = {}
@@ -271,7 +270,7 @@ class JobManager:
             "workers": len(self._workers),
             "engine": {
                 "workers": self.engine_workers,
-                "executor": executor_name(self.engine_executor),
+                "executor": self.engine_executor,
             },
             "jobs": states,
             "submissions": submissions,

@@ -16,8 +16,9 @@ import argparse
 import asyncio
 import threading
 
+from ..errors import ConfigurationError
 from ..methods.base import ComponentCache
-from ..methods.executors import RemoteExecutor, available_executors
+from ..methods.batch import EXECUTORS
 from .http import ApiHandler
 from .jobs import JobManager
 from .quota import TrialQuota
@@ -30,13 +31,9 @@ class AnalysisService:
     :attr:`address` after :meth:`start`. ``quota_trials`` caps the
     total Monte-Carlo trial pool split fairly across tenants
     (``None`` = unmetered). ``workers`` sizes the job worker pool;
-    ``engine_workers``/``engine_executor`` are passed through to
-    ``evaluate_design_space`` and never affect the numbers.
-    ``engine_executor`` accepts any registered backend name or
-    :class:`~repro.methods.executors.ChunkExecutor` instance, so the
-    server's engine pool can point at the same ``repro-worker`` fleet
-    the CLI uses (``--engine-fleet`` builds the
-    :class:`~repro.methods.executors.RemoteExecutor` for you).
+    ``engine_workers``/``engine_executor`` (``"thread"`` or
+    ``"process"``) are passed through to ``evaluate_design_space`` and
+    never affect the numbers.
     """
 
     def __init__(
@@ -179,15 +176,8 @@ def main(argv: list[str] | None = None) -> int:
         help="evaluate_design_space workers per job (default %(default)s)",
     )
     parser.add_argument(
-        "--executor", choices=available_executors(), default="thread",
-        help="engine executor per job, from the backend registry "
-        "(default %(default)s); 'remote' needs --engine-fleet",
-    )
-    parser.add_argument(
-        "--engine-fleet", metavar="HOST:PORT,...", default=None,
-        help="comma-separated repro-worker addresses; the engine pool "
-        "fans every job's chunks out over this fleet (implies "
-        "--executor remote)",
+        "--executor", choices=EXECUTORS, default="thread",
+        help="engine executor per job (default %(default)s)",
     )
     parser.add_argument(
         "--quota-trials", type=int, default=None,
@@ -197,27 +187,18 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     args = parser.parse_args(argv)
-    engine_executor = args.executor
-    engine_workers = args.engine_workers
-    if args.engine_fleet is not None:
-        addresses = [
-            part.strip()
-            for part in args.engine_fleet.split(",")
-            if part.strip()
-        ]
-        engine_executor = RemoteExecutor(addresses)
-        engine_workers = max(engine_workers, len(addresses))
-    elif engine_executor == "remote":
-        parser.error("--executor remote needs --engine-fleet HOST:PORT,...")
-    service = AnalysisService(
-        host=args.host,
-        port=args.port,
-        cache_dir=args.cache_dir,
-        workers=args.workers,
-        engine_workers=engine_workers,
-        engine_executor=engine_executor,
-        quota_trials=args.quota_trials,
-    )
+    try:
+        service = AnalysisService(
+            host=args.host,
+            port=args.port,
+            cache_dir=args.cache_dir,
+            workers=args.workers,
+            engine_workers=args.engine_workers,
+            engine_executor=args.executor,
+            quota_trials=args.quota_trials,
+        )
+    except ConfigurationError as error:
+        parser.error(str(error))
 
     async def run() -> None:
         await service.start()

@@ -47,15 +47,14 @@ from ..core.montecarlo import (
     stopping_rule_from_dict,
     stopping_rule_to_dict,
 )
-from ..core.system import SystemModel
+from ..core.system import SystemModel, reject_unknown, wire_str
 from ..errors import ConfigurationError, EstimationError, ReproError
 from ..methods import registry
 from ..methods.cache import mc_token
 
-# The MC/stopping codecs live in repro.core.montecarlo (the executor
-# wire protocol in repro.methods.executors shares them, and methods must
-# not depend on the service layer above it); re-exported here because
-# they are part of the job wire vocabulary.
+# The MC/stopping codecs live in repro.core.montecarlo (methods must not
+# depend on the service layer above it); re-exported here because they
+# are part of the job wire vocabulary.
 __all__ = [
     "JOB_SCHEMA",
     "JobSpec",
@@ -67,6 +66,10 @@ __all__ = [
 
 #: Schema tag of the job-submission document.
 JOB_SCHEMA = "repro.job/v1"
+
+#: Keys of the job document (all but ``schema``, ``space`` and
+#: ``methods`` are optional).
+_JOB_FIELDS = ("schema", "tenant", "space", "methods", "reference", "mc")
 
 
 @dataclass(frozen=True)
@@ -165,10 +168,7 @@ class JobSpec:
         methods, same reference, same ``MonteCarloConfig`` — and the
         engine's determinism invariants make ``workers``/``executor``
         (the server's scaling knobs) invisible in the numbers.
-        ``executor`` accepts any registered backend name or
-        :class:`~repro.methods.executors.ChunkExecutor` instance (e.g.
-        a :class:`~repro.methods.executors.RemoteExecutor` pointed at a
-        worker fleet).
+        ``executor`` is ``"thread"`` or ``"process"``.
         """
         from ..methods.batch import evaluate_design_space
 
@@ -213,6 +213,7 @@ class JobSpec:
                 f"not a {JOB_SCHEMA} document "
                 f"(schema={data.get('schema')!r})"
             )
+        reject_unknown(data, _JOB_FIELDS, "job")
         raw_space = data.get("space")
         if not isinstance(raw_space, list) or not raw_space:
             raise ConfigurationError(
@@ -225,7 +226,11 @@ class JobSpec:
                     f"space item {index} must be "
                     '{"label": ..., "system": {...}}'
                 )
-            label = str(item.get("label", f"system[{index}]"))
+            reject_unknown(item, ("label", "system"), f"space item {index}")
+            label = wire_str(
+                item.get("label", f"system[{index}]"),
+                f"space item {index} label",
+            )
             try:
                 system = SystemModel.from_dict(item["system"])
             except ReproError as error:
@@ -249,10 +254,12 @@ class JobSpec:
             raise ConfigurationError(str(error)) from None
         return cls(
             space=tuple(space),
-            methods=tuple(str(m) for m in methods),
-            reference=str(data.get("reference", "monte_carlo")),
+            methods=tuple(wire_str(m, "job method") for m in methods),
+            reference=wire_str(
+                data.get("reference", "monte_carlo"), "job reference"
+            ),
             mc=mc,
-            tenant=str(data.get("tenant", "default")),
+            tenant=wire_str(data.get("tenant", "default"), "job tenant"),
         )
 
     def with_tenant(self, tenant: str) -> "JobSpec":

@@ -5,7 +5,9 @@ exists in the registry, every example the README lists is on disk, and
 the recorded environment knobs are the ones the code reads.
 """
 
+import importlib
 import re
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -49,13 +51,17 @@ class TestReadme:
         assert "REPRO_SPEC_INSTRUCTIONS" in readme
 
     def test_cli_names_match_entry_points(self, readme):
-        pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
-        for tool in (
-            "repro-experiments", "repro-lint", "repro-serve",
-            "repro-simulate", "repro-worker",
-        ):
-            assert tool in readme
-            assert tool in pyproject
+        # Every console script must resolve to a callable and be named
+        # in the README, so a stale entry cannot outlive its module.
+        with open(ROOT / "pyproject.toml", "rb") as handle:
+            scripts = tomllib.load(handle)["project"]["scripts"]
+        assert scripts
+        for tool, target in scripts.items():
+            module, _, function = target.partition(":")
+            assert callable(
+                getattr(importlib.import_module(module), function)
+            ), target
+            assert tool in readme, f"{tool} missing from README"
 
     def test_cache_dir_env_documented(self, readme):
         from repro.methods.cache import CACHE_DIR_ENV
@@ -97,8 +103,8 @@ class TestProgressEventVocabulary:
         )
 
     def test_registry_docs_rules_clean(self):
-        # R101-R106: methods/executors/progress kinds/schema tags
-        # documented, no stale progress constants.
+        # R101-R106: methods/progress kinds/schema tags documented,
+        # no stale progress constants.
         from repro.lint import run_lint
 
         report = run_lint([ROOT / "src"], rules=["R1"], root=ROOT)

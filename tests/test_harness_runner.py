@@ -187,22 +187,44 @@ class TestUsageErrors:
     """Every refused flag combination exits 2 with a message, no work."""
 
     @pytest.mark.parametrize(
-        "argv, message",
+        "argv, env, message",
         [
-            (["--budget-ledger", "run"], "unrecognized arguments"),
-            (["--kernel", "legacy"], "invalid choice: 'legacy'"),
-            (["--shard", "2/2"], "shard must look like 'i/N'"),
-            (["--executor", "thread", "--workers", "a:1"],
-             "implies --executor remote"),
+            (["--budget-ledger", "run"], {}, "unrecognized arguments"),
+            (["--kernel", "legacy"], {}, "invalid choice: 'legacy'"),
+            (["--shard", "2/2"], {}, "shard must look like 'i/N'"),
+            (["--executor", "thread", "--workers", "a:1"], {},
+             "bad --workers value 'a:1'"),
+            (["--executor", "remote"], {}, "invalid choice: 'remote'"),
+            (["--workers", "host:1"], {}, "bad --workers value 'host:1'"),
+            (["--trials", "-5"], {}, "trials must be >= 1, got -5"),
+            (["--trials", "0"], {}, "trials must be >= 1, got 0"),
+            (["--mc-chunks", "0"], {}, "chunks must be >= 1, got 0"),
+            (["--target-stderr", "0"], {},
+             "target_rel_stderr must be positive, got 0.0"),
+            (["--target-stderr", "nan"], {},
+             "target_rel_stderr must be positive, got nan"),
+            ([], {"REPRO_MC_TRIALS": "0"}, "trials must be >= 1, got 0"),
+            ([], {"REPRO_MC_TRIALS": "abc"},
+             "REPRO_MC_TRIALS must be an integer, got 'abc'"),
         ],
         ids=[
             "removed-ledger-flag", "kernel-legacy", "bad-shard",
-            "thread-executor-with-fleet",
+            "thread-executor-with-fleet", "remote-executor",
+            "worker-address", "negative-trials", "zero-trials",
+            "zero-chunks", "zero-target-stderr", "nan-target-stderr",
+            "zero-env-trials", "non-integer-env-trials",
         ],
     )
-    def test_refused_before_any_work(self, argv, message, monkeypatch, capsys):
+    def test_refused_before_any_work(
+        self, argv, env, message, monkeypatch, capsys
+    ):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        assert _exit_code(["fig5", "--trials", "200", *argv]) == 2
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        # A small budget keeps a wrongly accepted row cheap; the env
+        # rows need --trials unset to reach REPRO_MC_TRIALS.
+        budget = [] if env else ["--trials", "200"]
+        assert _exit_code(["fig5", *budget, *argv]) == 2
         captured = capsys.readouterr()
         assert message in captured.err
         assert "[fig5]" not in captured.out

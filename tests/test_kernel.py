@@ -1,4 +1,4 @@
-"""Compiled sampling plans: tables, wire forms, bit-identity.
+"""Compiled sampling plans: tables, pickles, bit-identity.
 
 Every inverse Monte-Carlo draw runs through a
 :class:`~repro.core.kernel.SamplingPlan`, and the plans promise
@@ -8,8 +8,8 @@ any result must byte-match the legacy object-graph sampler, which
 promise at every level: compiled tables vs hazard objects, plan
 sampling vs the oracle (property-tested across profiles, methods, and
 phases), the batch engine end to end (executors, worker counts, shards,
-reallocation) against oracle-installed baselines, the plan wire forms,
-and the worker hydration protocol. Plus the satellite invariants:
+reallocation) against oracle-installed baselines, plan pickling, and
+the worker hydration protocol. Plus the satellite invariants:
 memoized ``combined_intensity``, the vectorized survival integral's
 exact agreement with the scalar closed forms, and Monte-Carlo wire
 forms that refuse a ``kernel`` field.
@@ -17,12 +17,11 @@ forms that refuse a ``kernel`` field.
 The cheap-trial layer is held to the same standard: the bucket-guided
 search must return ``np.searchsorted``'s index on fuzzed tables, the
 sliced sampler must match the oracle at trial counts on both sides of
-every slice edge, wire plans with malformed tables must be refused
-with a typed error, plans must keep their source model and build wire
-dicts lazily, and the plan cache must evict least recently used first.
+every slice edge, malformed tables must be refused with a typed error,
+plans must keep their source model and build component dicts lazily,
+and the plan cache must evict least recently used first.
 """
 
-import copy
 import json
 import pickle
 
@@ -195,108 +194,6 @@ def sorted_tables(draw):
     return np.sort(table)
 
 
-def _wire_of(system: SystemModel) -> dict:
-    return SamplingPlan(
-        "system",
-        system.content_fingerprint,
-        compile_intensity(system.combined_intensity()),
-        model=system,
-    ).to_dict()
-
-
-#: Small well-formed plan wire forms, one per compiled shape.
-_VALID_WIRES = (
-    _wire_of(
-        SystemModel([Component("a", 0.5, busy_idle_profile(1.0, 2.0, 0.5))])
-    ),
-    _wire_of(
-        SystemModel(
-            [
-                Component(
-                    "n",
-                    0.3,
-                    NestedProfile(
-                        [
-                            (
-                                3.0,
-                                PiecewiseProfile.from_segments(
-                                    [(1.0, 0.5), (0.5, 0.0)]
-                                ),
-                            ),
-                            (2.0, 0.25),
-                        ]
-                    ),
-                )
-            ]
-        )
-    ),
-)
-
-_TABLE_KEYS = (
-    "breakpoints", "rates", "cum", "starts", "durations", "cum_mass"
-)
-
-
-def _wire_paths(wire: dict) -> list[tuple]:
-    """Every field, table and table entry of a plan wire form."""
-    intensity = wire["intensity"]
-    paths = [(key,) for key in wire]
-    paths += [("components", i) for i in range(len(wire["components"]))]
-    sections = [(("intensity",), intensity)] + [
-        (("intensity", "inners", i), inner)
-        for i, inner in enumerate(intensity.get("inners", []))
-    ]
-    for prefix, section in sections:
-        paths.append(prefix)
-        paths += [(*prefix, key) for key in section]
-        for key in _TABLE_KEYS:
-            paths += [
-                (*prefix, key, j) for j in range(len(section.get(key, [])))
-            ]
-    return paths
-
-
-_NUMBERS = st.one_of(
-    st.floats(), st.integers(), st.just(-0.0), st.just(10**400)
-)
-_JUNK = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.text(max_size=4),
-    _NUMBERS,
-    st.lists(_NUMBERS, max_size=6),
-    st.lists(
-        st.one_of(
-            st.none(), st.text(max_size=2), st.lists(_NUMBERS, max_size=2)
-        ),
-        max_size=4,
-    ),
-    st.dictionaries(st.text(max_size=3), _NUMBERS, max_size=2),
-)
-
-
-def _junk_for(value):
-    """Replacements for one wire value: junk, or a same-sized table."""
-    if isinstance(value, list) and value and all(
-        isinstance(v, float) for v in value
-    ):
-        return st.one_of(
-            _JUNK,
-            st.permutations(value),
-            st.lists(_NUMBERS, min_size=len(value), max_size=len(value)),
-        )
-    return _JUNK
-
-
-def _tables_of(intensity) -> list[np.ndarray]:
-    if isinstance(intensity, CompiledNested):
-        tables = [intensity.starts, intensity.durations, intensity.cum_mass]
-        for inner in intensity.inners:
-            tables += _tables_of(inner)
-        return tables
-    return [intensity.bp, intensity.rates, intensity.cum]
-
-
 # ---------------------------------------------------------------------------
 # Compiled intensities: same tables, same bits, same refusals.
 # ---------------------------------------------------------------------------
@@ -402,28 +299,38 @@ class TestCompiledIntensity:
         ],
     )
     def test_rejects_malformed_wire_tables(self, field, values):
-        wire = {
-            "type": "piecewise",
+        # A pool worker rebuilds unpickled tables through the
+        # constructor (``__reduce__``), so its checks guard them.
+        tables = {
             "breakpoints": [0.0, 1.0, 2.0, 3.0],
             "rates": [1.0, 0.0, 2.0],
             "cum": [0.0, 1.0, 1.0, 3.0],
         }
-        CompiledPiecewise.from_dict(wire)  # the well-formed original
-        wire[field] = values
+        CompiledPiecewise(*tables.values())  # the well-formed original
+        tables[field] = values
         with pytest.raises(ConfigurationError, match=repr(field)):
-            kernel_mod._intensity_from_dict(wire)
+            CompiledPiecewise(*tables.values())
 
     def test_rejects_malformed_nested_tables(self, nested_system):
-        wire = plan_for_system(nested_system).intensity.to_dict()
+        nested = plan_for_system(nested_system).intensity
+        tables = {
+            "starts": nested.starts,
+            "durations": nested.durations,
+            "cum_mass": nested.cum_mass,
+        }
         for field in ("starts", "cum_mass"):
-            broken = copy.deepcopy(wire)
-            broken[field] = broken[field][::-1]
+            broken = {**tables, field: tables[field][::-1]}
             with pytest.raises(ConfigurationError, match=repr(field)):
-                CompiledNested.from_dict(broken)
-        broken = copy.deepcopy(wire)
-        broken["inners"][0]["cum"][-1] = float("nan")
+                CompiledNested(*broken.values(), nested.inners)
+        inner = nested.inners[0]
+        cum = inner.cum.copy()
+        cum[-1] = float("nan")
         with pytest.raises(ConfigurationError, match="'cum'"):
-            CompiledNested.from_dict(broken)
+            CompiledNested(
+                *tables.values(),
+                [CompiledPiecewise(inner.bp, inner.rates, cum),
+                 *nested.inners[1:]],
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -677,38 +584,19 @@ class TestEngineBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Plan wire forms and pickling.
+# Plan pickling: the form a process pool ships.
 # ---------------------------------------------------------------------------
 
 
 class TestPlanWire:
     def test_round_trip_samples_identically(self, nested_system):
         plan = plan_for_system(nested_system)
-        clone = SamplingPlan.from_dict(plan.to_dict())
+        clone = pickle.loads(pickle.dumps(plan))
         config = _config(trials=256)
         np.testing.assert_array_equal(
             clone.sample_ttf(config), plan.sample_ttf(config)
         )
         assert clone.cache_key == plan.cache_key
-
-    def test_double_round_trip_is_dict_stable(self, piecewise_system):
-        plan = plan_for_system(piecewise_system)
-        once = plan.to_dict()
-        twice = SamplingPlan.from_dict(once).to_dict()
-        assert once == twice
-
-    def test_wire_json_safe(self, nested_system):
-        plan = plan_for_system(nested_system)
-        assert (
-            SamplingPlan.from_dict(
-                json.loads(json.dumps(plan.to_dict()))
-            ).to_dict()
-            == plan.to_dict()
-        )
-
-    def test_rejects_wrong_schema(self):
-        with pytest.raises(ConfigurationError, match="repro.plan/v1"):
-            SamplingPlan.from_dict({"schema": "bogus"})
 
     def test_pickle_drops_model_cache(self, piecewise_system):
         plan = plan_for_system(piecewise_system)
@@ -724,7 +612,7 @@ class TestPlanWire:
         self, piecewise_system
     ):
         plan = plan_for_system(piecewise_system)
-        rebuilt = SamplingPlan.from_dict(plan.to_dict()).model()
+        rebuilt = pickle.loads(pickle.dumps(plan)).model()
         assert (
             rebuilt.content_fingerprint
             == piecewise_system.content_fingerprint
@@ -736,13 +624,13 @@ class TestPlanWire:
         plan = plan_for_system(piecewise_system)
         assert plan.model() is piecewise_system
         assert plan._components is None
-        assert plan.to_dict()["components"] == [
+        assert plan.__getstate__()["components"] == tuple(
             c.to_dict() for c in piecewise_system.components
-        ]
+        )
         component = Component("unit", 3.0 / SECONDS_PER_DAY, day_profile)
         plan = plan_for_component(component)
         assert plan.model() is component
-        assert plan.to_dict()["components"] == [component.to_dict()]
+        assert plan.components == (component.to_dict(),)
 
     def test_plan_needs_exactly_one_source(self, piecewise_system):
         intensity = plan_for_system(piecewise_system).intensity
@@ -752,11 +640,10 @@ class TestPlanWire:
 
     def test_guides_stay_out_of_wire_forms_and_pickles(self, nested_system):
         plan = plan_for_system(nested_system)
-        wire, pickled = plan.to_dict(), pickle.dumps(plan)
+        pickled = pickle.dumps(plan)
         plan.sample_ttf(_config(start_phase="random"))
         assert plan.intensity._guides  # sampling built the guides
-        assert plan.to_dict() == wire
-        assert len(pickle.dumps(plan)) == len(pickled)
+        assert pickle.dumps(plan) == pickled
         clone = pickle.loads(pickle.dumps(plan))
         assert clone.intensity._guides == {}
         assert all(inner._guides == {} for inner in clone.intensity.inners)
@@ -764,28 +651,6 @@ class TestPlanWire:
         np.testing.assert_array_equal(
             clone.sample_ttf(config), plan.sample_ttf(config)
         )
-
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_malformed_wire_plans_raise_typed_errors(self, data):
-        wire = copy.deepcopy(data.draw(st.sampled_from(_VALID_WIRES)))
-        path = data.draw(st.sampled_from(_wire_paths(wire)))
-        parent = wire
-        for key in path[:-1]:
-            parent = parent[key]
-        if data.draw(st.booleans()):
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = data.draw(_junk_for(parent[path[-1]]))
-        try:
-            plan = SamplingPlan.from_dict(wire)
-        except ConfigurationError:
-            return
-        # Whatever got through is a well-formed plan: it samples.
-        for table in _tables_of(plan.intensity):
-            assert np.all(np.isfinite(table))
-        samples = plan.sample_ttf(_config(trials=64))
-        assert samples.shape == (64,) and not np.any(np.isnan(samples))
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ class TestRegistryAndScope:
 
     def test_scope_classification(self):
         assert classify_scope("repro/core/montecarlo.py") == (True, False)
-        assert classify_scope("repro/methods/worker.py") == (True, True)
+        assert classify_scope("repro/methods/cache.py") == (True, True)
         assert classify_scope("repro/service/http.py") == (True, True)
         assert classify_scope("repro/harness/runner.py") == (False, False)
 
@@ -219,7 +219,7 @@ class TestWireRules:
         assert [f.rule_id for f in report.suppressed] == ["W102"]
 
     def test_w103_partial_send_caught(self, tmp_path):
-        path = write(tmp_path, "repro/methods/worker.py", """\
+        path = write(tmp_path, "repro/service/push.py", """\
             def push(sock, frame):
                 sock.send(frame)
             """)
@@ -254,22 +254,6 @@ class TestRegistryDocsRules:
         report = lint(path, ["R101"], root=tmp_path)
         assert rule_ids(report) == ["R101", "R101"]
         assert all("mystery" in f.message for f in report.findings)
-
-    def test_r102_undocumented_executor_caught(self, tmp_path):
-        make_docs(tmp_path, design="backends: `serial`")
-        path = write(tmp_path, "repro/methods/executors.py", """\
-            class SerialExecutor:
-                name = "serial"
-
-            class GhostExecutor:
-                name = "ghost"
-
-            register_executor(SerialExecutor())
-            register_executor(GhostExecutor())
-            """)
-        report = lint(path, ["R102"], root=tmp_path)
-        assert rule_ids(report) == ["R102"]
-        assert "ghost" in report.findings[0].message
 
     def test_r103_r105_progress_vocabulary(self, tmp_path):
         make_docs(tmp_path, design="kinds: `alpha`")

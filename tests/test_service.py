@@ -415,6 +415,41 @@ class TestJobManager:
             manager.close()
 
 
+class TestServeStartup:
+    """Bad engine knobs refuse the server before it starts serving."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--engine-workers", "0"],
+             "workers must be a positive integer, got 0"),
+            (["--executor", "remote"], "invalid choice: 'remote'"),
+        ],
+        ids=["zero-engine-workers", "remote-executor"],
+    )
+    def test_refused_before_serving(self, argv, message, monkeypatch, capsys):
+        from repro.service import server as server_mod
+
+        def serve(coroutine):
+            coroutine.close()
+            raise AssertionError("repro-serve started serving")
+
+        monkeypatch.setattr(server_mod.asyncio, "run", serve)
+        with pytest.raises(SystemExit) as exited:
+            server_mod.main(["--port", "0", *argv])
+        assert exited.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"engine_workers": 0}, {"engine_executor": "remote"}],
+        ids=["zero-engine-workers", "remote-executor"],
+    )
+    def test_job_manager_refuses_bad_engine_knobs(self, knobs):
+        with pytest.raises(ConfigurationError):
+            JobManager(workers=1, **knobs).close()
+
+
 @pytest.fixture(scope="module")
 def server():
     with BackgroundServer(workers=2) as background:
