@@ -146,19 +146,6 @@ def benchmark_cases(trials: int, points: int, workers: int):
              "executor": "thread", "target_rel_stderr": 0.02},
             lambda: run(mc_config=adaptive, workers=workers, cache=False),
         ),
-        # Budget re-allocation spends freed early-stop budget on the
-        # stragglers (its reference_trials metadata shows where the
-        # budget went).
-        (
-            "sweep_threads_realloc_adaptive_2pct",
-            {"trials": trials, "chunks": 8, "workers": workers,
-             "executor": "thread", "target_rel_stderr": 0.02,
-             "reallocate_budget": True},
-            lambda: run(
-                mc_config=adaptive, workers=workers, cache=False,
-                reallocate_budget=True,
-            ),
-        ),
     ]
     return cases
 
@@ -222,91 +209,6 @@ def executor_cases(trials: int, points: int, workers: int, repeat: int):
             }
         )
     return records
-
-
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted list."""
-    rank = max(
-        0, min(len(sorted_values) - 1,
-               round(fraction * (len(sorted_values) - 1)))
-    )
-    return sorted_values[rank]
-
-
-def service_load_cases(
-    trials: int, jobs: int = 12, distinct: int = 4, workers: int = 2
-):
-    """Concurrent load against a live analysis server (the PR-6 layer).
-
-    ``jobs`` clients submit simultaneously, but only ``distinct``
-    fingerprints exist among them — the rest are duplicates the server
-    must coalesce, which is the serving layer's whole value
-    proposition: under bursty duplicate-heavy load (dashboards,
-    retried CI jobs) the engine runs each unique spec once. The record
-    carries submission throughput, the observed dedup hit rate, and
-    p50/p95 submit-to-done latency so serving-layer changes carry
-    numbers just like engine changes do.
-    """
-    import threading
-
-    from repro.service import BackgroundServer, JobSpec, ServiceClient
-
-    space = _cluster_space(2)
-    specs = [
-        JobSpec(
-            space=tuple(space),
-            methods=("sofr_only",),
-            mc=MonteCarloConfig(
-                trials=trials, seed=100 + (i % distinct), chunks=4
-            ),
-        )
-        for i in range(jobs)
-    ]
-    latencies: list[float] = []
-    coalesced_flags: list[bool] = []
-    lock = threading.Lock()
-
-    with BackgroundServer(workers=workers) as server:
-        def one(spec):
-            client = ServiceClient(server.address)
-            started = time.perf_counter()
-            submitted = client.submit(spec)
-            client.wait(submitted["job"]["id"], timeout=600)
-            elapsed = time.perf_counter() - started
-            with lock:
-                latencies.append(elapsed)
-                coalesced_flags.append(submitted["coalesced"])
-
-        threads = [
-            threading.Thread(target=one, args=(spec,)) for spec in specs
-        ]
-        wall_started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        wall = time.perf_counter() - wall_started
-        fleet = ServiceClient(server.address).fleet()
-
-    latencies.sort()
-    return [
-        {
-            "name": "service_load",
-            "seconds": round(wall, 4),
-            "trials": trials,
-            "jobs": jobs,
-            "distinct_specs": distinct,
-            "service_workers": workers,
-            "engine_workers": 1,
-            "engine_executor": "thread",
-            "submissions": fleet["submissions"],
-            "coalesced": sum(coalesced_flags),
-            "dedup_hit_rate": round(sum(coalesced_flags) / jobs, 4),
-            "throughput_jobs_per_s": round(jobs / wall, 2),
-            "p50_latency_s": round(_percentile(latencies, 0.50), 4),
-            "p95_latency_s": round(_percentile(latencies, 0.95), 4),
-        }
-    ]
 
 
 def lint_cases(repeat: int):
@@ -563,8 +465,8 @@ def sampler_cases(
 
 #: Benchmark sections selectable via --scenario.
 SCENARIOS = (
-    "all", "engine", "cache", "executors", "service_load", "lint",
-    "trace", "estimators", "sampler",
+    "all", "engine", "cache", "executors", "lint", "trace",
+    "estimators", "sampler",
 )
 
 
@@ -657,18 +559,6 @@ def run_benchmarks(argv: list[str] | None = None) -> Path:
             print(
                 f"{record['name']:44s} {record['seconds']:8.3f}s  "
                 f"identical_to_serial={record['identical_to_serial']}"
-            )
-
-    # Serving layer: concurrent duplicate-heavy load over HTTP.
-    if wants("service_load"):
-        for record in service_load_cases(args.trials):
-            results.append(record)
-            print(
-                f"{record['name']:44s} {record['seconds']:8.3f}s  "
-                f"{record['throughput_jobs_per_s']} jobs/s  "
-                f"dedup={record['coalesced']}/{record['jobs']}  "
-                f"p50={record['p50_latency_s']}s "
-                f"p95={record['p95_latency_s']}s"
             )
 
     # Static-analysis gate: repro-lint wall time over src/.

@@ -44,13 +44,9 @@ from .montecarlo import (
     StoppingRule,
     accumulate_chunks,
     adaptive_chunk_configs,
-    allocate_grants,
     chunk_configs,
     component_chunk_moments,
     estimate_from_moments,
-    extension_chunk_config,
-    extension_chunk_configs,
-    grant_chunk_trials,
     merge_moments,
     moments_from_samples,
     monte_carlo_component_mttf,
@@ -108,11 +104,7 @@ __all__ = [
     "StoppingRule",
     "accumulate_chunks",
     "adaptive_chunk_configs",
-    "allocate_grants",
     "chunk_configs",
-    "extension_chunk_config",
-    "extension_chunk_configs",
-    "grant_chunk_trials",
     "component_chunk_moments",
     "estimate_from_moments",
     "merge_moments",

@@ -164,7 +164,6 @@ def component_sweep(
     cache=None,
     shard: tuple[int, int] | None = None,
     progress=None,
-    reallocate_budget: bool = False,
 ) -> SweepOutcome:
     """AVF-step sweep: single component (C = 1), as in Figure 5 / §5.2.
 
@@ -205,7 +204,6 @@ def component_sweep(
         cache=cache,
         shard=shard,
         progress=progress,
-        reallocate_budget=reallocate_budget,
     )
     results = [
         SweepResult(
@@ -235,7 +233,6 @@ def system_sweep(
     cache=None,
     shard: tuple[int, int] | None = None,
     progress=None,
-    reallocate_budget: bool = False,
 ) -> SweepOutcome:
     """SOFR-step sweep over (workload, N x S, C), as in Figure 6.
 
@@ -291,7 +288,6 @@ def system_sweep(
         cache=cache,
         shard=shard,
         progress=progress,
-        reallocate_budget=reallocate_budget,
     )
     results = [
         SweepResult(

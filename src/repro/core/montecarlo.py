@@ -28,9 +28,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError, EstimationError
+from ..errors import EstimationError
 from ..reliability.metrics import MTTFEstimate
-from .system import Component, SystemModel, reject_unknown, wire_int
+from .system import Component, SystemModel
 
 #: Trials used throughout the paper's evaluation (Section 4.3).
 PAPER_TRIAL_COUNT = 1_000_000
@@ -122,33 +122,6 @@ class StoppingRule:
             if self.z * stderr > self.target_ci_halfwidth:
                 return False
         return True
-
-    def deficit(self, moments: "SampleMoments") -> float | None:
-        """How far ``moments`` are from this rule's targets.
-
-        The worst set constraint's current-value-to-target ratio: 1.0
-        means exactly at target, 2.0 means the standard error must
-        halve. This is the "least-converged" ordering the batch
-        engine's budget re-allocation uses — it ranks by the *configured*
-        rule, so an absolute CI-half-width run routes freed budget to
-        the point furthest from its half-width target rather than the
-        one with the worst relative error. ``None`` when no set target
-        is measurable (an all-censored prefix, or a relative-only rule
-        at mean 0) — more trials cannot demonstrably help such a point.
-        """
-        if moments.count < 2 or math.isinf(moments.mean):
-            return None
-        stderr = moments.stderr
-        ratios = []
-        if self.target_rel_stderr is not None and moments.mean != 0.0:
-            ratios.append(
-                stderr / abs(moments.mean) / self.target_rel_stderr
-            )
-        if self.target_ci_halfwidth is not None:
-            ratios.append(self.z * stderr / self.target_ci_halfwidth)
-        if not ratios:
-            return None
-        return max(ratios)
 
     def token(self) -> str:
         """Canonical cache-key fragment (see ``repro.methods.cache``)."""
@@ -354,88 +327,6 @@ def estimate_from_moments(
     )
 
 
-# ---------------------------------------------------------------------------
-# Wire forms.
-# ---------------------------------------------------------------------------
-
-#: Fields of the Monte-Carlo wire form (mirrors MonteCarloConfig).
-_MC_FIELDS = (
-    "trials", "seed", "method", "start_phase", "max_arrival_rounds",
-    "chunks",
-)
-
-#: Fields of the stopping-rule wire form (mirrors StoppingRule).
-_STOPPING_FIELDS = (
-    "target_rel_stderr", "target_ci_halfwidth", "min_trials",
-    "max_trials", "z",
-)
-
-
-def stopping_rule_to_dict(rule: StoppingRule) -> dict:
-    """Plain-dict form of a stopping rule (defaults included)."""
-    return {name: getattr(rule, name) for name in _STOPPING_FIELDS}
-
-
-#: Wire fields that must be ints when set; ``None`` is left to the
-#: constructors, which know which fields may be unset.
-_INT_FIELDS = (
-    "trials", "seed", "chunks", "max_arrival_rounds", "min_trials",
-    "max_trials",
-)
-
-
-def _check_ints(data: dict, what: str) -> None:
-    for name in _INT_FIELDS:
-        if data.get(name) is not None:
-            wire_int(data[name], f"{what} {name!r}")
-
-
-def stopping_rule_from_dict(data: dict) -> StoppingRule:
-    """Inverse of :func:`stopping_rule_to_dict` (unknown keys and
-    non-int counts raise :class:`ConfigurationError`)."""
-    reject_unknown(data, _STOPPING_FIELDS, "stopping rule")
-    _check_ints(data, "stopping rule")
-    try:
-        return StoppingRule(**data)
-    except TypeError as error:
-        raise ConfigurationError(
-            f"bad stopping-rule wire form: {error}"
-        ) from None
-
-
-def mc_config_to_dict(mc: MonteCarloConfig) -> dict:
-    """Plain-dict form of a Monte-Carlo configuration (lossless)."""
-    data = {name: getattr(mc, name) for name in _MC_FIELDS}
-    if mc.stopping is not None:
-        data["stopping"] = stopping_rule_to_dict(mc.stopping)
-    return data
-
-
-def mc_config_from_dict(data: dict) -> MonteCarloConfig:
-    """Inverse of :func:`mc_config_to_dict`.
-
-    Unknown keys, mistyped values (a bool is not an int) and a negative
-    seed raise :class:`ConfigurationError`, so the analysis service
-    refuses such a configuration on arrival, not at run.
-    """
-    what = "Monte-Carlo configuration"
-    reject_unknown(data, (*_MC_FIELDS, "stopping"), what)
-    _check_ints(data, what)
-    seed = data.get("seed", 0)
-    if seed is None or seed < 0:
-        raise ConfigurationError(f"Monte-Carlo seed must be >= 0, got {seed}")
-    payload = dict(data)
-    stopping = payload.pop("stopping", None)
-    if stopping is not None:
-        stopping = stopping_rule_from_dict(stopping)
-    try:
-        return MonteCarloConfig(stopping=stopping, **payload)
-    except TypeError as error:
-        raise ConfigurationError(
-            f"bad Monte-Carlo wire form: {error}"
-        ) from None
-
-
 def chunk_configs(config: MonteCarloConfig) -> list[MonteCarloConfig]:
     """Split one MC configuration into its per-chunk configurations.
 
@@ -522,92 +413,6 @@ def adaptive_chunk_configs(
     return plan
 
 
-def grant_chunk_trials(config: MonteCarloConfig) -> int:
-    """Trial size of one budget-extension chunk.
-
-    The same granularity :func:`adaptive_chunk_configs` uses for
-    ``max_trials`` extensions — the batch engine's budget re-allocation
-    issues grants in these units so every extension, however funded,
-    lands on the same chunk grid.
-    """
-    return max(1, config.trials // min(config.chunks, config.trials))
-
-
-def extension_chunk_config(
-    config: MonteCarloConfig, index: int, trials: int
-) -> MonteCarloConfig:
-    """The chunk configuration at position ``index`` of an extended plan.
-
-    Chunk seeds come from ``SeedSequence(seed).spawn(...)``, whose
-    children are a pure function of the chunk *index* — the rule
-    :func:`chunk_configs` and :func:`adaptive_chunk_configs` already
-    follow. A plan grown one grant at a time therefore equals the plan
-    a single up-front extension to the same budget would produce:
-    prefix preservation by construction, regardless of how many rounds
-    of re-allocation funded the tail.
-    """
-    if index < 0:
-        raise EstimationError(f"chunk index must be >= 0, got {index}")
-    if trials < 1:
-        raise EstimationError(f"chunk trials must be >= 1, got {trials}")
-    child = np.random.SeedSequence(config.seed).spawn(index + 1)[index]
-    return replace(
-        config,
-        trials=trials,
-        seed=int(child.generate_state(1, np.uint64)[0]),
-        chunks=1,
-        stopping=None,
-    )
-
-
-def extension_chunk_configs(
-    config: MonteCarloConfig, start: int, sizes: Sequence[int]
-) -> list[MonteCarloConfig]:
-    """The extension chunks ``start .. start+len(sizes)-1`` of a plan.
-
-    One budget grant appends these to a point's chunk plan; because
-    each chunk is :func:`extension_chunk_config` at its own index, a
-    plan grown by many grants equals the plan one up-front extension
-    to the same total budget would have produced.
-    """
-    return [
-        extension_chunk_config(config, start + offset, trials)
-        for offset, trials in enumerate(sizes)
-    ]
-
-
-def allocate_grants(
-    pool: int,
-    demands: Sequence[tuple[float, int]],
-    unit: int,
-) -> dict[int, list[int]]:
-    """Deterministically split freed trial budget over ranked demands.
-
-    The single allocation policy behind both the pipelined scheduler's
-    budget re-allocation and the analysis service's quotas:
-    ``demands`` are ``(deficit, key)`` pairs; candidates are
-    ordered worst-deficit first with ties broken by ascending key, and
-    ``pool`` trials are granted round-robin in ``unit``-sized chunks
-    (the final grant may be partial so the pool is spent exactly).
-    Returns ``key -> chunk sizes`` for every key that received budget.
-    A pure function of its arguments.
-    """
-    if unit < 1:
-        raise EstimationError(f"grant unit must be >= 1, got {unit}")
-    if pool < 1 or not demands:
-        return {}
-    ranked = sorted(demands, key=lambda pair: (-pair[0], pair[1]))
-    keys = [key for _deficit, key in ranked]
-    grants: dict[int, list[int]] = {key: [] for key in keys}
-    turn = 0
-    while pool > 0:
-        take = min(unit, pool)
-        grants[keys[turn % len(keys)]].append(take)
-        pool -= take
-        turn += 1
-    return {key: sizes for key, sizes in grants.items() if sizes}
-
-
 class MomentAccumulator:
     """Streaming, order-independent reducer of chunk moments.
 
@@ -650,27 +455,6 @@ class MomentAccumulator:
     def stopped_early(self) -> bool:
         """Whether the rule ended the run before the full chunk plan."""
         return self.satisfied and self._next < self.total_chunks
-
-    def extend_plan(self, extra_chunks: int) -> None:
-        """Grow the chunk plan of an exhausted, unsatisfied accumulator.
-
-        Budget re-allocation funds further chunks for a point that spent
-        its whole plan without meeting its stopping rule; extending the
-        plan reopens the accumulator (:attr:`done` becomes False) and
-        folding resumes at the next chunk index. Extending a *satisfied*
-        accumulator is a scheduling bug — that estimate is already
-        final — and is rejected loudly.
-        """
-        if extra_chunks < 1:
-            raise EstimationError(
-                f"extra_chunks must be >= 1, got {extra_chunks}"
-            )
-        if self.satisfied:
-            raise EstimationError(
-                "cannot extend a satisfied accumulator; its estimate "
-                "is already final"
-            )
-        self.total_chunks += extra_chunks
 
     def add(self, index: int, moments: SampleMoments) -> bool:
         """Record one chunk's moments; fold any ready in-order prefix.

@@ -151,8 +151,9 @@ class Component:
         The profile serializes through
         :meth:`~repro.masking.profile.VulnerabilityProfile.to_dict`, so
         the round trip preserves :attr:`content_fingerprint` exactly —
-        a model shipped over the analysis service's HTTP API hits the
-        same content-addressed cache entries as the in-process object.
+        a model rebuilt from this form (a pickled sampling plan carries
+        its components this way) hits the same content-addressed cache
+        entries as the original object.
         """
         return {
             "name": self.name,
@@ -259,11 +260,10 @@ class SystemModel:
     def to_dict(self) -> dict:
         """Lossless plain-dict wire form (inverse of :meth:`from_dict`).
 
-        This is the model half of the analysis service's job schema:
+        The ``repro.system/v1`` document:
         ``from_dict(to_dict(m)).content_fingerprint ==
-        m.content_fingerprint``, so request dedup and the estimate
-        caches treat an HTTP-submitted model and its in-process
-        original as the same content.
+        m.content_fingerprint``, so the estimate caches treat a model
+        loaded from this form and its original as the same content.
         """
         return {
             "schema": SYSTEM_SCHEMA,

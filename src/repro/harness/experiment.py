@@ -53,7 +53,6 @@ class EngineOptions:
     cache_dir: str | os.PathLike | None = None
     shard: tuple[int, int] | None = None
     progress: Callable | None = None
-    reallocate_budget: bool = False
     methods: tuple[str, ...] | None = None
     reference: str | None = None
     cache_path: Path | None = field(init=False, repr=False)
@@ -108,7 +107,6 @@ class EngineOptions:
             executor=self.executor,
             cache=self.cache,
             progress=self.progress,
-            reallocate_budget=self.reallocate_budget,
         )
         if sharded:
             kwargs["shard"] = self.shard

@@ -9,11 +9,11 @@ same memoization, fan-out, and serializable ``result_set`` machinery.
 Each takes one :class:`~repro.harness.experiment.EngineOptions` as its
 first argument, and nothing else about the engine. It carries the
 runner's knobs: trials, ``--mc-chunks`` and ``--target-stderr`` (via
-``engine.mc(seed)``), ``--workers``/``--executor``, ``--progress``,
-``--reallocate-budget`` and the invocation's one estimate cache (via
-``engine.kwargs()``). The sweeps (sec5.2, fig5, fig6a, fig6b, sec5.4)
-also honour ``--shard``. The remaining keyword arguments are the
-artifact's own grid.
+``engine.mc(seed)``), ``--workers``/``--executor``, ``--progress``
+and the invocation's one estimate cache (via ``engine.kwargs()``).
+The sweeps (sec5.2, fig5, fig6a, fig6b, sec5.4) also honour
+``--shard``. The remaining keyword arguments are the artifact's own
+grid.
 
 Defaults are sized to finish in seconds; the paper-scale knobs
 (Monte-Carlo trials, SPEC window) are environment variables:

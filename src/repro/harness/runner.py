@@ -44,11 +44,7 @@ result), and ``--progress`` streams per-point progress lines to stderr
 as chunk moments merge.
 
 Every sweep runs as one pipelined schedule: method estimates join the
-worker pool the moment each point's reference finalizes. One more
-control rides on it: ``--reallocate-budget`` re-grants the trial budget
-freed by early-stopping points to the least-converged stragglers (pair
-it with ``--target-stderr``; deterministic across workers and
-executors, and a sharded run redistributes within its own shard only).
+worker pool the moment each point's reference finalizes.
 """
 
 from __future__ import annotations
@@ -120,11 +116,6 @@ class ProgressReporter:
         elif event.kind == "method-done":
             parts.append(f"method {event.method} done")
             parts.append(f"trials={event.trials}")
-        elif event.kind == "budget-reallocated":
-            parts.append(
-                f"budget +{event.granted_trials} trials "
-                f"({event.granted_chunks} chunks)"
-            )
         elif event.kind == "prewarm":
             parts.append(f"prewarmed {event.warmed_entries} cache entries")
         else:
@@ -265,15 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "its two-pass artifact is not merge-able (merge fails loudly).",
     )
     parser.add_argument(
-        "--reallocate-budget",
-        action="store_true",
-        help="return the trial budget of chunks cancelled by early "
-        "stops to a shared ledger and re-grant it to the "
-        "least-converged points that exhausted theirs (needs "
-        "--target-stderr to have any effect; deterministic across "
-        "--workers/--executor)",
-    )
-    parser.add_argument(
         "--progress",
         action="store_true",
         help="stream per-point progress lines to stderr as trial "
@@ -286,8 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="content-addressed on-disk estimate cache; warm reruns "
         "skip re-estimation (entries invalidate automatically when a "
         "profile, rate, or MC configuration changes). Defaults to "
-        "$REPRO_CACHE_DIR when set — the same resolution rule "
-        "repro-serve uses",
+        "$REPRO_CACHE_DIR when set",
     )
     parser.add_argument(
         "--json",
@@ -334,7 +315,6 @@ def main(argv: list[str] | None = None) -> int:
             cache_dir=args.cache_dir,
             shard=args.shard,
             progress=ProgressReporter() if args.progress else None,
-            reallocate_budget=args.reallocate_budget,
             methods=tuple(args.methods) if args.methods else None,
             reference=args.reference,
         )
@@ -345,12 +325,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             "note: --target-stderr without --mc-chunks; using 16 "
             "chunks as the stopping granularity",
-            file=sys.stderr,
-        )
-    if args.reallocate_budget and args.target_stderr is None:
-        print(
-            "note: --reallocate-budget without --target-stderr is a "
-            "no-op (no stopping rule ever frees budget)",
             file=sys.stderr,
         )
 

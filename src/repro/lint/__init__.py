@@ -1,16 +1,16 @@
 """``repro.lint`` — static determinism & protocol invariant checker.
 
 The engine stack's reliability guarantees (bit-identical ResultSets
-across executors x workers x shards, SeedSequence-only
-randomness, sealed single-write wire frames, documented registry
-vocabularies — docs/SCHEDULER.md) are runtime-tested by the
-conformance suites, but a regression that only manifests on a 32-worker
-pool slips past a 1-CPU CI runner. This package checks the invariants
-at the AST instead, so violations are caught at commit time:
+across executors x workers x shards, SeedSequence-only randomness,
+documented registry vocabularies — docs/SCHEDULER.md) are
+runtime-tested by the conformance suites, but a regression that only
+manifests on a 32-worker pool slips past a 1-CPU CI runner. This
+package checks the invariants at the AST instead, so violations are
+caught at commit time:
 
-* rule families ``D1`` (determinism), ``W1`` (wire discipline), ``R1``
-  (registry/docs consistency), ``C1`` (cache-token discipline), and
-  the ``L1`` meta rules auditing the linter's own suppressions —
+* rule families ``D1`` (determinism), ``R1`` (registry/docs
+  consistency), ``C1`` (cache-token discipline), and the ``L1`` meta
+  rules auditing the linter's own suppressions —
   catalog with rationale in ``docs/LINT.md``;
 * a :func:`~repro.lint.registry.register_rule` registry mirroring
   ``methods/registry.py``, so new rules plug in without call-site
@@ -43,7 +43,6 @@ from .registry import (
 from . import rules_cache  # noqa: E402,F401  (registration side effect)
 from . import rules_determinism  # noqa: E402,F401
 from . import rules_registry  # noqa: E402,F401
-from . import rules_wire  # noqa: E402,F401
 
 __all__ = [
     "Finding",

@@ -130,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--rules",
         default=None,
-        help="comma-separated rule families or ids (e.g. D1,W102); "
+        help="comma-separated rule families or ids (e.g. D1,R106); "
         "default: all rules",
     )
     parser.add_argument(

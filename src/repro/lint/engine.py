@@ -15,7 +15,7 @@ once, then applies the inline-suppression audit:
   applies, but the missing audit trail gates until someone writes
   down *why*;
 * ``L102`` — an allow that matched no finding (emitted only when the
-  full rule set ran, so ``--rules D1`` does not misread W-allows as
+  full rule set ran, so ``--rules D1`` does not misread C-allows as
   stale).
 
 The meta rules register like every other rule so the catalog audit

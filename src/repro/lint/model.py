@@ -7,8 +7,7 @@ Three concerns live here, shared by every rule module:
   output round-trips;
 * :class:`SourceFile` — one parsed module plus everything a rule needs
   to reason about it: the AST, an import-resolution map, the
-  engine/wire scope classification, and the file's inline
-  suppressions;
+  engine-path classification, and the file's inline suppressions;
 * :class:`Suppression` — one ``# repro: allow[RULE-ID] reason``
   comment. Suppressions are *audited*: a missing reason and an allow
   that matches no finding are themselves findings (``L101`` /
@@ -18,14 +17,10 @@ Scope model
 -----------
 
 The determinism invariants of ``docs/SCHEDULER.md`` bind the *engine
-paths* — ``repro/core/``, ``repro/methods/``, ``repro/service/`` —
-where any wall-clock or entropy leak changes published numbers. The
-*wire modules* — ``methods/cache.py`` and everything under
-``service/`` — additionally carry the sealed single-write frame
-discipline. :func:`classify_scope`
-maps a file path onto those sets; rules consult
-:attr:`SourceFile.engine` / :attr:`SourceFile.wire` instead of
-re-deriving paths.
+paths* — ``repro/core/`` and ``repro/methods/`` — where any
+wall-clock or entropy leak changes published numbers.
+:func:`is_engine_path` maps a file path onto that set; rules consult
+:attr:`SourceFile.engine` instead of re-deriving paths.
 """
 
 from __future__ import annotations
@@ -42,12 +37,7 @@ FINDING_SCHEMA = "repro.lint-finding/v1"
 
 #: Engine paths: modules whose behaviour the determinism invariants of
 #: docs/SCHEDULER.md bind bit-for-bit.
-ENGINE_PREFIXES = ("repro/core/", "repro/methods/", "repro/service/")
-
-#: Wire modules: every byte they emit must be a sealed single-write
-#: frame (the cache's sealed entries; the service's HTTP and SSE frames).
-WIRE_FILES = frozenset({"repro/methods/cache.py"})
-WIRE_PREFIX = "repro/service/"
+ENGINE_PREFIXES = ("repro/core/", "repro/methods/")
 
 #: Inline-suppression syntax. The reason is mandatory (rule L101).
 SUPPRESSION_RE = re.compile(
@@ -60,7 +50,7 @@ def module_rel_path(path: Path) -> str:
 
     ``/any/prefix/src/repro/core/foo.py`` -> ``repro/core/foo.py``.
     Files outside a ``repro`` package keep their file name (they are
-    never engine or wire scope).
+    never engine paths).
     """
     parts = path.parts
     if "repro" in parts:
@@ -69,11 +59,9 @@ def module_rel_path(path: Path) -> str:
     return path.name
 
 
-def classify_scope(rel: str) -> tuple[bool, bool]:
-    """``(engine, wire)`` classification of a module-relative path."""
-    engine = rel.startswith(ENGINE_PREFIXES)
-    wire = rel in WIRE_FILES or rel.startswith(WIRE_PREFIX)
-    return engine, wire
+def is_engine_path(rel: str) -> bool:
+    """Whether a module-relative path is an engine path."""
+    return rel.startswith(ENGINE_PREFIXES)
 
 
 @dataclass(frozen=True)
@@ -196,7 +184,6 @@ class SourceFile:
     tree: ast.Module
     imports: ImportMap
     engine: bool
-    wire: bool
     suppressions: dict[int, Suppression] = field(default_factory=dict)
     comment_lines: frozenset[int] = frozenset()
 
@@ -206,7 +193,6 @@ class SourceFile:
         text = path.read_text(encoding="utf-8")
         tree = ast.parse(text, filename=str(path))
         rel = module_rel_path(path)
-        engine, wire = classify_scope(rel)
         suppressions = {}
         # Real COMMENT tokens only — a docstring that merely *mentions*
         # the allow syntax must not read as a suppression.
@@ -235,8 +221,7 @@ class SourceFile:
             text=text,
             tree=tree,
             imports=ImportMap(tree),
-            engine=engine,
-            wire=wire,
+            engine=is_engine_path(rel),
             suppressions=suppressions,
             comment_lines=frozenset(
                 number

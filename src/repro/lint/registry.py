@@ -104,7 +104,7 @@ def select_rules(selectors: Iterable[str] | None) -> list[Rule]:
     """Expand ``--rules`` selectors to rule objects.
 
     A selector is either a full id (``D101``) or a family prefix
-    (``D1``, ``W1``); ``None`` selects everything. Unknown selectors
+    (``D1``, ``R1``); ``None`` selects everything. Unknown selectors
     fail loudly with the available families and ids.
     """
     if selectors is None:

@@ -4,10 +4,11 @@
 states which Monte-Carlo settings produced a number. Two invariants
 keep warm caches and shard merges honest:
 
-* **Tokens only grow.** Provenance tags (``+realloc``) are appended,
-  never rewritten — a mutation that edits or replaces a token would
-  let ``merge_result_sets`` mix artifacts of different provenance, the
-  exact corruption the merge-refusal tests exist to prevent.
+* **Tokens only grow.** Provenance tags (``"+"``-prefixed suffixes)
+  are appended, never rewritten — a mutation that edits or replaces a
+  token would let ``merge_result_sets`` mix artifacts of different
+  provenance, the exact corruption the merge-refusal tests exist to
+  prevent.
   ``C101`` flags any rebinding of a token-carrying variable that is
   not an append of a ``"+"``-prefixed tag.
 
@@ -85,7 +86,7 @@ class TokenAppendOnlyRule(Rule):
     title = "mc_token mutations are append-only"
     scope = "file"
     rationale = (
-        "provenance tags (+realloc) append to the token so "
+        "provenance tags (+<tag>) append to the token so "
         "merge_result_sets can refuse mixed-provenance shards; a "
         "rewritten token forges provenance and corrupts warm caches"
     )

@@ -40,8 +40,7 @@ REQUIRED_DOCS = ("README.md", "DESIGN.md", "docs/SCHEDULER.md")
 
 #: Where a wire-schema tag may be documented.
 SCHEMA_DOC_SET = (
-    "README.md", "DESIGN.md", "docs/SCHEDULER.md", "docs/SERVICE.md",
-    "docs/LINT.md",
+    "README.md", "DESIGN.md", "docs/SCHEDULER.md", "docs/LINT.md",
 )
 
 _SCHEMA_TAG_RE = re.compile(r"^repro\.[a-z0-9-]+/v\d+$")
@@ -193,9 +192,9 @@ class ProgressKindsDocumentedRule(Rule):
     title = "progress-event kinds documented"
     scope = "project"
     rationale = (
-        "the progress-event vocabulary is both an observability "
-        "contract and the service's SSE wire format; DESIGN.md's "
-        "table and the module docstrings must carry every kind"
+        "the progress-event vocabulary is an observability contract "
+        "(the CLI's --progress lines render it); DESIGN.md's table "
+        "and the module docstrings must carry every kind"
     )
 
     def check_project(self, project: "Project") -> Iterable[Finding]:

@@ -58,9 +58,9 @@ class VulnerabilityProfile(ABC):
         The round trip preserves the profile bit-for-bit — in
         particular ``profile_from_dict(p.to_dict()).fingerprint ==
         p.fingerprint`` — because Python's JSON float serialization is
-        shortest-round-trip for float64. This is what lets the analysis
-        service's content-addressed request dedup work across the HTTP
-        boundary.
+        shortest-round-trip for float64. This is what lets a model
+        rebuilt from its wire form hit the same content-addressed cache
+        entries as the original.
         """
 
     @property

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 from typing import Callable, Protocol, runtime_checkable
 
@@ -31,10 +32,12 @@ class ComponentCache:
     * **per-component** MTTFs (``get_or_compute``) — the design-space
       sweeps re-estimate the same component profile at the same raw rate
       for every value of C (hundreds of grid points in the Fig. 5/6
-      sweeps); one Monte-Carlo run per distinct component is enough;
-    * **system-level** estimates (``get_or_compute_estimate``) — the
-      batch engine memoizes whole reference/method estimates so a warm
-      rerun of a sweep performs zero re-estimations.
+      sweeps); one Monte-Carlo run per distinct component is enough,
+      even when several pool threads ask for it at once;
+    * **system-level** estimates (``lookup_estimate`` /
+      ``store_estimate``) — the batch engine memoizes whole
+      reference/method estimates so a warm rerun of a sweep performs
+      zero re-estimations.
 
     Keys are *content-addressed*: they derive from the component/system
     ``content_fingerprint`` (a digest of profile breakpoints/values,
@@ -54,6 +57,9 @@ class ComponentCache:
     def __init__(self, disk: DiskCache | None = None) -> None:
         self._entries: dict[str, float] = {}
         self._estimates: dict[str, MTTFEstimate] = {}
+        #: Component keys being loaded or computed right now, each with
+        #: the future its other callers wait on.
+        self._in_flight: dict[str, Future] = {}
         self._lock = threading.Lock()
         self.disk = disk
         #: Component-level memory hits/misses (back-compat counters).
@@ -112,22 +118,49 @@ class ComponentCache:
         mc: MonteCarloConfig | None,
         compute: Callable[[], float],
     ) -> float:
+        """The cached MTTF for ``component``, computing it at most once.
+
+        The first caller of a key claims it and goes memory -> disk ->
+        ``compute``; concurrent callers of the same key wait for its
+        value and count as hits. If the claimant raises, every waiter
+        gets the same exception and the key is free for a later call.
+        """
         key = self.component_key(kind, component, mc)
         with self._lock:
             if key in self._entries:
                 self.hits += 1
                 return self._entries[key]
+            pending = self._in_flight.get(key)
+            if pending is not None:
+                self.hits += 1
+            else:
+                claim = self._in_flight[key] = Future()
+        if pending is not None:
+            return pending.result()
+        try:
+            value = self._load_or_compute(key, compute)
+        except BaseException as error:
+            with self._lock:
+                del self._in_flight[key]
+            claim.set_exception(error)
+            raise
+        with self._lock:
+            self._entries[key] = value
+            del self._in_flight[key]
+        claim.set_result(value)
+        return value
+
+    def _load_or_compute(self, key: str, compute: Callable[[], float]):
+        """Disk, else ``compute`` (written through); the caller holds
+        the key's claim."""
         if self.disk is not None:
             stored = self.disk.get(key)
             if stored is not None:
-                value = float(stored["mttf_seconds"])
                 with self._lock:
-                    self._entries.setdefault(key, value)
                     self.disk_hits += 1
-                return value
+                return float(stored["mttf_seconds"])
         value = compute()
         with self._lock:
-            self._entries.setdefault(key, value)
             self.misses += 1
         if self.disk is not None:
             self.disk.put(key, {"mttf_seconds": value})
@@ -197,41 +230,6 @@ class ComponentCache:
             self._estimates.setdefault(key, estimate)
         if self.disk is not None:
             self.disk.put(key, estimate.to_dict())
-
-    def get_or_compute_estimate(
-        self,
-        method: str,
-        system: SystemModel,
-        mc: MonteCarloConfig | None,
-        reference: str,
-        compute: Callable[[], MTTFEstimate],
-    ) -> MTTFEstimate:
-        return self.estimate_with_status(
-            method, system, mc, reference, compute
-        )[0]
-
-    def estimate_with_status(
-        self,
-        method: str,
-        system: SystemModel,
-        mc: MonteCarloConfig | None,
-        reference: str,
-        compute: Callable[[], MTTFEstimate],
-    ) -> tuple[MTTFEstimate, bool]:
-        """Like :meth:`get_or_compute_estimate`, also reporting the hit.
-
-        The boolean is True when the estimate came from the cache
-        (memory or disk) and ``compute`` never ran — the batch engine's
-        progress events carry it so observers can tell replay from
-        sampling.
-        """
-        key = self.estimate_key(method, system, mc, reference)
-        found = self.lookup_estimate(key)
-        if found is not None:
-            return found, True
-        estimate = compute()
-        self.store_estimate(key, estimate)
-        return estimate, False
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,7 @@ pool of the selected executor; ``workers=1`` is a one-worker pool. It
   :class:`~repro.methods.progress.ProgressEvent`,
 * **pipelines** method estimates: a point's estimator tasks join the
   pool the moment its reference finalizes, with no post-reference
-  phase, and with ``reallocate_budget=True`` trial budget freed by
-  early-stopping points is re-granted to the least-converged
-  stragglers at deterministic quiescent barriers,
+  phase,
 * partitions deterministically across machines: ``shard=(i, n)``
   evaluates every n-th grid point starting at i, and
   :func:`~repro.methods.results.merge_result_sets` reassembles the
@@ -59,9 +57,6 @@ from ..core.montecarlo import (
     MomentAccumulator,
     MonteCarloConfig,
     adaptive_chunk_configs,
-    allocate_grants,
-    extension_chunk_configs,
-    grant_chunk_trials,
 )
 from ..core.system import SystemModel
 from ..errors import ConfigurationError
@@ -70,7 +65,6 @@ from . import registry
 from .base import ComponentCache, MethodConfig
 from .cache import mc_token
 from .progress import (
-    BUDGET_REALLOCATED,
     CACHE_PREWARMED,
     CHUNK_MERGED,
     METHOD_DONE,
@@ -205,7 +199,7 @@ class _PointState:
         self.index = index
         self.label = label
         self.system = system
-        #: Chunk plan (mutable: budget grants append extension chunks).
+        #: Chunk plan, including any ``max_trials`` extension.
         self.plan: list[MonteCarloConfig] | None = None
         self.accumulator: MomentAccumulator | None = None
         #: How many plan chunks have been submitted to the pool.
@@ -219,7 +213,7 @@ class _PointState:
 
 
 class _Scheduler:
-    """Work-conserving sweep scheduler: one pool, three work kinds.
+    """Work-conserving sweep scheduler: one pool, two work kinds.
 
     Every :func:`evaluate_design_space` call runs one. A single
     executor pool runs, with no phase barriers between them:
@@ -231,11 +225,7 @@ class _Scheduler:
       extension);
     * **method estimates** — the moment a point's reference finalizes,
       its per-method estimator tasks join the same pool; results land
-      in any order and are recorded in method order;
-    * **budget extensions** (``reallocate_budget``) — trial budget
-      freed by early-stopping points accumulates in a ledger and is
-      re-granted to the least-converged open points as
-      prefix-preserving extension chunks.
+      in any order and are recorded in method order.
 
     Chunk dispatch depends on whether the pool shares memory. A
     thread pool keeps one chunk in flight per point and submits the
@@ -247,18 +237,9 @@ class _Scheduler:
     ``workers`` batches (:func:`_plan_batches`).
 
     Determinism: chunk moments fold strictly in chunk-index order per
-    point (the PR-3 invariant), and re-allocation fires only at
-    *quiescent barriers* — moments when no reference chunk is in flight
-    anywhere, which can only occur once every point has
-    deterministically resolved its current plan (satisfied, exhausted,
-    or censored). The ledger total, the candidate set, the
-    least-converged ordering, and the round-robin grants are therefore
-    pure functions of the configuration, never of worker count,
-    executor, or completion order. Extension chunk seeds are spawned by
-    chunk index (:func:`~repro.core.montecarlo.extension_chunk_config`),
-    so grants preserve every previously drawn sample. Within one
-    invocation the budget is conserved, and a sharded run
-    redistributes within its own shard only.
+    point, so each reference, and its early-stop decision, is a pure
+    function of the point's system and MC configuration, never of
+    worker count, executor, or completion order.
     """
 
     def __init__(
@@ -272,7 +253,6 @@ class _Scheduler:
         workers: int,
         executor: str,
         progress: ProgressCallback | None,
-        reallocate_budget: bool,
         skip_unsupported: bool,
         shard: tuple[int, int] | None,
     ) -> None:
@@ -286,7 +266,6 @@ class _Scheduler:
         #: process-pool tasks must be picklable top-level functions.
         self.shares_memory = executor == "thread"
         self.progress = progress
-        self.reallocate = reallocate_budget
         self.skip_unsupported = skip_unsupported
         self.shard = shard
         self.points = [
@@ -297,26 +276,12 @@ class _Scheduler:
         self.chunked = reference_name == "monte_carlo" and (
             mc.chunks > 1 or mc.adaptive
         )
-        #: A re-allocated reference depends on the whole sweep's ledger,
-        #: not just (system, MC config) — so it must never enter the
-        #: content-addressed cache, where a later run (or a co-running
-        #: shard) would replay it as if it were the pure fixed-budget
-        #: estimate. Method estimates stay pure and cacheable.
-        self.reference_cacheable = not (
-            reallocate_budget and self.chunked and mc.adaptive
-        )
         self.mc_label = f"monte_carlo[{mc.method}]"
-        self.grant_unit = grant_chunk_trials(mc)
-        #: Freed trial budget awaiting re-allocation.
-        self.ledger = 0
         self.pool = None
         self.waiting: set[Future] = set()
         #: Per in-flight future: its completion handler and arguments.
         self.future_meta: dict[Future, tuple] = {}
         self.chunk_futures: dict[int, list[Future]] = {}
-        #: Outstanding batched-plan futures (straggler-inclusive); zero
-        #: means a quiescent barrier for re-allocation purposes.
-        self.live_chunks = 0
         #: Plan-carrying submissions so far, per plan cache key —
         #: after ``workers`` of them every pool worker holds the plan
         #: and steady-state batches ship a 64-byte key instead.
@@ -336,10 +301,6 @@ class _Scheduler:
     def _method_mc(self, estimator) -> MonteCarloConfig | None:
         return self.config.mc if estimator.is_stochastic else None
 
-    def _defer_exhausted(self) -> bool:
-        """Whether exhausted-unsatisfied points wait for budget grants."""
-        return self.reallocate and self.config.mc.adaptive
-
     # -- prewarm -----------------------------------------------------------
 
     def _prewarm(self) -> None:
@@ -357,13 +318,12 @@ class _Scheduler:
             return
         keys = []
         for state in self.points:
-            if self.reference_cacheable:
-                keys.append(
-                    cache.estimate_key(
-                        self.reference_name, state.system,
-                        self._reference_mc(), self.reference_name,
-                    )
+            keys.append(
+                cache.estimate_key(
+                    self.reference_name, state.system,
+                    self._reference_mc(), self.reference_name,
                 )
+            )
             for name in self.method_names:
                 estimator = registry.get(name)
                 keys.append(
@@ -383,7 +343,7 @@ class _Scheduler:
     # -- work submission ---------------------------------------------------
 
     def _start_point(self, state: _PointState) -> None:
-        if self.cache is not None and self.reference_cacheable:
+        if self.cache is not None:
             state.ref_key = self.cache.estimate_key(
                 self.reference_name, state.system, self._reference_mc(),
                 self.reference_name,
@@ -468,7 +428,6 @@ class _Scheduler:
         self.future_meta[future] = (self._on_batch, state.index, jobs)
         self.chunk_futures.setdefault(state.index, []).append(future)
         self.waiting.add(future)
-        self.live_chunks += 1
 
     def _launch_methods(self, state: _PointState) -> None:
         for name in self.method_names:
@@ -539,10 +498,9 @@ class _Scheduler:
         A batched-plan result carries ``(chunk_index, moments)`` pairs
         in ascending chunk-index order. Pairs fold front to back and
         the accumulator orders folds by chunk index across batches, so
-        the merged moments, the stop decision, and the extension
-        schedule are bit-identical however the chunks were batched.
+        the merged moments, the stop decision, and the refill schedule
+        are bit-identical however the chunks were batched.
         """
-        self.live_chunks -= 1
         state = self.points[index]
         accumulator = state.accumulator
         if accumulator.done or future.cancelled():
@@ -565,11 +523,7 @@ class _Scheduler:
                 # late futures: never folded, never counted.
                 break
         if done:
-            if accumulator.satisfied or not self._defer_exhausted():
-                self._finalize_reference(state)
-            # else: exhausted without meeting the rule — stay open for
-            # a budget grant; finalized at the final quiescent barrier
-            # if none arrives.
+            self._finalize_reference(state)
             return
         if accumulator.merged_chunks > merged_before:
             self._emit(
@@ -583,7 +537,7 @@ class _Scheduler:
             )
         if accumulator.merged_chunks == state.submitted:
             # Every submitted chunk has merged and the target is still
-            # unmet: release the next extension slice. One pool-width
+            # unmet: release the next plan slice. One pool-width
             # at a time (one chunk on a shared-memory pool) keeps the
             # workers busy without speculating the whole tail.
             self._submit_chunks(state, max(1, self.workers))
@@ -621,14 +575,6 @@ class _Scheduler:
     def _finalize_reference(self, state: _PointState) -> None:
         accumulator = state.accumulator
         state.reference = accumulator.estimate(self.mc_label)
-        if self.reallocate:
-            # Unspent plan trials (cancelled or never-submitted chunks)
-            # return to the shared ledger. A straggler chunk that was
-            # already running when the rule fired is credited too: the
-            # ledger tracks the *logical* budget, so the decision stays
-            # a pure function of the configuration.
-            planned = sum(chunk.trials for chunk in state.plan)
-            self.ledger += max(0, planned - accumulator.moments.count)
         if accumulator.stopped_early:
             for leftover in self.chunk_futures.get(state.index, ()):
                 leftover.cancel()
@@ -646,125 +592,17 @@ class _Scheduler:
         )
         self._launch_methods(state)
 
-    # -- budget re-allocation ----------------------------------------------
-
-    def _open_candidates(self) -> list[tuple[float, _PointState]]:
-        """Open, unsatisfied points ranked least-converged first.
-
-        "Least converged" means the largest
-        :meth:`~repro.core.montecarlo.StoppingRule.deficit` — distance
-        from the *configured* targets, so absolute CI-half-width rules
-        rank by half-width, not relative error. Ties break by point
-        index. Points without a measurable deficit (censored
-        all-infinite moments — more trials cannot demonstrably help)
-        are never candidates.
-        """
-        rule = self.config.mc.stopping
-        if rule is None:
-            return []
-        ranked: list[tuple[float, _PointState]] = []
-        for state in self.points:
-            accumulator = state.accumulator
-            if (
-                state.reference is not None
-                or accumulator is None
-                or not accumulator.done
-                or accumulator.satisfied
-                or accumulator.moments is None
-            ):
-                continue
-            deficit = rule.deficit(accumulator.moments)
-            if deficit is not None:
-                ranked.append((deficit, state))
-        ranked.sort(key=lambda pair: (-pair[0], pair[1].index))
-        return ranked
-
-    def _apply_grant(self, state: _PointState, sizes: Sequence[int]) -> None:
-        """Extend one point's plan with granted chunks and submit them."""
-        state.plan.extend(
-            extension_chunk_configs(
-                self.config.mc, len(state.plan), sizes
-            )
-        )
-        state.accumulator.extend_plan(len(sizes))
-        self._emit(
-            ProgressEvent(
-                state.label, BUDGET_REALLOCATED,
-                merged_chunks=state.accumulator.merged_chunks,
-                total_chunks=state.accumulator.total_chunks,
-                trials=state.accumulator.moments.count,
-                rel_stderr=state.accumulator.moments.rel_stderr,
-                granted_trials=sum(sizes),
-                granted_chunks=len(sizes),
-            )
-        )
-        self._submit_chunks(state, len(sizes))
-
-    def _grant_round(self) -> bool:
-        """Distribute the local ledger to the least-converged points.
-
-        Called only at quiescent barriers. Grants are computed by
-        :func:`~repro.core.montecarlo.allocate_grants` — round-robin in
-        :func:`grant_chunk_trials` units over the ranked candidates,
-        spending the ledger exactly (the final grant may be a partial
-        chunk).
-        """
-        if self.ledger < 1:
-            return False
-        ranked = self._open_candidates()
-        if not ranked:
-            return False
-        grants = allocate_grants(
-            self.ledger,
-            [(deficit, state.index) for deficit, state in ranked],
-            self.grant_unit,
-        )
-        self.ledger = 0
-        for _deficit, state in ranked:
-            sizes = grants.get(state.index)
-            if sizes:
-                self._apply_grant(state, sizes)
-        return True
-
-    def _finalize_stragglers(self) -> bool:
-        """Finalize open points no grant will ever reach."""
-        finalized = False
-        for state in self.points:
-            if (
-                state.reference is None
-                and state.accumulator is not None
-                and state.accumulator.done
-            ):
-                self._finalize_reference(state)
-                finalized = True
-        return finalized
-
     # -- main loop ---------------------------------------------------------
 
     def _drain(self) -> None:
         """Fold completions and submit follow-up work until none is left."""
-        while True:
-            if not self.waiting:
-                if self.chunked:
-                    if self.reallocate and self._grant_round():
-                        continue
-                    if self._finalize_stragglers():
-                        # Finalizing may pipeline method tasks.
-                        continue
-                return
+        while self.waiting:
             completed, self.waiting = wait(
                 self.waiting, return_when=FIRST_COMPLETED
             )
             for future in completed:
                 handler, *args = self.future_meta.pop(future)
                 handler(future, *args)
-            if self.live_chunks == 0 and self.reallocate and self.chunked:
-                if not self._grant_round():
-                    # No grants possible now and the only budget source
-                    # (chunked finalizations) is quiet: release any
-                    # still-open points to the method stage instead of
-                    # leaving them idle.
-                    self._finalize_stragglers()
 
     def run(self) -> tuple[MethodComparison, ...]:
         self._prewarm()
@@ -815,7 +653,6 @@ def evaluate_design_space(
     skip_unsupported: bool = False,
     shard: tuple[int, int] | None = None,
     progress: ProgressCallback | None = None,
-    reallocate_budget: bool = False,
 ) -> ResultSet:
     """Run ``methods`` against ``reference`` on every system in ``space``.
 
@@ -866,17 +703,6 @@ def evaluate_design_space(
         Optional callback receiving
         :class:`~repro.methods.progress.ProgressEvent` per grid point,
         per merged reference chunk, and per pipelined method estimate.
-    reallocate_budget:
-        When True (and the Monte-Carlo config carries a
-        :class:`~repro.core.montecarlo.StoppingRule`), trial budget
-        freed by early-stopping points is returned to a shared ledger
-        and re-granted to the least-converged points that exhausted
-        their own budget without meeting the target. Grant decisions
-        fire only at quiescent barriers on in-order fold state, so the
-        numbers stay bit-identical across worker counts and executors —
-        but they *differ* from a non-reallocating run (stragglers get
-        more trials), and a sharded run redistributes within its own
-        shard only. A no-op without a stopping rule.
     """
     items = _normalize_space(space)
     if shard is not None:
@@ -910,25 +736,13 @@ def evaluate_design_space(
         workers=workers,
         executor=executor,
         progress=progress,
-        reallocate_budget=reallocate_budget,
         skip_unsupported=skip_unsupported,
         shard=shard,
     ).run()
-    token = mc_token(config.mc)
-    if (
-        reallocate_budget
-        and config.mc.adaptive
-        and reference_name == "monte_carlo"
-    ):
-        # Re-allocated references depend on the whole sweep's budget
-        # ledger, so these numbers are not interchangeable with a
-        # non-reallocating run of the same MC configuration — tag the
-        # token so merge_result_sets refuses to interleave the two.
-        token += "+realloc"
     return ResultSet(
         comparisons=comparisons,
         methods=tuple(method_names),
         reference_method=reference_name,
         shard=shard,
-        mc_token=token,
+        mc_token=mc_token(config.mc),
     )

@@ -44,12 +44,12 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 def resolve_cache_dir(cache_dir: str | os.PathLike | None) -> Path | None:
     """The single cache-path resolution rule for every entry point.
 
-    ``repro-experiments --cache-dir``, ``repro-serve --cache-dir``, and
-    any embedding code resolve the estimate-cache directory through this
-    one helper so their defaults can never drift: an explicit path wins,
-    an unset (or empty) path falls back to the :data:`CACHE_DIR_ENV`
-    environment variable, ``~`` is expanded, and ``None`` means "no
-    disk cache". The directory is *not* created here — that stays with
+    ``repro-experiments --cache-dir`` and any embedding code resolve
+    the estimate-cache directory through this one helper so their
+    defaults can never drift: an explicit path wins, an unset (or
+    empty) path falls back to the :data:`CACHE_DIR_ENV` environment
+    variable, ``~`` is expanded, and ``None`` means "no disk cache".
+    The directory is *not* created here — that stays with
     :class:`DiskCache` so a read-only caller can resolve without side
     effects.
     """

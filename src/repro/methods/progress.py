@@ -4,8 +4,8 @@ The streaming engine (:func:`repro.methods.batch.evaluate_design_space`)
 reports its work through a caller-supplied callback so long sweeps are
 observable while they run — which grid point is being estimated, how
 many trial chunks have merged, the precision reached so far, whether an
-adaptive run stopped early, when a method estimate was pipelined into
-the stream, and where re-allocated trial budget went. The CLI's
+adaptive run stopped early, and when a method estimate was pipelined
+into the stream. The CLI's
 progress reporter (:mod:`repro.harness.runner`) is one consumer; tests
 and notebook monitors are others.
 
@@ -34,11 +34,6 @@ the same table):
     carries ``trials`` and ``cached``. Cached method estimates, and
     per-component estimates a memory-isolated backend computes in the
     parent, emit only ``"method-done"``.
-``"budget-reallocated"``
-    Freed trial budget was re-granted to this point at a quiescent
-    barrier by *shard-local* re-allocation (``reallocate_budget=True``).
-    Carries ``granted_trials``/``granted_chunks`` plus the point's
-    running chunk position and precision.
 ``"prewarm"``
     The one-shot disk-cache prewarm a sharded sweep performs before
     scheduling any work. Run-level label; carries ``warmed_entries``.
@@ -46,9 +41,9 @@ the same table):
 Ordering guarantees
 -------------------
 
-Per grid point the lifecycle order is ``point-start`` -> (``chunk`` |
-``budget-reallocated``)* -> ``point-done`` -> (``method-start`` ->
-``method-done``)*; ``merged_chunks`` and
+Per grid point the lifecycle order is ``point-start`` -> ``chunk``* ->
+``point-done`` -> (``method-start`` -> ``method-done``)*;
+``merged_chunks`` and
 ``trials`` are non-decreasing along it, and no two events for one
 point are ever emitted concurrently. *Across* points the interleaving
 follows the schedule (and so may vary with workers and executors) —
@@ -73,11 +68,10 @@ CHUNK_MERGED = "chunk"
 POINT_DONE = "point-done"
 
 #: Pipelined-scheduler events: one method estimate entering/leaving the
-#: pool, trial budget re-allocated to a straggler, and the one-shot
-#: disk-cache prewarm a sharded sweep performs before scheduling work.
+#: pool, and the one-shot disk-cache prewarm a sharded sweep performs
+#: before scheduling work.
 METHOD_STARTED = "method-start"
 METHOD_DONE = "method-done"
-BUDGET_REALLOCATED = "budget-reallocated"
 CACHE_PREWARMED = "prewarm"
 
 
@@ -96,10 +90,8 @@ class ProgressEvent:
         ``"chunk"`` (one more trial chunk folded into the running
         moments), ``"point-done"`` (reference estimate final),
         ``"method-start"`` / ``"method-done"`` (one pipelined method
-        estimate entered / left the pool),
-        ``"budget-reallocated"`` (shard-local freed budget granted to
-        this point), or ``"prewarm"`` (shard-aware disk-cache prewarm
-        completed before scheduling).
+        estimate entered / left the pool), or ``"prewarm"``
+        (shard-aware disk-cache prewarm completed before scheduling).
     merged_chunks / total_chunks:
         Streaming position within the point's chunk plan. ``0/0`` for
         unchunked or non-stochastic references. ``merged_chunks`` is
@@ -120,9 +112,6 @@ class ProgressEvent:
         came from the cache and no sampling ran at all.
     method:
         On ``method-start`` / ``method-done``: the method name.
-    granted_trials / granted_chunks:
-        On ``budget-reallocated``: how much freed budget this point
-        received, in trials and in extension chunks.
     warmed_entries:
         On ``prewarm``: disk entries pulled into the in-memory cache
         before any work was scheduled.
@@ -137,61 +126,7 @@ class ProgressEvent:
     stopped_early: bool = False
     cached: bool = False
     method: str | None = None
-    granted_trials: int = 0
-    granted_chunks: int = 0
     warmed_entries: int = 0
-
-    def to_dict(self) -> dict:
-        """Compact plain-dict wire form — the analysis service's SSE payload.
-
-        ``label`` and ``kind`` are always present; every other field is
-        included only when it differs from its default, so a ``chunk``
-        event serializes to a handful of keys instead of ten. The
-        round trip is lossless (``from_dict(to_dict(e)) == e``), and
-        the key set is exactly the dataclass field set — a consistency
-        test pins the two together so the SSE schema cannot drift from
-        the documented event vocabulary.
-        """
-        data = {"label": self.label, "kind": self.kind}
-        for name, default in (
-            ("merged_chunks", 0),
-            ("total_chunks", 0),
-            ("trials", 0),
-            ("rel_stderr", None),
-            ("stopped_early", False),
-            ("cached", False),
-            ("method", None),
-            ("granted_trials", 0),
-            ("granted_chunks", 0),
-            ("warmed_entries", 0),
-        ):
-            value = getattr(self, name)
-            if value != default:
-                data[name] = value
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProgressEvent":
-        """Inverse of :meth:`to_dict` (unknown keys are rejected)."""
-        payload = dict(data)
-        try:
-            label = str(payload.pop("label"))
-            kind = str(payload.pop("kind"))
-        except KeyError as missing:
-            raise ValueError(
-                f"progress-event wire form is missing {missing}"
-            ) from None
-        allowed = {
-            "merged_chunks", "total_chunks", "trials", "rel_stderr",
-            "stopped_early", "cached", "method", "granted_trials",
-            "granted_chunks", "warmed_entries",
-        }
-        unknown = set(payload) - allowed
-        if unknown:
-            raise ValueError(
-                f"unknown progress-event fields {sorted(unknown)}"
-            )
-        return cls(label=label, kind=kind, **payload)
 
 
 #: The callback shape ``evaluate_design_space(progress=...)`` accepts.

@@ -129,137 +129,17 @@ class TestProgressEventVocabulary:
         assert "docs/SCHEDULER.md" in readme
         assert "docs/SCHEDULER.md" in design
 
-
-class TestProgressEventWire:
-    """The SSE wire schema stays in lockstep with the documented event.
-
-    ``ProgressEvent.to_dict()`` is the analysis service's SSE payload;
-    these guards pin its key set to the dataclass field set and to the
-    documented attribute vocabulary, so adding (or renaming) an event
-    field without updating the wire form, its inverse, and the docs is
-    a test failure rather than silent schema drift.
-    """
-
-    @pytest.fixture(scope="class")
-    def field_names(self) -> set[str]:
+    def test_every_field_documented(self):
         import dataclasses
 
         from repro.methods.progress import ProgressEvent
 
-        return {f.name for f in dataclasses.fields(ProgressEvent)}
-
-    @pytest.fixture(scope="class")
-    def full_event(self):
-        # Every field set away from its default, so to_dict() must
-        # emit the complete key set.
-        from repro.methods.progress import ProgressEvent
-
-        return ProgressEvent(
-            label="C=8",
-            kind="chunk",
-            merged_chunks=3,
-            total_chunks=8,
-            trials=12_000,
-            rel_stderr=0.031,
-            stopped_early=True,
-            cached=True,
-            method="sofr_only",
-            granted_trials=4_000,
-            granted_chunks=2,
-            warmed_entries=17,
-        )
-
-    def test_wire_keys_equal_dataclass_fields(
-        self, field_names, full_event
-    ):
-        assert set(full_event.to_dict()) == field_names, (
-            "ProgressEvent.to_dict() key set drifted from the "
-            "dataclass field set — update to_dict/from_dict and the "
-            "documented vocabulary together"
-        )
-
-    def test_round_trip_is_lossless(self, full_event):
-        from repro.methods.progress import ProgressEvent
-
-        assert ProgressEvent.from_dict(full_event.to_dict()) == full_event
-        # Compact defaults-elided form round-trips too.
-        sparse = ProgressEvent("run", "prewarm", warmed_entries=5)
-        assert set(sparse.to_dict()) == {"label", "kind", "warmed_entries"}
-        assert ProgressEvent.from_dict(sparse.to_dict()) == sparse
-
-    def test_unknown_wire_fields_rejected(self, full_event):
-        from repro.methods.progress import ProgressEvent
-
-        data = full_event.to_dict()
-        data["surprise"] = 1
-        with pytest.raises(ValueError, match="surprise"):
-            ProgressEvent.from_dict(data)
-
-    def test_every_field_documented(self, field_names):
-        from repro.methods.progress import ProgressEvent
-
         doc = ProgressEvent.__doc__ or ""
-        for name in field_names:
-            assert name in doc, (
-                f"ProgressEvent field {name!r} missing from the class "
-                "docstring's attribute vocabulary"
+        for field in dataclasses.fields(ProgressEvent):
+            assert field.name in doc, (
+                f"ProgressEvent field {field.name!r} missing from the "
+                "class docstring's attribute vocabulary"
             )
-
-
-class TestServiceDoc:
-    """docs/SERVICE.md matches the service the code actually serves."""
-
-    @pytest.fixture(scope="class")
-    def service_doc(self) -> str:
-        return (ROOT / "docs" / "SERVICE.md").read_text(encoding="utf-8")
-
-    def test_linked_from_readme_and_design(self, readme, design):
-        assert "docs/SERVICE.md" in readme
-        assert "docs/SERVICE.md" in design
-
-    def test_every_endpoint_documented(self, service_doc):
-        for route in (
-            "POST /v1/jobs",
-            "GET /v1/jobs/",
-            "/events",
-            "GET /v1/fleet",
-            "GET /v1/health",
-        ):
-            assert route in service_doc, f"{route} missing from SERVICE.md"
-
-    def test_wire_schemas_documented(self, service_doc):
-        from repro.core.system import SYSTEM_SCHEMA
-        from repro.service import JOB_SCHEMA
-
-        assert JOB_SCHEMA in service_doc
-        assert SYSTEM_SCHEMA in service_doc
-        assert "repro.resultset/v1" in service_doc
-
-    def test_sse_vocabulary_documented(self, service_doc):
-        from repro.methods import progress
-
-        kinds = {
-            value
-            for name, value in vars(progress).items()
-            if name.isupper() and isinstance(value, str)
-        }
-        for kind in kinds:
-            assert f"`{kind}`" in service_doc, (
-                f"SSE event kind {kind!r} missing from SERVICE.md"
-            )
-
-    def test_semantics_sections_present(self, service_doc):
-        for needle in (
-            "dedup", "quota", "bit-identical", "tenant",
-            "repro-serve", "--cache-dir", "429",
-        ):
-            assert needle in service_doc, (
-                f"SERVICE.md must discuss {needle!r}"
-            )
-
-    def test_service_recipe_in_experiments_doc(self, experiments_doc):
-        assert "repro-serve" in experiments_doc
-        assert "analysis_server.py" in experiments_doc
 
 
 class TestExperimentsDoc:

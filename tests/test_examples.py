@@ -61,14 +61,6 @@ class TestExamples:
         assert "hybrid" in out
         assert "best combination" in out
 
-    def test_analysis_server(self, capsys):
-        out = run_example("analysis_server", [], capsys)
-        assert "request dedup" in out
-        assert "SSE progress stream" in out
-        assert "bit-identical to the direct" in out
-        assert "1 coalesced" in out
-        assert "stopped cleanly" in out
-
 
 class TestReadmeSnippet:
     def test_quickstart_code_runs(self, capsys):

@@ -21,14 +21,13 @@ from repro.harness import EngineOptions
 from repro.harness.runner import _build_parser, parse_workers
 from repro.methods import EXECUTORS, evaluate_design_space
 from repro.methods.batch import resolve_workers
-from repro.service.wire import JobSpec
 from repro.units import SECONDS_PER_DAY
 
 #: Small fixed-budget config: cheap enough for the 1-CPU CI host, big
 #: enough to fan several chunks per point through either executor.
 SMALL_MC = MonteCarloConfig(trials=800, seed=11, chunks=4)
 
-#: Adaptive config for the pipelined + reallocation variant.
+#: Adaptive config whose plan extends past ``trials`` (``max_trials``).
 ADAPTIVE_MC = MonteCarloConfig(
     trials=800,
     seed=7,
@@ -56,7 +55,7 @@ def canonical(result_set) -> str:
     return json.dumps(result_set.to_dict(), sort_keys=True)
 
 
-def serial_baseline(space, mc=SMALL_MC, **kwargs):
+def serial_baseline(space, mc=SMALL_MC):
     return evaluate_design_space(
         space,
         methods=["sofr_only"],
@@ -64,7 +63,6 @@ def serial_baseline(space, mc=SMALL_MC, **kwargs):
         mc_config=mc,
         workers=1,
         executor="thread",
-        **kwargs,
     )
 
 
@@ -152,15 +150,8 @@ class TestBackendConformance:
         """New executors must be added to the conformance matrix."""
         assert set(EXECUTORS) == {"thread", "process"}
 
-    def test_process_reallocation_matches_serial(
-        self, cluster_space
-    ):
-        kwargs = dict(
-            reallocate_budget=True,
-        )
-        baseline = canonical(
-            serial_baseline(cluster_space, mc=ADAPTIVE_MC, **kwargs)
-        )
+    def test_process_adaptive_matches_serial(self, cluster_space):
+        baseline = canonical(serial_baseline(cluster_space, mc=ADAPTIVE_MC))
         result = evaluate_design_space(
             cluster_space,
             methods=["sofr_only"],
@@ -168,7 +159,6 @@ class TestBackendConformance:
             mc_config=ADAPTIVE_MC,
             workers=2,
             executor="process",
-            **kwargs,
         )
         assert canonical(result) == baseline
 
@@ -181,15 +171,3 @@ class TestBackendConformance:
             executor="thread",
         )
         assert canonical(result) == canonical(serial_baseline(cluster_space))
-
-    def test_job_spec_runs_on_a_process_pool(self, cluster_space):
-        """The service path runs a job on a process pool, same bytes."""
-        spec = JobSpec(
-            space=tuple(cluster_space),
-            methods=("sofr_only",),
-            reference="monte_carlo",
-            mc=SMALL_MC,
-        )
-        direct = spec.run(workers=1, executor="thread")
-        served = spec.run(workers=2, executor="process")
-        assert canonical(served) == canonical(direct)

@@ -148,24 +148,6 @@ class TestRunnerCli:
         assert main([*base, "--workers", "2", "--json", str(fanned)]) == 0
         assert fanned.read_bytes() == serial.read_bytes()
 
-    def test_reallocate_budget_flag_runs_and_warns_without_target(
-        self, tmp_path, capsys
-    ):
-        out = tmp_path / "realloc.json"
-        assert main(
-            ["fig5", "--trials", "4000", "--mc-chunks", "4",
-             "--target-stderr", "0.05", "--reallocate-budget",
-             "--progress", "--json", str(out)]
-        ) == 0
-        assert out.exists()
-        capsys.readouterr()
-        # Without a stopping rule the flag is a documented no-op and
-        # the CLI says so.
-        assert main(
-            ["fig4", "--trials", "500", "--reallocate-budget"]
-        ) == 0
-        assert "no-op" in capsys.readouterr().err
-
     def test_progress_flag_streams_events(self, capsys):
         assert main(
             ["fig5", "--trials", "1000", "--mc-chunks", "2",
@@ -190,6 +172,7 @@ class TestUsageErrors:
         "argv, env, message",
         [
             (["--budget-ledger", "run"], {}, "unrecognized arguments"),
+            (["--reallocate-budget"], {}, "unrecognized arguments"),
             (["--kernel", "legacy"], {}, "invalid choice: 'legacy'"),
             (["--shard", "2/2"], {}, "shard must look like 'i/N'"),
             (["--executor", "thread", "--workers", "a:1"], {},
@@ -208,7 +191,8 @@ class TestUsageErrors:
              "REPRO_MC_TRIALS must be an integer, got 'abc'"),
         ],
         ids=[
-            "removed-ledger-flag", "kernel-legacy", "bad-shard",
+            "removed-ledger-flag", "removed-realloc-flag", "kernel-legacy",
+            "bad-shard",
             "thread-executor-with-fleet", "remote-executor",
             "worker-address", "negative-trials", "zero-trials",
             "zero-chunks", "zero-target-stderr", "nan-target-stderr",

@@ -8,11 +8,10 @@ any result must byte-match the legacy object-graph sampler, which
 promise at every level: compiled tables vs hazard objects, plan
 sampling vs the oracle (property-tested across profiles, methods, and
 phases), the batch engine end to end (executors, worker counts, shards,
-reallocation) against oracle-installed baselines, plan pickling, and
-the worker hydration protocol. Plus the satellite invariants:
-memoized ``combined_intensity``, the vectorized survival integral's
-exact agreement with the scalar closed forms, and Monte-Carlo wire
-forms that refuse a ``kernel`` field.
+adaptive stopping) against oracle-installed baselines, plan pickling,
+and the worker hydration protocol. Plus the satellite invariants:
+memoized ``combined_intensity`` and the vectorized survival integral's
+exact agreement with the scalar closed forms.
 
 The cheap-trial layer is held to the same standard: the bucket-guided
 search must return ``np.searchsorted``'s index on fuzzed tables, the
@@ -61,7 +60,6 @@ from repro.reliability.hazard import (
     _segment_integral,
     _segment_weighted_integral,
 )
-from repro.service.wire import mc_config_from_dict, mc_config_to_dict
 from repro.units import SECONDS_PER_DAY
 from repro.workloads.longrun import (
     combined_workload,
@@ -532,7 +530,6 @@ class TestEngineBitIdentity:
             dict(workers=1, executor="thread"),
             dict(workers=2, executor="thread"),
             dict(workers=2, executor="process"),
-            dict(workers=2, executor="process", reallocate_budget=True),
         ):
             assert _result_bytes(space, **kwargs) == baseline
 
@@ -550,18 +547,6 @@ class TestEngineBitIdentity:
             _result_bytes(space, workers=2, executor="process", mc=mc)
             == baseline
         )
-
-    def test_realloc_kernel_matches_legacy(self, day_profile):
-        space = _space(day_profile)
-        mc = MonteCarloConfig(
-            trials=4_000, seed=3, chunks=8,
-            stopping=StoppingRule(
-                target_rel_stderr=0.08, min_trials=500
-            ),
-        )
-        shared = dict(mc=mc, reallocate_budget=True)
-        baseline = _oracle_bytes(space, **shared)
-        assert _result_bytes(space, workers=2, **shared) == baseline
 
     def test_shard_merge_matches_unsharded_legacy(self, day_profile):
         space = _space(day_profile)
@@ -720,22 +705,6 @@ class TestHydration:
         for (index, moments), (_, chunk_config) in zip(pairs, jobs):
             expected = plan.chunk_moments(chunk_config)
             assert moments == expected, index
-
-
-# ---------------------------------------------------------------------------
-# There is no kernel choice: wire forms refuse one.
-# ---------------------------------------------------------------------------
-
-
-class TestKernelTransparency:
-    def test_wire_form_has_no_kernel_field(self):
-        payload = mc_config_to_dict(MonteCarloConfig(trials=100, seed=1))
-        assert "kernel" not in payload
-        assert mc_config_from_dict(payload) == MonteCarloConfig(
-            trials=100, seed=1
-        )
-        with pytest.raises(ConfigurationError, match="kernel"):
-            mc_config_from_dict({**payload, "kernel": "numpy"})
 
 
 # ---------------------------------------------------------------------------

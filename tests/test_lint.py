@@ -23,7 +23,7 @@ from repro.lint import (
 )
 from repro.lint.cli import main
 from repro.lint.engine import REPORT_SCHEMA
-from repro.lint.model import FINDING_SCHEMA, classify_scope
+from repro.lint.model import FINDING_SCHEMA, is_engine_path
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -55,7 +55,7 @@ def rule_ids(report) -> list[str]:
 class TestRegistryAndScope:
     def test_all_families_registered(self):
         families = {rule_id[:2] for rule_id in available_rules()}
-        assert families == {"D1", "W1", "R1", "C1", "L1"}
+        assert families == {"D1", "R1", "C1", "L1"}
 
     def test_family_selector_expands(self):
         assert [r.rule_id for r in select_rules(["D1"])] == [
@@ -67,10 +67,9 @@ class TestRegistryAndScope:
             select_rules(["Z9"])
 
     def test_scope_classification(self):
-        assert classify_scope("repro/core/montecarlo.py") == (True, False)
-        assert classify_scope("repro/methods/cache.py") == (True, True)
-        assert classify_scope("repro/service/http.py") == (True, True)
-        assert classify_scope("repro/harness/runner.py") == (False, False)
+        assert is_engine_path("repro/core/montecarlo.py")
+        assert is_engine_path("repro/methods/cache.py")
+        assert not is_engine_path("repro/harness/runner.py")
 
 
 class TestDeterminismRules:
@@ -169,69 +168,6 @@ class TestDeterminismRules:
             """)
         assert rule_ids(lint(bad, ["D105"])) == ["D105"]
         assert lint(good, ["D105"]).clean
-
-
-class TestWireRules:
-    def test_w101_unsealed_payload_caught(self, tmp_path):
-        path = write(tmp_path, "repro/service/stream.py", """\
-            def push(sock, data):
-                sock.sendall(data)
-            """)
-        assert rule_ids(lint(path, ["W101"])) == ["W101"]
-
-    def test_w101_sealed_helper_output_clean(self, tmp_path):
-        path = write(tmp_path, "repro/service/stream.py", """\
-            def sse_event(kind, data):
-                return ("data: %s\\n\\n" % kind).encode()
-
-            def push(writer, kind):
-                frame = sse_event(kind, {})
-                writer.write(frame)
-            """)
-        assert lint(path, ["W101"]).clean
-
-    def test_w101_transitively_sealed_wrapper_clean(self, tmp_path):
-        path = write(tmp_path, "repro/service/stream.py", """\
-            def response_bytes(status, body):
-                return body
-
-            def render(job):
-                return response_bytes(200, job)
-
-            def push(writer, job):
-                writer.write(render(job))
-            """)
-        assert lint(path, ["W101"]).clean
-
-    def test_w102_inline_frame_caught_and_suppressible(self, tmp_path):
-        bad = write(tmp_path, "repro/service/stream.py", """\
-            def ping(writer):
-                writer.write(b": keep-alive\\n\\n")
-            """)
-        allowed = write(tmp_path, "repro/service/stream2.py", """\
-            def ping(writer):
-                # repro: allow[W102] complete comment frame in one call
-                writer.write(b": keep-alive\\n\\n")
-            """)
-        assert rule_ids(lint(bad, ["W102"])) == ["W102"]
-        report = lint(allowed, ["W102"])
-        assert report.clean
-        assert [f.rule_id for f in report.suppressed] == ["W102"]
-
-    def test_w103_partial_send_caught(self, tmp_path):
-        path = write(tmp_path, "repro/service/push.py", """\
-            def push(sock, frame):
-                sock.send(frame)
-            """)
-        assert rule_ids(lint(path, ["W103"])) == ["W103"]
-
-    def test_wire_rules_silent_outside_wire_scope(self, tmp_path):
-        path = write(tmp_path, "repro/core/dump.py", """\
-            def push(sock, data):
-                sock.send(data)
-                sock.sendall(data)
-            """)
-        assert lint(path, ["W1"]).clean
 
 
 class TestRegistryDocsRules:
@@ -386,7 +322,7 @@ class TestSuppressionAudit:
 
     def test_l102_not_emitted_on_partial_run(self, tmp_path):
         path = write(tmp_path, "repro/core/est.py", """\
-            # repro: allow[W102] covered by a family this run skips
+            # repro: allow[C101] covered by a family this run skips
             def stamp(clock):
                 return clock()
             """)

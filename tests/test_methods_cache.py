@@ -1,10 +1,14 @@
-"""Disk-cache tests: round-trip, invalidation, warm-rerun behaviour."""
+"""Disk-cache tests: round-trip, invalidation, warm-rerun behaviour,
+and one computation per component key under racing threads."""
 
 import json
+import threading
+import time
 
 import pytest
 
 from repro.core import Component, MonteCarloConfig, SystemModel
+from repro.errors import EstimationError
 from repro.masking import busy_idle_profile
 from repro.methods import (
     ComponentCache,
@@ -138,6 +142,83 @@ class TestComponentCacheDiskBacking:
             cache.get_or_compute("monte_carlo", comp, None, lambda: 2.0)
             == 2.0
         )
+
+
+class TestConcurrentComponentCompute:
+    """Threads racing on one component key share one computation."""
+
+    @staticmethod
+    def _gated(result):
+        """A compute that blocks until released, then returns or raises
+        ``result``; ``calls`` counts how often it ran."""
+        started, release, calls = threading.Event(), threading.Event(), []
+
+        def compute():
+            calls.append(1)
+            started.set()
+            assert release.wait(10)
+            if isinstance(result, Exception):
+                raise result
+            return result
+
+        return compute, started, release, calls
+
+    @staticmethod
+    def _call(cache, component, compute):
+        """Run ``get_or_compute`` on a thread; its outcome lands in a dict."""
+        outcome = {}
+
+        def call():
+            try:
+                outcome["value"] = cache.get_or_compute(
+                    "monte_carlo", component, None, compute
+                )
+            except EstimationError as error:
+                outcome["error"] = error
+
+        thread = threading.Thread(target=call)
+        thread.start()
+        return thread, outcome
+
+    def _race(self, cache, component, result):
+        """Two callers of one key, the second arriving mid-compute."""
+        compute, started, release, calls = self._gated(result)
+        first, first_out = self._call(cache, component, compute)
+        assert started.wait(10)
+        second, second_out = self._call(cache, component, compute)
+        # The second caller is now either waiting on the first (a hit)
+        # or, without the claim, running the compute itself.
+        deadline = time.monotonic() + 10
+        while cache.hits == 0 and len(calls) < 2:
+            assert time.monotonic() < deadline, "second caller stalled"
+            time.sleep(0.001)
+        release.set()
+        first.join(10)
+        second.join(10)
+        return calls, first_out, second_out
+
+    def test_racing_threads_compute_once(self, day_profile):
+        component = Component("n", 1e-6, day_profile)
+        cache = ComponentCache()
+        calls, first, second = self._race(cache, component, 42.0)
+        assert len(calls) == 1
+        assert first == second == {"value": 42.0}
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_an_error_reaches_every_waiter_and_frees_the_key(
+        self, day_profile
+    ):
+        component = Component("n", 1e-6, day_profile)
+        cache = ComponentCache()
+        failure = EstimationError("sampler failed")
+        calls, first, second = self._race(cache, component, failure)
+        assert len(calls) == 1
+        assert first["error"] is failure and second["error"] is failure
+        # The failed key is free again: a later call recomputes it.
+        assert cache.get_or_compute(
+            "monte_carlo", component, None, lambda: 7.0
+        ) == 7.0
+        assert cache.misses == 1
 
 
 class TestWarmEngineRerun:

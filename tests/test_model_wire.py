@@ -1,11 +1,10 @@
 """Model wire-format tests: lossless JSON round trips.
 
-The analysis service ships system models over HTTP, so
+Sampling plans pickle their components as wire dicts, so
 ``Component``/``SystemModel``/profile serialization must be *lossless
 in the fingerprint sense*: rebuilding a model from its wire form must
-reproduce the exact ``content_fingerprint``, or HTTP-submitted jobs
-would miss the content-addressed caches (and request dedup) that
-in-process runs hit.
+reproduce the exact ``content_fingerprint``, or a rebuilt model would
+miss the content-addressed caches the original hits.
 """
 
 import json

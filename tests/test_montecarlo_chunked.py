@@ -9,11 +9,8 @@ from repro.core import (
     Component,
     MonteCarloConfig,
     SystemModel,
-    allocate_grants,
     chunk_configs,
     estimate_from_moments,
-    extension_chunk_config,
-    extension_chunk_configs,
     merge_moments,
     moments_from_samples,
     monte_carlo_component_mttf,
@@ -62,32 +59,6 @@ class TestChunkConfigs:
     def test_invalid_chunks_rejected(self):
         with pytest.raises(EstimationError, match="chunks"):
             MonteCarloConfig(trials=10, chunks=0)
-
-
-class TestAllocateGrants:
-    def test_round_robin_worst_deficit_first(self):
-        grants = allocate_grants(
-            2_500, [(1.2, 4), (3.0, 1), (1.2, 2)], 1_000
-        )
-        # Ranked 1 (3.0), 2 (1.2, lower index), 4; pool spent exactly,
-        # final grant partial.
-        assert grants == {1: [1_000], 2: [1_000], 4: [500]}
-
-    def test_empty_pool_or_demands(self):
-        assert allocate_grants(0, [(1.0, 0)], 100) == {}
-        assert allocate_grants(100, [], 100) == {}
-
-    def test_rejects_bad_unit(self):
-        with pytest.raises(EstimationError, match="unit"):
-            allocate_grants(100, [(1.0, 0)], 0)
-
-    def test_extension_chunk_configs_matches_singular(self):
-        config = MonteCarloConfig(trials=8_000, seed=3, chunks=4)
-        plural = extension_chunk_configs(config, 4, [2_000, 500])
-        assert plural == [
-            extension_chunk_config(config, 4, 2_000),
-            extension_chunk_config(config, 5, 500),
-        ]
 
 
 class TestMomentMerge:

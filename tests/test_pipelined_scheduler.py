@@ -1,30 +1,27 @@
 """Work-conserving scheduler tests.
 
 Covers the scheduler every sweep runs — method estimates streamed into
-the pool as references finalize, cancelled-chunk budget re-allocated to
-the least-converged stragglers, shard-aware disk-cache prewarming, and
+the pool as references finalize, shard-aware disk-cache prewarming, and
 the dispatch rules (method-ordered estimates, one chunk in flight per
-point on shared-memory pools) — plus the acceptance bars: bit-identity
-across worker counts and executors against the default one-worker run,
-and budget conservation.
+point on shared-memory pools) — plus the acceptance bar: bit-identity
+across worker counts and executors against the default one-worker run.
 """
 
 import json
-import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core import (
     Component,
-    MomentAccumulator,
     MonteCarloConfig,
     StoppingRule,
     SystemModel,
     adaptive_chunk_configs,
-    extension_chunk_config,
-    grant_chunk_trials,
+    chunk_configs,
 )
-from repro.errors import ConfigurationError, EstimationError
+from repro.errors import ConfigurationError
 from repro.masking import busy_idle_profile
 from repro.methods import (
     ComponentCache,
@@ -32,7 +29,6 @@ from repro.methods import (
     evaluate_design_space,
 )
 from repro.methods.progress import (
-    BUDGET_REALLOCATED,
     CACHE_PREWARMED,
     METHOD_DONE,
     METHOD_STARTED,
@@ -56,86 +52,33 @@ def cluster_space(day_profile):
     ]
 
 
-#: Absolute-precision rule sized so the large-MTTF C=2 point exhausts
-#: its base budget while the small-MTTF points stop after one chunk —
-#: the configuration that exercises budget re-allocation end to end.
-STRAGGLER_MC = MonteCarloConfig(
-    trials=8_000,
-    seed=3,
-    chunks=8,
-    stopping=StoppingRule(target_ci_halfwidth=250.0),
-)
-
-
 class TestExtensionChunks:
     def test_seeds_are_pure_functions_of_the_index(self):
-        config = MonteCarloConfig(trials=8_000, seed=3, chunks=4)
-        extended = MonteCarloConfig(
-            trials=8_000,
-            seed=3,
-            chunks=4,
+        # A max_trials extension keeps the fixed plan as its prefix and
+        # seeds chunk i from SeedSequence(seed).spawn(i + 1)[i], so a
+        # chunk never depends on how far the plan was extended.
+        fixed = MonteCarloConfig(trials=8_000, seed=3, chunks=4)
+        extended = replace(
+            fixed,
             stopping=StoppingRule(
                 target_rel_stderr=0.01, max_trials=16_000
             ),
         )
         plan = adaptive_chunk_configs(extended)
-        unit = grant_chunk_trials(config)
-        # Chunk-by-chunk grants reproduce the up-front extension plan.
-        for index in range(4, len(plan)):
-            assert extension_chunk_config(config, index, unit) == (
-                plan[index]
-            )
-
-    def test_grant_unit_matches_adaptive_extension_size(self):
-        assert grant_chunk_trials(
-            MonteCarloConfig(trials=8_000, chunks=4)
-        ) == 2_000
-        assert grant_chunk_trials(
-            MonteCarloConfig(trials=3, chunks=8)
-        ) == 1
-
-    def test_rejects_invalid_arguments(self):
-        config = MonteCarloConfig(trials=100, chunks=2)
-        with pytest.raises(EstimationError, match="index"):
-            extension_chunk_config(config, -1, 10)
-        with pytest.raises(EstimationError, match="trials"):
-            extension_chunk_config(config, 2, 0)
-
-
-class TestAccumulatorExtension:
-    def test_extension_reopens_an_exhausted_accumulator(self):
-        from repro.core import moments_from_samples
-        import numpy as np
-
-        accumulator = MomentAccumulator(
-            2, StoppingRule(target_rel_stderr=1e-12)
+        assert len(plan) == 8
+        assert plan[:4] == chunk_configs(fixed)
+        for index, chunk in enumerate(plan):
+            child = np.random.SeedSequence(3).spawn(index + 1)[index]
+            assert chunk.seed == int(child.generate_state(1, np.uint64)[0])
+            assert chunk.trials == 2_000
+            assert chunk.chunks == 1 and chunk.stopping is None
+        shorter = replace(
+            fixed,
+            stopping=StoppingRule(
+                target_rel_stderr=0.01, max_trials=12_000
+            ),
         )
-        samples = np.random.default_rng(0).exponential(size=100)
-        part = moments_from_samples(samples)
-        accumulator.add(0, part)
-        assert accumulator.add(1, part)
-        assert accumulator.done and not accumulator.satisfied
-        accumulator.extend_plan(2)
-        assert not accumulator.done
-        accumulator.add(2, part)
-        assert accumulator.moments.count == 300
-
-    def test_extending_a_satisfied_accumulator_is_rejected(self):
-        from repro.core import moments_from_samples
-        import numpy as np
-
-        accumulator = MomentAccumulator(
-            4, StoppingRule(target_rel_stderr=0.9)
-        )
-        samples = np.random.default_rng(0).exponential(size=100)
-        accumulator.add(0, moments_from_samples(samples))
-        assert accumulator.satisfied
-        with pytest.raises(EstimationError, match="satisfied"):
-            accumulator.extend_plan(1)
-
-    def test_extend_needs_positive_chunks(self):
-        with pytest.raises(EstimationError, match="extra_chunks"):
-            MomentAccumulator(2).extend_plan(0)
+        assert adaptive_chunk_configs(shorter) == plan[:6]
 
 
 class TestPipelinedIdentity:
@@ -332,260 +275,6 @@ class TestDispatch:
         assert len(calls) < len(space)
 
 
-class TestStoppingRuleDeficit:
-    def _moments(self, mean, stderr, count=100):
-        from repro.core import SampleMoments
-
-        # m2 chosen so SampleMoments.stderr reproduces `stderr`.
-        m2 = stderr * stderr * (count - 1) * count
-        return SampleMoments(count, mean, m2)
-
-    def test_ranks_by_the_configured_target(self):
-        # Under an absolute half-width rule the genuine straggler is
-        # the point furthest from its half-width target, even when its
-        # *relative* error is the smaller one.
-        rule = StoppingRule(target_ci_halfwidth=250.0)
-        far = self._moments(mean=1e6, stderr=1e5)  # rel 0.1, hw ~2e5
-        near = self._moments(mean=10.0, stderr=5.0)  # rel 0.5, hw ~10
-        assert rule.deficit(far) > rule.deficit(near)
-        # A relative rule ranks the other way around.
-        rel_rule = StoppingRule(target_rel_stderr=0.01)
-        assert rel_rule.deficit(near) > rel_rule.deficit(far)
-
-    def test_combined_targets_take_the_worst_constraint(self):
-        rule = StoppingRule(
-            target_rel_stderr=0.01, target_ci_halfwidth=250.0
-        )
-        moments = self._moments(mean=1e6, stderr=1e3)
-        expected = max(
-            (1e3 / 1e6) / 0.01, 1.96 * 1e3 / 250.0
-        )
-        assert rule.deficit(moments) == pytest.approx(expected)
-
-    def test_unmeasurable_prefixes_have_no_deficit(self):
-        rule = StoppingRule(target_rel_stderr=0.01)
-        assert rule.deficit(self._moments(math.inf, 0.0)) is None
-        assert rule.deficit(self._moments(0.0, 1.0)) is None
-        assert rule.deficit(self._moments(1.0, 1.0, count=1)) is None
-        # A half-width rule can still measure a mean-zero point.
-        hw = StoppingRule(target_ci_halfwidth=1.0)
-        assert hw.deficit(self._moments(0.0, 1.0)) is not None
-
-
-class TestBudgetReallocation:
-    def test_freed_budget_reaches_the_straggler(self, cluster_space):
-        base = evaluate_design_space(
-            cluster_space,
-            methods=["first_principles"],
-            mc_config=STRAGGLER_MC,
-        )
-        events: list[ProgressEvent] = []
-        realloc = evaluate_design_space(
-            cluster_space,
-            methods=["first_principles"],
-            mc_config=STRAGGLER_MC,
-            reallocate_budget=True,
-            progress=events.append,
-        )
-        base_trials = base.reference_trials()
-        realloc_trials = realloc.reference_trials()
-        # The straggler (C=2: largest MTTF, absolute target) was
-        # extended past its base budget; early-stopping points are
-        # untouched.
-        assert realloc_trials["C=2"] > base_trials["C=2"]
-        for label in ("C=100", "C=300", "C=1000"):
-            assert realloc_trials[label] == base_trials[label]
-        grants = [e for e in events if e.kind == BUDGET_REALLOCATED]
-        assert grants and all(e.granted_trials > 0 for e in grants)
-        assert {e.label for e in grants} == {"C=2"}
-
-    def test_budget_is_conserved(self, cluster_space):
-        realloc = evaluate_design_space(
-            cluster_space,
-            methods=["first_principles"],
-            mc_config=STRAGGLER_MC,
-            reallocate_budget=True,
-        )
-        total_budget = STRAGGLER_MC.trials * len(cluster_space)
-        assert sum(realloc.reference_trials().values()) <= total_budget
-
-    def test_bit_identical_across_workers_and_executors(
-        self, cluster_space
-    ):
-        kwargs = dict(
-            methods=["first_principles", "sofr_only"],
-            mc_config=STRAGGLER_MC,
-            reallocate_budget=True,
-        )
-        serial = evaluate_design_space(cluster_space, **kwargs)
-        threaded = evaluate_design_space(
-            cluster_space, workers=4, **kwargs
-        )
-        processed = evaluate_design_space(
-            cluster_space, workers=2, executor="process", **kwargs
-        )
-        assert serial == threaded == processed
-
-    def test_reallocation_without_stopping_rule_is_a_noop(
-        self, cluster_space
-    ):
-        mc = MonteCarloConfig(trials=4_000, seed=3, chunks=4)
-        plain = evaluate_design_space(
-            cluster_space, methods=["first_principles"], mc_config=mc
-        )
-        realloc = evaluate_design_space(
-            cluster_space,
-            methods=["first_principles"],
-            mc_config=mc,
-            reallocate_budget=True,
-        )
-        assert realloc == plain
-
-    def test_satisfied_grant_refunds_to_the_next_straggler(
-        self, day_profile
-    ):
-        # Two stragglers: a mid-tier target both miss in base budget.
-        # The worst-converged one is granted first; when it satisfies
-        # mid-extension its unspent grant refunds and reaches the
-        # other — total spend never exceeds the run budget.
-        rate = 2.0 / SECONDS_PER_DAY
-        space = [
-            (
-                f"C={c}",
-                SystemModel(
-                    [
-                        Component(
-                            "node", rate, day_profile, multiplicity=c
-                        )
-                    ]
-                ),
-            )
-            for c in (2, 3, 100, 300, 1000)
-        ]
-        mc = MonteCarloConfig(
-            trials=8_000,
-            seed=3,
-            chunks=8,
-            stopping=StoppingRule(target_ci_halfwidth=400.0),
-        )
-        events: list[ProgressEvent] = []
-        realloc = evaluate_design_space(
-            space,
-            methods=["first_principles"],
-            mc_config=mc,
-            reallocate_budget=True,
-            progress=events.append,
-        )
-        grants = [e for e in events if e.kind == BUDGET_REALLOCATED]
-        assert {e.label for e in grants} >= {"C=2"}
-        assert sum(realloc.reference_trials().values()) <= (
-            mc.trials * len(space)
-        )
-        # Determinism holds for multi-round grant schedules too.
-        again = evaluate_design_space(
-            space,
-            methods=["first_principles"],
-            mc_config=mc,
-            workers=3,
-            executor="process",
-            reallocate_budget=True,
-        )
-        assert again == realloc
-
-    def test_reallocated_references_never_enter_the_cache(
-        self, cluster_space, tmp_path
-    ):
-        # A re-allocated reference depends on the whole sweep's ledger,
-        # so caching it would poison later runs: a warm rerun must
-        # recompute references (reproducing the cold numbers exactly)
-        # while method estimates — pure functions — replay from disk.
-        kwargs = dict(
-            methods=["first_principles"],
-            mc_config=STRAGGLER_MC,
-            reallocate_budget=True,
-        )
-        cold = evaluate_design_space(
-            cluster_space,
-            cache=ComponentCache(disk=DiskCache(tmp_path)),
-            **kwargs,
-        )
-        warm_cache = ComponentCache(disk=DiskCache(tmp_path))
-        warm = evaluate_design_space(
-            cluster_space, cache=warm_cache, **kwargs
-        )
-        assert warm == cold
-        ref_key = ComponentCache.estimate_key(
-            "monte_carlo", cluster_space[0][1], STRAGGLER_MC,
-            "monte_carlo",
-        )
-        assert warm_cache.disk.peek(ref_key) is None
-        method_key = ComponentCache.estimate_key(
-            "first_principles", cluster_space[0][1], None, "monte_carlo"
-        )
-        assert warm_cache.disk.peek(method_key) is not None
-
-    def test_merge_refuses_mixing_realloc_and_plain_shards(
-        self, cluster_space
-    ):
-        from repro.errors import ConfigurationError
-        from repro.methods import merge_result_sets
-
-        plain = evaluate_design_space(
-            cluster_space,
-            methods=["first_principles"],
-            mc_config=STRAGGLER_MC,
-            shard=(0, 2),
-        )
-        realloc = evaluate_design_space(
-            cluster_space,
-            methods=["first_principles"],
-            mc_config=STRAGGLER_MC,
-            shard=(1, 2),
-            reallocate_budget=True,
-        )
-        assert realloc.mc_token.endswith("+realloc")
-        with pytest.raises(ConfigurationError, match="different runs"):
-            merge_result_sets([plain, realloc])
-
-    def test_censored_points_are_never_candidates(self, day_profile):
-        # A zero-rate point draws only infinite TTFs; granting it more
-        # trials cannot help and must not happen.
-        space = [
-            (
-                "idle",
-                SystemModel([Component("idle", 0.0, day_profile)]),
-            ),
-            (
-                "busy",
-                SystemModel(
-                    [
-                        Component(
-                            "busy", 2.0 / SECONDS_PER_DAY, day_profile
-                        )
-                    ]
-                ),
-            ),
-        ]
-        mc = MonteCarloConfig(
-            trials=800,
-            seed=1,
-            chunks=4,
-            stopping=StoppingRule(target_rel_stderr=1e-9),
-        )
-        events: list[ProgressEvent] = []
-        result = evaluate_design_space(
-            space,
-            methods=["first_principles"],
-            mc_config=mc,
-            reallocate_budget=True,
-            progress=events.append,
-        )
-        grants = [e for e in events if e.kind == BUDGET_REALLOCATED]
-        assert all(e.label != "idle" for e in grants)
-        assert math.isinf(result[0].reference.mttf_seconds)
-        assert result[0].reference.trials == 800
-
-
 class TestPrewarmAndPublication:
     def test_prewarm_event_reports_disk_entries(
         self, cluster_space, tmp_path
@@ -688,18 +377,3 @@ class TestPrewarmAndPublication:
             **kwargs,
         )
         assert merge_result_sets([shard0, shard1]) == full
-
-    def test_sharded_realloc_is_shard_deterministic(self, cluster_space):
-        # Re-allocation redistributes within one invocation: a sharded
-        # run is deterministic in its own right (same shard, any
-        # workers/executor), which is the documented contract.
-        kwargs = dict(
-            methods=["first_principles"],
-            mc_config=STRAGGLER_MC,
-            shard=(0, 2),
-            reallocate_budget=True,
-        )
-        serial = evaluate_design_space(cluster_space, **kwargs)
-        fanned = evaluate_design_space(cluster_space, workers=3, **kwargs)
-        assert serial == fanned
-        assert serial.shard == (0, 2)

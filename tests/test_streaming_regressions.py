@@ -113,7 +113,6 @@ class TestMergedChunkAccounting:
             methods=["first_principles"],
             mc_config=mc,
             workers=4,
-            reallocate_budget=True,
             progress=events.append,
         )
         self._check_events(events, chunk_trials=1_000)

@@ -1,15 +1,15 @@
-"""Property suites at the two JSON input boundaries.
+"""Property suites at the ``repro.system/v1`` JSON input boundary.
 
-The analysis service decodes ``repro.job/v1`` documents, and every job
-carries ``repro.system/v1`` models. Both suites start from valid
-documents and apply one random mutation: delete a key or list entry,
-insert an unknown key into a dict, or swap a value for junk (``None``,
-bools, strings, lists, dicts, NaN, infinities, ints too large for a
-float). The decoder must then either return a model whose ``to_dict()``
-decodes back to the same fingerprint and the same document, or raise a
-:class:`~repro.errors.ReproError` — never anything else. An unknown key
-anywhere in a document is always refused: a misspelled optional field
-(``"multiplicty"``) must not decode silently as its default.
+``SystemModel.from_dict`` decodes ``repro.system/v1`` documents. The
+suites start from valid documents and apply one random mutation:
+delete a key or list entry, insert an unknown key into a dict, or swap
+a value for junk (``None``, bools, strings, lists, dicts, NaN,
+infinities, ints too large for a float). The decoder must then either
+return a model whose ``to_dict()`` decodes back to the same
+fingerprint and the same document, or raise a
+:class:`~repro.errors.ReproError` — never anything else. An unknown
+key anywhere in a document is always refused: a misspelled optional
+field (``"multiplicty"``) must not decode silently as its default.
 """
 
 import copy
@@ -20,10 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Component, MonteCarloConfig, StoppingRule, SystemModel
+from repro.core import Component, SystemModel
 from repro.errors import ReproError
 from repro.masking import NestedProfile, PiecewiseProfile, busy_idle_profile
-from repro.service import JobSpec
 from repro.units import SECONDS_PER_DAY
 
 
@@ -48,34 +47,8 @@ def _systems() -> list[SystemModel]:
     ]
 
 
-def _jobs() -> list[JobSpec]:
-    fixed, nested = _systems()
-    return [
-        JobSpec(
-            space=(("C=8", fixed),),
-            methods=("sofr_only",),
-            mc=MonteCarloConfig(trials=2_000, seed=7, chunks=2),
-        ),
-        JobSpec(
-            space=(("n", nested), ("n2", fixed)),
-            methods=("avf_sofr", "sofr_only"),
-            reference="first_principles",
-            mc=MonteCarloConfig(
-                trials=400, seed=3, chunks=4,
-                stopping=StoppingRule(
-                    target_rel_stderr=0.05, min_trials=100, max_trials=800
-                ),
-            ),
-            tenant="acme",
-        ),
-    ]
-
-
 #: name -> (valid documents, decoder).
 BOUNDARIES = {
-    "repro.job/v1": (
-        [spec.to_dict() for spec in _jobs()], JobSpec.from_dict
-    ),
     "repro.system/v1": (
         [system.to_dict() for system in _systems()], SystemModel.from_dict
     ),
