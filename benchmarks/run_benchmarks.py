@@ -1,10 +1,10 @@
 """Timing benchmark runner: the repository's performance trajectory.
 
 Times a representative slice of the estimation engine — serial vs
-fanned-out sweeps, fixed-count vs adaptive Monte Carlo, cold vs warm
-cache — plus trace production (synthesis and simulation, in
-instructions/s), the analytical estimators on the paper's sweeps and
-the Monte-Carlo sampler (ns/trial), and writes the measurements to
+fanned-out sweeps, cold vs warm cache — plus trace production
+(synthesis and simulation, in instructions/s), the analytical
+estimators on the paper's sweeps and the Monte-Carlo sampler
+(ns/trial), and writes the measurements to
 ``BENCH_<rev>.json`` so the perf impact of engine changes is a
 diffable artifact, not an anecdote::
 
@@ -13,8 +13,7 @@ diffable artifact, not an anecdote::
         --output-dir benchmarks --trials 100000 --repeat 3
 
 Each case records best-of-``--repeat`` wall time plus enough metadata
-(trials, chunking, workers, executor, point count, reference trial
-counts for adaptive runs) to interpret a regression. Defaults are sized
+(trials, workers, point count) to interpret a regression. Defaults are sized
 to finish in well under a minute; raise ``--trials`` for paper-scale
 numbers.
 """
@@ -32,7 +31,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.core import Component, MonteCarloConfig, StoppingRule, SystemModel
+from repro.core import Component, MonteCarloConfig, SystemModel
 from repro.masking import busy_idle_profile
 from repro.methods import (
     ComponentCache,
@@ -93,61 +92,22 @@ def _timed(fn, repeat: int) -> tuple[float, object]:
 def benchmark_cases(trials: int, points: int, workers: int):
     """(name, metadata, thunk) for every timed case."""
     space = _cluster_space(points)
-    fixed = MonteCarloConfig(trials=trials, seed=7, chunks=8)
-    adaptive = MonteCarloConfig(
-        trials=trials,
-        seed=7,
-        chunks=8,
-        stopping=StoppingRule(target_rel_stderr=0.02),
-    )
+    fixed = MonteCarloConfig(trials=trials, seed=7)
     run = lambda **kw: evaluate_design_space(
         space, methods=["sofr_only", "first_principles"], **kw
     )
-    cases = [
+    return [
         (
             "sweep_serial_fixed",
-            {"trials": trials, "chunks": 8, "workers": 1,
-             "executor": "thread"},
+            {"trials": trials, "workers": 1},
             lambda: run(mc_config=fixed, cache=False),
         ),
         (
             "sweep_threads_fixed",
-            {"trials": trials, "chunks": 8, "workers": workers,
-             "executor": "thread"},
+            {"trials": trials, "workers": workers},
             lambda: run(mc_config=fixed, workers=workers, cache=False),
         ),
-        (
-            "sweep_process_streaming_fixed",
-            {"trials": trials, "chunks": 8, "workers": workers,
-             "executor": "process"},
-            lambda: run(
-                mc_config=fixed, workers=workers, executor="process",
-                cache=False,
-            ),
-        ),
-        (
-            "sweep_serial_adaptive_2pct",
-            {"trials": trials, "chunks": 8, "workers": 1,
-             "executor": "thread", "target_rel_stderr": 0.02},
-            lambda: run(mc_config=adaptive, cache=False),
-        ),
-        (
-            "sweep_process_streaming_adaptive_2pct",
-            {"trials": trials, "chunks": 8, "workers": workers,
-             "executor": "process", "target_rel_stderr": 0.02},
-            lambda: run(
-                mc_config=adaptive, workers=workers, executor="process",
-                cache=False,
-            ),
-        ),
-        (
-            "sweep_threads_adaptive_2pct",
-            {"trials": trials, "chunks": 8, "workers": workers,
-             "executor": "thread", "target_rel_stderr": 0.02},
-            lambda: run(mc_config=adaptive, workers=workers, cache=False),
-        ),
     ]
-    return cases
 
 
 def _result_hash(result_set) -> str:
@@ -157,41 +117,36 @@ def _result_hash(result_set) -> str:
 
 
 def executor_cases(trials: int, points: int, workers: int, repeat: int):
-    """Backend shoot-out on one fixed sweep (the PR-8 executor layer).
+    """Pool-width shoot-out on one fixed sweep.
 
-    The same fixed-count sweep runs through every executor —
-    one-worker thread pool, thread pool and process pool — and each
-    record carries the canonical content hash of its ResultSet next to
-    ``identical_to_serial``, so the artifact *proves* the determinism
-    invariant on the hardware that produced the timings instead of
-    asserting it. ``cpu_count`` rides along in every record: on a 1-CPU
-    host the fan-out rows document what parallelism costs there (the
-    honest number), not a hoped-for speedup.
+    The same sweep runs on a one-worker and a ``workers``-wide thread
+    pool, and each record carries the canonical content hash of its
+    ResultSet next to ``identical_to_serial``, so the artifact *proves*
+    the determinism invariant on the hardware that produced the timings
+    instead of asserting it. ``cpu_count`` rides along in every record:
+    on a 1-CPU host the fan-out row documents what parallelism costs
+    there (the honest number), not a hoped-for speedup.
     """
     space = _cluster_space(points)
-    mc = MonteCarloConfig(trials=trials, seed=7, chunks=8)
+    mc = MonteCarloConfig(trials=trials, seed=7)
     cpus = os.cpu_count() or 1
 
-    def run(n_workers, executor):
+    def run(n_workers):
         return evaluate_design_space(
             space,
             methods=["sofr_only", "first_principles"],
             mc_config=mc,
             workers=n_workers,
-            executor=executor,
             cache=False,
         )
 
     records = []
     serial_hash = None
-    for name, n_workers, executor in (
-        ("executors_serial", 1, "thread"),
-        ("executors_thread", workers, "thread"),
-        ("executors_process", workers, "process"),
+    for name, n_workers in (
+        ("executors_serial", 1),
+        ("executors_thread", workers),
     ):
-        seconds, result_set = _timed(
-            lambda: run(n_workers, executor), repeat
-        )
+        seconds, result_set = _timed(lambda: run(n_workers), repeat)
         digest = _result_hash(result_set)
         if serial_hash is None:
             serial_hash = digest
@@ -200,9 +155,7 @@ def executor_cases(trials: int, points: int, workers: int, repeat: int):
                 "name": name,
                 "seconds": round(seconds, 4),
                 "trials": trials,
-                "chunks": 8,
                 "workers": n_workers,
-                "executor": executor,
                 "cpu_count": cpus,
                 "result_hash": digest,
                 "identical_to_serial": digest == serial_hash,
@@ -401,7 +354,7 @@ def sampler_cases(
     """The Monte-Carlo inverse sampler, in ms and ns per trial.
 
     One row per system and start phase, ``trials`` draws each, through
-    ``sample_system_ttf`` (one chunk):
+    ``sample_system_ttf``:
 
     * ``day`` — the busy/idle day workload (2 segments);
     * ``gzip_fig6a`` — fig6a's gzip profile dilated to the paper's
@@ -442,7 +395,7 @@ def sampler_cases(
         )
         for phase in ("zero", "random"):
             config = MonteCarloConfig(
-                trials=trials, seed=11, chunks=1, start_phase=phase
+                trials=trials, seed=11, start_phase=phase
             )
             sample_system_ttf(system, config)
             seconds, samples = _timed(
@@ -506,25 +459,17 @@ def run_benchmarks(argv: list[str] | None = None) -> Path:
         for name, metadata, thunk in benchmark_cases(
             args.trials, args.points, args.workers
         ):
-            seconds, result_set = _timed(thunk, args.repeat)
-            record = {
-                "name": name, "seconds": round(seconds, 4), **metadata
-            }
-            if "adaptive" in name:
-                trials_used = list(result_set.reference_trials().values())
-                record["reference_trials"] = {
-                    "min": min(trials_used),
-                    "max": max(trials_used),
-                    "total": sum(trials_used),
-                }
-            results.append(record)
+            seconds, _ = _timed(thunk, args.repeat)
+            results.append(
+                {"name": name, "seconds": round(seconds, 4), **metadata}
+            )
             print(f"{name:44s} {seconds:8.3f}s")
 
     # Cold vs warm disk cache on the same sweep (one repeat each; the
     # warm number is the content-addressed lookup overhead).
     if wants("cache"):
         space = _cluster_space(args.points)
-        mc = MonteCarloConfig(trials=args.trials, seed=7, chunks=8)
+        mc = MonteCarloConfig(trials=args.trials, seed=7)
         with tempfile.TemporaryDirectory(
             prefix="bench-cache-"
         ) as cache_dir:
@@ -542,15 +487,13 @@ def run_benchmarks(argv: list[str] | None = None) -> Path:
                         "name": f"sweep_disk_cache_{phase}",
                         "seconds": round(seconds, 4),
                         "trials": args.trials,
-                        "chunks": 8,
                         "workers": 1,
-                        "executor": "thread",
                         "entries": len(cache),
                     }
                 )
                 print(f"sweep_disk_cache_{phase:39s} {seconds:8.3f}s")
 
-    # Backend shoot-out: every executor on one sweep, hashes attached.
+    # Pool-width shoot-out: one sweep at two widths, hashes attached.
     if wants("executors"):
         for record in executor_cases(
             args.trials, args.points, args.workers, args.repeat

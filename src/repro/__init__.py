@@ -53,8 +53,8 @@ thread fan-out — go through the batch engine::
 
 New estimation methods plug in with
 :func:`repro.methods.register_method` and are immediately usable from
-``analyze``, ``evaluate_design_space``, ``compare_methods`` and the
-``repro-experiments`` CLI. The pre-registry free functions
+``analyze``, ``evaluate_design_space`` and the ``repro-experiments``
+CLI. The pre-registry free functions
 (``avf_sofr_mttf``, ``monte_carlo_mttf``, ...) remain available.
 """
 
@@ -64,12 +64,10 @@ from .core import (
     MonteCarloConfig,
     PAPER_TRIAL_COUNT,
     Regime,
-    StoppingRule,
     SystemModel,
     ValidityReport,
     avf_mttf,
     avf_sofr_mttf,
-    compare_methods,
     exact_component_mttf,
     first_principles_mttf,
     monte_carlo_component_mttf,
@@ -89,7 +87,6 @@ from .methods import (
     ResultSet,
     analyze,
     evaluate_design_space,
-    merge_result_sets,
     register_method,
 )
 from .masking import (
@@ -125,18 +122,15 @@ __all__ = [
     "ResultSet",
     "analyze",
     "evaluate_design_space",
-    "merge_result_sets",
     "methods",
     "register_method",
     "MonteCarloConfig",
-    "StoppingRule",
     "PAPER_TRIAL_COUNT",
     "Regime",
     "SystemModel",
     "ValidityReport",
     "avf_mttf",
     "avf_sofr_mttf",
-    "compare_methods",
     "exact_component_mttf",
     "first_principles_mttf",
     "monte_carlo_component_mttf",

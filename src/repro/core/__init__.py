@@ -20,7 +20,7 @@ the apparatus to compare them:
 """
 
 from .avf import avf_mttf, avf_step, derated_failure_rate
-from .comparison import MethodComparison, compare_methods
+from .comparison import MethodComparison
 from .designspace import (
     DesignPoint,
     SweepOutcome,
@@ -37,23 +37,12 @@ from .firstprinciples import (
 )
 from .montecarlo import (
     ARRIVAL_INSTANCE_LIMIT,
-    MomentAccumulator,
     MonteCarloConfig,
     PAPER_TRIAL_COUNT,
-    SampleMoments,
-    StoppingRule,
-    accumulate_chunks,
-    adaptive_chunk_configs,
-    chunk_configs,
-    component_chunk_moments,
-    estimate_from_moments,
-    merge_moments,
-    moments_from_samples,
     monte_carlo_component_mttf,
     monte_carlo_mttf,
     sample_component_ttf,
     sample_system_ttf,
-    system_chunk_moments,
 )
 from .softarch import (
     OutputEvent,
@@ -85,7 +74,6 @@ __all__ = [
     "avf_step",
     "derated_failure_rate",
     "MethodComparison",
-    "compare_methods",
     "DesignPoint",
     "SweepOutcome",
     "SweepResult",
@@ -97,19 +85,8 @@ __all__ = [
     "exact_system_process",
     "first_principles_mttf",
     "ARRIVAL_INSTANCE_LIMIT",
-    "MomentAccumulator",
     "MonteCarloConfig",
     "PAPER_TRIAL_COUNT",
-    "SampleMoments",
-    "StoppingRule",
-    "accumulate_chunks",
-    "adaptive_chunk_configs",
-    "chunk_configs",
-    "component_chunk_moments",
-    "estimate_from_moments",
-    "merge_moments",
-    "moments_from_samples",
-    "system_chunk_moments",
     "monte_carlo_component_mttf",
     "monte_carlo_mttf",
     "sample_component_ttf",

@@ -2,15 +2,9 @@
 
 Every results section of the paper reports the *relative error* of an
 estimation method against the Monte-Carlo (or, equivalently, exact
-first-principles) MTTF. :func:`compare_methods` runs the requested
-methods on one system and returns a :class:`MethodComparison` with the
-errors, ready for the experiment tables.
-
-Since the estimator registry (:mod:`repro.methods`) became the single
-call surface, :func:`compare_methods` is a thin back-compat shim over
-``repro.analyze``; the numbers are identical to the original free-function
-pipeline because the registry adapters delegate to the same functions
-with the same seeds and trial counts.
+first-principles) MTTF. A :class:`MethodComparison` holds one system's
+method MTTFs and their errors, ready for the experiment tables;
+``repro.analyze(system).comparison()`` builds one.
 """
 
 from __future__ import annotations
@@ -21,8 +15,6 @@ from dataclasses import dataclass, field
 
 from ..reliability.metrics import MTTFEstimate, signed_relative_error
 from .avf import avf_mttf
-from .montecarlo import MonteCarloConfig
-from .system import SystemModel
 
 
 @dataclass(frozen=True)
@@ -81,51 +73,6 @@ class MethodComparison:
     @classmethod
     def from_json(cls, text: str) -> "MethodComparison":
         return cls.from_dict(json.loads(text))
-
-
-def compare_methods(
-    system: SystemModel,
-    label: str = "",
-    mc_config: MonteCarloConfig | None = None,
-    reference: str = "monte_carlo",
-    include_softarch: bool = False,
-) -> MethodComparison:
-    """Run AVF+SOFR, SOFR-with-reference-components, and the reference.
-
-    Back-compat shim over ``repro.analyze``; see
-    :mod:`repro.methods.facade` for the fluent form and
-    :func:`repro.methods.batch.evaluate_design_space` for many systems
-    at once.
-
-    Parameters
-    ----------
-    system:
-        The system under evaluation.
-    label:
-        Human-readable system label for tables.
-    mc_config:
-        Monte-Carlo settings (trials/seed/sampler).
-    reference:
-        ``"monte_carlo"`` (the paper's choice) or ``"exact"`` (the closed
-        form — same expectation with zero sampling noise).
-    include_softarch:
-        Also run the SoftArch method (Section 5.4).
-    """
-    if reference not in ("monte_carlo", "exact"):
-        raise ValueError(f"unknown reference {reference!r}")
-    # Imported lazily: repro.methods builds on this module.
-    from ..methods import analyze
-
-    methods = ["avf_sofr", "sofr_only", "first_principles"]
-    if include_softarch:
-        methods.append("softarch")
-    return (
-        analyze(system, label=label)
-        .using(*methods)
-        .against(reference)
-        .with_mc(mc_config)
-        .comparison()
-    )
 
 
 def avf_step_comparison(

@@ -13,7 +13,7 @@ step against Monte Carlo. This module enumerates those points and runs
 the methods through the batch engine
 (:func:`repro.methods.batch.evaluate_design_space`), which memoizes
 per-component MTTFs across grid points — the SOFR sweeps re-use one
-Monte-Carlo component estimate for every value of C — and can fan out
+Monte-Carlo component estimate for every value of C — and fans out
 over a thread pool (``workers=N``).
 """
 
@@ -73,10 +73,9 @@ class DesignPoint:
 class SweepResult:
     """Method MTTFs and errors at one design point (times in seconds).
 
-    ``monte_carlo_trials`` records how many trials actually produced the
-    reference — under an adaptive stopping rule this varies per point,
-    and together with ``monte_carlo_stderr`` it is the audit trail of
-    what precision each grid point reached.
+    ``monte_carlo_trials`` records how many trials produced the
+    reference; with ``monte_carlo_stderr`` it states the precision the
+    grid point reached.
     """
 
     point: DesignPoint
@@ -160,20 +159,15 @@ def component_sweep(
     mc_config: MonteCarloConfig | None = None,
     include_softarch: bool = False,
     workers: int = 1,
-    executor: str = "thread",
     cache=None,
-    shard: tuple[int, int] | None = None,
     progress=None,
 ) -> SweepOutcome:
     """AVF-step sweep: single component (C = 1), as in Figure 5 / §5.2.
 
     Since only the product ``N x S`` matters for a single component
     (Section 5.2), points are parameterised by it directly.
-    ``shard=(i, n)`` evaluates this machine's round-robin share of the
-    grid (the outcome's ``result_set`` records the shard and merges
-    back with :func:`repro.methods.merge_result_sets`).
     """
-    from ..methods import evaluate_design_space, shard_select
+    from ..methods import evaluate_design_space
 
     methods = ["avf", "first_principles"]
     if include_softarch:
@@ -200,9 +194,7 @@ def component_sweep(
         reference="monte_carlo",
         mc_config=mc_config or MonteCarloConfig(),
         workers=workers,
-        executor=executor,
         cache=cache,
-        shard=shard,
         progress=progress,
     )
     results = [
@@ -217,7 +209,7 @@ def component_sweep(
             softarch_mttf=_mttf_or_none(comparison, "softarch"),
             monte_carlo_trials=comparison.reference.trials,
         )
-        for point, comparison in zip(shard_select(points, shard), result_set)
+        for point, comparison in zip(points, result_set)
     ]
     return SweepOutcome(results, result_set)
 
@@ -229,9 +221,7 @@ def system_sweep(
     mc_config: MonteCarloConfig | None = None,
     include_softarch: bool = False,
     workers: int = 1,
-    executor: str = "thread",
     cache=None,
-    shard: tuple[int, int] | None = None,
     progress=None,
 ) -> SweepOutcome:
     """SOFR-step sweep over (workload, N x S, C), as in Figure 6.
@@ -241,10 +231,9 @@ def system_sweep(
     engine's component cache computes each distinct (workload, N x S)
     component once and re-uses it for every C. Every system here is
     homogeneous (C identical components), matching the paper's cluster
-    experiments. ``shard``/``progress`` behave as in
-    :func:`component_sweep`.
+    experiments.
     """
-    from ..methods import evaluate_design_space, shard_select
+    from ..methods import evaluate_design_space
 
     methods = ["sofr_only", "first_principles"]
     if include_softarch:
@@ -284,9 +273,7 @@ def system_sweep(
         reference="monte_carlo",
         mc_config=mc_config or MonteCarloConfig(),
         workers=workers,
-        executor=executor,
         cache=cache,
-        shard=shard,
         progress=progress,
     )
     results = [
@@ -302,7 +289,7 @@ def system_sweep(
             softarch_mttf=_mttf_or_none(comparison, "softarch"),
             monte_carlo_trials=comparison.reference.trials,
         )
-        for point, comparison in zip(shard_select(points, shard), result_set)
+        for point, comparison in zip(points, result_set)
     ]
     return SweepOutcome(results, result_set)
 

@@ -4,7 +4,7 @@ Every inverse-method Monte-Carlo draw runs through a **plan**: any
 :class:`~repro.reliability.hazard.CyclicIntensity` compiled into dense
 NumPy tables (breakpoints, rates, cumulative-hazard and cumulative-mass
 arrays), built once per design point and memoized on the content
-fingerprints, so no chunk rebuilds the combined intensity or walks the
+fingerprints, so no estimate rebuilds the combined intensity or walks the
 hazard objects' per-call ``np.unique(seg)`` scans. The object-graph
 sampler is the test oracle (``tests/sampler_oracle.py``), which
 :func:`inverse_ttf` must match bit for bit.
@@ -22,20 +22,8 @@ Two layers:
   the inverse transform runs over cache-sized trial slices.
 * **Sampling plans** — :class:`SamplingPlan` bundles a compiled
   intensity with its source model (for the arrival sampler, which
-  needs the full model) under the model's content fingerprint. A plan
-  pickles as its tables plus lossless component dicts, and the
-  constructors validate the tables a process-pool worker receives.
-
-The **worker-side hydration cache** (:func:`run_plan_chunks`) lets the
-batch engine ship a plan to a process pool *once*: tasks carry only the
-fingerprint after the first send, workers keep hydrated plans in a
-process-global table, and an unknown fingerprint returns a ``"miss"``
-the parent answers by resubmitting with the plan attached. Batched
-tasks return ``(chunk_index, SampleMoments)`` pairs so the parent's
-:class:`~repro.core.montecarlo.MomentAccumulator` still folds every
-chunk in strict index order — the determinism invariants of the
-scheduler stack (workers=1 vs N, thread vs process, shards) are
-untouched; see docs/SCHEDULER.md.
+  needs the full model) under the model's content fingerprint, in a
+  bounded process-wide LRU.
 """
 
 from __future__ import annotations
@@ -55,7 +43,7 @@ from ..reliability.hazard import (
 from .system import Component, SystemModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .montecarlo import MonteCarloConfig, SampleMoments
+    from .montecarlo import MonteCarloConfig
 
 _SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
 
@@ -77,8 +65,7 @@ def _table(kind: str, name: str, values, *, increasing: bool) -> np.ndarray:
     segment starts); otherwise non-decreasing (cumulative tables, where
     zero-rate segments repeat an entry). These are the preconditions of
     both the samplers and :class:`_Guide`, so a table that breaks them
-    (say, in a plan unpickled by a pool worker) is refused here instead
-    of sampling garbage.
+    is refused here instead of sampling garbage.
     """
     table = _float_array(kind, name, values)
     if table.ndim != 1 or table.size < 2:
@@ -151,9 +138,7 @@ class _Guide:
     would otherwise turn into a NaN bucket index.
 
     The padded buffer *is* the table's storage: :attr:`table` is a view
-    of it that the owner adopts, so the entries are held once. Guides
-    are a per-process acceleration structure and never pickled or
-    serialized.
+    of it that the owner adopts, so the entries are held once.
     """
 
     __slots__ = ("table", "_padded", "_origin", "_scale", "_top", "_starts",
@@ -245,10 +230,6 @@ class CompiledPiecewise:
         self.mass = float(self.cum[-1])
         self._guides: dict[str, _Guide] = {}
 
-    def __reduce__(self):
-        # Guides are per-process caches: ship the tables only.
-        return (CompiledPiecewise, (self.bp, self.rates, self.cum))
-
     @classmethod
     def from_hazard(cls, hazard: PiecewiseHazard) -> "CompiledPiecewise":
         return cls(
@@ -333,13 +314,6 @@ class CompiledNested:
         self.period = float(self.starts[-1])
         self.mass = float(self.cum_mass[-1])
         self._guides: dict[str, _Guide] = {}
-
-    def __reduce__(self):
-        # Guides are per-process caches: ship the tables only.
-        return (
-            CompiledNested,
-            (self.starts, self.durations, self.cum_mass, self.inners),
-        )
 
     @classmethod
     def from_hazard(cls, hazard: NestedHazard) -> "CompiledNested":
@@ -520,84 +494,34 @@ def inverse_ttf(
 
 
 class SamplingPlan:
-    """Everything a worker needs to draw one target's TTF samples.
+    """Everything needed to draw one target's TTF samples.
 
     ``kind`` is ``"system"`` (inverse draws use the superposed
     intensity; arrival draws need the full :class:`SystemModel`) or
     ``"component"`` (one instance: inverse draws use the component's own
-    intensity). A plan compiled in this process keeps the ``model`` it
-    was built from; one unpickled by a pool worker carries the lossless
-    component wire dicts instead and rebuilds the model from them once,
-    on first use. :attr:`components` turns a source model into those
-    dicts only when a pickle needs them: building them up front cost
-    most of a cold plan's time and memory.
+    intensity). ``model`` is the source the plan was compiled from.
     """
 
-    __slots__ = ("kind", "fingerprint", "intensity", "_components", "_model")
+    __slots__ = ("kind", "fingerprint", "intensity", "model")
 
     def __init__(
         self,
         kind: str,
         fingerprint: str,
         intensity: CompiledIntensity,
-        components: Sequence[dict] | None = None,
-        model: SystemModel | Component | None = None,
+        model: SystemModel | Component,
     ) -> None:
         if kind not in ("system", "component"):
             raise ConfigurationError(f"unknown plan kind {kind!r}")
-        if (components is None) == (model is None):
-            raise ConfigurationError(
-                "a sampling plan needs exactly one of its source model "
-                "or its component wire forms"
-            )
         self.kind = kind
         self.fingerprint = fingerprint
         self.intensity = intensity
-        self._components = None if components is None else tuple(components)
-        self._model = model
-
-    def __getstate__(self) -> dict:
-        # Ship wire dicts, never the model: the receiver rebuilds it.
-        return {
-            "kind": self.kind,
-            "fingerprint": self.fingerprint,
-            "intensity": self.intensity,
-            "components": self.components,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.kind = state["kind"]
-        self.fingerprint = state["fingerprint"]
-        self.intensity = state["intensity"]
-        self._components = state["components"]
-        self._model = None
+        self.model = model
 
     @property
     def cache_key(self) -> str:
-        """Hydration-cache key: fingerprints are namespaced by kind."""
+        """Plan-cache key: fingerprints are namespaced by kind."""
         return f"{self.kind}:{self.fingerprint}"
-
-    @property
-    def components(self) -> tuple[dict, ...]:
-        """The lossless component wire dicts (built on first use)."""
-        if self._components is None:
-            model = self._model
-            sources = model.components if self.kind == "system" else [model]
-            self._components = tuple(c.to_dict() for c in sources)
-        return self._components
-
-    def model(self) -> SystemModel | Component:
-        """The source model, or its rebuild (once) from the wire forms."""
-        if self._model is None:
-            components = [
-                Component.from_dict(data) for data in self._components
-            ]
-            self._model = (
-                SystemModel(components)
-                if self.kind == "system"
-                else components[0]
-            )
-        return self._model
 
     def sample_ttf(self, config: "MonteCarloConfig") -> np.ndarray:
         """Draw ``config.trials`` i.i.d. TTF samples against this plan.
@@ -606,39 +530,29 @@ class SamplingPlan:
         inverse draw here. The RNG is built from ``config.seed``; the
         inverse path is :func:`inverse_ttf` on the compiled tables, and
         the arrival path is the paper-literal sampler run on the source
-        (or fingerprint-identical rebuilt) model.
+        model.
         """
         from . import montecarlo as mc
 
         rng = np.random.default_rng(config.seed)
         if config.method == "inverse":
             return inverse_ttf(self.intensity, config, rng)
-        model = self.model()
         if self.kind == "system":
             return mc._arrival_system_ttf(  # noqa: SLF001
-                model, config.trials, rng, config
+                self.model, config.trials, rng, config
             )
         return mc._arrival_component_ttf(  # noqa: SLF001
-            model, config.trials, rng, config
+            self.model, config.trials, rng, config
         )
 
-    def chunk_moments(self, config: "MonteCarloConfig") -> "SampleMoments":
-        """One chunk's sufficient statistics (see ``moments_from_samples``)."""
-        from .montecarlo import moments_from_samples
-
-        return moments_from_samples(self.sample_ttf(config))
-
 
 # ---------------------------------------------------------------------------
-# Fingerprint-keyed plan cache (parent-side build, worker-side hydration).
+# Fingerprint-keyed plan cache.
 # ---------------------------------------------------------------------------
 
-#: One process-global table serves both roles: the parent memoizes plans
-#: it compiles, and pool workers store plans shipped to them. With the
-#: ``fork`` start method children inherit the parent's hot entries for
-#: free; with ``spawn`` the miss protocol of :func:`run_plan_chunks`
-#: hydrates them on first use. The table is a bounded LRU: insertion
-#: order is recency order, and every hit moves its entry to the end.
+#: Every plan compiled in this process, keyed by :attr:`SamplingPlan.
+#: cache_key`. The table is a bounded LRU: insertion order is recency
+#: order, and every hit moves its entry to the end.
 _PLANS: dict[str, SamplingPlan] = {}
 _PLANS_LOCK = threading.Lock()
 _PLANS_CAP = 256
@@ -699,41 +613,3 @@ def clear_plan_cache() -> None:
     """Drop every cached plan (test isolation helper)."""
     with _PLANS_LOCK:
         _PLANS.clear()
-
-
-#: First element of a :func:`run_plan_chunks` result whose worker did
-#: not hold the plan: the parent must resubmit with the plan attached.
-PLAN_MISS = "miss"
-
-#: First element of a successful :func:`run_plan_chunks` result.
-PLAN_OK = "ok"
-
-
-def run_plan_chunks(
-    cache_key: str,
-    plan: SamplingPlan | None,
-    jobs: Sequence[tuple[int, "MonteCarloConfig"]],
-):
-    """Run a batch of chunk tasks against one plan (pool-safe top level).
-
-    ``jobs`` are ``(chunk_index, chunk_config)`` pairs. Returns
-    ``(PLAN_OK, [(chunk_index, SampleMoments), ...])`` — the parent
-    folds each pair into its :class:`MomentAccumulator`, which orders
-    the folds by chunk index regardless of batching — or
-    ``(PLAN_MISS, cache_key)`` when ``plan`` is ``None`` and this
-    worker has not been hydrated yet (fresh process, evicted entry):
-    the parent resubmits the same jobs with the plan attached. Shipping
-    the plan instead of the model, and only on first use, is what
-    makes paper-scale chunk fan-out cheap: steady-state tasks carry a
-    64-byte key and a few chunk configs.
-    """
-    if plan is not None:
-        plan = _remember(plan)
-    else:
-        plan = _cached(cache_key)
-        if plan is None:
-            return (PLAN_MISS, cache_key)
-    return (
-        PLAN_OK,
-        [(index, plan.chunk_moments(config)) for index, config in jobs],
-    )

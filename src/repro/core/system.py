@@ -151,9 +151,8 @@ class Component:
         The profile serializes through
         :meth:`~repro.masking.profile.VulnerabilityProfile.to_dict`, so
         the round trip preserves :attr:`content_fingerprint` exactly —
-        a model rebuilt from this form (a pickled sampling plan carries
-        its components this way) hits the same content-addressed cache
-        entries as the original object.
+        a model rebuilt from this form hits the same content-addressed
+        cache entries as the original object.
         """
         return {
             "name": self.name,
@@ -302,9 +301,9 @@ class SystemModel:
 
         The merge (breakpoint union + per-segment rate sums) is pure in
         the component contents, so the result is memoized under the
-        system's :attr:`content_fingerprint`: chunked Monte-Carlo runs
-        used to rebuild it per chunk task. Keying the cached value on
-        the fingerprint (rather than a bare lazy attribute) ties
+        system's :attr:`content_fingerprint`, and the estimators that
+        need it share one build. Keying the cached value on the
+        fingerprint (rather than a bare lazy attribute) ties
         invalidation to the same identity every other cache in the
         stack uses.
         """

@@ -16,9 +16,8 @@ These probe the reproduction's own design choices:
 Like the paper experiments, the ablations take one
 :class:`~repro.harness.experiment.EngineOptions`, route their
 estimation through :func:`repro.methods.evaluate_design_space` with
-``engine.kwargs()``, and emit a serializable ``result_set``. None is a
-sweep, so ``--shard`` does not apply, and the sampler and
-convergence ablations set their own seeds and no stopping rule. The
+``engine.kwargs()``, and emit a serializable ``result_set``. The
+sampler and convergence ablations set their own seeds. The
 exponentiality ablation's KS diagnostic is sample-level by nature: it
 draws its samples directly (once) and reduces both the diagnostics and
 its result set from them.
@@ -30,12 +29,7 @@ import math
 
 import numpy as np
 
-from ..core.montecarlo import (
-    MonteCarloConfig,
-    estimate_from_moments,
-    moments_from_samples,
-    sample_component_ttf,
-)
+from ..core.montecarlo import MonteCarloConfig, sample_component_ttf
 from ..core.comparison import MethodComparison
 from ..core.system import Component, SystemModel
 from ..methods import ResultSet, evaluate_design_space
@@ -57,7 +51,7 @@ def _day_system(rate: float) -> SystemModel:
 
 
 def run_sampler_equivalence(engine: EngineOptions):
-    trials, chunks = engine.trials, engine.mc_chunks
+    trials = engine.trials
     table = Table(
         "Ablation: arrival vs inverse sampler",
         ["lambda*L", "inverse mean (d)", "arrival mean (d)",
@@ -72,16 +66,14 @@ def run_sampler_equivalence(engine: EngineOptions):
         space,
         methods=["first_principles"],
         reference="monte_carlo",
-        mc_config=MonteCarloConfig(trials=trials, seed=1, chunks=chunks),
+        mc_config=MonteCarloConfig(trials=trials, seed=1),
         **engine.kwargs(),
     )
     arrival_set = evaluate_design_space(
         [(f"{label}/arrival", system) for label, system in space],
         methods=["first_principles"],
         reference="monte_carlo",
-        mc_config=MonteCarloConfig(
-            trials=trials, seed=2, method="arrival", chunks=chunks
-        ),
+        mc_config=MonteCarloConfig(trials=trials, seed=2, method="arrival"),
         **engine.kwargs(),
     )
     worst_sigma = 0.0
@@ -145,9 +137,7 @@ def run_mc_convergence(engine: EngineOptions):
             [(f"day/trials={n}", system)],
             methods=["first_principles"],
             reference="monte_carlo",
-            mc_config=MonteCarloConfig(
-                trials=n, seed=3, chunks=engine.mc_chunks
-            ),
+            mc_config=MonteCarloConfig(trials=n, seed=3),
             **engine.kwargs(),
         )
         comparison = trial_set[0]
@@ -173,6 +163,24 @@ def run_mc_convergence(engine: EngineOptions):
         f"{expected_ratio:.1f} across a {rows[-1][0] // rows[0][0]}x "
         "trial range",
         result_set=merged,
+    )
+
+
+def _sample_estimate(samples: np.ndarray) -> MTTFEstimate:
+    """The mean and standard error of finite TTF ``samples``.
+
+    The stderr is ``sqrt(M2 / (n - 1) / n)`` with ``M2`` the summed
+    squared deviations, exactly the arithmetic this artifact has always
+    used, so its bytes stay put.
+    """
+    n = samples.size
+    mean = float(samples.mean())
+    m2 = float(np.square(samples - mean).sum())
+    return MTTFEstimate(
+        mttf_seconds=mean,
+        std_error_seconds=math.sqrt(m2 / (n - 1) / n) if n > 1 else 0.0,
+        trials=int(n),
+        method="monte_carlo[inverse]",
     )
 
 
@@ -206,9 +214,7 @@ def run_exponentiality(engine: EngineOptions):
         comparisons.append(
             MethodComparison(
                 system_label=f"day/lambdaL={lam_l:g}",
-                reference=estimate_from_moments(
-                    moments_from_samples(samples), "monte_carlo[inverse]"
-                ),
+                reference=_sample_estimate(samples),
                 estimates={
                     "first_principles": MTTFEstimate(
                         mttf_seconds=process.mttf(),

@@ -7,11 +7,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from ..core.montecarlo import MonteCarloConfig, StoppingRule
+from ..core.montecarlo import MonteCarloConfig
 from ..errors import ConfigurationError, EstimationError
 from ..methods import ComponentCache
 from ..methods import registry as method_registry
-from ..methods.batch import check_executor, resolve_workers
+from ..methods.batch import resolve_workers
 from ..methods.cache import resolve_cache_dir
 from .tables import Table
 
@@ -34,24 +34,18 @@ class EngineOptions:
     Every experiment takes this object as its only engine argument. Its
     fields are the runner's flags; building it checks them (raising
     :class:`ConfigurationError` before any work: the method names, the
-    executor, the worker count and the Monte-Carlo settings) and
-    computes the two things every experiment of the invocation shares:
-    the resolved cache directory (``cache_dir``, else
-    ``$REPRO_CACHE_DIR``) and one :class:`ComponentCache` for it, so an
-    estimate several artifacts need is computed once.
+    worker count and the Monte-Carlo settings) and computes the two
+    things every experiment of the invocation shares: the resolved
+    cache directory (``cache_dir``, else ``$REPRO_CACHE_DIR``) and one
+    :class:`ComponentCache` for it, so an estimate several artifacts
+    need is computed once.
 
-    ``trials`` defaults to ``$REPRO_MC_TRIALS`` (else 100,000) and
-    ``mc_chunks`` to 16 under ``target_stderr`` (the stopping rule can
-    only stop at chunk boundaries), else 1.
+    ``trials`` defaults to ``$REPRO_MC_TRIALS`` (else 100,000).
     """
 
     trials: int | None = None
-    mc_chunks: int | None = None
-    target_stderr: float | None = None
     workers: int | str = 1
-    executor: str = "thread"
     cache_dir: str | os.PathLike | None = None
-    shard: tuple[int, int] | None = None
     progress: Callable | None = None
     methods: tuple[str, ...] | None = None
     reference: str | None = None
@@ -62,13 +56,9 @@ class EngineOptions:
         for name in [*(self.methods or ()), self.reference]:
             if name is not None:
                 method_registry.get(name)
-        check_executor(self.executor)
         resolve_workers(self.workers)
         if self.trials is None:
             object.__setattr__(self, "trials", _env_trials())
-        if self.mc_chunks is None:
-            chunks = 16 if self.target_stderr is not None else 1
-            object.__setattr__(self, "mc_chunks", chunks)
         try:
             self.mc()
         except EstimationError as error:
@@ -78,46 +68,16 @@ class EngineOptions:
         object.__setattr__(self, "cache", ComponentCache.at(cache_path))
 
     def mc(self, seed: int = 0) -> MonteCarloConfig:
-        """The invocation's Monte-Carlo settings for ``seed``.
+        """The invocation's Monte-Carlo settings for ``seed``."""
+        return MonteCarloConfig(trials=self.trials, seed=seed)
 
-        ``target_stderr`` attaches a :class:`StoppingRule`: chunks are
-        scheduled only until the relative stderr meets the target, with
-        ``trials`` as the budget.
-        """
-        stopping = (
-            None
-            if self.target_stderr is None
-            else StoppingRule(target_rel_stderr=self.target_stderr)
-        )
-        return MonteCarloConfig(
-            trials=self.trials,
-            seed=seed,
-            chunks=self.mc_chunks,
-            stopping=stopping,
-        )
-
-    def kwargs(self, sharded: bool = False) -> dict:
-        """Engine keyword arguments for ``evaluate_design_space``.
-
-        Only sweeps pass ``sharded=True``: the other experiments
-        ignore ``shard`` and produce the whole artifact.
-        """
-        kwargs = dict(
+    def kwargs(self) -> dict:
+        """Engine keyword arguments for ``evaluate_design_space``."""
+        return dict(
             workers=self.workers,
-            executor=self.executor,
             cache=self.cache,
             progress=self.progress,
         )
-        if sharded:
-            kwargs["shard"] = self.shard
-        return kwargs
-
-    @property
-    def shard_suffix(self) -> str:
-        """Headline qualifier so per-shard logs never read as full-grid."""
-        if self.shard is None:
-            return ""
-        return f" [shard {self.shard[0]}/{self.shard[1]} only]"
 
 
 @dataclass

@@ -8,12 +8,10 @@ same memoization, fan-out, and serializable ``result_set`` machinery.
 
 Each takes one :class:`~repro.harness.experiment.EngineOptions` as its
 first argument, and nothing else about the engine. It carries the
-runner's knobs: trials, ``--mc-chunks`` and ``--target-stderr`` (via
-``engine.mc(seed)``), ``--workers``/``--executor``, ``--progress``
-and the invocation's one estimate cache (via ``engine.kwargs()``).
-The sweeps (sec5.2, fig5, fig6a, fig6b, sec5.4) also honour
-``--shard``. The remaining keyword arguments are the artifact's own
-grid.
+runner's knobs: trials (via ``engine.mc(seed)``), ``--workers``,
+``--progress`` and the invocation's one estimate cache (via
+``engine.kwargs()``). The remaining keyword arguments are the
+artifact's own grid.
 
 Defaults are sized to finish in seconds; the paper-scale knobs
 (Monte-Carlo trials, SPEC window) are environment variables:
@@ -38,12 +36,7 @@ from ..core.comparison import MethodComparison
 from ..core.designspace import component_sweep, system_sweep, table2_points
 from ..core.montecarlo import MonteCarloConfig
 from ..core.system import Component, SystemModel
-from ..methods import (
-    ResultSet,
-    canonical_name,
-    evaluate_design_space,
-    shard_select,
-)
+from ..methods import ResultSet, canonical_name, evaluate_design_space
 from ..masking.profile import VulnerabilityProfile
 from ..microarch.config import MachineConfig
 from ..reliability.metrics import MTTFEstimate, signed_relative_error
@@ -497,13 +490,11 @@ def run_sec52(
         space,
         methods=["avf"],
         reference="first_principles",
-        **engine.kwargs(sharded=True),
+        **engine.kwargs(),
     )
     worst = 0.0
     for (label, _system), mass, comparison in zip(
-        shard_select(space, engine.shard),
-        shard_select(masses, engine.shard),
-        result_set,
+        space, masses, result_set
     ):
         bench, n_label = label.split("/NxS=")
         error = comparison.error("avf")
@@ -516,8 +507,7 @@ def run_sec52(
         "N and S studied.",
         tables=[table],
         headline=f"worst AVF-step error {worst:.4%} across "
-        f"{len(benchmarks)} benchmarks x {len(n_times_s_values)} N*S "
-        f"points{engine.shard_suffix}",
+        f"{len(benchmarks)} benchmarks x {len(n_times_s_values)} N*S points",
         notes=[
             "SPEC loop lengths are milliseconds, so lambda*V(L) stays "
             "tiny even at N x S = 5e12 — exactly why the paper finds "
@@ -541,7 +531,7 @@ def run_fig5(
         workloads,
         n_times_s_values,
         engine.mc(),
-        **engine.kwargs(sharded=True),
+        **engine.kwargs(),
     )
     table = Table(
         "Figure 5: AVF-step error vs Monte Carlo, synthesized workloads",
@@ -558,18 +548,10 @@ def run_fig5(
             percent(error),
         )
         series[res.point.workload].append(error)
-    # A shard holds only its share of each series; the cross-grid
-    # figure is rendered by the merged (or unsharded) run.
-    figures = (
-        [
-            render_series(
-                "Figure 5 (reproduced): signed AVF error vs Monte Carlo",
-                [f"{v:g}" for v in n_times_s_values],
-                series,
-            )
-        ]
-        if engine.shard is None
-        else []
+    figure = render_series(
+        "Figure 5 (reproduced): signed AVF error vs Monte Carlo",
+        [f"{v:g}" for v in n_times_s_values],
+        series,
     )
     peak = max((abs(r.avf_error) for r in results), default=0.0)
     big = [
@@ -582,9 +564,9 @@ def run_fig5(
         paper_claim="significant errors (up to ~90%) once N x S >= 1e9; "
         "sign varies by workload.",
         tables=[table],
-        figures=figures,
+        figures=[figure],
         headline=f"peak |error| {peak:.0%}; {len(big)} points with "
-        f">1% error at N x S >= 1e9{engine.shard_suffix}",
+        ">1% error at N x S >= 1e9",
         result_set=results.result_set,
     )
 
@@ -609,7 +591,7 @@ def run_fig6a(
         n_times_s_values,
         component_counts,
         engine.mc(),
-        **engine.kwargs(sharded=True),
+        **engine.kwargs(),
     )
     table = Table(
         "Figure 6(a): SOFR-step error vs Monte Carlo, SPEC workloads "
@@ -639,8 +621,7 @@ def run_fig6a(
         "errors only for C >= 5000 with very large N x S (>= ~2e12).",
         tables=[table],
         headline=f"C<=8 worst error {safe_worst:.2%}; overall worst "
-        f"{worst:.0%} at the largest C x (N x S) corner"
-        f"{engine.shard_suffix}",
+        f"{worst:.0%} at the largest C x (N x S) corner",
         notes=[
             "Profiles are time-dilated to the paper's 1e8-instruction "
             "loop; the dimensionless hazard mass matches the paper's "
@@ -690,7 +671,7 @@ def run_fig6b(
         methods=["sofr_only"],
         reference="monte_carlo",
         mc_config=engine.mc(),
-        **engine.kwargs(sharded=True),
+        **engine.kwargs(),
     )
     # Random-phase pass: only the reference changes convention; the SOFR
     # estimate stays the zero-phase one (the literal reading of the
@@ -702,11 +683,11 @@ def run_fig6b(
         mc_config=dataclasses.replace(
             engine.mc(seed=1), start_phase="random"
         ),
-        **engine.kwargs(sharded=True),
+        **engine.kwargs(),
     )
     key_points: dict = {}
     for (name, n_times_s, c_count), zero_cmp, random_cmp in zip(
-        shard_select(meta, engine.shard), zero_set, random_set
+        meta, zero_set, random_set
     ):
         sofr = zero_cmp.estimates["sofr_only"].mttf_seconds
         mc_zero = zero_cmp.reference.mttf_seconds
@@ -746,13 +727,8 @@ def run_fig6b(
         tables=[table],
         headline=(
             "; ".join(headline_bits)
-            or (
-                "see table (paper key points reproduced)"
-                if engine.shard is None
-                else "see table"
-            )
-        )
-        + engine.shard_suffix,
+            or "see table (paper key points reproduced)"
+        ),
         notes=[
             "Two loop-phase conventions are reported: 'zero' starts "
             "every trial at the beginning of the busy period (the "
@@ -874,7 +850,7 @@ def run_sec54(
         methods=["softarch", "first_principles"],
         reference="monte_carlo",
         mc_config=engine.mc(),
-        **engine.kwargs(sharded=True),
+        **engine.kwargs(),
     )
     table = Table(
         "Section 5.4: SoftArch error vs Monte Carlo / exact",
@@ -882,9 +858,7 @@ def run_sec54(
          "SoftArch vs MC (sigma)"],
     )
     worst_exact = 0.0
-    for (name, n_times_s, c_count), comparison in zip(
-        shard_select(meta, engine.shard), result_set
-    ):
+    for (name, n_times_s, c_count), comparison in zip(meta, result_set):
         sa = comparison.estimates["softarch"].mttf_seconds
         exact = comparison.estimates["first_principles"].mttf_seconds
         vs_exact = signed_relative_error(sa, exact)
@@ -907,6 +881,6 @@ def run_sec54(
         tables=[table],
         headline=f"worst SoftArch-vs-exact error {worst_exact:.2e} "
         "(all points far inside the paper's 1%/2% bounds); deviations "
-        f"from MC are pure sampling noise{engine.shard_suffix}",
+        "from MC are pure sampling noise",
         result_set=result_set,
     )

@@ -8,43 +8,26 @@ Usage::
     repro-experiments fig3 --json fig3.json
     repro-experiments compare --method avf_sofr --method hybrid \\
         --reference exact --json compare.json
-    repro-experiments fig5 --executor process --workers 8 \\
-        --mc-chunks 16 --cache-dir ~/.cache/repro
-    repro-experiments fig5 --trials 1000000 --mc-chunks 32 \\
-        --target-stderr 0.01 --progress
-    repro-experiments fig5 --shard 0/2 --cache-dir /shared/cache \\
-        --json shard0.json   # machine A
-    repro-experiments fig5 --shard 1/2 --cache-dir /shared/cache \\
-        --json shard1.json   # machine B
-    repro-experiments merge shard0.json shard1.json --json full.json
+    repro-experiments fig5 --workers 8 --cache-dir ~/.cache/repro
+    repro-experiments fig5 --trials 1000000 --progress
 
 ``--json`` writes the machine-readable
 :class:`~repro.methods.results.ResultSet` behind the run (loadable with
 ``ResultSet.from_json``); ``--method``/``--reference`` select estimators
 from the method registry for experiments that support pluggable method
-sets (e.g. ``compare``). ``--workers``/``--executor`` fan the batch
-engine out over threads or processes (``--workers auto``, the default,
-is the cpu count), ``--mc-chunks`` splits each
-Monte-Carlo estimate into seeded chunks (numbers depend on the chunking,
-never the worker count), and ``--cache-dir`` persists every estimate in
-a content-addressed on-disk cache so repeated invocations skip
-re-estimation entirely. The flags become one
-:class:`~repro.harness.experiment.EngineOptions`, built before any
-work (a refused flag or ``$REPRO_MC_TRIALS`` value exits 2 with one
-line), and its one estimate cache serves every artifact of the
-invocation.
-
-The streaming engine adds three scaling controls: ``--target-stderr``
-makes Monte-Carlo references adaptive (chunks are scheduled only until
-the relative standard error meets the target, with ``--trials`` as the
-budget), ``--shard i/N`` evaluates one machine's deterministic share of
-a sweep (run every shard against one shared ``--cache-dir``, then
-``merge`` the per-shard ``--json`` artifacts into the exact unsharded
-result), and ``--progress`` streams per-point progress lines to stderr
-as chunk moments merge.
+sets (e.g. ``compare``). ``--workers`` sets the batch engine's thread
+pool width (``--workers auto``, the default, is the cpu count; numbers
+never depend on it), and ``--cache-dir`` persists every estimate in a
+content-addressed on-disk cache so repeated invocations skip
+re-estimation entirely. ``--progress`` streams per-point progress
+lines to stderr. The flags and artifact names are checked before any
+work: the flags become one
+:class:`~repro.harness.experiment.EngineOptions` (a refused flag or
+``$REPRO_MC_TRIALS`` value exits 2 with one line), and its one
+estimate cache serves every artifact of the invocation.
 
 Every sweep runs as one pipelined schedule: method estimates join the
-worker pool the moment each point's reference finalizes.
+worker pool the moment each point's reference is final.
 """
 
 from __future__ import annotations
@@ -71,28 +54,15 @@ def parse_workers(text: str) -> int | str:
         ) from None
 
 
-def parse_shard(text: str) -> tuple[int, int]:
-    """Parse the CLI's ``i/N`` shard syntax into ``(i, N)``."""
-    from ..errors import ConfigurationError
-    from ..methods.results import validate_shard
-
-    try:
-        return validate_shard(text.split("/", 1))
-    except ConfigurationError:
-        raise argparse.ArgumentTypeError(
-            f"shard must look like 'i/N' with 0 <= i < N (e.g. 0/4), "
-            f"got {text!r}"
-        ) from None
-
-
 class ProgressReporter:
     """Prints the engine's per-point progress events to stderr.
 
     One line per event, prefixed so sweeps driven by schedulers/tmux
     stay greppable::
 
-        [progress] day/NxS=1e+10 chunk 3/16 trials=30000 rel_se=1.42%
-        [progress] day/NxS=1e+10 done trials=40000 rel_se=0.97% (early)
+        [progress] day/NxS=1e+10 start
+        [progress] day/NxS=1e+10 done trials=100000
+        [progress] day/NxS=1e+10 method avf done trials=0
     """
 
     def __init__(self, stream=None) -> None:
@@ -104,57 +74,17 @@ class ProgressReporter:
         parts = [f"[progress] {event.label}"]
         if event.kind == "point-start":
             parts.append("start")
-            if event.total_chunks:
-                parts.append(f"chunks={event.total_chunks}")
-        elif event.kind == "chunk":
-            parts.append(
-                f"chunk {event.merged_chunks}/{event.total_chunks}"
-            )
-            parts.append(f"trials={event.trials}")
         elif event.kind == "method-start":
             parts.append(f"method {event.method} start")
         elif event.kind == "method-done":
             parts.append(f"method {event.method} done")
             parts.append(f"trials={event.trials}")
-        elif event.kind == "prewarm":
-            parts.append(f"prewarmed {event.warmed_entries} cache entries")
         else:
             parts.append("done")
             parts.append(f"trials={event.trials}")
-        if event.rel_stderr is not None:
-            parts.append(f"rel_se={event.rel_stderr:.2%}")
-        if event.stopped_early:
-            parts.append("(early)")
         if event.cached:
             parts.append("(cached)")
         print(" ".join(parts), file=self.stream)
-
-
-def run_merge(args) -> int:
-    """The ``merge`` command: reassemble per-shard ``--json`` artifacts."""
-    from ..methods import ResultSet, merge_result_sets
-
-    if not args.artifacts:
-        print("merge needs at least one shard JSON file", file=sys.stderr)
-        return 1
-    if not args.json:
-        print("merge needs --json OUT for the merged set", file=sys.stderr)
-        return 1
-    from ..errors import ConfigurationError
-
-    try:
-        shards = [ResultSet.from_json(path) for path in args.artifacts]
-        merged = merge_result_sets(shards)
-    except (OSError, ValueError, ConfigurationError) as error:
-        print(f"merge failed: {error}", file=sys.stderr)
-        return 1
-    merged.to_json(args.json)
-    count = shards[0].shard[1] if shards[0].shard else len(shards)
-    print(
-        f"merged {len(shards)} shard(s) (/{count}) -> {len(merged)} "
-        f"points written to {args.json}"
-    )
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -165,9 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "artifacts",
         nargs="*",
-        help="artifact ids to run (e.g. fig3 sec5.1); see --list. "
-        "The special first argument 'merge' instead merges per-shard "
-        "ResultSet JSON files: merge SHARD.json... --json OUT.json",
+        help="artifact ids to run (e.g. fig3 sec5.1); see --list",
     )
     parser.add_argument(
         "--list", action="store_true", help="list available experiments"
@@ -198,68 +126,29 @@ def _build_parser() -> argparse.ArgumentParser:
         help="reference method errors are measured against "
         "('monte_carlo' or 'exact')",
     )
-    from ..methods.batch import EXECUTORS
-
     parser.add_argument(
         "--workers",
         default="auto",
         metavar="N|auto",
-        help="fan-out width for the batch engine: an integer (1 is a "
-        "one-worker pool of the executor) or 'auto' (default; the cpu "
-        "count)",
+        help="thread-pool width for the batch engine: an integer (1 is "
+        "a one-worker pool) or 'auto' (default; the cpu count)",
     )
+    # There is one pool and one sampler, so these flags select nothing
+    # and their values are never forwarded. They stay accepted because
+    # the pinned benchmark load (perfbench/compare.py LOAD_ARGS) passes
+    # ``--executor thread --kernel numpy``.
     parser.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        default="thread",
-        help="fan-out pool: 'thread' (default) or 'process' "
-        "(single-host true parallelism). Numbers are identical across "
-        "executors at fixed --mc-chunks",
+        "--executor", choices=("thread",), default="thread",
+        help="fan-out pool: 'thread', the only one",
     )
-    # There is one sampler, so this flag selects nothing and its value
-    # is never forwarded. It stays accepted because the pinned benchmark
-    # load (perfbench/compare.py LOAD_ARGS) passes ``--kernel numpy``.
     parser.add_argument(
         "--kernel", choices=("numpy",), default="numpy",
         help="Monte-Carlo sampler: 'numpy' (compiled plans), the only one",
     )
     parser.add_argument(
-        "--mc-chunks",
-        type=int,
-        default=None,
-        metavar="K",
-        help="split each Monte-Carlo estimate into K seeded chunks "
-        "(the unit of both process fan-out and adaptive stopping; "
-        "default: 1, or 16 when --target-stderr is set — the rule can "
-        "only stop at chunk boundaries)",
-    )
-    parser.add_argument(
-        "--target-stderr",
-        type=float,
-        default=None,
-        metavar="REL",
-        help="adaptive precision: schedule Monte-Carlo chunks only "
-        "until the estimate's relative standard error is <= REL "
-        "(e.g. 0.01 for 1%%); --trials is the budget and --mc-chunks "
-        "the stopping granularity. Recorded trial counts and achieved "
-        "stderr land in the --json artifact.",
-    )
-    parser.add_argument(
-        "--shard",
-        type=parse_shard,
-        default=None,
-        metavar="I/N",
-        help="evaluate only this machine's deterministic share of each "
-        "sweep (honoured by the sweep experiments: fig5, fig6a, fig6b, "
-        "sec5.2, sec5.4); merge the per-shard --json artifacts with "
-        "'repro-experiments merge'. fig6b splits its computation but "
-        "its two-pass artifact is not merge-able (merge fails loudly).",
-    )
-    parser.add_argument(
         "--progress",
         action="store_true",
-        help="stream per-point progress lines to stderr as trial "
-        "chunks merge",
+        help="stream per-point progress lines to stderr",
     )
     parser.add_argument(
         "--cache-dir",
@@ -289,10 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
-    if args.artifacts and args.artifacts[0] == "merge":
-        args.artifacts = args.artifacts[1:]
-        return run_merge(args)
-
     experiments = all_experiments()
 
     if args.list or (not args.artifacts and not args.all):
@@ -306,14 +191,12 @@ def main(argv: list[str] | None = None) -> int:
 
     selected = sorted(experiments) if args.all else args.artifacts
     try:
+        # Every name resolves before any experiment runs.
+        chosen = [get_experiment(artifact) for artifact in selected]
         engine = EngineOptions(
             trials=args.trials,
-            mc_chunks=args.mc_chunks,
-            target_stderr=args.target_stderr,
             workers=parse_workers(args.workers),
-            executor=args.executor,
             cache_dir=args.cache_dir,
-            shard=args.shard,
             progress=ProgressReporter() if args.progress else None,
             methods=tuple(args.methods) if args.methods else None,
             reference=args.reference,
@@ -321,17 +204,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as error:
         print(str(error), file=sys.stderr)
         return 2
-    if args.mc_chunks is None and args.target_stderr is not None:
-        print(
-            "note: --target-stderr without --mc-chunks; using 16 "
-            "chunks as the stopping granularity",
-            file=sys.stderr,
-        )
 
     sections = []
     merged_set = None
-    for artifact in selected:
-        experiment = get_experiment(artifact)
+    for artifact, experiment in zip(selected, chosen):
         # repro: allow[D101] console elapsed-time display only; the
         # experiment's numbers come from experiment.run alone
         started = time.perf_counter()

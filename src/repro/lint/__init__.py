@@ -1,7 +1,7 @@
 """``repro.lint`` — static determinism & protocol invariant checker.
 
 The engine stack's reliability guarantees (bit-identical ResultSets
-across executors x workers x shards, SeedSequence-only randomness,
+across worker counts, seeded-generator-only randomness,
 documented registry vocabularies — docs/SCHEDULER.md) are
 runtime-tested by the conformance suites, but a regression that only
 manifests on a 32-worker pool slips past a 1-CPU CI runner. This

@@ -1,16 +1,8 @@
-"""C1 — cache-token discipline rules.
+"""C1 — cache-token discipline.
 
 ``mc_token`` (``methods/cache.py``) is the cache key fragment that
-states which Monte-Carlo settings produced a number. Two invariants
-keep warm caches and shard merges honest:
-
-* **Tokens only grow.** Provenance tags (``"+"``-prefixed suffixes)
-  are appended, never rewritten — a mutation that edits or replaces a
-  token would let ``merge_result_sets`` mix artifacts of different
-  provenance, the exact corruption the merge-refusal tests exist to
-  prevent.
-  ``C101`` flags any rebinding of a token-carrying variable that is
-  not an append of a ``"+"``-prefixed tag.
+states which Monte-Carlo settings produced a number. One invariant
+keeps warm caches honest:
 
 * **Every config field is accounted for.** A ``MonteCarloConfig``
   field either joins the token (changing it invalidates exactly the
@@ -31,129 +23,6 @@ from .registry import Rule, register_rule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Project
-
-
-def _is_token_source(node: ast.AST) -> bool:
-    """An expression that *reads* a token: ``mc_token(...)`` or
-    ``<x>.mc_token``."""
-    if isinstance(node, ast.Call):
-        func = node.func
-        name = (
-            func.id
-            if isinstance(func, ast.Name)
-            else func.attr if isinstance(func, ast.Attribute) else None
-        )
-        return name == "mc_token"
-    if isinstance(node, ast.Attribute):
-        return node.attr == "mc_token"
-    return False
-
-
-def _is_append_tag(node: ast.AST) -> bool:
-    """A ``"+tag"`` appendable: literal, or a conditional of them."""
-    if isinstance(node, ast.Constant):
-        return isinstance(node.value, str) and node.value.startswith("+")
-    if isinstance(node, ast.IfExp):
-        return _is_append_tag(node.body) and _is_append_tag(node.orelse)
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-        return _is_append_tag(node.left)
-    if isinstance(node, ast.JoinedStr):
-        values = node.values
-        return bool(values) and _is_append_tag(values[0])
-    return False
-
-
-def _token_ok(node: ast.AST, names: set[str]) -> bool:
-    """Whether a (re)binding keeps token provenance intact."""
-    if _is_token_source(node):
-        return True
-    if isinstance(node, ast.Name) and node.id in names:
-        return True
-    if isinstance(node, ast.IfExp):
-        return _token_ok(node.body, names) and _token_ok(
-            node.orelse, names
-        )
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-        return _token_ok(node.left, names) and _is_append_tag(
-            node.right
-        )
-    return False
-
-
-@register_rule
-class TokenAppendOnlyRule(Rule):
-    rule_id = "C101"
-    title = "mc_token mutations are append-only"
-    scope = "file"
-    rationale = (
-        "provenance tags (+<tag>) append to the token so "
-        "merge_result_sets can refuse mixed-provenance shards; a "
-        "rewritten token forges provenance and corrupts warm caches"
-    )
-
-    def check_file(self, src: SourceFile) -> Iterable[Finding]:
-        functions = [
-            node
-            for node in ast.walk(src.tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        for fn in functions:
-            token_names: set[str] = set()
-            for stmt in ast.walk(fn):
-                if isinstance(stmt, ast.Assign):
-                    targets = [
-                        t
-                        for t in stmt.targets
-                        if isinstance(t, ast.Name)
-                    ]
-                    if _is_token_source(stmt.value):
-                        token_names.update(t.id for t in targets)
-                        continue
-                    for target in targets:
-                        if target.id in token_names and not _token_ok(
-                            stmt.value, token_names
-                        ):
-                            yield self.finding(
-                                src.rel,
-                                stmt.lineno,
-                                f"token variable {target.id!r} "
-                                "rebound to a non-token value; "
-                                "mc_token provenance must only grow "
-                                "by '+tag' appends",
-                                col=stmt.col_offset,
-                            )
-                elif isinstance(stmt, ast.AugAssign):
-                    target = stmt.target
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id in token_names
-                    ):
-                        if not isinstance(
-                            stmt.op, ast.Add
-                        ) or not _is_append_tag(stmt.value):
-                            yield self.finding(
-                                src.rel,
-                                stmt.lineno,
-                                f"token variable {target.id!r} "
-                                "mutated with a non-append value; "
-                                "only '+tag' string appends are "
-                                "legal",
-                                col=stmt.col_offset,
-                            )
-                    elif (
-                        isinstance(target, ast.Attribute)
-                        and target.attr == "mc_token"
-                    ):
-                        if not isinstance(
-                            stmt.op, ast.Add
-                        ) or not _is_append_tag(stmt.value):
-                            yield self.finding(
-                                src.rel,
-                                stmt.lineno,
-                                "mc_token attribute mutated with a "
-                                "non-append value",
-                                col=stmt.col_offset,
-                            )
 
 
 @register_rule

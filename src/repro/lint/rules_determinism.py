@@ -2,12 +2,12 @@
 
 The engine's core contract (docs/SCHEDULER.md, "Determinism
 invariants") is that every ResultSet is a pure function of the run
-configuration: bit-identical across executors, worker counts, shard
-shapes, and reruns. Anything that injects wall-clock time,
-process entropy, or interpreter-dependent ordering into a computation
-breaks that contract in ways a 1-CPU CI runner will never reproduce —
-a regression that only manifests on a 32-worker pool must be caught
-at the AST, not in production. These rules flag every such source:
+configuration: bit-identical across worker counts and reruns.
+Anything that injects wall-clock time, process entropy, or
+interpreter-dependent ordering into a computation breaks that
+contract in ways a 1-CPU CI runner will never reproduce — a
+regression that only manifests on a 32-worker pool must be caught at
+the AST, not in production. These rules flag every such source:
 
 * ``D101`` — wall-clock reads (``time.time``/``monotonic``/
   ``perf_counter``/``sleep``, ``datetime.now``/``utcnow``/``today``).
@@ -19,8 +19,8 @@ at the AST, not in production. These rules flag every such source:
 * ``D103`` — legacy NumPy randomness: ``np.random.seed``/
   ``RandomState`` and the global-state draw functions, plus *unseeded*
   ``default_rng()``/``SeedSequence()``. All engine randomness flows
-  from explicit ``SeedSequence`` spawns (DESIGN.md, "Trial-chunked
-  Monte-Carlo reduction").
+  from generators seeded by the run's ``MonteCarloConfig`` (DESIGN.md,
+  "Common random numbers").
 * ``D104`` — ``id()`` in engine paths: object identity is
   allocator-dependent; identity-keyed containers were the PR 2 cache
   bug, replaced by content fingerprints.
@@ -145,8 +145,8 @@ class NumpyRandomRule(Rule):
     rationale = (
         "np.random.seed/RandomState and the global draw functions "
         "share hidden mutable state across threads and call sites; "
-        "chunk determinism requires per-chunk SeedSequence spawns "
-        "(DESIGN.md, trial-chunked reduction)"
+        "every estimate must draw from a generator seeded by its own "
+        "MonteCarloConfig (DESIGN.md, common random numbers)"
     )
 
     def check_file(self, src: SourceFile) -> Iterable[Finding]:

@@ -12,8 +12,7 @@ makes the method set a first-class, pluggable axis:
 * :func:`~repro.methods.facade.analyze` — the fluent entry point:
   ``analyze(system).using("avf_sofr").against("exact").run()``;
 * :func:`~repro.methods.batch.evaluate_design_space` — the batch engine
-  with per-component memoization, fanning out over a thread or process
-  pool (:data:`~repro.methods.batch.EXECUTORS`);
+  with per-component memoization, fanning out over a thread pool;
 * :class:`~repro.methods.results.ResultSet` — serializable results
   (``to_json``/``from_json`` round-trip losslessly).
 """
@@ -32,13 +31,12 @@ from .registry import (
 )
 from . import adapters as _adapters  # noqa: F401 - populates the registry
 from . import uncore as _uncore  # noqa: F401 - registers uncore_ecc
-from .batch import EXECUTORS, evaluate_design_space, shard_select
+from .batch import evaluate_design_space
 from .facade import Analysis, analyze
 from .progress import ProgressEvent
-from .results import ResultSet, merge_result_sets
+from .results import ResultSet
 
 __all__ = [
-    "EXECUTORS",
     "Analysis",
     "ComponentCache",
     "DiskCache",
@@ -54,9 +52,7 @@ __all__ = [
     "estimate",
     "evaluate_design_space",
     "get",
-    "merge_result_sets",
     "register",
     "register_method",
-    "shard_select",
     "unregister",
 ]

@@ -20,8 +20,29 @@ from typing import Callable, Protocol, runtime_checkable
 
 from ..core.montecarlo import MonteCarloConfig
 from ..core.system import Component, SystemModel
+from ..errors import EstimationError
 from ..reliability.metrics import MTTFEstimate
 from .cache import DiskCache, mc_token, resolve_cache_dir
+
+
+def _component_value(stored) -> float | None:
+    """A disk entry's component MTTF: a number > 0 (``inf`` allowed),
+    else ``None`` (a miss)."""
+    value = stored.get("mttf_seconds") if isinstance(stored, dict) else None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return float(value) if value > 0 else None
+
+
+def _system_value(stored) -> MTTFEstimate | None:
+    """A disk entry decoded as an :class:`MTTFEstimate`, else ``None``
+    (a miss)."""
+    if not isinstance(stored, dict):
+        return None
+    try:
+        return MTTFEstimate.from_dict(stored)
+    except (KeyError, TypeError, ValueError, OverflowError, EstimationError):
+        return None
 
 
 class ComponentCache:
@@ -51,7 +72,10 @@ class ComponentCache:
     Pass ``disk=DiskCache(path)`` to back the in-memory maps with a
     persistent JSON-per-entry store shared across CLI invocations;
     lookups then go memory -> disk -> compute, and computed values are
-    written through.
+    written through. A disk value that does not decode (a component
+    MTTF that is not a number > 0, a system entry that is not a valid
+    :class:`MTTFEstimate`) is a miss, and the recomputed value replaces
+    it.
     """
 
     def __init__(self, disk: DiskCache | None = None) -> None:
@@ -152,13 +176,14 @@ class ComponentCache:
 
     def _load_or_compute(self, key: str, compute: Callable[[], float]):
         """Disk, else ``compute`` (written through); the caller holds
-        the key's claim."""
+        the key's claim. A malformed disk value is a miss, and the
+        computed value overwrites it."""
         if self.disk is not None:
-            stored = self.disk.get(key)
+            stored = _component_value(self.disk.get(key))
             if stored is not None:
                 with self._lock:
                     self.disk_hits += 1
-                return float(stored["mttf_seconds"])
+                return stored
         value = compute()
         with self._lock:
             self.misses += 1
@@ -187,9 +212,8 @@ class ComponentCache:
                 self.estimate_hits += 1
                 return self._estimates[key]
         if self.disk is not None:
-            stored = self.disk.get(key)
-            if stored is not None:
-                estimate = MTTFEstimate.from_dict(stored)
+            estimate = _system_value(self.disk.get(key))
+            if estimate is not None:
                 with self._lock:
                     self._estimates.setdefault(key, estimate)
                     self.disk_hits += 1
@@ -197,33 +221,6 @@ class ComponentCache:
         with self._lock:
             self.estimate_misses += 1
         return None
-
-    def prewarm_estimates(self, keys) -> int:
-        """Pull the disk entries behind ``keys`` into memory, silently.
-
-        Sharded sweeps call this before scheduling any work so estimates
-        a co-running shard already published into the shared
-        ``--cache-dir`` are visible up front (the scheduler then skips
-        those points entirely). Returns how many entries were pulled
-        from disk; keys already in memory or absent on disk are passed
-        over. Unlike :meth:`lookup_estimate`, nothing here perturbs the
-        hit/miss counters — a warm rerun still reports ``misses=0``.
-        """
-        if self.disk is None:
-            return 0
-        warmed = 0
-        for key in keys:
-            with self._lock:
-                if key in self._estimates:
-                    continue
-            stored = self.disk.peek(key)
-            if stored is None:
-                continue
-            estimate = MTTFEstimate.from_dict(stored)
-            with self._lock:
-                self._estimates.setdefault(key, estimate)
-            warmed += 1
-        return warmed
 
     def store_estimate(self, key: str, estimate: MTTFEstimate) -> None:
         with self._lock:

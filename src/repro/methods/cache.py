@@ -20,7 +20,8 @@ invalidates only the affected entries.
 
 Entries are written atomically (temp file + ``os.replace``), so a
 killed run never leaves a torn entry behind; unreadable entries are
-treated as misses.
+treated as misses, and so are values that do not decode (checked by
+:class:`~repro.methods.base.ComponentCache`).
 """
 
 from __future__ import annotations
@@ -66,21 +67,19 @@ def mc_token(mc: MonteCarloConfig | None) -> str:
     ``None`` means the value does not depend on any Monte-Carlo settings
     (deterministic closed forms), which all share the ``"exact"`` token.
     Every field that can change the numbers is included — trials, seed,
-    sampler, start phase, chunking, the arrival-round cap, and (for
-    adaptive runs) the stopping rule. The stopping fragment is appended
-    only when a rule is set, so fixed-count tokens — and therefore warm
-    disk caches written by earlier releases — stay valid.
+    sampler, start phase and the arrival-round cap.
     """
     if mc is None:
         return "exact"
-    token = (
+    # ``chunks=1`` is a literal: every estimate is one run of ``trials``
+    # draws, and earlier releases wrote the chunk count here, so the
+    # literal keeps every cache key (and warm cache directory) and every
+    # ResultSet ``mc_token`` byte-identical.
+    return (
         f"trials={mc.trials},seed={mc.seed},method={mc.method},"
-        f"start_phase={mc.start_phase},chunks={mc.chunks},"
+        f"start_phase={mc.start_phase},chunks=1,"
         f"cap={mc.max_arrival_rounds}"
     )
-    if mc.stopping is not None:
-        token += f",stopping[{mc.stopping.token()}]"
-    return token
 
 
 class DiskCache:
@@ -104,30 +103,23 @@ class DiskCache:
         return self.directory / f"{digest}.json"
 
     def get(self, key: str) -> dict | None:
-        """The entry's value dict, or ``None`` when absent/unreadable."""
-        value = self.peek(key)
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
+        """The entry's value, or ``None`` when absent/unreadable.
 
-    def peek(self, key: str) -> dict | None:
-        """Like :meth:`get` but silent — no hit/miss accounting.
-
-        The shard-aware prewarm pass uses this to pre-touch every key
-        its shard will need without perturbing the counters a warm
-        rerun is judged by (``misses=0``). A torn or foreign file reads
-        as absent, exactly as in :meth:`get`.
+        A torn, non-JSON or foreign-schema file reads as absent.
         """
-        path = self._path(key)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(self._path(key), "r", encoding="utf-8") as handle:
                 entry = json.load(handle)
         except (OSError, ValueError):
+            entry = None
+        if (
+            not isinstance(entry, dict)
+            or entry.get("schema") != ENTRY_SCHEMA
+            or "value" not in entry
+        ):
+            self.misses += 1
             return None
-        if entry.get("schema") != ENTRY_SCHEMA or "value" not in entry:
-            return None
+        self.hits += 1
         return entry["value"]
 
     def put(self, key: str, value: dict) -> None:

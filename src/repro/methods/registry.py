@@ -4,8 +4,8 @@ Mirrors the experiment registry in :mod:`repro.harness.registry`: a flat
 name-keyed dict, duplicate registration is an error, unknown lookups
 fail with the list of available names. New methods plug in with the
 :func:`register_method` decorator and are immediately visible to
-``repro.analyze``, ``evaluate_design_space``, ``compare_methods`` and
-the CLI — no call site edits.
+``repro.analyze``, ``evaluate_design_space`` and the CLI — no call
+site edits.
 """
 
 from __future__ import annotations

@@ -34,11 +34,12 @@ class MTTFEstimate:
     method: str = "exact"
 
     def __post_init__(self) -> None:
-        if self.mttf_seconds <= 0:
+        # ``not x > 0`` also refuses NaN, which ``x <= 0`` passes.
+        if not self.mttf_seconds > 0:
             raise EstimationError(
                 f"MTTF must be positive, got {self.mttf_seconds}"
             )
-        if self.std_error_seconds < 0:
+        if not self.std_error_seconds >= 0:
             raise EstimationError("standard error must be non-negative")
 
     @property

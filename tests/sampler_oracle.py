@@ -12,17 +12,17 @@ arithmetic, so every draw through a plan must match it bit for bit.
   Arrival draws use the paper-literal sampler, as the plans do.
 * :func:`install` swaps ``SamplingPlan.sample_ttf`` for the oracle on
   the plan's source model. Every engine draw then goes through the
-  oracle: direct samples, chunked and adaptive references, batched
-  plan tasks and budget extensions. :data:`draws` counts the oracle
-  draws since the last install.
+  oracle: direct samples and the engine's references and per-component
+  estimates. :data:`draws` counts the oracle draws since the last
+  install.
 
 Run as a script, it installs the oracle and then runs the
 ``repro-experiments`` CLI with the given arguments::
 
     PYTHONPATH=src python tests/sampler_oracle.py fig6b sec5.4 \\
-        --trials 70000 --workers 2 --executor thread --json oracle.json
+        --trials 70000 --workers 2 --json oracle.json
 
-The patch lives in this process only, so pass ``--executor thread``.
+The patch lives in this process, which the engine's thread pool shares.
 """
 
 from __future__ import annotations
@@ -80,10 +80,9 @@ def _plan_sample_ttf(plan: SamplingPlan, config) -> np.ndarray:
     global draws
     with _draws_lock:
         draws += 1
-    model = plan.model()
     if plan.kind == "system":
-        return sample_system_ttf(model, config)
-    return sample_component_ttf(model, config)
+        return sample_system_ttf(plan.model, config)
+    return sample_component_ttf(plan.model, config)
 
 
 def install(monkeypatch) -> None:

@@ -1,8 +1,13 @@
-"""Batch-engine executor tests: thread/process fan-out identity."""
+"""Batch-engine fan-out tests: thread-pool width identity."""
 
 import pytest
 
-from repro.core import Component, MonteCarloConfig, SystemModel
+from repro.core import (
+    Component,
+    MonteCarloConfig,
+    SystemModel,
+    monte_carlo_mttf,
+)
 from repro.errors import ConfigurationError
 from repro.methods import ComponentCache, evaluate_design_space
 from repro.units import SECONDS_PER_DAY
@@ -23,12 +28,11 @@ def cluster_space(day_profile):
 
 
 class TestExecutorIdentity:
-    """workers=1 and workers=N must be numerically identical at fixed
-    chunking — for the thread executor, the process executor, and across
-    the two."""
+    """workers=1 and workers=N must be numerically identical, and equal
+    to the direct estimate of each point."""
 
     def test_thread_workers_match_serial(self, cluster_space):
-        mc = MonteCarloConfig(trials=2_000, seed=3, chunks=2)
+        mc = MonteCarloConfig(trials=2_000, seed=3)
         serial = evaluate_design_space(
             cluster_space, methods=["sofr_only"], mc_config=mc
         )
@@ -37,78 +41,27 @@ class TestExecutorIdentity:
             workers=4,
         )
         assert serial == threaded
+        for (_label, system), comparison in zip(cluster_space, serial):
+            assert comparison.reference == monte_carlo_mttf(system, mc)
 
-    def test_process_workers_match_serial(self, cluster_space):
-        mc = MonteCarloConfig(trials=2_000, seed=3, chunks=2)
-        serial = evaluate_design_space(
-            cluster_space, methods=["sofr_only"], mc_config=mc
-        )
-        processed = evaluate_design_space(
-            cluster_space,
-            methods=["sofr_only"],
-            mc_config=mc,
-            workers=2,
-            executor="process",
-        )
-        assert serial == processed
-
-    def test_process_single_worker_matches_many(self, cluster_space):
-        mc = MonteCarloConfig(trials=1_500, seed=7, chunks=3)
+    def test_single_worker_matches_many(self, cluster_space):
+        mc = MonteCarloConfig(trials=1_500, seed=7)
         one = evaluate_design_space(
             cluster_space,
             methods=["first_principles"],
             mc_config=mc,
             workers=1,
-            executor="process",
         )
         many = evaluate_design_space(
             cluster_space,
             methods=["first_principles"],
             mc_config=mc,
             workers=3,
-            executor="process",
         )
         assert one == many
 
-    def test_process_unchunked_matches_serial(self, cluster_space):
-        # chunks=1: the process pool parallelises across grid points
-        # only; numbers still match the serial run exactly.
-        mc = MonteCarloConfig(trials=2_000, seed=5)
-        serial = evaluate_design_space(
-            cluster_space, methods=["sofr_only"], mc_config=mc
-        )
-        processed = evaluate_design_space(
-            cluster_space,
-            methods=["sofr_only"],
-            mc_config=mc,
-            workers=2,
-            executor="process",
-        )
-        assert serial == processed
-
-    def test_exact_reference_through_process_pool(self, cluster_space):
-        serial = evaluate_design_space(
-            cluster_space,
-            methods=["avf_sofr"],
-            reference="exact",
-        )
-        processed = evaluate_design_space(
-            cluster_space,
-            methods=["avf_sofr"],
-            reference="exact",
-            workers=2,
-            executor="process",
-        )
-        assert serial == processed
-
 
 class TestExecutorValidation:
-    def test_unknown_executor_rejected(self, cluster_space):
-        with pytest.raises(ConfigurationError, match="executor"):
-            evaluate_design_space(
-                cluster_space, methods=["avf_sofr"], executor="fiber"
-            )
-
     def test_nonpositive_workers_rejected(self, cluster_space):
         with pytest.raises(ConfigurationError, match="workers"):
             evaluate_design_space(
@@ -130,7 +83,7 @@ class TestEngineSemantics:
                 comparison.reference
             )
 
-    def test_process_pool_skips_cached_references(self, cluster_space):
+    def test_pool_skips_cached_references(self, cluster_space):
         mc = MonteCarloConfig(trials=1_000, seed=1)
         cache = ComponentCache()
         evaluate_design_space(
@@ -146,7 +99,6 @@ class TestEngineSemantics:
             mc_config=mc,
             cache=cache,
             workers=2,
-            executor="process",
         )
         assert cache.estimate_hits > hits_before
         assert len(again) == len(cluster_space)

@@ -2,12 +2,30 @@
 
 import pytest
 
-from repro.core import Component, MonteCarloConfig, SystemModel, compare_methods
+from repro import analyze
+from repro.core import Component, MonteCarloConfig, SystemModel
 from repro.core.comparison import avf_step_comparison
-from repro.masking import busy_idle_profile
 from repro.reliability.metrics import relative_error, signed_relative_error
-from repro.errors import EstimationError
+from repro.errors import ConfigurationError, EstimationError
 from repro.units import SECONDS_PER_DAY
+
+
+def comparison_of(
+    system, label="", mc_config=None, reference="monte_carlo",
+    include_softarch=False,
+):
+    """AVF+SOFR, SOFR-only and the closed form against ``reference``,
+    through ``repro.analyze``."""
+    methods = ["avf_sofr", "sofr_only", "first_principles"]
+    if include_softarch:
+        methods.append("softarch")
+    return (
+        analyze(system, label=label)
+        .using(*methods)
+        .against(reference)
+        .with_mc(mc_config)
+        .comparison()
+    )
 
 
 @pytest.fixture
@@ -32,8 +50,10 @@ def stressed_system(day_profile):
 
 
 class TestCompareMethods:
+    """One system's method comparison, built by ``repro.analyze``."""
+
     def test_exact_reference_safe_regime(self, small_system):
-        comparison = compare_methods(
+        comparison = comparison_of(
             small_system,
             label="safe",
             reference="exact",
@@ -44,7 +64,7 @@ class TestCompareMethods:
         assert comparison.abs_error("first_principles") == 0.0
 
     def test_stressed_regime_flags_avf_sofr(self, stressed_system):
-        comparison = compare_methods(
+        comparison = comparison_of(
             stressed_system,
             reference="exact",
             mc_config=MonteCarloConfig(trials=2_000, seed=1),
@@ -52,7 +72,7 @@ class TestCompareMethods:
         assert comparison.abs_error("avf_sofr") > 0.2
 
     def test_softarch_included_on_request(self, small_system):
-        comparison = compare_methods(
+        comparison = comparison_of(
             small_system,
             reference="exact",
             include_softarch=True,
@@ -62,7 +82,7 @@ class TestCompareMethods:
         assert comparison.abs_error("softarch") < 1e-6
 
     def test_monte_carlo_reference(self, small_system):
-        comparison = compare_methods(
+        comparison = comparison_of(
             small_system,
             reference="monte_carlo",
             mc_config=MonteCarloConfig(trials=30_000, seed=2),
@@ -71,11 +91,11 @@ class TestCompareMethods:
         assert comparison.abs_error("avf_sofr") < 0.02
 
     def test_unknown_reference_rejected(self, small_system):
-        with pytest.raises(ValueError):
-            compare_methods(small_system, reference="oracle")
+        with pytest.raises(ConfigurationError):
+            comparison_of(small_system, reference="oracle")
 
     def test_error_signs_exposed(self, stressed_system):
-        comparison = compare_methods(
+        comparison = comparison_of(
             stressed_system,
             reference="exact",
             mc_config=MonteCarloConfig(trials=2_000, seed=1),

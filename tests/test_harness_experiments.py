@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from repro.core import MonteCarloConfig
 from repro.errors import ConfigurationError
 from repro.harness import EngineOptions, all_experiments, get_experiment
 from repro.harness.spec_setup import (
@@ -238,18 +239,20 @@ class TestEngineOptions:
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         with pytest.raises(ConfigurationError, match="unknown method"):
             EngineOptions(methods=("avf", "bogus"))
-        engine = EngineOptions(
-            shard=(0, 1), target_stderr=0.05, cache_dir=str(tmp_path),
-        )
-        assert engine.mc_chunks == 16
+        with pytest.raises(ConfigurationError, match="workers"):
+            EngineOptions(workers=0)
+        with pytest.raises(ConfigurationError, match="trials"):
+            EngineOptions(trials=0)
+        engine = EngineOptions(cache_dir=str(tmp_path))
+        assert engine.cache_path == tmp_path
 
     def test_defaults_and_derived_settings(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         monkeypatch.setenv("REPRO_MC_TRIALS", "1234")
-        engine = EngineOptions(shard=(1, 2))
-        assert (engine.trials, engine.mc_chunks) == (1234, 1)
+        engine = EngineOptions()
+        assert engine.trials == 1234
         assert engine.cache_path is None and engine.cache.disk is None
-        assert engine.mc(seed=7).seed == 7 and engine.mc().stopping is None
-        assert "shard" not in engine.kwargs()
-        assert engine.kwargs(sharded=True)["shard"] == (1, 2)
-        assert engine.shard_suffix == " [shard 1/2 only]"
+        assert engine.mc(seed=7) == MonteCarloConfig(trials=1234, seed=7)
+        assert engine.kwargs() == dict(
+            workers=1, cache=engine.cache, progress=None
+        )

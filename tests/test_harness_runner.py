@@ -1,8 +1,28 @@
 """Tests for the experiment CLI (repro-experiments)."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.harness.runner import main
+
+#: perfbench's pinned-load module, read as text and never imported.
+PERFBENCH_COMPARE = Path(__file__).resolve().parents[1] / "perfbench" / (
+    "compare.py"
+)
+
+
+def _perfbench_load_args() -> tuple[str, ...]:
+    """``LOAD_ARGS`` from perfbench/compare.py, parsed without running it."""
+    tree = ast.parse(PERFBENCH_COMPARE.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LOAD_ARGS"
+            for t in node.targets
+        ):
+            return tuple(ast.literal_eval(node.value))
+    raise AssertionError("perfbench/compare.py defines no LOAD_ARGS")
 
 
 class TestRunnerCli:
@@ -34,11 +54,19 @@ class TestRunnerCli:
         assert main(
             [
                 "ablation.convergence", "--trials", "500",
-                "--workers", "2", "--executor", "process",
-                "--mc-chunks", "2",
+                "--workers", "2", "--executor", "thread",
             ]
         ) == 0
         assert "completed in" in capsys.readouterr().out
+
+    def test_benchmark_load_args_accepted(self, tmp_path, capsys):
+        # The paper benchmark passes these arguments on every run.
+        from repro.methods import ResultSet
+
+        out = tmp_path / "rs.json"
+        argv = ["table2", "--trials", "200", *_perfbench_load_args()]
+        assert main([*argv, "--json", str(out)]) == 0
+        assert len(ResultSet.from_json(out)) > 0
 
     def test_cache_dir_warm_rerun_hits(self, tmp_path, capsys):
         args = [
@@ -60,98 +88,17 @@ class TestRunnerCli:
 
         assert len(ResultSet.from_json(out)) > 0
 
-    def test_non_sweep_experiments_ignore_shard(self, tmp_path, capsys):
-        # --shard is honoured by the sweep experiments; the rest accept
-        # and ignore it, producing the unsharded artifact.
-        from repro.methods import ResultSet
-
-        full = tmp_path / "full.json"
-        assert main(
-            ["ablation.convergence", "--trials", "500", "--json",
-             str(full)]
-        ) == 0
-        paths = []
-        for index in range(2):
-            out = tmp_path / f"shard{index}.json"
-            paths.append(out)
-            assert main(
-                ["ablation.convergence", "--trials", "500", "--shard",
-                 f"{index}/2", "--json", str(out)]
-            ) == 0
-        capsys.readouterr()
-        sets = [ResultSet.from_json(p) for p in paths]
-        assert sets[0] == sets[1] == ResultSet.from_json(full)
-
-    def test_merge_command(self, tmp_path, capsys):
-        from repro.methods import ResultSet
-
-        full = tmp_path / "full.json"
-        shard_paths = []
-        args = ["fig5", "--trials", "400", "--mc-chunks", "2"]
-        assert main(args + ["--json", str(full)]) == 0
-        for index in range(2):
-            out = tmp_path / f"s{index}.json"
-            shard_paths.append(str(out))
-            assert main(
-                args + ["--shard", f"{index}/2", "--json", str(out)]
-            ) == 0
-        merged = tmp_path / "merged.json"
-        assert main(
-            ["merge", *shard_paths, "--json", str(merged)]
-        ) == 0
-        assert "merged 2 shard(s)" in capsys.readouterr().out
-        assert ResultSet.from_json(merged) == ResultSet.from_json(full)
-
-    def test_merge_requires_inputs_and_output(self, tmp_path, capsys):
-        assert main(["merge"]) == 1
-        assert main(["merge", str(tmp_path / "missing.json")]) == 1
-
-    def test_target_stderr_run_records_adaptive_trials(
-        self, tmp_path, capsys
-    ):
-        from repro.methods import ResultSet
-
-        out = tmp_path / "adaptive.json"
-        assert main(
-            ["fig5", "--trials", "20000", "--mc-chunks", "10",
-             "--target-stderr", "0.05", "--json", str(out)]
-        ) == 0
-        result_set = ResultSet.from_json(out)
-        trials = result_set.reference_trials()
-        assert all(0 < t < 20000 for t in trials.values())
-        assert all(
-            rel <= 0.05
-            for rel in result_set.reference_rel_stderr().values()
-        )
-
-    def test_target_stderr_defaults_chunk_granularity(
-        self, tmp_path, capsys
-    ):
-        # Without --mc-chunks, --target-stderr must still be able to
-        # stop early (the CLI defaults to 16 chunks and says so).
-        from repro.methods import ResultSet
-
-        out = tmp_path / "auto.json"
-        assert main(
-            ["fig5", "--trials", "16000", "--target-stderr", "0.1",
-             "--json", str(out)]
-        ) == 0
-        assert "using 16 chunks" in capsys.readouterr().err
-        trials = ResultSet.from_json(out).reference_trials()
-        assert all(0 < t < 16000 for t in trials.values())
-
     def test_json_bytes_match_across_worker_counts(self, tmp_path):
         serial = tmp_path / "serial.json"
         fanned = tmp_path / "fanned.json"
-        base = ["fig5", "--trials", "2000", "--mc-chunks", "4"]
+        base = ["fig5", "--trials", "2000"]
         assert main([*base, "--workers", "1", "--json", str(serial)]) == 0
         assert main([*base, "--workers", "2", "--json", str(fanned)]) == 0
         assert fanned.read_bytes() == serial.read_bytes()
 
     def test_progress_flag_streams_events(self, capsys):
         assert main(
-            ["fig5", "--trials", "1000", "--mc-chunks", "2",
-             "--executor", "process", "--workers", "2", "--progress"]
+            ["fig5", "--trials", "1000", "--workers", "2", "--progress"]
         ) == 0
         err = capsys.readouterr().err
         assert "[progress]" in err and "done trials=1000" in err
@@ -166,37 +113,58 @@ def _exit_code(argv) -> int:
 
 
 class TestUsageErrors:
-    """Every refused flag combination exits 2 with a message, no work."""
+    """Every refused flag combination or artifact name exits 2 with a
+    message, before any work."""
 
     @pytest.mark.parametrize(
         "argv, env, message",
         [
-            (["--budget-ledger", "run"], {}, "unrecognized arguments"),
-            (["--reallocate-budget"], {}, "unrecognized arguments"),
-            (["--kernel", "legacy"], {}, "invalid choice: 'legacy'"),
-            (["--shard", "2/2"], {}, "shard must look like 'i/N'"),
-            (["--executor", "thread", "--workers", "a:1"], {},
+            (["fig5", "--budget-ledger", "run"], {},
+             "unrecognized arguments"),
+            (["fig5", "--reallocate-budget"], {}, "unrecognized arguments"),
+            (["fig5", "--kernel", "legacy"], {}, "invalid choice: 'legacy'"),
+            (["fig5", "--shard", "2/2"], {},
+             "unrecognized arguments: --shard 2/2"),
+            (["fig5", "--shard", "0/2"], {},
+             "unrecognized arguments: --shard 0/2"),
+            (["fig5", "--executor", "thread", "--workers", "a:1"], {},
              "bad --workers value 'a:1'"),
-            (["--executor", "remote"], {}, "invalid choice: 'remote'"),
-            (["--workers", "host:1"], {}, "bad --workers value 'host:1'"),
-            (["--trials", "-5"], {}, "trials must be >= 1, got -5"),
-            (["--trials", "0"], {}, "trials must be >= 1, got 0"),
-            (["--mc-chunks", "0"], {}, "chunks must be >= 1, got 0"),
-            (["--target-stderr", "0"], {},
-             "target_rel_stderr must be positive, got 0.0"),
-            (["--target-stderr", "nan"], {},
-             "target_rel_stderr must be positive, got nan"),
-            ([], {"REPRO_MC_TRIALS": "0"}, "trials must be >= 1, got 0"),
-            ([], {"REPRO_MC_TRIALS": "abc"},
+            (["fig5", "--executor", "remote"], {},
+             "invalid choice: 'remote'"),
+            (["fig5", "--executor", "process"], {},
+             "invalid choice: 'process'"),
+            (["fig5", "--workers", "host:1"], {},
+             "bad --workers value 'host:1'"),
+            (["fig5", "--trials", "-5"], {}, "trials must be >= 1, got -5"),
+            (["fig5", "--trials", "0"], {}, "trials must be >= 1, got 0"),
+            (["fig5", "--mc-chunks", "0"], {},
+             "unrecognized arguments: --mc-chunks 0"),
+            (["fig5", "--mc-chunks", "2"], {},
+             "unrecognized arguments: --mc-chunks 2"),
+            (["fig5", "--target-stderr", "0"], {},
+             "unrecognized arguments: --target-stderr 0"),
+            (["fig5", "--target-stderr", "nan"], {},
+             "unrecognized arguments: --target-stderr nan"),
+            (["fig5", "--target-stderr", "0.05"], {},
+             "unrecognized arguments: --target-stderr 0.05"),
+            (["fig5"], {"REPRO_MC_TRIALS": "0"},
+             "trials must be >= 1, got 0"),
+            (["fig5"], {"REPRO_MC_TRIALS": "abc"},
              "REPRO_MC_TRIALS must be an integer, got 'abc'"),
+            (["table2", "fig55"], {}, "unknown experiment 'fig55'"),
+            (["merge", "a.json", "--json", "b.json"], {},
+             "unknown experiment 'merge'"),
         ],
         ids=[
             "removed-ledger-flag", "removed-realloc-flag", "kernel-legacy",
-            "bad-shard",
+            "bad-shard", "removed-shard-flag",
             "thread-executor-with-fleet", "remote-executor",
+            "process-executor",
             "worker-address", "negative-trials", "zero-trials",
-            "zero-chunks", "zero-target-stderr", "nan-target-stderr",
+            "zero-chunks", "removed-chunks-flag", "zero-target-stderr",
+            "nan-target-stderr", "removed-target-stderr-flag",
             "zero-env-trials", "non-integer-env-trials",
+            "unknown-artifact", "removed-merge-command",
         ],
     )
     def test_refused_before_any_work(
@@ -208,10 +176,10 @@ class TestUsageErrors:
         # A small budget keeps a wrongly accepted row cheap; the env
         # rows need --trials unset to reach REPRO_MC_TRIALS.
         budget = [] if env else ["--trials", "200"]
-        assert _exit_code(["fig5", *budget, *argv]) == 2
+        assert _exit_code([*budget, *argv]) == 2
         captured = capsys.readouterr()
         assert message in captured.err
-        assert "[fig5]" not in captured.out
+        assert "completed in" not in captured.out
 
     @pytest.mark.parametrize(
         "argv, name",

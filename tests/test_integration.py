@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from repro import analyze
 from repro.core import (
     Component,
     MonteCarloConfig,
@@ -17,7 +18,6 @@ from repro.core import (
     SystemModel,
     avf_mttf,
     avf_sofr_mttf,
-    compare_methods,
     exact_component_mttf,
     first_principles_mttf,
     monte_carlo_mttf,
@@ -115,7 +115,7 @@ class TestFullPipeline:
             exact_component_mttf(rate, profile_b), rel=1e-12
         )
 
-    def test_compare_methods_report(self, sim_result):
+    def test_method_comparison_report(self, sim_result):
         _trace, result = sim_result
         system = SystemModel(
             [
@@ -126,12 +126,12 @@ class TestFullPipeline:
                 )
             ]
         )
-        comparison = compare_methods(
-            system,
-            label=BENCH,
-            mc_config=MonteCarloConfig(trials=20_000, seed=1),
-            reference="exact",
-            include_softarch=True,
+        comparison = (
+            analyze(system, label=BENCH)
+            .using("avf_sofr", "sofr_only", "first_principles", "softarch")
+            .against("exact")
+            .with_mc(MonteCarloConfig(trials=20_000, seed=1))
+            .comparison()
         )
         assert comparison.abs_error("avf_sofr") < 1e-4
         assert comparison.abs_error("softarch") < 1e-6

@@ -1,28 +1,25 @@
-"""Compiled sampling plans: tables, pickles, bit-identity.
+"""Compiled sampling plans: tables, bit-identity, the plan cache.
 
 Every inverse Monte-Carlo draw runs through a
 :class:`~repro.core.kernel.SamplingPlan`, and the plans promise
-*bit-identical* estimates: with batched dispatch and plan hydration,
-any result must byte-match the legacy object-graph sampler, which
-``sampler_oracle`` keeps as the oracle. These tests enforce that
-promise at every level: compiled tables vs hazard objects, plan
-sampling vs the oracle (property-tested across profiles, methods, and
-phases), the batch engine end to end (executors, worker counts, shards,
-adaptive stopping) against oracle-installed baselines, plan pickling,
-and the worker hydration protocol. Plus the satellite invariants:
-memoized ``combined_intensity`` and the vectorized survival integral's
-exact agreement with the scalar closed forms.
+*bit-identical* estimates: any result must byte-match the legacy
+object-graph sampler, which ``sampler_oracle`` keeps as the oracle.
+These tests enforce that promise at every level: compiled tables vs
+hazard objects, plan sampling vs the oracle (property-tested across
+profiles, methods, and phases), and the batch engine end to end (worker
+counts) against oracle-installed baselines. Plus the satellite
+invariants: memoized ``combined_intensity`` and the vectorized survival
+integral's exact agreement with the scalar closed forms.
 
 The cheap-trial layer is held to the same standard: the bucket-guided
 search must return ``np.searchsorted``'s index on fuzzed tables, the
 sliced sampler must match the oracle at trial counts on both sides of
 every slice edge, malformed tables must be refused with a typed error,
-plans must keep their source model and build component dicts lazily,
-and the plan cache must evict least recently used first.
+plans must keep their source model, and the plan cache must evict
+least recently used first.
 """
 
 import json
-import pickle
 
 import numpy as np
 import pytest
@@ -33,7 +30,6 @@ from hypothesis import strategies as st
 from repro.core import (
     Component,
     MonteCarloConfig,
-    StoppingRule,
     SystemModel,
     sample_system_ttf,
 )
@@ -41,19 +37,15 @@ from repro.core import kernel as kernel_mod
 from repro.core.kernel import (
     CompiledNested,
     CompiledPiecewise,
-    PLAN_MISS,
-    PLAN_OK,
     SamplingPlan,
     clear_plan_cache,
     compile_intensity,
     plan_for_component,
     plan_for_system,
-    run_plan_chunks,
 )
-from repro.core.montecarlo import adaptive_chunk_configs
 from repro.errors import ConfigurationError, ProfileError
 from repro.masking import NestedProfile, PiecewiseProfile, busy_idle_profile
-from repro.methods import evaluate_design_space, merge_result_sets
+from repro.methods import evaluate_design_space
 from repro.reliability.hazard import (
     NestedHazard,
     PiecewiseHazard,
@@ -70,7 +62,7 @@ from repro.workloads.longrun import (
 
 @pytest.fixture(autouse=True)
 def fresh_plan_cache():
-    """Plan hydration is process-global; isolate it per test."""
+    """The plan cache is process-global; isolate it per test."""
     clear_plan_cache()
     yield
     clear_plan_cache()
@@ -297,8 +289,8 @@ class TestCompiledIntensity:
         ],
     )
     def test_rejects_malformed_wire_tables(self, field, values):
-        # A pool worker rebuilds unpickled tables through the
-        # constructor (``__reduce__``), so its checks guard them.
+        # The constructor checks every table it is handed, so a
+        # malformed one never reaches the samplers.
         tables = {
             "breakpoints": [0.0, 1.0, 2.0, 3.0],
             "rates": [1.0, 0.0, 2.0],
@@ -393,7 +385,7 @@ class TestGuide:
 
 
 def _config(**overrides):
-    base = dict(trials=400, seed=9, chunks=1)
+    base = dict(trials=400, seed=9)
     base.update(overrides)
     return MonteCarloConfig(**base)
 
@@ -489,7 +481,7 @@ def _space(day_profile):
 
 
 def _result_bytes(space, **kwargs):
-    mc = kwargs.pop("mc", MonteCarloConfig(trials=2_000, seed=3, chunks=4))
+    mc = kwargs.pop("mc", MonteCarloConfig(trials=2_000, seed=3))
     result = evaluate_design_space(
         space,
         methods=["avf_sofr"],
@@ -505,9 +497,7 @@ def _oracle_bytes(space, **kwargs):
     """One ``workers=1`` thread run with every draw through the oracle."""
     with pytest.MonkeyPatch.context() as patch:
         oracle.install(patch)
-        baseline = _result_bytes(
-            space, workers=1, executor="thread", **kwargs
-        )
+        baseline = _result_bytes(space, workers=1, **kwargs)
         assert oracle.draws > 0
     return baseline
 
@@ -518,132 +508,27 @@ class TestEngineBitIdentity:
         with pytest.MonkeyPatch.context() as patch:
             oracle.install(patch)
             assert oracle.draws == 0
-            _result_bytes(space, workers=2, executor="thread")
-            # Three points of four chunks each, one draw per chunk.
-            assert oracle.draws == 12
+            _result_bytes(space, workers=2)
+            # Three points, one reference draw each.
+            assert oracle.draws == 3
         assert SamplingPlan.sample_ttf is not oracle._plan_sample_ttf
 
     def test_kernel_matches_legacy_across_schedulers(self, day_profile):
         space = _space(day_profile)
         baseline = _oracle_bytes(space)
-        for kwargs in (
-            dict(workers=1, executor="thread"),
-            dict(workers=2, executor="thread"),
-            dict(workers=2, executor="process"),
-        ):
-            assert _result_bytes(space, **kwargs) == baseline
-
-    def test_adaptive_kernel_matches_legacy(self, day_profile):
-        space = _space(day_profile)
-        mc = MonteCarloConfig(
-            trials=4_000, seed=3, chunks=8,
-            stopping=StoppingRule(
-                target_rel_stderr=0.08, min_trials=500
-            ),
-        )
-        baseline = _oracle_bytes(space, mc=mc)
-        assert _result_bytes(space, workers=2, mc=mc) == baseline
-        assert (
-            _result_bytes(space, workers=2, executor="process", mc=mc)
-            == baseline
-        )
-
-    def test_shard_merge_matches_unsharded_legacy(self, day_profile):
-        space = _space(day_profile)
-        unsharded = _oracle_bytes(space)
-        shards = [
-            evaluate_design_space(
-                space,
-                methods=["avf_sofr"],
-                reference="monte_carlo",
-                mc_config=MonteCarloConfig(trials=2_000, seed=3, chunks=4),
-                skip_unsupported=True,
-                workers=2,
-                executor="process",
-                shard=(i, 2),
-            )
-            for i in (0, 1)
-        ]
-        merged = merge_result_sets(shards)
-        assert json.dumps(merged.to_dict(), sort_keys=True) == unsharded
+        for workers in (1, 2, 3):
+            assert _result_bytes(space, workers=workers) == baseline
 
 
 # ---------------------------------------------------------------------------
-# Plan pickling: the form a process pool ships.
-# ---------------------------------------------------------------------------
-
-
-class TestPlanWire:
-    def test_round_trip_samples_identically(self, nested_system):
-        plan = plan_for_system(nested_system)
-        clone = pickle.loads(pickle.dumps(plan))
-        config = _config(trials=256)
-        np.testing.assert_array_equal(
-            clone.sample_ttf(config), plan.sample_ttf(config)
-        )
-        assert clone.cache_key == plan.cache_key
-
-    def test_pickle_drops_model_cache(self, piecewise_system):
-        plan = plan_for_system(piecewise_system)
-        plan.model()  # populate the per-process cache
-        clone = pickle.loads(pickle.dumps(plan))
-        assert clone._model is None
-        config = _config(method="arrival")
-        np.testing.assert_array_equal(
-            clone.sample_ttf(config), plan.sample_ttf(config)
-        )
-
-    def test_arrival_model_rebuild_preserves_fingerprint(
-        self, piecewise_system
-    ):
-        plan = plan_for_system(piecewise_system)
-        rebuilt = pickle.loads(pickle.dumps(plan)).model()
-        assert (
-            rebuilt.content_fingerprint
-            == piecewise_system.content_fingerprint
-        )
-
-    def test_plan_keeps_its_source_and_builds_dicts_lazily(
-        self, piecewise_system, day_profile
-    ):
-        plan = plan_for_system(piecewise_system)
-        assert plan.model() is piecewise_system
-        assert plan._components is None
-        assert plan.__getstate__()["components"] == tuple(
-            c.to_dict() for c in piecewise_system.components
-        )
-        component = Component("unit", 3.0 / SECONDS_PER_DAY, day_profile)
-        plan = plan_for_component(component)
-        assert plan.model() is component
-        assert plan.components == (component.to_dict(),)
-
-    def test_plan_needs_exactly_one_source(self, piecewise_system):
-        intensity = plan_for_system(piecewise_system).intensity
-        for sources in ({}, {"components": [], "model": piecewise_system}):
-            with pytest.raises(ConfigurationError, match="exactly one"):
-                SamplingPlan("system", "fp", intensity, **sources)
-
-    def test_guides_stay_out_of_wire_forms_and_pickles(self, nested_system):
-        plan = plan_for_system(nested_system)
-        pickled = pickle.dumps(plan)
-        plan.sample_ttf(_config(start_phase="random"))
-        assert plan.intensity._guides  # sampling built the guides
-        assert pickle.dumps(plan) == pickled
-        clone = pickle.loads(pickle.dumps(plan))
-        assert clone.intensity._guides == {}
-        assert all(inner._guides == {} for inner in clone.intensity.inners)
-        config = _config(trials=256, start_phase="random")
-        np.testing.assert_array_equal(
-            clone.sample_ttf(config), plan.sample_ttf(config)
-        )
-
-
-# ---------------------------------------------------------------------------
-# Hydration cache and the batched-dispatch miss protocol.
+# The process-wide plan cache.
 # ---------------------------------------------------------------------------
 
 
 class TestHydration:
+    """Plans are compiled once per content fingerprint and kept in a
+    bounded process-wide LRU."""
+
     def test_plan_cache_evicts_least_recently_used(self):
         profile = busy_idle_profile(1.0, 1.0, 0.5)
         components = [
@@ -655,9 +540,9 @@ class TestHydration:
         second_plan = plan_for_component(second)
         for component in rest[:-2]:
             plan_for_component(component)
-        # Hits refresh recency, through either entry point.
+        # Hits refresh recency.
         assert plan_for_component(first) is first_plan
-        assert run_plan_chunks(second_plan.cache_key, None, [])[0] == PLAN_OK
+        assert plan_for_component(second) is second_plan
         plan_for_component(rest[-2])
         plan_for_component(rest[-1])
         assert plan_for_component(first) is first_plan
@@ -680,31 +565,12 @@ class TestHydration:
         )
         assert plan_for_system(a) is plan_for_system(b)
 
-    def test_run_plan_chunks_miss_then_hydrate(self, piecewise_system):
-        plan = plan_for_system(piecewise_system)
-        config = _config(trials=512, chunks=2)
-        jobs = list(enumerate(adaptive_chunk_configs(config)))
-        clear_plan_cache()
-        status, payload = run_plan_chunks(plan.cache_key, None, jobs)
-        assert status == PLAN_MISS
-        assert payload == plan.cache_key
-        # Resubmission with the plan attached hydrates the cache...
-        status, pairs = run_plan_chunks(plan.cache_key, plan, jobs)
-        assert status == PLAN_OK
-        assert [index for index, _ in pairs] == [0, 1]
-        # ...so the next key-only call succeeds.
-        status, again = run_plan_chunks(plan.cache_key, None, jobs)
-        assert status == PLAN_OK
-        assert again == pairs
-
-    def test_batch_moments_match_direct_chunks(self, nested_system):
-        plan = plan_for_system(nested_system)
-        config = _config(trials=600, chunks=3)
-        jobs = list(enumerate(adaptive_chunk_configs(config)))
-        _status, pairs = run_plan_chunks(plan.cache_key, plan, jobs)
-        for (index, moments), (_, chunk_config) in zip(pairs, jobs):
-            expected = plan.chunk_moments(chunk_config)
-            assert moments == expected, index
+    def test_plan_keeps_its_source_model(
+        self, piecewise_system, day_profile
+    ):
+        assert plan_for_system(piecewise_system).model is piecewise_system
+        component = Component("unit", 3.0 / SECONDS_PER_DAY, day_profile)
+        assert plan_for_component(component).model is component
 
 
 # ---------------------------------------------------------------------------

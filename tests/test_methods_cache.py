@@ -37,12 +37,19 @@ class TestMcToken:
             MonteCarloConfig(trials=100, seed=2),
             MonteCarloConfig(trials=100, seed=1, method="arrival"),
             MonteCarloConfig(trials=100, seed=1, start_phase="random"),
-            MonteCarloConfig(trials=100, seed=1, chunks=4),
             MonteCarloConfig(trials=100, seed=1, max_arrival_rounds=9),
         ]
         tokens = {mc_token(v) for v in variants}
         assert mc_token(base) not in tokens
         assert len(tokens) == len(variants)
+
+    def test_token_bytes_are_pinned(self):
+        # Cache keys and ResultSet tokens written by earlier releases
+        # carry ``chunks=1``; the literal keeps them valid.
+        assert mc_token(MonteCarloConfig(trials=100, seed=1)) == (
+            "trials=100,seed=1,method=inverse,start_phase=zero,"
+            "chunks=1,cap=None"
+        )
 
 
 class TestDiskCache:

@@ -203,6 +203,14 @@ class TestResultSetJson:
         with pytest.raises(ConfigurationError, match="schema"):
             ResultSet.from_json('{"schema": "something/else"}')
 
+    def test_rejects_unknown_top_level_keys(self, system):
+        # A sharded file from an older release holds part of a sweep;
+        # it must not load as a complete one.
+        data = analyze(system).using("first_principles").run().to_dict()
+        data["shard"] = [0, 2]
+        with pytest.raises(ConfigurationError, match="shard"):
+            ResultSet.from_dict(data)
+
     def test_worst_abs_error_requires_method_presence(self, system):
         result = analyze(system).using("first_principles").run()
         with pytest.raises(ConfigurationError):

@@ -48,6 +48,12 @@ class TestMttfEstimate:
         with pytest.raises(EstimationError):
             MTTFEstimate(mttf_seconds=1.0, std_error_seconds=-1.0)
 
+    def test_nan_refused(self):
+        with pytest.raises(EstimationError):
+            MTTFEstimate(mttf_seconds=math.nan)
+        with pytest.raises(EstimationError):
+            MTTFEstimate(mttf_seconds=1.0, std_error_seconds=math.nan)
+
 
 class TestPipelineStats:
     def test_ipc(self):

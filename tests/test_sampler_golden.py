@@ -96,7 +96,7 @@ def fresh_plan_cache():
 @pytest.mark.parametrize("name", ["day", "gzip_fig6a", "combined_sec54"])
 def test_sample_bits_match_golden_and_legacy(systems, name, start_phase):
     config = MonteCarloConfig(
-        trials=TRIALS, seed=11, chunks=1, start_phase=start_phase
+        trials=TRIALS, seed=11, start_phase=start_phase
     )
     samples = sample_system_ttf(systems[name], config)
     digest = hashlib.sha256(samples.tobytes()).hexdigest()
