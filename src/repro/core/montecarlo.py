@@ -91,26 +91,40 @@ class MonteCarloConfig:
 def _estimate_from_samples(
     samples: np.ndarray, method_label: str
 ) -> MTTFEstimate:
-    if np.all(np.isinf(samples)):
-        return MTTFEstimate(
-            mttf_seconds=math.inf,
-            trials=int(samples.size),
-            method=method_label,
-        )
-    if np.any(np.isinf(samples)):
-        # A cyclic profile with positive mass fails with probability 1;
-        # infinities can only come from zero-mass components.
-        raise EstimationError(
-            "mixed finite/infinite failure times; check component masses"
-        )
-    mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / math.sqrt(samples.size)) if (
-        samples.size > 1
-    ) else 0.0
+    """The mean and standard error of ``samples``, from one summation.
+
+    The bits are ``samples.mean()`` and ``samples.std(ddof=1) /
+    sqrt(n)``: the sum is NumPy's pairwise ``add.reduce``, and the
+    deviation pass repeats NumPy's ``_var`` (subtract the mean, square
+    in place, sum, divide by ``n - 1``, square root). A finite sum
+    means no sample is infinite, so the infinity scans run only when it
+    is not.
+    """
+    n = samples.size
+    total = np.add.reduce(samples)
+    if not np.isfinite(total):
+        if np.all(np.isinf(samples)):
+            return MTTFEstimate(
+                mttf_seconds=math.inf, trials=int(n), method=method_label
+            )
+        if np.any(np.isinf(samples)):
+            # A cyclic profile with positive mass fails with probability
+            # 1; infinities can only come from zero-mass components.
+            raise EstimationError(
+                "mixed finite/infinite failure times; check component "
+                "masses"
+            )
+    mean = total / n
+    stderr = 0.0
+    if n > 1:
+        deviations = np.subtract(samples, mean)
+        np.square(deviations, out=deviations)
+        variance = np.add.reduce(deviations) / (n - 1)
+        stderr = float(np.sqrt(variance) / math.sqrt(n))
     return MTTFEstimate(
-        mttf_seconds=mean,
+        mttf_seconds=float(mean),
         std_error_seconds=stderr,
-        trials=int(samples.size),
+        trials=int(n),
         method=method_label,
     )
 

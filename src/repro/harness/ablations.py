@@ -20,12 +20,14 @@ estimation through :func:`repro.methods.evaluate_design_space` with
 sampler and convergence ablations set their own seeds. The
 exponentiality ablation's KS diagnostic is sample-level by nature: it
 draws its samples directly (once) and reduces both the diagnostics and
-its result set from them.
+its result set from them. The direct draws of both sample-level
+ablations run on the invocation's thread pool (``engine.workers``).
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from ..core.montecarlo import MonteCarloConfig, sample_component_ttf
 from ..core.comparison import MethodComparison
 from ..core.system import Component, SystemModel
 from ..methods import ResultSet, evaluate_design_space
+from ..methods.batch import resolve_workers
 from ..reliability.diagnostics import exponentiality_report
 from ..reliability.metrics import MTTFEstimate, signed_relative_error
 from ..reliability.process import FailureProcess
@@ -48,6 +51,18 @@ def _day_component(rate: float) -> Component:
 
 def _day_system(rate: float) -> SystemModel:
     return SystemModel([_day_component(rate)])
+
+
+def _on_pool(engine: EngineOptions, task, items) -> list:
+    """``[task(item) for item in items]``, run on the invocation's pool.
+
+    The direct draws of a sample-level ablation are independent (each
+    builds its generator from its own seed), so they run on
+    ``engine.workers`` threads; the results come back in ``items``
+    order. One worker runs them one after another.
+    """
+    with ThreadPoolExecutor(resolve_workers(engine.workers)) as pool:
+        return list(pool.map(task, items))
 
 
 def run_sampler_equivalence(engine: EngineOptions):
@@ -76,19 +91,13 @@ def run_sampler_equivalence(engine: EngineOptions):
         mc_config=MonteCarloConfig(trials=trials, seed=2, method="arrival"),
         **engine.kwargs(),
     )
-    worst_sigma = 0.0
     deciles = np.linspace(0.1, 0.9, 9)
-    for lam_l, inv_cmp, arr_cmp in zip(lam_ls, inverse_set, arrival_set):
-        inv, arr = inv_cmp.reference, arr_cmp.reference
-        pooled_se = math.sqrt(
-            inv.std_error_seconds**2 + arr.std_error_seconds**2
-        )
-        sigma = abs(inv.mttf_seconds - arr.mttf_seconds) / pooled_se
-        worst_sigma = max(worst_sigma, sigma)
+
+    def decile_gap(lam_l: float) -> float:
         # Distributional check: a mean match alone would miss a sampler
         # that distorts the TTF shape, so compare the samplers'
-        # quantiles on fresh same-seed draws (mean/stderr above come
-        # from the cached engine estimates).
+        # quantiles on fresh same-seed draws (mean/stderr come from the
+        # cached engine estimates).
         comp = _day_component(lam_l / SECONDS_PER_DAY)
         inv_samples = sample_component_ttf(
             comp, MonteCarloConfig(trials=trials, seed=1)
@@ -96,19 +105,31 @@ def run_sampler_equivalence(engine: EngineOptions):
         arr_samples = sample_component_ttf(
             comp, MonteCarloConfig(trials=trials, seed=2, method="arrival")
         )
-        gap = np.max(
-            np.abs(
-                np.quantile(inv_samples, deciles)
-                - np.quantile(arr_samples, deciles)
+        inv_deciles = np.quantile(inv_samples, deciles)
+        return float(
+            np.max(
+                np.abs(inv_deciles - np.quantile(arr_samples, deciles))
+                / inv_deciles
             )
-            / np.quantile(inv_samples, deciles)
         )
+
+    worst_sigma = 0.0
+    gaps = _on_pool(engine, decile_gap, lam_ls)
+    for lam_l, inv_cmp, arr_cmp, gap in zip(
+        lam_ls, inverse_set, arrival_set, gaps
+    ):
+        inv, arr = inv_cmp.reference, arr_cmp.reference
+        pooled_se = math.sqrt(
+            inv.std_error_seconds**2 + arr.std_error_seconds**2
+        )
+        sigma = abs(inv.mttf_seconds - arr.mttf_seconds) / pooled_se
+        worst_sigma = max(worst_sigma, sigma)
         table.add_row(
             f"{lam_l:g}",
             inv.mttf_seconds / 86400.0,
             arr.mttf_seconds / 86400.0,
             f"{sigma:.2f}",
-            percent(float(gap)),
+            percent(gap),
         )
     return ExperimentResult(
         artifact="ablation.samplers",
@@ -191,19 +212,26 @@ def run_exponentiality(engine: EngineOptions):
          "looks exponential"],
     )
     lam_ls = (1e-3, 0.1, 1.0, 10.0)
+
     # This ablation is sample-level (KS distance needs the raw TTF
     # array, which the batch engine deliberately does not keep), so the
     # samples are drawn once and *both* the diagnostics and the
     # result-set estimates are reduced from them — no second pass.
-    comparisons = []
-    for lam_l in lam_ls:
-        rate = lam_l / SECONDS_PER_DAY
-        comp = _day_component(rate)
-        process = FailureProcess(comp.intensity)
+    def draw(lam_l: float):
+        comp = _day_component(lam_l / SECONDS_PER_DAY)
         samples = sample_component_ttf(
             comp, MonteCarloConfig(trials=engine.trials, seed=4)
         )
-        report = exponentiality_report(samples)
+        return (
+            FailureProcess(comp.intensity),
+            exponentiality_report(samples),
+            _sample_estimate(samples),
+        )
+
+    comparisons = []
+    for lam_l, (process, report, estimate) in zip(
+        lam_ls, _on_pool(engine, draw, lam_ls)
+    ):
         table.add_row(
             f"{lam_l:g}",
             f"{process.coefficient_of_variation():.4f}",
@@ -214,7 +242,7 @@ def run_exponentiality(engine: EngineOptions):
         comparisons.append(
             MethodComparison(
                 system_label=f"day/lambdaL={lam_l:g}",
-                reference=_sample_estimate(samples),
+                reference=estimate,
                 estimates={
                     "first_principles": MTTFEstimate(
                         mttf_seconds=process.mttf(),

@@ -40,7 +40,8 @@ class EngineOptions:
     :class:`ComponentCache` for it, so an estimate several artifacts
     need is computed once.
 
-    ``trials`` defaults to ``$REPRO_MC_TRIALS`` (else 100,000).
+    ``trials`` defaults to ``$REPRO_MC_TRIALS`` (else 100,000) and must
+    be at least 2: every artifact reports a standard error.
     """
 
     trials: int | None = None
@@ -63,6 +64,11 @@ class EngineOptions:
             self.mc()
         except EstimationError as error:
             raise ConfigurationError(str(error)) from None
+        if self.trials < 2:
+            raise ConfigurationError(
+                "trials must be >= 2 (a standard error needs two "
+                f"draws), got {self.trials}"
+            )
         cache_path = resolve_cache_dir(self.cache_dir)
         object.__setattr__(self, "cache_path", cache_path)
         object.__setattr__(self, "cache", ComponentCache.at(cache_path))

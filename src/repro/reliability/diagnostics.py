@@ -47,10 +47,24 @@ def ks_statistic_exponential(samples: np.ndarray) -> float:
     if mean <= 0:
         raise EstimationError("KS fit requires a positive mean")
     n = samples.size
-    cdf = -np.expm1(-samples / mean)
-    ecdf_hi = np.arange(1, n + 1) / n
-    ecdf_lo = np.arange(0, n) / n
-    return float(np.max(np.maximum(np.abs(ecdf_hi - cdf), np.abs(cdf - ecdf_lo))))
+    # ``-expm1(-samples / mean)`` and the gaps above and below each
+    # ECDF step, in place: the same operations with four arrays of the
+    # sample's size live at once instead of seven.
+    cdf = np.negative(samples)
+    cdf /= mean
+    np.expm1(cdf, out=cdf)
+    np.negative(cdf, out=cdf)
+    above = np.arange(1.0, n + 1)  # exact integers, as float64
+    above /= n
+    np.subtract(above, cdf, out=above)
+    below = np.arange(0.0, n)
+    below /= n
+    np.subtract(cdf, below, out=below)
+    return float(
+        np.maximum(
+            np.max(np.abs(above, out=above)), np.max(np.abs(below, out=below))
+        )
+    )
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     ARRIVAL_INSTANCE_LIMIT,
@@ -17,6 +19,7 @@ from repro.core import (
     sample_component_ttf,
     sample_system_ttf,
 )
+from repro.core.montecarlo import _estimate_from_samples
 from repro.errors import EstimationError
 from repro.masking import PiecewiseProfile, busy_idle_profile
 
@@ -193,3 +196,45 @@ class TestEstimates:
         comp = Component("c", 1e-5, day_profile)
         est = monte_carlo_component_mttf(comp, MonteCarloConfig(trials=123))
         assert est.trials == 123
+
+
+class TestEstimateFromSamples:
+    """One summation gives NumPy's ``mean()`` and ``std(ddof=1)`` bits."""
+
+    @given(
+        st.sampled_from([1, 2, 7, 32_767, 32_768, 32_769, 100_003]),
+        st.integers(0, 2**32 - 1),
+        st.floats(min_value=-6.0, max_value=12.0),
+        st.sampled_from(["exponential", "uniform", "lognormal"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bits_match_numpy(self, n, seed, log_scale, shape):
+        rng = np.random.default_rng(seed)
+        samples = getattr(rng, shape)(size=n) * 10.0**log_scale
+        samples += 10.0**log_scale * 1e-9  # strictly positive
+        estimate = _estimate_from_samples(samples, "mc")
+        assert estimate.mttf_seconds == float(samples.mean())
+        expected = (
+            float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        )
+        assert estimate.std_error_seconds == expected
+        assert estimate.trials == n
+
+    def test_all_infinite_samples_never_fail(self):
+        estimate = _estimate_from_samples(np.full(5, np.inf), "mc")
+        assert math.isinf(estimate.mttf_seconds)
+        assert estimate.trials == 5
+
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            ([1.0, np.inf, 2.0], "mixed finite/infinite"),
+            ([np.inf, np.nan], "mixed finite/infinite"),
+            ([1.0, np.nan, 2.0], "MTTF must be positive"),
+            ([np.nan], "MTTF must be positive"),
+        ],
+        ids=["finite-and-inf", "inf-and-nan", "nan", "only-nan"],
+    )
+    def test_refusals(self, samples, message):
+        with pytest.raises(EstimationError, match=message):
+            _estimate_from_samples(np.asarray(samples), "mc")

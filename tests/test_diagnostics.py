@@ -42,6 +42,22 @@ class TestKs:
         with pytest.raises(EstimationError):
             ks_statistic_exponential(np.array([-1.0, 1.0]))
 
+    @pytest.mark.parametrize("n", [2, 3, 1_000, 100_003])
+    @pytest.mark.parametrize("shape", ["exponential", "uniform", "gamma"])
+    def test_bits_match_the_direct_expression(self, rng, n, shape):
+        args = (0.3,) if shape == "gamma" else ()
+        samples = getattr(rng, shape)(*args, size=n) * 1e4
+        # The direct form the in-place evaluation replaced.
+        ordered = np.sort(samples)
+        cdf = -np.expm1(-ordered / ordered.mean())
+        expected = np.max(
+            np.maximum(
+                np.abs(np.arange(1, n + 1) / n - cdf),
+                np.abs(cdf - np.arange(0, n) / n),
+            )
+        )
+        assert ks_statistic_exponential(samples) == float(expected)
+
 
 class TestReport:
     def test_exponential_looks_exponential(self, rng):

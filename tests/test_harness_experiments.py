@@ -243,6 +243,8 @@ class TestEngineOptions:
             EngineOptions(workers=0)
         with pytest.raises(ConfigurationError, match="trials"):
             EngineOptions(trials=0)
+        with pytest.raises(ConfigurationError, match="trials must be >= 2"):
+            EngineOptions(trials=1)
         engine = EngineOptions(cache_dir=str(tmp_path))
         assert engine.cache_path == tmp_path
 

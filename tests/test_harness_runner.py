@@ -137,6 +137,9 @@ class TestUsageErrors:
              "bad --workers value 'host:1'"),
             (["fig5", "--trials", "-5"], {}, "trials must be >= 1, got -5"),
             (["fig5", "--trials", "0"], {}, "trials must be >= 1, got 0"),
+            (["fig5", "--trials", "1"], {},
+             "trials must be >= 2 (a standard error needs two draws), "
+             "got 1"),
             (["fig5", "--mc-chunks", "0"], {},
              "unrecognized arguments: --mc-chunks 0"),
             (["fig5", "--mc-chunks", "2"], {},
@@ -149,6 +152,9 @@ class TestUsageErrors:
              "unrecognized arguments: --target-stderr 0.05"),
             (["fig5"], {"REPRO_MC_TRIALS": "0"},
              "trials must be >= 1, got 0"),
+            (["fig5"], {"REPRO_MC_TRIALS": "1"},
+             "trials must be >= 2 (a standard error needs two draws), "
+             "got 1"),
             (["fig5"], {"REPRO_MC_TRIALS": "abc"},
              "REPRO_MC_TRIALS must be an integer, got 'abc'"),
             (["table2", "fig55"], {}, "unknown experiment 'fig55'"),
@@ -161,9 +167,10 @@ class TestUsageErrors:
             "thread-executor-with-fleet", "remote-executor",
             "process-executor",
             "worker-address", "negative-trials", "zero-trials",
+            "one-trial",
             "zero-chunks", "removed-chunks-flag", "zero-target-stderr",
             "nan-target-stderr", "removed-target-stderr-flag",
-            "zero-env-trials", "non-integer-env-trials",
+            "zero-env-trials", "one-env-trial", "non-integer-env-trials",
             "unknown-artifact", "removed-merge-command",
         ],
     )

@@ -14,18 +14,25 @@ integral's exact agreement with the scalar closed forms.
 The cheap-trial layer is held to the same standard: the bucket-guided
 search must return ``np.searchsorted``'s index on fuzzed tables, the
 sliced sampler must match the oracle at trial counts on both sides of
-every slice edge, malformed tables must be refused with a typed error,
-plans must keep their source model, and the plan cache must evict
-least recently used first.
+every slice edge, the guard chain and clamps that run only when a
+reduction finds work must keep the bits on inputs that take each of
+them, malformed tables must be refused with a typed error, plans must
+keep their source model, and the plan cache must evict least recently
+used first. Each ``(seed, trials)`` stream is drawn once, read-only,
+and shared by every plan and thread that draws at it.
 """
 
 import json
+import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 import sampler_oracle as oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_sampler_golden import sampler_systems
 
 from repro.core import (
     Component,
@@ -47,6 +54,7 @@ from repro.errors import ConfigurationError, ProfileError
 from repro.masking import NestedProfile, PiecewiseProfile, busy_idle_profile
 from repro.methods import evaluate_design_space
 from repro.reliability.hazard import (
+    _REL_TOL,
     NestedHazard,
     PiecewiseHazard,
     _segment_integral,
@@ -324,6 +332,212 @@ class TestCompiledIntensity:
 
 
 # ---------------------------------------------------------------------------
+# Reduction-gated passes: skipped only where they change nothing.
+# ---------------------------------------------------------------------------
+
+
+def _multiples(length, count=10_000):
+    """``length``, its exact multiples ``k * length`` for k = 1..count,
+    and the float neighbours of each multiple on both sides."""
+    exact = np.arange(1.0, count + 1) * length
+    return np.concatenate(
+        [
+            [length],
+            exact,
+            np.nextafter(exact, 0.0),
+            np.nextafter(exact, np.inf),
+        ]
+    )
+
+
+@pytest.fixture(scope="module")
+def paper_hazards():
+    """day, a 13k-segment SPEC table and the nested ``combined`` table."""
+    return {
+        name: system.combined_intensity()
+        for name, system in sampler_systems().items()
+    }
+
+
+class TestGatedPasses:
+    """The guard chain of ``invert_extended`` and the clamps run only
+    when a reduction finds an element they would change. Inputs at
+    exact period multiples and their neighbours make them change
+    elements, so a skip condition that is too eager changes bits."""
+
+    @pytest.mark.parametrize("mass", [1.0, 0.1, 3.7e-9, 2.5e6])
+    def test_wrap_is_the_guard_chain(self, mass):
+        def guard_chain(k, rem):
+            # ``CyclicIntensity.invert_extended``'s chain, verbatim.
+            under = rem <= 0.0
+            k = np.where(under, k - 1, k)
+            rem = np.where(under, rem + mass, rem)
+            over = rem > mass
+            k = np.where(over, k + 1, k)
+            rem = np.where(over, rem - mass, rem)
+            return k, np.clip(rem, np.finfo(float).smallest_subnormal, mass)
+
+        inside = np.linspace(mass * 1e-3, mass, _SLICE)
+        for value in (
+            -0.0, 0.0, -mass * 1e-16, np.nextafter(0.0, -1.0),
+            np.nextafter(mass, np.inf), mass * (1 + 1e-15), mass, 5e-324,
+        ):
+            # Alone, and as the one element of its kind in a slice.
+            for rem in ([value], np.append(inside, value),
+                        np.append(value, inside)):
+                rem = np.asarray(rem, dtype=float)
+                k = np.arange(float(rem.size))
+                expected = guard_chain(k, rem)
+                kernel_mod._wrap(k, rem, mass)
+                np.testing.assert_array_equal(k, expected[0])
+                np.testing.assert_array_equal(rem, expected[1])
+
+    def test_clamped_is_clip(self):
+        inside = np.linspace(1e-3, 1.0, _SLICE)
+        for value in (-0.0, 0.0, -1e-16, 5e-324, 1.0,
+                      np.nextafter(1.0, np.inf), np.nan):
+            for x in ([value], np.append(inside, value),
+                      np.append(value, inside)):
+                x = np.asarray(x, dtype=float)
+                clipped = kernel_mod._clamped(x, 0.0, 1.0)
+                np.testing.assert_array_equal(clipped, np.clip(x, 0.0, 1.0))
+                assert np.array_equal(
+                    np.signbit(clipped), np.signbit(np.clip(x, 0.0, 1.0))
+                )
+
+    def test_extended_evaluation_at_period_edges(self, paper_hazards):
+        taken = Counter()
+        for hazard in paper_hazards.values():
+            compiled = compile_intensity(hazard)
+            mass, period = hazard.mass, hazard.period
+            u = _multiples(mass)
+            np.testing.assert_array_equal(
+                kernel_mod._invert_extended(compiled, u),
+                hazard.invert_extended(u),
+            )
+            t = np.append(_multiples(period), period * (1 + _REL_TOL))
+            np.testing.assert_array_equal(
+                kernel_mod._cumulative_extended(compiled, t),
+                hazard.cumulative_extended(t),
+            )
+            # The elements each branch changes, by the hazard's own
+            # arithmetic.
+            rem = u - np.floor(u / mass) * mass
+            taken["under"] += np.count_nonzero(rem <= 0)
+            rem = np.where(rem <= 0, rem + mass, rem)
+            taken["over"] += np.count_nonzero(rem > mass)
+            rem = t - np.floor(t / period) * period
+            taken["clip"] += np.count_nonzero((rem < 0) | (rem > period))
+        assert min(taken.values()) > 0, taken
+
+    def test_clamps_at_the_table_ends(self, paper_hazards):
+        for hazard in paper_hazards.values():
+            compiled = compile_intensity(hazard)
+            for evaluate, end in (
+                ("cumulative", hazard.period),
+                ("invert", hazard.mass),
+            ):
+                edges = [
+                    np.nextafter(end, 0.0),
+                    end,
+                    np.nextafter(end, np.inf),
+                    end * (1 + _REL_TOL),
+                ]
+                # One element past the end among a slice of interior
+                # ones, first and last: the reductions must see it.
+                inside = np.linspace(end * 1e-3, end * 0.999, _SLICE)
+                for edge in edges:
+                    for x in (
+                        np.asarray([edge]),
+                        np.append(inside, edge),
+                        np.append(edge, inside),
+                    ):
+                        np.testing.assert_array_equal(
+                            getattr(compiled, evaluate)(x),
+                            getattr(hazard, evaluate)(x),
+                        )
+
+    @given(piecewise_hazards(max_segments=8), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_property_table_ends(self, hazard, ends_idle):
+        """Random tables at their ends, where the division rounding can
+        pass the period by an ulp and ``u`` up to ``mass * (1 +
+        _REL_TOL)`` is accepted and clamped."""
+        if ends_idle:
+            segments = list(
+                zip(np.diff(hazard.breakpoints).tolist(),
+                    hazard.rates.tolist())
+            )
+            hazard = PiecewiseHazard.from_segments(segments + [(1.0, 0.0)])
+        compiled = compile_intensity(hazard)
+        ends = {"cumulative": hazard.period, "invert": hazard.mass}
+        for evaluate, end in ends.items():
+            if end <= 0:
+                continue
+            x = np.asarray(
+                [
+                    np.nextafter(end, 0.0),
+                    end,
+                    np.nextafter(end, np.inf),
+                    end * (1 + _REL_TOL),
+                ]
+            )
+            for edge in x:
+                np.testing.assert_array_equal(
+                    getattr(compiled, evaluate)(np.asarray([edge])),
+                    getattr(hazard, evaluate)(np.asarray([edge])),
+                )
+
+    def test_zero_rate_segment_yields_no_time(self):
+        # The constructor checks order, not that the cumulative column
+        # agrees with the rates; a segment of rate 0 that accrues mass
+        # contributes no time instead of dividing by zero.
+        compiled = CompiledPiecewise(
+            [0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 2.0], [0.0, 1.0, 2.0, 4.0]
+        )
+        np.testing.assert_array_equal(
+            compiled.invert(np.asarray([0.5, 1.5, 3.0])), [0.5, 1.0, 2.5]
+        )
+
+    def test_range_checks_refuse_the_same_inputs(self, paper_hazards):
+        """NaN fails every comparison, so it neither trips a range check
+        nor hides an out-of-range element beside it."""
+        hazard = paper_hazards["gzip_fig6a"]
+        compiled = compile_intensity(hazard)
+        nan = float("nan")
+        mass, period = hazard.mass, hazard.period
+        extended = {
+            "invert_extended": kernel_mod._invert_extended,
+            "cumulative_extended": kernel_mod._cumulative_extended,
+        }
+        refused = {
+            "invert_extended": [[nan, 0.0], [1.0, nan, -1.0], [-0.0]],
+            "cumulative_extended": [[nan, -1.0], [-5e-324, nan]],
+            "invert": [[nan, 0.0], [mass * 2, nan], [-0.0]],
+            "cumulative": [[nan, -1.0], [period * 2, nan], [-5e-324]],
+        }
+        accepted = {
+            "invert_extended": [[5e-324], [mass * 1e6, 1.0]],
+            "cumulative_extended": [[-0.0], [0.0, period * 1e6]],
+            "invert": [[5e-324], [mass * (1 + _REL_TOL), mass]],
+            "cumulative": [[-0.0], [period * (1 + _REL_TOL), 0.0]],
+        }
+        for name in refused:
+            reference = getattr(hazard, name)
+            if name in extended:
+                evaluate = lambda x, f=extended[name]: f(compiled, x)
+            else:
+                evaluate = getattr(compiled, name)
+            for values in refused[name]:
+                for call in (reference, evaluate):
+                    with pytest.raises(ProfileError):
+                        call(np.asarray(values))
+            for values in accepted[name]:
+                x = np.asarray(values)
+                np.testing.assert_array_equal(evaluate(x), reference(x))
+
+
+# ---------------------------------------------------------------------------
 # The bucket-guided search: np.searchsorted's index, exactly.
 # ---------------------------------------------------------------------------
 
@@ -571,6 +785,135 @@ class TestHydration:
         assert plan_for_system(piecewise_system).model is piecewise_system
         component = Component("unit", 3.0 / SECONDS_PER_DAY, day_profile)
         assert plan_for_component(component).model is component
+
+
+# ---------------------------------------------------------------------------
+# The process-wide stream cache.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def counted_streams(monkeypatch):
+    """Every ``(seed, trials)`` stream drawn from now on, in order."""
+    drawn = []
+
+    class CountedStream(kernel_mod._Stream):
+        __slots__ = ()
+
+        def __init__(self, seed, trials):
+            super().__init__(seed, trials)
+            drawn.append((seed, trials))
+
+    monkeypatch.setattr(kernel_mod, "_Stream", CountedStream)
+    return drawn
+
+
+class TestStreams:
+    """Each ``(seed, trials)`` stream is drawn once per process, and
+    every plan that draws at it reads the same read-only arrays."""
+
+    def test_plans_share_one_read_only_stream(
+        self, piecewise_system, nested_system, counted_streams
+    ):
+        config = _config(trials=_SLICE + 3)
+        for system in (piecewise_system, nested_system):
+            np.testing.assert_array_equal(
+                plan_for_system(system).sample_ttf(config),
+                oracle.sample_system_ttf(system, config),
+            )
+        assert counted_streams == [(config.seed, config.trials)]
+        stream = kernel_mod._stream(config.seed, config.trials)
+        with pytest.raises(ValueError, match="read-only"):
+            stream.exponentials[0] = 1.0
+
+    def test_random_phase_reuses_the_exponentials(
+        self, piecewise_system, nested_system, counted_streams
+    ):
+        zero = _config(start_phase="zero")
+        random = _config(start_phase="random")
+        plan_for_system(piecewise_system).sample_ttf(zero)
+        stream = kernel_mod._stream(zero.seed, zero.trials)
+        exponentials = stream.exponentials
+        draws = [
+            plan_for_system(system).sample_ttf(random)
+            for system in (piecewise_system, nested_system)
+        ]
+        uniforms = stream.uniforms()
+        assert counted_streams == [(zero.seed, zero.trials)]
+        assert kernel_mod._stream(zero.seed, zero.trials) is stream
+        assert stream.exponentials is exponentials
+        assert stream.uniforms() is uniforms
+        with pytest.raises(ValueError, match="read-only"):
+            uniforms[0] = 0.5
+        for system, draw in zip((piecewise_system, nested_system), draws):
+            np.testing.assert_array_equal(
+                draw, oracle.sample_system_ttf(system, random)
+            )
+
+    def test_cache_is_capped_and_cleared(
+        self, piecewise_system, counted_streams
+    ):
+        plan = plan_for_system(piecewise_system)
+        cap = kernel_mod._STREAMS.cap
+        for seed in range(cap + 3):
+            plan.sample_ttf(_config(seed=seed, start_phase="random"))
+            assert len(kernel_mod._STREAMS) <= cap
+        assert set(kernel_mod._STREAMS) == {
+            (seed, 400) for seed in range(3, cap + 3)
+        }
+        # The least recently used stream went; drawing it again redraws.
+        plan.sample_ttf(_config(seed=0))
+        assert counted_streams.count((0, 400)) == 2
+        clear_plan_cache()
+        assert len(kernel_mod._STREAMS) == 0
+
+    def test_concurrent_draws_match_the_oracle(
+        self, piecewise_system, nested_system
+    ):
+        """8 threads on 2 cores draw three seeds in both phases, so
+        streams are drawn, shared and evicted under contention."""
+        systems = (piecewise_system, nested_system)
+        configs = [
+            _config(trials=_SLICE + 5, seed=seed, start_phase=phase)
+            for seed in (0, 1, 2)
+            for phase in ("zero", "random")
+        ]
+        expected = {
+            (i, j): oracle.sample_system_ttf(system, config)
+            for i, system in enumerate(systems)
+            for j, config in enumerate(configs)
+        }
+        failures = []
+        sizes = []
+
+        def draw(worker):
+            try:
+                for step in range(12):
+                    i, j = (worker + step) % 2, (3 * worker + step) % 6
+                    got = plan_for_system(systems[i]).sample_ttf(configs[j])
+                    sizes.append(len(kernel_mod._STREAMS))
+                    if not np.array_equal(got, expected[i, j]):
+                        failures.append((worker, step))
+            except Exception as error:  # reported below, not lost
+                failures.append(error)
+
+        threads = [
+            threading.Thread(target=draw, args=(worker,))
+            for worker in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(sizes) == 8 * 12
+        assert max(sizes) <= kernel_mod._STREAMS.cap
 
 
 # ---------------------------------------------------------------------------
