@@ -369,14 +369,23 @@ def sampler_cases(
     the public API is used, so the scenario runs unchanged on older
     trees.
 
+    One ``sampler_<system>_plan_build`` row per system times what the
+    warm-up leaves out: compiling the intensity and building every
+    segment lookup that draws in either phase use (its queries reach
+    every outer segment), so work moved from the draws into set-up
+    shows.
+
     A process draws each ``(seed, trials)`` stream of uniforms once, so
     the warmed-up row times only what draws sharing a stream cost. Each
     ``sampler_<system>_<phase>_fresh`` row times draws at a seed no
     earlier draw used (a new one per repeat), which pays for the stream
     too; its digest is over its last draw.
     """
+    import numpy as np
+
     fresh_seeds = itertools.count(1000)
     from repro.core import sample_system_ttf
+    from repro.core.kernel import compile_intensity
     from repro.harness import processor_profile
     from repro.ser import component_rate_per_second
     from repro.workloads import combined_workload, day_workload
@@ -395,11 +404,24 @@ def sampler_cases(
             combined_workload(spec("gzip", False), spec("swim", False)),
         ),
     }
+    def plan_build(system):
+        compiled = compile_intensity(system.combined_intensity())
+        compiled.invert(np.linspace(0.0, compiled.mass, 1025)[1:])
+        compiled.cumulative(np.linspace(0.0, compiled.period, 1025))
+
     records = []
     for name, (label, n_times_s, profile) in workloads.items():
         rate = component_rate_per_second(n_times_s, 1.0)
         system = SystemModel(
             [Component(label, rate, profile, multiplicity=8)]
+        )
+        seconds, _ = _timed(lambda: plan_build(system), repeat)
+        records.append(
+            {
+                "name": f"sampler_{name}_plan_build",
+                "seconds": round(seconds, 5),
+                "ms": round(seconds * 1e3, 3),
+            }
         )
         for phase in ("zero", "random"):
             config = MonteCarloConfig(
@@ -561,6 +583,9 @@ def run_benchmarks(argv: list[str] | None = None) -> Path:
     if wants("sampler"):
         for record in sampler_cases(args.repeat):
             results.append(record)
+            if "ns_per_trial" not in record:  # a plan_build row
+                print(f"{record['name']:44s} {record['ms']:8.3f}ms")
+                continue
             print(
                 f"{record['name']:44s} {record['seconds']:8.3f}s  "
                 f"{record['ns_per_trial']} ns/trial "

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.special import erfc
 
 from ..errors import ConfigurationError
 
@@ -30,6 +28,9 @@ def halfnormal_component_mttf() -> float:
 
 def halfnormal_system_mttf_exact(n_components: int) -> float:
     """Exact MTTF of the N-component series system: ``∫ erfc(y)^N dy``."""
+    from scipy import integrate  # deferred: scipy costs ~0.5 s to import
+    from scipy.special import erfc
+
     if n_components < 1:
         raise ConfigurationError(
             f"need at least one component, got {n_components}"

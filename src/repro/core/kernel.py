@@ -17,11 +17,13 @@ Three layers:
   indices, same guard chains, same clips) while dropping
   the per-call Python overhead (object traversal, ``np.unique``,
   re-validation of static tables). Same inputs, same bits. Segment
-  lookups use a bucket-guided search (:class:`_Guide`) that returns
-  ``np.searchsorted``'s index exactly at a fraction of its cost, and
-  the inverse transform runs over cache-sized trial slices. Range
-  checks are ``min``/``max`` reductions, which also tell when a guard
-  or clamp has nothing to change, so it is skipped.
+  lookups rank a query among a table's distinct entries in one probe
+  (:class:`_Lookup`) and return ``np.searchsorted``'s segment exactly
+  at a fraction of its cost; nested plans rank all their inner tables
+  through one lookup, with no per-segment masks. The inverse transform
+  runs over cache-sized trial slices. Range checks are ``min``/``max``
+  reductions, which also tell when a guard or clamp has nothing to
+  change, so it is skipped.
 * **Streams** — the exponentials and random-phase uniforms of each
   ``(seed, trials)`` pair, drawn once per process and shared read-only
   by every plan that draws at that seed (common random numbers).
@@ -69,7 +71,7 @@ def _table(kind: str, name: str, values, *, increasing: bool) -> np.ndarray:
     ``increasing`` demands strictly increasing entries (breakpoints,
     segment starts); otherwise non-decreasing (cumulative tables, where
     zero-rate segments repeat an entry). These are the preconditions of
-    both the samplers and :class:`_Guide`, so a table that breaks them
+    both the samplers and :class:`_Lookup`, so a table that breaks them
     is refused here instead of sampling garbage.
     """
     table = _float_array(kind, name, values)
@@ -113,109 +115,165 @@ def _float_array(kind: str, name: str, values) -> np.ndarray:
         ) from None
 
 
-class _Guide:
-    """Exact bucket-guided replacement for ``np.searchsorted``.
+#: Buckets per distinct table entry that a :class:`_Lookup` may spend.
+_MAX_BUCKETS_PER_ENTRY = 4
 
-    Built once per sorted table ``t`` (``n >= 1`` finite entries,
-    non-decreasing). :meth:`search` returns ``np.searchsorted(t, x,
-    side)`` — the same integer index — in a few cache-resident probes
-    instead of a ~log2(n)-deep binary search whose branches mispredict
-    on random queries.
 
-    **Why the index is exact.** There is one bucket per entry:
-    ``bucket(x) = clip(floor((x - t[0]) * scale), 0, n - 1)`` with
-    ``scale = n / (t[-1] - t[0])``. Every step (a rounded subtraction,
-    a rounded product with ``scale >= 0``, ``floor``, ``clip``) is
-    monotone non-decreasing, and table entries are bucketed with the
-    very same operations. So an entry in a lower bucket than ``x`` is
-    ``< x`` and an entry in a higher bucket is ``> x``: the answer is
-    the number of entries in lower buckets (``starts``) plus the count
-    of same-bucket entries ``< x`` (``<= x`` for ``side="right"``).
-    That count comes from a branchless power-of-two probe window of
-    ``bit_length(max bucket occupancy)`` probes. Probes that run past
-    the bucket land on later entries (``> x``) or on ``+inf`` padding,
-    so they never count. Queries must be finite; the samplers clip
-    every query into the table's range first.
+def _bucket_scale(distinct: np.ndarray) -> float:
+    """Buckets per unit of a table whose distinct entries are ``distinct``.
 
-    If ``scale`` is not finite and positive (all entries equal, a
-    subnormal span whose reciprocal overflows, or a span that itself
-    overflows), every entry and query falls in one bucket: ``0 * inf``
-    would otherwise turn into a NaN bucket index.
+    ``k * m / span`` for ``m`` entries and ``k`` buckets per entry.
+    With ``need = span / (m * smallest gap)``, a bucket holds at most
+    ``floor(need / k) + 1`` entries, so a query takes at most that
+    count's bit length in probes. ``k`` is the fewest buckets per entry,
+    1 to :data:`_MAX_BUCKETS_PER_ENTRY`, that reach the fewest probes:
+    one wherever ``k > need`` gives every entry a bucket of its own.
+    0 (one bucket) for a single entry, or when the scale is not finite
+    (a subnormal span).
+    """
+    m = distinct.size
+    if m == 1:
+        return 0.0
+    span = float(distinct[-1])
+    need = span / (m * float(np.diff(distinct).min()))
 
-    The padded buffer *is* the table's storage: :attr:`table` is a view
-    of it that the owner adopts, so the entries are held once.
+    def probes(k: int) -> int:
+        return (int(need // k) + 1).bit_length() if need < 2**52 else 64
+
+    k = min(range(1, _MAX_BUCKETS_PER_ENTRY + 1), key=lambda k: (probes(k), k))
+    scale = k * m / span
+    return scale if scale < np.inf else 0.0
+
+
+class _Lookup:
+    """Exact segment lookup over one or more sorted tables.
+
+    Each table ``t`` holds ``n >= 2`` finite, non-decreasing entries and
+    starts at 0, as every compiled table does. For a query ``x`` in
+    ``[0, t[-1]]``, or NaN, :meth:`segments` returns the segment the
+    hazard objects select, ``clip(np.searchsorted(t, x, side) - 1, 0,
+    n - 2)``, in about seven NumPy passes instead of a binary search
+    whose branches mispredict on random queries.
+
+    **Ranks.** Let ``d`` hold the ``m`` distinct entries of ``t``.
+    ``searchsorted(t, x, side)`` depends on ``x`` only through its rank
+    ``r = searchsorted(d, x, side)``: it is the number of entries in the
+    first ``r`` runs of equal entries. A table built once maps each rank
+    to its segment with searchsorted's ``- 1`` and the clip applied, so
+    the runs that zero-rate segments leave in a cumulative table cost
+    nothing per query.
+
+    **Why the rank is exact.** ``bucket(x) = int(x * scale)``. Both
+    steps are monotone non-decreasing for ``x >= 0``, and the distinct
+    entries are bucketed by the same two operations, so an entry in a
+    lower bucket than ``x`` is ``< x`` and one in a higher bucket is
+    ``> x``. The rank is the number of entries in lower buckets
+    (``starts[bucket]``) plus the count of same-bucket entries ``< x``
+    (``<= x`` for ``side="right"``). :func:`_bucket_scale` sizes the
+    grid so that each bucket holds at most one entry where 1-4 buckets
+    per entry allow it; then the count is one compare against
+    ``d[starts[bucket]]``, which is the bucket's entry or the first
+    entry of a higher bucket (and never counts). Where they do not
+    (clustered entries), a branchless power-of-two window of
+    ``bit_length(max occupancy)`` probes counts the bucket, and ``+inf``
+    padding after each table's entries keeps probes from counting past
+    them. The build measures the occupancy, so the count is exact
+    whatever the grid.
+
+    **Several tables.** The inner tables of a nested plan share one
+    lookup: each has its own scale and its own run of buckets, and a
+    per-query table index ``which`` picks them. Segments come back as
+    indices into the tables laid end to end.
+
+    **NaN.** ``searchsorted`` ranks NaN after every entry. A NaN query
+    makes the bucket cast invalid, which NumPy reports; only then are
+    the NaN elements found and given the last segment, so NaN-free
+    queries pay nothing for them.
     """
 
-    __slots__ = ("table", "_padded", "_origin", "_scale", "_top", "_starts",
-                 "_steps")
+    __slots__ = ("_scale", "_base", "_starts", "_probes", "_segment",
+                 "_steps", "_last")
 
-    def __init__(self, table: np.ndarray) -> None:
-        n = table.size
-        with np.errstate(divide="ignore", over="ignore"):
-            scale = float(n / (table[-1] - table[0]))
-        buckets = n if 0.0 < scale < np.inf else 1
-        self._origin = float(table[0])
-        self._scale = scale
-        self._top = float(buckets - 1)
-        occupancy = np.bincount(self._bucket(table), minlength=buckets)
-        self._starts = np.cumsum(occupancy) - occupancy
-        depth = int(occupancy.max()).bit_length()
+    def __init__(self, tables: Sequence[np.ndarray]) -> None:
+        # Where each run of equal entries after the first one starts.
+        firsts = [np.flatnonzero(t[1:] != t[:-1]) + 1 for t in tables]
+        distinct = [
+            np.concatenate((t[:1], t[first]))
+            for t, first in zip(tables, firsts)
+        ]
+        self._scale = np.asarray([_bucket_scale(d) for d in distinct])
+        buckets = [
+            (d * s).astype(np.intp) for d, s in zip(distinct, self._scale)
+        ]
+        sizes = [int(b[-1]) + 1 for b in buckets]
+        self._base = np.cumsum(sizes) - sizes
+        # Entries per bucket, one bucket up, so that the prefix sum
+        # counts the entries in lower buckets.
+        below = np.bincount(
+            np.concatenate(
+                [b + (base + 1) for b, base in zip(buckets, self._base)]
+            )
+        )
+        depth = int(below.max()).bit_length()
         self._steps = tuple(1 << s for s in reversed(range(depth)))
-        self._padded = np.full(n + (1 << depth) - 1, np.inf)
-        self._padded[:n] = table
-        self.table = self._padded[:n]
+        pad = max(1, (1 << depth) - 1)
+        self._starts = np.cumsum(below[:-1])
+        for j, (base, size) in enumerate(zip(self._base[1:], sizes[1:]), 1):
+            self._starts[base : base + size] += j * pad  # earlier padding
+        padded, segment, last = [], [], []
+        offset = 0  # of this table's entries in the tables end to end
+        for t, first, d in zip(tables, firsts, distinct):
+            padded += [d, np.full(pad, np.inf)]
+            final = offset + t.size - 2  # ranks at or past every entry
+            seg = np.full(d.size + pad, final, dtype=np.intp)
+            seg[0] = offset
+            seg[1 : d.size] = first + (offset - 1)
+            segment.append(seg)
+            last.append(final)
+            offset += t.size
+        self._probes = np.concatenate(padded)
+        self._segment = np.concatenate(segment)
+        self._last = np.asarray(last, dtype=np.intp)
 
-    def _bucket(self, x: np.ndarray) -> np.ndarray:
-        if self._top == 0.0:
-            return np.zeros(x.shape, dtype=np.intp)
-        with np.errstate(over="ignore"):  # far queries clip to an end
-            if self._origin == 0.0:  # every compiled table; x - 0 is x
-                b = np.multiply(x, self._scale)
-            else:
-                b = np.subtract(x, self._origin)
-                b *= self._scale
-        np.floor(b, out=b)
-        np.clip(b, 0.0, self._top, out=b)
-        return b.astype(np.intp)
+    def segments(
+        self, x: np.ndarray, side: str, which: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``clip(searchsorted(t, x, side) - 1, 0, n - 2)``, exactly.
 
-    def search(self, x: np.ndarray, side: str) -> np.ndarray:
-        """``np.searchsorted(table, x, side)``, exactly."""
+        ``t`` is the table ``which`` names per query (the first table
+        when ``which`` is None); the result indexes the tables laid end
+        to end.
+        """
         shape = np.shape(x)
         x = np.ravel(x)
-        pos = self._starts.take(self._bucket(x))
+        try:
+            with np.errstate(invalid="raise"):
+                bucket = self._bucket(x, which)
+        except FloatingPointError:  # a NaN query, cast to an integer
+            nan = np.isnan(x)
+            x = np.where(nan, 0.0, x)
+            seg = self._ranked(x, self._bucket(x, which), side)
+            seg[nan] = self._last[0 if which is None else which[nan]]
+            return seg.reshape(shape)
+        return self._ranked(x, bucket, side).reshape(shape)
+
+    def _bucket(self, x: np.ndarray, which: np.ndarray | None) -> np.ndarray:
+        if which is None:
+            return np.multiply(x, self._scale[0]).astype(np.intp)
+        bucket = self._scale.take(which)
+        bucket *= x
+        bucket = bucket.astype(np.intp)
+        bucket += self._base.take(which)
+        return bucket
+
+    def _ranked(self, x: np.ndarray, bucket: np.ndarray, side: str):
         counts = np.less if side == "left" else np.less_equal
+        rank = self._starts.take(bucket)
         for step in self._steps[:-1]:
-            pos += counts(self._padded.take(pos + (step - 1)), x) * step
+            rank += counts(self._probes.take(rank + (step - 1)), x) * step
         # The last step is 1: no offset to add, no count to scale.
-        pos += counts(self._padded.take(pos), x)
-        return pos.reshape(shape)
-
-
-def _guided(owner, name: str) -> _Guide:
-    """The guide of ``owner``'s table attribute ``name``, built lazily.
-
-    The owner adopts the guide's view as its table, so the entries are
-    not held twice. Two threads racing here build equal guides over
-    equal tables; either result is correct.
-    """
-    guide = owner._guides.get(name)  # noqa: SLF001 - owner's own cache
-    if guide is None:
-        guide = _Guide(getattr(owner, name))
-        setattr(owner, name, guide.table)
-        owner._guides[name] = guide  # noqa: SLF001
-    return guide
-
-
-def _segments(owner, name: str, x: np.ndarray, side: str, count: int):
-    """``clip(searchsorted(table, x, side) - 1, 0, count - 1)``.
-
-    ``table`` is ``owner``'s attribute ``name``; the search goes through
-    its guide, and the shift and clip run in place on the index array.
-    """
-    idx = _guided(owner, name).search(x, side)
-    idx -= 1
-    np.clip(idx, 0, count - 1, out=idx)
-    return idx
+        rank += counts(self._probes.take(rank), x)
+        return self._segment.take(rank)
 
 
 def _least(x: np.ndarray) -> float:
@@ -246,8 +304,10 @@ def _clamped(x: np.ndarray, low: float, high: float) -> np.ndarray:
     return np.clip(x, low, high)
 
 
-def _periods(x: np.ndarray, length: float):
-    """``k = floor(x / length)`` and ``x - k * length``, as new arrays."""
+def _periods(x: np.ndarray, length):
+    """``k = floor(x / length)`` and ``x - k * length``, as new arrays.
+
+    ``length`` is one float or one per element."""
     k = np.divide(x, length)
     np.floor(k, out=k)
     rem = np.multiply(k, length)
@@ -255,7 +315,7 @@ def _periods(x: np.ndarray, length: float):
     return k, rem
 
 
-def _wrap(k: np.ndarray, rem: np.ndarray, mass: float) -> None:
+def _wrap(k: np.ndarray, rem: np.ndarray, mass) -> None:
     """Move ``rem`` into ``(0, mass]``, carrying whole periods into ``k``.
 
     The hazard objects' guard chain (``invert_extended`` and the nested
@@ -263,10 +323,13 @@ def _wrap(k: np.ndarray, rem: np.ndarray, mass: float) -> None:
     mass belongs to the previous period, and cancellation in
     ``u - k * mass`` can push ``rem`` just outside ``(0, mass]``. When
     every element already lies inside, each step is a no-op, so the
-    chain runs only when a reduction finds one outside.
+    chain runs only when a reduction finds one outside. ``mass`` is one
+    float, or one per element (a nested plan's inner masses).
     """
-    lo, hi = _least(rem), _greatest(rem)
-    if lo > 0 and hi <= mass:
+    if _least(rem) > 0 and (
+        not np.any(rem > mass) if isinstance(mass, np.ndarray)
+        else _greatest(rem) <= mass
+    ):
         return
     under = rem <= 0.0
     np.subtract(k, 1, out=k, where=under)
@@ -277,7 +340,51 @@ def _wrap(k: np.ndarray, rem: np.ndarray, mass: float) -> None:
     np.clip(rem, _SMALLEST_SUBNORMAL, mass, out=rem)
 
 
-class CompiledPiecewise:
+class _Compiled:
+    """What both compiled shapes share.
+
+    The public ``cumulative`` and ``invert`` run the hazard objects'
+    range checks and clamps, then the in-range internals
+    ``_cumulative``/``_invert``, which the extended evaluation calls
+    directly once its own guards have put every query in range. Lookups
+    are built on first use; racing threads keep the first one stored.
+    Scalars come back as scalars.
+    """
+
+    __slots__ = ()
+
+    def _lookup(self, name: str) -> _Lookup:
+        lookup = self._lookups.get(name)
+        if lookup is None:
+            lookup = self._lookups.setdefault(
+                name, _Lookup(self._tables(name))
+            )
+        return lookup
+
+    def cumulative(self, tau):
+        tau = np.asarray(tau, dtype=float)
+        scalar = tau.ndim == 0
+        tau = np.atleast_1d(tau)
+        lo, hi = _least(tau), _greatest(tau)
+        if lo < 0 or hi > self.period * (1 + _REL_TOL):
+            raise ProfileError("tau outside [0, period]")
+        out = self._cumulative(_clamped(tau, 0.0, self.period))
+        return out[0] if scalar else out
+
+    def invert(self, u):
+        u = np.asarray(u, dtype=float)
+        scalar = u.ndim == 0
+        u = np.atleast_1d(u)
+        lo, hi = _least(u), _greatest(u)
+        if lo <= 0 or hi > self.mass * (1 + _REL_TOL):
+            raise ProfileError("u outside (0, mass]")
+        if hi > self.mass:
+            u = np.minimum(u, self.mass)
+        out = self._invert(u)
+        return out[0] if scalar else out
+
+
+class CompiledPiecewise(_Compiled):
     """Dense-table replica of :class:`PiecewiseHazard`.
 
     Holds exactly the arrays the hazard object derives at construction —
@@ -285,11 +392,11 @@ class CompiledPiecewise:
     and evaluates ``cumulative``/``invert`` with the *identical*
     floating-point operation sequence, so every sample drawn through a
     plan matches the object sampler over the hazard (the test oracle)
-    bit for bit. Segment lookups go through a :class:`_Guide`, which
-    returns ``np.searchsorted``'s index exactly.
+    bit for bit. Segment lookups go through a :class:`_Lookup`, which
+    returns ``np.searchsorted``'s segment exactly.
     """
 
-    __slots__ = ("bp", "rates", "cum", "period", "mass", "_guides")
+    __slots__ = ("bp", "rates", "cum", "period", "mass", "_lookups")
 
     kind = "piecewise"
 
@@ -309,7 +416,7 @@ class CompiledPiecewise:
             )
         self.period = float(self.bp[-1])
         self.mass = float(self.cum[-1])
-        self._guides: dict[str, _Guide] = {}
+        self._lookups: dict[str, _Lookup] = {}
 
     @classmethod
     def from_hazard(cls, hazard: PiecewiseHazard) -> "CompiledPiecewise":
@@ -319,27 +426,19 @@ class CompiledPiecewise:
             hazard._cum,  # noqa: SLF001 - module-internal compilation
         )
 
-    def cumulative(self, tau: np.ndarray) -> np.ndarray:
-        tau = np.asarray(tau, dtype=float)
-        lo, hi = _least(tau), _greatest(tau)
-        if lo < 0 or hi > self.period * (1 + _REL_TOL):
-            raise ProfileError("tau outside [0, period]")
-        tau = _clamped(tau, 0.0, self.period)
-        idx = _segments(self, "bp", tau, "right", self.rates.size)
+    def _tables(self, name: str) -> list[np.ndarray]:
+        return [getattr(self, name)]
+
+    def _cumulative(self, tau: np.ndarray) -> np.ndarray:
+        idx = self._lookup("bp").segments(tau, "right")
         out = self.bp[idx]
         np.subtract(tau, out, out=out)
         out *= self.rates[idx]
         out += self.cum[idx]
         return out
 
-    def invert(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        lo, hi = _least(u), _greatest(u)
-        if lo <= 0 or hi > self.mass * (1 + _REL_TOL):
-            raise ProfileError("u outside (0, mass]")
-        if hi > self.mass:
-            u = np.minimum(u, self.mass)
-        idx = _segments(self, "cum", u, "left", self.rates.size)
+    def _invert(self, u: np.ndarray) -> np.ndarray:
+        idx = self._lookup("cum").segments(u, "left")
         rate = self.rates[idx]
         frac = self.cum[idx]
         np.subtract(u, frac, out=frac)
@@ -354,22 +453,23 @@ class CompiledPiecewise:
         return out
 
 
-class CompiledNested:
+class CompiledNested(_Compiled):
     """Dense-table replica of :class:`NestedHazard`.
 
-    Outer tables (segment starts, durations, cumulative mass) plus one
-    :class:`CompiledPiecewise` per outer segment. ``cumulative`` and
-    ``invert`` reproduce the hazard object's grouped evaluation, with
-    one deliberate pass-reduction: segment membership is counted with
-    ``np.bincount`` instead of sorting the whole index array through
-    ``np.unique`` per call. Iteration stays in ascending segment order
-    and the per-element arithmetic is unchanged, so the outputs are
+    Outer tables (segment starts, durations, cumulative mass) plus the
+    inner piecewise tables of every outer segment laid end to end, with
+    one inner period and mass per segment. ``cumulative`` and ``invert``
+    run flat: each element gathers its outer segment's constants and
+    ranks its inner query through one lookup over all inner tables, so
+    no pass masks the input per segment. Every element still sees the
+    hazard object's operations in its order, so the outputs are
     bit-identical.
     """
 
     __slots__ = (
-        "starts", "durations", "cum_mass", "inners", "period", "mass",
-        "_guides",
+        "starts", "durations", "cum_mass", "period", "mass",
+        "_bp", "_rates", "_cum", "_ends", "_inner_period", "_inner_mass",
+        "_massless", "_lookups",
     )
 
     kind = "nested"
@@ -388,20 +488,31 @@ class CompiledNested:
         self.cum_mass = _table(
             "nested", "cum_mass", cum_mass, increasing=False
         )
-        self.inners = tuple(inners)
+        inners = tuple(inners)
         if (
-            self.starts.size != len(self.inners) + 1
-            or self.durations.size != len(self.inners)
-            or self.cum_mass.size != len(self.inners) + 1
+            self.starts.size != len(inners) + 1
+            or self.durations.size != len(inners)
+            or self.cum_mass.size != len(inners) + 1
         ):
             raise ConfigurationError(
                 "compiled nested tables are inconsistent: "
-                f"{len(self.inners)} segments, {self.starts.size} starts, "
+                f"{len(inners)} segments, {self.starts.size} starts, "
                 f"{self.cum_mass.size} cumulative-mass entries"
             )
         self.period = float(self.starts[-1])
         self.mass = float(self.cum_mass[-1])
-        self._guides: dict[str, _Guide] = {}
+        # One offset per inner for all three tables: each inner's rates
+        # get one unused entry, so rates line up with the breakpoints.
+        self._bp = np.concatenate([inner.bp for inner in inners])
+        self._cum = np.concatenate([inner.cum for inner in inners])
+        self._rates = np.concatenate(
+            [np.append(inner.rates, 0.0) for inner in inners]
+        )
+        self._ends = np.cumsum([inner.bp.size for inner in inners])[:-1]
+        self._inner_period = np.asarray([inner.period for inner in inners])
+        self._inner_mass = np.asarray([inner.mass for inner in inners])
+        self._massless = not np.all(self._inner_mass > 0)
+        self._lookups: dict[str, _Lookup] = {}
 
     @classmethod
     def from_hazard(cls, hazard: NestedHazard) -> "CompiledNested":
@@ -416,66 +527,74 @@ class CompiledNested:
         )
 
     @property
-    def segment_count(self) -> int:
-        return len(self.inners)
+    def inners(self) -> tuple[CompiledPiecewise, ...]:
+        """One :class:`CompiledPiecewise` per outer segment, over views of
+        the tables laid end to end."""
+        split = [
+            np.split(table, self._ends)
+            for table in (self._bp, self._rates, self._cum)
+        ]
+        return tuple(
+            CompiledPiecewise(bp, rates[:-1], cum)
+            for bp, rates, cum in zip(*split)
+        )
 
-    def cumulative(self, tau: np.ndarray) -> np.ndarray:
-        tau = np.asarray(tau, dtype=float)
-        scalar = tau.ndim == 0
-        tau = np.atleast_1d(tau)
-        lo, hi = _least(tau), _greatest(tau)
-        if lo < 0 or hi > self.period * (1 + _REL_TOL):
-            raise ProfileError("tau outside [0, period]")
-        tau = _clamped(tau, 0.0, self.period)
-        seg = _segments(self, "starts", tau, "right", self.segment_count)
-        counts = np.bincount(seg, minlength=self.segment_count)
-        out = np.empty_like(tau)
-        for j in range(self.segment_count):
-            if counts[j] == 0:
-                continue
-            sel = seg == j
-            local = tau[sel]
-            local -= self.starts[j]
-            inner = self.inners[j]
-            k, rem = _periods(local, inner.period)
-            rem = _clamped(rem, 0.0, inner.period)
-            k *= inner.mass
-            k += self.cum_mass[j]
-            k += inner.cumulative(rem)
-            out[sel] = k
-        return out[0] if scalar else out
+    def _tables(self, name: str) -> list[np.ndarray]:
+        if name in ("starts", "cum_mass"):
+            return [getattr(self, name)]
+        return np.split(getattr(self, name), self._ends)  # inner tables
 
-    def invert(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u)
-        lo, hi = _least(u), _greatest(u)
-        if lo <= 0 or hi > self.mass * (1 + _REL_TOL):
-            raise ProfileError("u outside (0, mass]")
-        if hi > self.mass:
-            u = np.minimum(u, self.mass)
-        seg = _segments(self, "cum_mass", u, "left", self.segment_count)
-        counts = np.bincount(seg, minlength=self.segment_count)
-        out = np.empty_like(u)
-        for j in range(self.segment_count):
-            if counts[j] == 0:
-                continue
-            sel = seg == j
-            inner = self.inners[j]
-            if inner.mass <= 0:
-                out[sel] = self.starts[j]
-                continue
-            rem = u[sel]
-            rem -= self.cum_mass[j]
-            k, inner_rem = _periods(rem, inner.mass)
-            _wrap(k, inner_rem, inner.mass)
-            k *= inner.period
-            k += self.starts[j]
-            k += inner.invert(inner_rem)
-            out[sel] = k
-        if not _greatest(out) <= self.period:
-            np.minimum(out, self.period, out=out)
-        return out[0] if scalar else out
+    def _cumulative(self, tau: np.ndarray) -> np.ndarray:
+        seg = self._lookup("starts").segments(tau, "right")
+        period = self._inner_period.take(seg)
+        local = self.starts.take(seg)
+        np.subtract(tau, local, out=local)
+        k, rem = _periods(local, period)
+        # Per-element bounds turn a -0.0 into 0.0 where the hazard's
+        # scalar bound keeps it, but rem is never -0.0: a local -0.0
+        # makes k * period -0.0 as well, and their difference +0.0.
+        np.clip(rem, 0.0, period, out=rem)
+        k *= self._inner_mass.take(seg)
+        k += self.cum_mass.take(seg)
+        idx = self._lookup("_bp").segments(rem, "right", seg)
+        inner = self._bp.take(idx)
+        np.subtract(rem, inner, out=inner)
+        inner *= self._rates.take(idx)
+        inner += self._cum.take(idx)
+        k += inner
+        return k
+
+    def _invert(self, u: np.ndarray) -> np.ndarray:
+        seg = self._lookup("cum_mass").segments(u, "left")
+        mass = self._inner_mass.take(seg)
+        period = self._inner_period.take(seg)
+        rem = self.cum_mass.take(seg)
+        np.subtract(u, rem, out=rem)
+        with np.errstate(divide="ignore", invalid="ignore"):  # mass 0
+            k, rem = _periods(rem, mass)
+        _wrap(k, rem, mass)
+        k *= period
+        k += self.starts.take(seg)
+        idx = self._lookup("_cum").segments(rem, "left", seg)
+        rate = self._rates.take(idx)
+        frac = self._cum.take(idx)
+        np.subtract(rem, frac, out=frac)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac /= rate
+        if not _least(rate) > 0:
+            frac = np.where(rate > 0, frac, 0.0)
+        inner = self._bp.take(idx)
+        inner += frac
+        np.minimum(inner, period, out=inner)
+        k += inner
+        if self._massless:
+            # Only NaN, which ranks into the last segment, reaches a
+            # segment that accrues no hazard; there the hazard object
+            # returns the segment's start.
+            np.copyto(k, self.starts.take(seg), where=mass <= 0)
+        if not _greatest(k) <= self.period:
+            np.minimum(k, self.period, out=k)
+        return k
 
 
 #: A compiled intensity of either shape.
@@ -507,7 +626,7 @@ def _cumulative_extended(
     k, rem = _periods(t, intensity.period)
     rem = _clamped(rem, 0.0, intensity.period)
     k *= intensity.mass
-    k += intensity.cumulative(rem)
+    k += intensity._cumulative(rem)  # noqa: SLF001 - rem is in range
     return k
 
 
@@ -528,7 +647,9 @@ def _invert_extended(
     k, rem = _periods(u, intensity.mass)
     _wrap(k, rem, intensity.mass)
     k *= intensity.period
-    return np.add(k, intensity.invert(rem), out=out)
+    # _wrap put rem in (0, mass], so the in-range inverse skips the
+    # range check and the clamp.
+    return np.add(k, intensity._invert(rem), out=out)  # noqa: SLF001
 
 
 def inverse_ttf(
@@ -725,8 +846,11 @@ class SamplingPlan:
 # ---------------------------------------------------------------------------
 
 #: Every plan compiled in this process, keyed by :attr:`SamplingPlan.
-#: cache_key`.
-_PLANS_CAP = 256
+#: cache_key`. ``--all`` reuses a plan after at most 35 other distinct
+#: plans (34 hits, 174 misses at 1e5 trials), so 64 keeps every hit
+#: while keeping at most a quarter as many plans' tables and lookups
+#: alive as 256 did.
+_PLANS_CAP = 64
 _PLANS = _LRU(_PLANS_CAP)
 
 

@@ -22,7 +22,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from ..errors import ConfigurationError
 from .hazard import CyclicIntensity, PiecewiseHazard, merge_piecewise
@@ -131,6 +130,8 @@ def min_of_iid_mttf(
     evaluated with adaptive quadrature. This is the "first principles"
     side of the paper's Figure 4 analysis.
     """
+    from scipy import integrate  # deferred: scipy costs ~0.5 s to import
+
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
 

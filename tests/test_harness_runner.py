@@ -1,6 +1,9 @@
 """Tests for the experiment CLI (repro-experiments)."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,31 @@ def _perfbench_load_args() -> tuple[str, ...]:
         ):
             return tuple(ast.literal_eval(node.value))
     raise AssertionError("perfbench/compare.py defines no LOAD_ARGS")
+
+
+class TestStartup:
+    def test_listing_artifacts_does_not_import_scipy(self):
+        """scipy takes ~0.5 s to import and only fig4's quadratures need
+        it, so starting the CLI and resolving every artifact must leave
+        it unimported. A fresh interpreter, because this one has
+        imported scipy already."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys\n"
+            "import repro.harness.runner\n"
+            "from repro.harness import all_experiments\n"
+            "all_experiments()\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+        )}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestRunnerCli:

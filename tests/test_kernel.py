@@ -11,15 +11,17 @@ counts) against oracle-installed baselines. Plus the satellite
 invariants: memoized ``combined_intensity`` and the vectorized survival
 integral's exact agreement with the scalar closed forms.
 
-The cheap-trial layer is held to the same standard: the bucket-guided
-search must return ``np.searchsorted``'s index on fuzzed tables, the
-sliced sampler must match the oracle at trial counts on both sides of
-every slice edge, the guard chain and clamps that run only when a
-reduction finds work must keep the bits on inputs that take each of
-them, malformed tables must be refused with a typed error, plans must
-keep their source model, and the plan cache must evict least recently
-used first. Each ``(seed, trials)`` stream is drawn once, read-only,
-and shared by every plan and thread that draws at it.
+The cheap-trial layer is held to the same standard: the segment
+lookup must return the segment ``np.searchsorted`` selects on fuzzed
+tables (NaN included), flat nested plans must match the oracle at every
+outer boundary, the sliced sampler must match the oracle at trial counts
+on both sides of every slice edge, the guard chain and clamps that run
+only when a reduction finds work must keep the bits on inputs that take
+each of them, malformed tables must be refused with a typed error, plans
+must keep their source model, and the plan cache must evict least
+recently used first. Each ``(seed, trials)`` stream is drawn once,
+read-only, and shared by every plan and thread that draws at it, and
+lookups built by racing threads draw the oracle's bits.
 """
 
 import json
@@ -160,36 +162,38 @@ SLICE_EDGE_TRIALS = (1, _SLICE - 1, _SLICE, _SLICE + 1, 3 * _SLICE + 7)
 
 @st.composite
 def sorted_tables(draw):
-    """Sorted finite tables, 1 to thousands of entries.
+    """Sorted finite tables that start at 0, 2 to thousands of entries.
 
     Shapes: spread-out entries (breakpoints), runs of equal entries
-    (cumulative tables over zero-rate segments), tight clusters (most
-    entries in a few buckets), subnormal spans (the bucket scale
-    overflows) and spans over hundreds of decades (up to one that
-    overflows itself).
+    (cumulative tables over zero-rate segments), tight clusters (buckets
+    that hold many entries), subnormal spans (the bucket scale
+    overflows), spans over hundreds of decades and a single distinct
+    value. The first entry is 0.0 or -0.0.
     """
-    n = draw(st.integers(min_value=1, max_value=3000))
+    n = draw(st.integers(min_value=2, max_value=3000))
     shape = draw(
-        st.sampled_from(["spread", "runs", "clusters", "subnormal", "wide"])
+        st.sampled_from(
+            ["spread", "runs", "clusters", "subnormal", "wide", "single"]
+        )
     )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    origin = draw(st.sampled_from([0.0, 1.0, -3.5, 1e12]))
+    rest = n - 1
     if shape == "spread":
-        table = origin + np.cumsum(rng.exponential(size=n))
+        tail = np.cumsum(rng.exponential(size=rest))
     elif shape == "runs":
-        steps = rng.exponential(size=n) * (rng.random(n) < 0.5)
-        table = origin + np.cumsum(steps)
+        tail = np.cumsum(rng.exponential(size=rest) * (rng.random(rest) < 0.5))
     elif shape == "clusters":
         centers = rng.uniform(0.0, 1e6, size=max(1, n // 50))
-        table = origin + rng.choice(centers, n) + rng.uniform(0, 1e-6, n)
+        tail = rng.choice(centers, rest) + rng.uniform(0, 1e-6, rest)
     elif shape == "subnormal":
         step = float(draw(st.integers(1, 1000))) * 5e-324
-        table = np.cumsum(rng.integers(0, 3, size=n) * step)
+        tail = np.cumsum(rng.integers(0, 3, size=rest) * step)
+    elif shape == "wide":
+        tail = 10.0 ** rng.uniform(-308, 308, rest)
     else:
-        table = np.sign(rng.uniform(-1, 1, n)) * 10.0 ** rng.uniform(
-            -308, 308, n
-        )
-    return np.sort(table)
+        tail = np.zeros(rest)
+    first = draw(st.sampled_from([0.0, -0.0]))
+    return np.concatenate(([first], np.sort(tail)))
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +505,14 @@ class TestGatedPasses:
 
     def test_range_checks_refuse_the_same_inputs(self, paper_hazards):
         """NaN fails every comparison, so it neither trips a range check
-        nor hides an out-of-range element beside it."""
-        hazard = paper_hazards["gzip_fig6a"]
-        compiled = compile_intensity(hazard)
+        nor hides an out-of-range element beside it. Where no check
+        trips, NaN comes back with the hazard object's bits."""
+        for name in ("gzip_fig6a", "combined_sec54"):
+            hazard = paper_hazards[name]
+            self._check_range_refusals(hazard, compile_intensity(hazard))
+
+    @staticmethod
+    def _check_range_refusals(hazard, compiled):
         nan = float("nan")
         mass, period = hazard.mass, hazard.period
         extended = {
@@ -517,10 +526,20 @@ class TestGatedPasses:
             "cumulative": [[nan, -1.0], [period * 2, nan], [-5e-324]],
         }
         accepted = {
-            "invert_extended": [[5e-324], [mass * 1e6, 1.0]],
-            "cumulative_extended": [[-0.0], [0.0, period * 1e6]],
-            "invert": [[5e-324], [mass * (1 + _REL_TOL), mass]],
-            "cumulative": [[-0.0], [period * (1 + _REL_TOL), 0.0]],
+            "invert_extended": [
+                [5e-324], [mass * 1e6, 1.0], [nan], [mass * 0.5, nan, 1.0],
+            ],
+            "cumulative_extended": [
+                [-0.0], [0.0, period * 1e6], [nan], [nan, period * 2.5],
+            ],
+            "invert": [
+                [5e-324], [mass * (1 + _REL_TOL), mass], [nan],
+                [mass * 0.5, nan, mass],
+            ],
+            "cumulative": [
+                [-0.0], [period * (1 + _REL_TOL), 0.0], [nan],
+                [period * 0.5, nan, 0.0],
+            ],
         }
         for name in refused:
             reference = getattr(hazard, name)
@@ -536,61 +555,233 @@ class TestGatedPasses:
                 x = np.asarray(values)
                 np.testing.assert_array_equal(evaluate(x), reference(x))
 
+    @pytest.mark.parametrize(
+        "hazard",
+        [
+            # NaN ranks into the last segment: a positive rate keeps it
+            # NaN, a zero rate turns it into the segment's start.
+            PiecewiseHazard.from_segments([(1, 1), (1, 0), (1, 2)]),
+            PiecewiseHazard.from_segments([(1, 1), (1, 2), (1, 0)]),
+            NestedHazard(
+                [(2.0, PiecewiseHazard.from_segments([(0.5, 1), (0.5, 0)])),
+                 (1.0, 0.0)]
+            ),
+        ],
+        ids=["piecewise", "piecewise-idle-end", "nested-massless-end"],
+    )
+    def test_nan_queries_get_the_oracle_bits(self, hazard):
+        """The hazard objects pass NaN through every entry point, so the
+        compiled plans must too, instead of casting it to a bucket
+        index."""
+        compiled = compile_intensity(hazard)
+        x = np.asarray([0.5, np.nan])
+        for name in ("invert", "cumulative"):
+            np.testing.assert_array_equal(
+                getattr(compiled, name)(x), getattr(hazard, name)(x)
+            )
+        for name in ("invert_extended", "cumulative_extended"):
+            np.testing.assert_array_equal(
+                getattr(kernel_mod, f"_{name}")(compiled, x),
+                getattr(hazard, name)(x),
+            )
+        self._check_range_refusals(hazard, compiled)
+
 
 # ---------------------------------------------------------------------------
-# The bucket-guided search: np.searchsorted's index, exactly.
+# The segment lookup: np.searchsorted's segment, exactly.
 # ---------------------------------------------------------------------------
 
 
 def _queries(table, rng):
-    """Every entry, its float neighbours, 0, the extremes, and points
-    drawn between random pairs of entries."""
+    """Every entry, its float neighbours and points drawn between random
+    pairs of entries, all inside ``[table[0], table[-1]]``; 0, -0.0 and
+    NaN."""
     a, b = rng.choice(table, 256), rng.choice(table, 256)
     w = rng.random(256)
-    return np.concatenate(
+    x = np.concatenate(
         [
             table,
             np.nextafter(table, -np.inf),
             np.nextafter(table, np.inf),
-            [0.0, -1e308, 1e308, -5e-324, 5e-324],
             a * w + b * (1.0 - w),
         ]
     )
+    x = x[(x >= table[0]) & (x <= table[-1])]
+    return np.concatenate([x, [0.0, -0.0, np.nan]])
 
 
-class TestGuide:
-    @given(sorted_tables(), st.integers(0, 2**32 - 1))
+def _searchsorted_segment(table, x, side):
+    """The segment the hazard objects select: searchsorted's, shifted
+    and clipped. NaN ranks after every entry."""
+    return np.clip(np.searchsorted(table, x, side) - 1, 0, table.size - 2)
+
+
+class TestLookup:
+    @given(
+        st.lists(sorted_tables(), min_size=1, max_size=3),
+        st.integers(0, 2**32 - 1),
+    )
     @settings(max_examples=300, deadline=None)
-    def test_matches_searchsorted_both_sides(self, table, seed):
-        guide = kernel_mod._Guide(table)
-        queries = _queries(table, np.random.default_rng(seed))
+    def test_matches_searchsorted_both_sides(self, tables, seed):
+        """One table, or several ranked through one lookup with a table
+        index per query (a nested plan's inner tables)."""
+        rng = np.random.default_rng(seed)
+        lookup = kernel_mod._Lookup(tables)
+        offsets = np.cumsum([0] + [t.size for t in tables])
+        queries = [_queries(t, rng) for t in tables]
+        x = np.concatenate(queries)
+        which = np.repeat(np.arange(len(tables)), [q.size for q in queries])
+        order = rng.permutation(x.size)
+        x, which = x[order], which[order]
         for side in ("left", "right"):
-            np.testing.assert_array_equal(
-                guide.search(queries, side),
-                np.searchsorted(table, queries, side=side),
+            expected = np.empty(x.size, dtype=np.intp)
+            for j, table in enumerate(tables):
+                mine = which == j
+                expected[mine] = offsets[j] + _searchsorted_segment(
+                    table, x[mine], side
+                )
+            got = lookup.segments(
+                x, side, None if len(tables) == 1 else which
             )
+            np.testing.assert_array_equal(got, expected)
 
-    def test_table_is_a_view_of_the_padded_buffer(self):
-        table = np.asarray([0.0, 1.0, 1.0, 4.0])
-        guide = kernel_mod._Guide(table)
-        np.testing.assert_array_equal(guide.table, table)
-        assert guide.table.base is not None
-        assert guide.table.base.size > table.size
+    def test_paper_tables_take_one_probe(self, paper_hazards):
+        """The zero-phase hot path: gzip's cumulative table gets at most
+        one distinct entry per bucket from at most 4 buckets per entry,
+        so every query costs one probe."""
+        compiled = compile_intensity(paper_hazards["gzip_fig6a"])
+        lookup = compiled._lookup("cum")
+        distinct = np.unique(compiled.cum).size
+        assert lookup._steps == (1,)
+        assert lookup._starts.size <= 4 * distinct + 1
+        u = np.linspace(compiled.mass * 1e-6, compiled.mass, 10_001)
+        np.testing.assert_array_equal(
+            lookup.segments(u, "left"),
+            _searchsorted_segment(compiled.cum, u, "left"),
+        )
 
     def test_subnormal_span_falls_back_to_one_bucket(self):
         table = np.asarray([0.0, 5e-324, 1e-323])
-        guide = kernel_mod._Guide(table)
-        queries = np.asarray([0.0, 5e-324, 1e-323, 1.0, -1.0])
+        lookup = kernel_mod._Lookup([table])
+        assert lookup._starts.size == 1
+        queries = np.asarray([0.0, -0.0, 5e-324, 1e-323, np.nan])
         for side in ("left", "right"):
             np.testing.assert_array_equal(
-                guide.search(queries, side),
-                np.searchsorted(table, queries, side=side),
+                lookup.segments(queries, side),
+                _searchsorted_segment(table, queries, side),
             )
 
     def test_scalar_queries(self):
-        guide = kernel_mod._Guide(np.asarray([0.0, 1.0, 2.0]))
-        assert guide.search(np.float64(1.0), "right") == 2
-        assert np.shape(guide.search(np.float64(1.0), "left")) == ()
+        lookup = kernel_mod._Lookup([np.asarray([0.0, 1.0, 2.0])])
+        assert lookup.segments(np.float64(1.0), "right") == 1
+        assert np.shape(lookup.segments(np.float64(1.0), "left")) == ()
+        assert lookup.segments(np.float64(np.nan), "left") == 1
+
+
+# ---------------------------------------------------------------------------
+# Flat nested plans: per-element outer constants, one inner lookup.
+# ---------------------------------------------------------------------------
+
+
+def _around(values):
+    """Each value and its float neighbours on both sides."""
+    return np.concatenate(
+        [values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)]
+    )
+
+
+@pytest.fixture
+def massless_nested():
+    """Two inner tables around a segment that accrues no hazard, and a
+    massless last segment (where NaN ranks). At its full mass the second
+    inner table's division overshoots its period by an ulp, which the
+    inner clamp takes back."""
+    inner_a = PiecewiseHazard.from_segments(
+        [(0.25, 2.0), (0.5, 0.0), (0.25, 1.0)]
+    )
+    inner_b = PiecewiseHazard.from_segments([(8.55, 4.38), (8.61, 2.36)])
+    return NestedHazard(
+        [(2.6, inner_a), (1.5, 0.0), (60.0, inner_b), (0.5, 0.0)]
+    )
+
+
+class TestFlatNested:
+    """Every element still sees the hazard object's operations, so the
+    outer boundaries, where an element changes segment, and the inner
+    boundaries of each segment's repetitions keep the oracle's bits."""
+
+    def test_outer_boundaries_match_the_oracle(
+        self, massless_nested, paper_hazards
+    ):
+        for hazard in (massless_nested, paper_hazards["combined_sec54"]):
+            compiled = compile_intensity(hazard)
+            tau = _around(compiled.starts)
+            tau = tau[(tau >= 0) & (tau <= hazard.period)]
+            np.testing.assert_array_equal(
+                compiled.cumulative(tau), hazard.cumulative(tau)
+            )
+            u = _around(compiled.cum_mass)
+            u = u[(u > 0) & (u <= hazard.mass)]
+            np.testing.assert_array_equal(
+                compiled.invert(u), hazard.invert(u)
+            )
+            # The same boundaries one and three periods on.
+            for periods in (1, 3):
+                np.testing.assert_array_equal(
+                    kernel_mod._cumulative_extended(
+                        compiled, tau + periods * hazard.period
+                    ),
+                    hazard.cumulative_extended(tau + periods * hazard.period),
+                )
+                np.testing.assert_array_equal(
+                    kernel_mod._invert_extended(
+                        compiled, u + periods * hazard.mass
+                    ),
+                    hazard.invert_extended(u + periods * hazard.mass),
+                )
+
+    def test_inner_boundaries_match_the_oracle(self, massless_nested):
+        hazard = massless_nested
+        compiled = compile_intensity(hazard)
+        tau, u = [], []
+        for j, (_duration, inner) in enumerate(hazard.segments):
+            reps = np.arange(4.0)[:, None]
+            tau.append(
+                compiled.starts[j] + reps * inner.period + inner.breakpoints
+            )
+            u.append(compiled.cum_mass[j] + reps * inner.mass + inner._cum)
+        tau = _around(np.concatenate(tau, axis=None))
+        tau = tau[(tau >= 0) & (tau <= hazard.period)]
+        u = _around(np.concatenate(u, axis=None))
+        u = u[(u > 0) & (u <= hazard.mass)]
+        np.testing.assert_array_equal(
+            compiled.cumulative(tau), hazard.cumulative(tau)
+        )
+        np.testing.assert_array_equal(compiled.invert(u), hazard.invert(u))
+
+    def test_scalar_inputs(self, massless_nested, day_profile):
+        piecewise = day_profile.to_hazard(2.0 / SECONDS_PER_DAY)
+        for hazard in (massless_nested, piecewise):
+            compiled = compile_intensity(hazard)
+            for name, x in (
+                ("cumulative", hazard.period / 3),
+                ("invert", hazard.mass / 3),
+                ("invert", float(np.float32(hazard.mass))),
+            ):
+                got = getattr(compiled, name)(x)
+                assert np.ndim(got) == 0
+                assert got == getattr(hazard, name)(x)
+
+    def test_inner_tables_are_views_of_the_flat_tables(self, nested_system):
+        compiled = plan_for_system(nested_system).intensity
+        hazard = nested_system.combined_intensity()
+        for inner, (_duration, source) in zip(
+            compiled.inners, hazard.segments
+        ):
+            np.testing.assert_array_equal(inner.bp, source.breakpoints)
+            np.testing.assert_array_equal(inner.rates, source.rates)
+            np.testing.assert_array_equal(inner.cum, source._cum)
+            assert inner.bp.base is not None
 
 
 # ---------------------------------------------------------------------------
@@ -914,6 +1105,60 @@ class TestStreams:
         assert failures == []
         assert len(sizes) == 8 * 12
         assert max(sizes) <= kernel_mod._STREAMS.cap
+
+    def test_lookups_built_under_contention_match_the_oracle(
+        self, paper_hazards
+    ):
+        """8 threads on 2 cores draw from fresh plans in both phases, so
+        every lookup (cumulative, breakpoint, outer and inner) is built
+        by threads racing for it."""
+        configs = [
+            _config(trials=_SLICE + 5, seed=4, start_phase=phase)
+            for phase in ("zero", "random")
+        ]
+        hazards = list(paper_hazards.values())
+        expected = {
+            (i, j): oracle.inverse_samples(
+                hazard, config, np.random.default_rng(config.seed)
+            )
+            for i, hazard in enumerate(hazards)
+            for j, config in enumerate(configs)
+        }
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _round in range(3):
+                compiled = [compile_intensity(h) for h in hazards]
+                start = threading.Barrier(8)
+                failures = []
+
+                def draw(worker, compiled=compiled, start=start,
+                         failures=failures):
+                    try:
+                        start.wait(timeout=60)
+                        for step in range(3):
+                            i = (worker + step) % len(hazards)
+                            j = (worker // 3 + step) % 2
+                            got = kernel_mod.inverse_ttf(
+                                compiled[i], configs[j]
+                            )
+                            if not np.array_equal(got, expected[i, j]):
+                                failures.append((worker, step))
+                    except Exception as error:  # reported below
+                        failures.append(error)
+
+                threads = [
+                    threading.Thread(target=draw, args=(worker,))
+                    for worker in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                assert failures == []
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------
