@@ -95,7 +95,6 @@ from .masking import (
     PiecewiseProfile,
     busy_idle_profile,
     from_cycle_mask,
-    profile_from_dict,
 )
 from .reliability import FailureProcess, MTTFEstimate
 from .ser import ComponentErrorModel, component_rate_per_second
@@ -145,7 +144,6 @@ __all__ = [
     "PiecewiseProfile",
     "busy_idle_profile",
     "from_cycle_mask",
-    "profile_from_dict",
     "FailureProcess",
     "MTTFEstimate",
     "ComponentErrorModel",

@@ -15,20 +15,15 @@ the apparatus to compare them:
 * :mod:`~repro.core.softarch` — the SoftArch probabilistic method;
 * :mod:`~repro.core.comparison` — discrepancy measurement;
 * :mod:`~repro.core.validity` — the λ·L validity advisor encoding the
-  paper's conclusions;
-* :mod:`~repro.core.designspace` — the Table-2 sweep engine.
+  paper's conclusions.
+
+Design-space sweeps run through the batch engine
+(:func:`repro.methods.evaluate_design_space`); ``core`` imports nothing
+from :mod:`repro.methods`.
 """
 
 from .avf import avf_mttf, avf_step, derated_failure_rate
 from .comparison import MethodComparison
-from .designspace import (
-    DesignPoint,
-    SweepOutcome,
-    SweepResult,
-    component_sweep,
-    system_sweep,
-    table2_points,
-)
 from .firstprinciples import (
     exact_component_mttf,
     exact_component_process,
@@ -74,12 +69,6 @@ __all__ = [
     "avf_step",
     "derated_failure_rate",
     "MethodComparison",
-    "DesignPoint",
-    "SweepOutcome",
-    "SweepResult",
-    "component_sweep",
-    "system_sweep",
-    "table2_points",
     "exact_component_mttf",
     "exact_component_process",
     "exact_system_process",

@@ -3,8 +3,9 @@
 Every results section of the paper reports the *relative error* of an
 estimation method against the Monte-Carlo (or, equivalently, exact
 first-principles) MTTF. A :class:`MethodComparison` holds one system's
-method MTTFs and their errors, ready for the experiment tables;
-``repro.analyze(system).comparison()`` builds one.
+method MTTFs and their errors, ready for the experiment tables; the
+batch engine (``repro.evaluate_design_space``, and
+``repro.analyze(system).run()`` through it) builds one per system.
 """
 
 from __future__ import annotations

@@ -414,6 +414,13 @@ class CompiledPiecewise(_Compiled):
                 f"{self.bp.size} breakpoints, {self.rates.size} rates, "
                 f"{self.cum.size} cumulative entries"
             )
+        # The inversion divides by the rate of the segment a query
+        # selects; only a segment that accrues hazard can be selected.
+        if np.any((self.rates == 0) & (self.cum[1:] != self.cum[:-1])):
+            raise ConfigurationError(
+                "compiled piecewise tables are inconsistent: a zero-rate "
+                "segment accrues hazard in 'cum'"
+            )
         self.period = float(self.bp[-1])
         self.mass = float(self.cum[-1])
         self._lookups: dict[str, _Lookup] = {}
@@ -439,13 +446,9 @@ class CompiledPiecewise(_Compiled):
 
     def _invert(self, u: np.ndarray) -> np.ndarray:
         idx = self._lookup("cum").segments(u, "left")
-        rate = self.rates[idx]
         frac = self.cum[idx]
         np.subtract(u, frac, out=frac)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac /= rate
-        if not _least(rate) > 0:
-            frac = np.where(rate > 0, frac, 0.0)
+        frac /= self.rates[idx]
         out = self.bp[idx]
         out += frac
         if not _greatest(out) <= self.period:
@@ -469,7 +472,7 @@ class CompiledNested(_Compiled):
     __slots__ = (
         "starts", "durations", "cum_mass", "period", "mass",
         "_bp", "_rates", "_cum", "_ends", "_inner_period", "_inner_mass",
-        "_massless", "_lookups",
+        "_lookups",
     )
 
     kind = "nested"
@@ -511,7 +514,6 @@ class CompiledNested(_Compiled):
         self._ends = np.cumsum([inner.bp.size for inner in inners])[:-1]
         self._inner_period = np.asarray([inner.period for inner in inners])
         self._inner_mass = np.asarray([inner.mass for inner in inners])
-        self._massless = not np.all(self._inner_mass > 0)
         self._lookups: dict[str, _Lookup] = {}
 
     @classmethod
@@ -570,28 +572,18 @@ class CompiledNested(_Compiled):
         period = self._inner_period.take(seg)
         rem = self.cum_mass.take(seg)
         np.subtract(u, rem, out=rem)
-        with np.errstate(divide="ignore", invalid="ignore"):  # mass 0
-            k, rem = _periods(rem, mass)
+        k, rem = _periods(rem, mass)
         _wrap(k, rem, mass)
         k *= period
         k += self.starts.take(seg)
         idx = self._lookup("_cum").segments(rem, "left", seg)
-        rate = self._rates.take(idx)
         frac = self._cum.take(idx)
         np.subtract(rem, frac, out=frac)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac /= rate
-        if not _least(rate) > 0:
-            frac = np.where(rate > 0, frac, 0.0)
+        frac /= self._rates.take(idx)
         inner = self._bp.take(idx)
         inner += frac
         np.minimum(inner, period, out=inner)
         k += inner
-        if self._massless:
-            # Only NaN, which ranks into the last segment, reaches a
-            # segment that accrues no hazard; there the hazard object
-            # returns the segment's start.
-            np.copyto(k, self.starts.take(seg), where=mass <= 0)
         if not _greatest(k) <= self.period:
             np.minimum(k, self.period, out=k)
         return k

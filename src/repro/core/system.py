@@ -10,8 +10,6 @@ homogeneous cluster) without enumerating them.
 from __future__ import annotations
 
 import hashlib
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,69 +21,6 @@ from ..reliability.hazard import (
     PiecewiseHazard,
     merge_piecewise,
 )
-
-
-def wire_fields(data, what: str, *keys: str) -> list:
-    """The ``keys`` of wire dict ``data``, or a typed refusal."""
-    if not isinstance(data, dict):
-        raise ConfigurationError(
-            f"{what} wire form must be a dict, got {type(data).__name__}"
-        )
-    try:
-        return [data[key] for key in keys]
-    except KeyError as missing:
-        raise ConfigurationError(
-            f"{what} wire form is missing {missing}"
-        ) from None
-
-
-def reject_unknown(data, allowed, what: str) -> None:
-    """Refuse wire dict ``data`` if it has a key outside ``allowed``.
-
-    A misspelled optional key (``"multiplicty"``) would otherwise decode
-    silently as its default.
-    """
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{what} wire form must be a dict")
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {what} fields {sorted(unknown, key=str)}; "
-            f"allowed: {sorted(allowed)}"
-        )
-
-
-def wire_str(value, what: str) -> str:
-    """A wire form's string field: a ``str``, never coerced."""
-    if not isinstance(value, str):
-        raise ConfigurationError(f"{what} must be a string, got {value!r}")
-    return value
-
-
-def wire_int(value, what: str) -> int:
-    """A wire form's integer field: an int, never a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
-def wire_float(value, what: str) -> float:
-    """A wire form's real field: a finite number, never a bool."""
-    try:
-        finite = math.isfinite(value)
-    except (TypeError, OverflowError):  # not a number; an int past float
-        finite = False
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Real) and finite
-    ):
-        raise ConfigurationError(
-            f"{what} must be a finite number, got {value!r}"
-        )
-    return float(value)
-
-
-#: Keys of the component wire form (``multiplicity`` is optional).
-_COMPONENT_FIELDS = ("name", "rate_per_second", "profile", "multiplicity")
 
 
 @dataclass(frozen=True)
@@ -145,44 +80,6 @@ class Component:
         digest.update(float(self.rate_per_second).hex().encode("ascii"))
         return digest.hexdigest()
 
-    def to_dict(self) -> dict:
-        """Lossless plain-dict wire form (inverse of :meth:`from_dict`).
-
-        The profile serializes through
-        :meth:`~repro.masking.profile.VulnerabilityProfile.to_dict`, so
-        the round trip preserves :attr:`content_fingerprint` exactly —
-        a model rebuilt from this form hits the same content-addressed
-        cache entries as the original object.
-        """
-        return {
-            "name": self.name,
-            "rate_per_second": float(self.rate_per_second),
-            "profile": self.profile.to_dict(),
-            "multiplicity": self.multiplicity,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Component":
-        """Rebuild a component from its :meth:`to_dict` form.
-
-        Malformed input raises :class:`ConfigurationError` (a bad
-        profile, :class:`~repro.errors.ProfileError`).
-        """
-        from ..masking.profile import profile_from_dict
-
-        name, rate, profile = wire_fields(
-            data, "component", "name", "rate_per_second", "profile"
-        )
-        reject_unknown(data, _COMPONENT_FIELDS, "component")
-        return cls(
-            name=wire_str(name, "component name"),
-            rate_per_second=wire_float(rate, "rate_per_second"),
-            profile=profile_from_dict(profile),
-            multiplicity=wire_int(
-                data.get("multiplicity", 1), "multiplicity"
-            ),
-        )
-
     @property
     def lambda_l(self) -> float:
         """The paper's validity parameter ``lambda * L`` for this component.
@@ -197,10 +94,6 @@ class Component:
     @property
     def avf(self) -> float:
         return self.profile.avf
-
-
-#: Schema tag embedded in every serialized SystemModel.
-SYSTEM_SCHEMA = "repro.system/v1"
 
 
 class SystemModel:
@@ -255,42 +148,6 @@ class SystemModel:
             fp = digest.hexdigest()
             self._fingerprint = fp
         return fp
-
-    def to_dict(self) -> dict:
-        """Lossless plain-dict wire form (inverse of :meth:`from_dict`).
-
-        The ``repro.system/v1`` document:
-        ``from_dict(to_dict(m)).content_fingerprint ==
-        m.content_fingerprint``, so the estimate caches treat a model
-        loaded from this form and its original as the same content.
-        """
-        return {
-            "schema": SYSTEM_SCHEMA,
-            "components": [c.to_dict() for c in self._components],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SystemModel":
-        """Rebuild a system from its :meth:`to_dict` form.
-
-        Malformed input raises a typed :class:`~repro.errors.ReproError`.
-        """
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"system wire form must be a dict, got {type(data).__name__}"
-            )
-        if data.get("schema") != SYSTEM_SCHEMA:
-            raise ConfigurationError(
-                f"not a {SYSTEM_SCHEMA} document "
-                f"(schema={data.get('schema')!r})"
-            )
-        reject_unknown(data, ("schema", "components"), "system")
-        components = data.get("components")
-        if not isinstance(components, list):
-            raise ConfigurationError(
-                "system wire form needs a 'components' list"
-            )
-        return cls([Component.from_dict(c) for c in components])
 
     def combined_intensity(self) -> CyclicIntensity:
         """Superposed failure intensity of the whole series system.

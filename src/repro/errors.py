@@ -30,7 +30,3 @@ class SimulationError(ReproError):
 
 class EstimationError(ReproError):
     """A reliability estimate could not be computed (e.g. no failures)."""
-
-
-class DesignSpaceError(ReproError):
-    """A design-space sweep was given an invalid specification."""

@@ -47,7 +47,6 @@ class EngineOptions:
     trials: int | None = None
     workers: int | str = 1
     cache_dir: str | os.PathLike | None = None
-    progress: Callable | None = None
     methods: tuple[str, ...] | None = None
     reference: str | None = None
     cache_path: Path | None = field(init=False, repr=False)
@@ -79,11 +78,7 @@ class EngineOptions:
 
     def kwargs(self) -> dict:
         """Engine keyword arguments for ``evaluate_design_space``."""
-        return dict(
-            workers=self.workers,
-            cache=self.cache,
-            progress=self.progress,
-        )
+        return dict(workers=self.workers, cache=self.cache)
 
 
 @dataclass

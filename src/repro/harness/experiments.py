@@ -8,10 +8,11 @@ same memoization, fan-out, and serializable ``result_set`` machinery.
 
 Each takes one :class:`~repro.harness.experiment.EngineOptions` as its
 first argument, and nothing else about the engine. It carries the
-runner's knobs: trials (via ``engine.mc(seed)``), ``--workers``,
-``--progress`` and the invocation's one estimate cache (via
-``engine.kwargs()``). The remaining keyword arguments are the
-artifact's own grid.
+runner's knobs: trials (via ``engine.mc(seed)``), ``--workers`` and
+the invocation's one estimate cache (via ``engine.kwargs()``). The
+remaining keyword arguments are the artifact's own grid; the grid
+sweeps (table2's corner, fig5, fig6a, fig6b and sec5.4) build it with
+:func:`_grid`.
 
 Defaults are sized to finish in seconds; the paper-scale knobs
 (Monte-Carlo trials, SPEC window) are environment variables:
@@ -33,7 +34,6 @@ import zlib
 from ..analytical.busy_idle import figure3_curves
 from ..analytical.sofr_halfnormal import figure4_curve
 from ..core.comparison import MethodComparison
-from ..core.designspace import component_sweep, system_sweep, table2_points
 from ..core.montecarlo import MonteCarloConfig
 from ..core.system import Component, SystemModel
 from ..methods import ResultSet, canonical_name, evaluate_design_space
@@ -68,6 +68,42 @@ COMBINED_PAIR = ("gzip", "swim")
 def _bench_seed(bench: str) -> int:
     """Stable per-benchmark seed (``hash(str)`` is process-randomized)."""
     return zlib.crc32(bench.encode("utf-8"))
+
+
+def _grid(
+    workloads: dict[str, VulnerabilityProfile],
+    n_times_s_values: tuple[float, ...],
+    component_counts: tuple[int, ...] = (1,),
+) -> tuple[list[tuple[str, SystemModel]], list[tuple[str, float, int]]]:
+    """The (workload x N x S x C) grid as labelled homogeneous systems.
+
+    Each point is ``C`` copies of one component at the raw rate of
+    ``N x S`` elements (only the product matters for one component,
+    Section 5.2), labelled ``"<workload>/NxS=<N x S>/C=<C>"``. Returns
+    the ``(label, system)`` space in workload, N x S, C order and the
+    matching ``(workload, N x S, C)`` keys.
+    """
+    space: list[tuple[str, SystemModel]] = []
+    keys: list[tuple[str, float, int]] = []
+    for name, profile in workloads.items():
+        for n_times_s in n_times_s_values:
+            rate = component_rate_per_second(n_times_s, 1.0)
+            for c_count in component_counts:
+                space.append(
+                    (
+                        f"{name}/NxS={n_times_s:g}/C={c_count}",
+                        SystemModel(
+                            [
+                                Component(
+                                    name, rate, profile,
+                                    multiplicity=c_count,
+                                )
+                            ]
+                        ),
+                    )
+                )
+                keys.append((name, n_times_s, c_count))
+    return space, keys
 
 
 def _synthesized_workloads(
@@ -161,25 +197,17 @@ def run_table2(engine: EngineOptions):
         f"SPEC fp ({len(SPEC_FP_NAMES)}), SPEC int ({len(SPEC_INT_NAMES)}), "
         "day, week, combined",
     )
-    points = table2_points(
-        ["spec_int", "spec_fp", "day", "week", "combined"]
+    # The five workload families of the row above, over every N, S, C.
+    points = 5 * (
+        len(TABLE2_ELEMENT_COUNTS)
+        * len(TABLE2_SCALING_FACTORS)
+        * len(TABLE2_COMPONENT_COUNTS)
     )
     # Evaluate a representative closed-form corner of the grid through
     # the batch engine, demonstrating the space is not merely enumerable.
-    workloads = {"day": day_workload(), "week": week_workload()}
-    space = []
-    for name, profile in workloads.items():
-        rate = component_rate_per_second(1e8, 1.0)
-        for c_count in (2, 5000):
-            space.append(
-                (
-                    f"{name}/NxS=1e+08/C={c_count}",
-                    SystemModel(
-                        [Component(name, rate, profile,
-                                   multiplicity=c_count)]
-                    ),
-                )
-            )
+    space, _ = _grid(
+        {"day": day_workload(), "week": week_workload()}, (1e8,), (2, 5000)
+    )
     result_set = evaluate_design_space(
         space,
         methods=["avf_sofr"],
@@ -192,7 +220,7 @@ def run_table2(engine: EngineOptions):
         paper_claim="N in 1e5..1e9, S in 1..5000, C in 2..500000, "
         "SPEC + day/week/combined workloads.",
         tables=[table],
-        headline=f"{len(points)} design points enumerable "
+        headline=f"{points} design points enumerable "
         "(5 N x 5 S x 5 C x 5 workload families); "
         f"{len(space)}-point representative corner evaluated",
         result_set=result_set,
@@ -527,10 +555,12 @@ def run_fig5(
     n_times_s_values: tuple[float, ...] = (1e8, 1e9, 1e10, 1e11, 1e12),
 ):
     workloads = _synthesized_workloads()
-    results = component_sweep(
-        workloads,
-        n_times_s_values,
-        engine.mc(),
+    space, keys = _grid(workloads, n_times_s_values)
+    result_set = evaluate_design_space(
+        space,
+        methods=["avf", "first_principles"],
+        reference="monte_carlo",
+        mc_config=engine.mc(),
         **engine.kwargs(),
     )
     table = Table(
@@ -538,26 +568,25 @@ def run_fig5(
         ["workload", "N x S", "MC MTTF (y)", "AVF MTTF (y)", "error"],
     )
     series: dict[str, list[float]] = {name: [] for name in workloads}
-    for res in results:
-        error = res.avf_error
+    errors = []
+    for (name, n_times_s, _), comparison in zip(keys, result_set):
+        error = comparison.error("avf")
         table.add_row(
-            res.point.workload,
-            f"{res.point.n_times_s:g}",
-            res.monte_carlo_mttf / SECONDS_PER_YEAR,
-            res.avf_mttf / SECONDS_PER_YEAR,
+            name,
+            f"{n_times_s:g}",
+            comparison.reference.mttf_seconds / SECONDS_PER_YEAR,
+            comparison.estimates["avf"].mttf_seconds / SECONDS_PER_YEAR,
             percent(error),
         )
-        series[res.point.workload].append(error)
+        series[name].append(error)
+        errors.append((n_times_s, error))
     figure = render_series(
         "Figure 5 (reproduced): signed AVF error vs Monte Carlo",
         [f"{v:g}" for v in n_times_s_values],
         series,
     )
-    peak = max((abs(r.avf_error) for r in results), default=0.0)
-    big = [
-        r for r in results
-        if r.point.n_times_s >= 1e9 and abs(r.avf_error) > 0.01
-    ]
+    peak = max((abs(e) for _, e in errors), default=0.0)
+    big = [e for n, e in errors if n >= 1e9 and abs(e) > 0.01]
     return ExperimentResult(
         artifact="fig5",
         title="AVF-step error on day/week/combined across N x S",
@@ -567,7 +596,7 @@ def run_fig5(
         figures=[figure],
         headline=f"peak |error| {peak:.0%}; {len(big)} points with "
         ">1% error at N x S >= 1e9",
-        result_set=results.result_set,
+        result_set=result_set,
     )
 
 
@@ -586,11 +615,12 @@ def run_fig6a(
         bench: processor_profile(bench, dilate_to_paper_window=True)
         for bench in benchmarks
     }
-    results = system_sweep(
-        workloads,
-        n_times_s_values,
-        component_counts,
-        engine.mc(),
+    space, keys = _grid(workloads, n_times_s_values, component_counts)
+    result_set = evaluate_design_space(
+        space,
+        methods=["sofr_only", "first_principles"],
+        reference="monte_carlo",
+        mc_config=engine.mc(),
         **engine.kwargs(),
     )
     table = Table(
@@ -601,18 +631,19 @@ def run_fig6a(
     )
     worst = 0.0
     safe_worst = 0.0
-    for res in results:
-        error = res.sofr_error
+    for (name, n_times_s, c_count), comparison in zip(keys, result_set):
+        error = comparison.error("sofr_only")
         table.add_row(
-            res.point.workload,
-            f"{res.point.n_times_s:g}",
-            res.point.components,
-            res.monte_carlo_mttf / SECONDS_PER_YEAR,
-            res.sofr_only_mttf / SECONDS_PER_YEAR,
+            name,
+            f"{n_times_s:g}",
+            c_count,
+            comparison.reference.mttf_seconds / SECONDS_PER_YEAR,
+            comparison.estimates["sofr_only"].mttf_seconds
+            / SECONDS_PER_YEAR,
             percent(error),
         )
         worst = max(worst, abs(error))
-        if res.point.components <= 8:
+        if c_count <= 8:
             safe_worst = max(safe_worst, abs(error))
     return ExperimentResult(
         artifact="fig6a",
@@ -627,7 +658,7 @@ def run_fig6a(
             "loop; the dimensionless hazard mass matches the paper's "
             "points (see DESIGN.md)."
         ],
-        result_set=results.result_set,
+        result_set=result_set,
     )
 
 
@@ -643,26 +674,7 @@ def run_fig6b(
         ["workload", "N x S", "C", "MC MTTF (d)", "SOFR MTTF (d)",
          "error (zero phase)", "error (random phase)"],
     )
-    space: list[tuple[str, SystemModel]] = []
-    meta: list[tuple[str, float, int]] = []
-    for name, profile in workloads.items():
-        for n_times_s in n_times_s_values:
-            rate = component_rate_per_second(n_times_s, 1.0)
-            for c_count in component_counts:
-                space.append(
-                    (
-                        f"{name}/NxS={n_times_s:g}/C={c_count}",
-                        SystemModel(
-                            [
-                                Component(
-                                    name, rate, profile,
-                                    multiplicity=c_count,
-                                )
-                            ]
-                        ),
-                    )
-                )
-                meta.append((name, n_times_s, c_count))
+    space, keys = _grid(workloads, n_times_s_values, component_counts)
     # Zero-phase pass: the SOFR step (fed zero-phase MC component MTTFs,
     # memoized once per distinct component across every C) against the
     # zero-phase Monte-Carlo reference.
@@ -687,7 +699,7 @@ def run_fig6b(
     )
     key_points: dict = {}
     for (name, n_times_s, c_count), zero_cmp, random_cmp in zip(
-        meta, zero_set, random_set
+        keys, zero_set, random_set
     ):
         sofr = zero_cmp.estimates["sofr_only"].mttf_seconds
         mc_zero = zero_cmp.reference.mttf_seconds
@@ -824,27 +836,9 @@ def run_sec54(
         bench: processor_profile(bench, dilate_to_paper_window=True)
         for bench in REPRESENTATIVE_SPEC
     }
-    all_workloads = {**workloads, **spec_profiles}
-    space: list[tuple[str, SystemModel]] = []
-    meta: list[tuple[str, float, int]] = []
-    for name, profile in all_workloads.items():
-        for n_times_s in n_times_s_values:
-            rate = component_rate_per_second(n_times_s, 1.0)
-            for c_count in component_counts:
-                space.append(
-                    (
-                        f"{name}/NxS={n_times_s:g}/C={c_count}",
-                        SystemModel(
-                            [
-                                Component(
-                                    name, rate, profile,
-                                    multiplicity=c_count,
-                                )
-                            ]
-                        ),
-                    )
-                )
-                meta.append((name, n_times_s, c_count))
+    space, keys = _grid(
+        {**workloads, **spec_profiles}, n_times_s_values, component_counts
+    )
     result_set = evaluate_design_space(
         space,
         methods=["softarch", "first_principles"],
@@ -858,7 +852,7 @@ def run_sec54(
          "SoftArch vs MC (sigma)"],
     )
     worst_exact = 0.0
-    for (name, n_times_s, c_count), comparison in zip(meta, result_set):
+    for (name, n_times_s, c_count), comparison in zip(keys, result_set):
         sa = comparison.estimates["softarch"].mttf_seconds
         exact = comparison.estimates["first_principles"].mttf_seconds
         vs_exact = signed_relative_error(sa, exact)

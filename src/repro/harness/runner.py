@@ -9,7 +9,6 @@ Usage::
     repro-experiments compare --method avf_sofr --method hybrid \\
         --reference exact --json compare.json
     repro-experiments fig5 --workers 8 --cache-dir ~/.cache/repro
-    repro-experiments fig5 --trials 1000000 --progress
 
 ``--json`` writes the machine-readable
 :class:`~repro.methods.results.ResultSet` behind the run (loadable with
@@ -19,9 +18,8 @@ sets (e.g. ``compare``). ``--workers`` sets the batch engine's thread
 pool width (``--workers auto``, the default, is the cpu count; numbers
 never depend on it), and ``--cache-dir`` persists every estimate in a
 content-addressed on-disk cache so repeated invocations skip
-re-estimation entirely. ``--progress`` streams per-point progress
-lines to stderr. The flags and artifact names are checked before any
-work: the flags become one
+re-estimation entirely. The flags and artifact names are checked
+before any work: the flags become one
 :class:`~repro.harness.experiment.EngineOptions` (a refused flag or
 ``$REPRO_MC_TRIALS`` value exits 2 with one line), and its one
 estimate cache serves every artifact of the invocation.
@@ -52,39 +50,6 @@ def parse_workers(text: str) -> int | str:
         raise ConfigurationError(
             f"bad --workers value {text!r}: expected an integer or 'auto'"
         ) from None
-
-
-class ProgressReporter:
-    """Prints the engine's per-point progress events to stderr.
-
-    One line per event, prefixed so sweeps driven by schedulers/tmux
-    stay greppable::
-
-        [progress] day/NxS=1e+10 start
-        [progress] day/NxS=1e+10 done trials=100000
-        [progress] day/NxS=1e+10 method avf done trials=0
-    """
-
-    def __init__(self, stream=None) -> None:
-        self.stream = stream if stream is not None else sys.stderr
-        self.events = 0
-
-    def __call__(self, event) -> None:
-        self.events += 1
-        parts = [f"[progress] {event.label}"]
-        if event.kind == "point-start":
-            parts.append("start")
-        elif event.kind == "method-start":
-            parts.append(f"method {event.method} start")
-        elif event.kind == "method-done":
-            parts.append(f"method {event.method} done")
-            parts.append(f"trials={event.trials}")
-        else:
-            parts.append("done")
-            parts.append(f"trials={event.trials}")
-        if event.cached:
-            parts.append("(cached)")
-        print(" ".join(parts), file=self.stream)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -146,11 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="Monte-Carlo sampler: 'numpy' (compiled plans), the only one",
     )
     parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="stream per-point progress lines to stderr",
-    )
-    parser.add_argument(
         "--cache-dir",
         metavar="PATH",
         default=None,
@@ -197,7 +157,6 @@ def main(argv: list[str] | None = None) -> int:
             trials=args.trials,
             workers=parse_workers(args.workers),
             cache_dir=args.cache_dir,
-            progress=ProgressReporter() if args.progress else None,
             methods=tuple(args.methods) if args.methods else None,
             reference=args.reference,
         )

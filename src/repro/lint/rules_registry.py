@@ -1,21 +1,17 @@
 """R1 — registry/documentation consistency rules.
 
 The repo's registries are its public vocabulary: estimation methods
-(``@register_method``), progress-event kinds (``methods/progress.py``),
-and the wire-schema tags every protocol speaks. DESIGN.md and ``docs/`` promise that each
-vocabulary is documented in full; these rules make the promise a
-static check by cross-referencing the AST of the scanned sources
-against the doc texts — generalizing the ad-hoc guards that used to
-live in ``tests/test_docs_consistency.py`` (which is now a thin
+(``@register_method``) and the wire-schema tags every artifact speaks.
+DESIGN.md and ``docs/`` promise that each vocabulary is documented in
+full; these rules make the promise a static check by cross-referencing
+the AST of the scanned sources against the doc texts — generalizing
+the ad-hoc guards that used to live in
+``tests/test_docs_consistency.py`` (which is now a thin
 ``repro-lint --rules R1`` invocation).
 
 * ``R100`` — the referenced documentation files exist at all;
 * ``R101`` — every registered method name appears in DESIGN.md *and*
   README.md;
-* ``R103`` — every progress-event kind is in DESIGN.md's vocabulary
-  table (backticked) and in the progress module's docstrings;
-* ``R105`` — every progress-event constant is actually used by the
-  batch engine (a stale constant documents a kind nothing emits);
 * ``R106`` — every wire-schema tag (``*_SCHEMA = "repro.<x>/v<n>"``)
   appears in the documentation set.
 
@@ -93,54 +89,6 @@ def registered_methods(project: "Project") -> list[tuple[str, str, int]]:
     return found
 
 
-def _module_constants(
-    project: "Project", suffix: str
-) -> list[tuple[str, str, str, int]]:
-    """``(const_name, value, rel, line)`` for vocabulary constants.
-
-    A vocabulary constant is a module-level ``UPPER = "string"``
-    assignment in the module whose path ends with ``suffix``; schema
-    tags (values containing ``/``) are a different vocabulary (R106)
-    and are excluded here.
-    """
-    found = []
-    for rel, src in sorted(project.files.items()):
-        if not rel.endswith(suffix):
-            continue
-        for node in src.tree.body:
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id.isupper()
-                and isinstance(node.value, ast.Constant)
-                and isinstance(node.value.value, str)
-                and "/" not in node.value.value
-            ):
-                found.append(
-                    (
-                        node.targets[0].id,
-                        node.value.value,
-                        rel,
-                        node.lineno,
-                    )
-                )
-    return found
-
-
-def progress_kinds(project: "Project") -> list[tuple[str, str, str, int]]:
-    return _module_constants(project, "methods/progress.py")
-
-
-def _docstrings(src) -> str:
-    """Module docstring + every class docstring of one source file."""
-    texts = [ast.get_docstring(src.tree) or ""]
-    for node in ast.walk(src.tree):
-        if isinstance(node, ast.ClassDef):
-            texts.append(ast.get_docstring(node) or "")
-    return "\n".join(texts)
-
-
 @register_rule
 class RequiredDocsRule(Rule):
     rule_id = "R100"
@@ -184,63 +132,6 @@ class MethodsDocumentedRule(Rule):
                         f"registered method {name!r} missing from "
                         f"{doc}",
                     )
-
-
-@register_rule
-class ProgressKindsDocumentedRule(Rule):
-    rule_id = "R103"
-    title = "progress-event kinds documented"
-    scope = "project"
-    rationale = (
-        "the progress-event vocabulary is an observability contract "
-        "(the CLI's --progress lines render it); DESIGN.md's table "
-        "and the module docstrings must carry every kind"
-    )
-
-    def check_project(self, project: "Project") -> Iterable[Finding]:
-        design = project.doc_text("DESIGN.md")
-        for const, value, rel, line in progress_kinds(project):
-            if design is not None and f"`{value}`" not in design:
-                yield self.finding(
-                    rel, line,
-                    f"progress-event kind {const} = {value!r} missing "
-                    "from DESIGN.md's vocabulary table",
-                )
-            docs = _docstrings(project.files[rel])
-            if f'"{value}"' not in docs:
-                yield self.finding(
-                    rel, line,
-                    f"progress-event kind {const} = {value!r} missing "
-                    "from the progress module/class docstrings",
-                )
-
-
-@register_rule
-class StaleProgressKindRule(Rule):
-    rule_id = "R105"
-    title = "no stale progress-event constants"
-    scope = "project"
-    rationale = (
-        "a vocabulary constant the batch engine never emits documents "
-        "an event that does not exist; the constant must appear in "
-        "methods/batch.py or be removed"
-    )
-
-    def check_project(self, project: "Project") -> Iterable[Finding]:
-        batch = None
-        for rel, src in project.files.items():
-            if rel.endswith("methods/batch.py"):
-                batch = src.text
-                break
-        if batch is None:
-            return
-        for const, value, rel, line in progress_kinds(project):
-            if not _word_in(const, batch):
-                yield self.finding(
-                    rel, line,
-                    f"progress-event constant {const} ({value!r}) is "
-                    "never used by the batch engine",
-                )
 
 
 @register_rule

@@ -24,7 +24,6 @@ from .profile import (
     VulnerabilityProfile,
     busy_idle_profile,
     from_cycle_mask,
-    profile_from_dict,
 )
 from .trace import MaskingTrace
 from .compose import concatenate_profiles, or_combine
@@ -36,7 +35,6 @@ __all__ = [
     "VulnerabilityProfile",
     "busy_idle_profile",
     "from_cycle_mask",
-    "profile_from_dict",
     "MaskingTrace",
     "concatenate_profiles",
     "or_combine",

@@ -51,18 +51,6 @@ class VulnerabilityProfile(ABC):
         and reruns.
         """
 
-    @abstractmethod
-    def to_dict(self) -> dict:
-        """Lossless plain-dict wire form (see :func:`profile_from_dict`).
-
-        The round trip preserves the profile bit-for-bit — in
-        particular ``profile_from_dict(p.to_dict()).fingerprint ==
-        p.fingerprint`` — because Python's JSON float serialization is
-        shortest-round-trip for float64. This is what lets a model
-        rebuilt from its wire form hit the same content-addressed cache
-        entries as the original.
-        """
-
     @property
     def avf(self) -> float:
         """The architecture vulnerability factor: time-average of ``v``.
@@ -151,13 +139,6 @@ class PiecewiseProfile(VulnerabilityProfile):
             fp = digest.hexdigest()
             self._fingerprint = fp
         return fp
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "piecewise",
-            "breakpoints": [float(b) for b in self._unit.breakpoints],
-            "values": [float(v) for v in self._unit.rates],
-        }
 
     def value_at(self, tau):
         """Vulnerability at local time ``tau ∈ [0, period)``."""
@@ -261,15 +242,6 @@ class NestedProfile(VulnerabilityProfile):
             self._fingerprint = fp
         return fp
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "nested",
-            "segments": [
-                [float(duration), inner.to_dict()]
-                for duration, inner in self._segments
-            ],
-        }
-
     def to_hazard(self, rate_per_second: float) -> NestedHazard:
         if rate_per_second < 0:
             raise ProfileError("raw error rate must be non-negative")
@@ -305,67 +277,6 @@ class NestedProfile(VulnerabilityProfile):
             f"NestedProfile(period={self.period:g}, avf={self.avf:.4f}, "
             f"segments={len(self._segments)})"
         )
-
-
-def profile_from_dict(data: dict) -> VulnerabilityProfile:
-    """Rebuild a profile from its :meth:`~VulnerabilityProfile.to_dict` form.
-
-    Dispatches on the ``kind`` tag (``"piecewise"`` or ``"nested"``).
-    The reconstruction is lossless: breakpoints and values come back
-    bit-for-bit, so the rebuilt profile's ``fingerprint`` — and with it
-    every content-addressed cache key derived from it — matches the
-    original's. Malformed input raises :class:`ProfileError`, and a key
-    the kind does not define raises
-    :class:`~repro.errors.ConfigurationError`.
-    """
-    if not isinstance(data, dict):
-        raise ProfileError(f"profile wire form must be a dict, got {data!r}")
-    try:
-        return _profile_from_fields(data)
-    except (TypeError, ValueError, OverflowError) as error:
-        raise ProfileError(f"malformed profile wire form: {error}") from None
-
-
-#: Keys of each profile kind's wire form.
-_PROFILE_FIELDS = {
-    "piecewise": ("kind", "breakpoints", "values"),
-    "nested": ("kind", "segments"),
-}
-
-
-def _profile_from_fields(data: dict) -> VulnerabilityProfile:
-    from ..core.system import reject_unknown
-
-    kind = data.get("kind")
-    if kind in _PROFILE_FIELDS:
-        reject_unknown(data, _PROFILE_FIELDS[kind], f"{kind} profile")
-    if kind == "piecewise":
-        try:
-            return PiecewiseProfile(data["breakpoints"], data["values"])
-        except KeyError as missing:
-            raise ProfileError(
-                f"piecewise profile wire form is missing {missing}"
-            ) from None
-    if kind == "nested":
-        try:
-            segments = data["segments"]
-        except KeyError:
-            raise ProfileError(
-                "nested profile wire form is missing 'segments'"
-            ) from None
-        rebuilt = []
-        for segment in segments:
-            duration, inner = segment
-            inner_profile = profile_from_dict(inner)
-            if not isinstance(inner_profile, PiecewiseProfile):
-                raise ProfileError(
-                    "nested profile segments must hold piecewise inners"
-                )
-            rebuilt.append((float(duration), inner_profile))
-        return NestedProfile(rebuilt)
-    raise ProfileError(
-        f"unknown profile kind {kind!r}; expected 'piecewise' or 'nested'"
-    )
 
 
 def busy_idle_profile(

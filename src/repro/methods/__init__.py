@@ -33,7 +33,6 @@ from . import adapters as _adapters  # noqa: F401 - populates the registry
 from . import uncore as _uncore  # noqa: F401 - registers uncore_ecc
 from .batch import evaluate_design_space
 from .facade import Analysis, analyze
-from .progress import ProgressEvent
 from .results import ResultSet
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "Estimator",
     "FunctionEstimator",
     "MethodConfig",
-    "ProgressEvent",
     "ResultSet",
     "all_methods",
     "analyze",

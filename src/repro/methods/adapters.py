@@ -39,13 +39,13 @@ def _single_instance(system: SystemModel) -> bool:
     return len(components) == 1 and components[0].multiplicity == 1
 
 
-@register_method("avf", per_component=True, supports=_single_instance)
+@register_method("avf", supports=_single_instance)
 def avf(system: SystemModel, config: MethodConfig) -> MTTFEstimate:
     """The AVF step (Section 2.2) on a single-component system."""
     return avf_step(system.components[0])
 
 
-@register_method("avf_sofr", per_component=True)
+@register_method("avf_sofr")
 def avf_sofr(system: SystemModel, config: MethodConfig) -> MTTFEstimate:
     """The standard AVF+SOFR pipeline (Figure 1)."""
     return avf_sofr_mttf(system)
@@ -74,7 +74,7 @@ def _reference_component_mttf(
     )
 
 
-@register_method("sofr_only", is_stochastic=True, per_component=True)
+@register_method("sofr_only", is_stochastic=True)
 def sofr_only(system: SystemModel, config: MethodConfig) -> MTTFEstimate:
     """The SOFR step alone, fed reference-method component MTTFs.
 
@@ -115,7 +115,7 @@ def softarch(system: SystemModel, config: MethodConfig) -> MTTFEstimate:
     return softarch_mttf(system)
 
 
-@register_method("hybrid", per_component=True)
+@register_method("hybrid")
 def hybrid(system: SystemModel, config: MethodConfig) -> MTTFEstimate:
     """Validity-aware hybrid: AVF/corrected/exact per hazard-mass regime."""
     return hybrid_system_mttf(system).estimate

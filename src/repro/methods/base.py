@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import Future
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Protocol, runtime_checkable
 
 from ..core.montecarlo import MonteCarloConfig
@@ -252,11 +252,6 @@ class MethodConfig:
     reference: str = "monte_carlo"
     cache: ComponentCache | None = None
 
-    def with_mc(self, mc: MonteCarloConfig | None) -> "MethodConfig":
-        if mc is None:
-            return self
-        return replace(self, mc=mc)
-
     def component_mttf(
         self,
         kind: str,
@@ -281,14 +276,10 @@ class Estimator(Protocol):
     is_stochastic:
         True when the estimate carries sampling noise (so equal-seed
         reruns are needed for reproducibility).
-    per_component:
-        True when the method works bottom-up from per-component MTTFs
-        (and therefore benefits from the component cache).
     """
 
     name: str
     is_stochastic: bool
-    per_component: bool
 
     def estimate(
         self, system: SystemModel, config: MethodConfig | None = None
@@ -313,7 +304,6 @@ class FunctionEstimator:
     name: str
     fn: Callable[[SystemModel, MethodConfig], MTTFEstimate]
     is_stochastic: bool = False
-    per_component: bool = False
     supports_fn: Callable[[SystemModel], bool] | None = None
     doc: str = ""
 
@@ -328,10 +318,5 @@ class FunctionEstimator:
         return self.supports_fn(system)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        flags = []
-        if self.is_stochastic:
-            flags.append("stochastic")
-        if self.per_component:
-            flags.append("per-component")
-        suffix = f" [{', '.join(flags)}]" if flags else ""
+        suffix = " [stochastic]" if self.is_stochastic else ""
         return f"<method {self.name!r}{suffix}>"

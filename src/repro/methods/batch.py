@@ -2,9 +2,11 @@
 
 :func:`evaluate_design_space` runs a set of registered methods over many
 systems — the Table-2 grid, a cluster-size sweep, a workload family —
-with one uniform call, replacing the bespoke per-experiment loops. Every
-call runs the same schedule (:class:`_Scheduler`) on one thread pool;
-``workers=1`` is a one-worker pool. It
+with one uniform call, replacing the bespoke per-experiment loops. The
+experiments, the ablations and ``repro.analyze(...).run()`` all run
+their registered estimators through it. Every call runs the same
+schedule (:class:`_Scheduler`) on one thread pool; ``workers=1`` is a
+one-worker pool. It
 
 * memoizes per-component MTTFs *and* whole system-level estimates in a
   shared :class:`~repro.methods.base.ComponentCache`, keyed by content
@@ -15,8 +17,7 @@ call runs the same schedule (:class:`_Scheduler`) on one thread pool;
   the heavy draws),
 * **pipelines** method estimates: a point's estimator tasks join the
   pool the moment its reference is final, with no post-reference
-  phase, and every step can emit a
-  :class:`~repro.methods.progress.ProgressEvent`, and
+  phase, and
 * returns a serializable :class:`~repro.methods.results.ResultSet`
   whose record order always matches the input order, and whose
   per-record estimates follow the method order, regardless of worker
@@ -44,14 +45,6 @@ from ..reliability.metrics import MTTFEstimate
 from . import registry
 from .base import ComponentCache, MethodConfig
 from .cache import mc_token
-from .progress import (
-    METHOD_DONE,
-    METHOD_STARTED,
-    POINT_DONE,
-    POINT_START,
-    ProgressCallback,
-    ProgressEvent,
-)
 from .results import ResultSet
 
 #: A design space item: a system, optionally labeled.
@@ -124,7 +117,7 @@ class _Scheduler:
     pool runs, with no phase barriers between them:
 
     * **references** — a cache miss submits the point's reference
-      estimate;
+      estimate, once the reference has said it supports the point;
     * **method estimates** — the moment a point's reference is final,
       its per-method estimator tasks join the same pool; results land
       in any order and are recorded in method order.
@@ -143,8 +136,6 @@ class _Scheduler:
         config: MethodConfig,
         cache: ComponentCache | None,
         workers: int,
-        progress: ProgressCallback | None,
-        skip_unsupported: bool,
     ) -> None:
         self.method_names = method_names
         self.reference_name = reference_name
@@ -152,8 +143,6 @@ class _Scheduler:
         self.config = config
         self.cache = cache
         self.workers = workers
-        self.progress = progress
-        self.skip_unsupported = skip_unsupported
         self.points = [
             _PointState(index, label, system)
             for index, (label, system) in enumerate(items)
@@ -164,10 +153,6 @@ class _Scheduler:
         self.future_meta: dict[Future, tuple] = {}
 
     # -- plumbing ----------------------------------------------------------
-
-    def _emit(self, event: ProgressEvent) -> None:
-        if self.progress is not None:
-            self.progress(event)
 
     def _reference_mc(self) -> MonteCarloConfig | None:
         if self.reference_estimator.is_stochastic:
@@ -180,6 +165,11 @@ class _Scheduler:
     # -- work submission ---------------------------------------------------
 
     def _start_point(self, state: _PointState) -> None:
+        if not self.reference_estimator.supports(state.system):
+            raise ConfigurationError(
+                f"reference {self.reference_name!r} does not support "
+                f"system {state.label!r}"
+            )
         if self.cache is not None:
             state.ref_key = self.cache.estimate_key(
                 self.reference_name, state.system, self._reference_mc(),
@@ -188,16 +178,8 @@ class _Scheduler:
             found = self.cache.lookup_estimate(state.ref_key)
             if found is not None:
                 state.reference = found
-                self._emit(ProgressEvent(state.label, POINT_START))
-                self._emit(
-                    ProgressEvent(
-                        state.label, POINT_DONE, trials=found.trials,
-                        cached=True,
-                    )
-                )
                 self._launch_methods(state)
                 return
-        self._emit(ProgressEvent(state.label, POINT_START))
         self._submit_estimate(
             self.reference_estimator, state, self._on_reference, state.index
         )
@@ -215,8 +197,6 @@ class _Scheduler:
         for name in self.method_names:
             estimator = registry.get(name)
             if not estimator.supports(state.system):
-                if self.skip_unsupported:
-                    continue
                 raise ConfigurationError(
                     f"method {name!r} does not support system "
                     f"{state.label!r}"
@@ -234,20 +214,11 @@ class _Scheduler:
                 found = self.cache.lookup_estimate(key)
                 if found is not None:
                     state.estimates[name] = found
-                    self._emit(
-                        ProgressEvent(
-                            state.label, METHOD_DONE, method=name,
-                            trials=found.trials, cached=True,
-                        )
-                    )
                     continue
             self._submit_estimate(
                 estimator, state, self._on_method, state.index, name
             )
             state.pending_methods.add(name)
-            self._emit(
-                ProgressEvent(state.label, METHOD_STARTED, method=name)
-            )
 
     # -- completions -------------------------------------------------------
 
@@ -256,11 +227,6 @@ class _Scheduler:
         state.reference = future.result()
         if state.ref_key is not None:
             self.cache.store_estimate(state.ref_key, state.reference)
-        self._emit(
-            ProgressEvent(
-                state.label, POINT_DONE, trials=state.reference.trials
-            )
-        )
         self._launch_methods(state)
 
     def _on_method(self, future: Future, index: int, name: str) -> None:
@@ -274,12 +240,6 @@ class _Scheduler:
                 self.reference_name,
             )
             self.cache.store_estimate(key, estimate)
-        self._emit(
-            ProgressEvent(
-                state.label, METHOD_DONE, method=name,
-                trials=estimate.trials,
-            )
-        )
 
     # -- main loop ---------------------------------------------------------
 
@@ -334,8 +294,6 @@ def evaluate_design_space(
     mc_config: MonteCarloConfig | None = None,
     workers: int | str = 1,
     cache: ComponentCache | bool | None = None,
-    skip_unsupported: bool = False,
-    progress: ProgressCallback | None = None,
 ) -> ResultSet:
     """Run ``methods`` against ``reference`` on every system in ``space``.
 
@@ -360,13 +318,11 @@ def evaluate_design_space(
         ``False`` disables memoization, or pass a
         :class:`ComponentCache` to share across calls (optionally
         disk-backed for cross-invocation reuse).
-    skip_unsupported:
-        When True, methods whose ``supports(system)`` is False are
-        silently omitted from that system's record instead of raising.
-    progress:
-        Optional callback receiving
-        :class:`~repro.methods.progress.ProgressEvent` per grid point
-        and per pipelined method estimate.
+
+    A system that the reference or one of the methods does not
+    support (``supports(system)`` is False) raises
+    :class:`ConfigurationError`; the reference is asked before any
+    estimate of the system runs.
     """
     items = _normalize_space(space)
     if not methods:
@@ -394,8 +350,6 @@ def evaluate_design_space(
         config=config,
         cache=cache,
         workers=workers,
-        progress=progress,
-        skip_unsupported=skip_unsupported,
     ).run()
     return ResultSet(
         comparisons=comparisons,

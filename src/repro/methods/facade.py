@@ -15,19 +15,18 @@ One call surface for every estimation method::
 ``using`` selects registered methods (see
 :func:`repro.methods.available`), ``against`` picks the reference
 (``"monte_carlo"``, the paper's choice, or ``"exact"``), and ``run``
-returns a serializable :class:`~repro.methods.results.ResultSet`.
+evaluates the one labelled system through the batch engine
+(:func:`~repro.methods.batch.evaluate_design_space`) and returns its
+serializable :class:`~repro.methods.results.ResultSet`.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from ..core.comparison import MethodComparison
 from ..core.montecarlo import MonteCarloConfig
 from ..core.system import SystemModel
 from ..errors import ConfigurationError
 from . import registry
-from .base import ComponentCache, MethodConfig
+from .batch import evaluate_design_space
 from .results import ResultSet
 
 #: Method names eligible as a reference (noise-free or the paper's MC).
@@ -46,12 +45,7 @@ class Analysis:
         self._label = label
         self._methods: tuple[str, ...] = ()
         self._reference = "monte_carlo"
-        self._config = MethodConfig()
-
-    def labeled(self, label: str) -> "Analysis":
-        """Set the system label used in tables and serialized output."""
-        self._label = label
-        return self
+        self._mc: MonteCarloConfig | None = None
 
     def using(self, *method_names: str) -> "Analysis":
         """Select the methods to run (at least one, all registered)."""
@@ -82,61 +76,20 @@ class Analysis:
     def with_mc(self, mc_config: MonteCarloConfig | None) -> "Analysis":
         """Set the Monte-Carlo configuration (trials/seed/sampler)."""
         if mc_config is not None:
-            self._config = replace(self._config, mc=mc_config)
+            self._mc = mc_config
         return self
 
-    def with_trials(self, trials: int, seed: int | None = None) -> "Analysis":
-        """Shorthand for adjusting trials (and optionally the seed)."""
-        mc = self._config.mc
-        mc = replace(
-            mc, trials=trials, seed=mc.seed if seed is None else seed
-        )
-        self._config = replace(self._config, mc=mc)
-        return self
-
-    def with_cache(self, cache: ComponentCache | None) -> "Analysis":
-        """Share a per-component MTTF cache across analyses."""
-        self._config = replace(self._config, cache=cache)
-        return self
-
-    def comparison(self) -> MethodComparison:
-        """Run and return the bare comparison record."""
+    def run(self) -> ResultSet:
+        """Execute the analysis and return a serializable ResultSet."""
         if not self._methods:
             raise ConfigurationError(
                 "no methods selected; call using(...) before run()"
             )
-        config = replace(self._config, reference=self._reference)
-        reference = registry.get(self._reference).estimate(
-            self._system, config
-        )
-        estimates = {}
-        for name in self._methods:
-            estimator = registry.get(name)
-            if not estimator.supports(self._system):
-                raise ConfigurationError(
-                    f"method {name!r} does not support system "
-                    f"{self._label or self._system!r}"
-                )
-            # The reference estimate doubles as the method estimate when
-            # the same method is also selected (e.g. first_principles
-            # under an exact reference) — no second computation.
-            estimates[name] = (
-                reference
-                if name == self._reference
-                else estimator.estimate(self._system, config)
-            )
-        return MethodComparison(
-            system_label=self._label,
-            reference=reference,
-            estimates=estimates,
-        )
-
-    def run(self) -> ResultSet:
-        """Execute the analysis and return a serializable ResultSet."""
-        return ResultSet(
-            comparisons=(self.comparison(),),
+        return evaluate_design_space(
+            [(self._label, self._system)],
             methods=self._methods,
-            reference_method=self._reference,
+            reference=self._reference,
+            mc_config=self._mc,
         )
 
 

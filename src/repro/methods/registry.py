@@ -45,7 +45,6 @@ def register_method(
     name: str,
     *,
     is_stochastic: bool = False,
-    per_component: bool = False,
     supports: Callable[[SystemModel], bool] | None = None,
 ):
     """Decorator registering ``fn(system, config) -> MTTFEstimate``.
@@ -66,7 +65,6 @@ def register_method(
             name=name,
             fn=fn,
             is_stochastic=is_stochastic,
-            per_component=per_component,
             supports_fn=supports,
             doc=(fn.__doc__ or "").strip().splitlines()[0]
             if fn.__doc__

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Iterator, Mapping
 
 from ..core.comparison import MethodComparison
-from ..core.system import reject_unknown
 from ..errors import ConfigurationError
 
 #: Schema tag embedded in every serialized ResultSet.
@@ -26,6 +25,22 @@ SCHEMA = "repro.resultset/v1"
 
 #: The top-level keys a serialized ResultSet may carry.
 _FIELDS = ("schema", "methods", "reference_method", "comparisons", "mc_token")
+
+
+def reject_unknown(data, allowed, what: str) -> None:
+    """Refuse wire dict ``data`` if it has a key outside ``allowed``.
+
+    A misspelled optional key would otherwise decode silently as its
+    default.
+    """
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{what} wire form must be a dict")
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {what} fields {sorted(unknown, key=str)}; "
+            f"allowed: {sorted(allowed)}"
+        )
 
 
 @dataclass(frozen=True)

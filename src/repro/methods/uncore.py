@@ -141,7 +141,7 @@ def _sdc_system(system: SystemModel) -> SystemModel:
     )
 
 
-@register_method("uncore_ecc", per_component=True)
+@register_method("uncore_ecc")
 def uncore_ecc(system: SystemModel, config: MethodConfig) -> MTTFEstimate:
     """ECC/flush/SDC-partitioned MTTF over per-component raw SER.
 

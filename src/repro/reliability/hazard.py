@@ -226,18 +226,16 @@ class PiecewiseHazard(CyclicIntensity):
         if np.any((u <= 0) | (u > self.mass * (1 + _REL_TOL))):
             raise ProfileError("u outside (0, mass]")
         u = np.minimum(u, self.mass)
-        # First segment whose cumulative end reaches u.
+        # First segment whose cumulative end reaches u: cum[idx] < u <=
+        # cum[idx + 1]. A zero-rate segment has cum[idx + 1] == cum[idx],
+        # so no u in (0, mass] selects one; NaN, which searchsorted
+        # ranks into the last segment, stays NaN whatever its rate.
         idx = np.clip(
             np.searchsorted(self._cum, u, side="left") - 1,
             0,
             self._rates.size - 1,
         )
-        # If u lands exactly on a cumulative boundary following zero-rate
-        # segments, searchsorted(left)-1 already points at the last segment
-        # that accrued hazard before the boundary; its rate is positive.
-        rate = self._rates[idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.where(rate > 0, (u - self._cum[idx]) / rate, 0.0)
+        frac = (u - self._cum[idx]) / self._rates[idx]
         # Division rounding can exceed the period by one ulp at u = mass.
         return np.minimum(self._bp[idx] + frac, self.period)
 
@@ -488,13 +486,9 @@ class NestedHazard(CyclicIntensity):
         for j in np.unique(seg):
             sel = seg == j
             inner = self._inners[j]
+            # As in PiecewiseHazard.invert, only NaN selects a segment
+            # that accrues no hazard, and it stays NaN.
             rem = u[sel] - self._cum_mass[j]
-            if inner.mass <= 0:
-                # No hazard accrues in this segment; u must land exactly on
-                # its start boundary, which belongs to an earlier segment.
-                # Guarded by searchsorted side="left", so this is safety.
-                out[sel] = self._starts[j]
-                continue
             k = np.floor(rem / inner.mass)
             inner_rem = rem - k * inner.mass
             under = inner_rem <= 0.0

@@ -60,10 +60,16 @@ class MTTFEstimate:
 
     @property
     def rel_stderr(self) -> float:
-        """Achieved relative standard error (see :func:`achieved_rel_stderr`)."""
-        return achieved_rel_stderr(
-            self.mttf_seconds, self.std_error_seconds
-        )
+        """``stderr / mttf`` — the precision the estimate reached.
+
+        A sweep audits its references through
+        ``comparison.reference.rel_stderr``. Exact estimates and
+        infinite MTTFs report 0.0 — "no sampling uncertainty" — rather
+        than an undefined ratio.
+        """
+        if not math.isfinite(self.mttf_seconds):
+            return 0.0
+        return self.std_error_seconds / self.mttf_seconds
 
     def to_dict(self) -> dict:
         """Plain-dict form for JSON serialization (lossless)."""
@@ -94,23 +100,6 @@ class MTTFEstimate:
                 f"({self.method}, n={self.trials})"
             )
         return f"MTTF={self.mttf_years:.4g}y ({self.method})"
-
-
-def achieved_rel_stderr(
-    mttf_seconds: float, std_error_seconds: float
-) -> float:
-    """``stderr / mttf`` — the precision an estimate actually reached.
-
-    The single definition behind every audit surface
-    (:attr:`MTTFEstimate.rel_stderr`,
-    ``ResultSet.reference_rel_stderr``,
-    ``SweepResult.monte_carlo_rel_stderr``): exact estimates and
-    infinite/degenerate MTTFs report 0.0 — "no sampling uncertainty" —
-    rather than an undefined ratio.
-    """
-    if not math.isfinite(mttf_seconds) or mttf_seconds <= 0:
-        return 0.0
-    return std_error_seconds / mttf_seconds
 
 
 def relative_error(estimate: float, reference: float) -> float:

@@ -24,7 +24,7 @@ def comparison_of(
         .using(*methods)
         .against(reference)
         .with_mc(mc_config)
-        .comparison()
+        .run()[0]
     )
 
 

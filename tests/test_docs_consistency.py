@@ -86,14 +86,13 @@ class TestDesign:
         assert "SPEC CPU2000" in design
 
 
-class TestProgressEventVocabulary:
-    """Every progress-event kind the engine can emit is documented.
+class TestRegistryVocabulary:
+    """Every registered method and wire-schema tag is documented.
 
-    The vocabulary cross-checks themselves (progress kinds against
-    DESIGN.md and the module docstrings, stale constants against the
-    batch engine) migrated onto ``repro-lint``'s
-    R1 rule family — one source of truth, shared by this suite, the
-    CLI, and the ``lint-gate`` CI job.
+    The vocabulary cross-checks themselves (method names against
+    DESIGN.md and README.md, schema tags against the documentation
+    set) live in ``repro-lint``'s R1 rule family — one source of
+    truth, shared by this suite, the CLI, and the ``lint-gate`` CI job.
     """
 
     @pytest.fixture(scope="class")
@@ -103,8 +102,8 @@ class TestProgressEventVocabulary:
         )
 
     def test_registry_docs_rules_clean(self):
-        # R101-R106: methods/progress kinds/schema tags documented,
-        # no stale progress constants.
+        # R100-R106: the docs exist, and methods and schema tags are
+        # documented in them.
         from repro.lint import run_lint
 
         report = run_lint([ROOT / "src"], rules=["R1"], root=ROOT)
@@ -128,18 +127,6 @@ class TestProgressEventVocabulary:
         assert "who runs each layer" in scheduler_doc.lower()
         assert "docs/SCHEDULER.md" in readme
         assert "docs/SCHEDULER.md" in design
-
-    def test_every_field_documented(self):
-        import dataclasses
-
-        from repro.methods.progress import ProgressEvent
-
-        doc = ProgressEvent.__doc__ or ""
-        for field in dataclasses.fields(ProgressEvent):
-            assert field.name in doc, (
-                f"ProgressEvent field {field.name!r} missing from the "
-                "class docstring's attribute vocabulary"
-            )
 
 
 class TestExperimentsDoc:

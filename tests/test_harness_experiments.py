@@ -255,6 +255,4 @@ class TestEngineOptions:
         assert engine.trials == 1234
         assert engine.cache_path is None and engine.cache.disk is None
         assert engine.mc(seed=7) == MonteCarloConfig(trials=1234, seed=7)
-        assert engine.kwargs() == dict(
-            workers=1, cache=engine.cache, progress=None
-        )
+        assert engine.kwargs() == dict(workers=1, cache=engine.cache)

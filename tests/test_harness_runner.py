@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.harness.runner import main
 
 #: perfbench's pinned-load module, read as text and never imported.
@@ -124,12 +125,20 @@ class TestRunnerCli:
         assert main([*base, "--workers", "2", "--json", str(fanned)]) == 0
         assert fanned.read_bytes() == serial.read_bytes()
 
-    def test_progress_flag_streams_events(self, capsys):
-        assert main(
-            ["fig5", "--trials", "1000", "--workers", "2", "--progress"]
-        ) == 0
-        err = capsys.readouterr().err
-        assert "[progress]" in err and "done trials=1000" in err
+    def test_reference_must_support_every_system(self, capsys):
+        # avf handles one single-instance component, and compare's
+        # SPEC uniprocessors have four units: avf cannot be their
+        # reference, so the run stops instead of measuring every method
+        # against the first unit's AVF step.
+        with pytest.raises(
+            ConfigurationError,
+            match="reference 'avf' does not support system 'gzip'",
+        ):
+            main(
+                ["compare", "--reference", "avf", "--method", "avf_sofr",
+                 "--trials", "2000"]
+            )
+        assert "completed in" not in capsys.readouterr().out
 
 
 def _exit_code(argv) -> int:
@@ -178,6 +187,8 @@ class TestUsageErrors:
              "unrecognized arguments: --target-stderr nan"),
             (["fig5", "--target-stderr", "0.05"], {},
              "unrecognized arguments: --target-stderr 0.05"),
+            (["fig5", "--progress"], {},
+             "unrecognized arguments: --progress"),
             (["fig5"], {"REPRO_MC_TRIALS": "0"},
              "trials must be >= 1, got 0"),
             (["fig5"], {"REPRO_MC_TRIALS": "1"},
@@ -198,6 +209,7 @@ class TestUsageErrors:
             "one-trial",
             "zero-chunks", "removed-chunks-flag", "zero-target-stderr",
             "nan-target-stderr", "removed-target-stderr-flag",
+            "removed-progress-flag",
             "zero-env-trials", "one-env-trial", "non-integer-env-trials",
             "unknown-artifact", "removed-merge-command",
         ],
@@ -251,20 +263,26 @@ class TestOneCachePerInvocation:
         # sec5.4's C=1 references (3 workloads x 3 N x S) and their
         # first_principles estimates are fig5's; without --cache-dir
         # the invocation's one memory cache serves them.
-        from repro.methods import ResultSet
+        from repro.methods import ComponentCache, ResultSet
 
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        caches = []
+        build = ComponentCache.at.__func__
+
+        def recording(cls, cache_dir):
+            caches.append(build(cls, cache_dir))
+            return caches[-1]
+
+        monkeypatch.setattr(ComponentCache, "at", classmethod(recording))
         base = ["--trials", "2000", "--workers", "1"]
         both = tmp_path / "both.json"
-        assert main(
-            ["fig5", "sec5.4", *base, "--progress", "--json", str(both)]
-        ) == 0
-        cached = [
-            line for line in capsys.readouterr().err.splitlines()
-            if line.endswith("(cached)")
-        ]
-        assert len(cached) == 18
-        assert all("/C=1 " in line for line in cached)
+        assert main(["fig5", "sec5.4", *base, "--json", str(both)]) == 0
+        (cache,) = caches
+        # fig5: 15 points x 3 estimates; sec5.4: 72 points x 3, of
+        # which 18 replay fig5's. No component-level MTTF is cached.
+        assert cache.estimate_hits == 18
+        assert cache.estimate_misses == 45 + 216 - 18
+        assert cache.hits == cache.misses == 0
         parts = []
         for artifact in ("fig5", "sec5.4"):
             path = tmp_path / f"{artifact}.json"

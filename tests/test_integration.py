@@ -131,7 +131,7 @@ class TestFullPipeline:
             .using("avf_sofr", "sofr_only", "first_principles", "softarch")
             .against("exact")
             .with_mc(MonteCarloConfig(trials=20_000, seed=1))
-            .comparison()
+            .run()[0]
         )
         assert comparison.abs_error("avf_sofr") < 1e-4
         assert comparison.abs_error("softarch") < 1e-6

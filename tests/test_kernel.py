@@ -492,15 +492,19 @@ class TestGatedPasses:
                     getattr(hazard, evaluate)(np.asarray([edge])),
                 )
 
-    def test_zero_rate_segment_yields_no_time(self):
-        # The constructor checks order, not that the cumulative column
-        # agrees with the rates; a segment of rate 0 that accrues mass
-        # contributes no time instead of dividing by zero.
+    def test_zero_rate_segment_that_accrues_hazard_is_refused(self):
+        # The inversion divides by the selected segment's rate, which is
+        # positive only when a zero-rate segment repeats its cumulative
+        # entry, as every hazard's table does.
+        with pytest.raises(ConfigurationError, match="zero-rate segment"):
+            CompiledPiecewise(
+                [0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 2.0], [0.0, 1.0, 2.0, 4.0]
+            )
         compiled = CompiledPiecewise(
-            [0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 2.0], [0.0, 1.0, 2.0, 4.0]
+            [0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 2.0], [0.0, 1.0, 1.0, 3.0]
         )
         np.testing.assert_array_equal(
-            compiled.invert(np.asarray([0.5, 1.5, 3.0])), [0.5, 1.0, 2.5]
+            compiled.invert(np.asarray([0.5, 1.0, 3.0])), [0.5, 1.0, 3.0]
         )
 
     def test_range_checks_refuse_the_same_inputs(self, paper_hazards):
@@ -558,8 +562,8 @@ class TestGatedPasses:
     @pytest.mark.parametrize(
         "hazard",
         [
-            # NaN ranks into the last segment: a positive rate keeps it
-            # NaN, a zero rate turns it into the segment's start.
+            # NaN ranks into the last segment and stays NaN there,
+            # whether that segment accrues hazard or not.
             PiecewiseHazard.from_segments([(1, 1), (1, 0), (1, 2)]),
             PiecewiseHazard.from_segments([(1, 1), (1, 2), (1, 0)]),
             NestedHazard(
@@ -576,13 +580,16 @@ class TestGatedPasses:
         compiled = compile_intensity(hazard)
         x = np.asarray([0.5, np.nan])
         for name in ("invert", "cumulative"):
+            expected = getattr(hazard, name)(x)
+            assert np.isfinite(expected[0]) and np.isnan(expected[1])
             np.testing.assert_array_equal(
-                getattr(compiled, name)(x), getattr(hazard, name)(x)
+                getattr(compiled, name)(x), expected
             )
         for name in ("invert_extended", "cumulative_extended"):
+            expected = getattr(hazard, name)(x)
+            assert np.isfinite(expected[0]) and np.isnan(expected[1])
             np.testing.assert_array_equal(
-                getattr(kernel_mod, f"_{name}")(compiled, x),
-                getattr(hazard, name)(x),
+                getattr(kernel_mod, f"_{name}")(compiled, x), expected
             )
         self._check_range_refusals(hazard, compiled)
 
@@ -892,7 +899,6 @@ def _result_bytes(space, **kwargs):
         methods=["avf_sofr"],
         reference="monte_carlo",
         mc_config=mc,
-        skip_unsupported=True,
         **kwargs,
     )
     return json.dumps(result.to_dict(), sort_keys=True)

@@ -191,29 +191,6 @@ class TestRegistryDocsRules:
         assert rule_ids(report) == ["R101", "R101"]
         assert all("mystery" in f.message for f in report.findings)
 
-    def test_r103_r105_progress_vocabulary(self, tmp_path):
-        make_docs(tmp_path, design="kinds: `alpha`")
-        progress = write(tmp_path, "repro/methods/progress.py", '''\
-            """Event kinds: "alpha"."""
-
-            ALPHA = "alpha"
-            BETA = "beta"
-            ''')
-        write(tmp_path, "repro/methods/batch.py", """\
-            from .progress import ALPHA
-
-            def emit():
-                return ALPHA
-            """)
-        report = run_lint(
-            [tmp_path / "repro"], rules=["R103", "R105"], root=tmp_path
-        )
-        assert rule_ids(report) == ["R103", "R103", "R105"]
-        assert all("BETA" in f.message for f in report.findings)
-        assert lint(progress, ["R103"], root=tmp_path).findings == [
-            f for f in report.findings if f.rule_id == "R103"
-        ]
-
     def test_r106_schema_tag_documented_or_caught(self, tmp_path):
         make_docs(tmp_path, design="speaks repro.known/v1 frames")
         path = write(tmp_path, "repro/core/wire.py", """\

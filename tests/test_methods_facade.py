@@ -7,7 +7,7 @@ import pytest
 from repro import analyze, evaluate_design_space
 from repro.core import Component, MonteCarloConfig, SystemModel
 from repro.errors import ConfigurationError
-from repro.methods import ComponentCache, ResultSet
+from repro.methods import ComponentCache, ResultSet, mc_token
 from repro.reliability.metrics import MTTFEstimate
 from repro.core.comparison import MethodComparison
 from repro.units import SECONDS_PER_DAY
@@ -48,6 +48,9 @@ class TestAnalyzeFacade:
         assert result[0].system_label == "uni"
         assert result.methods == ("avf_sofr", "hybrid")
         assert result.reference_method == "first_principles"
+        # run() goes through the batch engine, so its set records the
+        # Monte-Carlo settings as every engine set does.
+        assert result.mc_token == mc_token(MonteCarloConfig())
         assert result[0].abs_error("avf_sofr") < 1e-3
 
     def test_empty_method_list_rejected(self, system):
@@ -150,21 +153,6 @@ class TestBatchEngine:
     def test_empty_space_rejected(self):
         with pytest.raises(ConfigurationError, match="empty"):
             evaluate_design_space([], methods=["avf_sofr"])
-
-    def test_unsupported_method_raises_unless_skipped(self, cluster_space):
-        with pytest.raises(ConfigurationError, match="support"):
-            evaluate_design_space(
-                cluster_space[2:],
-                methods=["avf"],
-                mc_config=MonteCarloConfig(trials=500, seed=1),
-            )
-        result = evaluate_design_space(
-            cluster_space[2:],
-            methods=["avf", "first_principles"],
-            mc_config=MonteCarloConfig(trials=500, seed=1),
-            skip_unsupported=True,
-        )
-        assert result[0].method_names == ["first_principles"]
 
 
 class TestResultSetJson:

@@ -103,7 +103,6 @@ class TestRegistry:
     def test_capability_flags(self):
         assert get("monte_carlo").is_stochastic
         assert not get("first_principles").is_stochastic
-        assert get("avf_sofr").per_component
 
     def test_avf_supports_only_single_instance(self, day_profile):
         single = SystemModel(

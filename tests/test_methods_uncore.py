@@ -28,9 +28,7 @@ def mixed_system(day_profile):
 class TestRegistration:
     def test_registered_and_discoverable(self):
         assert "uncore_ecc" in available()
-        estimator = get("uncore_ecc")
-        assert estimator.per_component
-        assert not estimator.is_stochastic
+        assert not get("uncore_ecc").is_stochastic
 
     def test_label_on_estimates(self, mixed_system):
         assert get("uncore_ecc").estimate(mixed_system).method == (

@@ -2,28 +2,32 @@
 
 Covers the scheduler every sweep runs — method estimates streamed into
 the pool as references finalize, estimates written through to the disk
-cache as they land, method-ordered records, fail-fast cancellation —
-plus the acceptance bar: bit-identity across worker counts against the
-default one-worker run.
+cache as they land, method-ordered records, fail-fast cancellation,
+points the reference cannot estimate refused up front — plus the
+acceptance bar: bit-identity across worker counts against the default
+one-worker run.
 """
 
 import json
+import threading
 
 import pytest
 
-from repro.core import Component, MonteCarloConfig, SystemModel
+from repro.core import (
+    Component,
+    MonteCarloConfig,
+    SystemModel,
+    first_principles_mttf,
+)
 from repro.errors import ConfigurationError
 from repro.methods import (
     ComponentCache,
     DiskCache,
     evaluate_design_space,
+    register_method,
+    unregister,
 )
-from repro.methods.progress import (
-    METHOD_DONE,
-    METHOD_STARTED,
-    POINT_DONE,
-    ProgressEvent,
-)
+from repro.methods.base import FunctionEstimator
 from repro.units import SECONDS_PER_DAY
 
 
@@ -95,31 +99,41 @@ class TestPipelinedIdentity:
         assert piped == phased
         assert cache.misses == 1
 
-    def test_method_events_stream_with_the_references(
+    def test_a_method_runs_while_another_reference_is_unfinished(
         self, cluster_space
     ):
-        events: list[ProgressEvent] = []
-        evaluate_design_space(
-            cluster_space[:3],
-            methods=["first_principles", "sofr_only"],
-            mc_config=MonteCarloConfig(trials=2_000, seed=1),
-            workers=2,
-            progress=events.append,
-        )
-        starts = [e for e in events if e.kind == METHOD_STARTED]
-        dones = [e for e in events if e.kind == METHOD_DONE]
-        assert {e.method for e in starts} == {
-            "first_principles", "sofr_only",
-        }
-        assert len(dones) == 6  # 3 points x 2 methods
-        # Methods launch after their own point's reference, not after
-        # every reference: each label's method-start follows its
-        # point-done immediately in the event order.
-        for label in ("C=2", "C=8", "C=100"):
-            kinds = [
-                e.kind for e in events if e.label == label
-            ]
-            assert kinds.index(POINT_DONE) < kinds.index(METHOD_STARTED)
+        # The first point's reference finishes only once a method has
+        # run, and the first point's own methods wait for it: only the
+        # second point's method, launched the moment the second
+        # reference is final, can open the gate. A phase barrier
+        # between references and methods would leave it shut.
+        first = cluster_space[0][1]
+        opened = threading.Event()
+        waits = []
+        try:
+
+            @register_method("gated_reference")
+            def gated_reference(system, config):
+                if system is first:
+                    waits.append(opened.wait(timeout=30))
+                return first_principles_mttf(system)
+
+            @register_method("gate_opener")
+            def gate_opener(system, config):
+                opened.set()
+                return first_principles_mttf(system)
+
+            result = evaluate_design_space(
+                cluster_space[:2],
+                methods=["gate_opener"],
+                reference="gated_reference",
+                workers=2,
+            )
+        finally:
+            unregister("gated_reference")
+            unregister("gate_opener")
+        assert waits == [True]
+        assert result.labels == ["C=2", "C=8"]
 
 
 class TestDispatch:
@@ -168,6 +182,35 @@ class TestDispatch:
                 mc_config=MonteCarloConfig(trials=20_000, seed=1),
             )
         assert len(calls) < len(space)
+
+
+class TestReferenceSupport:
+    def test_unsupported_reference_refused_before_any_estimate(
+        self, cluster_space, monkeypatch
+    ):
+        # avf estimates one single-instance component; as the reference
+        # of a cluster it would measure every method against one copy.
+        calls = []
+        estimate = FunctionEstimator.estimate
+
+        def counting(estimator, system, config=None):
+            calls.append(estimator.name)
+            return estimate(estimator, system, config)
+
+        monkeypatch.setattr(FunctionEstimator, "estimate", counting)
+        cache = ComponentCache()
+        with pytest.raises(
+            ConfigurationError,
+            match="reference 'avf' does not support system 'C=2'",
+        ):
+            evaluate_design_space(
+                cluster_space,
+                methods=["first_principles"],
+                reference="avf",
+                cache=cache,
+            )
+        assert calls == []
+        assert cache.estimate_hits == cache.estimate_misses == 0
 
 
 class TestPublication:
