@@ -165,32 +165,6 @@ def executor_cases(trials: int, points: int, workers: int, repeat: int):
     return records
 
 
-def lint_cases(repeat: int):
-    """Wall time of the repro-lint gate over the real src/ tree.
-
-    The lint-gate CI job pays this cost on every push; recording it
-    here keeps "the linter is slow" a diffable number. The record also
-    carries the scan size (files, rules, audited suppressions) so a
-    timing shift can be attributed to tree growth vs rule cost, and
-    asserts the tree is actually clean — a benchmark of a failing gate
-    would time the wrong thing.
-    """
-    from repro.lint import available_rules, run_lint
-
-    src = Path(__file__).resolve().parent.parent / "src"
-    seconds, report = _timed(lambda: run_lint([src]), repeat)
-    return [
-        {
-            "name": "lint_full_src_tree",
-            "seconds": round(seconds, 4),
-            "files_scanned": report.files_scanned,
-            "rules_run": len(available_rules()),
-            "findings": len(report.findings),
-            "audited_suppressions": len(report.suppressed),
-        }
-    ]
-
-
 def trace_cases(repeat: int, n_instructions: int = 40_000):
     """Trace production throughput: synthesis and simulation, instr/s.
 
@@ -462,8 +436,8 @@ def sampler_cases(
 
 #: Benchmark sections selectable via --scenario.
 SCENARIOS = (
-    "all", "engine", "cache", "executors", "lint", "trace",
-    "estimators", "sampler",
+    "all", "engine", "cache", "executors", "trace", "estimators",
+    "sampler",
 )
 
 
@@ -546,17 +520,6 @@ def run_benchmarks(argv: list[str] | None = None) -> Path:
             print(
                 f"{record['name']:44s} {record['seconds']:8.3f}s  "
                 f"identical_to_serial={record['identical_to_serial']}"
-            )
-
-    # Static-analysis gate: repro-lint wall time over src/.
-    if wants("lint"):
-        for record in lint_cases(args.repeat):
-            results.append(record)
-            print(
-                f"{record['name']:44s} {record['seconds']:8.3f}s  "
-                f"files={record['files_scanned']} "
-                f"findings={record['findings']} "
-                f"suppressions={record['audited_suppressions']}"
             )
 
     # Trace production: synthesis and simulation throughput.

@@ -10,10 +10,11 @@ batch engine (``repro.evaluate_design_space``, and
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from typing import Mapping
 
+from ..errors import ConfigurationError
 from ..reliability.metrics import MTTFEstimate, signed_relative_error
 from .avf import avf_mttf
 
@@ -57,23 +58,33 @@ class MethodComparison:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "MethodComparison":
-        """Inverse of :meth:`to_dict`."""
+    def from_dict(cls, data: Mapping) -> "MethodComparison":
+        """Inverse of :meth:`to_dict`; a malformed form raises
+        :class:`ConfigurationError` naming the field."""
+        if not isinstance(data, Mapping):
+            raise ConfigurationError(
+                f"a comparison must be a mapping, got {type(data).__name__}"
+            )
+        label, estimates = data.get("system_label"), data.get("estimates")
+        if not isinstance(label, str):
+            raise ConfigurationError(
+                f"comparison system_label must be a string, got {label!r}"
+            )
+        if "reference" not in data:
+            raise ConfigurationError(f"comparison {label!r} has no reference")
+        if not isinstance(estimates, Mapping):
+            raise ConfigurationError(
+                f"comparison {label!r} estimates must be a mapping, got "
+                f"{type(estimates).__name__}"
+            )
         return cls(
-            system_label=str(data["system_label"]),
+            system_label=label,
             reference=MTTFEstimate.from_dict(data["reference"]),
             estimates={
                 name: MTTFEstimate.from_dict(est)
-                for name, est in data["estimates"].items()
+                for name, est in estimates.items()
             },
         )
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MethodComparison":
-        return cls.from_dict(json.loads(text))
 
 
 def avf_step_comparison(

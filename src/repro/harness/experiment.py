@@ -33,12 +33,12 @@ class EngineOptions:
 
     Every experiment takes this object as its only engine argument. Its
     fields are the runner's flags; building it checks them (raising
-    :class:`ConfigurationError` before any work: the method names, the
-    worker count and the Monte-Carlo settings) and computes the two
-    things every experiment of the invocation shares: the resolved
-    cache directory (``cache_dir``, else ``$REPRO_CACHE_DIR``) and one
-    :class:`ComponentCache` for it, so an estimate several artifacts
-    need is computed once.
+    :class:`ConfigurationError` before any work: the method names and
+    reference, the worker count, the Monte-Carlo settings and the cache
+    directory) and computes the two things every experiment of the
+    invocation shares: the resolved cache directory (``cache_dir``, else
+    ``$REPRO_CACHE_DIR``) and one :class:`ComponentCache` for it, so an
+    estimate several artifacts need is computed once.
 
     ``trials`` defaults to ``$REPRO_MC_TRIALS`` (else 100,000) and must
     be at least 2: every artifact reports a standard error.
@@ -56,6 +56,8 @@ class EngineOptions:
         for name in [*(self.methods or ()), self.reference]:
             if name is not None:
                 method_registry.get(name)
+        if self.reference is not None:
+            method_registry.check_reference(self.reference)
         resolve_workers(self.workers)
         if self.trials is None:
             object.__setattr__(self, "trials", _env_trials())

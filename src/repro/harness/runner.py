@@ -18,11 +18,11 @@ sets (e.g. ``compare``). ``--workers`` sets the batch engine's thread
 pool width (``--workers auto``, the default, is the cpu count; numbers
 never depend on it), and ``--cache-dir`` persists every estimate in a
 content-addressed on-disk cache so repeated invocations skip
-re-estimation entirely. The flags and artifact names are checked
-before any work: the flags become one
-:class:`~repro.harness.experiment.EngineOptions` (a refused flag or
-``$REPRO_MC_TRIALS`` value exits 2 with one line), and its one
-estimate cache serves every artifact of the invocation.
+re-estimation entirely. The flags, artifact names and output
+directories are checked before any work: the flags become one
+:class:`~repro.harness.experiment.EngineOptions` (a refused flag,
+``$REPRO_MC_TRIALS`` value or output path exits 2 with one line), and
+its one estimate cache serves every artifact of the invocation.
 
 Every sweep runs as one pipelined schedule: method estimates join the
 worker pool the moment each point's reference is final.
@@ -31,9 +31,11 @@ worker pool the moment each point's reference is final.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
+from ..methods import registry as method_registry
 from .registry import all_experiments, get_experiment
 
 
@@ -88,8 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--reference",
         default=None,
         metavar="NAME",
-        help="reference method errors are measured against "
-        "('monte_carlo' or 'exact')",
+        help="reference method errors are measured against, for "
+        "experiments with pluggable method sets: one of "
+        f"{', '.join(method_registry.REFERENCE_NAMES)}",
     )
     parser.add_argument(
         "--workers",
@@ -153,6 +156,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # Every name resolves before any experiment runs.
         chosen = [get_experiment(artifact) for artifact in selected]
+        # Output files are written last; a missing directory fails now.
+        for flag in ("json", "markdown"):
+            path = getattr(args, flag)
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise ConfigurationError(f"--{flag} {path}: no such directory")
         engine = EngineOptions(
             trials=args.trials,
             workers=parse_workers(args.workers),
@@ -167,11 +175,11 @@ def main(argv: list[str] | None = None) -> int:
     sections = []
     merged_set = None
     for artifact, experiment in zip(selected, chosen):
-        # repro: allow[D101] console elapsed-time display only; the
-        # experiment's numbers come from experiment.run alone
+        # A console display timer (tests/test_source_invariants.py
+        # allows it): the experiment's numbers come from experiment.run
+        # alone.
         started = time.perf_counter()
         result = experiment.run(engine)
-        # repro: allow[D101] second half of the same display timer
         elapsed = time.perf_counter() - started
         print(result.render())
         print(f"[{artifact}] completed in {elapsed:.1f}s")

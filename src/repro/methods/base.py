@@ -20,7 +20,7 @@ from typing import Callable, Protocol, runtime_checkable
 
 from ..core.montecarlo import MonteCarloConfig
 from ..core.system import Component, SystemModel
-from ..errors import EstimationError
+from ..errors import ConfigurationError
 from ..reliability.metrics import MTTFEstimate
 from .cache import DiskCache, mc_token, resolve_cache_dir
 
@@ -37,11 +37,9 @@ def _component_value(stored) -> float | None:
 def _system_value(stored) -> MTTFEstimate | None:
     """A disk entry decoded as an :class:`MTTFEstimate`, else ``None``
     (a miss)."""
-    if not isinstance(stored, dict):
-        return None
     try:
         return MTTFEstimate.from_dict(stored)
-    except (KeyError, TypeError, ValueError, OverflowError, EstimationError):
+    except ConfigurationError:
         return None
 
 

@@ -33,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 from ..core.montecarlo import MonteCarloConfig
+from ..errors import ConfigurationError
 
 #: Schema tag embedded in every cache entry.
 ENTRY_SCHEMA = "repro.cache-entry/v1"
@@ -93,7 +94,12 @@ class DiskCache:
 
     def __init__(self, directory: str | Path) -> None:
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        except OSError as error:
+            raise ConfigurationError(
+                f"cache directory {str(directory)!r}: {error.strerror}"
+            ) from None
         self.hits = 0
         self.misses = 0
         self.writes = 0

@@ -29,10 +29,6 @@ from . import registry
 from .batch import evaluate_design_space
 from .results import ResultSet
 
-#: Method names eligible as a reference (noise-free or the paper's MC).
-_REFERENCE_METHODS = ("monte_carlo", "first_principles", "softarch")
-
-
 class Analysis:
     """Fluent builder for a one-system method comparison."""
 
@@ -64,13 +60,7 @@ class Analysis:
 
     def against(self, reference: str) -> "Analysis":
         """Pick the reference method the errors are measured against."""
-        canonical = registry.canonical_name(reference)
-        if canonical not in _REFERENCE_METHODS:
-            raise ConfigurationError(
-                f"unknown reference {reference!r}; use one of "
-                f"{sorted(_REFERENCE_METHODS + ('exact',))}"
-            )
-        self._reference = canonical
+        self._reference = registry.check_reference(reference)
         return self
 
     def with_mc(self, mc_config: MonteCarloConfig | None) -> "Analysis":

@@ -21,10 +21,30 @@ _REGISTRY: dict[str, Estimator] = {}
 #: Aliases accepted wherever a method name is looked up.
 _ALIASES = {"exact": "first_principles", "mc": "monte_carlo"}
 
+#: Methods errors may be measured against: the paper's Monte Carlo and
+#: the two noise-free system models.
+REFERENCE_METHODS = ("monte_carlo", "first_principles", "softarch")
+
+#: Every name accepted as a reference, aliases included.
+REFERENCE_NAMES = sorted(
+    name for name in [*REFERENCE_METHODS, *_ALIASES]
+    if _ALIASES.get(name, name) in REFERENCE_METHODS
+)
+
 
 def canonical_name(name: str) -> str:
     """Resolve registry aliases ("exact" -> "first_principles", ...)."""
     return _ALIASES.get(name, name)
+
+
+def check_reference(name: str) -> str:
+    """The canonical name of ``name``, else :class:`ConfigurationError`
+    unless it names one of :data:`REFERENCE_METHODS`."""
+    if canonical_name(name) not in REFERENCE_METHODS:
+        raise ConfigurationError(
+            f"reference {name!r} is not one of {REFERENCE_NAMES}"
+        )
+    return canonical_name(name)
 
 
 def register(estimator: Estimator) -> Estimator:

@@ -34,7 +34,9 @@ def reject_unknown(data, allowed, what: str) -> None:
     default.
     """
     if not isinstance(data, dict):
-        raise ConfigurationError(f"{what} wire form must be a dict")
+        raise ConfigurationError(
+            f"{what} wire form must be a dict, got {type(data).__name__}"
+        )
     unknown = set(data) - set(allowed)
     if unknown:
         raise ConfigurationError(
@@ -139,24 +141,41 @@ class ResultSet:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ResultSet":
-        """Inverse of :meth:`to_dict`.
+        """Inverse of :meth:`to_dict`; a malformed document raises
+        :class:`ConfigurationError` naming the field.
 
         Unknown top-level keys are refused: a document carrying, say,
         a ``shard`` from an older release holds only part of a sweep
         and must not load as a complete one.
         """
+        reject_unknown(data, _FIELDS, "result set")
         if data.get("schema") != SCHEMA:
             raise ConfigurationError(
                 f"not a {SCHEMA} document (schema={data.get('schema')!r})"
             )
-        reject_unknown(data, _FIELDS, "result set")
+        comparisons = data.get("comparisons")
+        methods = data.get("methods", [])
+        reference = data.get("reference_method", "monte_carlo")
+        token = data.get("mc_token")
+        for name, what, ok in (
+            ("comparisons", "a list", isinstance(comparisons, list)),
+            ("methods", "a list of names", isinstance(methods, list)
+             and all(isinstance(method, str) for method in methods)),
+            ("reference_method", "a string", isinstance(reference, str)),
+            ("mc_token", "a string", token is None or isinstance(token, str)),
+        ):
+            if not ok:
+                raise ConfigurationError(
+                    f"result set {name} must be {what}, got "
+                    f"{data.get(name)!r}"
+                )
         return cls(
             comparisons=tuple(
-                MethodComparison.from_dict(c) for c in data["comparisons"]
+                MethodComparison.from_dict(c) for c in comparisons
             ),
-            methods=tuple(data.get("methods", ())),
-            reference_method=data.get("reference_method", "monte_carlo"),
-            mc_token=data.get("mc_token"),
+            methods=tuple(methods),
+            reference_method=reference,
+            mc_token=token,
         )
 
     @classmethod

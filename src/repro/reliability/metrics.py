@@ -4,9 +4,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
-from ..errors import EstimationError
+from ..errors import ConfigurationError, EstimationError
 from ..units import SECONDS_PER_YEAR, mttf_seconds_to_fit
+
+
+#: Each field of an estimate's dict form: what it must be, the types
+#: that qualify (``bool`` never does) and its default.
+_WIRE_FIELDS = {
+    "mttf_seconds": ("a number", (int, float), None),
+    "std_error_seconds": ("a number", (int, float), 0.0),
+    "trials": ("an integer", int, 0),
+    "method": ("a string", str, "exact"),
+}
 
 
 @dataclass(frozen=True)
@@ -81,14 +92,24 @@ class MTTFEstimate:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "MTTFEstimate":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            mttf_seconds=float(data["mttf_seconds"]),
-            std_error_seconds=float(data.get("std_error_seconds", 0.0)),
-            trials=int(data.get("trials", 0)),
-            method=str(data.get("method", "exact")),
-        )
+    def from_dict(cls, data: Mapping) -> "MTTFEstimate":
+        """Inverse of :meth:`to_dict`; a malformed form raises
+        :class:`ConfigurationError` naming the field."""
+        if not isinstance(data, Mapping):
+            raise ConfigurationError(
+                f"an estimate must be a mapping, got {type(data).__name__}"
+            )
+        values = {}
+        for name, (what, types, default) in _WIRE_FIELDS.items():
+            value = values[name] = data.get(name, default)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigurationError(
+                    f"estimate {name} must be {what}, got {value!r}"
+                )
+        try:
+            return cls(**values)
+        except EstimationError as error:
+            raise ConfigurationError(f"bad estimate: {error}") from None
 
     def __str__(self) -> str:
         if math.isinf(self.mttf_seconds):

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.harness.runner import main
 
 #: perfbench's pinned-load module, read as text and never imported.
@@ -125,21 +124,6 @@ class TestRunnerCli:
         assert main([*base, "--workers", "2", "--json", str(fanned)]) == 0
         assert fanned.read_bytes() == serial.read_bytes()
 
-    def test_reference_must_support_every_system(self, capsys):
-        # avf handles one single-instance component, and compare's
-        # SPEC uniprocessors have four units: avf cannot be their
-        # reference, so the run stops instead of measuring every method
-        # against the first unit's AVF step.
-        with pytest.raises(
-            ConfigurationError,
-            match="reference 'avf' does not support system 'gzip'",
-        ):
-            main(
-                ["compare", "--reference", "avf", "--method", "avf_sofr",
-                 "--trials", "2000"]
-            )
-        assert "completed in" not in capsys.readouterr().out
-
 
 def _exit_code(argv) -> int:
     """``main``'s status, whether returned or raised by argparse."""
@@ -199,6 +183,22 @@ class TestUsageErrors:
             (["table2", "fig55"], {}, "unknown experiment 'fig55'"),
             (["merge", "a.json", "--json", "b.json"], {},
              "unknown experiment 'merge'"),
+            # compare's SPEC uniprocessors have four units, which the
+            # avf step cannot estimate as one reference, and the SOFR
+            # step is itself an approximation under test.
+            (["compare", "--reference", "avf", "--method", "avf_sofr"], {},
+             "reference 'avf' is not one of ['exact', 'first_principles', "
+             "'mc', 'monte_carlo', 'softarch']"),
+            (["compare", "--reference", "sofr_only"], {},
+             "reference 'sofr_only' is not one of"),
+            (["--all", "--reference", "avf"], {},
+             "reference 'avf' is not one of"),
+            (["table2", "--cache-dir", "{tmp}/file"], {},
+             "cache directory '{tmp}/file': File exists"),
+            (["table2", "--json", "{tmp}/missing/x.json"], {},
+             "--json {tmp}/missing/x.json: no such directory"),
+            (["table2", "--markdown", "{tmp}/missing/x.md"], {},
+             "--markdown {tmp}/missing/x.md: no such directory"),
         ],
         ids=[
             "removed-ledger-flag", "removed-realloc-flag", "kernel-legacy",
@@ -212,20 +212,26 @@ class TestUsageErrors:
             "removed-progress-flag",
             "zero-env-trials", "one-env-trial", "non-integer-env-trials",
             "unknown-artifact", "removed-merge-command",
+            "avf-reference", "sofr-only-reference", "avf-reference-all",
+            "cache-dir-is-a-file", "json-dir-missing",
+            "markdown-dir-missing",
         ],
     )
     def test_refused_before_any_work(
-        self, argv, env, message, monkeypatch, capsys
+        self, argv, env, message, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         for name, value in env.items():
             monkeypatch.setenv(name, value)
+        # ``{tmp}`` is a fresh directory holding one plain file.
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
         # A small budget keeps a wrongly accepted row cheap; the env
         # rows need --trials unset to reach REPRO_MC_TRIALS.
         budget = [] if env else ["--trials", "200"]
         assert _exit_code([*budget, *argv]) == 2
         captured = capsys.readouterr()
-        assert message in captured.err
+        assert message.format(tmp=tmp_path) in captured.err
         assert "completed in" not in captured.out
 
     @pytest.mark.parametrize(

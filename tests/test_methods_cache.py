@@ -1,6 +1,7 @@
 """Disk-cache tests: round-trip, invalidation, warm-rerun behaviour,
 and one computation per component key under racing threads."""
 
+import dataclasses
 import json
 import threading
 import time
@@ -31,17 +32,28 @@ class TestMcToken:
         assert mc_token(None) == "exact"
 
     def test_every_field_distinguished(self):
+        # A field outside the token would let warm caches serve numbers
+        # its new value no longer produces, so a new MonteCarloConfig
+        # field fails here until it has a changed value below and that
+        # value moves the token.
+        changed = {
+            "trials": 200,
+            "seed": 2,
+            "method": "arrival",
+            "start_phase": "random",
+            "max_arrival_rounds": 9,
+        }
         base = MonteCarloConfig(trials=100, seed=1)
-        variants = [
-            MonteCarloConfig(trials=200, seed=1),
-            MonteCarloConfig(trials=100, seed=2),
-            MonteCarloConfig(trials=100, seed=1, method="arrival"),
-            MonteCarloConfig(trials=100, seed=1, start_phase="random"),
-            MonteCarloConfig(trials=100, seed=1, max_arrival_rounds=9),
-        ]
-        tokens = {mc_token(v) for v in variants}
-        assert mc_token(base) not in tokens
-        assert len(tokens) == len(variants)
+        tokens = {mc_token(base)}
+        for field in dataclasses.fields(MonteCarloConfig):
+            assert field.name in changed, f"no changed value for {field.name}"
+            token = mc_token(
+                dataclasses.replace(base, **{field.name: changed[field.name]})
+            )
+            assert token not in tokens, (
+                f"mc_token ignores MonteCarloConfig.{field.name}"
+            )
+            tokens.add(token)
 
     def test_token_bytes_are_pinned(self):
         # Cache keys and ResultSet tokens written by earlier releases
