@@ -332,6 +332,9 @@ def sampler_cases(
     ``sample_system_ttf``:
 
     * ``day`` — the busy/idle day workload (2 segments);
+    * ``week`` — the busy/idle week workload (2 segments);
+    * ``day_idle_first`` — the day loop starting with its idle half, so
+      the one segment that accrues hazard does not start at 0;
     * ``gzip_fig6a`` — fig6a's gzip profile dilated to the paper's
       window (13,681 segments);
     * ``combined_sec54`` — sec5.4's nested ``combined`` workload (inner
@@ -362,15 +365,21 @@ def sampler_cases(
     from repro.core.kernel import compile_intensity
     from repro.harness import processor_profile
     from repro.ser import component_rate_per_second
-    from repro.workloads import combined_workload, day_workload
+    from repro.masking import PiecewiseProfile
+    from repro.workloads import combined_workload, day_workload, week_workload
 
     def spec(bench, dilate):
         return processor_profile(
             bench, n_instructions, dilate_to_paper_window=dilate
         )
 
+    idle_first = PiecewiseProfile(
+        [0.0, SECONDS_PER_DAY / 2, SECONDS_PER_DAY], [0.0, 1.0]
+    )
     workloads = {
         "day": ("day", 1e10, day_workload()),
+        "week": ("week", 1e10, week_workload()),
+        "day_idle_first": ("day", 1e10, idle_first),
         "gzip_fig6a": ("gzip", 2e12, spec("gzip", True)),
         "combined_sec54": (
             "combined",

@@ -20,10 +20,12 @@ Three layers:
   lookups rank a query among a table's distinct entries in one probe
   (:class:`_Lookup`) and return ``np.searchsorted``'s segment exactly
   at a fraction of its cost; nested plans rank all their inner tables
-  through one lookup, with no per-segment masks. The inverse transform
-  runs over cache-sized trial slices. Range checks are ``min``/``max``
-  reductions, which also tell when a guard or clamp has nothing to
-  change, so it is skipped.
+  through one lookup, with no per-segment masks. A piecewise plan that
+  accrues hazard in one segment (a busy/idle loop) needs no lookup at
+  all: both transforms have closed forms with the tables' bits. The
+  inverse transform runs over cache-sized trial slices. Range checks
+  are ``min``/``max`` reductions, which also tell when a guard or clamp
+  has nothing to change, so it is skipped.
 * **Streams** — the exponentials and random-phase uniforms of each
   ``(seed, trials)`` pair, drawn once per process and shared read-only
   by every plan that draws at that seed (common random numbers).
@@ -394,9 +396,22 @@ class CompiledPiecewise(_Compiled):
     plan matches the object sampler over the hazard (the test oracle)
     bit for bit. Segment lookups go through a :class:`_Lookup`, which
     returns ``np.searchsorted``'s segment exactly.
+
+    **One live segment.** When exactly one segment ``j`` has a nonzero
+    rate ``r`` and ``cum[j + 1]`` is ``M = fl(r * fl(bp[j+1] - bp[j]))``
+    (every busy/idle loop: day, week, or one that starts idle), both
+    transforms have closed forms with no lookup and no gather:
+    ``Λ(τ) = clip(r * (τ - bp[j]), 0, M)`` and ``Λ⁻¹(u) = bp[j] + u / r``.
+    They return the table path's bits. ``cum[j]`` is 0, so inside
+    segment ``j`` the table path computes the same product plus 0.0;
+    outside it, it computes ``0 + 0 * (…)`` or ``M + 0 * (…)``; and
+    rounding is monotone, so the product is at most ``M`` inside the
+    segment, at least ``M`` past it and negative before it. The one
+    sign the table path sets that a clip keeps is zero's: ``-0.0 + 0.0``
+    is ``+0.0``, so the closed form adds 0.0 wherever it clips at 0.
     """
 
-    __slots__ = ("bp", "rates", "cum", "period", "mass", "_lookups")
+    __slots__ = ("bp", "rates", "cum", "period", "mass", "_lookups", "_live")
 
     kind = "piecewise"
 
@@ -424,6 +439,16 @@ class CompiledPiecewise(_Compiled):
         self.period = float(self.bp[-1])
         self.mass = float(self.cum[-1])
         self._lookups: dict[str, _Lookup] = {}
+        # ``(bp[j], rate)`` of the one live segment, or None. A zero-rate
+        # segment accrues nothing (checked above), so ``cum`` is 0 up to
+        # ``j`` and ``mass`` after it.
+        self._live: tuple[float, float] | None = None
+        live = np.flatnonzero(self.rates)
+        if live.size == 1:
+            start, end = self.bp[live[0] : live[0] + 2].tolist()
+            rate = float(self.rates[live[0]])
+            if self.mass == rate * (end - start):
+                self._live = (start, rate)
 
     @classmethod
     def from_hazard(cls, hazard: PiecewiseHazard) -> "CompiledPiecewise":
@@ -437,6 +462,19 @@ class CompiledPiecewise(_Compiled):
         return [getattr(self, name)]
 
     def _cumulative(self, tau: np.ndarray) -> np.ndarray:
+        if self._live is not None:
+            start, rate = self._live
+            if start:
+                out = np.subtract(tau, start)
+                out *= rate
+            else:  # ``x - 0.0`` is ``x`` for every x, -0.0 included
+                out = np.multiply(tau, rate)
+            if not _least(out) > 0:
+                np.clip(out, 0.0, self.mass, out=out)
+                out += 0.0  # -0.0 to +0.0, as the table path's + cum[j]
+            elif _greatest(out) > self.mass:
+                np.minimum(out, self.mass, out=out)
+            return out
         idx = self._lookup("bp").segments(tau, "right")
         out = self.bp[idx]
         np.subtract(tau, out, out=out)
@@ -445,12 +483,18 @@ class CompiledPiecewise(_Compiled):
         return out
 
     def _invert(self, u: np.ndarray) -> np.ndarray:
-        idx = self._lookup("cum").segments(u, "left")
-        frac = self.cum[idx]
-        np.subtract(u, frac, out=frac)
-        frac /= self.rates[idx]
-        out = self.bp[idx]
-        out += frac
+        if self._live is not None:
+            start, rate = self._live
+            out = np.divide(u, rate)
+            if start:  # else ``0.0 + u / r`` is ``u / r``: u > 0 or NaN
+                out += start
+        else:
+            idx = self._lookup("cum").segments(u, "left")
+            frac = self.cum[idx]
+            np.subtract(u, frac, out=frac)
+            frac /= self.rates[idx]
+            out = self.bp[idx]
+            out += frac
         if not _greatest(out) <= self.period:
             np.minimum(out, self.period, out=out)
         return out
@@ -615,6 +659,12 @@ def _cumulative_extended(
     t = np.asarray(t, dtype=float)
     if _least(t) < 0:
         raise ProfileError("time must be non-negative")
+    if _greatest(t) < intensity.period:
+        # Every whole-period count is 0: ``t / period`` rounds below 1
+        # when ``t < period``, so the split would add ``0 * mass`` to
+        # ``Λ(t)``. (A ``-0.0`` would become ``+0.0`` first; ``Λ`` maps
+        # both zeros to ``+0.0``.) Random-phase offsets always land here.
+        return intensity._cumulative(t)  # noqa: SLF001 - t is in range
     k, rem = _periods(t, intensity.period)
     rem = _clamped(rem, 0.0, intensity.period)
     k *= intensity.mass

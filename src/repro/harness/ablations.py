@@ -14,14 +14,17 @@ These probe the reproduction's own design choices:
   time-dilation bridging of simulated window lengths.
 
 Like the paper experiments, the ablations take one
-:class:`~repro.harness.experiment.EngineOptions`, route their
-estimation through :func:`repro.methods.evaluate_design_space` with
-``engine.kwargs()``, and emit a serializable ``result_set``. The
-sampler and convergence ablations set their own seeds. The
-exponentiality ablation's KS diagnostic is sample-level by nature: it
-draws its samples directly (once) and reduces both the diagnostics and
-its result set from them. The direct draws of both sample-level
-ablations run on the invocation's thread pool (``engine.workers``).
+:class:`~repro.harness.experiment.EngineOptions` and emit a
+serializable ``result_set``; each sets its own seeds. The convergence,
+hybrid and dilation ablations route their estimation through
+:func:`repro.methods.evaluate_design_space` with ``engine.kwargs()``.
+The sampler and exponentiality ablations are sample-level: their decile
+gaps and KS distances need the raw TTF arrays, which the batch engine
+does not keep. Each draws every ``(seed, sampler)`` stream directly,
+once, on the invocation's thread pool (``engine.workers``), and reduces
+both its diagnostics and its result set from those samples. They
+therefore always draw: the estimate cache neither serves nor records
+them.
 """
 
 from __future__ import annotations
@@ -31,8 +34,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..core.montecarlo import MonteCarloConfig, sample_component_ttf
 from ..core.comparison import MethodComparison
+from ..core.firstprinciples import first_principles_mttf
+from ..core.montecarlo import (
+    MonteCarloConfig,
+    _estimate_from_samples,
+    sample_component_ttf,
+    sample_system_ttf,
+)
 from ..core.system import Component, SystemModel
 from ..methods import ResultSet, evaluate_design_space
 from ..methods.batch import resolve_workers
@@ -73,57 +82,46 @@ def run_sampler_equivalence(engine: EngineOptions):
          "difference (sigma)", "max |decile gap|"],
     )
     lam_ls = (0.01, 0.1, 1.0, 5.0)
-    space = [
-        (f"day/lambdaL={lam_l:g}", _day_system(lam_l / SECONDS_PER_DAY))
-        for lam_l in lam_ls
-    ]
-    inverse_set = evaluate_design_space(
-        space,
-        methods=["first_principles"],
-        reference="monte_carlo",
-        mc_config=MonteCarloConfig(trials=trials, seed=1),
-        **engine.kwargs(),
-    )
-    arrival_set = evaluate_design_space(
-        [(f"{label}/arrival", system) for label, system in space],
-        methods=["first_principles"],
-        reference="monte_carlo",
-        mc_config=MonteCarloConfig(trials=trials, seed=2, method="arrival"),
-        **engine.kwargs(),
-    )
+    systems = [_day_system(lam_l / SECONDS_PER_DAY) for lam_l in lam_ls]
     deciles = np.linspace(0.1, 0.9, 9)
 
-    def decile_gap(lam_l: float) -> float:
-        # Distributional check: a mean match alone would miss a sampler
-        # that distorts the TTF shape, so compare the samplers'
-        # quantiles on fresh same-seed draws (mean/stderr come from the
-        # cached engine estimates).
-        comp = _day_component(lam_l / SECONDS_PER_DAY)
-        inv_samples = sample_component_ttf(
-            comp, MonteCarloConfig(trials=trials, seed=1)
-        )
-        arr_samples = sample_component_ttf(
-            comp, MonteCarloConfig(trials=trials, seed=2, method="arrival")
-        )
-        inv_deciles = np.quantile(inv_samples, deciles)
-        return float(
-            np.max(
-                np.abs(inv_deciles - np.quantile(arr_samples, deciles))
-                / inv_deciles
-            )
+    # Sample-level, like the exponentiality ablation: a mean match alone
+    # would miss a sampler that distorts the TTF shape, so the samplers'
+    # deciles are compared too, and the batch engine does not keep the
+    # raw TTF arrays. Each (seed, sampler) stream is drawn once and
+    # reduced both to the engine's estimate (its arithmetic, so its
+    # bits) and to its deciles.
+    def draw(item):
+        system, config = item
+        samples = sample_system_ttf(system, config)
+        return (
+            _estimate_from_samples(  # noqa: SLF001 - the engine's reduction
+                samples, f"monte_carlo[{config.method}]"
+            ),
+            np.quantile(samples, deciles),
         )
 
+    samplers = (
+        MonteCarloConfig(trials=trials, seed=1),
+        MonteCarloConfig(trials=trials, seed=2, method="arrival"),
+    )
+    drawn = _on_pool(
+        engine,
+        draw,
+        [(system, config) for config in samplers for system in systems],
+    )
+    inverse, arrival = drawn[: len(systems)], drawn[len(systems) :]
+
     worst_sigma = 0.0
-    gaps = _on_pool(engine, decile_gap, lam_ls)
-    for lam_l, inv_cmp, arr_cmp, gap in zip(
-        lam_ls, inverse_set, arrival_set, gaps
+    for lam_l, (inv, inv_deciles), (arr, arr_deciles) in zip(
+        lam_ls, inverse, arrival
     ):
-        inv, arr = inv_cmp.reference, arr_cmp.reference
         pooled_se = math.sqrt(
             inv.std_error_seconds**2 + arr.std_error_seconds**2
         )
         sigma = abs(inv.mttf_seconds - arr.mttf_seconds) / pooled_se
         worst_sigma = max(worst_sigma, sigma)
+        gap = float(np.max(np.abs(inv_deciles - arr_deciles) / inv_deciles))
         table.add_row(
             f"{lam_l:g}",
             inv.mttf_seconds / 86400.0,
@@ -131,6 +129,22 @@ def run_sampler_equivalence(engine: EngineOptions):
             f"{sigma:.2f}",
             percent(gap),
         )
+    # The records the batch engine would build: the inverse points, then
+    # the same systems labelled "/arrival", each against its own draw.
+    exact = [first_principles_mttf(system) for system in systems]
+    result_set = ResultSet(
+        comparisons=tuple(
+            MethodComparison(
+                system_label=f"day/lambdaL={lam_l:g}{suffix}",
+                reference=reference,
+                estimates={"first_principles": fp},
+            )
+            for suffix, draws in (("", inverse), ("/arrival", arrival))
+            for lam_l, fp, (reference, _deciles) in zip(lam_ls, exact, draws)
+        ),
+        methods=("first_principles",),
+        reference_method="monte_carlo",
+    )
     return ExperimentResult(
         artifact="ablation.samplers",
         title="Arrival and inverse samplers agree",
@@ -139,7 +153,7 @@ def run_sampler_equivalence(engine: EngineOptions):
         tables=[table],
         headline=f"mean differences within {worst_sigma:.1f} standard "
         "errors across four hazard regimes",
-        result_set=inverse_set.merged(arrival_set),
+        result_set=result_set,
     )
 
 

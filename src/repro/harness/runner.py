@@ -156,9 +156,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # Every name resolves before any experiment runs.
         chosen = [get_experiment(artifact) for artifact in selected]
-        # Output files are written last; a missing directory fails now.
+        # Output files are written last; a path they cannot be written
+        # to (a directory, or one in a missing directory) fails now.
         for flag in ("json", "markdown"):
             path = getattr(args, flag)
+            if path and os.path.isdir(path):
+                raise ConfigurationError(f"--{flag} {path}: is a directory")
             if path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise ConfigurationError(f"--{flag} {path}: no such directory")
         engine = EngineOptions(

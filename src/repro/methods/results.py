@@ -180,11 +180,24 @@ class ResultSet:
 
     @classmethod
     def from_json(cls, source: str | Path) -> "ResultSet":
-        """Load from a JSON string or a path to a JSON file."""
-        if isinstance(source, Path):
-            text = source.read_text(encoding="utf-8")
-        elif source.lstrip().startswith("{"):
-            text = source
+        """Load from a JSON string or a path to a JSON file.
+
+        A string whose first non-blank character is ``{`` or ``[`` is
+        JSON text; any other string, or a ``Path``, names a file. A file
+        that cannot be read and text that is not JSON raise
+        :class:`ConfigurationError` naming the source, as a malformed
+        document does.
+        """
+        if isinstance(source, str) and source.lstrip()[:1] in ("{", "["):
+            what, text = "result set text", source
         else:
-            text = Path(source).read_text(encoding="utf-8")
-        return cls.from_dict(json.loads(text))
+            what = f"result set file {str(source)!r}"
+            try:
+                text = Path(source).read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as error:
+                raise ConfigurationError(f"{what}: {error}") from None
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as error:
+            raise ConfigurationError(f"{what} is not JSON: {error}") from None
+        return cls.from_dict(data)

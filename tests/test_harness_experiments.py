@@ -7,8 +7,10 @@ qualitative claims, mirroring the benchmark suite but at unit-test cost.
 import re
 
 import pytest
+import sampler_oracle as oracle
 
-from repro.core import MonteCarloConfig
+from repro.core import Component, MonteCarloConfig, SystemModel
+from repro.core import montecarlo as mc
 from repro.errors import ConfigurationError
 from repro.harness import EngineOptions, all_experiments, get_experiment
 from repro.harness.spec_setup import (
@@ -18,6 +20,9 @@ from repro.harness.spec_setup import (
     processor_profile,
     spec_uniprocessor_system,
 )
+from repro.methods import evaluate_design_space
+from repro.units import SECONDS_PER_DAY
+from repro.workloads.longrun import day_workload
 
 FAST_TRIALS = 8_000
 
@@ -109,6 +114,28 @@ class TestExperimentClaims:
         ]
         assert errors[0] == pytest.approx(0.146, abs=0.01)
         assert errors[-1] == pytest.approx(0.344, abs=0.01)
+
+    @pytest.mark.parametrize("trials", [2_000, 65_536, 70_001])
+    def test_fig4_blocked_check_is_the_whole_draw(self, trials):
+        """The Monte-Carlo check draws its rows in blocks and divides
+        after the row minimum; the mean is the one-shot draw's, bit for
+        bit, below, at and across a block edge, on one worker or two."""
+        import numpy as np
+
+        from repro.harness.experiments import _halfnormal_min_mean
+        from repro.reliability.distributions import HalfNormalSquare
+
+        rng = np.random.default_rng(0)
+        whole = HalfNormalSquare().sample(trials * 8, rng)
+        expected = float(whole.reshape(trials, 8).min(axis=1).mean())
+        assert _halfnormal_min_mean(trials, 8) == expected
+        notes = {
+            workers: get_experiment("fig4").run(
+                EngineOptions(trials=trials, workers=workers)
+            ).notes
+            for workers in (1, 2)
+        }
+        assert notes[1] == notes[2]
 
     def test_sec51_bound(self):
         result = get_experiment("sec5.1").run(
@@ -226,6 +253,55 @@ class TestExperimentClaims:
         result = get_experiment("table2").run()
         assert "table2" in result.render()
         assert "###" in result.render_markdown()
+
+
+class TestSampleLevelAblations:
+    def test_samplers_draw_each_stream_once(self, monkeypatch):
+        """``ablation.samplers`` draws each (seed, sampler) stream once,
+        4 systems by 2 samplers, and reduces the engine's estimates and
+        its deciles from the same arrays, so its ResultSet is byte for
+        byte the one the batch engine builds from its own draws."""
+        arrival_draws = []
+        arrival = mc._arrival_component_ttf
+
+        def counted(*args, **kwargs):
+            arrival_draws.append(1)
+            return arrival(*args, **kwargs)
+
+        monkeypatch.setattr(mc, "_arrival_component_ttf", counted)
+        oracle.install(monkeypatch)
+        trials = 2_000
+        result = get_experiment("ablation.samplers").run(
+            EngineOptions(trials=trials, workers=2)
+        )
+        # Inverse draws go through the oracle, arrival draws through the
+        # paper-literal sampler, one component instance each.
+        assert (oracle.draws, len(arrival_draws)) == (4, 4)
+        space = [
+            (
+                f"day/lambdaL={lam_l:g}",
+                SystemModel(
+                    [Component("proc", lam_l / SECONDS_PER_DAY,
+                               day_workload())]
+                ),
+            )
+            for lam_l in (0.01, 0.1, 1.0, 5.0)
+        ]
+        engine_sets = [
+            evaluate_design_space(
+                [(f"{label}{suffix}", system) for label, system in space],
+                methods=["first_principles"],
+                reference="monte_carlo",
+                mc_config=config,
+            )
+            for suffix, config in (
+                ("", MonteCarloConfig(trials=trials, seed=1)),
+                ("/arrival",
+                 MonteCarloConfig(trials=trials, seed=2, method="arrival")),
+            )
+        ]
+        expected = engine_sets[0].merged(engine_sets[1])
+        assert result.result_set.to_json() == expected.to_json()
 
 
 class TestEngineOptions:

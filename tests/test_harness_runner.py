@@ -199,6 +199,9 @@ class TestUsageErrors:
              "--json {tmp}/missing/x.json: no such directory"),
             (["table2", "--markdown", "{tmp}/missing/x.md"], {},
              "--markdown {tmp}/missing/x.md: no such directory"),
+            (["table2", "--json", "{tmp}"], {}, "--json {tmp}: is a directory"),
+            (["table2", "--markdown", "{tmp}/"], {},
+             "--markdown {tmp}/: is a directory"),
         ],
         ids=[
             "removed-ledger-flag", "removed-realloc-flag", "kernel-legacy",
@@ -214,7 +217,8 @@ class TestUsageErrors:
             "unknown-artifact", "removed-merge-command",
             "avf-reference", "sofr-only-reference", "avf-reference-all",
             "cache-dir-is-a-file", "json-dir-missing",
-            "markdown-dir-missing",
+            "markdown-dir-missing", "json-is-a-directory",
+            "markdown-is-a-directory",
         ],
     )
     def test_refused_before_any_work(

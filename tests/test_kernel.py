@@ -792,6 +792,180 @@ class TestFlatNested:
 
 
 # ---------------------------------------------------------------------------
+# One live segment: closed-form transforms with the table path's bits.
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(got, expected):
+    """Equal element for element, down to the sign of zero, and NaN
+    wherever the expected value is NaN."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+def _neighbours(values):
+    """Each value with both float neighbours, and NaN."""
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([_around(values), [np.nan]])
+
+
+def _offsets(period):
+    """Random-phase offsets, all below ``period`` (0, -0.0, the last
+    float below it and NaN among them), and the same with one offset at
+    the period."""
+    inside = np.random.default_rng(5).random(_SLICE) * period
+    inside = np.concatenate(
+        [inside, [0.0, -0.0, np.nextafter(period, 0.0), np.nan]]
+    )
+    return inside, np.append(inside, period)
+
+
+@pytest.fixture(
+    params=["day", "week", "idle-first", "idle-busy-idle", "component",
+            "subnormal-rate"]
+)
+def live_plan(request):
+    """``(hazard, compiled, j)`` for a hazard that accrues in segment
+    ``j`` only. The workloads are eight-instance system plans, as the
+    sweeps build them; ``component`` is a one-instance component plan.
+    ``idle-first`` is the day loop starting at midnight (``bp[j] != 0``).
+    In ``subnormal-rate`` the product ``r * (τ - bp[j])`` rounds to
+    ``-0.0`` before the live segment, where the table path adds
+    ``cum[0]`` and returns ``+0.0``."""
+    rate = 2.0 / SECONDS_PER_DAY
+    half = SECONDS_PER_DAY / 2
+    if request.param == "subnormal-rate":
+        hazard = PiecewiseHazard([0.0, 1.0, 2.0, 3.0], [0.0, 5e-324, 0.0])
+        return hazard, compile_intensity(hazard), 1
+    if request.param == "component":
+        component = Component("unit", rate, day_workload())
+        plan = plan_for_component(component)
+        return component.intensity, plan.intensity, 0
+    profile, live = {
+        "day": (day_workload(), 0),
+        "week": (week_workload(), 0),
+        "idle-first": (
+            PiecewiseProfile([0.0, half, SECONDS_PER_DAY], [0.0, 1.0]), 1
+        ),
+        "idle-busy-idle": (
+            PiecewiseProfile([0.0, 3.0, 10.0, 24.0], [0.0, 1.0, 0.0]), 1
+        ),
+    }[request.param]
+    system = SystemModel([Component("c", rate, profile, multiplicity=8)])
+    plan = plan_for_system(system)
+    return system.combined_intensity(), plan.intensity, live
+
+
+class TestLiveSegmentClosedForms:
+    """Busy/idle plans accrue hazard in one segment ``j``, so
+    ``Λ(τ) = clip(r (τ - bp[j]), 0, M)`` and ``Λ⁻¹(u) = bp[j] + u / r``
+    replace the lookups and gathers. Every query the hazard objects
+    accept must come back with their bits, signed zeros included."""
+
+    def test_plans_take_the_closed_form(self, live_plan):
+        hazard, compiled, j = live_plan
+        assert compiled._live == (hazard.breakpoints[j], hazard.rates[j])
+
+    def test_cumulative_and_invert_bits(self, live_plan):
+        hazard, compiled, j = live_plan
+        period, mass = hazard.period, hazard.mass
+        bp = hazard.breakpoints
+        tau = _neighbours(
+            [0.0, -0.0, bp[j], bp[j + 1], period, period * (1 + _REL_TOL),
+             *np.linspace(0.0, period, 17)]
+        )
+        tau = tau[~(tau < 0) & ~(tau > period * (1 + _REL_TOL))]
+        _same_bits(compiled.cumulative(tau), hazard.cumulative(tau))
+        u = _neighbours(
+            [5e-324, mass, mass * (1 + _REL_TOL),
+             *np.linspace(0.0, mass, 17)[1:], *hazard.cumulative(tau[:-1])]
+        )
+        u = u[~(u <= 0) & ~(u > mass * (1 + _REL_TOL))]
+        _same_bits(compiled.invert(u), hazard.invert(u))
+        for k in range(4):
+            t = tau + k * period
+            _same_bits(
+                kernel_mod._cumulative_extended(compiled, t),
+                hazard.cumulative_extended(t),
+            )
+            _same_bits(
+                kernel_mod._invert_extended(compiled, u + k * mass),
+                hazard.invert_extended(u + k * mass),
+            )
+
+    def test_random_phase_offsets(self, live_plan, monkeypatch):
+        """Offsets below the period skip the whole-period split; one
+        offset at the period takes it. Both keep the oracle's bits."""
+        hazard, compiled, _j = live_plan
+        inside, at_period = _offsets(hazard.period)
+        expected = hazard.cumulative_extended(inside)
+        _same_bits(
+            kernel_mod._cumulative_extended(compiled, at_period),
+            hazard.cumulative_extended(at_period),
+        )
+
+        def refuse(*_args):
+            raise AssertionError("split offsets that are all in range")
+
+        monkeypatch.setattr(kernel_mod, "_periods", refuse)
+        _same_bits(kernel_mod._cumulative_extended(compiled, inside), expected)
+
+    def test_offsets_skip_the_split_on_every_shape(
+        self, paper_hazards, massless_nested
+    ):
+        """The skip is in the extended form, so table and nested plans
+        take it too."""
+        for hazard in (*paper_hazards.values(), massless_nested):
+            compiled = compile_intensity(hazard)
+            for t in _offsets(hazard.period):
+                _same_bits(
+                    kernel_mod._cumulative_extended(compiled, t),
+                    hazard.cumulative_extended(t),
+                )
+
+    def test_draws_use_no_lookup(self, live_plan, monkeypatch):
+        hazard, compiled, _j = live_plan
+
+        def refuse(*_args):
+            raise AssertionError("a segment lookup on a one-segment plan")
+
+        monkeypatch.setattr(kernel_mod._Lookup, "segments", refuse)
+        for phase in ("zero", "random"):
+            config = _config(trials=_SLICE + 5, start_phase=phase)
+            # The subnormal mass's period counts overflow to inf in both.
+            with np.errstate(over="ignore"):
+                _same_bits(
+                    kernel_mod.inverse_ttf(compiled, config),
+                    oracle.inverse_samples(
+                        hazard, config, np.random.default_rng(config.seed)
+                    ),
+                )
+
+    @pytest.mark.parametrize(
+        "bp, rates, cum",
+        [
+            # Two segments accrue hazard.
+            ([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 2.0], [0.0, 1.0, 1.0, 3.0]),
+            # One does, but its step is not fl(r * fl(bp[j+1] - bp[j])).
+            ([0.0, 1.0, 2.0], [0.0, 3.0], [0.0, 0.0, np.nextafter(3.0, 4.0)]),
+        ],
+        ids=["two-live-segments", "step-not-the-rounded-product"],
+    )
+    def test_other_tables_keep_the_table_path(self, bp, rates, cum):
+        compiled = CompiledPiecewise(bp, rates, cum)
+        assert compiled._live is None
+        tau = np.linspace(0.0, compiled.period, 9)
+        idx = _searchsorted_segment(compiled.bp, tau, "right")
+        _same_bits(
+            compiled.cumulative(tau),
+            compiled.cum[idx] + compiled.rates[idx] * (tau - compiled.bp[idx]),
+        )
+
+
+# ---------------------------------------------------------------------------
 # Plan sampling vs the oracle samplers.
 # ---------------------------------------------------------------------------
 

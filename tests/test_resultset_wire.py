@@ -176,3 +176,30 @@ def test_valid_document_loads():
     [comparison] = ResultSet.from_dict(copy.deepcopy(VALID))
     assert comparison.error("avf") == -0.5
     assert comparison.reference.trials == 100
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("[1, 2]", "result set wire form must be a dict, got list"),
+        (" ", "result set file ' ': .*No such file"),
+        ("{not json", "result set text is not JSON"),
+        ("{tmp}/missing.json", "result set file '{tmp}/missing.json'"),
+        ("{tmp}", "result set file '{tmp}': .*Is a directory"),
+        ("{tmp}/text.json", "result set file '{tmp}/text.json' is not JSON"),
+        ("{tmp}/binary.json", "result set file '{tmp}/binary.json': .*decode"),
+    ],
+    ids=[
+        "text-list", "blank-text", "text-not-json", "missing-file",
+        "directory", "file-not-json", "file-not-utf8",
+    ],
+)
+def test_from_json_refuses_unreadable_sources(source, message, tmp_path):
+    """Text that starts with ``{`` or ``[`` is JSON, anything else names
+    a file; neither an unreadable file nor text that is not JSON escapes
+    as a raw ``OSError`` or ``JSONDecodeError``."""
+    (tmp_path / "text.json").write_text("schema: v1\n", encoding="utf-8")
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
+    tmp = str(tmp_path)
+    with pytest.raises(ConfigurationError, match=message.replace("{tmp}", tmp)):
+        ResultSet.from_json(source.replace("{tmp}", tmp))
