@@ -40,8 +40,9 @@ Quickstart — compare any registered methods on a system with the
     print(result.to_json())              # serializable artifact
     print(repro.validity_report(system).summary())
 
-Many systems at once — with per-component memoization and optional
-thread fan-out — go through the batch engine::
+Many systems at once — with memoized estimates (a cluster's instance
+is estimated once at every C) and optional thread fan-out — go through
+the batch engine::
 
     clusters = [
         (f"C={c}", repro.SystemModel(

@@ -22,11 +22,10 @@ Design-space sweeps run through the batch engine
 from :mod:`repro.methods`.
 """
 
-from .avf import avf_mttf, avf_step, derated_failure_rate
+from .avf import avf_mttf, avf_step
 from .comparison import MethodComparison
 from .firstprinciples import (
     exact_component_mttf,
-    exact_component_process,
     exact_system_process,
     first_principles_mttf,
 )
@@ -67,10 +66,8 @@ from .validity import (
 __all__ = [
     "avf_mttf",
     "avf_step",
-    "derated_failure_rate",
     "MethodComparison",
     "exact_component_mttf",
-    "exact_component_process",
     "exact_system_process",
     "first_principles_mttf",
     "ARRIVAL_INSTANCE_LIMIT",

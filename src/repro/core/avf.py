@@ -41,14 +41,3 @@ def avf_step(component: Component) -> MTTFEstimate:
         method="avf",
     )
 
-
-def derated_failure_rate(component: Component) -> float:
-    """The AVF-derated failure rate ``lambda * AVF`` (failures/second).
-
-    This is the quantity the SOFR step sums over components. Returns 0.0
-    for never-vulnerable components.
-    """
-    mttf = avf_mttf(component.rate_per_second, component.profile)
-    if math.isinf(mttf):
-        return 0.0
-    return 1.0 / mttf

@@ -19,7 +19,7 @@ from __future__ import annotations
 from ..masking.profile import VulnerabilityProfile
 from ..reliability.metrics import MTTFEstimate
 from ..reliability.process import FailureProcess
-from .system import Component, SystemModel
+from .system import SystemModel
 
 
 def exact_component_mttf(
@@ -28,11 +28,6 @@ def exact_component_mttf(
     """Exact MTTF (seconds) of a single masked component."""
     process = FailureProcess(profile.to_hazard(rate_per_second))
     return process.mttf()
-
-
-def exact_component_process(component: Component) -> FailureProcess:
-    """The exact failure process of one component instance."""
-    return FailureProcess(component.intensity)
 
 
 def exact_system_process(system: SystemModel) -> FailureProcess:

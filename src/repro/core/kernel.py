@@ -29,10 +29,11 @@ Three layers:
 * **Streams** — the exponentials and random-phase uniforms of each
   ``(seed, trials)`` pair, drawn once per process and shared read-only
   by every plan that draws at that seed (common random numbers).
-* **Sampling plans** — :class:`SamplingPlan` bundles a compiled
-  intensity with its source model (for the arrival sampler, which
-  needs the full model) under the model's content fingerprint, in a
-  bounded process-wide LRU.
+* **Plans** — a system's compiled combined intensity, kept under its
+  content fingerprint in a bounded process-wide LRU. A component
+  instance draws as its one-instance system
+  (:meth:`~repro.core.system.Component.alone`), so there is one kind of
+  plan and one inverse entry point, :func:`inverse_system_ttf`.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from ..reliability.hazard import (
     NestedHazard,
     PiecewiseHazard,
 )
-from .system import Component, SystemModel
+from .system import SystemModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .montecarlo import MonteCarloConfig
@@ -826,108 +827,44 @@ def _stream(seed: int, trials: int) -> _Stream:
 
 
 # ---------------------------------------------------------------------------
-# Sampling plans.
-# ---------------------------------------------------------------------------
-
-
-class SamplingPlan:
-    """Everything needed to draw one target's TTF samples.
-
-    ``kind`` is ``"system"`` (inverse draws use the superposed
-    intensity; arrival draws need the full :class:`SystemModel`) or
-    ``"component"`` (one instance: inverse draws use the component's own
-    intensity). ``model`` is the source the plan was compiled from.
-    """
-
-    __slots__ = ("kind", "fingerprint", "intensity", "model")
-
-    def __init__(
-        self,
-        kind: str,
-        fingerprint: str,
-        intensity: CompiledIntensity,
-        model: SystemModel | Component,
-    ) -> None:
-        if kind not in ("system", "component"):
-            raise ConfigurationError(f"unknown plan kind {kind!r}")
-        self.kind = kind
-        self.fingerprint = fingerprint
-        self.intensity = intensity
-        self.model = model
-
-    @property
-    def cache_key(self) -> str:
-        """Plan-cache key: fingerprints are namespaced by kind."""
-        return f"{self.kind}:{self.fingerprint}"
-
-    def sample_ttf(self, config: "MonteCarloConfig") -> np.ndarray:
-        """Draw ``config.trials`` i.i.d. TTF samples against this plan.
-
-        ``sample_system_ttf``/``sample_component_ttf`` route every
-        inverse draw here. The inverse path is :func:`inverse_ttf` on
-        the compiled tables and the seed's shared stream; the arrival
-        path is the paper-literal sampler run on the source model, with
-        a generator built from ``config.seed``.
-        """
-        from . import montecarlo as mc
-
-        if config.method == "inverse":
-            return inverse_ttf(self.intensity, config)
-        rng = np.random.default_rng(config.seed)
-        if self.kind == "system":
-            return mc._arrival_system_ttf(  # noqa: SLF001
-                self.model, config.trials, rng, config
-            )
-        return mc._arrival_component_ttf(  # noqa: SLF001
-            self.model, config.trials, rng, config
-        )
-
-
-# ---------------------------------------------------------------------------
 # Fingerprint-keyed plan cache.
 # ---------------------------------------------------------------------------
 
-#: Every plan compiled in this process, keyed by :attr:`SamplingPlan.
-#: cache_key`. ``--all`` reuses a plan after at most 35 other distinct
-#: plans (34 hits, 174 misses at 1e5 trials), so 64 keeps every hit
-#: while keeping at most a quarter as many plans' tables and lookups
-#: alive as 256 did.
+#: Every plan compiled in this process, keyed by the system's content
+#: fingerprint. ``--all`` reuses a plan after at most 29 other distinct
+#: plans (34 hits, 164 misses at 1e5 trials and ``--workers 1``), so 64
+#: keeps every hit while keeping at most a quarter as many plans' tables
+#: and lookups alive as 256 did.
 _PLANS_CAP = 64
 _PLANS = _LRU(_PLANS_CAP)
 
 
-def plan_for_system(system: SystemModel) -> SamplingPlan:
-    """The (memoized) sampling plan of a series system."""
-    key = f"system:{system.content_fingerprint}"
+def plan_for_system(system: SystemModel) -> CompiledIntensity:
+    """The (memoized) compiled combined intensity of a series system.
+
+    A component instance's plan is :meth:`~repro.core.system.Component.
+    alone`'s, so one plan serves the instance and the one-component
+    point of the same component.
+    """
+    key = system.content_fingerprint
     plan = _PLANS.get(key)
-    if plan is not None:
-        return plan
-    return _PLANS.put(
-        key,
-        SamplingPlan(
-            kind="system",
-            fingerprint=system.content_fingerprint,
-            intensity=compile_intensity(system.combined_intensity()),
-            model=system,
-        )
-    )
+    if plan is None:
+        plan = _PLANS.put(key, compile_intensity(system.combined_intensity()))
+    return plan
 
 
-def plan_for_component(component: Component) -> SamplingPlan:
-    """The (memoized) sampling plan of a single component instance."""
-    key = f"component:{component.content_fingerprint}"
-    plan = _PLANS.get(key)
-    if plan is not None:
-        return plan
-    return _PLANS.put(
-        key,
-        SamplingPlan(
-            kind="component",
-            fingerprint=component.content_fingerprint,
-            intensity=compile_intensity(component.intensity),
-            model=component,
-        )
-    )
+def inverse_system_ttf(
+    system: SystemModel, config: "MonteCarloConfig"
+) -> np.ndarray:
+    """``config.trials`` inverse-transform times to failure of ``system``.
+
+    Every inverse draw comes here (``sample_system_ttf``, and through it
+    every component instance as its one-instance system): the system's
+    plan, drawn by :func:`inverse_ttf` on the seed's shared stream. The
+    sampler oracle (``tests/sampler_oracle.py``) replaces this one
+    function to check every draw against the hazard objects.
+    """
+    return inverse_ttf(plan_for_system(system), config)
 
 
 def clear_plan_cache() -> None:

@@ -29,6 +29,7 @@ import numpy as np
 
 from ..errors import EstimationError
 from ..reliability.metrics import MTTFEstimate
+from . import kernel
 from .system import Component, SystemModel
 
 #: Trials used throughout the paper's evaluation (Section 4.3).
@@ -140,48 +141,36 @@ def sample_system_ttf(
     """Draw ``trials`` i.i.d. system times to failure (seconds).
 
     Inverse draws run against the system's compiled, fingerprint-cached
-    sampling plan (:mod:`repro.core.kernel`), built once per design point.
+    sampling plan (:func:`repro.core.kernel.inverse_system_ttf`), built
+    once per design point; arrival draws run the paper-literal sampler.
     """
     if config.method == "inverse":
-        from . import kernel as _kernel
-
-        return _kernel.plan_for_system(system).sample_ttf(config)
-    rng = np.random.default_rng(config.seed)
-    return _arrival_system_ttf(system, config.trials, rng, config)
+        return kernel.inverse_system_ttf(system, config)
+    return _arrival_system_ttf(system, config)
 
 
 def sample_component_ttf(
     component: Component, config: MonteCarloConfig
 ) -> np.ndarray:
     """Draw times to failure for a single component instance."""
-    if config.method == "inverse":
-        from . import kernel as _kernel
-
-        return _kernel.plan_for_component(component).sample_ttf(config)
-    rng = np.random.default_rng(config.seed)
-    return _arrival_component_ttf(component, config.trials, rng, config)
-
-
-def _mttf(sample, target, config) -> MTTFEstimate:
-    """One target's estimate from ``config.trials`` draws."""
-    config = config or MonteCarloConfig()
-    return _estimate_from_samples(
-        sample(target, config), f"monte_carlo[{config.method}]"
-    )
+    return sample_system_ttf(component.alone(), config)
 
 
 def monte_carlo_mttf(
     system: SystemModel, config: MonteCarloConfig | None = None
 ) -> MTTFEstimate:
     """Monte-Carlo system MTTF (the paper's reference value)."""
-    return _mttf(sample_system_ttf, system, config)
+    config = config or MonteCarloConfig()
+    return _estimate_from_samples(
+        sample_system_ttf(system, config), f"monte_carlo[{config.method}]"
+    )
 
 
 def monte_carlo_component_mttf(
     component: Component, config: MonteCarloConfig | None = None
 ) -> MTTFEstimate:
     """Monte-Carlo MTTF of one component instance."""
-    return _mttf(sample_component_ttf, component, config)
+    return monte_carlo_mttf(component.alone(), config)
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +197,16 @@ def _arrival_component_ttf(
     trials: int,
     rng: np.random.Generator,
     config: MonteCarloConfig,
-    offsets: np.ndarray | None = None,
+    offsets: np.ndarray | None,
 ) -> np.ndarray:
-    """The paper's resampling loop, vectorised across trials.
+    """The paper's resampling loop for one instance, vectorised across
+    trials.
 
     For each trial: accumulate exponential inter-arrival times; at each
     arrival, look up the vulnerability at (t mod L) and draw a Bernoulli
     masking decision; stop at the first unmasked arrival. ``offsets``
-    (per-trial loop start phases) implement the random-phase convention.
+    (per-trial loop start phases, ``None`` at zero phase) implement the
+    random-phase convention.
     """
     rate = component.rate_per_second
     if rate <= 0:
@@ -223,8 +214,6 @@ def _arrival_component_ttf(
     profile = component.profile
     period = profile.period
     cap = _arrival_rounds_cap(component, config.max_arrival_rounds)
-    if offsets is None and config.start_phase == "random":
-        offsets = rng.uniform(0.0, period, size=trials)
     times = offsets.copy() if offsets is not None else np.zeros(trials)
     result = np.full(trials, np.inf)
     active = np.arange(trials)
@@ -252,10 +241,7 @@ def _arrival_component_ttf(
 
 
 def _arrival_system_ttf(
-    system: SystemModel,
-    trials: int,
-    rng: np.random.Generator,
-    config: MonteCarloConfig,
+    system: SystemModel, config: MonteCarloConfig
 ) -> np.ndarray:
     """Min-over-components arrival sampling (multiplicities expanded)."""
     total_instances = system.component_count
@@ -264,6 +250,8 @@ def _arrival_system_ttf(
             f"arrival sampling would expand {total_instances} component "
             f"instances (> {ARRIVAL_INSTANCE_LIMIT}); use method='inverse'"
         )
+    trials = config.trials
+    rng = np.random.default_rng(config.seed)
     offsets = None
     if config.start_phase == "random":
         # All components run the same workload (Section 4.2), so they
@@ -273,8 +261,6 @@ def _arrival_system_ttf(
     best = np.full(trials, np.inf)
     for comp in system.components:
         for _instance in range(comp.multiplicity):
-            ttf = _arrival_component_ttf(
-                comp, trials, rng, config, offsets=offsets
-            )
+            ttf = _arrival_component_ttf(comp, trials, rng, config, offsets)
             np.minimum(best, ttf, out=best)
     return best

@@ -10,7 +10,7 @@ homogeneous cluster) without enumerating them.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from ..errors import ConfigurationError
@@ -63,22 +63,18 @@ class Component:
         """Failure intensity of a single copy (rate x vulnerability)."""
         return self.profile.to_hazard(self.rate_per_second)
 
-    @property
-    def content_fingerprint(self) -> str:
-        """Stable digest of the *estimation identity* of one instance.
+    def alone(self) -> "SystemModel":
+        """One instance of this component, as a system of its own.
 
-        Covers exactly what a single copy's MTTF depends on — the
-        profile content and the raw rate. ``name`` (a label) and
-        ``multiplicity`` (a system-level property) are deliberately
-        excluded, so C identical components at every cluster size share
-        one cache entry. Unlike ``id()``-based keys, this survives
-        process boundaries and repeated CLI invocations.
+        Its combined intensity is :attr:`intensity`, so every
+        system-level estimate of it (Monte Carlo, the closed form,
+        SoftArch) is this instance's estimate. The SOFR step takes its
+        component MTTFs this way (Section 4.2), and a cluster's instance
+        shares its system fingerprint, and so its cache entries and
+        sampling plan, with the one-component point of the same
+        component.
         """
-        digest = hashlib.sha256(b"component/v1:")
-        digest.update(self.profile.fingerprint.encode("ascii"))
-        digest.update(b"|")
-        digest.update(float(self.rate_per_second).hex().encode("ascii"))
-        return digest.hexdigest()
+        return SystemModel([replace(self, multiplicity=1)])
 
     @property
     def lambda_l(self) -> float:
@@ -126,10 +122,12 @@ class SystemModel:
     def content_fingerprint(self) -> str:
         """Stable digest of the whole system's estimation identity.
 
-        Unlike :attr:`Component.content_fingerprint` this includes names,
-        multiplicities, and component order, so it identifies the exact
-        series system a *system-level* estimate was computed for. Used by
-        the batch engine's estimate cache (:mod:`repro.methods.cache`).
+        Covers names, raw rates, multiplicities, profile contents and
+        component order, so it identifies the exact series system an
+        estimate was computed for. It keys the estimate cache
+        (:mod:`repro.methods.cache`) and the compiled sampling plans
+        (:mod:`repro.core.kernel`); a component instance is keyed as
+        :meth:`Component.alone`.
         """
         fp = getattr(self, "_fingerprint", None)
         if fp is None:

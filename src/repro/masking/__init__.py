@@ -26,7 +26,7 @@ from .profile import (
     from_cycle_mask,
 )
 from .trace import MaskingTrace
-from .compose import concatenate_profiles, or_combine
+from .compose import or_combine
 from .liveness import live_counts_from_intervals
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "busy_idle_profile",
     "from_cycle_mask",
     "MaskingTrace",
-    "concatenate_profiles",
     "or_combine",
     "live_counts_from_intervals",
 ]

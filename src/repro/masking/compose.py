@@ -4,15 +4,17 @@ Two distinct composition semantics appear in the paper's experiments:
 
 * **Hazard addition** — independent raw-error processes per component;
   the processor fails when any unit fails. That composition lives in
-  :class:`repro.reliability.series.SeriesSystem` (intensities add) and is
-  what Section 4.2 uses ("apply these three traces ... simultaneously").
+  :meth:`repro.core.system.SystemModel.combined_intensity` (intensities
+  add) and is what Section 4.2 uses ("apply these three traces ...
+  simultaneously").
 * **Pointwise OR** — a *single* strike process hitting a component whose
   sub-structures mask independently: the strike is unmasked if it is
   unmasked by any sub-structure it can affect. :func:`or_combine`
   implements this for same-period piecewise profiles.
 
-:func:`concatenate_profiles` builds phase-structured workloads (the
-``combined`` benchmark's outer loop) by sequencing profiles in time.
+Phase-structured workloads (the ``combined`` benchmark's outer loop)
+sequence profiles in time as a
+:class:`~repro.masking.profile.NestedProfile`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from ..errors import ProfileError
 from ..reliability.hazard import _REL_TOL  # shared tolerance
-from .profile import NestedProfile, PiecewiseProfile
+from .profile import PiecewiseProfile
 
 
 def or_combine(profiles: Sequence[PiecewiseProfile]) -> PiecewiseProfile:
@@ -48,18 +50,6 @@ def or_combine(profiles: Sequence[PiecewiseProfile]) -> PiecewiseProfile:
         vals = p.value_at(np.clip(mids, 0, p.period * (1 - 1e-15)))
         survive *= 1.0 - vals
     return PiecewiseProfile(bp, 1.0 - survive)
-
-
-def concatenate_profiles(
-    segments: Sequence[tuple[float, "PiecewiseProfile | float"]],
-) -> NestedProfile:
-    """Sequence profiles in time into one long outer cycle.
-
-    Each ``(duration, profile)`` pair runs the profile cyclically for
-    ``duration`` seconds, then the next segment starts. This is exactly
-    the structure of the ``combined`` workload (Section 4.2).
-    """
-    return NestedProfile(segments)
 
 
 def weighted_average_profile(

@@ -12,7 +12,7 @@ makes the method set a first-class, pluggable axis:
 * :func:`~repro.methods.facade.analyze` — the fluent entry point:
   ``analyze(system).using("avf_sofr").against("exact").run()``;
 * :func:`~repro.methods.batch.evaluate_design_space` — the batch engine
-  with per-component memoization, fanning out over a thread pool;
+  with memoized estimates, fanning out over a thread pool;
 * :class:`~repro.methods.results.ResultSet` — serializable results
   (``to_json``/``from_json`` round-trip losslessly).
 """

@@ -19,17 +19,16 @@ seeds and trial counts.
 from __future__ import annotations
 
 from ..core.avf import avf_step
-from ..core.firstprinciples import (
-    exact_component_mttf,
-    first_principles_mttf,
-)
+from ..core.firstprinciples import first_principles_mttf
 from ..core.hybrid import hybrid_system_mttf
-from ..core.montecarlo import monte_carlo_component_mttf, monte_carlo_mttf
+from ..core.montecarlo import monte_carlo_mttf
 from ..core.softarch import softarch_mttf
 from ..core.sofr import avf_sofr_mttf, sofr_mttf_from_components
-from ..core.system import Component, SystemModel
+from ..core.system import SystemModel
+from ..errors import ConfigurationError
 from ..reliability.hazard import NestedHazard, PiecewiseHazard
 from ..reliability.metrics import MTTFEstimate
+from . import registry
 from .base import MethodConfig
 from .registry import register_method
 
@@ -51,39 +50,25 @@ def avf_sofr(system: SystemModel, config: MethodConfig) -> MTTFEstimate:
     return avf_sofr_mttf(system)
 
 
-def _reference_component_mttf(
-    component: Component, config: MethodConfig
-) -> float:
-    """A component instance's MTTF under the run's reference method."""
-    if config.reference in ("exact", "first_principles"):
-        return config.component_mttf(
-            "exact",
-            component,
-            None,
-            lambda: exact_component_mttf(
-                component.rate_per_second, component.profile
-            ),
-        )
-    return config.component_mttf(
-        "monte_carlo",
-        component,
-        config.mc,
-        lambda: monte_carlo_component_mttf(
-            component, config.mc
-        ).mttf_seconds,
-    )
-
-
 @register_method("sofr_only", is_stochastic=True)
 def sofr_only(system: SystemModel, config: MethodConfig) -> MTTFEstimate:
     """The SOFR step alone, fed reference-method component MTTFs.
 
-    Stochastic whenever the run's reference is Monte Carlo (the paper's
-    Section 4.2 convention); exact when the reference is the closed
-    form.
+    Each instance's MTTF is the run's reference method's estimate of its
+    one-instance system (Section 4.2), through the run's cache, so a
+    cluster's instance is estimated once at every C and shares its entry
+    with the one-component point. Stochastic whenever the reference is
+    Monte Carlo (the paper's convention); exact under the closed form or
+    SoftArch.
     """
+    reference = registry.get(config.reference)
+    if reference.name == "sofr_only":
+        raise ConfigurationError(
+            "sofr_only cannot take its component MTTFs from itself"
+        )
     return sofr_mttf_from_components(
-        system, lambda c: _reference_component_mttf(c, config)
+        system,
+        lambda c: config.estimate(reference, c.alone()).mttf_seconds,
     )
 
 

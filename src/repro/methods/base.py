@@ -5,9 +5,9 @@ exposed through one uniform surface: an :class:`Estimator` with a
 ``name``, capability flags, and an ``estimate(system, config)`` call
 returning an :class:`~repro.reliability.metrics.MTTFEstimate`. The
 :class:`MethodConfig` carries everything a method may need (Monte-Carlo
-settings, the reference convention for the SOFR-only step, a shared
-per-component memoization cache) so estimators stay stateless and the
-batch engine can fan them out freely.
+settings, the run's reference method for the SOFR-only step, a shared
+estimate cache) so estimators stay stateless and the batch engine can
+fan them out freely.
 """
 
 from __future__ import annotations
@@ -19,22 +19,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol, runtime_checkable
 
 from ..core.montecarlo import MonteCarloConfig
-from ..core.system import Component, SystemModel
+from ..core.system import SystemModel
 from ..errors import ConfigurationError
 from ..reliability.metrics import MTTFEstimate
 from .cache import DiskCache, mc_token, resolve_cache_dir
 
 
-def _component_value(stored) -> float | None:
-    """A disk entry's component MTTF: a number > 0 (``inf`` allowed),
-    else ``None`` (a miss)."""
-    value = stored.get("mttf_seconds") if isinstance(stored, dict) else None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    return float(value) if value > 0 else None
-
-
-def _system_value(stored) -> MTTFEstimate | None:
+def _stored_estimate(stored) -> MTTFEstimate | None:
     """A disk entry decoded as an :class:`MTTFEstimate`, else ``None``
     (a miss)."""
     try:
@@ -46,51 +37,44 @@ def _system_value(stored) -> MTTFEstimate | None:
 class ComponentCache:
     """Memoizes MTTF estimates across systems, keyed by content.
 
-    Two levels of granularity share one cache object:
+    One key space, ``system/<method>/<reference>/<system-fingerprint>/
+    <mc-token>`` (:meth:`estimate_key`), holds every estimate the batch
+    engine computes: sweep points' references and method estimates,
+    and the component-instance MTTFs the SOFR step feeds on, which are
+    the reference method's estimates of each instance's one-instance
+    system (:meth:`~repro.core.system.Component.alone`). A cluster's
+    instance is therefore one entry at every C, and the same entry as
+    the one-component point of the same component.
 
-    * **per-component** MTTFs (``get_or_compute``) — the design-space
-      sweeps re-estimate the same component profile at the same raw rate
-      for every value of C (hundreds of grid points in the Fig. 5/6
-      sweeps); one Monte-Carlo run per distinct component is enough,
-      even when several pool threads ask for it at once;
-    * **system-level** estimates (``lookup_estimate`` /
-      ``store_estimate``) — the batch engine memoizes whole
-      reference/method estimates so a warm rerun of a sweep performs
-      zero re-estimations.
-
-    Keys are *content-addressed*: they derive from the component/system
-    ``content_fingerprint`` (a digest of profile breakpoints/values,
-    rates, multiplicities) plus the Monte-Carlo settings — never from
+    Keys are *content-addressed*: they derive from the system's
+    ``content_fingerprint`` (a digest of names, rates, multiplicities
+    and profile contents) plus the Monte-Carlo settings — never from
     ``id()``, which could be silently reused by a different profile
     after garbage collection and means nothing across processes.
-    Multiplicity is deliberately excluded from component keys, since a
-    component *instance's* MTTF does not depend on how many copies the
-    system has.
 
-    Pass ``disk=DiskCache(path)`` to back the in-memory maps with a
-    persistent JSON-per-entry store shared across CLI invocations;
-    lookups then go memory -> disk -> compute, and computed values are
-    written through. A disk value that does not decode (a component
-    MTTF that is not a number > 0, a system entry that is not a valid
-    :class:`MTTFEstimate`) is a miss, and the recomputed value replaces
-    it.
+    :meth:`get_or_compute` computes each key at most once, even when
+    several pool threads ask for it at once. Pass ``disk=DiskCache(path)``
+    to back the in-memory map with a persistent JSON-per-entry store
+    shared across CLI invocations; lookups then go memory -> disk ->
+    compute, and computed values are written through. A disk value that
+    does not decode as an :class:`MTTFEstimate` is a miss, and the
+    recomputed value replaces it.
+
+    ``hits`` counts requests served from memory (or by waiting for
+    another thread's computation of the key), ``disk_hits`` those served
+    from disk and ``misses`` the estimates computed, so a cold run's
+    misses equal its entries and a warm rerun's misses are 0.
     """
 
     def __init__(self, disk: DiskCache | None = None) -> None:
-        self._entries: dict[str, float] = {}
         self._estimates: dict[str, MTTFEstimate] = {}
-        #: Component keys being loaded or computed right now, each with
-        #: the future its other callers wait on.
+        #: Keys being loaded or computed right now, each with the future
+        #: its other callers wait on.
         self._in_flight: dict[str, Future] = {}
         self._lock = threading.Lock()
         self.disk = disk
-        #: Component-level memory hits/misses (back-compat counters).
         self.hits = 0
         self.misses = 0
-        #: System-level estimate memory hits/misses.
-        self.estimate_hits = 0
-        self.estimate_misses = 0
-        #: Disk hits at either level.
         self.disk_hits = 0
 
     @classmethod
@@ -106,90 +90,14 @@ class ComponentCache:
         return cls(disk=None if resolved is None else DiskCache(resolved))
 
     def __len__(self) -> int:
-        return len(self._entries) + len(self._estimates)
+        return len(self._estimates)
 
     def stats_line(self) -> str:
-        """One-line summary (the CLI prints this for ``--cache-dir`` runs).
-
-        ``misses`` counts *every* estimation actually performed —
-        component-level and system-level — so a warm disk-cache rerun
-        reports ``misses=0``.
-        """
+        """One-line summary (the CLI prints this for ``--cache-dir`` runs)."""
         return (
-            f"entries={len(self)} "
-            f"hits={self.hits + self.estimate_hits} "
-            f"disk_hits={self.disk_hits} "
-            f"misses={self.misses + self.estimate_misses}"
+            f"entries={len(self)} hits={self.hits} "
+            f"disk_hits={self.disk_hits} misses={self.misses}"
         )
-
-    # -- per-component values ---------------------------------------------
-
-    @staticmethod
-    def component_key(
-        kind: str, component: Component, mc: MonteCarloConfig | None
-    ) -> str:
-        return (
-            f"component/{kind}/{component.content_fingerprint}/"
-            f"{mc_token(mc)}"
-        )
-
-    def get_or_compute(
-        self,
-        kind: str,
-        component: Component,
-        mc: MonteCarloConfig | None,
-        compute: Callable[[], float],
-    ) -> float:
-        """The cached MTTF for ``component``, computing it at most once.
-
-        The first caller of a key claims it and goes memory -> disk ->
-        ``compute``; concurrent callers of the same key wait for its
-        value and count as hits. If the claimant raises, every waiter
-        gets the same exception and the key is free for a later call.
-        """
-        key = self.component_key(kind, component, mc)
-        with self._lock:
-            if key in self._entries:
-                self.hits += 1
-                return self._entries[key]
-            pending = self._in_flight.get(key)
-            if pending is not None:
-                self.hits += 1
-            else:
-                claim = self._in_flight[key] = Future()
-        if pending is not None:
-            return pending.result()
-        try:
-            value = self._load_or_compute(key, compute)
-        except BaseException as error:
-            with self._lock:
-                del self._in_flight[key]
-            claim.set_exception(error)
-            raise
-        with self._lock:
-            self._entries[key] = value
-            del self._in_flight[key]
-        claim.set_result(value)
-        return value
-
-    def _load_or_compute(self, key: str, compute: Callable[[], float]):
-        """Disk, else ``compute`` (written through); the caller holds
-        the key's claim. A malformed disk value is a miss, and the
-        computed value overwrites it."""
-        if self.disk is not None:
-            stored = _component_value(self.disk.get(key))
-            if stored is not None:
-                with self._lock:
-                    self.disk_hits += 1
-                return stored
-        value = compute()
-        with self._lock:
-            self.misses += 1
-        if self.disk is not None:
-            self.disk.put(key, {"mttf_seconds": value})
-        return value
-
-    # -- system-level estimates -------------------------------------------
 
     @staticmethod
     def estimate_key(
@@ -203,28 +111,67 @@ class ComponentCache:
             f"{mc_token(mc)}"
         )
 
-    def lookup_estimate(self, key: str) -> MTTFEstimate | None:
-        """Memory-then-disk lookup; counts a miss when absent."""
+    def peek(self, key: str) -> MTTFEstimate | None:
+        """The estimate in memory under ``key`` (a hit), else ``None``
+        (nothing counted: ask :meth:`get_or_compute`)."""
         with self._lock:
-            if key in self._estimates:
-                self.estimate_hits += 1
-                return self._estimates[key]
-        if self.disk is not None:
-            estimate = _system_value(self.disk.get(key))
-            if estimate is not None:
-                with self._lock:
-                    self._estimates.setdefault(key, estimate)
-                    self.disk_hits += 1
-                return estimate
-        with self._lock:
-            self.estimate_misses += 1
-        return None
+            found = self._estimates.get(key)
+            if found is not None:
+                self.hits += 1
+        return found
 
-    def store_estimate(self, key: str, estimate: MTTFEstimate) -> None:
+    def get_or_compute(
+        self, key: str, compute: Callable[[], MTTFEstimate]
+    ) -> MTTFEstimate:
+        """The estimate under ``key``, computing it at most once.
+
+        The first caller of a key claims it and goes memory -> disk ->
+        ``compute``; concurrent callers of the same key wait for its
+        value and count as hits. If the claimant raises, every waiter
+        gets the same exception and the key is free for a later call.
+        """
         with self._lock:
-            self._estimates.setdefault(key, estimate)
+            found = self._estimates.get(key)
+            pending = self._in_flight.get(key) if found is None else None
+            if found is None and pending is None:
+                claim = self._in_flight[key] = Future()
+            else:
+                self.hits += 1
+        if found is not None:
+            return found
+        if pending is not None:
+            return pending.result()
+        try:
+            value = self._load_or_compute(key, compute)
+        except BaseException as error:
+            with self._lock:
+                del self._in_flight[key]
+            claim.set_exception(error)
+            raise
+        with self._lock:
+            self._estimates[key] = value
+            del self._in_flight[key]
+        claim.set_result(value)
+        return value
+
+    def _load_or_compute(
+        self, key: str, compute: Callable[[], MTTFEstimate]
+    ) -> MTTFEstimate:
+        """Disk, else ``compute`` (written through); the caller holds
+        the key's claim. A malformed disk value is a miss, and the
+        computed value overwrites it."""
         if self.disk is not None:
-            self.disk.put(key, estimate.to_dict())
+            stored = _stored_estimate(self.disk.get(key))
+            if stored is not None:
+                with self._lock:
+                    self.disk_hits += 1
+                return stored
+        value = compute()
+        with self._lock:
+            self.misses += 1
+        if self.disk is not None:
+            self.disk.put(key, value.to_dict())
+        return value
 
 
 @dataclass(frozen=True)
@@ -235,32 +182,42 @@ class MethodConfig:
     ----------
     mc:
         Monte-Carlo settings (trials/seed/sampler) for stochastic
-        methods and for MC-fed component MTTFs.
+        methods.
     reference:
-        Which reference convention the run uses (``"monte_carlo"`` or
-        ``"exact"``/``"first_principles"``). The SOFR-only step feeds on
-        component MTTFs from the reference method (Section 4.2), so it
-        needs to know.
+        The run's reference method. The SOFR-only step feeds on its
+        estimates of each component instance (Section 4.2), so it needs
+        to know.
     cache:
-        Optional shared :class:`ComponentCache`; estimators that compute
-        per-component MTTFs consult it when present.
+        Optional shared :class:`ComponentCache`; :meth:`estimate` goes
+        through it when present.
     """
 
     mc: MonteCarloConfig = field(default_factory=MonteCarloConfig)
     reference: str = "monte_carlo"
     cache: ComponentCache | None = None
 
-    def component_mttf(
-        self,
-        kind: str,
-        component: Component,
-        mc: MonteCarloConfig | None,
-        compute: Callable[[], float],
-    ) -> float:
-        """Compute a per-component MTTF through the cache when present."""
+    def key(self, estimator: Estimator, system: SystemModel) -> str:
+        """The cache key of ``estimator``'s estimate of ``system`` in
+        this run: the Monte-Carlo settings join it only when the
+        estimator is stochastic."""
+        return ComponentCache.estimate_key(
+            estimator.name,
+            system,
+            self.mc if estimator.is_stochastic else None,
+            self.reference,
+        )
+
+    def estimate(
+        self, estimator: Estimator, system: SystemModel
+    ) -> MTTFEstimate:
+        """``estimator``'s estimate of ``system``, computed at most once
+        per :meth:`key` through the cache when present."""
         if self.cache is None:
-            return compute()
-        return self.cache.get_or_compute(kind, component, mc, compute)
+            return estimator.estimate(system, self)
+        return self.cache.get_or_compute(
+            self.key(estimator, system),
+            lambda: estimator.estimate(system, self),
+        )
 
 
 @runtime_checkable

@@ -8,8 +8,9 @@ their registered estimators through it. Every call runs the same
 schedule (:class:`_Scheduler`) on one thread pool; ``workers=1`` is a
 one-worker pool. It
 
-* memoizes per-component MTTFs *and* whole system-level estimates in a
-  shared :class:`~repro.methods.base.ComponentCache`, keyed by content
+* memoizes every estimate, sweep points' and the SOFR step's component
+  instances' alike, in one key space of a shared
+  :class:`~repro.methods.base.ComponentCache`, keyed by content
   fingerprint (give the cache a
   :class:`~repro.methods.cache.DiskCache` and a warm rerun of a sweep
   performs zero re-estimations),
@@ -94,7 +95,7 @@ class _PointState:
     """Mutable per-point bookkeeping for the scheduler."""
 
     __slots__ = (
-        "index", "label", "system", "reference", "ref_key", "estimates",
+        "index", "label", "system", "reference", "estimates",
         "pending_methods",
     )
 
@@ -103,7 +104,6 @@ class _PointState:
         self.label = label
         self.system = system
         self.reference: MTTFEstimate | None = None
-        self.ref_key: str | None = None
         #: Method estimates as they land (completion order); the result
         #: records them in method order.
         self.estimates: dict[str, MTTFEstimate] = {}
@@ -134,14 +134,12 @@ class _Scheduler:
         reference_name: str,
         reference_estimator,
         config: MethodConfig,
-        cache: ComponentCache | None,
         workers: int,
     ) -> None:
         self.method_names = method_names
         self.reference_name = reference_name
         self.reference_estimator = reference_estimator
         self.config = config
-        self.cache = cache
         self.workers = workers
         self.points = [
             _PointState(index, label, system)
@@ -152,16 +150,6 @@ class _Scheduler:
         #: Per in-flight future: its completion handler and arguments.
         self.future_meta: dict[Future, tuple] = {}
 
-    # -- plumbing ----------------------------------------------------------
-
-    def _reference_mc(self) -> MonteCarloConfig | None:
-        if self.reference_estimator.is_stochastic:
-            return self.config.mc
-        return None
-
-    def _method_mc(self, estimator) -> MonteCarloConfig | None:
-        return self.config.mc if estimator.is_stochastic else None
-
     # -- work submission ---------------------------------------------------
 
     def _start_point(self, state: _PointState) -> None:
@@ -170,25 +158,29 @@ class _Scheduler:
                 f"reference {self.reference_name!r} does not support "
                 f"system {state.label!r}"
             )
-        if self.cache is not None:
-            state.ref_key = self.cache.estimate_key(
-                self.reference_name, state.system, self._reference_mc(),
-                self.reference_name,
-            )
-            found = self.cache.lookup_estimate(state.ref_key)
-            if found is not None:
-                state.reference = found
-                self._launch_methods(state)
-                return
+        found = self._peek(self.reference_estimator, state)
+        if found is not None:
+            state.reference = found
+            self._launch_methods(state)
+            return
         self._submit_estimate(
             self.reference_estimator, state, self._on_reference, state.index
         )
+
+    def _peek(self, estimator, state: _PointState) -> MTTFEstimate | None:
+        """The estimate already in the cache's memory, if any; anything
+        else goes through the pool, where the cache's claim makes one
+        thread compute (or load) each key."""
+        cache = self.config.cache
+        if cache is None:
+            return None
+        return cache.peek(self.config.key(estimator, state.system))
 
     def _submit_estimate(self, estimator, state: _PointState, *meta) -> None:
         """Submit one estimate; ``meta`` is its completion handler and
         the handler's arguments."""
         future = self.pool.submit(
-            estimator.estimate, state.system, self.config
+            self.config.estimate, estimator, state.system
         )
         self.future_meta[future] = meta
         self.waiting.add(future)
@@ -206,15 +198,10 @@ class _Scheduler:
             if name == self.reference_name:
                 state.estimates[name] = state.reference
                 continue
-            if self.cache is not None:
-                key = self.cache.estimate_key(
-                    name, state.system, self._method_mc(estimator),
-                    self.reference_name,
-                )
-                found = self.cache.lookup_estimate(key)
-                if found is not None:
-                    state.estimates[name] = found
-                    continue
+            found = self._peek(estimator, state)
+            if found is not None:
+                state.estimates[name] = found
+                continue
             self._submit_estimate(
                 estimator, state, self._on_method, state.index, name
             )
@@ -225,21 +212,12 @@ class _Scheduler:
     def _on_reference(self, future: Future, index: int) -> None:
         state = self.points[index]
         state.reference = future.result()
-        if state.ref_key is not None:
-            self.cache.store_estimate(state.ref_key, state.reference)
         self._launch_methods(state)
 
     def _on_method(self, future: Future, index: int, name: str) -> None:
         state = self.points[index]
-        estimate = future.result()
-        state.estimates[name] = estimate
+        state.estimates[name] = future.result()
         state.pending_methods.discard(name)
-        if self.cache is not None:
-            key = self.cache.estimate_key(
-                name, state.system, self._method_mc(registry.get(name)),
-                self.reference_name,
-            )
-            self.cache.store_estimate(key, estimate)
 
     # -- main loop ---------------------------------------------------------
 
@@ -348,7 +326,6 @@ def evaluate_design_space(
         reference_name=reference_name,
         reference_estimator=reference_estimator,
         config=config,
-        cache=cache,
         workers=workers,
     ).run()
     return ResultSet(

@@ -6,21 +6,25 @@ dominant cost of iterating on an experiment. :class:`DiskCache` persists
 every estimate the batch engine computes as one small JSON file keyed by
 a *content-addressed* cache key:
 
-``component/<kind>/<profile-fingerprint x rate>/<mc-token>`` for
-per-component MTTFs, and
-``system/<method>/<reference>/<system-fingerprint>/<mc-token>`` for
-system-level estimates.
+``system/<method>/<reference>/<system-fingerprint>/<mc-token>``
 
-Because keys derive from :attr:`~repro.core.system.Component.
-content_fingerprint` (a digest of the profile's breakpoints/values and
-the raw rate) rather than object identity, a warm cache directory is
-valid across processes and reruns, and editing a profile (a new masking
-trace, a different window) changes the fingerprint and naturally
-invalidates only the affected entries.
+for sweep points' references and method estimates alike. A component
+instance's MTTF (the SOFR step's input) is the entry of its
+one-instance system (:meth:`~repro.core.system.Component.alone`) under
+the run's reference, ``system/<ref>/<ref>/<fingerprint>/<mc-token>``:
+there is no separate per-component key space.
+
+Because keys derive from :attr:`~repro.core.system.SystemModel.
+content_fingerprint` (a digest of names, rates, multiplicities and the
+profiles' breakpoints/values) rather than object identity, a warm cache
+directory is valid across processes and reruns, and editing a profile
+(a new masking trace, a different window) changes the fingerprint and
+naturally invalidates only the affected entries.
 
 Entries are written atomically (temp file + ``os.replace``), so a
 killed run never leaves a torn entry behind; unreadable entries are
-treated as misses, and so are values that do not decode (checked by
+treated as misses, and so are values that do not decode as an
+:class:`~repro.reliability.metrics.MTTFEstimate` (checked by
 :class:`~repro.methods.base.ComponentCache`).
 """
 

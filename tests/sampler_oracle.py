@@ -8,13 +8,15 @@ keeps that sampler. The compiled tables replicate the hazards'
 arithmetic, so every draw through a plan must match it bit for bit.
 
 * :func:`inverse_samples`, :func:`sample_system_ttf` and
-  :func:`sample_component_ttf` draw against a model's hazard objects.
-  Arrival draws use the paper-literal sampler, as the plans do.
-* :func:`install` swaps ``SamplingPlan.sample_ttf`` for the oracle on
-  the plan's source model. Every engine draw then goes through the
-  oracle: direct samples and the engine's references and per-component
-  estimates. :data:`draws` counts the oracle draws since the last
-  install.
+  :func:`sample_component_ttf` draw against a model's hazard objects
+  (a component's own intensity, not its one-instance system). Arrival
+  draws use the paper-literal sampler.
+* :func:`install` swaps ``kernel.inverse_system_ttf``, the one function
+  every inverse draw passes, for the oracle. Every engine draw then goes
+  through the oracle: direct samples, the engine's references and the
+  component instances the SOFR step estimates as one-instance systems.
+  :data:`draws` counts the oracle draws since the last install; arrival
+  draws never reach a plan, so they are not counted.
 
 Run as a script, it installs the oracle and then runs the
 ``repro-experiments`` CLI with the given arguments::
@@ -32,8 +34,8 @@ import threading
 
 import numpy as np
 
+from repro.core import kernel
 from repro.core import montecarlo as mc
-from repro.core.kernel import SamplingPlan
 
 #: Oracle draws since the last :func:`install` (thread pools draw
 #: concurrently, so the count is updated under a lock).
@@ -60,36 +62,38 @@ def inverse_samples(intensity, config, rng: np.random.Generator):
 
 def sample_system_ttf(system, config) -> np.ndarray:
     """``trials`` i.i.d. system times to failure, without a plan."""
-    rng = np.random.default_rng(config.seed)
     if config.method == "inverse":
+        rng = np.random.default_rng(config.seed)
         return inverse_samples(system.combined_intensity(), config, rng)
-    return mc._arrival_system_ttf(system, config.trials, rng, config)
+    return mc._arrival_system_ttf(system, config)
 
 
 def sample_component_ttf(component, config) -> np.ndarray:
-    """Times to failure of one component instance, without a plan."""
+    """Times to failure of one component instance, drawn against its own
+    intensity (not its one-instance system) without a plan."""
     rng = np.random.default_rng(config.seed)
     if config.method == "inverse":
         return inverse_samples(component.intensity, config, rng)
+    offsets = None
+    if config.start_phase == "random":
+        offsets = rng.uniform(0.0, component.profile.period, config.trials)
     return mc._arrival_component_ttf(
-        component, config.trials, rng, config
+        component, config.trials, rng, config, offsets
     )
 
 
-def _plan_sample_ttf(plan: SamplingPlan, config) -> np.ndarray:
+def _oracle_system_ttf(system, config) -> np.ndarray:
     global draws
     with _draws_lock:
         draws += 1
-    if plan.kind == "system":
-        return sample_system_ttf(plan.model, config)
-    return sample_component_ttf(plan.model, config)
+    return sample_system_ttf(system, config)
 
 
 def install(monkeypatch) -> None:
-    """Route every plan draw through the oracle; reset :data:`draws`."""
+    """Route every inverse draw through the oracle; reset :data:`draws`."""
     global draws
     draws = 0
-    monkeypatch.setattr(SamplingPlan, "sample_ttf", _plan_sample_ttf)
+    monkeypatch.setattr(kernel, "inverse_system_ttf", _oracle_system_ttf)
 
 
 def main(argv: list[str] | None = None) -> int:

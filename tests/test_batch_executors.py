@@ -92,7 +92,7 @@ class TestEngineSemantics:
             mc_config=mc,
             cache=cache,
         )
-        hits_before = cache.estimate_hits
+        hits_before = cache.hits
         again = evaluate_design_space(
             cluster_space,
             methods=["first_principles"],
@@ -100,5 +100,5 @@ class TestEngineSemantics:
             cache=cache,
             workers=2,
         )
-        assert cache.estimate_hits > hits_before
+        assert cache.hits > hits_before
         assert len(again) == len(cluster_space)

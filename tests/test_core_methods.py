@@ -11,7 +11,6 @@ from repro.core import (
     avf_mttf,
     avf_sofr_mttf,
     avf_step,
-    derated_failure_rate,
     exact_component_mttf,
     exact_system_process,
     first_principles_mttf,
@@ -45,14 +44,6 @@ class TestAvfStep:
         comp = Component("c", 1e-6, day_profile)
         est = avf_step(comp)
         assert est.method == "avf"
-
-    def test_derated_rate(self, day_profile):
-        comp = Component("c", 4e-6, day_profile)
-        assert derated_failure_rate(comp) == pytest.approx(2e-6)
-
-    def test_derated_rate_zero_when_masked(self):
-        comp = Component("c", 1.0, PiecewiseProfile.constant(0.0, 1.0))
-        assert derated_failure_rate(comp) == 0.0
 
 
 class TestFirstPrinciples:

@@ -62,21 +62,29 @@ class TestProfileFingerprint:
 
 
 class TestComponentFingerprint:
-    def test_name_and_multiplicity_excluded(self, day_profile):
+    """An instance is fingerprinted as its one-instance system."""
+
+    def test_multiplicity_excluded(self, day_profile):
+        # Every C shares the instance, and so does the one-component
+        # point; the name is a system's, so it stays in.
         a = Component("alpha", 1e-6, day_profile)
-        b = Component("beta", 1e-6, day_profile, multiplicity=500)
-        assert a.content_fingerprint == b.content_fingerprint
+        b = Component("alpha", 1e-6, day_profile, multiplicity=500)
+        point = SystemModel([a])
+        assert a.alone().content_fingerprint == point.content_fingerprint
+        assert b.alone().content_fingerprint == point.content_fingerprint
+        renamed = Component("beta", 1e-6, day_profile)
+        assert renamed.alone().content_fingerprint != point.content_fingerprint
 
     def test_rate_included(self, day_profile):
         a = Component("x", 1e-6, day_profile)
         b = Component("x", 2e-6, day_profile)
-        assert a.content_fingerprint != b.content_fingerprint
+        assert a.alone().content_fingerprint != b.alone().content_fingerprint
 
     def test_profile_content_included(self, day_profile):
         other = busy_idle_profile(0.25 * SECONDS_PER_DAY, SECONDS_PER_DAY)
         a = Component("x", 1e-6, day_profile)
         b = Component("x", 1e-6, other)
-        assert a.content_fingerprint != b.content_fingerprint
+        assert a.alone().content_fingerprint != b.alone().content_fingerprint
 
 
 class TestSystemFingerprint:

@@ -289,15 +289,44 @@ class TestOneCachePerInvocation:
         assert main(["fig5", "sec5.4", *base, "--json", str(both)]) == 0
         (cache,) = caches
         # fig5: 15 points x 3 estimates; sec5.4: 72 points x 3, of
-        # which 18 replay fig5's. No component-level MTTF is cached.
-        assert cache.estimate_hits == 18
-        assert cache.estimate_misses == 45 + 216 - 18
-        assert cache.hits == cache.misses == 0
+        # which 18 replay fig5's. No component instance is cached: every
+        # entry is a point's estimate.
+        assert cache.hits == 18
+        assert cache.misses == len(cache) == 45 + 216 - 18
         parts = []
         for artifact in ("fig5", "sec5.4"):
             path = tmp_path / f"{artifact}.json"
             assert main([artifact, *base, "--json", str(path)]) == 0
             parts.append(ResultSet.from_json(path))
+        merged = tmp_path / "merged.json"
+        parts[0].merged(parts[1]).to_json(merged)
+        assert both.read_bytes() == merged.read_bytes()
+
+    def test_sofr_instances_are_sweep_points_across_artifacts(
+        self, tmp_path, monkeypatch
+    ):
+        # fig6b's SOFR step estimates each workload's instance at N x S
+        # = 1e8 and 1e9 as its one-instance system under Monte Carlo,
+        # which is fig5's C=1 reference there: one draw serves both.
+        import sampler_oracle as oracle
+
+        from repro.methods import ResultSet
+
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        oracle.install(monkeypatch)
+        base = ["--trials", "2000", "--workers", "2"]
+        both = tmp_path / "both.json"
+        assert main(["fig6b", "fig5", *base, "--json", str(both)]) == 0
+        shared = oracle.draws
+        parts = []
+        for artifact in ("fig6b", "fig5"):
+            path = tmp_path / f"{artifact}.json"
+            assert main([artifact, *base, "--json", str(path)]) == 0
+            parts.append(ResultSet.from_json(path))
+        # fig6b: 30 zero-phase and 30 random-phase references and 6
+        # instances; fig5: 15 references, 6 of them fig6b's instances.
+        assert oracle.draws - shared == 66 + 15
+        assert shared == 66 + 15 - 6
         merged = tmp_path / "merged.json"
         parts[0].merged(parts[1]).to_json(merged)
         assert both.read_bytes() == merged.read_bytes()

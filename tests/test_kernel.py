@@ -1,7 +1,7 @@
 """Compiled sampling plans: tables, bit-identity, the plan cache.
 
-Every inverse Monte-Carlo draw runs through a
-:class:`~repro.core.kernel.SamplingPlan`, and the plans promise
+Every inverse Monte-Carlo draw runs through a system's compiled plan
+(:func:`~repro.core.kernel.inverse_system_ttf`), and the plans promise
 *bit-identical* estimates: any result must byte-match the legacy
 object-graph sampler, which ``sampler_oracle`` keeps as the oracle.
 These tests enforce that promise at every level: compiled tables vs
@@ -17,11 +17,12 @@ tables (NaN included), flat nested plans must match the oracle at every
 outer boundary, the sliced sampler must match the oracle at trial counts
 on both sides of every slice edge, the guard chain and clamps that run
 only when a reduction finds work must keep the bits on inputs that take
-each of them, malformed tables must be refused with a typed error, plans
-must keep their source model, and the plan cache must evict least
-recently used first. Each ``(seed, trials)`` stream is drawn once,
-read-only, and shared by every plan and thread that draws at it, and
-lookups built by racing threads draw the oracle's bits.
+each of them, malformed tables must be refused with a typed error, a
+component instance must draw through its one-instance system's plan,
+and the plan cache must evict least recently used first. Each
+``(seed, trials)`` stream is drawn once, read-only, and shared by every
+plan and thread that draws at it, and lookups built by racing threads
+draw the oracle's bits.
 """
 
 import json
@@ -40,16 +41,16 @@ from repro.core import (
     Component,
     MonteCarloConfig,
     SystemModel,
+    sample_component_ttf,
     sample_system_ttf,
 )
 from repro.core import kernel as kernel_mod
 from repro.core.kernel import (
     CompiledNested,
     CompiledPiecewise,
-    SamplingPlan,
     clear_plan_cache,
     compile_intensity,
-    plan_for_component,
+    inverse_system_ttf,
     plan_for_system,
 )
 from repro.errors import ConfigurationError, ProfileError
@@ -314,7 +315,7 @@ class TestCompiledIntensity:
             CompiledPiecewise(*tables.values())
 
     def test_rejects_malformed_nested_tables(self, nested_system):
-        nested = plan_for_system(nested_system).intensity
+        nested = plan_for_system(nested_system)
         tables = {
             "starts": nested.starts,
             "durations": nested.durations,
@@ -780,7 +781,7 @@ class TestFlatNested:
                 assert got == getattr(hazard, name)(x)
 
     def test_inner_tables_are_views_of_the_flat_tables(self, nested_system):
-        compiled = plan_for_system(nested_system).intensity
+        compiled = plan_for_system(nested_system)
         hazard = nested_system.combined_intensity()
         for inner, (_duration, source) in zip(
             compiled.inners, hazard.segments
@@ -842,8 +843,7 @@ def live_plan(request):
         return hazard, compile_intensity(hazard), 1
     if request.param == "component":
         component = Component("unit", rate, day_workload())
-        plan = plan_for_component(component)
-        return component.intensity, plan.intensity, 0
+        return component.intensity, plan_for_system(component.alone()), 0
     profile, live = {
         "day": (day_workload(), 0),
         "week": (week_workload(), 0),
@@ -855,8 +855,7 @@ def live_plan(request):
         ),
     }[request.param]
     system = SystemModel([Component("c", rate, profile, multiplicity=8)])
-    plan = plan_for_system(system)
-    return system.combined_intensity(), plan.intensity, live
+    return system.combined_intensity(), plan_for_system(system), live
 
 
 class TestLiveSegmentClosedForms:
@@ -985,22 +984,27 @@ class TestPlanBitIdentity:
         for system in (piecewise_system, nested_system):
             config = _config(method=method, start_phase=start_phase)
             legacy = oracle.sample_system_ttf(system, config)
-            via_plan = plan_for_system(system).sample_ttf(config)
+            via_plan = sample_system_ttf(system, config)
             np.testing.assert_array_equal(via_plan, legacy)
 
     @pytest.mark.parametrize("method", ["inverse", "arrival"])
     def test_component_samples_match_legacy(self, day_profile, method):
-        component = Component("unit", 3.0 / SECONDS_PER_DAY, day_profile)
-        config = _config(method=method)
-        legacy = oracle.sample_component_ttf(component, config)
-        via_plan = plan_for_component(component).sample_ttf(config)
-        np.testing.assert_array_equal(via_plan, legacy)
+        """A component instance draws as its one-instance system, with
+        the bits of the per-component sampler on its own intensity, at
+        any multiplicity and in both phases."""
+        component = Component(
+            "unit", 3.0 / SECONDS_PER_DAY, day_profile, multiplicity=8
+        )
+        for start_phase in ("zero", "random"):
+            config = _config(method=method, start_phase=start_phase)
+            legacy = oracle.sample_component_ttf(component, config)
+            via_plan = sample_component_ttf(component, config)
+            np.testing.assert_array_equal(via_plan, legacy)
 
     def test_config_routing_is_transparent(self, piecewise_system):
         """``sample_system_ttf`` routes inverse draws through a plan."""
         routed = sample_system_ttf(piecewise_system, _config())
-        key = f"system:{piecewise_system.content_fingerprint}"
-        assert key in kernel_mod._PLANS
+        assert piecewise_system.content_fingerprint in kernel_mod._PLANS
         np.testing.assert_array_equal(
             routed, oracle.sample_system_ttf(piecewise_system, _config())
         )
@@ -1018,7 +1022,7 @@ class TestPlanBitIdentity:
         monkeypatch.setattr(np, "searchsorted", refuse)
         for plan in plans:
             for start_phase in ("zero", "random"):
-                plan.sample_ttf(_config(start_phase=start_phase))
+                kernel_mod.inverse_ttf(plan, _config(start_phase=start_phase))
 
     def test_masked_system_is_all_infinite(self, piecewise_system):
         masked = SystemModel(
@@ -1028,7 +1032,7 @@ class TestPlanBitIdentity:
                 )
             ]
         )
-        samples = plan_for_system(masked).sample_ttf(_config())
+        samples = inverse_system_ttf(masked, _config())
         assert np.all(np.isinf(samples))
 
     @given(
@@ -1044,7 +1048,7 @@ class TestPlanBitIdentity:
         config = _config(trials=trials, start_phase=start_phase)
         legacy = oracle.sample_system_ttf(system, config)
         clear_plan_cache()
-        via_plan = plan_for_system(system).sample_ttf(config)
+        via_plan = inverse_system_ttf(system, config)
         np.testing.assert_array_equal(via_plan, legacy)
 
 
@@ -1096,7 +1100,7 @@ class TestEngineBitIdentity:
             _result_bytes(space, workers=2)
             # Three points, one reference draw each.
             assert oracle.draws == 3
-        assert SamplingPlan.sample_ttf is not oracle._plan_sample_ttf
+        assert kernel_mod.inverse_system_ttf is inverse_system_ttf
 
     def test_kernel_matches_legacy_across_schedulers(self, day_profile):
         space = _space(day_profile)
@@ -1116,23 +1120,23 @@ class TestHydration:
 
     def test_plan_cache_evicts_least_recently_used(self):
         profile = busy_idle_profile(1.0, 1.0, 0.5)
-        components = [
-            Component(f"c{i}", 1e-3 * (i + 1), profile)
+        systems = [
+            SystemModel([Component(f"c{i}", 1e-3 * (i + 1), profile)])
             for i in range(kernel_mod._PLANS_CAP + 2)
         ]
-        first, second, *rest = components
-        first_plan = plan_for_component(first)
-        second_plan = plan_for_component(second)
-        for component in rest[:-2]:
-            plan_for_component(component)
+        first, second, *rest = systems
+        first_plan = plan_for_system(first)
+        second_plan = plan_for_system(second)
+        for system in rest[:-2]:
+            plan_for_system(system)
         # Hits refresh recency.
-        assert plan_for_component(first) is first_plan
-        assert plan_for_component(second) is second_plan
-        plan_for_component(rest[-2])
-        plan_for_component(rest[-1])
-        assert plan_for_component(first) is first_plan
-        assert plan_for_component(second) is second_plan
-        evicted = {f"component:{c.content_fingerprint}" for c in rest[:2]}
+        assert plan_for_system(first) is first_plan
+        assert plan_for_system(second) is second_plan
+        plan_for_system(rest[-2])
+        plan_for_system(rest[-1])
+        assert plan_for_system(first) is first_plan
+        assert plan_for_system(second) is second_plan
+        evicted = {s.content_fingerprint for s in rest[:2]}
         assert not evicted & set(kernel_mod._PLANS)
         assert len(kernel_mod._PLANS) == kernel_mod._PLANS_CAP
 
@@ -1150,12 +1154,21 @@ class TestHydration:
         )
         assert plan_for_system(a) is plan_for_system(b)
 
-    def test_plan_keeps_its_source_model(
-        self, piecewise_system, day_profile
-    ):
-        assert plan_for_system(piecewise_system).model is piecewise_system
-        component = Component("unit", 3.0 / SECONDS_PER_DAY, day_profile)
-        assert plan_for_component(component).model is component
+    def test_instance_shares_the_one_component_plan(self, day_profile):
+        """A cluster's instance is its one-instance system: at every
+        multiplicity it draws through the plan of the one-component
+        point, which is its own intensity compiled."""
+        rate = 3.0 / SECONDS_PER_DAY
+        point = SystemModel([Component("unit", rate, day_profile)])
+        plan = plan_for_system(point)
+        for c in (1, 8, 5000):
+            instance = Component("unit", rate, day_profile, multiplicity=c)
+            assert plan_for_system(instance.alone()) is plan
+        compiled = compile_intensity(instance.intensity)
+        for table in ("bp", "rates", "cum"):
+            assert getattr(plan, table).tobytes() == (
+                getattr(compiled, table).tobytes()
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -1189,7 +1202,7 @@ class TestStreams:
         config = _config(trials=_SLICE + 3)
         for system in (piecewise_system, nested_system):
             np.testing.assert_array_equal(
-                plan_for_system(system).sample_ttf(config),
+                inverse_system_ttf(system, config),
                 oracle.sample_system_ttf(system, config),
             )
         assert counted_streams == [(config.seed, config.trials)]
@@ -1202,11 +1215,11 @@ class TestStreams:
     ):
         zero = _config(start_phase="zero")
         random = _config(start_phase="random")
-        plan_for_system(piecewise_system).sample_ttf(zero)
+        inverse_system_ttf(piecewise_system, zero)
         stream = kernel_mod._stream(zero.seed, zero.trials)
         exponentials = stream.exponentials
         draws = [
-            plan_for_system(system).sample_ttf(random)
+            inverse_system_ttf(system, random)
             for system in (piecewise_system, nested_system)
         ]
         uniforms = stream.uniforms()
@@ -1227,13 +1240,15 @@ class TestStreams:
         plan = plan_for_system(piecewise_system)
         cap = kernel_mod._STREAMS.cap
         for seed in range(cap + 3):
-            plan.sample_ttf(_config(seed=seed, start_phase="random"))
+            kernel_mod.inverse_ttf(
+                plan, _config(seed=seed, start_phase="random")
+            )
             assert len(kernel_mod._STREAMS) <= cap
         assert set(kernel_mod._STREAMS) == {
             (seed, 400) for seed in range(3, cap + 3)
         }
         # The least recently used stream went; drawing it again redraws.
-        plan.sample_ttf(_config(seed=0))
+        kernel_mod.inverse_ttf(plan, _config(seed=0))
         assert counted_streams.count((0, 400)) == 2
         clear_plan_cache()
         assert len(kernel_mod._STREAMS) == 0
@@ -1261,7 +1276,7 @@ class TestStreams:
             try:
                 for step in range(12):
                     i, j = (worker + step) % 2, (3 * worker + step) % 6
-                    got = plan_for_system(systems[i]).sample_ttf(configs[j])
+                    got = inverse_system_ttf(systems[i], configs[j])
                     sizes.append(len(kernel_mod._STREAMS))
                     if not np.array_equal(got, expected[i, j]):
                         failures.append((worker, step))

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import ProfileError
 from repro.masking import PiecewiseProfile, or_combine
-from repro.masking.compose import concatenate_profiles, weighted_average_profile
+from repro.masking.compose import weighted_average_profile
 
 
 class TestOrCombine:
@@ -46,16 +46,6 @@ class TestOrCombine:
     def test_rejects_empty(self):
         with pytest.raises(ProfileError):
             or_combine([])
-
-
-class TestConcatenate:
-    def test_combined_workload_structure(self):
-        # Two "benchmarks" in a 24h loop (the paper's `combined`).
-        bench_a = PiecewiseProfile.from_segments([(1e-3, 1.0), (1e-3, 0.0)])
-        bench_b = PiecewiseProfile.from_segments([(1e-3, 0.25), (1e-3, 0.75)])
-        day = concatenate_profiles([(43200.0, bench_a), (43200.0, bench_b)])
-        assert day.period == pytest.approx(86400.0)
-        assert day.avf == pytest.approx(0.5 * 0.5 + 0.5 * 0.5)
 
 
 class TestWeightedAverage:

@@ -1,5 +1,9 @@
 """Disk-cache tests: round-trip, invalidation, warm-rerun behaviour,
-and one computation per component key under racing threads."""
+and one computation per key under racing threads.
+
+Component instances are cached as their one-instance systems
+(``Component.alone``) under the run's reference, in the one key space
+of sweep points."""
 
 import dataclasses
 import json
@@ -17,7 +21,19 @@ from repro.methods import (
     evaluate_design_space,
     mc_token,
 )
+from repro.reliability.metrics import MTTFEstimate
 from repro.units import SECONDS_PER_DAY
+
+
+def _instance_key(component, mc=None, reference="monte_carlo"):
+    """The key a component instance's MTTF is cached under."""
+    return ComponentCache.estimate_key(
+        reference, component.alone(), mc, reference
+    )
+
+
+def _mttf(seconds):
+    return lambda: MTTFEstimate(mttf_seconds=seconds)
 
 
 @pytest.fixture
@@ -89,13 +105,13 @@ class TestDiskCache:
 
     def test_entry_records_key_for_debugging(self, tmp_path):
         cache = DiskCache(tmp_path)
-        cache.put("component/abc", {"mttf_seconds": 1.0})
+        cache.put("system/abc", {"mttf_seconds": 1.0})
         [entry] = [
             p for p in cache.directory.iterdir()
             if p.suffix == ".json"
         ]
         stored = json.loads(entry.read_text(encoding="utf-8"))
-        assert stored["key"] == "component/abc"
+        assert stored["key"] == "system/abc"
 
     def test_clear(self, tmp_path):
         cache = DiskCache(tmp_path)
@@ -111,24 +127,22 @@ class TestComponentCacheDiskBacking:
     ):
         comp = Component("n", 1e-6, day_profile)
         cold = ComponentCache(disk=DiskCache(tmp_path))
-        value = cold.get_or_compute(
-            "monte_carlo", comp, None, lambda: 42.0
-        )
-        assert value == 42.0 and cold.misses == 1
+        value = cold.get_or_compute(_instance_key(comp), _mttf(42.0))
+        assert value.mttf_seconds == 42.0 and cold.misses == 1
         # A fresh cache object over the same directory: disk hit, the
         # compute callback must never run.
         warm = ComponentCache(disk=DiskCache(tmp_path))
         reloaded = warm.get_or_compute(
-            "monte_carlo", comp, None,
+            _instance_key(comp),
             lambda: pytest.fail("recomputed despite warm disk cache"),
         )
-        assert reloaded == 42.0
+        assert reloaded == value
         assert warm.disk_hits == 1 and warm.misses == 0
 
     def test_profile_change_invalidates(self, tmp_path, day_profile):
         cache = ComponentCache(disk=DiskCache(tmp_path))
         original = Component("n", 1e-6, day_profile)
-        cache.get_or_compute("monte_carlo", original, None, lambda: 1.0)
+        cache.get_or_compute(_instance_key(original), _mttf(1.0))
         # Same name and rate, different masking content: new fingerprint,
         # so the stale entry must not be served.
         edited = Component(
@@ -136,10 +150,8 @@ class TestComponentCacheDiskBacking:
             1e-6,
             busy_idle_profile(0.25 * SECONDS_PER_DAY, SECONDS_PER_DAY),
         )
-        value = cache.get_or_compute(
-            "monte_carlo", edited, None, lambda: 2.0
-        )
-        assert value == 2.0
+        value = cache.get_or_compute(_instance_key(edited), _mttf(2.0))
+        assert value.mttf_seconds == 2.0
         assert cache.misses == 2
 
     def test_mc_config_change_invalidates(self, tmp_path, day_profile):
@@ -147,24 +159,28 @@ class TestComponentCacheDiskBacking:
         comp = Component("n", 1e-6, day_profile)
         a = MonteCarloConfig(trials=100, seed=1)
         b = MonteCarloConfig(trials=100, seed=2)
-        cache.get_or_compute("monte_carlo", comp, a, lambda: 1.0)
+        cache.get_or_compute(_instance_key(comp, a), _mttf(1.0))
         assert (
-            cache.get_or_compute("monte_carlo", comp, b, lambda: 2.0)
-            == 2.0
+            cache.get_or_compute(_instance_key(comp, b), _mttf(2.0))
+            .mttf_seconds == 2.0
         )
 
     def test_kind_disambiguates(self, tmp_path, day_profile):
+        # The kind of an instance's MTTF is the reference method that
+        # estimated it: the closed form and Monte Carlo never share one.
         cache = ComponentCache(disk=DiskCache(tmp_path))
         comp = Component("n", 1e-6, day_profile)
-        cache.get_or_compute("exact", comp, None, lambda: 1.0)
+        cache.get_or_compute(
+            _instance_key(comp, reference="first_principles"), _mttf(1.0)
+        )
         assert (
-            cache.get_or_compute("monte_carlo", comp, None, lambda: 2.0)
-            == 2.0
+            cache.get_or_compute(_instance_key(comp), _mttf(2.0))
+            .mttf_seconds == 2.0
         )
 
 
 class TestConcurrentComponentCompute:
-    """Threads racing on one component key share one computation."""
+    """Threads racing on one key share one computation."""
 
     @staticmethod
     def _gated(result):
@@ -190,7 +206,7 @@ class TestConcurrentComponentCompute:
         def call():
             try:
                 outcome["value"] = cache.get_or_compute(
-                    "monte_carlo", component, None, compute
+                    _instance_key(component), compute
                 )
             except EstimationError as error:
                 outcome["error"] = error
@@ -219,9 +235,10 @@ class TestConcurrentComponentCompute:
     def test_racing_threads_compute_once(self, day_profile):
         component = Component("n", 1e-6, day_profile)
         cache = ComponentCache()
-        calls, first, second = self._race(cache, component, 42.0)
+        estimate = MTTFEstimate(mttf_seconds=42.0)
+        calls, first, second = self._race(cache, component, estimate)
         assert len(calls) == 1
-        assert first == second == {"value": 42.0}
+        assert first == second == {"value": estimate}
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_an_error_reaches_every_waiter_and_frees_the_key(
@@ -235,8 +252,8 @@ class TestConcurrentComponentCompute:
         assert first["error"] is failure and second["error"] is failure
         # The failed key is free again: a later call recomputes it.
         assert cache.get_or_compute(
-            "monte_carlo", component, None, lambda: 7.0
-        ) == 7.0
+            _instance_key(component), _mttf(7.0)
+        ).mttf_seconds == 7.0
         assert cache.misses == 1
 
 
@@ -262,7 +279,7 @@ class TestWarmEngineRerun:
             mc_config=mc,
             cache=cold_cache,
         )
-        assert cold_cache.estimate_misses > 0
+        assert cold_cache.misses > 0
         # A brand-new in-memory cache over the same directory — as a new
         # CLI invocation would build — must serve everything from disk.
         warm_cache = ComponentCache(disk=DiskCache(tmp_path))
@@ -274,7 +291,6 @@ class TestWarmEngineRerun:
         )
         assert warm == cold
         assert warm_cache.misses == 0
-        assert warm_cache.estimate_misses == 0
         assert "misses=0" in warm_cache.stats_line()
 
     def test_trial_change_invalidates_estimates(
@@ -299,5 +315,5 @@ class TestWarmEngineRerun:
         )
         # The MC reference must be recomputed; the deterministic closed
         # form (keyed mc-independently) is served from disk.
-        assert cache_b.estimate_misses == 1
+        assert cache_b.misses == 1
         assert cache_b.disk_hits == 1

@@ -116,9 +116,10 @@ class TestBatchEngine:
             mc_config=MonteCarloConfig(trials=2_000, seed=3),
             cache=cache,
         )
-        # One distinct (profile, rate) component across all three C
-        # values: one miss, the rest hits.
-        assert cache.misses == 1
+        # One distinct (profile, rate) component instance across all
+        # three C values: one miss, the rest hits. Each point adds its
+        # reference and its SOFR estimate.
+        assert cache.misses == 3 + 3 + 1
         assert cache.hits == 2
 
     def test_workers_match_serial(self, cluster_space):

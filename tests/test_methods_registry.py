@@ -15,6 +15,7 @@ from repro.errors import ConfigurationError
 from repro.methods import (
     MethodConfig,
     available,
+    evaluate_design_space,
     get,
     register_method,
     unregister,
@@ -140,3 +141,38 @@ class TestAdapterEquivalence:
         direct = monte_carlo_mttf(system, mc)
         assert via_registry.mttf_seconds == direct.mttf_seconds
         assert via_registry.std_error_seconds == direct.std_error_seconds
+
+
+class TestSofrOnlyReference:
+    """The SOFR step takes each instance's MTTF from the run's reference
+    method, as that method's estimate of the one-instance system."""
+
+    def test_softarch_reference_feeds_softarch_instances(self, day_profile):
+        # Against SoftArch, sofr_only used to be fed Monte-Carlo instance
+        # MTTFs, so its error was the sampling noise of those draws. Fed
+        # SoftArch's own instance estimates, the error is the SOFR step's
+        # alone: the same at every trial count, and tiny at this hazard
+        # mass (lambda * L ~ 1e-3).
+        system = SystemModel(
+            [
+                Component("a", 1e-8, day_profile, multiplicity=4),
+                Component("b", 3e-8, day_profile),
+            ]
+        )
+        errors = [
+            evaluate_design_space(
+                [("mixed", system)],
+                methods=["sofr_only"],
+                reference="softarch",
+                mc_config=MonteCarloConfig(trials=trials, seed=0),
+            )[0].error("sofr_only")
+            for trials in (2_000, 20_000)
+        ]
+        assert errors[0] == errors[1]
+        assert abs(errors[0]) < 1e-3
+
+    def test_refuses_itself_as_reference(self, system):
+        with pytest.raises(ConfigurationError, match="from itself"):
+            get("sofr_only").estimate(
+                system, MethodConfig(reference="sofr_only")
+            )

@@ -82,8 +82,9 @@ class TestPipelinedIdentity:
         self, cluster_space
     ):
         # Every C shares one profile, so the whole sweep performs
-        # exactly one component-level MC estimation instead of one per
-        # point, even when pool threads ask for it at once.
+        # exactly one MC estimation of the component instance (its
+        # one-instance system) instead of one per point, even when pool
+        # threads ask for it at once.
         mc = MonteCarloConfig(trials=2_000, seed=1)
         phased = evaluate_design_space(
             cluster_space[:3], methods=["sofr_only"], mc_config=mc
@@ -97,7 +98,8 @@ class TestPipelinedIdentity:
             cache=cache,
         )
         assert piped == phased
-        assert cache.misses == 1
+        # Three references, three SOFR estimates and one instance.
+        assert cache.misses == len(cache) == 3 + 3 + 1
 
     def test_a_method_runs_while_another_reference_is_unfinished(
         self, cluster_space
@@ -210,7 +212,7 @@ class TestReferenceSupport:
                 cache=cache,
             )
         assert calls == []
-        assert cache.estimate_hits == cache.estimate_misses == 0
+        assert cache.hits == cache.misses == 0
 
 
 class TestPublication:

@@ -47,7 +47,7 @@ class TestCachedReplays:
 
         monkeypatch.setattr(FunctionEstimator, "estimate", counting)
         for workers in (1, 2):
-            hits, misses = cache.estimate_hits, cache.estimate_misses
+            hits, misses = cache.hits, cache.misses
             warm = evaluate_design_space(
                 cluster_space[:2],
                 methods=["first_principles"],
@@ -57,8 +57,8 @@ class TestCachedReplays:
             )
             assert warm == cold, workers
             # Two points, each a reference and one method estimate.
-            assert cache.estimate_hits - hits == 4, workers
-            assert cache.estimate_misses == misses, workers
+            assert cache.hits - hits == 4, workers
+            assert cache.misses == misses, workers
         assert calls == []
 
 

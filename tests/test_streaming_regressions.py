@@ -4,8 +4,9 @@
   ``os.replace``) so concurrent writers sharing a ``--cache-dir`` can
   interleave freely, and a torn/truncated entry reads as a miss, never
   poisoning a warm rerun;
-* an entry whose value does not decode — at either cache level — is a
-  miss too: the engine recomputes the estimate and overwrites it.
+* an entry whose value does not decode — a sweep point's or a component
+  instance's (its one-instance system's) — is a miss too: the engine
+  recomputes the estimate and overwrites it.
 """
 
 import json
@@ -84,36 +85,40 @@ class TestDiskCacheAtomicity:
     def test_malformed_value_is_a_miss_and_is_rewritten(
         self, cluster_space, tmp_path, level, value
     ):
+        mc = MonteCarloConfig(trials=1_000, seed=1)
+
         def run(cache):
             return evaluate_design_space(
                 cluster_space[:2],
                 methods=["sofr_only"],
-                mc_config=MonteCarloConfig(trials=1_000, seed=1),
+                mc_config=mc,
                 cache=cache,
             )
 
         cold = run(ComponentCache(disk=DiskCache(tmp_path)))
+        # The component level is the instance's entry: its one-instance
+        # system under the reference, which no sweep point here is.
+        node = cluster_space[0][1].components[0]
+        instance = ComponentCache.estimate_key(
+            "monte_carlo", node.alone(), mc, "monte_carlo"
+        )
         disk = DiskCache(tmp_path)
         spoiled = []
         for key, path in _entry_paths(tmp_path).items():
-            if key.startswith(f"{level}/"):
+            if (key == instance) == (level == "component"):
                 disk.put(key, value)
                 spoiled.append(key)
             elif level == "component":
-                # Without system entries the rerun asks the component
-                # level again, so the spoiled value is actually read.
+                # Without the points' entries the rerun asks for the
+                # instance again, so the spoiled value is actually read.
                 path.unlink()
         assert spoiled
         cache = ComponentCache(disk=DiskCache(tmp_path))
         assert run(cache) == cold
-        assert cache.misses + cache.estimate_misses >= len(spoiled)
+        assert cache.misses >= len(spoiled)
         reader = DiskCache(tmp_path)
         for key in spoiled:
-            stored = reader.get(key)
-            if level == "component":
-                assert stored["mttf_seconds"] > 0
-            else:
-                assert MTTFEstimate.from_dict(stored).mttf_seconds > 0
+            assert MTTFEstimate.from_dict(reader.get(key)).mttf_seconds > 0
 
     def test_no_temp_files_survive_writes(self, tmp_path):
         cache = DiskCache(tmp_path)
