@@ -90,40 +90,18 @@ def _timed(fn, repeat: int) -> tuple[float, object]:
     return best, value
 
 
-def benchmark_cases(trials: int, points: int, workers: int):
-    """(name, metadata, thunk) for every timed case."""
-    space = _cluster_space(points)
-    fixed = MonteCarloConfig(trials=trials, seed=7)
-    run = lambda **kw: evaluate_design_space(
-        space, methods=["sofr_only", "first_principles"], **kw
-    )
-    return [
-        (
-            "sweep_serial_fixed",
-            {"trials": trials, "workers": 1},
-            lambda: run(mc_config=fixed, cache=False),
-        ),
-        (
-            "sweep_threads_fixed",
-            {"trials": trials, "workers": workers},
-            lambda: run(mc_config=fixed, workers=workers, cache=False),
-        ),
-    ]
-
-
 def _result_hash(result_set) -> str:
     """Short content hash of a ResultSet's canonical JSON bytes."""
     canonical = json.dumps(result_set.to_dict(), sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def executor_cases(trials: int, points: int, workers: int, repeat: int):
-    """Pool-width shoot-out on one fixed sweep.
+def engine_cases(trials: int, points: int, workers: int, repeat: int):
+    """One fixed sweep on a one-worker and a ``workers``-wide pool.
 
-    The same sweep runs on a one-worker and a ``workers``-wide thread
-    pool, and each record carries the canonical content hash of its
-    ResultSet next to ``identical_to_serial``, so the artifact *proves*
-    the determinism invariant on the hardware that produced the timings
+    Each record carries the canonical content hash of its ResultSet
+    next to ``identical_to_serial``, so the artifact *proves* the
+    determinism invariant on the hardware that produced the timings
     instead of asserting it. ``cpu_count`` rides along in every record:
     on a 1-CPU host the fan-out row documents what parallelism costs
     there (the honest number), not a hoped-for speedup.
@@ -138,14 +116,13 @@ def executor_cases(trials: int, points: int, workers: int, repeat: int):
             methods=["sofr_only", "first_principles"],
             mc_config=mc,
             workers=n_workers,
-            cache=False,
         )
 
     records = []
     serial_hash = None
     for name, n_workers in (
-        ("executors_serial", 1),
-        ("executors_thread", workers),
+        ("sweep_serial_fixed", 1),
+        ("sweep_threads_fixed", workers),
     ):
         seconds, result_set = _timed(lambda: run(n_workers), repeat)
         digest = _result_hash(result_set)
@@ -444,10 +421,7 @@ def sampler_cases(
 
 
 #: Benchmark sections selectable via --scenario.
-SCENARIOS = (
-    "all", "engine", "cache", "executors", "trace", "estimators",
-    "sampler",
-)
+SCENARIOS = ("all", "engine", "cache", "trace", "estimators", "sampler")
 
 
 def run_benchmarks(argv: list[str] | None = None) -> Path:
@@ -482,15 +456,16 @@ def run_benchmarks(argv: list[str] | None = None) -> Path:
         return args.scenario in ("all", section)
 
     results = []
+    # One sweep at two pool widths, result hashes attached.
     if wants("engine"):
-        for name, metadata, thunk in benchmark_cases(
-            args.trials, args.points, args.workers
+        for record in engine_cases(
+            args.trials, args.points, args.workers, args.repeat
         ):
-            seconds, _ = _timed(thunk, args.repeat)
-            results.append(
-                {"name": name, "seconds": round(seconds, 4), **metadata}
+            results.append(record)
+            print(
+                f"{record['name']:44s} {record['seconds']:8.3f}s  "
+                f"identical_to_serial={record['identical_to_serial']}"
             )
-            print(f"{name:44s} {seconds:8.3f}s")
 
     # Cold vs warm disk cache on the same sweep (one repeat each; the
     # warm number is the content-addressed lookup overhead).
@@ -519,17 +494,6 @@ def run_benchmarks(argv: list[str] | None = None) -> Path:
                     }
                 )
                 print(f"sweep_disk_cache_{phase:39s} {seconds:8.3f}s")
-
-    # Pool-width shoot-out: one sweep at two widths, hashes attached.
-    if wants("executors"):
-        for record in executor_cases(
-            args.trials, args.points, args.workers, args.repeat
-        ):
-            results.append(record)
-            print(
-                f"{record['name']:44s} {record['seconds']:8.3f}s  "
-                f"identical_to_serial={record['identical_to_serial']}"
-            )
 
     # Trace production: synthesis and simulation throughput.
     if wants("trace"):

@@ -10,13 +10,11 @@ batch engine (``repro.evaluate_design_space``, and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..errors import ConfigurationError
 from ..reliability.metrics import MTTFEstimate, signed_relative_error
-from .avf import avf_mttf
 
 
 @dataclass(frozen=True)
@@ -85,18 +83,3 @@ class MethodComparison:
                 for name, est in estimates.items()
             },
         )
-
-
-def avf_step_comparison(
-    rate_per_second: float,
-    profile,
-    reference_mttf: float,
-) -> tuple[float, float]:
-    """AVF-step MTTF and its signed error against a reference (seconds).
-
-    A light-weight helper for the single-component sweeps (Figures 3/5).
-    """
-    estimate = avf_mttf(rate_per_second, profile)
-    if math.isinf(estimate) or math.isinf(reference_mttf):
-        raise ValueError("AVF comparison needs finite MTTFs")
-    return estimate, signed_relative_error(estimate, reference_mttf)

@@ -30,7 +30,6 @@ them.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from ..core.montecarlo import (
 )
 from ..core.system import Component, SystemModel
 from ..methods import ResultSet, evaluate_design_space
-from ..methods.batch import resolve_workers
+from ..methods.batch import run_ordered
 from ..reliability.diagnostics import exponentiality_report
 from ..reliability.metrics import MTTFEstimate, signed_relative_error
 from ..reliability.process import FailureProcess
@@ -60,18 +59,6 @@ def _day_component(rate: float) -> Component:
 
 def _day_system(rate: float) -> SystemModel:
     return SystemModel([_day_component(rate)])
-
-
-def _on_pool(engine: EngineOptions, task, items) -> list:
-    """``[task(item) for item in items]``, run on the invocation's pool.
-
-    The direct draws of a sample-level ablation are independent (each
-    builds its generator from its own seed), so they run on
-    ``engine.workers`` threads; the results come back in ``items``
-    order. One worker runs them one after another.
-    """
-    with ThreadPoolExecutor(resolve_workers(engine.workers)) as pool:
-        return list(pool.map(task, items))
 
 
 def run_sampler_equivalence(engine: EngineOptions):
@@ -105,10 +92,10 @@ def run_sampler_equivalence(engine: EngineOptions):
         MonteCarloConfig(trials=trials, seed=1),
         MonteCarloConfig(trials=trials, seed=2, method="arrival"),
     )
-    drawn = _on_pool(
-        engine,
+    drawn = run_ordered(
         draw,
         [(system, config) for config in samplers for system in systems],
+        engine.workers,
     )
     inverse, arrival = drawn[: len(systems)], drawn[len(systems) :]
 
@@ -244,7 +231,7 @@ def run_exponentiality(engine: EngineOptions):
 
     comparisons = []
     for lam_l, (process, report, estimate) in zip(
-        lam_ls, _on_pool(engine, draw, lam_ls)
+        lam_ls, run_ordered(draw, lam_ls, engine.workers)
     ):
         table.add_row(
             f"{lam_l:g}",

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 
 from ..analytical.busy_idle import figure3_curves
 from ..analytical.sofr_halfnormal import figure4_curve
@@ -38,7 +37,7 @@ from ..core.comparison import MethodComparison
 from ..core.montecarlo import MonteCarloConfig
 from ..core.system import Component, SystemModel
 from ..methods import ResultSet, canonical_name, evaluate_design_space
-from ..methods.batch import resolve_workers
+from ..methods.batch import run_ordered
 from ..masking.profile import VulnerabilityProfile
 from ..microarch.config import MachineConfig
 from ..reliability.metrics import MTTFEstimate, signed_relative_error
@@ -359,8 +358,7 @@ def run_fig4(engine: EngineOptions, validate_mc: bool = True):
     # The curve's first call in a process imports scipy (~0.4 s of one
     # CPU). The Monte-Carlo check needs only NumPy, which releases the
     # GIL while it draws and reduces, so on two workers the two overlap.
-    with ThreadPoolExecutor(resolve_workers(engine.workers)) as pool:
-        points, *sampled = pool.map(lambda task: task(), tasks)
+    points, *sampled = run_ordered(lambda task: task(), tasks, engine.workers)
     table = Table(
         "Figure 4: SOFR error for f(x) = (2/sqrt(pi)) e^{-x^2} components",
         ["N components", "exact MTTF", "SOFR MTTF", "rel. error"],

@@ -24,8 +24,11 @@ directories are checked before any work: the flags become one
 ``$REPRO_MC_TRIALS`` value or output path exits 2 with one line), and
 its one estimate cache serves every artifact of the invocation.
 
-Every sweep runs as one pipelined schedule: method estimates join the
-worker pool the moment each point's reference is final.
+Every sweep is one ordered map on the worker pool: one task per point
+and distinct estimator, after every point's reference and methods have
+said they support it. An artifact that refuses its input (a method that
+does not support one of its systems) exits 2 with one line, before that
+sweep runs any estimate; the artifacts before it have already run.
 """
 
 from __future__ import annotations
@@ -182,7 +185,11 @@ def main(argv: list[str] | None = None) -> int:
         # allows it): the experiment's numbers come from experiment.run
         # alone.
         started = time.perf_counter()
-        result = experiment.run(engine)
+        try:
+            result = experiment.run(engine)
+        except ConfigurationError as error:
+            print(str(error), file=sys.stderr)
+            return 2
         elapsed = time.perf_counter() - started
         print(result.render())
         print(f"[{artifact}] completed in {elapsed:.1f}s")

@@ -14,7 +14,7 @@ difference-array sweep.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -54,41 +54,3 @@ def live_counts_from_intervals(
         end[keep], minlength=n_cycles + 1
     )
     return np.cumsum(diff[:-1], dtype=np.int64)
-
-
-def live_fraction(
-    intervals: Iterable[tuple[int, int]],
-    n_cycles: int,
-    n_registers: int,
-) -> np.ndarray:
-    """Per-cycle live fraction (the register-file vulnerability mask)."""
-    if n_registers <= 0:
-        raise TraceError(f"register count must be positive, got {n_registers}")
-    counts = live_counts_from_intervals(intervals, n_cycles)
-    if counts.max(initial=0) > n_registers:
-        raise TraceError(
-            "live count exceeds register count; overlapping intervals for "
-            "one register?"
-        )
-    return counts / float(n_registers)
-
-
-def merge_register_intervals(
-    per_register: Sequence[Sequence[tuple[int, int]]],
-) -> list[tuple[int, int]]:
-    """Flatten per-register interval lists, validating per-register order.
-
-    Within one register, live intervals must be non-overlapping and
-    sorted (a register's value is redefined before it can be live again).
-    """
-    merged: list[tuple[int, int]] = []
-    for reg_index, intervals in enumerate(per_register):
-        prev_end = -1
-        for start, end in intervals:
-            if start < prev_end:
-                raise TraceError(
-                    f"register {reg_index} has overlapping live intervals"
-                )
-            prev_end = end
-            merged.append((start, end))
-    return merged

@@ -111,15 +111,6 @@ class ComponentCache:
             f"{mc_token(mc)}"
         )
 
-    def peek(self, key: str) -> MTTFEstimate | None:
-        """The estimate in memory under ``key`` (a hit), else ``None``
-        (nothing counted: ask :meth:`get_or_compute`)."""
-        with self._lock:
-            found = self._estimates.get(key)
-            if found is not None:
-                self.hits += 1
-        return found
-
     def get_or_compute(
         self, key: str, compute: Callable[[], MTTFEstimate]
     ) -> MTTFEstimate:

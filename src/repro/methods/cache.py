@@ -104,9 +104,6 @@ class DiskCache:
             raise ConfigurationError(
                 f"cache directory {str(directory)!r}: {error.strerror}"
             ) from None
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
 
     def _path(self, key: str) -> Path:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
@@ -127,9 +124,7 @@ class DiskCache:
             or entry.get("schema") != ENTRY_SCHEMA
             or "value" not in entry
         ):
-            self.misses += 1
             return None
-        self.hits += 1
         return entry["value"]
 
     def put(self, key: str, value: dict) -> None:
@@ -149,7 +144,6 @@ class DiskCache:
             except OSError:
                 pass
             raise
-        self.writes += 1
 
     def __len__(self) -> int:
         return sum(
@@ -158,17 +152,5 @@ class DiskCache:
             if p.suffix == ".json" and not p.name.startswith(".tmp-")
         )
 
-    def clear(self) -> None:
-        """Delete every entry (leaves the directory in place)."""
-        for p in list(self.directory.iterdir()):
-            if p.suffix == ".json" and not p.name.startswith(".tmp-"):
-                try:
-                    p.unlink()
-                except OSError:
-                    pass
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DiskCache({str(self.directory)!r}, hits={self.hits}, "
-            f"misses={self.misses}, writes={self.writes})"
-        )
+        return f"DiskCache({str(self.directory)!r})"

@@ -4,7 +4,6 @@ import pytest
 
 from repro import analyze
 from repro.core import Component, MonteCarloConfig, SystemModel
-from repro.core.comparison import avf_step_comparison
 from repro.reliability.metrics import relative_error, signed_relative_error
 from repro.errors import ConfigurationError, EstimationError
 from repro.units import SECONDS_PER_DAY
@@ -102,21 +101,6 @@ class TestCompareMethods:
         )
         # Front-loaded day workload: AVF+SOFR overestimates (positive).
         assert comparison.error("avf_sofr") > 0
-
-
-class TestAvfStepComparison:
-    def test_returns_estimate_and_error(self, day_profile):
-        rate = 1.0 / SECONDS_PER_DAY
-        from repro.core import exact_component_mttf
-
-        exact = exact_component_mttf(rate, day_profile)
-        estimate, error = avf_step_comparison(rate, day_profile, exact)
-        assert estimate == pytest.approx(2 * SECONDS_PER_DAY / 1.0)
-        assert error == pytest.approx((estimate - exact) / exact)
-
-    def test_rejects_infinite(self, day_profile):
-        with pytest.raises(ValueError):
-            avf_step_comparison(0.0, day_profile, 100.0)
 
 
 class TestErrorMetrics:

@@ -254,6 +254,27 @@ class TestUsageErrors:
         assert "completed in" not in captured.out
 
 
+class TestRunErrors:
+    def test_an_artifact_refusal_exits_2_before_any_estimate(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # compare's SPEC uniprocessors have four units and avf supports
+        # single-instance systems only: the sweep is refused before its
+        # first estimate, so nothing reaches the fresh cache directory.
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.setenv("REPRO_SPEC_INSTRUCTIONS", "5000")
+        cache_dir = tmp_path / "cache"
+        argv = ["compare", "--method", "avf", "--trials", "2000",
+                "--cache-dir", str(cache_dir)]
+        assert _exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "method 'avf' does not support system 'gzip'"
+        ]
+        assert "completed in" not in captured.out
+        assert list(cache_dir.iterdir()) == []
+
+
 class TestCacheDirEnv:
     """``$REPRO_CACHE_DIR`` counts wherever ``--cache-dir`` does."""
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.errors import TraceError
 from repro.masking import live_counts_from_intervals
-from repro.masking.liveness import live_fraction, merge_register_intervals
 
 
 class TestLiveCounts:
@@ -73,27 +72,3 @@ class TestLiveCountsMatchLoop:
     def test_generator_input(self):
         counts = live_counts_from_intervals(((i, i + 2) for i in range(3)), 5)
         np.testing.assert_array_equal(counts, [1, 2, 2, 1, 0])
-
-
-class TestLiveFraction:
-    def test_fraction(self):
-        frac = live_fraction([(0, 2), (0, 2)], 4, 4)
-        np.testing.assert_allclose(frac, [0.5, 0.5, 0.0, 0.0])
-
-    def test_rejects_overflow(self):
-        with pytest.raises(TraceError):
-            live_fraction([(0, 2), (0, 2), (0, 2)], 2, 2)
-
-    def test_rejects_bad_register_count(self):
-        with pytest.raises(TraceError):
-            live_fraction([], 4, 0)
-
-
-class TestMergeIntervals:
-    def test_merge(self):
-        merged = merge_register_intervals([[(0, 2), (3, 5)], [(1, 4)]])
-        assert merged == [(0, 2), (3, 5), (1, 4)]
-
-    def test_rejects_overlap_within_register(self):
-        with pytest.raises(TraceError):
-            merge_register_intervals([[(0, 3), (2, 5)]])

@@ -132,15 +132,6 @@ class TestBatchEngine:
         )
         assert serial == threaded
 
-    def test_cache_true_means_fresh_cache(self, cluster_space):
-        result = evaluate_design_space(
-            cluster_space,
-            methods=["sofr_only"],
-            mc_config=MonteCarloConfig(trials=1_000, seed=3),
-            cache=True,
-        )
-        assert len(result) == 3
-
     def test_merged_mixed_references_flagged(self, system):
         a = analyze(system).using("avf_sofr").against("exact").run()
         b = analyze(system).using("avf_sofr").against("monte_carlo").run()

@@ -1,15 +1,16 @@
-"""Work-conserving scheduler tests.
+"""Ordered-map engine tests.
 
-Covers the scheduler every sweep runs — method estimates streamed into
-the pool as references finalize, estimates written through to the disk
-cache as they land, method-ordered records, fail-fast cancellation,
-points the reference cannot estimate refused up front — plus the
-acceptance bar: bit-identity across worker counts against the default
-one-worker run.
+Covers the one map every sweep runs — one task per point and distinct
+estimator on one pool, estimates written through to the disk cache as
+they land, method-ordered records, a raising task cancelling the tasks
+not yet started, points the reference or a method cannot estimate
+refused before any estimate — plus the acceptance bar: bit-identity
+across worker counts against the default one-worker run.
 """
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.core import (
     SystemModel,
     first_principles_mttf,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EstimationError
 from repro.methods import (
     ComponentCache,
     DiskCache,
@@ -46,37 +47,37 @@ def cluster_space(day_profile):
 
 
 class TestPipelinedIdentity:
-    """Acceptance bar: the schedule is never a numbers change. Each
-    ``phased`` baseline is the default run (one worker); each ``piped``
-    run fans the same sweep out wider."""
+    """Acceptance bar: the pool width is never a numbers change. Each
+    ``serial`` baseline is the default run (one worker); each ``wide``
+    run maps the same tasks over more threads."""
 
     def test_pipelined_equals_phased(self, cluster_space):
         mc = MonteCarloConfig(trials=4_000, seed=3)
-        phased = evaluate_design_space(
+        serial = evaluate_design_space(
             cluster_space,
             methods=["first_principles", "sofr_only"],
             mc_config=mc,
         )
         for workers in (2, 3):
-            piped = evaluate_design_space(
+            wide = evaluate_design_space(
                 cluster_space,
                 methods=["first_principles", "sofr_only"],
                 mc_config=mc,
                 workers=workers,
             )
-            assert piped == phased, workers
+            assert wide == serial, workers
 
     def test_pipelined_exact_reference(self, cluster_space):
-        phased = evaluate_design_space(
+        serial = evaluate_design_space(
             cluster_space, methods=["avf_sofr"], reference="exact"
         )
-        piped = evaluate_design_space(
+        wide = evaluate_design_space(
             cluster_space,
             methods=["avf_sofr"],
             reference="exact",
             workers=2,
         )
-        assert piped == phased
+        assert wide == serial
 
     def test_pool_keeps_component_memoization(
         self, cluster_space
@@ -86,18 +87,18 @@ class TestPipelinedIdentity:
         # one-instance system) instead of one per point, even when pool
         # threads ask for it at once.
         mc = MonteCarloConfig(trials=2_000, seed=1)
-        phased = evaluate_design_space(
+        serial = evaluate_design_space(
             cluster_space[:3], methods=["sofr_only"], mc_config=mc
         )
         cache = ComponentCache()
-        piped = evaluate_design_space(
+        wide = evaluate_design_space(
             cluster_space[:3],
             methods=["sofr_only"],
             mc_config=mc,
             workers=2,
             cache=cache,
         )
-        assert piped == phased
+        assert wide == serial
         # Three references, three SOFR estimates and one instance.
         assert cache.misses == len(cache) == 3 + 3 + 1
 
@@ -105,10 +106,10 @@ class TestPipelinedIdentity:
         self, cluster_space
     ):
         # The first point's reference finishes only once a method has
-        # run, and the first point's own methods wait for it: only the
-        # second point's method, launched the moment the second
-        # reference is final, can open the gate. A phase barrier
-        # between references and methods would leave it shut.
+        # run. Its method task is queued right behind it, so the second
+        # worker runs it while the reference waits and opens the gate.
+        # A phase barrier between references and methods would leave
+        # it shut.
         first = cluster_space[0][1]
         opened = threading.Event()
         waits = []
@@ -162,9 +163,9 @@ class TestDispatch:
     def test_an_error_cancels_the_queued_work(
         self, cluster_space, monkeypatch
     ):
-        # avf supports single-instance systems only, so launching the
-        # first point's methods raises; the references still queued
-        # behind it must not run before the error surfaces.
+        # avf supports single-instance systems only, so the support
+        # check refuses the first point before any estimate runs: no
+        # reference is drawn at all.
         from repro.methods.base import FunctionEstimator
 
         calls = []
@@ -183,7 +184,59 @@ class TestDispatch:
                 methods=["avf"],
                 mc_config=MonteCarloConfig(trials=20_000, seed=1),
             )
-        assert len(calls) < len(space)
+        assert calls == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_raising_method_stops_the_sweep_after_a_few_tasks(
+        self, day_profile, monkeypatch, workers
+    ):
+        # Forty distinct points, each with a Monte-Carlo reference. The
+        # method fails on the first point, whose tasks come first, so
+        # the references of the later points never start: only the
+        # tasks already running when the error surfaces finish. Every
+        # later reference lingers 50 ms, so a worker cannot race
+        # through the queue while the caller's thread waits to be
+        # scheduled and cancel it.
+        rate = 2.0 / SECONDS_PER_DAY
+        space = [
+            (
+                f"C={c}",
+                SystemModel(
+                    [Component("node", rate, day_profile, multiplicity=c)]
+                ),
+            )
+            for c in range(2, 42)
+        ]
+        first = space[0][1]
+        draws = []
+        estimate = FunctionEstimator.estimate
+
+        def counting(estimator, system, config=None):
+            if estimator.name == "monte_carlo":
+                draws.append(system)
+                if system is not first:
+                    time.sleep(0.05)
+            return estimate(estimator, system, config)
+
+        monkeypatch.setattr(FunctionEstimator, "estimate", counting)
+        try:
+
+            @register_method("fails_first")
+            def fails_first(system, config):
+                if system is first:
+                    raise EstimationError("the first point fails")
+                return first_principles_mttf(system)
+
+            with pytest.raises(EstimationError, match="first point"):
+                evaluate_design_space(
+                    space,
+                    methods=["fails_first"],
+                    mc_config=MonteCarloConfig(trials=2_000, seed=1),
+                    workers=workers,
+                )
+        finally:
+            unregister("fails_first")
+        assert len(draws) < 5
 
 
 class TestReferenceSupport:
@@ -214,13 +267,50 @@ class TestReferenceSupport:
         assert calls == []
         assert cache.hits == cache.misses == 0
 
+    def test_unsupported_method_refused_before_any_estimate(
+        self, cluster_space, day_profile, monkeypatch
+    ):
+        # The first two points are single instances, which avf
+        # estimates; the third is a cluster. The refusal comes before
+        # any of the first two points' estimates, so nothing is drawn
+        # or cached.
+        calls = []
+        estimate = FunctionEstimator.estimate
+
+        def counting(estimator, system, config=None):
+            calls.append(estimator.name)
+            return estimate(estimator, system, config)
+
+        monkeypatch.setattr(FunctionEstimator, "estimate", counting)
+        rate = 2.0 / SECONDS_PER_DAY
+        singles = [
+            (
+                f"single/{k}",
+                SystemModel([Component("node", k * rate, day_profile)]),
+            )
+            for k in (1, 2)
+        ]
+        cache = ComponentCache()
+        with pytest.raises(
+            ConfigurationError,
+            match="method 'avf' does not support system 'C=2'",
+        ):
+            evaluate_design_space(
+                [*singles, cluster_space[0]],
+                methods=["avf"],
+                mc_config=MonteCarloConfig(trials=2_000, seed=1),
+                cache=cache,
+            )
+        assert calls == []
+        assert cache.misses == 0
+
 
 class TestPublication:
     def test_estimates_publish_to_disk_as_points_finish(
         self, cluster_space, tmp_path
     ):
-        # Write-through: after a pipelined run every system estimate
-        # (reference and methods) is on disk for the next invocation.
+        # Write-through: after a run every system estimate (reference
+        # and methods) is on disk for the next invocation.
         disk = DiskCache(tmp_path)
         cache = ComponentCache(disk=disk)
         mc = MonteCarloConfig(trials=1_000, seed=1)
