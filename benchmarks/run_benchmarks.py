@@ -33,6 +33,7 @@ import time
 from pathlib import Path
 
 from repro.core import Component, MonteCarloConfig, SystemModel
+from repro.core.kernel import clear_plan_cache
 from repro.masking import busy_idle_profile
 from repro.methods import (
     ComponentCache,
@@ -111,6 +112,9 @@ def engine_cases(trials: int, points: int, workers: int, repeat: int):
     cpus = os.cpu_count() or 1
 
     def run(n_workers):
+        # Every row and repeat starts cold: it compiles its plans and
+        # draws its stream itself, instead of reusing the previous one's.
+        clear_plan_cache()
         return evaluate_design_space(
             space,
             methods=["sofr_only", "first_principles"],

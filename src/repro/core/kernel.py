@@ -868,6 +868,6 @@ def inverse_system_ttf(
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan and stream (test isolation helper)."""
+    """Drop every cached plan and stream, so the next draw starts cold."""
     _PLANS.clear()
     _STREAMS.clear()

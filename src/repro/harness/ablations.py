@@ -13,18 +13,17 @@ These probe the reproduction's own design choices:
   through the dimensionless hazard mass ``λ·V(L)``, which justifies the
   time-dilation bridging of simulated window lengths.
 
-Like the paper experiments, the ablations take one
-:class:`~repro.harness.experiment.EngineOptions` and emit a
-serializable ``result_set``; each sets its own seeds. The convergence,
-hybrid and dilation ablations route their estimation through
-:func:`repro.methods.evaluate_design_space` with ``engine.kwargs()``.
-The sampler and exponentiality ablations are sample-level: their decile
-gaps and KS distances need the raw TTF arrays, which the batch engine
-does not keep. Each draws every ``(seed, sampler)`` stream directly,
-once, on the invocation's thread pool (``engine.workers``), and reduces
-both its diagnostics and its result set from those samples. They
-therefore always draw: the estimate cache neither serves nor records
-them.
+Like the paper experiments, the ablations are ``@artifact`` functions
+that take one :class:`~repro.harness.experiment.EngineOptions` and
+emit a serializable ``result_set``; each sets its own seeds. The
+convergence, hybrid and dilation ablations yield their sweeps to the
+batch engine. The sampler and exponentiality ablations are
+sample-level: their decile gaps and KS distances need the raw TTF
+arrays, which the batch engine does not keep. They yield no sweep,
+draw every ``(seed, sampler)`` stream directly, once, on the
+invocation's thread pool (``engine.workers``), and reduce both their
+diagnostics and their result set from those samples. They therefore
+always draw: the estimate cache neither serves nor records them.
 """
 
 from __future__ import annotations
@@ -42,14 +41,14 @@ from ..core.montecarlo import (
     sample_system_ttf,
 )
 from ..core.system import Component, SystemModel
-from ..methods import ResultSet, evaluate_design_space
+from ..methods import ResultSet
 from ..methods.batch import run_ordered
 from ..reliability.diagnostics import exponentiality_report
 from ..reliability.metrics import MTTFEstimate, signed_relative_error
 from ..reliability.process import FailureProcess
 from ..units import SECONDS_PER_DAY
 from ..workloads.longrun import day_workload
-from .experiment import EngineOptions, ExperimentResult
+from .experiment import EngineOptions, ExperimentResult, Sweep, artifact
 from .tables import Table, percent
 
 
@@ -61,7 +60,14 @@ def _day_system(rate: float) -> SystemModel:
     return SystemModel([_day_component(rate)])
 
 
-def run_sampler_equivalence(engine: EngineOptions):
+@artifact(
+    "ablation.samplers",
+    "Arrival and inverse samplers agree",
+    "(ours) the fast inverse-hazard sampler is distribution-identical "
+    "to the paper's resampling procedure.",
+)
+def sampler_equivalence(engine: EngineOptions):
+    yield []
     trials = engine.trials
     table = Table(
         "Ablation: arrival vs inverse sampler",
@@ -133,10 +139,6 @@ def run_sampler_equivalence(engine: EngineOptions):
         reference_method="monte_carlo",
     )
     return ExperimentResult(
-        artifact="ablation.samplers",
-        title="Arrival and inverse samplers agree",
-        paper_claim="(ours) the fast inverse-hazard sampler is "
-        "distribution-identical to the paper's resampling procedure.",
         tables=[table],
         headline=f"mean differences within {worst_sigma:.1f} standard "
         "errors across four hazard regimes",
@@ -144,25 +146,27 @@ def run_sampler_equivalence(engine: EngineOptions):
     )
 
 
-def run_mc_convergence(engine: EngineOptions):
-    rate = 0.5 / SECONDS_PER_DAY
-    system = _day_system(rate)
+@artifact(
+    "ablation.convergence",
+    "Monte-Carlo error scales as 1/sqrt(trials)",
+    "(ours) justifies default trial counts.",
+)
+def mc_convergence(engine: EngineOptions):
+    system = _day_system(0.5 / SECONDS_PER_DAY)
+    counts = [
+        max(int(engine.trials * factor), 100) for factor in (0.01, 0.1, 1.0)
+    ]
+    sets = yield [
+        Sweep([(f"day/trials={n}", system)], ["first_principles"],
+              "monte_carlo", MonteCarloConfig(trials=n, seed=3))
+        for n in counts
+    ]
     table = Table(
         "Ablation: Monte-Carlo convergence",
         ["trials", "MC MTTF (d)", "rel. deviation", "stderr/mean"],
     )
     rows = []
-    merged: ResultSet | None = None
-    for factor in (0.01, 0.1, 1.0):
-        n = max(int(engine.trials * factor), 100)
-        trial_set = evaluate_design_space(
-            [(f"day/trials={n}", system)],
-            methods=["first_principles"],
-            reference="monte_carlo",
-            mc_config=MonteCarloConfig(trials=n, seed=3),
-            **engine.kwargs(),
-        )
-        comparison = trial_set[0]
+    for n, (comparison,) in zip(counts, sets):
         mc = comparison.reference
         exact = comparison.estimates["first_principles"].mttf_seconds
         deviation = signed_relative_error(mc.mttf_seconds, exact)
@@ -172,19 +176,14 @@ def run_mc_convergence(engine: EngineOptions):
             n, mc.mttf_seconds / 86400.0, percent(deviation),
             percent(rel_se),
         )
-        merged = trial_set if merged is None else merged.merged(trial_set)
     # 1/sqrt(n): se ratio between smallest and largest trial counts.
     expected_ratio = math.sqrt(rows[-1][0] / rows[0][0])
     actual_ratio = rows[0][1] / rows[-1][1]
     return ExperimentResult(
-        artifact="ablation.convergence",
-        title="Monte-Carlo error scales as 1/sqrt(trials)",
-        paper_claim="(ours) justifies default trial counts.",
         tables=[table],
         headline=f"stderr ratio {actual_ratio:.1f} vs sqrt-law "
         f"{expected_ratio:.1f} across a {rows[-1][0] // rows[0][0]}x "
         "trial range",
-        result_set=merged,
     )
 
 
@@ -206,7 +205,14 @@ def _sample_estimate(samples: np.ndarray) -> MTTFEstimate:
     )
 
 
-def run_exponentiality(engine: EngineOptions):
+@artifact(
+    "ablation.exponentiality",
+    "Masking drives the TTF away from exponential",
+    "(ours) quantifies the SOFR-assumption violation the paper "
+    "identifies analytically (Section 3.2).",
+)
+def exponentiality(engine: EngineOptions):
+    yield []
     table = Table(
         "Ablation: masked TTF vs exponential (day workload)",
         ["lambda*L", "exact CoV", "sample CoV", "KS distance",
@@ -253,10 +259,6 @@ def run_exponentiality(engine: EngineOptions):
             )
         )
     return ExperimentResult(
-        artifact="ablation.exponentiality",
-        title="Masking drives the TTF away from exponential",
-        paper_claim="(ours) quantifies the SOFR-assumption violation "
-        "the paper identifies analytically (Section 3.2).",
         tables=[table],
         headline="CoV and KS distance grow with hazard mass per "
         "iteration; the exponentiality screen fails exactly where "
@@ -269,14 +271,15 @@ def run_exponentiality(engine: EngineOptions):
     )
 
 
-def run_hybrid_method(engine: EngineOptions):
+@artifact(
+    "ablation.hybrid",
+    "A validity-aware hybrid beats blind AVF+SOFR",
+    "(ours, operationalising the paper's conclusion) a method selector "
+    "keyed on the hazard mass stays accurate everywhere.",
+)
+def hybrid_method(engine: EngineOptions):
     from ..core.hybrid import hybrid_system_mttf
 
-    table = Table(
-        "Ablation: hybrid methodology vs AVF+SOFR vs exact",
-        ["C", "mass/component", "regime", "method chosen",
-         "AVF+SOFR error", "hybrid error"],
-    )
     severities = (
         (2, 1e-6), (100, 1e-4), (100, 3e-2), (5000, 3e-3), (50000, 0.1)
     )
@@ -292,11 +295,11 @@ def run_hybrid_method(engine: EngineOptions):
                 ),
             )
         )
-    result_set = evaluate_design_space(
-        space,
-        methods=["avf_sofr", "hybrid"],
-        reference="first_principles",
-        **engine.kwargs(),
+    (result_set,) = yield [Sweep(space, ["avf_sofr", "hybrid"])]
+    table = Table(
+        "Ablation: hybrid methodology vs AVF+SOFR vs exact",
+        ["C", "mass/component", "regime", "method chosen",
+         "AVF+SOFR error", "hybrid error"],
     )
     worst_hybrid = 0.0
     worst_plain = 0.0
@@ -317,26 +320,22 @@ def run_hybrid_method(engine: EngineOptions):
             percent(hybrid_err),
         )
     return ExperimentResult(
-        artifact="ablation.hybrid",
-        title="A validity-aware hybrid beats blind AVF+SOFR",
-        paper_claim="(ours, operationalising the paper's conclusion) a "
-        "method selector keyed on the hazard mass stays accurate "
-        "everywhere.",
         tables=[table],
         headline=f"hybrid worst error {worst_hybrid:.3%} vs AVF+SOFR "
         f"worst {worst_plain:.0%} across the severity sweep",
-        result_set=result_set,
     )
 
 
-def run_dilation_sensitivity(engine: EngineOptions):
+@artifact(
+    "ablation.dilation",
+    "AVF error tracks the dimensionless hazard mass",
+    "(ours) validates bridging simulated-window lengths by time "
+    "dilation: the AVF is dilation-invariant and the error is governed "
+    "by lambda*V(L).",
+)
+def dilation_sensitivity(engine: EngineOptions):
     from .spec_setup import processor_profile
 
-    table = Table(
-        "Ablation: window dilation vs hazard mass",
-        ["dilation", "period (s)", "AVF", "lambda*V(L)",
-         "AVF-step error"],
-    )
     base = processor_profile("gzip")
     dilations = (1.0, 10.0, 100.0, 2500.0)
     # Choose the rate so the *undilated* mass would be 1e-4.
@@ -352,11 +351,11 @@ def run_dilation_sensitivity(engine: EngineOptions):
                 SystemModel([Component("gzip", rate, profile)]),
             )
         )
-    result_set = evaluate_design_space(
-        space,
-        methods=["avf"],
-        reference="first_principles",
-        **engine.kwargs(),
+    (result_set,) = yield [Sweep(space, ["avf"])]
+    table = Table(
+        "Ablation: window dilation vs hazard mass",
+        ["dilation", "period (s)", "AVF", "lambda*V(L)",
+         "AVF-step error"],
     )
     for dilation, profile, comparison in zip(
         dilations, profiles, result_set
@@ -370,13 +369,7 @@ def run_dilation_sensitivity(engine: EngineOptions):
             percent(error),
         )
     return ExperimentResult(
-        artifact="ablation.dilation",
-        title="AVF error tracks the dimensionless hazard mass",
-        paper_claim="(ours) validates bridging simulated-window lengths "
-        "by time dilation: the AVF is dilation-invariant and the error "
-        "is governed by lambda*V(L).",
         tables=[table],
         headline="AVF constant under dilation; error grows exactly with "
         "the dilated hazard mass",
-        result_set=result_set,
     )

@@ -1,17 +1,28 @@
-"""Experiment framework: one object per paper artifact."""
+"""Experiment framework: one record per paper artifact.
+
+An artifact is a generator function registered by :func:`artifact`,
+which states its id, title and paper claim once. It yields its
+:class:`Sweep` records once, as a list, gets their ResultSets back in
+the same order, and returns an :class:`ExperimentResult` with its
+tables, figures, notes and headline. One with no sweep yields ``[]``
+and sets its own ``result_set``. :meth:`Experiment.run` is the one
+harness code that calls :func:`~repro.methods.evaluate_design_space`;
+:meth:`Experiment.check` builds and checks the sweeps and runs none.
+"""
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Generator, Sequence
 
 from ..core.montecarlo import MonteCarloConfig
 from ..errors import ConfigurationError, EstimationError
-from ..methods import ComponentCache
+from ..methods import ComponentCache, ResultSet, evaluate_design_space
 from ..methods import registry as method_registry
-from ..methods.batch import resolve_workers
+from ..methods.batch import SpaceItem, check_support, resolve_workers
 from ..methods.cache import resolve_cache_dir
 from .tables import Table
 
@@ -78,24 +89,22 @@ class EngineOptions:
         """The invocation's Monte-Carlo settings for ``seed``."""
         return MonteCarloConfig(trials=self.trials, seed=seed)
 
-    def kwargs(self) -> dict:
-        """Engine keyword arguments for ``evaluate_design_space``."""
-        return dict(workers=self.workers, cache=self.cache)
-
 
 @dataclass
 class ExperimentResult:
     """Everything one experiment run produced.
 
-    ``result_set`` optionally carries the machine-readable
+    ``result_set`` carries the machine-readable
     :class:`~repro.methods.results.ResultSet` behind the rendered
     tables, so the CLI's ``--json`` flag can emit an artifact that
-    ``ResultSet.from_json`` loads back.
+    ``ResultSet.from_json`` loads back. The identity fields are not
+    constructor arguments: :meth:`Experiment.run` copies them from the
+    artifact's one :func:`artifact` registration.
     """
 
-    artifact: str
-    title: str
-    paper_claim: str
+    artifact: str = field(init=False, default="")
+    title: str = field(init=False, default="")
+    paper_claim: str = field(init=False, default="")
     tables: list[Table] = field(default_factory=list)
     figures: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
@@ -139,13 +148,39 @@ class ExperimentResult:
 
 
 @dataclass(frozen=True)
+class Sweep:
+    """One batch-engine call: ``methods`` against ``reference`` on the
+    ``(label, system)`` points of ``space``, under Monte-Carlo setting
+    ``mc`` (``None``, the engine's default, for closed-form sweeps)."""
+
+    space: list[SpaceItem]
+    methods: Sequence[str]
+    reference: str = "first_principles"
+    mc: MonteCarloConfig | None = None
+
+
+@dataclass(frozen=True)
 class Experiment:
     """A runnable reproduction of one paper artifact."""
 
     artifact: str
     title: str
     paper_claim: str
-    runner: Callable[..., ExperimentResult]
+    generate: Callable[..., Generator]
+
+    def _start(self, engine: EngineOptions, params: dict):
+        """The artifact's generator and its sweeps, every one checked."""
+        run = self.generate(engine, **params)
+        sweeps = next(run)
+        for sweep in sweeps:
+            check_support(sweep.space, sweep.methods, sweep.reference)
+        return run, sweeps
+
+    def check(self, engine: EngineOptions) -> None:
+        """Build every sweep and refuse an unsupported point
+        (:class:`ConfigurationError`); run nothing. The sweeps are
+        dropped, not held until the artifact runs."""
+        self._start(engine, {})[0].close()
 
     def run(
         self, engine: EngineOptions | None = None, **params
@@ -153,14 +188,42 @@ class Experiment:
         """Run with ``engine`` (default settings when omitted).
 
         ``params`` are the artifact's own parameters, such as
-        ``benchmarks`` or ``n_times_s_values``.
+        ``benchmarks`` or ``n_times_s_values``. Every sweep is checked
+        before the first runs; the result set defaults to their sets
+        merged in order.
         """
-        result = self.runner(
-            engine if engine is not None else EngineOptions(), **params
-        )
-        if result.artifact != self.artifact:
-            raise ConfigurationError(
-                f"runner produced artifact {result.artifact!r} for "
-                f"experiment {self.artifact!r}"
+        engine = engine if engine is not None else EngineOptions()
+        run, sweeps = self._start(engine, params)
+        sets = [
+            evaluate_design_space(
+                sweep.space, sweep.methods, sweep.reference, sweep.mc,
+                workers=engine.workers, cache=engine.cache,
             )
+            for sweep in sweeps
+        ]
+        try:
+            run.send(sets)
+        except StopIteration as done:
+            result = done.value
+        result.artifact = self.artifact
+        result.title = self.title
+        result.paper_claim = self.paper_claim
+        if result.result_set is None and sets:
+            result.result_set = functools.reduce(ResultSet.merged, sets)
         return result
+
+
+#: Every registered artifact, by id.
+REGISTRY: dict[str, Experiment] = {}
+
+
+def artifact(artifact_id: str, title: str, claim: str):
+    """Register the decorated generator function as ``artifact_id``."""
+
+    def register(generate: Callable[..., Generator]):
+        if artifact_id in REGISTRY:
+            raise ConfigurationError(f"duplicate experiment {artifact_id!r}")
+        REGISTRY[artifact_id] = Experiment(artifact_id, title, claim, generate)
+        return generate
+
+    return register

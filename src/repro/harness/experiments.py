@@ -1,17 +1,18 @@
-"""Implementations of every paper artifact (tables, figures, claims).
+"""The paper's artifacts (tables, figures, claims).
 
-Each ``run_*`` function regenerates one artifact and returns an
-:class:`~repro.harness.experiment.ExperimentResult`. Every experiment
-routes its estimation through the batch engine
-(:func:`repro.methods.evaluate_design_space`), so all of them share the
-same memoization, fan-out, and serializable ``result_set`` machinery.
+Each function is one artifact, registered with its title and claim by
+``@artifact`` (:mod:`repro.harness.experiment`): it yields its
+:class:`~repro.harness.experiment.Sweep` records once and renders the
+ResultSets it gets back. ``Experiment.run`` hands every sweep to the
+batch engine (:func:`repro.methods.evaluate_design_space`), so all
+artifacts share the same memoization, fan-out and serializable
+``result_set`` machinery.
 
 Each takes one :class:`~repro.harness.experiment.EngineOptions` as its
-first argument, and nothing else about the engine. It carries the
-runner's knobs: trials (via ``engine.mc(seed)``), ``--workers`` and
-the invocation's one estimate cache (via ``engine.kwargs()``). The
-remaining keyword arguments are the artifact's own grid; the grid
-sweeps (table2's corner, fig5, fig6a, fig6b and sec5.4) build it with
+first argument, and nothing else about the engine; a sweep's
+Monte-Carlo setting comes from ``engine.mc(seed)``. The remaining
+keyword arguments are the artifact's own grid; the grid sweeps
+(table2's corner, fig5, fig6a, fig6b and sec5.4) build it with
 :func:`_grid`.
 
 Defaults are sized to finish in seconds; the paper-scale knobs
@@ -36,7 +37,7 @@ from ..analytical.sofr_halfnormal import figure4_curve
 from ..core.comparison import MethodComparison
 from ..core.montecarlo import MonteCarloConfig
 from ..core.system import Component, SystemModel
-from ..methods import ResultSet, canonical_name, evaluate_design_space
+from ..methods import ResultSet, canonical_name
 from ..methods.batch import run_ordered
 from ..masking.profile import VulnerabilityProfile
 from ..microarch.config import MachineConfig
@@ -50,7 +51,7 @@ from ..ser.rates import component_rate_per_second
 from ..units import SECONDS_PER_YEAR
 from ..workloads.longrun import combined_workload, day_workload, week_workload
 from ..workloads.spec import SPEC_FP_NAMES, SPEC_INT_NAMES
-from .experiment import EngineOptions, ExperimentResult
+from .experiment import EngineOptions, ExperimentResult, Sweep, artifact
 from .figures import render_series
 from .spec_setup import (
     masking_trace_for,
@@ -129,10 +130,20 @@ def _synthesized_workloads(
 # ---------------------------------------------------------------------------
 
 
-def run_table1(
+@artifact(
+    "table1",
+    "Base processor configuration",
+    "POWER4-like core: 8-wide fetch, groups of 5, 2INT/2FP/2LS/1BR, "
+    "ROB 150, 256-entry RF, 32KB/64KB L1, 1MB L2, latencies 1/10/77.",
+)
+def table1(
     engine: EngineOptions,
     benchmarks: tuple[str, ...] = REPRESENTATIVE_SPEC,
 ):
+    # Closed-form sanity sweep over the same machines: AVF+SOFR vs exact
+    # on each benchmark's uniprocessor (no Monte Carlo — instant).
+    space = [(bench, spec_uniprocessor_system(bench)) for bench in benchmarks]
+    yield [Sweep(space, ["avf_sofr"])]
     config = MachineConfig.power4_like()
     table = Table("Table 1: base POWER4-like processor configuration",
                   ["Parameter", "Value"])
@@ -159,24 +170,10 @@ def run_table1(
             f"{trace.avf('decode_unit'):.3f}",
             f"{trace.avf('register_file'):.3f}",
         )
-    # Closed-form sanity sweep over the same machines: AVF+SOFR vs exact
-    # on each benchmark's uniprocessor (no Monte Carlo — instant).
-    result_set = evaluate_design_space(
-        [(bench, spec_uniprocessor_system(bench)) for bench in benchmarks],
-        methods=["avf_sofr"],
-        reference="first_principles",
-        **engine.kwargs(),
-    )
     return ExperimentResult(
-        artifact="table1",
-        title="Base processor configuration",
-        paper_claim="POWER4-like core: 8-wide fetch, groups of 5, "
-        "2INT/2FP/2LS/1BR, ROB 150, 256-entry RF, 32KB/64KB L1, 1MB L2, "
-        "latencies 1/10/77.",
         tables=[table, behaviour],
         headline="configuration reproduced field-for-field "
         f"({len(config.table1_rows())} Table-1 rows)",
-        result_set=result_set,
     )
 
 
@@ -185,7 +182,19 @@ def run_table1(
 # ---------------------------------------------------------------------------
 
 
-def run_table2(engine: EngineOptions):
+@artifact(
+    "table2",
+    "Design space explored",
+    "N in 1e5..1e9, S in 1..5000, C in 2..500000, "
+    "SPEC + day/week/combined workloads.",
+)
+def table2(engine: EngineOptions):
+    # Evaluate a representative closed-form corner of the grid through
+    # the batch engine, demonstrating the space is not merely enumerable.
+    space, _ = _grid(
+        {"day": day_workload(), "week": week_workload()}, (1e8,), (2, 5000)
+    )
+    yield [Sweep(space, ["avf_sofr"])]
     table = Table("Table 2: design space dimensions", ["Dimension", "Values"])
     table.add_row("N (elements/component)",
                   " ".join(f"{v:g}" for v in TABLE2_ELEMENT_COUNTS))
@@ -204,27 +213,11 @@ def run_table2(engine: EngineOptions):
         * len(TABLE2_SCALING_FACTORS)
         * len(TABLE2_COMPONENT_COUNTS)
     )
-    # Evaluate a representative closed-form corner of the grid through
-    # the batch engine, demonstrating the space is not merely enumerable.
-    space, _ = _grid(
-        {"day": day_workload(), "week": week_workload()}, (1e8,), (2, 5000)
-    )
-    result_set = evaluate_design_space(
-        space,
-        methods=["avf_sofr"],
-        reference="first_principles",
-        **engine.kwargs(),
-    )
     return ExperimentResult(
-        artifact="table2",
-        title="Design space explored",
-        paper_claim="N in 1e5..1e9, S in 1..5000, C in 2..500000, "
-        "SPEC + day/week/combined workloads.",
         tables=[table],
         headline=f"{points} design points enumerable "
         "(5 N x 5 S x 5 C x 5 workload families); "
         f"{len(space)}-point representative corner evaluated",
-        result_set=result_set,
     )
 
 
@@ -233,7 +226,14 @@ def run_table2(engine: EngineOptions):
 # ---------------------------------------------------------------------------
 
 
-def run_fig3(engine: EngineOptions, validate_mc: bool = True):
+@artifact(
+    "fig3",
+    "AVF-step error for the analytical busy/idle workload",
+    "errors small at baseline rate, significant (tens of percent) at "
+    "3-5x rates and multi-day loops.",
+)
+def fig3(engine: EngineOptions, validate_mc: bool = True):
+    yield []
     points = figure3_curves()
     table = Table(
         "Figure 3: AVF-step relative error, 100MB cache, busy/idle loop",
@@ -304,10 +304,6 @@ def run_fig3(engine: EngineOptions, validate_mc: bool = True):
         reference_method="first_principles",
     )
     return ExperimentResult(
-        artifact="fig3",
-        title="AVF-step error for the analytical busy/idle workload",
-        paper_claim="errors small at baseline rate, significant "
-        "(tens of percent) at 3-5x rates and multi-day loops.",
         tables=[table],
         figures=[figure],
         notes=notes,
@@ -350,7 +346,13 @@ def _halfnormal_min_mean(trials: int, n_comp: int) -> float:
     return float(samples.mean())
 
 
-def run_fig4(engine: EngineOptions, validate_mc: bool = True):
+@artifact(
+    "fig4",
+    "SOFR-step error for a near-exponential TTF distribution",
+    "error grows from 15% (2 components) to about 32% (32 components).",
+)
+def fig4(engine: EngineOptions, validate_mc: bool = True):
+    yield []
     n_comp = 8
     tasks = [figure4_curve]
     if validate_mc:
@@ -405,10 +407,6 @@ def run_fig4(engine: EngineOptions, validate_mc: bool = True):
         reference_method="first_principles",
     )
     return ExperimentResult(
-        artifact="fig4",
-        title="SOFR-step error for a near-exponential TTF distribution",
-        paper_claim="error grows from 15% (2 components) to about 32% "
-        "(32 components).",
         tables=[table],
         figures=[figure],
         notes=notes,
@@ -423,11 +421,33 @@ def run_fig4(engine: EngineOptions, validate_mc: bool = True):
 # ---------------------------------------------------------------------------
 
 
-def run_sec51(
+@artifact(
+    "sec5.1",
+    "Uniprocessor + SPEC: AVF+SOFR matches first principles",
+    "discrepancy < 0.5% for every component and benchmark; "
+    "processor-level SOFR matches as well.",
+)
+def sec51(
     engine: EngineOptions,
     benchmarks: tuple[str, ...] | None = None,
 ):
     benchmarks = benchmarks or REPRESENTATIVE_SPEC
+    systems = [spec_uniprocessor_system(bench) for bench in benchmarks]
+    sweeps = []
+    for bench, system in zip(benchmarks, systems):
+        mc = engine.mc(_bench_seed(bench))
+        units = [
+            (f"{bench}/{comp.name}", SystemModel([comp]))
+            for comp in system.components
+        ]
+        # Component level: AVF step and MC consistency vs the closed
+        # form, one single-component system per unit. Processor level:
+        # the full AVF+SOFR pipeline vs first principles.
+        sweeps += [
+            Sweep(units, ["avf", "monte_carlo"], mc=mc),
+            Sweep([(bench, system)], ["avf_sofr"], mc=mc),
+        ]
+    sets = yield sweeps
     table = Table(
         "Section 5.1: AVF & SOFR vs first principles, uniprocessor + SPEC",
         ["benchmark", "component", "AVF", "AVF-step error",
@@ -439,28 +459,15 @@ def run_sec51(
     )
     worst_component = 0.0
     worst_sofr = 0.0
-    merged: ResultSet | None = None
-    for bench in benchmarks:
-        system = spec_uniprocessor_system(bench)
-        mc = engine.mc(_bench_seed(bench))
-        # Component level: AVF step and MC consistency vs the closed form,
-        # one single-component system per unit.
-        component_set = evaluate_design_space(
-            [
-                (f"{bench}/{comp.name}", SystemModel([comp]))
-                for comp in system.components
-            ],
-            methods=["avf", "monte_carlo"],
-            reference="first_principles",
-            mc_config=mc,
-            **engine.kwargs(),
-        )
-        for comp, comparison in zip(system.components, component_set):
-            error = comparison.error("avf")
+    for bench, system, component_set, (comparison,) in zip(
+        benchmarks, systems, sets[::2], sets[1::2]
+    ):
+        for comp, unit in zip(system.components, component_set):
+            error = unit.error("avf")
             worst_component = max(worst_component, abs(error))
-            mc_est = comparison.estimates["monte_carlo"]
+            mc_est = unit.estimates["monte_carlo"]
             sigma = (
-                abs(mc_est.mttf_seconds - comparison.reference.mttf_seconds)
+                abs(mc_est.mttf_seconds - unit.reference.mttf_seconds)
                 / mc_est.std_error_seconds
                 if mc_est.std_error_seconds > 0
                 else 0.0
@@ -469,15 +476,6 @@ def run_sec51(
                 bench, comp.name, f"{comp.avf:.4f}", percent(error),
                 f"{sigma:.1f}",
             )
-        # Processor level: the full AVF+SOFR pipeline vs first principles.
-        bench_set = evaluate_design_space(
-            [(bench, system)],
-            methods=["avf_sofr"],
-            reference="first_principles",
-            mc_config=mc,
-            **engine.kwargs(),
-        )
-        comparison = bench_set[0]
         sofr_error = comparison.error("avf_sofr")
         worst_sofr = max(worst_sofr, abs(sofr_error))
         sofr_table.add_row(
@@ -487,15 +485,7 @@ def run_sec51(
             comparison.reference.mttf_seconds / SECONDS_PER_YEAR,
             percent(sofr_error),
         )
-        bench_merged = component_set.merged(bench_set)
-        merged = (
-            bench_merged if merged is None else merged.merged(bench_merged)
-        )
     return ExperimentResult(
-        artifact="sec5.1",
-        title="Uniprocessor + SPEC: AVF+SOFR matches first principles",
-        paper_claim="discrepancy < 0.5% for every component and "
-        "benchmark; processor-level SOFR matches as well.",
         tables=[table, sofr_table],
         headline=f"worst component error {worst_component:.4%}, worst "
         f"processor error {worst_sofr:.4%} (both far below the paper's "
@@ -505,7 +495,6 @@ def run_sec51(
             "values of O(1) confirm the Monte-Carlo engine estimates "
             "the same quantity the closed form computes."
         ],
-        result_set=merged,
     )
 
 
@@ -514,17 +503,17 @@ def run_sec51(
 # ---------------------------------------------------------------------------
 
 
-def run_sec52(
+@artifact(
+    "sec5.2",
+    "AVF step stays accurate for SPEC at every N x S",
+    "relative error < 0.5% for each SPEC benchmark, all N and S studied.",
+)
+def sec52(
     engine: EngineOptions,
     benchmarks: tuple[str, ...] | None = None,
     n_times_s_values: tuple[float, ...] = (1e5, 1e7, 1e9, 5e12),
 ):
     benchmarks = benchmarks or REPRESENTATIVE_SPEC
-    table = Table(
-        "Section 5.2: AVF-step error for SPEC across N x S "
-        "(paper window via time dilation)",
-        ["benchmark", "N x S", "lambda*V(L)", "AVF-step error"],
-    )
     space = []
     masses = []
     for bench in benchmarks:
@@ -538,11 +527,11 @@ def run_sec52(
                 )
             )
             masses.append(rate * profile.vulnerable_time)
-    result_set = evaluate_design_space(
-        space,
-        methods=["avf"],
-        reference="first_principles",
-        **engine.kwargs(),
+    (result_set,) = yield [Sweep(space, ["avf"])]
+    table = Table(
+        "Section 5.2: AVF-step error for SPEC across N x S "
+        "(paper window via time dilation)",
+        ["benchmark", "N x S", "lambda*V(L)", "AVF-step error"],
     )
     worst = 0.0
     for (label, _system), mass, comparison in zip(
@@ -553,10 +542,6 @@ def run_sec52(
         worst = max(worst, abs(error))
         table.add_row(bench, n_label, f"{mass:.2e}", percent(error))
     return ExperimentResult(
-        artifact="sec5.2",
-        title="AVF step stays accurate for SPEC at every N x S",
-        paper_claim="relative error < 0.5% for each SPEC benchmark, all "
-        "N and S studied.",
         tables=[table],
         headline=f"worst AVF-step error {worst:.4%} across "
         f"{len(benchmarks)} benchmarks x {len(n_times_s_values)} N*S points",
@@ -565,7 +550,6 @@ def run_sec52(
             "tiny even at N x S = 5e12 — exactly why the paper finds "
             "the AVF step safe for SPEC-like workloads."
         ],
-        result_set=result_set,
     )
 
 
@@ -574,19 +558,21 @@ def run_sec52(
 # ---------------------------------------------------------------------------
 
 
-def run_fig5(
+@artifact(
+    "fig5",
+    "AVF-step error on day/week/combined across N x S",
+    "significant errors (up to ~90%) once N x S >= 1e9; "
+    "sign varies by workload.",
+)
+def fig5(
     engine: EngineOptions,
     n_times_s_values: tuple[float, ...] = (1e8, 1e9, 1e10, 1e11, 1e12),
 ):
     workloads = _synthesized_workloads()
     space, keys = _grid(workloads, n_times_s_values)
-    result_set = evaluate_design_space(
-        space,
-        methods=["avf", "first_principles"],
-        reference="monte_carlo",
-        mc_config=engine.mc(),
-        **engine.kwargs(),
-    )
+    (result_set,) = yield [
+        Sweep(space, ["avf", "first_principles"], "monte_carlo", engine.mc())
+    ]
     table = Table(
         "Figure 5: AVF-step error vs Monte Carlo, synthesized workloads",
         ["workload", "N x S", "MC MTTF (y)", "AVF MTTF (y)", "error"],
@@ -612,15 +598,10 @@ def run_fig5(
     peak = max((abs(e) for _, e in errors), default=0.0)
     big = [e for n, e in errors if n >= 1e9 and abs(e) > 0.01]
     return ExperimentResult(
-        artifact="fig5",
-        title="AVF-step error on day/week/combined across N x S",
-        paper_claim="significant errors (up to ~90%) once N x S >= 1e9; "
-        "sign varies by workload.",
         tables=[table],
         figures=[figure],
         headline=f"peak |error| {peak:.0%}; {len(big)} points with "
         ">1% error at N x S >= 1e9",
-        result_set=result_set,
     )
 
 
@@ -629,7 +610,13 @@ def run_fig5(
 # ---------------------------------------------------------------------------
 
 
-def run_fig6a(
+@artifact(
+    "fig6a",
+    "SOFR-step error on SPEC across C and N x S",
+    "accurate for C <= 8 at all N x S; significant errors only for "
+    "C >= 5000 with very large N x S (>= ~2e12).",
+)
+def fig6a(
     engine: EngineOptions,
     benchmarks: tuple[str, ...] = REPRESENTATIVE_SPEC,
     n_times_s_values: tuple[float, ...] = (1e9, 2e12, 5e12),
@@ -640,13 +627,8 @@ def run_fig6a(
         for bench in benchmarks
     }
     space, keys = _grid(workloads, n_times_s_values, component_counts)
-    result_set = evaluate_design_space(
-        space,
-        methods=["sofr_only", "first_principles"],
-        reference="monte_carlo",
-        mc_config=engine.mc(),
-        **engine.kwargs(),
-    )
+    methods = ["sofr_only", "first_principles"]
+    (result_set,) = yield [Sweep(space, methods, "monte_carlo", engine.mc())]
     table = Table(
         "Figure 6(a): SOFR-step error vs Monte Carlo, SPEC workloads "
         "(paper window via time dilation)",
@@ -670,10 +652,6 @@ def run_fig6a(
         if c_count <= 8:
             safe_worst = max(safe_worst, abs(error))
     return ExperimentResult(
-        artifact="fig6a",
-        title="SOFR-step error on SPEC across C and N x S",
-        paper_claim="accurate for C <= 8 at all N x S; significant "
-        "errors only for C >= 5000 with very large N x S (>= ~2e12).",
         tables=[table],
         headline=f"C<=8 worst error {safe_worst:.2%}; overall worst "
         f"{worst:.0%} at the largest C x (N x S) corner",
@@ -682,44 +660,42 @@ def run_fig6a(
             "loop; the dimensionless hazard mass matches the paper's "
             "points (see DESIGN.md)."
         ],
-        result_set=result_set,
     )
 
 
-def run_fig6b(
+@artifact(
+    "fig6b",
+    "SOFR-step error on day/week/combined across C and N x S",
+    "day@N=1e8: 11% (C=5000) and 50% (C=50000); week: 32% and 80%; "
+    "combined smaller but still significant.",
+)
+def fig6b(
     engine: EngineOptions,
     n_times_s_values: tuple[float, ...] = (1e8, 1e9),
     component_counts: tuple[int, ...] = (2, 8, 5000, 50000, 500000),
 ):
     workloads = _synthesized_workloads()
+    space, keys = _grid(workloads, n_times_s_values, component_counts)
+    zero_set, random_set = yield [
+        # Zero-phase pass: the SOFR step (fed zero-phase MC component
+        # MTTFs, memoized once per distinct component across every C)
+        # against the zero-phase Monte-Carlo reference.
+        Sweep(space, ["sofr_only"], "monte_carlo", engine.mc()),
+        # Random-phase pass: only the reference changes convention; the
+        # SOFR estimate stays the zero-phase one (the literal reading of
+        # the paper's procedure), so this pass carries the closed form
+        # instead.
+        Sweep(
+            [(f"{label}/phase=random", system) for label, system in space],
+            ["first_principles"], "monte_carlo",
+            dataclasses.replace(engine.mc(seed=1), start_phase="random"),
+        ),
+    ]
     table = Table(
         "Figure 6(b): SOFR-step error vs Monte Carlo, synthesized "
         "workloads",
         ["workload", "N x S", "C", "MC MTTF (d)", "SOFR MTTF (d)",
          "error (zero phase)", "error (random phase)"],
-    )
-    space, keys = _grid(workloads, n_times_s_values, component_counts)
-    # Zero-phase pass: the SOFR step (fed zero-phase MC component MTTFs,
-    # memoized once per distinct component across every C) against the
-    # zero-phase Monte-Carlo reference.
-    zero_set = evaluate_design_space(
-        space,
-        methods=["sofr_only"],
-        reference="monte_carlo",
-        mc_config=engine.mc(),
-        **engine.kwargs(),
-    )
-    # Random-phase pass: only the reference changes convention; the SOFR
-    # estimate stays the zero-phase one (the literal reading of the
-    # paper's procedure), so this pass carries the closed form instead.
-    random_set = evaluate_design_space(
-        [(f"{label}/phase=random", system) for label, system in space],
-        methods=["first_principles"],
-        reference="monte_carlo",
-        mc_config=dataclasses.replace(
-            engine.mc(seed=1), start_phase="random"
-        ),
-        **engine.kwargs(),
     )
     key_points: dict = {}
     for (name, n_times_s, c_count), zero_cmp, random_cmp in zip(
@@ -756,10 +732,6 @@ def run_fig6b(
             f"{abs(week50k[1]):.0%}; paper: 32% -> 80%"
         )
     return ExperimentResult(
-        artifact="fig6b",
-        title="SOFR-step error on day/week/combined across C and N x S",
-        paper_claim="day@N=1e8: 11% (C=5000) and 50% (C=50000); week: "
-        "32% and 80%; combined smaller but still significant.",
         tables=[table],
         headline=(
             "; ".join(headline_bits)
@@ -781,7 +753,6 @@ def run_fig6b(
             "busy/idle loop with busy fraction b is capped at 1/b - 1: "
             "100% for day (b = 1/2) and 40% for week (b = 5/7)."
         ],
-        result_set=zero_set.merged(random_set),
     )
 
 
@@ -790,7 +761,12 @@ def run_fig6b(
 # ---------------------------------------------------------------------------
 
 
-def run_compare(
+@artifact(
+    "compare",
+    "Registry-driven method comparison",
+    "(ours) every method, one pluggable call surface.",
+)
+def compare(
     engine: EngineOptions,
     benchmarks: tuple[str, ...] | None = None,
 ):
@@ -809,39 +785,26 @@ def run_compare(
     # aliases ("exact", "mc") up front before using them as table keys.
     methods = tuple(dict.fromkeys(canonical_name(m) for m in methods))
     reference = engine.reference or "exact"
+    # One sweep per benchmark, each with its own stable MC seed.
+    sets = yield [
+        Sweep([(bench, spec_uniprocessor_system(bench))], methods, reference,
+              engine.mc(_bench_seed(bench)))
+        for bench in benchmarks
+    ]
     table = Table(
         f"Method comparison vs {reference} (SPEC uniprocessor)",
         ["benchmark"] + [f"{m} error" for m in methods],
     )
-    # One engine call per benchmark (each keeps its own stable MC seed),
-    # merged into one result set.
-    result_set: ResultSet | None = None
-    for bench in benchmarks:
-        bench_set = evaluate_design_space(
-            [(bench, spec_uniprocessor_system(bench))],
-            methods=methods,
-            reference=reference,
-            mc_config=engine.mc(_bench_seed(bench)),
-            **engine.kwargs(),
-        )
-        comparison = bench_set[0]
+    for bench, (comparison,) in zip(benchmarks, sets):
         table.add_row(
             bench, *(percent(comparison.error(m)) for m in methods)
         )
-        result_set = (
-            bench_set
-            if result_set is None
-            else result_set.merged(bench_set)
-        )
-    worst = {m: result_set.worst_abs_error(m) for m in methods}
-    worst_text = ", ".join(f"{m} {e:.2%}" for m, e in worst.items())
+    worst_text = ", ".join(
+        f"{m} {max(abs(c.error(m)) for (c,) in sets):.2%}" for m in methods
+    )
     return ExperimentResult(
-        artifact="compare",
-        title="Registry-driven method comparison",
-        paper_claim="(ours) every method, one pluggable call surface.",
         tables=[table],
         headline=f"worst |error| vs {reference}: {worst_text}",
-        result_set=result_set,
     )
 
 
@@ -850,7 +813,13 @@ def run_compare(
 # ---------------------------------------------------------------------------
 
 
-def run_sec54(
+@artifact(
+    "sec5.4",
+    "SoftArch shows no AVF/SOFR discrepancies anywhere",
+    "SoftArch error < 1% for single components and < 2% for full "
+    "systems across the entire design space.",
+)
+def sec54(
     engine: EngineOptions,
     n_times_s_values: tuple[float, ...] = (1e8, 1e10, 1e12),
     component_counts: tuple[int, ...] = (1, 8, 5000, 50000),
@@ -863,13 +832,8 @@ def run_sec54(
     space, keys = _grid(
         {**workloads, **spec_profiles}, n_times_s_values, component_counts
     )
-    result_set = evaluate_design_space(
-        space,
-        methods=["softarch", "first_principles"],
-        reference="monte_carlo",
-        mc_config=engine.mc(),
-        **engine.kwargs(),
-    )
+    methods = ["softarch", "first_principles"]
+    (result_set,) = yield [Sweep(space, methods, "monte_carlo", engine.mc())]
     table = Table(
         "Section 5.4: SoftArch error vs Monte Carlo / exact",
         ["workload", "N x S", "C", "SoftArch vs exact",
@@ -892,13 +856,8 @@ def run_sec54(
             percent(vs_exact), f"{sigma:.1f}",
         )
     return ExperimentResult(
-        artifact="sec5.4",
-        title="SoftArch shows no AVF/SOFR discrepancies anywhere",
-        paper_claim="SoftArch error < 1% for single components and < 2% "
-        "for full systems across the entire design space.",
         tables=[table],
         headline=f"worst SoftArch-vs-exact error {worst_exact:.2e} "
         "(all points far inside the paper's 1%/2% bounds); deviations "
         "from MC are pure sampling noise",
-        result_set=result_set,
     )

@@ -1,162 +1,25 @@
-"""Experiment registry: artifact id -> runnable experiment."""
+"""Experiment registry: artifact id -> runnable experiment.
+
+Each artifact registers itself through its ``@artifact`` decorator
+when its module (:mod:`.experiments`, :mod:`.ablations`) is imported.
+"""
 
 from __future__ import annotations
 
 from ..errors import ConfigurationError
-from .experiment import Experiment
-from . import experiments as _impl
-from . import ablations as _ablations
-
-_REGISTRY: dict[str, Experiment] = {}
-
-
-def _register(experiment: Experiment) -> None:
-    if experiment.artifact in _REGISTRY:
-        raise ConfigurationError(
-            f"duplicate experiment {experiment.artifact!r}"
-        )
-    _REGISTRY[experiment.artifact] = experiment
-
-
-_register(
-    Experiment(
-        "table1",
-        "Base processor configuration",
-        "POWER4-like Table-1 machine",
-        _impl.run_table1,
-    )
-)
-_register(
-    Experiment(
-        "table2",
-        "Design space explored",
-        "N x S x C x workload grid",
-        _impl.run_table2,
-    )
-)
-_register(
-    Experiment(
-        "fig3",
-        "AVF-step error, analytical busy/idle loop",
-        "errors grow with L and raw rate",
-        _impl.run_fig3,
-    )
-)
-_register(
-    Experiment(
-        "fig4",
-        "SOFR-step error, half-normal TTF",
-        "15% at N=2 to ~32% at N=32",
-        _impl.run_fig4,
-    )
-)
-_register(
-    Experiment(
-        "sec5.1",
-        "Uniprocessor + SPEC validation",
-        "< 0.5% error everywhere",
-        _impl.run_sec51,
-    )
-)
-_register(
-    Experiment(
-        "sec5.2",
-        "AVF step for SPEC across N x S",
-        "< 0.5% error for all N, S",
-        _impl.run_sec52,
-    )
-)
-_register(
-    Experiment(
-        "fig5",
-        "AVF-step error, synthesized workloads",
-        "up to ~90% once N x S >= 1e9",
-        _impl.run_fig5,
-    )
-)
-_register(
-    Experiment(
-        "fig6a",
-        "SOFR-step error, SPEC workloads",
-        "errors only for C >= 5000 at huge N x S",
-        _impl.run_fig6a,
-    )
-)
-_register(
-    Experiment(
-        "fig6b",
-        "SOFR-step error, synthesized workloads",
-        "day: 11%/50%; week: 32%/80% at C=5000/50000",
-        _impl.run_fig6b,
-    )
-)
-_register(
-    Experiment(
-        "sec5.4",
-        "SoftArch across the design space",
-        "< 1% component, < 2% system",
-        _impl.run_sec54,
-    )
-)
-_register(
-    Experiment(
-        "compare",
-        "Registry-driven method comparison",
-        "(ours) any registered methods via --method/--reference",
-        _impl.run_compare,
-    )
-)
-_register(
-    Experiment(
-        "ablation.samplers",
-        "Arrival vs inverse Monte-Carlo samplers",
-        "(ours) the two samplers are distribution-identical",
-        _ablations.run_sampler_equivalence,
-    )
-)
-_register(
-    Experiment(
-        "ablation.convergence",
-        "Monte-Carlo trial-count convergence",
-        "(ours) error scales as 1/sqrt(trials)",
-        _ablations.run_mc_convergence,
-    )
-)
-_register(
-    Experiment(
-        "ablation.exponentiality",
-        "Masked TTF departure from exponential",
-        "(ours) CoV and KS grow with hazard mass — why SOFR breaks",
-        _ablations.run_exponentiality,
-    )
-)
-_register(
-    Experiment(
-        "ablation.dilation",
-        "Masking-window dilation sensitivity",
-        "(ours) AVF/SOFR errors track the dimensionless hazard mass",
-        _ablations.run_dilation_sensitivity,
-    )
-)
-_register(
-    Experiment(
-        "ablation.hybrid",
-        "Validity-aware hybrid methodology",
-        "(ours) accurate everywhere at near-AVF cost",
-        _ablations.run_hybrid_method,
-    )
-)
+from . import experiments, ablations  # noqa: F401  (register artifacts)
+from .experiment import REGISTRY, Experiment
 
 
 def all_experiments() -> dict[str, Experiment]:
     """All registered experiments keyed by artifact id."""
-    return dict(_REGISTRY)
+    return dict(REGISTRY)
 
 
 def get_experiment(artifact: str) -> Experiment:
     """Look up one experiment by artifact id."""
-    if artifact not in _REGISTRY:
+    if artifact not in REGISTRY:
         raise ConfigurationError(
-            f"unknown experiment {artifact!r}; have {sorted(_REGISTRY)}"
+            f"unknown experiment {artifact!r}; have {sorted(REGISTRY)}"
         )
-    return _REGISTRY[artifact]
+    return REGISTRY[artifact]

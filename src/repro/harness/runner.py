@@ -24,11 +24,15 @@ directories are checked before any work: the flags become one
 ``$REPRO_MC_TRIALS`` value or output path exits 2 with one line), and
 its one estimate cache serves every artifact of the invocation.
 
-Every sweep is one ordered map on the worker pool: one task per point
-and distinct estimator, after every point's reference and methods have
-said they support it. An artifact that refuses its input (a method that
-does not support one of its systems) exits 2 with one line, before that
-sweep runs any estimate; the artifacts before it have already run.
+Then every selected artifact is checked
+(:meth:`~repro.harness.experiment.Experiment.check`): its sweeps are
+built and every point's reference and methods asked whether they
+support it, and nothing is estimated. A refusal (``--all --method
+avf``: ``avf`` cannot run ``compare``'s four-unit systems) exits 2 with
+one line before any artifact runs or prints. Only then do the
+artifacts run, in order, each through ``Experiment.run``; every sweep
+is one ordered map on the worker pool, one task per point and distinct
+estimator.
 """
 
 from __future__ import annotations
@@ -174,6 +178,9 @@ def main(argv: list[str] | None = None) -> int:
             methods=tuple(args.methods) if args.methods else None,
             reference=args.reference,
         )
+        # Every artifact's sweeps are built and checked before any runs.
+        for experiment in chosen:
+            experiment.check(engine)
     except ConfigurationError as error:
         print(str(error), file=sys.stderr)
         return 2

@@ -26,7 +26,6 @@ from .profile import (
     from_cycle_mask,
 )
 from .trace import MaskingTrace
-from .compose import or_combine
 from .liveness import live_counts_from_intervals
 
 __all__ = [
@@ -36,6 +35,5 @@ __all__ = [
     "busy_idle_profile",
     "from_cycle_mask",
     "MaskingTrace",
-    "or_combine",
     "live_counts_from_intervals",
 ]

@@ -7,10 +7,13 @@ Two distinct composition semantics appear in the paper's experiments:
   :meth:`repro.core.system.SystemModel.combined_intensity` (intensities
   add) and is what Section 4.2 uses ("apply these three traces ...
   simultaneously").
-* **Pointwise OR** — a *single* strike process hitting a component whose
-  sub-structures mask independently: the strike is unmasked if it is
-  unmasked by any sub-structure it can affect. :func:`or_combine`
-  implements this for same-period piecewise profiles.
+* **Strike attribution** — a *single* strike process hitting a
+  component made of sub-structures, each strike landing on one of them
+  with given probabilities: the component's profile is the pointwise
+  weighted average of theirs (:func:`weighted_average_profile`; the
+  Section-4.2 processor-level profile averages the three unit traces).
+  No experiment has a strike that several sub-structures can each
+  unmask, so there is no pointwise-OR composition.
 
 Phase-structured workloads (the ``combined`` benchmark's outer loop)
 sequence profiles in time as a
@@ -26,30 +29,6 @@ import numpy as np
 from ..errors import ProfileError
 from ..reliability.hazard import _REL_TOL  # shared tolerance
 from .profile import PiecewiseProfile
-
-
-def or_combine(profiles: Sequence[PiecewiseProfile]) -> PiecewiseProfile:
-    """Pointwise ``1 - prod(1 - v_i)`` over same-period profiles.
-
-    For binary profiles this is a logical OR of busy masks. The result is
-    always >= each input and <= 1 (tested as a property invariant).
-    """
-    if not profiles:
-        raise ProfileError("need at least one profile")
-    period = profiles[0].period
-    for p in profiles[1:]:
-        if abs(p.period - period) > _REL_TOL * period:
-            raise ProfileError(
-                f"period mismatch: {p.period} vs {period}; tile first"
-            )
-    bp = np.unique(np.concatenate([p.breakpoints for p in profiles]))
-    bp[-1] = period
-    mids = 0.5 * (bp[:-1] + bp[1:])
-    survive = np.ones_like(mids)
-    for p in profiles:
-        vals = p.value_at(np.clip(mids, 0, p.period * (1 - 1e-15)))
-        survive *= 1.0 - vals
-    return PiecewiseProfile(bp, 1.0 - survive)
 
 
 def weighted_average_profile(

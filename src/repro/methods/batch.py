@@ -100,6 +100,36 @@ def _normalize_space(
     return normalized
 
 
+def check_support(
+    space: Iterable[SpaceItem], methods: Sequence[str], reference: str
+) -> tuple[list[tuple[str, SystemModel]], list[str], str]:
+    """Refuse a sweep that its reference or one of its methods cannot run.
+
+    Every point's reference is asked first, then each point's methods
+    in method order; the first system whose ``supports(system)`` is
+    False raises :class:`ConfigurationError`. Returns the labelled
+    space and the canonical method and reference names. Nothing is
+    estimated.
+    """
+    items = _normalize_space(space)
+    if not methods:
+        raise ConfigurationError(
+            f"methods must not be empty; available: {registry.available()}"
+        )
+    method_names = [registry.get(name).name for name in methods]
+    reference_name = registry.canonical_name(reference)
+    checks = (("reference", [reference_name]), ("method", method_names))
+    for kind, names in checks:
+        for label, system in items:
+            for name in names:
+                if not registry.get(name).supports(system):
+                    raise ConfigurationError(
+                        f"{kind} {name!r} does not support system "
+                        f"{label!r}"
+                    )
+    return items, method_names, reference_name
+
+
 def evaluate_design_space(
     space: Iterable[SpaceItem],
     methods: Sequence[str],
@@ -132,27 +162,13 @@ def evaluate_design_space(
         a fresh per-call cache.
 
     A system that the reference or one of the methods does not
-    support (``supports(system)`` is False) raises
-    :class:`ConfigurationError` before any estimate runs: every point's
-    reference is asked first, then each point's methods in method order.
+    support raises :class:`ConfigurationError` before any estimate
+    runs (:func:`check_support`).
     """
-    items = _normalize_space(space)
-    if not methods:
-        raise ConfigurationError(
-            f"methods must not be empty; available: {registry.available()}"
-        )
+    items, method_names, reference_name = check_support(
+        space, methods, reference
+    )
     workers = resolve_workers(workers)
-    method_names = [registry.get(name).name for name in methods]
-    reference_name = registry.canonical_name(reference)
-    checks = (("reference", [reference_name]), ("method", method_names))
-    for kind, names in checks:
-        for label, system in items:
-            for name in names:
-                if not registry.get(name).supports(system):
-                    raise ConfigurationError(
-                        f"{kind} {name!r} does not support system "
-                        f"{label!r}"
-                    )
     config = MethodConfig(
         mc=mc_config or MonteCarloConfig(),
         reference=reference_name,

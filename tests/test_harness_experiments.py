@@ -12,7 +12,12 @@ import sampler_oracle as oracle
 from repro.core import Component, MonteCarloConfig, SystemModel
 from repro.core import montecarlo as mc
 from repro.errors import ConfigurationError
-from repro.harness import EngineOptions, all_experiments, get_experiment
+from repro.harness import (
+    EngineOptions,
+    ExperimentResult,
+    all_experiments,
+    get_experiment,
+)
 from repro.harness.spec_setup import (
     PAPER_COMPONENTS,
     masking_trace_for,
@@ -20,7 +25,7 @@ from repro.harness.spec_setup import (
     processor_profile,
     spec_uniprocessor_system,
 )
-from repro.methods import evaluate_design_space
+from repro.methods import ComponentCache, evaluate_design_space
 from repro.units import SECONDS_PER_DAY
 from repro.workloads.longrun import day_workload
 
@@ -304,6 +309,82 @@ class TestSampleLevelAblations:
         assert result.result_set.to_json() == expected.to_json()
 
 
+class TestOneRecordPerArtifact:
+    def test_check_builds_every_sweep_and_estimates_nothing(
+        self, monkeypatch
+    ):
+        """``Experiment.check`` builds and checks every artifact's
+        sweeps, and calls no engine, no estimator and no sampler."""
+        from repro.harness import experiment
+        from repro.methods import registry
+
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            experiment, "evaluate_design_space",
+            counted("engine", experiment.evaluate_design_space),
+        )
+        for cls in dict.fromkeys(
+            type(e) for e in registry.all_methods().values()
+        ):
+            monkeypatch.setattr(
+                cls, "estimate", counted(cls.__name__, cls.estimate)
+            )
+        oracle.install(monkeypatch)
+        engine = EngineOptions(trials=2_000)
+        for artifact in sorted(all_experiments()):
+            get_experiment(artifact).check(engine)
+        assert calls == [] and oracle.draws == 0
+        assert engine.cache.misses == 0 and len(engine.cache) == 0
+
+    def test_run_checks_every_sweep_before_the_first_runs(
+        self, monkeypatch
+    ):
+        from repro.harness import experiment
+        from repro.harness.experiment import Experiment, Sweep
+
+        calls = []
+        monkeypatch.setattr(
+            experiment, "evaluate_design_space",
+            lambda *args, **kwargs: calls.append(args),
+        )
+        one = SystemModel([Component("proc", 1e-6, day_workload())])
+        two = SystemModel(
+            [Component("proc", 1e-6, day_workload(), multiplicity=2)]
+        )
+
+        def generate(engine):
+            yield [Sweep([("one", one)], ["avf"]),
+                   Sweep([("two", two)], ["avf"])]
+            return ExperimentResult()
+
+        probe = Experiment("probe", "title", "claim", generate)
+        with pytest.raises(
+            ConfigurationError,
+            match="method 'avf' does not support system 'two'",
+        ):
+            probe.run(EngineOptions(trials=2_000))
+        assert calls == []
+
+    def test_identity_is_the_registration_only(self):
+        # An artifact function cannot restate its id, title or claim.
+        with pytest.raises(TypeError):
+            ExperimentResult(title="a second title")
+        result = get_experiment("table2").run(EngineOptions(trials=2_000))
+        experiment = get_experiment("table2")
+        assert (result.artifact, result.title, result.paper_claim) == (
+            "table2", experiment.title, experiment.paper_claim
+        )
+
+
 class TestEngineOptions:
     def test_misspelled_parameter_is_an_error(self):
         with pytest.raises(TypeError):
@@ -331,4 +412,9 @@ class TestEngineOptions:
         assert engine.trials == 1234
         assert engine.cache_path is None and engine.cache.disk is None
         assert engine.mc(seed=7) == MonteCarloConfig(trials=1234, seed=7)
-        assert engine.kwargs() == dict(workers=1, cache=engine.cache)
+        # Experiment.run hands every sweep these two: one worker and the
+        # invocation's own cache, empty and unshared.
+        assert engine.workers == 1
+        assert isinstance(engine.cache, ComponentCache)
+        assert len(engine.cache) == 0
+        assert EngineOptions().cache is not engine.cache

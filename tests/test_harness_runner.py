@@ -275,6 +275,35 @@ class TestRunErrors:
         assert list(cache_dir.iterdir()) == []
 
 
+    def test_every_artifact_is_checked_before_any_runs(self, tmp_path):
+        # Only compare runs --method, and its four-unit SPEC systems are
+        # sorted after the five ablations: the check pass refuses the
+        # invocation before any of them runs or prints, and the --json
+        # file is not written. A fresh interpreter, so the short SPEC
+        # window applies.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {
+            key: value for key, value in os.environ.items()
+            if not key.startswith("REPRO_")
+        }
+        env["REPRO_SPEC_INSTRUCTIONS"] = "5000"
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+        )
+        out = tmp_path / "x.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.harness.runner", "--all",
+             "--method", "avf", "--trials", "2000", "--json", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            "method 'avf' does not support system 'gzip'"
+        ]
+        assert "completed in" not in result.stdout
+        assert not out.exists()
+
+
 class TestCacheDirEnv:
     """``$REPRO_CACHE_DIR`` counts wherever ``--cache-dir`` does."""
 

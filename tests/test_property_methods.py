@@ -14,7 +14,7 @@ from repro.core import (
     softarch_component_mttf,
     sofr_mttf_from_values,
 )
-from repro.masking import PiecewiseProfile, or_combine
+from repro.masking import PiecewiseProfile
 from repro.masking.compose import weighted_average_profile
 from repro.reliability.series import sofr_mttf
 
@@ -49,15 +49,6 @@ class TestProfileAlgebra:
     @given(profiles())
     def test_avf_in_unit_interval(self, profile):
         assert 0.0 <= profile.avf <= 1.0
-
-    @given(profiles(), profiles())
-    def test_or_combine_dominates(self, a, b):
-        b_aligned = PiecewiseProfile(
-            a.breakpoints, np.resize(b.values, a.values.size)
-        )
-        combined = or_combine([a, b_aligned])
-        assert combined.avf >= max(a.avf, b_aligned.avf) - 1e-9
-        assert combined.avf <= min(1.0, a.avf + b_aligned.avf) + 1e-9
 
     @given(profiles(), st.floats(min_value=0.01, max_value=0.99))
     def test_weighted_average_between(self, profile, weight):

@@ -2,7 +2,7 @@
 
 Each file is parsed once (``ast.parse`` raises on a file it cannot
 parse, so no check skips unread code) and its imports resolved once,
-for two families of checks (DESIGN.md, "Static invariants"):
+for three families of checks (DESIGN.md, "Static invariants"):
 
 * **layering** — the model layers (``reliability``, ``masking``,
   ``microarch``, ``workloads``, ``ser``, ``analytical``) import nothing
@@ -14,6 +14,9 @@ for two families of checks (DESIGN.md, "Static invariants"):
   NumPy's global random state, and ``core`` and ``methods`` call no
   ``id()`` and iterate over no set. Each scan also runs on a seeded
   breach, so a scan that stops seeing its target fails as well.
+* **one engine caller** — in ``harness``, only ``experiment.py``
+  (``Experiment.run``) calls ``evaluate_design_space``: an artifact
+  yields its sweeps, so every sweep is checked before any runs.
 """
 
 import ast
@@ -44,6 +47,11 @@ EVERYWHERE = ("repro/",)
 #: The engine packages, whose numbers must not move with worker count,
 #: completion order or rerun.
 ENGINE = ("repro/core/", "repro/methods/")
+
+#: The harness files the engine-call scan covers, and the one file that
+#: may call the engine.
+HARNESS = ("repro/harness/",)
+ENGINE_CALLER = "repro/harness/experiment.py"
 
 #: Clock reads that never reach a result, as ``(file, function)``.
 CLOCK_ALLOWANCES = {
@@ -254,13 +262,24 @@ def set_iterations(module: Module):
                 yield site.lineno, function, "iteration over a set"
 
 
-#: Every determinism scan with the files it covers.
+def engine_calls(module: Module):
+    """Calls of ``evaluate_design_space``, under any import spelling."""
+    for function, call, path in module.calls():
+        name = path[-1] if path else getattr(
+            call.func, "attr", getattr(call.func, "id", None)
+        )
+        if name == "evaluate_design_space":
+            yield call.lineno, function, name
+
+
+#: Every scan with the files it covers.
 SCANS = {
     "wall-clock": (clock_reads, EVERYWHERE),
     "entropy": (entropy_draws, EVERYWHERE),
     "numpy-global-state": (numpy_global_state, EVERYWHERE),
     "id": (id_calls, ENGINE),
     "set-iteration": (set_iterations, ENGINE),
+    "engine-call": (engine_calls, HARNESS),
 }
 
 
@@ -331,13 +350,23 @@ def test_every_clock_allowance_matches_a_clock_read():
     assert CLOCK_ALLOWANCES <= used, CLOCK_ALLOWANCES - used
 
 
-@pytest.mark.parametrize("scan", sorted(set(SCANS) - {"wall-clock"}))
+@pytest.mark.parametrize(
+    "scan", sorted(set(SCANS) - {"wall-clock", "engine-call"})
+)
 def test_src_passes_scan(scan):
     breaches = [
         f"{rel}:{line} {what} in {function}"
         for rel, line, function, what in src_breaches(scan)
     ]
     assert breaches == []
+
+
+# -- one engine caller ---------------------------------------------------
+
+
+def test_only_experiment_run_calls_the_engine_in_the_harness():
+    callers = {rel for rel, _, _, _ in src_breaches("engine-call")}
+    assert callers == {ENGINE_CALLER}
 
 
 #: One seeded breach per scan, as (file, source): the scan must flag
@@ -387,6 +416,14 @@ SEEDED = {
         for x in sorted(set(items)):
             pass
         d = len(set(items))
+    """),
+    "engine-call": ("repro/harness/fixture.py", """
+        from .. import methods
+        from ..methods import evaluate_design_space as sweep
+        from ..methods.batch import check_support
+        sweep(space, ["avf"])  # breach
+        methods.evaluate_design_space(space, ["avf"])  # breach
+        check_support(space, ["avf"], "exact")
     """),
 }
 
