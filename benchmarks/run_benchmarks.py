@@ -146,22 +146,37 @@ def engine_cases(trials: int, points: int, workers: int, repeat: int):
     return records
 
 
+def _masks_update(digest, masking) -> None:
+    """Feed every mask of a masking trace, in component order."""
+    for component in masking.component_names:
+        digest.update(masking.mask(component).tobytes())
+
+
 def trace_cases(repeat: int, n_instructions: int = 40_000):
     """Trace production throughput: synthesis and simulation, instr/s.
 
     One row per SPEC benchmark that ``repro-experiments --all``
-    simulates (gzip, mcf, swim) at the default 40k-instruction window.
-    Each row carries a SHA-256 over the masking trace, so rows taken on
-    two trees show byte-identity as well as speed. Only the public
-    ``synthesize_trace``/``simulate`` API is used, so the scenario runs
-    unchanged against older trees.
+    simulates (gzip, mcf, swim) at the default 40k-instruction window,
+    each built in this process, then ``trace_all_parallel``: the three
+    built at once by ``spec_setup.masking_traces`` from a cleared cache,
+    one worker process per trace on a multi-CPU Linux host (what the
+    runner does before its check pass). Each row carries a SHA-256
+    over its masks, so rows taken on two trees show byte-identity as
+    well as speed; the batch row's must equal the serial rows' combined
+    digest (``identical_to_serial``). On a tree without
+    ``masking_traces`` the batch row builds the three one after another
+    with ``masking_trace_for`` (``parallel: false``), as that tree's
+    runner did.
     """
+    from repro.harness import spec_setup
     from repro.microarch import MachineConfig, simulate
     from repro.workloads import spec_benchmark, synthesize_trace
 
     config = MachineConfig.power4_like()
+    benchmarks = ("gzip", "mcf", "swim")
     records = []
-    for name in ("gzip", "mcf", "swim"):
+    combined = hashlib.sha256()
+    for name in benchmarks:
         profile = spec_benchmark(name)
         synth_s, trace = _timed(
             lambda: synthesize_trace(profile, n_instructions, seed=0), repeat
@@ -170,9 +185,8 @@ def trace_cases(repeat: int, n_instructions: int = 40_000):
             lambda: simulate(trace, config, workload=name), repeat
         )
         digest = hashlib.sha256()
-        masking = result.masking_trace
-        for component in masking.component_names:
-            digest.update(masking.mask(component).tobytes())
+        _masks_update(digest, result.masking_trace)
+        _masks_update(combined, result.masking_trace)
         records.append(
             {
                 "name": f"trace_{name}",
@@ -185,6 +199,35 @@ def trace_cases(repeat: int, n_instructions: int = 40_000):
                 "masks_sha256": digest.hexdigest(),
             }
         )
+
+    batch = getattr(spec_setup, "masking_traces", None)
+    parallel = batch is not None
+    if batch is None:
+        def batch(names, n):
+            return [spec_setup.masking_trace_for(b, n) for b in names]
+
+    def build():
+        spec_setup.clear_trace_cache()
+        return batch(benchmarks, n_instructions)
+
+    seconds, traces = _timed(build, repeat)
+    spec_setup.clear_trace_cache()
+    digest = hashlib.sha256()
+    for masking in traces:
+        _masks_update(digest, masking)
+    instructions = n_instructions * len(benchmarks)
+    records.append(
+        {
+            "name": "trace_all_parallel",
+            "seconds": round(seconds, 4),
+            "instructions": instructions,
+            "parallel": parallel,
+            "cpu_count": os.cpu_count() or 1,
+            "instr_per_s": round(instructions / seconds),
+            "masks_sha256": digest.hexdigest(),
+            "identical_to_serial": digest.hexdigest() == combined.hexdigest(),
+        }
+    )
     return records
 
 
@@ -503,6 +546,13 @@ def run_benchmarks(argv: list[str] | None = None) -> Path:
     if wants("trace"):
         for record in trace_cases(args.repeat):
             results.append(record)
+            if "identical_to_serial" in record:  # the batch row
+                print(
+                    f"{record['name']:44s} {record['seconds']:8.3f}s  "
+                    f"{record['instr_per_s']}/s "
+                    f"identical_to_serial={record['identical_to_serial']}"
+                )
+                continue
             print(
                 f"{record['name']:44s} {record['seconds']:8.3f}s  "
                 f"synthesize={record['synthesize_instr_per_s']}/s "

@@ -4,8 +4,9 @@ A component whose (architecturally masked) time to failure has density
 ``f(x) = (2/√π) e^{-x²}`` — close to exponential but not exponential.
 Its MTTF is ``1/√π``. For a series system of ``N`` such components the
 exact MTTF is ``E[min] = ∫_0^∞ erfc(y)^N dy`` (numerically integrated,
-exactly as the paper does with "a software package"), while the SOFR
-step — fed the *true* component MTTFs — predicts ``1/(N·√π)``.
+as the paper does with "a software package"; here a fixed composite
+Gauss–Legendre rule), while the SOFR step — fed the *true* component
+MTTFs — predicts ``1/(N·√π)``.
 
 Figure 4 plots the relative error, growing from ~15% at N=2 to ~32% at
 N=32.
@@ -13,6 +14,7 @@ N=32.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,21 +28,40 @@ def halfnormal_component_mttf() -> float:
     return 1.0 / math.sqrt(math.pi)
 
 
-def halfnormal_system_mttf_exact(n_components: int) -> float:
-    """Exact MTTF of the N-component series system: ``∫ erfc(y)^N dy``."""
-    from scipy import integrate  # deferred: scipy costs ~0.5 s to import
-    from scipy.special import erfc
+#: Figure 4's quadrature: ``_PANELS`` panels of ``[0, _UPPER]`` graded
+#: as ``_UPPER·(k/_PANELS)²``, narrowest at 0 where a large N's
+#: integrand falls fastest, each with the 64-point Gauss–Legendre rule.
+#: ``∫_7^∞ erfc(y) dy`` is below 1e-22, so the truncated tail is too.
+_PANELS = 64
+_UPPER = 7.0
 
+
+@functools.cache
+def _quadrature() -> tuple[list[float], np.ndarray]:
+    """The rule's nodes (a list, for the scalar integrand) and weights."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(64)
+    edges = _UPPER * (np.arange(_PANELS + 1) / _PANELS) ** 2
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * x).ravel()
+    return nodes.tolist(), (half[:, None] * w).ravel()
+
+
+def halfnormal_system_mttf_exact(n_components: int) -> float:
+    """Exact MTTF of the N-component series system: ``∫ erfc(y)^N dy``.
+
+    Within 4e-16 relative of a 30-digit evaluation for every N up to
+    256, and 3.5e-15 at N = 1000 (EXPERIMENTS.md, fig4).
+    """
     if n_components < 1:
         raise ConfigurationError(
             f"need at least one component, got {n_components}"
         )
-
-    def integrand(y: float) -> float:
-        return float(erfc(y)) ** n_components
-
-    value, _abserr = integrate.quad(integrand, 0.0, np.inf, limit=200)
-    return value
+    nodes, weights = _quadrature()
+    values = np.array([math.erfc(y) ** n_components for y in nodes])
+    return float(weights @ values)
 
 
 def halfnormal_system_mttf_sofr(n_components: int) -> float:

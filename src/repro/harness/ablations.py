@@ -332,6 +332,7 @@ def hybrid_method(engine: EngineOptions):
     "(ours) validates bridging simulated-window lengths by time "
     "dilation: the AVF is dilation-invariant and the error is governed "
     "by lambda*V(L).",
+    traces=("gzip",),
 )
 def dilation_sensitivity(engine: EngineOptions):
     from .spec_setup import processor_profile

@@ -161,12 +161,18 @@ class Sweep:
 
 @dataclass(frozen=True)
 class Experiment:
-    """A runnable reproduction of one paper artifact."""
+    """A runnable reproduction of one paper artifact.
+
+    ``traces`` names the SPEC benchmarks whose masking traces the
+    artifact reads at its defaults, so the runner can build every
+    trace of an invocation in one batch before any artifact is checked.
+    """
 
     artifact: str
     title: str
     paper_claim: str
     generate: Callable[..., Generator]
+    traces: tuple[str, ...] = ()
 
     def _start(self, engine: EngineOptions, params: dict):
         """The artifact's generator and its sweeps, every one checked."""
@@ -217,13 +223,18 @@ class Experiment:
 REGISTRY: dict[str, Experiment] = {}
 
 
-def artifact(artifact_id: str, title: str, claim: str):
-    """Register the decorated generator function as ``artifact_id``."""
+def artifact(
+    artifact_id: str, title: str, claim: str, traces: Sequence[str] = ()
+):
+    """Register the decorated generator function as ``artifact_id``;
+    ``traces`` are the SPEC benchmarks it reads (:class:`Experiment`)."""
 
     def register(generate: Callable[..., Generator]):
         if artifact_id in REGISTRY:
             raise ConfigurationError(f"duplicate experiment {artifact_id!r}")
-        REGISTRY[artifact_id] = Experiment(artifact_id, title, claim, generate)
+        REGISTRY[artifact_id] = Experiment(
+            artifact_id, title, claim, generate, tuple(traces)
+        )
         return generate
 
     return register

@@ -38,7 +38,6 @@ from ..core.comparison import MethodComparison
 from ..core.montecarlo import MonteCarloConfig
 from ..core.system import Component, SystemModel
 from ..methods import ResultSet, canonical_name
-from ..methods.batch import run_ordered
 from ..masking.profile import VulnerabilityProfile
 from ..microarch.config import MachineConfig
 from ..reliability.metrics import MTTFEstimate, signed_relative_error
@@ -135,6 +134,7 @@ def _synthesized_workloads(
     "Base processor configuration",
     "POWER4-like core: 8-wide fetch, groups of 5, 2INT/2FP/2LS/1BR, "
     "ROB 150, 256-entry RF, 32KB/64KB L1, 1MB L2, latencies 1/10/77.",
+    traces=REPRESENTATIVE_SPEC,
 )
 def table1(
     engine: EngineOptions,
@@ -354,13 +354,7 @@ def _halfnormal_min_mean(trials: int, n_comp: int) -> float:
 def fig4(engine: EngineOptions, validate_mc: bool = True):
     yield []
     n_comp = 8
-    tasks = [figure4_curve]
-    if validate_mc:
-        tasks.append(lambda: _halfnormal_min_mean(engine.trials, n_comp))
-    # The curve's first call in a process imports scipy (~0.4 s of one
-    # CPU). The Monte-Carlo check needs only NumPy, which releases the
-    # GIL while it draws and reduces, so on two workers the two overlap.
-    points, *sampled = run_ordered(lambda task: task(), tasks, engine.workers)
+    points = figure4_curve()
     table = Table(
         "Figure 4: SOFR error for f(x) = (2/sqrt(pi)) e^{-x^2} components",
         ["N components", "exact MTTF", "SOFR MTTF", "rel. error"],
@@ -379,7 +373,8 @@ def fig4(engine: EngineOptions, validate_mc: bool = True):
     notes = []
     if validate_mc:
         point = next(p for p in points if p.n_components == n_comp)
-        deviation = signed_relative_error(sampled[0], point.exact_mttf)
+        sampled = _halfnormal_min_mean(engine.trials, n_comp)
+        deviation = signed_relative_error(sampled, point.exact_mttf)
         notes.append(
             f"Monte-Carlo check at N=8: numerical integral within "
             f"{deviation:+.3%} of sampled min (n={engine.trials})"
@@ -426,6 +421,7 @@ def fig4(engine: EngineOptions, validate_mc: bool = True):
     "Uniprocessor + SPEC: AVF+SOFR matches first principles",
     "discrepancy < 0.5% for every component and benchmark; "
     "processor-level SOFR matches as well.",
+    traces=REPRESENTATIVE_SPEC,
 )
 def sec51(
     engine: EngineOptions,
@@ -507,6 +503,7 @@ def sec51(
     "sec5.2",
     "AVF step stays accurate for SPEC at every N x S",
     "relative error < 0.5% for each SPEC benchmark, all N and S studied.",
+    traces=REPRESENTATIVE_SPEC,
 )
 def sec52(
     engine: EngineOptions,
@@ -563,6 +560,7 @@ def sec52(
     "AVF-step error on day/week/combined across N x S",
     "significant errors (up to ~90%) once N x S >= 1e9; "
     "sign varies by workload.",
+    traces=COMBINED_PAIR,
 )
 def fig5(
     engine: EngineOptions,
@@ -615,6 +613,7 @@ def fig5(
     "SOFR-step error on SPEC across C and N x S",
     "accurate for C <= 8 at all N x S; significant errors only for "
     "C >= 5000 with very large N x S (>= ~2e12).",
+    traces=REPRESENTATIVE_SPEC,
 )
 def fig6a(
     engine: EngineOptions,
@@ -668,6 +667,7 @@ def fig6a(
     "SOFR-step error on day/week/combined across C and N x S",
     "day@N=1e8: 11% (C=5000) and 50% (C=50000); week: 32% and 80%; "
     "combined smaller but still significant.",
+    traces=COMBINED_PAIR,
 )
 def fig6b(
     engine: EngineOptions,
@@ -765,6 +765,7 @@ def fig6b(
     "compare",
     "Registry-driven method comparison",
     "(ours) every method, one pluggable call surface.",
+    traces=REPRESENTATIVE_SPEC,
 )
 def compare(
     engine: EngineOptions,
@@ -818,6 +819,7 @@ def compare(
     "SoftArch shows no AVF/SOFR discrepancies anywhere",
     "SoftArch error < 1% for single components and < 2% for full "
     "systems across the entire design space.",
+    traces=REPRESENTATIVE_SPEC,
 )
 def sec54(
     engine: EngineOptions,

@@ -24,7 +24,12 @@ directories are checked before any work: the flags become one
 ``$REPRO_MC_TRIALS`` value or output path exits 2 with one line), and
 its one estimate cache serves every artifact of the invocation.
 
-Then every selected artifact is checked
+The SPEC masking traces the selected artifacts read (their
+``@artifact(..., traces=...)``) are then built in one batch, one
+forked worker process per missing trace
+(:func:`~repro.harness.spec_setup.masking_traces`); ``--workers 1``
+skips the batch, so every trace is built in this process when an
+artifact first reads it. Then every selected artifact is checked
 (:meth:`~repro.harness.experiment.Experiment.check`): its sweeps are
 built and every point's reference and methods asked whether they
 support it, and nothing is estimated. A refusal (``--all --method
@@ -43,6 +48,8 @@ import sys
 import time
 
 from ..methods import registry as method_registry
+from ..methods.batch import resolve_workers
+from . import spec_setup
 from .registry import all_experiments, get_experiment
 
 
@@ -178,6 +185,12 @@ def main(argv: list[str] | None = None) -> int:
             methods=tuple(args.methods) if args.methods else None,
             reference=args.reference,
         )
+        # The SPEC traces the artifacts read are built in one batch,
+        # one worker process per trace; one worker keeps every step in
+        # this process.
+        traces = sorted({bench for e in chosen for bench in e.traces})
+        if traces and resolve_workers(engine.workers) > 1:
+            spec_setup.masking_traces(traces)
         # Every artifact's sweeps are built and checked before any runs.
         for experiment in chosen:
             experiment.check(engine)

@@ -186,6 +186,24 @@ class TestHalfNormalSofr:
             halfnormal_system_mttf_exact(n), rel=0.01
         )
 
+    #: ``∫_0^∞ erfc(y)^N dy`` to 30 digits (mpmath at 40-digit working
+    #: precision), beside the closed forms at N = 1 and 2.
+    EXACT_30_DIGITS = {
+        1: 1.0 / math.sqrt(math.pi),
+        2: (2.0 - math.sqrt(2.0)) / math.sqrt(math.pi),
+        4: 0.185320157624852535609263208109,
+        8: 0.0999920587848386156833465494798,
+        16: 0.0523770898295576448762218005088,
+        32: 0.0268911088229298059176619107688,
+        256: 0.00344843486972592934044711544073,
+    }
+
+    @pytest.mark.parametrize("n", sorted(EXACT_30_DIGITS))
+    def test_quadrature_matches_30_digits(self, n):
+        assert halfnormal_system_mttf_exact(n) == pytest.approx(
+            self.EXACT_30_DIGITS[n], rel=1e-15, abs=0.0
+        )
+
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             halfnormal_system_mttf_exact(0)

@@ -4,7 +4,9 @@ Each experiment runs with reduced trials; assertions check the paper's
 qualitative claims, mirroring the benchmark suite but at unit-test cost.
 """
 
+import os
 import re
+import sys
 
 import pytest
 import sampler_oracle as oracle
@@ -18,6 +20,7 @@ from repro.harness import (
     all_experiments,
     get_experiment,
 )
+from repro.harness import spec_setup
 from repro.harness.spec_setup import (
     PAPER_COMPONENTS,
     masking_trace_for,
@@ -49,25 +52,160 @@ class TestRegistry:
             get_experiment("fig99")
 
 
+@pytest.fixture
+def short_window(monkeypatch):
+    """A 2,000-instruction default SPEC window, from an empty trace
+    cache that is emptied again afterwards."""
+    monkeypatch.setattr(spec_setup, "DEFAULT_INSTRUCTIONS", 2_000)
+    spec_setup.clear_trace_cache()
+    yield 2_000
+    spec_setup.clear_trace_cache()
+
+
+def _same_trace(built, expected) -> bool:
+    """Whether two masking traces hold the same masks, byte for byte."""
+    return (
+        built.component_names == expected.component_names
+        and (built.clock_hz, built.workload)
+        == (expected.clock_hz, expected.workload)
+        and all(
+            built.mask(name).tobytes() == expected.mask(name).tobytes()
+            for name in built.component_names
+        )
+    )
+
+
 class TestSpecSetup:
     def test_masking_trace_cached(self):
         a = masking_trace_for("gzip", 3_000)
         b = masking_trace_for("gzip", 3_000)
-        assert a is b  # lru_cache hit
+        assert a is b  # the trace dict's hit
 
-    def test_default_window_spellings_share_one_trace(self):
+    def test_default_window_spellings_share_one_trace(self, monkeypatch):
         # table1 asks for masking_trace_for(bench) while the uniprocessor
         # systems pass (bench, None, 0); all spell the same simulation.
-        from repro.harness import spec_setup
+        builds = []
+        build = spec_setup._build_trace
 
+        def counting(*key):
+            builds.append(key)
+            return build(*key)
+
+        monkeypatch.setattr(spec_setup, "_build_trace", counting)
         spec_setup.clear_trace_cache()
         a = masking_trace_for("gzip")
         b = masking_trace_for("gzip", None, 0)
         c = masking_trace_for("gzip", spec_setup.DEFAULT_INSTRUCTIONS, 0)
         assert a is b is c
-        assert spec_setup._masking_trace.cache_info().misses == 1
+        assert builds == [("gzip", spec_setup.DEFAULT_INSTRUCTIONS, 0)]
         spec_setup.clear_trace_cache()
-        assert spec_setup._masking_trace.cache_info().currsize == 0
+        assert spec_setup._TRACES == {}
+
+    def test_clearing_drops_the_derived_profiles(self, short_window):
+        spec_uniprocessor_system("gzip")
+        processor_profile("gzip", dilate_to_paper_window=True)
+        assert spec_setup._UNIT_PROFILES and spec_setup._PROCESSOR_PROFILES
+        spec_setup.clear_trace_cache()
+        assert spec_setup._TRACES == {}
+        assert spec_setup._UNIT_PROFILES == {}
+        assert spec_setup._PROCESSOR_PROFILES == {}
+
+    def test_each_profile_is_built_once(self, short_window, monkeypatch):
+        # 3 benchmarks x 4 units: the check pass over every artifact
+        # builds each unit profile once (it used to build 84), and the
+        # run pass rebuilds none.
+        from repro.masking import trace as trace_module
+
+        calls = []
+        build = trace_module.from_cycle_mask
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(trace_module, "from_cycle_mask", counting)
+        engine = EngineOptions(trials=2_000, workers=1)
+        experiments = list(all_experiments().values())
+        for experiment in experiments:
+            experiment.check(engine)
+        assert len(calls) == 12
+        for experiment in experiments:
+            experiment.run(engine)
+        assert len(calls) == 12
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """``(workers, start method)`` of each process pool built."""
+        import concurrent.futures
+
+        built = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, mp_context):
+                built.append((max_workers, mp_context.get_start_method()))
+                super().__init__(max_workers, mp_context=mp_context)
+
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", Recording
+        )
+        return built
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+        reason="a batch forks workers on Linux with more than one CPU",
+    )
+    def test_a_batch_builds_each_trace_in_a_worker(self, pools):
+        import multiprocessing
+        import threading
+
+        benchmarks = ("gzip", "mcf", "swim")
+        threads = threading.active_count()
+        spec_setup.clear_trace_cache()
+        try:
+            batch = spec_setup.masking_traces(benchmarks, 4_000)
+            # No worker process and no pool thread outlives the batch.
+            assert multiprocessing.active_children() == []
+            assert threading.active_count() == threads
+            spec_setup.clear_trace_cache()
+            alone = [masking_trace_for(bench, 4_000) for bench in benchmarks]
+        finally:
+            spec_setup.clear_trace_cache()
+        # One pool of one worker per trace; a single trace forks nothing.
+        assert pools == [(3, "fork")]
+        assert all(map(_same_trace, batch, alone))
+
+    def test_a_batch_beside_another_thread_forks_nothing(
+        self, pools, short_window
+    ):
+        import threading
+
+        built = []
+        thread = threading.Thread(
+            target=lambda: built.append(
+                spec_setup.masking_traces(("gzip", "swim"))
+            )
+        )
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        assert pools == []
+        assert [trace.workload for trace in built[0]] == ["gzip", "swim"]
+
+    def test_a_worker_error_reaches_the_caller(self, short_window):
+        with pytest.raises(
+            ConfigurationError, match="unknown benchmark 'no_such'"
+        ):
+            spec_setup.masking_traces(("gzip", "no_such"))
+
+    @pytest.mark.parametrize("artifact", sorted(all_experiments()))
+    def test_check_reads_the_declared_traces(self, artifact, short_window):
+        # The runner builds the union of the selected artifacts' traces
+        # in one batch, so each must declare exactly what it reads.
+        experiment = get_experiment(artifact)
+        experiment.check(EngineOptions(trials=2_000, workers=1))
+        assert set(spec_setup._TRACES) == {
+            (bench, short_window, 0) for bench in experiment.traces
+        }
 
     def test_uniprocessor_has_four_components(self):
         system = spec_uniprocessor_system("gzip", 3_000)

@@ -30,10 +30,10 @@ def _perfbench_load_args() -> tuple[str, ...]:
 
 class TestStartup:
     def test_listing_artifacts_does_not_import_scipy(self):
-        """scipy takes ~0.5 s to import and only fig4's quadratures need
-        it, so starting the CLI and resolving every artifact must leave
-        it unimported. A fresh interpreter, because this one has
-        imported scipy already."""
+        """scipy takes ~0.5 s to import and no artifact needs it, so
+        starting the CLI and resolving every artifact must leave it
+        unimported. A fresh interpreter, because this one has imported
+        scipy already."""
         src = Path(__file__).resolve().parents[1] / "src"
         code = (
             "import sys\n"
@@ -51,6 +51,36 @@ class TestStartup:
             text=True, timeout=120, check=True,
         )
         assert result.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [["fig4"], ["--all"]])
+    def test_no_artifact_imports_scipy(self, argv):
+        """fig4's integrals are a Gauss-Legendre rule, so running
+        artifacts leaves scipy unimported too. A fresh interpreter with
+        the short SPEC window."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys\n"
+            "from repro.harness.runner import main\n"
+            "status = main(sys.argv[1:])\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy'))\n"
+            "sys.exit(status)\n"
+        )
+        env = {
+            key: value for key, value in os.environ.items()
+            if not key.startswith("REPRO_")
+        }
+        env["REPRO_SPEC_INSTRUCTIONS"] = "5000"
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv, "--trials", "2000"],
+            env=env, capture_output=True, text=True, timeout=300,
+            check=True,
+        )
+        assert "completed in" in result.stdout
+        assert result.stdout.splitlines()[-1] == "[]"
 
 
 class TestRunnerCli:
@@ -261,12 +291,20 @@ class TestRunErrors:
         # compare's SPEC uniprocessors have four units and avf supports
         # single-instance systems only: the sweep is refused before its
         # first estimate, so nothing reaches the fresh cache directory.
+        # The window is read once, at import, so it is set on the
+        # module; the traces are built at 5,000 instructions and dropped.
+        from repro.harness import spec_setup
+
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        monkeypatch.setenv("REPRO_SPEC_INSTRUCTIONS", "5000")
+        monkeypatch.setattr(spec_setup, "DEFAULT_INSTRUCTIONS", 5000)
+        spec_setup.clear_trace_cache()
         cache_dir = tmp_path / "cache"
         argv = ["compare", "--method", "avf", "--trials", "2000",
                 "--cache-dir", str(cache_dir)]
-        assert _exit_code(argv) == 2
+        try:
+            assert _exit_code(argv) == 2
+        finally:
+            spec_setup.clear_trace_cache()
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
             "method 'avf' does not support system 'gzip'"
@@ -302,6 +340,68 @@ class TestRunErrors:
         ]
         assert "completed in" not in result.stdout
         assert not out.exists()
+
+
+class TestTraceBatch:
+    """The runner builds the selected artifacts' SPEC traces in one
+    batch after the flags are checked and before the check pass."""
+
+    @pytest.mark.parametrize(
+        "argv, batches, first",
+        [
+            (["--all", "--workers", "2"], [["gzip", "mcf", "swim"]],
+             "ablation.convergence"),
+            (["fig3", "--workers", "2"], [], "fig3"),
+            (["--all", "--workers", "1"], [], "ablation.convergence"),
+        ],
+        ids=["all", "fig3", "one-worker"],
+    )
+    def test_one_batch_before_the_first_check(
+        self, argv, batches, first, monkeypatch, capsys
+    ):
+        from repro.errors import ConfigurationError
+        from repro.harness import spec_setup
+        from repro.harness.experiment import Experiment
+
+        events = []
+
+        def batch(benchmarks, *args):
+            events.append(("batch", list(benchmarks)))
+
+        def check(experiment, engine):
+            events.append(("check", experiment.artifact))
+            raise ConfigurationError("stop at the first check")
+
+        monkeypatch.setattr(spec_setup, "masking_traces", batch)
+        monkeypatch.setattr(Experiment, "check", check)
+        assert _exit_code([*argv, "--trials", "200"]) == 2
+        assert events == [
+            *(("batch", benchmarks) for benchmarks in batches),
+            ("check", first),
+        ]
+        assert capsys.readouterr().err == "stop at the first check\n"
+
+    def test_a_worker_error_exits_2(self, monkeypatch, capsys):
+        import dataclasses
+
+        from repro.harness import experiment, spec_setup
+
+        table1 = experiment.REGISTRY["table1"]
+        monkeypatch.setitem(
+            experiment.REGISTRY, "table1",
+            dataclasses.replace(table1, traces=("gzip", "no_such")),
+        )
+        monkeypatch.setattr(spec_setup, "DEFAULT_INSTRUCTIONS", 2000)
+        spec_setup.clear_trace_cache()
+        try:
+            code = _exit_code(["table1", "--trials", "200", "--workers", "2"])
+        finally:
+            spec_setup.clear_trace_cache()
+        assert code == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("unknown benchmark 'no_such'")
+        assert "completed in" not in captured.out
 
 
 class TestCacheDirEnv:

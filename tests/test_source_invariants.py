@@ -17,6 +17,10 @@ for three families of checks (DESIGN.md, "Static invariants"):
 * **one engine caller** — in ``harness``, only ``experiment.py``
   (``Experiment.run``) calls ``evaluate_design_space``: an artifact
   yields its sweeps, so every sweep is checked before any runs.
+* **one place per pool** — only ``harness/spec_setup.py`` uses
+  ``multiprocessing`` or a ``ProcessPoolExecutor`` (the trace batch),
+  and only ``methods/batch.py`` builds a ``ThreadPoolExecutor`` (the
+  ordered map).
 """
 
 import ast
@@ -52,6 +56,13 @@ ENGINE = ("repro/core/", "repro/methods/")
 #: may call the engine.
 HARNESS = ("repro/harness/",)
 ENGINE_CALLER = "repro/harness/experiment.py"
+
+#: The one file each pool scan may match: worker processes build the
+#: SPEC traces, and one thread pool runs every ordered map.
+POOL_SITES = {
+    "process-pool": "repro/harness/spec_setup.py",
+    "thread-pool": "repro/methods/batch.py",
+}
 
 #: Clock reads that never reach a result, as ``(file, function)``.
 CLOCK_ALLOWANCES = {
@@ -272,6 +283,38 @@ def engine_calls(module: Module):
             yield call.lineno, function, name
 
 
+def process_pools(module: Module):
+    """Imports and calls of ``multiprocessing`` or a
+    ``ProcessPoolExecutor``, under any import spelling."""
+    for function, node in module.nodes:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            paths = [target for _, _, target in imports(node, module.name)]
+        elif isinstance(node, ast.Call):
+            paths = [".".join(module.resolve(node.func) or ())]
+        else:
+            continue
+        hit = next(
+            (
+                path for path in paths
+                if path.split(".")[0] == "multiprocessing"
+                or path.endswith("ProcessPoolExecutor")
+            ),
+            None,
+        )
+        if hit:
+            yield node.lineno, function, hit
+
+
+def thread_pools(module: Module):
+    """Calls that build a ``ThreadPoolExecutor``, under any spelling."""
+    for function, call, path in module.calls():
+        name = path[-1] if path else getattr(
+            call.func, "attr", getattr(call.func, "id", None)
+        )
+        if name == "ThreadPoolExecutor":
+            yield call.lineno, function, name
+
+
 #: Every scan with the files it covers.
 SCANS = {
     "wall-clock": (clock_reads, EVERYWHERE),
@@ -280,6 +323,8 @@ SCANS = {
     "id": (id_calls, ENGINE),
     "set-iteration": (set_iterations, ENGINE),
     "engine-call": (engine_calls, HARNESS),
+    "process-pool": (process_pools, EVERYWHERE),
+    "thread-pool": (thread_pools, EVERYWHERE),
 }
 
 
@@ -351,7 +396,7 @@ def test_every_clock_allowance_matches_a_clock_read():
 
 
 @pytest.mark.parametrize(
-    "scan", sorted(set(SCANS) - {"wall-clock", "engine-call"})
+    "scan", sorted(set(SCANS) - {"wall-clock", "engine-call", *POOL_SITES})
 )
 def test_src_passes_scan(scan):
     breaches = [
@@ -367,6 +412,15 @@ def test_src_passes_scan(scan):
 def test_only_experiment_run_calls_the_engine_in_the_harness():
     callers = {rel for rel, _, _, _ in src_breaches("engine-call")}
     assert callers == {ENGINE_CALLER}
+
+
+# -- one place per pool --------------------------------------------------
+
+
+@pytest.mark.parametrize("scan", sorted(POOL_SITES))
+def test_each_pool_is_built_in_one_file(scan):
+    users = {rel for rel, _, _, _ in src_breaches(scan)}
+    assert users == {POOL_SITES[scan]}
 
 
 #: One seeded breach per scan, as (file, source): the scan must flag
@@ -424,6 +478,26 @@ SEEDED = {
         sweep(space, ["avf"])  # breach
         methods.evaluate_design_space(space, ["avf"])  # breach
         check_support(space, ["avf"], "exact")
+    """),
+    "process-pool": ("repro/methods/fixture.py", """
+        import multiprocessing  # breach
+        from concurrent import futures
+        from concurrent.futures import ProcessPoolExecutor as Pool  # breach
+        def build():
+            from multiprocessing.pool import ThreadPool  # breach
+            futures.ProcessPoolExecutor(2)  # breach
+            Pool(2)  # breach
+            multiprocessing.cpu_count()  # breach
+        futures.ThreadPoolExecutor(2)
+    """),
+    "thread-pool": ("repro/harness/fixture.py", """
+        import concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor as Pool
+        concurrent.futures.ThreadPoolExecutor(2)  # breach
+        def build():
+            Pool(4)  # breach
+            ThreadPoolExecutor()  # breach
+        concurrent.futures.ProcessPoolExecutor(2)
     """),
 }
 
