@@ -366,15 +366,13 @@ def sampler_cases(
 
     all at eight components. The plan is built by an untimed warm-up
     draw. Each row carries a SHA-256 over the samples' float64 bytes,
-    so rows taken on two trees show bit-identity as well as speed. Only
-    the public API is used, so the scenario runs unchanged on older
-    trees.
+    so rows taken on two trees show bit-identity as well as speed.
 
     One ``sampler_<system>_plan_build`` row per system times what the
     warm-up leaves out: compiling the intensity and building every
-    segment lookup that draws in either phase use (its queries reach
-    every outer segment), so work moved from the draws into set-up
-    shows.
+    segment lookup that draws in either phase use, through the
+    extended forms every draw evaluates (its queries reach every outer
+    segment), so work moved from the draws into set-up shows.
 
     A process draws each ``(seed, trials)`` stream of uniforms once, so
     the warmed-up row times only what draws sharing a stream cost. Each
@@ -386,7 +384,11 @@ def sampler_cases(
 
     fresh_seeds = itertools.count(1000)
     from repro.core import sample_system_ttf
-    from repro.core.kernel import compile_intensity
+    from repro.core.kernel import (
+        _cumulative_extended,
+        _invert_extended,
+        compile_intensity,
+    )
     from repro.harness import processor_profile
     from repro.ser import component_rate_per_second
     from repro.masking import PiecewiseProfile
@@ -413,8 +415,11 @@ def sampler_cases(
     }
     def plan_build(system):
         compiled = compile_intensity(system.combined_intensity())
-        compiled.invert(np.linspace(0.0, compiled.mass, 1025)[1:])
-        compiled.cumulative(np.linspace(0.0, compiled.period, 1025))
+        u = np.linspace(0.0, compiled.mass, 1025)[1:]
+        _invert_extended(compiled, u)
+        _cumulative_extended(
+            compiled, np.linspace(0.0, compiled.period, 1025)
+        )
 
     records = []
     for name, (label, n_times_s, profile) in workloads.items():

@@ -9,8 +9,8 @@ the apparatus to compare them:
 * :mod:`~repro.core.sofr` — the SOFR step (alone, and the full
   AVF+SOFR pipeline);
 * :mod:`~repro.core.montecarlo` — the paper's Monte-Carlo reference
-  (arrival-resampling sampler plus a distribution-identical fast
-  inverse-hazard sampler);
+  (a fast inverse-hazard sampler, plus the paper's arrival-resampling
+  sampler that ``ablation.samplers`` checks it against);
 * :mod:`~repro.core.firstprinciples` — the exact closed-form MTTF;
 * :mod:`~repro.core.softarch` — the SoftArch probabilistic method;
 * :mod:`~repro.core.comparison` — discrepancy measurement;
@@ -45,7 +45,6 @@ from .softarch import (
     softarch_mttf,
     timeline_from_intensity,
 )
-from .softarch_values import SoftArchRates, softarch_from_value_graph
 from .bounds import (
     avf_error_bound,
     avf_error_first_order,
@@ -82,8 +81,6 @@ __all__ = [
     "softarch_component_mttf",
     "softarch_mttf",
     "timeline_from_intensity",
-    "SoftArchRates",
-    "softarch_from_value_graph",
     "avf_error_bound",
     "avf_error_first_order",
     "corrected_avf_mttf",

@@ -12,11 +12,13 @@ sampler is the test oracle (``tests/sampler_oracle.py``), which
 Three layers:
 
 * **Compiled intensities** — :class:`CompiledPiecewise` and
-  :class:`CompiledNested` replicate the exact floating-point arithmetic
-  of their :mod:`~repro.reliability.hazard` counterparts (same segment
-  indices, same guard chains, same clips) while dropping
-  the per-call Python overhead (object traversal, ``np.unique``,
-  re-validation of static tables). Same inputs, same bits. Segment
+  :class:`CompiledNested`, each compiled from its
+  :mod:`~repro.reliability.hazard` counterpart (whose constructor
+  refused every table they cannot take), replicate its exact
+  floating-point arithmetic (same segment indices, same guard chains,
+  same clips) while dropping the per-call Python overhead (object
+  traversal, ``np.unique``, per-call range checks). Same inputs, same
+  bits. Segment
   lookups rank a query among a table's distinct entries in one probe
   (:class:`_Lookup`) and return ``np.searchsorted``'s segment exactly
   at a fraction of its cost; nested plans rank all their inner tables
@@ -44,12 +46,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError, ProfileError
-from ..reliability.hazard import (
-    _REL_TOL,
-    CyclicIntensity,
-    NestedHazard,
-    PiecewiseHazard,
-)
+from ..reliability.hazard import CyclicIntensity, NestedHazard, PiecewiseHazard
 from .system import SystemModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,56 +63,6 @@ SLICE_TRIALS = 32_768
 # ---------------------------------------------------------------------------
 # Compiled intensities.
 # ---------------------------------------------------------------------------
-
-
-def _table(kind: str, name: str, values, *, increasing: bool) -> np.ndarray:
-    """``values`` as a finite 1-D float table that starts at 0.
-
-    ``increasing`` demands strictly increasing entries (breakpoints,
-    segment starts); otherwise non-decreasing (cumulative tables, where
-    zero-rate segments repeat an entry). These are the preconditions of
-    both the samplers and :class:`_Lookup`, so a table that breaks them
-    is refused here instead of sampling garbage.
-    """
-    table = _float_array(kind, name, values)
-    if table.ndim != 1 or table.size < 2:
-        raise ConfigurationError(
-            f"compiled {kind} table {name!r} needs at least two entries"
-        )
-    steps = np.diff(table)
-    if (
-        not np.all(np.isfinite(table))
-        or table[0] != 0.0
-        or not np.all(steps > 0 if increasing else steps >= 0)
-    ):
-        order = "strictly increasing" if increasing else "non-decreasing"
-        raise ConfigurationError(
-            f"compiled {kind} table {name!r} must be finite, start at 0 "
-            f"and be {order}"
-        )
-    return table
-
-
-def _values(kind: str, name: str, values, *, positive: bool) -> np.ndarray:
-    """``values`` as a finite 1-D float array, ``>= 0`` (or ``> 0``)."""
-    array = _float_array(kind, name, values)
-    if array.ndim != 1 or not np.all(
-        np.isfinite(array) & ((array > 0) if positive else (array >= 0))
-    ):
-        sign = "positive" if positive else "non-negative"
-        raise ConfigurationError(
-            f"compiled {kind} table {name!r} must be finite and {sign}"
-        )
-    return array
-
-
-def _float_array(kind: str, name: str, values) -> np.ndarray:
-    try:
-        return np.ascontiguousarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError) as error:
-        raise ConfigurationError(
-            f"compiled {kind} table {name!r} is not numeric: {error}"
-        ) from None
 
 
 #: Buckets per distinct table entry that a :class:`_Lookup` may spend.
@@ -344,15 +291,8 @@ def _wrap(k: np.ndarray, rem: np.ndarray, mass) -> None:
 
 
 class _Compiled:
-    """What both compiled shapes share.
-
-    The public ``cumulative`` and ``invert`` run the hazard objects'
-    range checks and clamps, then the in-range internals
-    ``_cumulative``/``_invert``, which the extended evaluation calls
-    directly once its own guards have put every query in range. Lookups
-    are built on first use; racing threads keep the first one stored.
-    Scalars come back as scalars.
-    """
+    """What both compiled shapes share: segment lookups, built on first
+    use. Racing threads keep the first one stored."""
 
     __slots__ = ()
 
@@ -363,28 +303,6 @@ class _Compiled:
                 name, _Lookup(self._tables(name))
             )
         return lookup
-
-    def cumulative(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        scalar = tau.ndim == 0
-        tau = np.atleast_1d(tau)
-        lo, hi = _least(tau), _greatest(tau)
-        if lo < 0 or hi > self.period * (1 + _REL_TOL):
-            raise ProfileError("tau outside [0, period]")
-        out = self._cumulative(_clamped(tau, 0.0, self.period))
-        return out[0] if scalar else out
-
-    def invert(self, u):
-        u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u)
-        lo, hi = _least(u), _greatest(u)
-        if lo <= 0 or hi > self.mass * (1 + _REL_TOL):
-            raise ProfileError("u outside (0, mass]")
-        if hi > self.mass:
-            u = np.minimum(u, self.mass)
-        out = self._invert(u)
-        return out[0] if scalar else out
 
 
 class CompiledPiecewise(_Compiled):
@@ -399,65 +317,39 @@ class CompiledPiecewise(_Compiled):
     returns ``np.searchsorted``'s segment exactly.
 
     **One live segment.** When exactly one segment ``j`` has a nonzero
-    rate ``r`` and ``cum[j + 1]`` is ``M = fl(r * fl(bp[j+1] - bp[j]))``
-    (every busy/idle loop: day, week, or one that starts idle), both
-    transforms have closed forms with no lookup and no gather:
-    ``Λ(τ) = clip(r * (τ - bp[j]), 0, M)`` and ``Λ⁻¹(u) = bp[j] + u / r``.
-    They return the table path's bits. ``cum[j]`` is 0, so inside
-    segment ``j`` the table path computes the same product plus 0.0;
-    outside it, it computes ``0 + 0 * (…)`` or ``M + 0 * (…)``; and
-    rounding is monotone, so the product is at most ``M`` inside the
-    segment, at least ``M`` past it and negative before it. The one
-    sign the table path sets that a clip keeps is zero's: ``-0.0 + 0.0``
-    is ``+0.0``, so the closed form adds 0.0 wherever it clips at 0.
+    rate ``r`` (every busy/idle loop: day, week, or one that starts
+    idle), the hazard's ``cumsum`` adds one product to zeros, so ``cum``
+    is 0 up to ``bp[j]`` and ``M = fl(r * fl(bp[j+1] - bp[j]))`` from
+    ``bp[j+1]`` on. Both transforms then have closed forms with no
+    lookup and no gather: ``Λ(τ) = clip(r * (τ - bp[j]), 0, M)`` and
+    ``Λ⁻¹(u) = bp[j] + u / r``. They return the table path's bits.
+    ``cum[j]`` is 0, so inside segment ``j`` the table path computes the
+    same product plus 0.0; outside it, it computes ``0 + 0 * (…)`` or
+    ``M + 0 * (…)``; and rounding is monotone, so the product is at most
+    ``M`` inside the segment, at least ``M`` past it and negative before
+    it. The one sign the table path sets that a clip keeps is zero's:
+    ``-0.0 + 0.0`` is ``+0.0``, so the closed form adds 0.0 wherever it
+    clips at 0.
     """
 
     __slots__ = ("bp", "rates", "cum", "period", "mass", "_lookups", "_live")
 
-    kind = "piecewise"
-
-    def __init__(
-        self, bp: np.ndarray, rates: np.ndarray, cum: np.ndarray
-    ) -> None:
-        self.bp = _table("piecewise", "breakpoints", bp, increasing=True)
-        self.rates = _values("piecewise", "rates", rates, positive=False)
-        self.cum = _table("piecewise", "cum", cum, increasing=False)
-        if self.bp.size != self.rates.size + 1 or (
-            self.cum.size != self.bp.size
-        ):
-            raise ConfigurationError(
-                "compiled piecewise tables are inconsistent: "
-                f"{self.bp.size} breakpoints, {self.rates.size} rates, "
-                f"{self.cum.size} cumulative entries"
-            )
-        # The inversion divides by the rate of the segment a query
-        # selects; only a segment that accrues hazard can be selected.
-        if np.any((self.rates == 0) & (self.cum[1:] != self.cum[:-1])):
-            raise ConfigurationError(
-                "compiled piecewise tables are inconsistent: a zero-rate "
-                "segment accrues hazard in 'cum'"
-            )
-        self.period = float(self.bp[-1])
-        self.mass = float(self.cum[-1])
+    def __init__(self, hazard: PiecewiseHazard) -> None:
+        # The hazard's constructor refused every table the samplers and
+        # the lookups cannot take, so its arrays are read as they are.
+        self.bp = hazard.breakpoints
+        self.rates = hazard.rates
+        self.cum = hazard._cum  # noqa: SLF001 - module-internal compilation
+        self.period = hazard.period
+        self.mass = hazard.mass
         self._lookups: dict[str, _Lookup] = {}
-        # ``(bp[j], rate)`` of the one live segment, or None. A zero-rate
-        # segment accrues nothing (checked above), so ``cum`` is 0 up to
-        # ``j`` and ``mass`` after it.
+        # ``(bp[j], rate)`` of the one live segment, or None.
         self._live: tuple[float, float] | None = None
         live = np.flatnonzero(self.rates)
         if live.size == 1:
-            start, end = self.bp[live[0] : live[0] + 2].tolist()
-            rate = float(self.rates[live[0]])
-            if self.mass == rate * (end - start):
-                self._live = (start, rate)
-
-    @classmethod
-    def from_hazard(cls, hazard: PiecewiseHazard) -> "CompiledPiecewise":
-        return cls(
-            hazard.breakpoints,
-            hazard.rates,
-            hazard._cum,  # noqa: SLF001 - module-internal compilation
-        )
+            self._live = (
+                float(self.bp[live[0]]), float(self.rates[live[0]])
+            )
 
     def _tables(self, name: str) -> list[np.ndarray]:
         return [getattr(self, name)]
@@ -504,87 +396,42 @@ class CompiledPiecewise(_Compiled):
 class CompiledNested(_Compiled):
     """Dense-table replica of :class:`NestedHazard`.
 
-    Outer tables (segment starts, durations, cumulative mass) plus the
-    inner piecewise tables of every outer segment laid end to end, with
-    one inner period and mass per segment. ``cumulative`` and ``invert``
-    run flat: each element gathers its outer segment's constants and
-    ranks its inner query through one lookup over all inner tables, so
-    no pass masks the input per segment. Every element still sees the
-    hazard object's operations in its order, so the outputs are
-    bit-identical.
+    Outer tables (segment starts and cumulative mass) plus the inner
+    piecewise tables of every outer segment laid end to end, with one
+    inner period and mass per segment. Both transforms run flat: each
+    element gathers its outer segment's constants and ranks its inner
+    query through one lookup over all inner tables, so no pass masks the
+    input per segment. Every element still sees the hazard object's
+    operations in its order, so the outputs are bit-identical.
     """
 
     __slots__ = (
-        "starts", "durations", "cum_mass", "period", "mass",
+        "starts", "cum_mass", "period", "mass",
         "_bp", "_rates", "_cum", "_ends", "_inner_period", "_inner_mass",
         "_lookups",
     )
 
-    kind = "nested"
-
-    def __init__(
-        self,
-        starts: np.ndarray,
-        durations: np.ndarray,
-        cum_mass: np.ndarray,
-        inners: Sequence[CompiledPiecewise],
-    ) -> None:
-        self.starts = _table("nested", "starts", starts, increasing=True)
-        self.durations = _values(
-            "nested", "durations", durations, positive=True
-        )
-        self.cum_mass = _table(
-            "nested", "cum_mass", cum_mass, increasing=False
-        )
-        inners = tuple(inners)
-        if (
-            self.starts.size != len(inners) + 1
-            or self.durations.size != len(inners)
-            or self.cum_mass.size != len(inners) + 1
-        ):
-            raise ConfigurationError(
-                "compiled nested tables are inconsistent: "
-                f"{len(inners)} segments, {self.starts.size} starts, "
-                f"{self.cum_mass.size} cumulative-mass entries"
-            )
-        self.period = float(self.starts[-1])
-        self.mass = float(self.cum_mass[-1])
+    def __init__(self, hazard: NestedHazard) -> None:
+        self.starts = hazard._starts  # noqa: SLF001 - module-internal
+        self.cum_mass = hazard._cum_mass  # noqa: SLF001
+        self.period = hazard.period
+        self.mass = hazard.mass
+        inners = [inner for _duration, inner in hazard.segments]
         # One offset per inner for all three tables: each inner's rates
         # get one unused entry, so rates line up with the breakpoints.
-        self._bp = np.concatenate([inner.bp for inner in inners])
-        self._cum = np.concatenate([inner.cum for inner in inners])
+        self._bp = np.concatenate([inner.breakpoints for inner in inners])
+        self._cum = np.concatenate(
+            [inner._cum for inner in inners]  # noqa: SLF001
+        )
         self._rates = np.concatenate(
             [np.append(inner.rates, 0.0) for inner in inners]
         )
-        self._ends = np.cumsum([inner.bp.size for inner in inners])[:-1]
+        self._ends = np.cumsum(
+            [inner.breakpoints.size for inner in inners]
+        )[:-1]
         self._inner_period = np.asarray([inner.period for inner in inners])
         self._inner_mass = np.asarray([inner.mass for inner in inners])
         self._lookups: dict[str, _Lookup] = {}
-
-    @classmethod
-    def from_hazard(cls, hazard: NestedHazard) -> "CompiledNested":
-        return cls(
-            hazard._starts,  # noqa: SLF001 - module-internal compilation
-            np.asarray(hazard._durations, dtype=float),  # noqa: SLF001
-            hazard._cum_mass,  # noqa: SLF001
-            [
-                CompiledPiecewise.from_hazard(inner)
-                for inner in hazard._inners  # noqa: SLF001
-            ],
-        )
-
-    @property
-    def inners(self) -> tuple[CompiledPiecewise, ...]:
-        """One :class:`CompiledPiecewise` per outer segment, over views of
-        the tables laid end to end."""
-        split = [
-            np.split(table, self._ends)
-            for table in (self._bp, self._rates, self._cum)
-        ]
-        return tuple(
-            CompiledPiecewise(bp, rates[:-1], cum)
-            for bp, rates, cum in zip(*split)
-        )
 
     def _tables(self, name: str) -> list[np.ndarray]:
         if name in ("starts", "cum_mass"):
@@ -641,9 +488,9 @@ CompiledIntensity = CompiledPiecewise | CompiledNested
 def compile_intensity(intensity: CyclicIntensity) -> CompiledIntensity:
     """Flatten a cyclic intensity into its dense-table plan form."""
     if isinstance(intensity, PiecewiseHazard):
-        return CompiledPiecewise.from_hazard(intensity)
+        return CompiledPiecewise(intensity)
     if isinstance(intensity, NestedHazard):
-        return CompiledNested.from_hazard(intensity)
+        return CompiledNested(intensity)
     raise ConfigurationError(
         f"cannot compile intensity of type {type(intensity).__name__}"
     )
@@ -657,6 +504,7 @@ def compile_intensity(intensity: CyclicIntensity) -> CompiledIntensity:
 def _cumulative_extended(
     intensity: CompiledIntensity, t: np.ndarray
 ) -> np.ndarray:
+    """``CyclicIntensity.cumulative_extended``."""
     t = np.asarray(t, dtype=float)
     if _least(t) < 0:
         raise ProfileError("time must be non-negative")

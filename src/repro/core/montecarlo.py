@@ -3,17 +3,19 @@
 The paper's reference method, implemented with two distribution-identical
 samplers:
 
-* ``"arrival"`` — the paper's procedure, verbatim: for each component,
-  draw an exponential raw-error inter-arrival time, test the masking
-  trace at the arrival instant, resample while masked; the component
-  fails at the first unmasked arrival and the earliest component failure
-  is the system's time to failure.
-* ``"inverse"`` — inverse cumulative-hazard transform on the thinned
-  (failure) process: ``X = Λ⁻¹(E)``, ``E ~ Exp(1)``. One uniform draw per
-  trial regardless of the masking ratio or the number of components
-  (hazards of independent components superpose), which is what makes the
-  paper's 10^6-trial x 5*10^5-component cluster points tractable in
-  Python. The test suite verifies the two samplers agree.
+* the inverse sampler, which every estimate runs
+  (:func:`sample_system_ttf`, :func:`monte_carlo_mttf`): inverse
+  cumulative-hazard transform on the thinned (failure) process,
+  ``X = Λ⁻¹(E)``, ``E ~ Exp(1)``. One exponential draw per trial
+  regardless of the masking ratio or the number of components (hazards
+  of independent components superpose), which is what makes the paper's
+  10^6-trial x 5*10^5-component cluster points tractable in Python;
+* the arrival sampler, the paper's procedure verbatim
+  (:func:`arrival_system_ttf`): for each component, draw an exponential
+  raw-error inter-arrival time, test the masking trace at the arrival
+  instant, resample while masked; the component fails at the first
+  unmasked arrival and the earliest component failure is the system's
+  time to failure. ``ablation.samplers`` checks that the two agree.
 
 The paper runs 1,000,000 trials per configuration
 (:data:`PAPER_TRIAL_COUNT`); estimates report standard errors so callers
@@ -36,7 +38,7 @@ from .system import Component, SystemModel
 PAPER_TRIAL_COUNT = 1_000_000
 
 #: Instance limit above which the arrival sampler refuses to expand
-#: multiplicities (use the inverse sampler for large clusters).
+#: multiplicities (the inverse sampler draws large clusters).
 ARRIVAL_INSTANCE_LIMIT = 4096
 
 
@@ -51,9 +53,6 @@ class MonteCarloConfig:
     seed:
         Seed for the underlying PCG64 generator; every run is
         reproducible.
-    method:
-        ``"inverse"`` (default) or ``"arrival"`` (the paper's literal
-        resampling procedure; restricted to modest component counts).
     start_phase:
         Where within the workload loop the observation starts.
         ``"zero"`` (default) starts every trial at the beginning of the
@@ -64,24 +63,15 @@ class MonteCarloConfig:
         day/week cycle. The choice only matters when the hazard mass per
         iteration is large (MTTF comparable to the loop length); see the
         fig6b experiment notes.
-    max_arrival_rounds:
-        Safety cap on resampling rounds per trial for the arrival
-        sampler; ``None`` derives a generous cap from the masking ratio.
     """
 
     trials: int = 200_000
     seed: int = 0
-    method: str = "inverse"
     start_phase: str = "zero"
-    max_arrival_rounds: int | None = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise EstimationError(f"trials must be >= 1, got {self.trials}")
-        if self.method not in ("inverse", "arrival"):
-            raise EstimationError(
-                f"unknown method {self.method!r}; use 'inverse' or 'arrival'"
-            )
         if self.start_phase not in ("zero", "random"):
             raise EstimationError(
                 f"unknown start phase {self.start_phase!r}; "
@@ -140,13 +130,11 @@ def sample_system_ttf(
 ) -> np.ndarray:
     """Draw ``trials`` i.i.d. system times to failure (seconds).
 
-    Inverse draws run against the system's compiled, fingerprint-cached
+    Inverse draws against the system's compiled, fingerprint-cached
     sampling plan (:func:`repro.core.kernel.inverse_system_ttf`), built
-    once per design point; arrival draws run the paper-literal sampler.
+    once per design point.
     """
-    if config.method == "inverse":
-        return kernel.inverse_system_ttf(system, config)
-    return _arrival_system_ttf(system, config)
+    return kernel.inverse_system_ttf(system, config)
 
 
 def sample_component_ttf(
@@ -162,7 +150,7 @@ def monte_carlo_mttf(
     """Monte-Carlo system MTTF (the paper's reference value)."""
     config = config or MonteCarloConfig()
     return _estimate_from_samples(
-        sample_system_ttf(system, config), f"monte_carlo[{config.method}]"
+        sample_system_ttf(system, config), "monte_carlo[inverse]"
     )
 
 
@@ -178,9 +166,7 @@ def monte_carlo_component_mttf(
 # ---------------------------------------------------------------------------
 
 
-def _arrival_rounds_cap(component: Component, configured: int | None) -> int:
-    if configured is not None:
-        return configured
+def _arrival_rounds_cap(component: Component) -> int:
     avf = component.avf
     if avf <= 0:
         raise EstimationError(
@@ -196,7 +182,6 @@ def _arrival_component_ttf(
     component: Component,
     trials: int,
     rng: np.random.Generator,
-    config: MonteCarloConfig,
     offsets: np.ndarray | None,
 ) -> np.ndarray:
     """The paper's resampling loop for one instance, vectorised across
@@ -213,7 +198,7 @@ def _arrival_component_ttf(
         return np.full(trials, np.inf)
     profile = component.profile
     period = profile.period
-    cap = _arrival_rounds_cap(component, config.max_arrival_rounds)
+    cap = _arrival_rounds_cap(component)
     times = offsets.copy() if offsets is not None else np.zeros(trials)
     result = np.full(trials, np.inf)
     active = np.arange(trials)
@@ -232,23 +217,28 @@ def _arrival_component_ttf(
     if active.size:
         raise EstimationError(
             f"{component.name}: {active.size} trials did not fail within "
-            f"{cap} resampling rounds; raise max_arrival_rounds or use the "
-            "inverse sampler"
+            f"{cap} resampling rounds; use the inverse sampler"
         )
     if offsets is not None:
         result -= offsets
     return result
 
 
-def _arrival_system_ttf(
+def arrival_system_ttf(
     system: SystemModel, config: MonteCarloConfig
 ) -> np.ndarray:
-    """Min-over-components arrival sampling (multiplicities expanded)."""
+    """``config.trials`` system times to failure by the paper-literal
+    arrival sampler: the minimum over every component instance
+    (multiplicities expanded) of its resampling loop, all drawn from one
+    generator seeded with ``config.seed``. No estimate runs it;
+    ``ablation.samplers`` compares it with the inverse sampler.
+    """
     total_instances = system.component_count
     if total_instances > ARRIVAL_INSTANCE_LIMIT:
         raise EstimationError(
             f"arrival sampling would expand {total_instances} component "
-            f"instances (> {ARRIVAL_INSTANCE_LIMIT}); use method='inverse'"
+            f"instances (> {ARRIVAL_INSTANCE_LIMIT}); use the inverse "
+            "sampler"
         )
     trials = config.trials
     rng = np.random.default_rng(config.seed)
@@ -261,6 +251,6 @@ def _arrival_system_ttf(
     best = np.full(trials, np.inf)
     for comp in system.components:
         for _instance in range(comp.multiplicity):
-            ttf = _arrival_component_ttf(comp, trials, rng, config, offsets)
+            ttf = _arrival_component_ttf(comp, trials, rng, offsets)
             np.minimum(best, ttf, out=best)
     return best

@@ -20,11 +20,7 @@ implements the model's event-accumulation core:
 * :func:`softarch_mttf` — derives the events for a whole system from
   the combined failure intensity, one event per elementary interval in
   which every component's vulnerability is constant, so events never
-  overlap and the fold is exact;
-* the instruction-level value-graph frontend (error generation on
-  register residency, propagation along data dependences, output events
-  at stores/branches) lives in :mod:`repro.core.softarch_values` and
-  produces the same :class:`SoftArchTimeline`.
+  overlap and the fold is exact.
 
 Event construction and the folds are array code with the bits of the
 per-event scalar loops they replaced: libm transcendentals through
@@ -100,13 +96,13 @@ class SoftArchTimeline:
     The timeline is three float64 columns — :attr:`time`,
     :attr:`probability` and :attr:`mean_time` — sorted chronologically
     (a stable sort, so events at equal times keep their construction
-    order). The builders below write the columns directly through
-    :meth:`from_columns`; ``SoftArchTimeline(events, period)`` takes a
-    hand-built list of :class:`OutputEvent` records, and :attr:`events`
-    is the record view.
+    order). :func:`timeline_from_intensity` writes the columns directly
+    through :meth:`from_columns`; ``SoftArchTimeline(events, period)``
+    takes a hand-built list of :class:`OutputEvent` records, and
+    :attr:`events` is the record view.
 
     Events must cover disjoint, chronologically ordered intervals (the
-    builders guarantee this). The fold walks the events once:
+    builder guarantees this). The fold walks the events once:
     ``P(first failure = event j) = p_j · Π_{i<j}(1 - p_i)``, giving the
     iteration failure probability ``q`` and the conditional mean failure
     time ``m1``; independent identical iterations then give

@@ -37,6 +37,7 @@ from ..core.firstprinciples import first_principles_mttf
 from ..core.montecarlo import (
     MonteCarloConfig,
     _estimate_from_samples,
+    arrival_system_ttf,
     sample_component_ttf,
     sample_system_ttf,
 )
@@ -85,22 +86,22 @@ def sampler_equivalence(engine: EngineOptions):
     # reduced both to the engine's estimate (its arithmetic, so its
     # bits) and to its deciles.
     def draw(item):
-        system, config = item
-        samples = sample_system_ttf(system, config)
+        system, (name, sample, seed) = item
+        samples = sample(system, MonteCarloConfig(trials=trials, seed=seed))
         return (
             _estimate_from_samples(  # noqa: SLF001 - the engine's reduction
-                samples, f"monte_carlo[{config.method}]"
+                samples, f"monte_carlo[{name}]"
             ),
             np.quantile(samples, deciles),
         )
 
     samplers = (
-        MonteCarloConfig(trials=trials, seed=1),
-        MonteCarloConfig(trials=trials, seed=2, method="arrival"),
+        ("inverse", sample_system_ttf, 1),
+        ("arrival", arrival_system_ttf, 2),
     )
     drawn = run_ordered(
         draw,
-        [(system, config) for config in samplers for system in systems],
+        [(system, sampler) for sampler in samplers for system in systems],
         engine.workers,
     )
     inverse, arrival = drawn[: len(systems)], drawn[len(systems) :]

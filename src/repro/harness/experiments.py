@@ -152,19 +152,12 @@ def table1(
 
     behaviour = Table(
         "Simulator behaviour on this configuration",
-        ["benchmark", "IPC", "mispredict", "L1D miss", "int AVF", "fp AVF",
-         "decode AVF", "regfile AVF"],
+        ["benchmark", "int AVF", "fp AVF", "decode AVF", "regfile AVF"],
     )
     for bench in benchmarks:
         trace = masking_trace_for(bench)
-        # Reuse the cached masking trace; IPC etc. come from a fresh,
-        # equally sized run only if stats are needed. The masking trace
-        # itself carries the component AVFs.
         behaviour.add_row(
             bench,
-            "-",  # IPC reported by the sec5.1 experiment's simulation
-            "-",
-            "-",
             f"{trace.avf('int_unit'):.3f}",
             f"{trace.avf('fp_unit'):.3f}",
             f"{trace.avf('decode_unit'):.3f}",

@@ -109,7 +109,7 @@ class MaskingTrace:
         """AVF per component — the headline numbers of a masking trace."""
         return {name: self.avf(name) for name in self._masks}
 
-    # -- persistence (used by the benchmark harness cache) ----------------
+    # -- persistence (``repro-simulate --save-masking`` writes this) -------
 
     def save(self, path: "str | Path") -> None:
         """Serialise to a ``.npz`` file."""

@@ -71,19 +71,19 @@ def mc_token(mc: MonteCarloConfig | None) -> str:
 
     ``None`` means the value does not depend on any Monte-Carlo settings
     (deterministic closed forms), which all share the ``"exact"`` token.
-    Every field that can change the numbers is included — trials, seed,
-    sampler, start phase and the arrival-round cap.
+    Every field that can change the numbers is included: trials, seed
+    and start phase.
     """
     if mc is None:
         return "exact"
-    # ``chunks=1`` is a literal: every estimate is one run of ``trials``
-    # draws, and earlier releases wrote the chunk count here, so the
-    # literal keeps every cache key (and warm cache directory) and every
-    # ResultSet ``mc_token`` byte-identical.
+    # ``method=inverse``, ``chunks=1`` and ``cap=None`` are literals:
+    # every estimate is one inverse run of ``trials`` draws, and earlier
+    # releases wrote the sampler, the chunk count and the arrival-round
+    # cap here, so the literals keep every cache key (and warm cache
+    # directory) and every ResultSet ``mc_token`` byte-identical.
     return (
-        f"trials={mc.trials},seed={mc.seed},method={mc.method},"
-        f"start_phase={mc.start_phase},chunks=1,"
-        f"cap={mc.max_arrival_rounds}"
+        f"trials={mc.trials},seed={mc.seed},method=inverse,"
+        f"start_phase={mc.start_phase},chunks=1,cap=None"
     )
 
 

@@ -13,7 +13,8 @@ AVF+SOFR method and the first-principles methods are built on:
 * :mod:`repro.reliability.process` — :class:`FailureProcess`, the time to
   first failure of a cyclically masked Poisson error process (exact MTTF,
   moments, sampling).
-* :mod:`repro.reliability.series` — series (first-failure) systems.
+* :mod:`repro.reliability.series` — the SOFR combination of a series
+  (first-failure) system's component MTTFs.
 * :mod:`repro.reliability.diagnostics` — exponentiality diagnostics used
   to show *why* SOFR breaks (the masked process is not exponential).
 """
@@ -31,7 +32,7 @@ from .hazard import (
     constant_hazard,
 )
 from .process import FailureProcess
-from .series import SeriesSystem, sofr_mttf
+from .series import sofr_mttf
 from .diagnostics import (
     coefficient_of_variation,
     exponentiality_report,
@@ -49,7 +50,6 @@ __all__ = [
     "PiecewiseHazard",
     "constant_hazard",
     "FailureProcess",
-    "SeriesSystem",
     "sofr_mttf",
     "coefficient_of_variation",
     "exponentiality_report",

@@ -16,6 +16,11 @@ import numpy as np
 
 from ..errors import ConfigurationError
 
+#: libm ``erf``/``erfc`` elementwise, as ``hazard._libm_exp`` is for
+#: ``exp``: the runtime needs no special-function library.
+_libm_erf = np.frompyfunc(math.erf, 1, 1)
+_libm_erfc = np.frompyfunc(math.erfc, 1, 1)
+
 
 @dataclass(frozen=True)
 class Exponential:
@@ -175,16 +180,12 @@ class HalfNormalSquare:
         return np.where(x >= 0, (2.0 / math.sqrt(math.pi)) * np.exp(-x * x), 0.0)
 
     def cdf(self, x):
-        from scipy.special import erf
-
         x = np.asarray(x, dtype=float)
-        return np.where(x >= 0, erf(x), 0.0)
+        return np.where(x >= 0, np.asarray(_libm_erf(x), dtype=float), 0.0)
 
     def survival(self, x):
-        from scipy.special import erfc
-
         x = np.asarray(x, dtype=float)
-        return np.where(x >= 0, erfc(x), 1.0)
+        return np.where(x >= 0, np.asarray(_libm_erfc(x), dtype=float), 1.0)
 
     def sample(self, n: int, rng: np.random.Generator):
         # |Z|/sqrt(2) for Z standard normal has density 2/sqrt(pi) e^{-x^2}.

@@ -128,6 +128,18 @@ class CyclicIntensity(ABC):
         return k * self.period + self.invert(rem)
 
 
+def _check_finite_mass(cum: np.ndarray) -> None:
+    """Refuse a cumulative table that overflows to ``inf``.
+
+    The tables are non-decreasing sums of finite, non-negative terms,
+    so the last entry is finite only if every entry is. With the
+    breakpoint and rate checks, this makes every table a hazard holds a
+    valid compiled sampling table (:mod:`repro.core.kernel`).
+    """
+    if not np.isfinite(cum[-1]):
+        raise ProfileError("cumulative hazard overflows to inf")
+
+
 def _validate_breakpoints(breakpoints: np.ndarray) -> None:
     if breakpoints.ndim != 1 or breakpoints.size < 2:
         raise ProfileError("need at least two breakpoints (one segment)")
@@ -166,6 +178,7 @@ class PiecewiseHazard(CyclicIntensity):
         self._bp = bp
         self._rates = r
         self._cum = np.concatenate(([0.0], np.cumsum(r * np.diff(bp))))
+        _check_finite_mass(self._cum)
 
     # -- construction helpers ------------------------------------------
 
@@ -410,6 +423,14 @@ class NestedHazard(CyclicIntensity):
         self._starts = np.concatenate(
             ([0.0], np.cumsum(np.asarray(self._durations)))
         )
+        # Rounding can lose a short segment after a long one, and the
+        # sum can overflow.
+        if not np.isfinite(self._starts[-1]) or not np.all(
+            np.diff(self._starts) > 0
+        ):
+            raise ProfileError(
+                "segment starts must be finite and strictly increasing"
+            )
         self._seg_mass = np.asarray(
             [
                 self._segment_mass(inner, duration)
@@ -417,6 +438,7 @@ class NestedHazard(CyclicIntensity):
             ]
         )
         self._cum_mass = np.concatenate(([0.0], np.cumsum(self._seg_mass)))
+        _check_finite_mass(self._cum_mass)
 
     @staticmethod
     def _segment_mass(inner: PiecewiseHazard, duration: float) -> float:

@@ -9,8 +9,11 @@ arithmetic, so every draw through a plan must match it bit for bit.
 
 * :func:`inverse_samples`, :func:`sample_system_ttf` and
   :func:`sample_component_ttf` draw against a model's hazard objects
-  (a component's own intensity, not its one-instance system). Arrival
-  draws use the paper-literal sampler.
+  (a component's own intensity, not its one-instance system).
+  :func:`arrival_component_ttf` runs the paper-literal resampling loop
+  on one component instance directly; the arrival sampler
+  (``montecarlo.arrival_system_ttf``) draws a component as its
+  one-instance system, and never reaches a plan.
 * :func:`install` swaps ``kernel.inverse_system_ttf``, the one function
   every inverse draw passes, for the oracle. Every engine draw then goes
   through the oracle: direct samples, the engine's references and the
@@ -62,24 +65,25 @@ def inverse_samples(intensity, config, rng: np.random.Generator):
 
 def sample_system_ttf(system, config) -> np.ndarray:
     """``trials`` i.i.d. system times to failure, without a plan."""
-    if config.method == "inverse":
-        rng = np.random.default_rng(config.seed)
-        return inverse_samples(system.combined_intensity(), config, rng)
-    return mc._arrival_system_ttf(system, config)
+    rng = np.random.default_rng(config.seed)
+    return inverse_samples(system.combined_intensity(), config, rng)
 
 
 def sample_component_ttf(component, config) -> np.ndarray:
     """Times to failure of one component instance, drawn against its own
     intensity (not its one-instance system) without a plan."""
     rng = np.random.default_rng(config.seed)
-    if config.method == "inverse":
-        return inverse_samples(component.intensity, config, rng)
+    return inverse_samples(component.intensity, config, rng)
+
+
+def arrival_component_ttf(component, config) -> np.ndarray:
+    """Arrival draws of one component instance: the resampling loop run
+    on the component itself, not on its one-instance system."""
+    rng = np.random.default_rng(config.seed)
     offsets = None
     if config.start_phase == "random":
         offsets = rng.uniform(0.0, component.profile.period, config.trials)
-    return mc._arrival_component_ttf(
-        component, config.trials, rng, config, offsets
-    )
+    return mc._arrival_component_ttf(component, config.trials, rng, offsets)
 
 
 def _oracle_system_ttf(system, config) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Tests for the Monte-Carlo engine (both samplers)."""
+"""Tests for the Monte-Carlo samplers: the inverse sampler every
+estimate runs, and the paper-literal arrival sampler."""
 
 import math
 
@@ -19,7 +20,8 @@ from repro.core import (
     sample_component_ttf,
     sample_system_ttf,
 )
-from repro.core.montecarlo import _estimate_from_samples
+from repro.core import montecarlo as mc
+from repro.core.montecarlo import _estimate_from_samples, arrival_system_ttf
 from repro.errors import EstimationError
 from repro.masking import PiecewiseProfile, busy_idle_profile
 
@@ -28,10 +30,6 @@ class TestConfig:
     def test_rejects_bad_trials(self):
         with pytest.raises(EstimationError):
             MonteCarloConfig(trials=0)
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(EstimationError):
-            MonteCarloConfig(method="magic")
 
 
 class TestInverseSampler:
@@ -95,8 +93,8 @@ class TestArrivalSampler:
         inv = sample_component_ttf(
             comp, MonteCarloConfig(trials=150_000, seed=7)
         )
-        arr = sample_component_ttf(
-            comp, MonteCarloConfig(trials=150_000, seed=8, method="arrival")
+        arr = arrival_system_ttf(
+            comp.alone(), MonteCarloConfig(trials=150_000, seed=8)
         )
         assert arr.mean() == pytest.approx(inv.mean(), rel=0.02)
         # Distributional agreement, not just the mean: compare deciles.
@@ -110,8 +108,8 @@ class TestArrivalSampler:
         lam = 0.05
         comp = Component("rf", lam, fractional_profile)
         exact = exact_component_mttf(lam, fractional_profile)
-        arr = sample_component_ttf(
-            comp, MonteCarloConfig(trials=100_000, seed=9, method="arrival")
+        arr = arrival_system_ttf(
+            comp.alone(), MonteCarloConfig(trials=100_000, seed=9)
         )
         assert arr.mean() == pytest.approx(exact, rel=0.02)
 
@@ -123,11 +121,10 @@ class TestArrivalSampler:
             ]
         )
         exact = first_principles_mttf(system).mttf_seconds
-        est = monte_carlo_mttf(
-            system,
-            MonteCarloConfig(trials=60_000, seed=10, method="arrival"),
+        samples = arrival_system_ttf(
+            system, MonteCarloConfig(trials=60_000, seed=10)
         )
-        assert est.mttf_seconds == pytest.approx(exact, rel=0.03)
+        assert samples.mean() == pytest.approx(exact, rel=0.03)
 
     def test_instance_limit_enforced(self, day_profile):
         system = SystemModel(
@@ -140,32 +137,24 @@ class TestArrivalSampler:
                 )
             ]
         )
-        with pytest.raises(EstimationError):
-            monte_carlo_mttf(
-                system, MonteCarloConfig(trials=10, method="arrival")
-            )
+        with pytest.raises(EstimationError, match="instances"):
+            arrival_system_ttf(system, MonteCarloConfig(trials=10))
 
     def test_never_vulnerable_rejected(self):
         # The paper's procedure would loop forever; we fail loudly.
         comp = Component("c", 1.0, PiecewiseProfile.constant(0.0, 1.0))
-        with pytest.raises(EstimationError):
-            sample_component_ttf(
-                comp, MonteCarloConfig(trials=10, method="arrival")
-            )
+        with pytest.raises(EstimationError, match="AVF = 0"):
+            arrival_system_ttf(comp.alone(), MonteCarloConfig(trials=10))
 
-    def test_rounds_cap_triggers(self):
+    def test_rounds_cap_triggers(self, monkeypatch):
         # AVF = 1e-4 with a tiny cap must hit the guard.
         profile = PiecewiseProfile.from_segments(
             [(1.0, 1.0), (9999.0, 0.0)]
         )
         comp = Component("c", 1.0, profile)
-        with pytest.raises(EstimationError):
-            sample_component_ttf(
-                comp,
-                MonteCarloConfig(
-                    trials=1000, method="arrival", max_arrival_rounds=2
-                ),
-            )
+        monkeypatch.setattr(mc, "_arrival_rounds_cap", lambda component: 2)
+        with pytest.raises(EstimationError, match="within 2 resampling"):
+            arrival_system_ttf(comp.alone(), MonteCarloConfig(trials=1000))
 
 
 class TestEstimates:

@@ -11,7 +11,13 @@ import sys
 import pytest
 import sampler_oracle as oracle
 
-from repro.core import Component, MonteCarloConfig, SystemModel
+from repro.core import (
+    Component,
+    MethodComparison,
+    MonteCarloConfig,
+    SystemModel,
+    first_principles_mttf,
+)
 from repro.core import montecarlo as mc
 from repro.errors import ConfigurationError
 from repro.harness import (
@@ -28,7 +34,7 @@ from repro.harness.spec_setup import (
     processor_profile,
     spec_uniprocessor_system,
 )
-from repro.methods import ComponentCache, evaluate_design_space
+from repro.methods import ComponentCache, ResultSet, evaluate_design_space
 from repro.units import SECONDS_PER_DAY
 from repro.workloads.longrun import day_workload
 
@@ -430,20 +436,33 @@ class TestSampleLevelAblations:
             )
             for lam_l in (0.01, 0.1, 1.0, 5.0)
         ]
-        engine_sets = [
-            evaluate_design_space(
-                [(f"{label}{suffix}", system) for label, system in space],
-                methods=["first_principles"],
-                reference="monte_carlo",
-                mc_config=config,
-            )
-            for suffix, config in (
-                ("", MonteCarloConfig(trials=trials, seed=1)),
-                ("/arrival",
-                 MonteCarloConfig(trials=trials, seed=2, method="arrival")),
-            )
-        ]
-        expected = engine_sets[0].merged(engine_sets[1])
+        inverse = evaluate_design_space(
+            space,
+            methods=["first_principles"],
+            reference="monte_carlo",
+            mc_config=MonteCarloConfig(trials=trials, seed=1),
+        )
+        # No estimator draws arrival samples: the arrival half is the
+        # engine's reduction of the paper-literal sampler's draws.
+        arrival_config = MonteCarloConfig(trials=trials, seed=2)
+        arrival = ResultSet(
+            comparisons=tuple(
+                MethodComparison(
+                    system_label=f"{label}/arrival",
+                    reference=mc._estimate_from_samples(
+                        mc.arrival_system_ttf(system, arrival_config),
+                        "monte_carlo[arrival]",
+                    ),
+                    estimates={
+                        "first_principles": first_principles_mttf(system)
+                    },
+                )
+                for label, system in space
+            ),
+            methods=("first_principles",),
+            reference_method="monte_carlo",
+        )
+        expected = inverse.merged(arrival)
         assert result.result_set.to_json() == expected.to_json()
 
 

@@ -58,6 +58,14 @@ class TestPiecewiseConstruction:
         with pytest.raises(ProfileError):
             PiecewiseHazard([0.0, np.inf], [0.5])
 
+    def test_rejects_cumulative_overflow(self):
+        # Finite breakpoints and rates whose cumulative hazard is not:
+        # no sampling table or closed form can take it.
+        with np.errstate(over="ignore"), pytest.raises(
+            ProfileError, match="overflows"
+        ):
+            PiecewiseHazard([0.0, 1e300], [1e300])
+
 
 class TestCumulative:
     def test_piecewise_cumulative_at_breakpoints(self):
@@ -310,3 +318,20 @@ class TestNestedHazard:
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ProfileError):
             NestedHazard([(0.0, 1.0)])
+
+    @pytest.mark.parametrize(
+        "segments",
+        [[(1e20, 0.0), (1.0, 0.0)], [(1e308, 0.0), (1e308, 0.0)]],
+        ids=["short-segment-lost-to-rounding", "starts-overflow"],
+    )
+    def test_rejects_starts_that_do_not_increase(self, segments):
+        with np.errstate(over="ignore"), pytest.raises(
+            ProfileError, match="strictly increasing"
+        ):
+            NestedHazard(segments)
+
+    def test_rejects_cumulative_overflow(self):
+        with np.errstate(over="ignore"), pytest.raises(
+            ProfileError, match="overflows"
+        ):
+            NestedHazard([(1.0, 1e308), (1.0, 1e308)])

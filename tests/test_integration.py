@@ -14,14 +14,12 @@ from repro import analyze
 from repro.core import (
     Component,
     MonteCarloConfig,
-    SoftArchRates,
     SystemModel,
     avf_mttf,
     avf_sofr_mttf,
     exact_component_mttf,
     first_principles_mttf,
     monte_carlo_mttf,
-    softarch_from_value_graph,
     softarch_mttf,
     validity_report,
 )
@@ -89,17 +87,6 @@ class TestFullPipeline:
             ]
         )
         assert validity_report(system).overall_regime is Regime.SAFE
-
-    def test_value_graph_consistent(self, sim_result):
-        trace, result = sim_result
-        timeline = softarch_from_value_graph(
-            trace,
-            result.schedule,
-            MachineConfig.power4_like(),
-            SoftArchRates.paper_rates(),
-        )
-        assert timeline.mttf() > 0
-        assert timeline.event_count > 0
 
     def test_masking_trace_round_trips_through_disk(
         self, sim_result, tmp_path

@@ -5,9 +5,10 @@ Every inverse Monte-Carlo draw runs through a system's compiled plan
 *bit-identical* estimates: any result must byte-match the legacy
 object-graph sampler, which ``sampler_oracle`` keeps as the oracle.
 These tests enforce that promise at every level: compiled tables vs
-hazard objects, plan sampling vs the oracle (property-tested across
-profiles, methods, and phases), and the batch engine end to end (worker
-counts) against oracle-installed baselines. Plus the satellite
+hazard objects (through the extended forms every draw evaluates), plan
+sampling vs the oracle (property-tested across profiles and phases),
+and the batch engine end to end (worker counts) against
+oracle-installed baselines. Plus the satellite
 invariants: memoized ``combined_intensity`` and the vectorized survival
 integral's exact agreement with the scalar closed forms.
 
@@ -17,9 +18,9 @@ tables (NaN included), flat nested plans must match the oracle at every
 outer boundary, the sliced sampler must match the oracle at trial counts
 on both sides of every slice edge, the guard chain and clamps that run
 only when a reduction finds work must keep the bits on inputs that take
-each of them, malformed tables must be refused with a typed error, a
-component instance must draw through its one-instance system's plan,
-and the plan cache must evict least recently used first. Each
+each of them, a component instance must draw through its one-instance
+system's plan, and the plan cache must evict least recently used
+first. Each
 ``(seed, trials)`` stream is drawn once, read-only, and shared by every
 plan and thread that draws at it, and lookups built by racing threads
 draw the oracle's bits.
@@ -45,9 +46,8 @@ from repro.core import (
     sample_system_ttf,
 )
 from repro.core import kernel as kernel_mod
+from repro.core import montecarlo as mc
 from repro.core.kernel import (
-    CompiledNested,
-    CompiledPiecewise,
     clear_plan_cache,
     compile_intensity,
     inverse_system_ttf,
@@ -156,6 +156,13 @@ def profiles(draw):
     )
 
 
+def _extended(compiled, name, x):
+    """A compiled plan's ``cumulative_extended`` or ``invert_extended``:
+    the forms every draw evaluates, compared with the hazard method of
+    the same name."""
+    return getattr(kernel_mod, f"_{name}")(compiled, x)
+
+
 #: Trial counts on both sides of the blocked transform's slice edges.
 _SLICE = kernel_mod.SLICE_TRIALS
 SLICE_EDGE_TRIALS = (1, _SLICE - 1, _SLICE, _SLICE + 1, 3 * _SLICE + 7)
@@ -198,7 +205,7 @@ def sorted_tables(draw):
 
 
 # ---------------------------------------------------------------------------
-# Compiled intensities: same tables, same bits, same refusals.
+# Compiled intensities: same tables, same bits.
 # ---------------------------------------------------------------------------
 
 
@@ -218,7 +225,8 @@ class TestCompiledIntensity:
         compiled = compile_intensity(hazard)
         taus = self.grid(hazard.period)
         np.testing.assert_array_equal(
-            compiled.cumulative(taus), hazard.cumulative(taus)
+            _extended(compiled, "cumulative_extended", taus),
+            hazard.cumulative_extended(taus),
         )
         mass = compiled.mass
         if mass > 0:
@@ -233,7 +241,8 @@ class TestCompiledIntensity:
                 ]
             )
             np.testing.assert_array_equal(
-                compiled.invert(us), hazard.invert(us)
+                _extended(compiled, "invert_extended", us),
+                hazard.invert_extended(us),
             )
 
     @given(nested_hazards())
@@ -242,12 +251,14 @@ class TestCompiledIntensity:
         compiled = compile_intensity(hazard)
         taus = self.grid(hazard.period)
         np.testing.assert_array_equal(
-            compiled.cumulative(taus), hazard.cumulative(taus)
+            _extended(compiled, "cumulative_extended", taus),
+            hazard.cumulative_extended(taus),
         )
         if compiled.mass > 0:
             us = np.linspace(compiled.mass * 1e-6, compiled.mass, 37)
             np.testing.assert_array_equal(
-                compiled.invert(us), hazard.invert(us)
+                _extended(compiled, "invert_extended", us),
+                hazard.invert_extended(us),
             )
 
     def test_extended_evaluation_bits(self, day_profile):
@@ -267,73 +278,18 @@ class TestCompiledIntensity:
     def test_validation_matches_hazard(self, day_profile):
         hazard = day_profile.to_hazard(1e-5)
         compiled = compile_intensity(hazard)
-        with pytest.raises(ProfileError, match="tau"):
-            compiled.cumulative(np.asarray([-1.0]))
-        with pytest.raises(ProfileError, match="tau"):
-            compiled.cumulative(np.asarray([hazard.period * 2]))
-        with pytest.raises(ProfileError, match="u outside"):
-            compiled.invert(np.asarray([0.0]))
-        with pytest.raises(ProfileError, match="u outside"):
-            compiled.invert(np.asarray([compiled.mass * 2]))
+        for name, x, match in (
+            ("cumulative_extended", [-1.0], "non-negative"),
+            ("invert_extended", [0.0], "positive"),
+        ):
+            with pytest.raises(ProfileError, match=match):
+                getattr(hazard, name)(np.asarray(x))
+            with pytest.raises(ProfileError, match=match):
+                _extended(compiled, name, np.asarray(x))
 
     def test_rejects_uncompilable_intensity(self):
         with pytest.raises(ConfigurationError, match="cannot compile"):
             compile_intensity("not an intensity")
-
-    def test_rejects_inconsistent_tables(self):
-        with pytest.raises(ConfigurationError, match="inconsistent"):
-            CompiledPiecewise(
-                np.asarray([0.0, 1.0]),
-                np.asarray([1.0, 2.0]),
-                np.asarray([0.0, 1.0]),
-            )
-
-    @pytest.mark.parametrize(
-        "field, values",
-        [
-            ("breakpoints", [0.0, 2.0, 1.0, 3.0]),
-            ("breakpoints", [1.0, 2.0, 3.0, 4.0]),
-            ("breakpoints", [0.0, 1.0, 2.0, np.inf]),
-            ("rates", [1.0, -1.0, 1.0]),
-            ("rates", [1.0, 1.0, np.nan]),
-            ("cum", [0.0, 5.0, 1.0, 6.0]),
-            ("cum", [0.0, 1.0, 2.0, np.inf]),
-            ("cum", [0.5, 1.0, 2.0, 3.0]),
-        ],
-    )
-    def test_rejects_malformed_wire_tables(self, field, values):
-        # The constructor checks every table it is handed, so a
-        # malformed one never reaches the samplers.
-        tables = {
-            "breakpoints": [0.0, 1.0, 2.0, 3.0],
-            "rates": [1.0, 0.0, 2.0],
-            "cum": [0.0, 1.0, 1.0, 3.0],
-        }
-        CompiledPiecewise(*tables.values())  # the well-formed original
-        tables[field] = values
-        with pytest.raises(ConfigurationError, match=repr(field)):
-            CompiledPiecewise(*tables.values())
-
-    def test_rejects_malformed_nested_tables(self, nested_system):
-        nested = plan_for_system(nested_system)
-        tables = {
-            "starts": nested.starts,
-            "durations": nested.durations,
-            "cum_mass": nested.cum_mass,
-        }
-        for field in ("starts", "cum_mass"):
-            broken = {**tables, field: tables[field][::-1]}
-            with pytest.raises(ConfigurationError, match=repr(field)):
-                CompiledNested(*broken.values(), nested.inners)
-        inner = nested.inners[0]
-        cum = inner.cum.copy()
-        cum[-1] = float("nan")
-        with pytest.raises(ConfigurationError, match="'cum'"):
-            CompiledNested(
-                *tables.values(),
-                [CompiledPiecewise(inner.bp, inner.rates, cum),
-                 *nested.inners[1:]],
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +395,8 @@ class TestGatedPasses:
         for hazard in paper_hazards.values():
             compiled = compile_intensity(hazard)
             for evaluate, end in (
-                ("cumulative", hazard.period),
-                ("invert", hazard.mass),
+                ("cumulative_extended", hazard.period),
+                ("invert_extended", hazard.mass),
             ):
                 edges = [
                     np.nextafter(end, 0.0),
@@ -458,7 +414,7 @@ class TestGatedPasses:
                         np.append(edge, inside),
                     ):
                         np.testing.assert_array_equal(
-                            getattr(compiled, evaluate)(x),
+                            _extended(compiled, evaluate, x),
                             getattr(hazard, evaluate)(x),
                         )
 
@@ -466,8 +422,7 @@ class TestGatedPasses:
     @settings(max_examples=200, deadline=None)
     def test_property_table_ends(self, hazard, ends_idle):
         """Random tables at their ends, where the division rounding can
-        pass the period by an ulp and ``u`` up to ``mass * (1 +
-        _REL_TOL)`` is accepted and clamped."""
+        pass the period by an ulp and the inner clamp takes it back."""
         if ends_idle:
             segments = list(
                 zip(np.diff(hazard.breakpoints).tolist(),
@@ -475,7 +430,10 @@ class TestGatedPasses:
             )
             hazard = PiecewiseHazard.from_segments(segments + [(1.0, 0.0)])
         compiled = compile_intensity(hazard)
-        ends = {"cumulative": hazard.period, "invert": hazard.mass}
+        ends = {
+            "cumulative_extended": hazard.period,
+            "invert_extended": hazard.mass,
+        }
         for evaluate, end in ends.items():
             if end <= 0:
                 continue
@@ -489,24 +447,9 @@ class TestGatedPasses:
             )
             for edge in x:
                 np.testing.assert_array_equal(
-                    getattr(compiled, evaluate)(np.asarray([edge])),
+                    _extended(compiled, evaluate, np.asarray([edge])),
                     getattr(hazard, evaluate)(np.asarray([edge])),
                 )
-
-    def test_zero_rate_segment_that_accrues_hazard_is_refused(self):
-        # The inversion divides by the selected segment's rate, which is
-        # positive only when a zero-rate segment repeats its cumulative
-        # entry, as every hazard's table does.
-        with pytest.raises(ConfigurationError, match="zero-rate segment"):
-            CompiledPiecewise(
-                [0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 2.0], [0.0, 1.0, 2.0, 4.0]
-            )
-        compiled = CompiledPiecewise(
-            [0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 2.0], [0.0, 1.0, 1.0, 3.0]
-        )
-        np.testing.assert_array_equal(
-            compiled.invert(np.asarray([0.5, 1.0, 3.0])), [0.5, 1.0, 3.0]
-        )
 
     def test_range_checks_refuse_the_same_inputs(self, paper_hazards):
         """NaN fails every comparison, so it neither trips a range check
@@ -520,38 +463,23 @@ class TestGatedPasses:
     def _check_range_refusals(hazard, compiled):
         nan = float("nan")
         mass, period = hazard.mass, hazard.period
-        extended = {
-            "invert_extended": kernel_mod._invert_extended,
-            "cumulative_extended": kernel_mod._cumulative_extended,
-        }
         refused = {
             "invert_extended": [[nan, 0.0], [1.0, nan, -1.0], [-0.0]],
             "cumulative_extended": [[nan, -1.0], [-5e-324, nan]],
-            "invert": [[nan, 0.0], [mass * 2, nan], [-0.0]],
-            "cumulative": [[nan, -1.0], [period * 2, nan], [-5e-324]],
         }
         accepted = {
             "invert_extended": [
                 [5e-324], [mass * 1e6, 1.0], [nan], [mass * 0.5, nan, 1.0],
+                [mass * (1 + _REL_TOL), mass],
             ],
             "cumulative_extended": [
                 [-0.0], [0.0, period * 1e6], [nan], [nan, period * 2.5],
-            ],
-            "invert": [
-                [5e-324], [mass * (1 + _REL_TOL), mass], [nan],
-                [mass * 0.5, nan, mass],
-            ],
-            "cumulative": [
-                [-0.0], [period * (1 + _REL_TOL), 0.0], [nan],
-                [period * 0.5, nan, 0.0],
+                [period * (1 + _REL_TOL), 0.0],
             ],
         }
         for name in refused:
             reference = getattr(hazard, name)
-            if name in extended:
-                evaluate = lambda x, f=extended[name]: f(compiled, x)
-            else:
-                evaluate = getattr(compiled, name)
+            evaluate = lambda x, name=name: _extended(compiled, name, x)
             for values in refused[name]:
                 for call in (reference, evaluate):
                     with pytest.raises(ProfileError):
@@ -580,17 +508,11 @@ class TestGatedPasses:
         index."""
         compiled = compile_intensity(hazard)
         x = np.asarray([0.5, np.nan])
-        for name in ("invert", "cumulative"):
-            expected = getattr(hazard, name)(x)
-            assert np.isfinite(expected[0]) and np.isnan(expected[1])
-            np.testing.assert_array_equal(
-                getattr(compiled, name)(x), expected
-            )
         for name in ("invert_extended", "cumulative_extended"):
             expected = getattr(hazard, name)(x)
             assert np.isfinite(expected[0]) and np.isnan(expected[1])
             np.testing.assert_array_equal(
-                getattr(kernel_mod, f"_{name}")(compiled, x), expected
+                _extended(compiled, name, x), expected
             )
         self._check_range_refusals(hazard, compiled)
 
@@ -725,16 +647,11 @@ class TestFlatNested:
             compiled = compile_intensity(hazard)
             tau = _around(compiled.starts)
             tau = tau[(tau >= 0) & (tau <= hazard.period)]
-            np.testing.assert_array_equal(
-                compiled.cumulative(tau), hazard.cumulative(tau)
-            )
             u = _around(compiled.cum_mass)
             u = u[(u > 0) & (u <= hazard.mass)]
-            np.testing.assert_array_equal(
-                compiled.invert(u), hazard.invert(u)
-            )
-            # The same boundaries one and three periods on.
-            for periods in (1, 3):
+            # The boundaries in the first period, and one and three
+            # periods on.
+            for periods in (0, 1, 3):
                 np.testing.assert_array_equal(
                     kernel_mod._cumulative_extended(
                         compiled, tau + periods * hazard.period
@@ -763,33 +680,13 @@ class TestFlatNested:
         u = _around(np.concatenate(u, axis=None))
         u = u[(u > 0) & (u <= hazard.mass)]
         np.testing.assert_array_equal(
-            compiled.cumulative(tau), hazard.cumulative(tau)
+            _extended(compiled, "cumulative_extended", tau),
+            hazard.cumulative_extended(tau),
         )
-        np.testing.assert_array_equal(compiled.invert(u), hazard.invert(u))
-
-    def test_scalar_inputs(self, massless_nested, day_profile):
-        piecewise = day_profile.to_hazard(2.0 / SECONDS_PER_DAY)
-        for hazard in (massless_nested, piecewise):
-            compiled = compile_intensity(hazard)
-            for name, x in (
-                ("cumulative", hazard.period / 3),
-                ("invert", hazard.mass / 3),
-                ("invert", float(np.float32(hazard.mass))),
-            ):
-                got = getattr(compiled, name)(x)
-                assert np.ndim(got) == 0
-                assert got == getattr(hazard, name)(x)
-
-    def test_inner_tables_are_views_of_the_flat_tables(self, nested_system):
-        compiled = plan_for_system(nested_system)
-        hazard = nested_system.combined_intensity()
-        for inner, (_duration, source) in zip(
-            compiled.inners, hazard.segments
-        ):
-            np.testing.assert_array_equal(inner.bp, source.breakpoints)
-            np.testing.assert_array_equal(inner.rates, source.rates)
-            np.testing.assert_array_equal(inner.cum, source._cum)
-            assert inner.bp.base is not None
+        np.testing.assert_array_equal(
+            _extended(compiled, "invert_extended", u),
+            hazard.invert_extended(u),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -877,13 +774,11 @@ class TestLiveSegmentClosedForms:
              *np.linspace(0.0, period, 17)]
         )
         tau = tau[~(tau < 0) & ~(tau > period * (1 + _REL_TOL))]
-        _same_bits(compiled.cumulative(tau), hazard.cumulative(tau))
         u = _neighbours(
             [5e-324, mass, mass * (1 + _REL_TOL),
              *np.linspace(0.0, mass, 17)[1:], *hazard.cumulative(tau[:-1])]
         )
         u = u[~(u <= 0) & ~(u > mass * (1 + _REL_TOL))]
-        _same_bits(compiled.invert(u), hazard.invert(u))
         for k in range(4):
             t = tau + k * period
             _same_bits(
@@ -944,22 +839,17 @@ class TestLiveSegmentClosedForms:
                 )
 
     @pytest.mark.parametrize(
-        "bp, rates, cum",
-        [
-            # Two segments accrue hazard.
-            ([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 2.0], [0.0, 1.0, 1.0, 3.0]),
-            # One does, but its step is not fl(r * fl(bp[j+1] - bp[j])).
-            ([0.0, 1.0, 2.0], [0.0, 3.0], [0.0, 0.0, np.nextafter(3.0, 4.0)]),
-        ],
-        ids=["two-live-segments", "step-not-the-rounded-product"],
+        "hazard",
+        [PiecewiseHazard([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 2.0])],
+        ids=["two-live-segments"],
     )
-    def test_other_tables_keep_the_table_path(self, bp, rates, cum):
-        compiled = CompiledPiecewise(bp, rates, cum)
+    def test_other_tables_keep_the_table_path(self, hazard):
+        compiled = compile_intensity(hazard)
         assert compiled._live is None
-        tau = np.linspace(0.0, compiled.period, 9)
+        tau = np.linspace(0.0, compiled.period, 9)[:-1]
         idx = _searchsorted_segment(compiled.bp, tau, "right")
         _same_bits(
-            compiled.cumulative(tau),
+            _extended(compiled, "cumulative_extended", tau),
             compiled.cum[idx] + compiled.rates[idx] * (tau - compiled.bp[idx]),
         )
 
@@ -976,13 +866,12 @@ def _config(**overrides):
 
 
 class TestPlanBitIdentity:
-    @pytest.mark.parametrize("method", ["inverse", "arrival"])
     @pytest.mark.parametrize("start_phase", ["zero", "random"])
     def test_system_samples_match_legacy(
-        self, piecewise_system, nested_system, method, start_phase
+        self, piecewise_system, nested_system, start_phase
     ):
         for system in (piecewise_system, nested_system):
-            config = _config(method=method, start_phase=start_phase)
+            config = _config(start_phase=start_phase)
             legacy = oracle.sample_system_ttf(system, config)
             via_plan = sample_system_ttf(system, config)
             np.testing.assert_array_equal(via_plan, legacy)
@@ -991,15 +880,23 @@ class TestPlanBitIdentity:
     def test_component_samples_match_legacy(self, day_profile, method):
         """A component instance draws as its one-instance system, with
         the bits of the per-component sampler on its own intensity, at
-        any multiplicity and in both phases."""
+        any multiplicity and in both phases: the inverse draw through
+        the system's plan, the arrival draw through the paper-literal
+        sampler's system loop."""
         component = Component(
             "unit", 3.0 / SECONDS_PER_DAY, day_profile, multiplicity=8
         )
+        draw, legacy_draw = {
+            "inverse": (sample_component_ttf, oracle.sample_component_ttf),
+            "arrival": (
+                lambda c, config: mc.arrival_system_ttf(c.alone(), config),
+                oracle.arrival_component_ttf,
+            ),
+        }[method]
         for start_phase in ("zero", "random"):
-            config = _config(method=method, start_phase=start_phase)
-            legacy = oracle.sample_component_ttf(component, config)
-            via_plan = sample_component_ttf(component, config)
-            np.testing.assert_array_equal(via_plan, legacy)
+            config = _config(start_phase=start_phase)
+            legacy = legacy_draw(component, config)
+            np.testing.assert_array_equal(draw(component, config), legacy)
 
     def test_config_routing_is_transparent(self, piecewise_system):
         """``sample_system_ttf`` routes inverse draws through a plan."""

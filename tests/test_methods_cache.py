@@ -52,13 +52,7 @@ class TestMcToken:
         # its new value no longer produces, so a new MonteCarloConfig
         # field fails here until it has a changed value below and that
         # value moves the token.
-        changed = {
-            "trials": 200,
-            "seed": 2,
-            "method": "arrival",
-            "start_phase": "random",
-            "max_arrival_rounds": 9,
-        }
+        changed = {"trials": 200, "seed": 2, "start_phase": "random"}
         base = MonteCarloConfig(trials=100, seed=1)
         tokens = {mc_token(base)}
         for field in dataclasses.fields(MonteCarloConfig):
@@ -73,7 +67,8 @@ class TestMcToken:
 
     def test_token_bytes_are_pinned(self):
         # Cache keys and ResultSet tokens written by earlier releases
-        # carry ``chunks=1``; the literal keeps them valid.
+        # carry the sampler, ``chunks=1`` and the arrival-round cap; the
+        # literals keep them valid.
         assert mc_token(MonteCarloConfig(trials=100, seed=1)) == (
             "trials=100,seed=1,method=inverse,start_phase=zero,"
             "chunks=1,cap=None"

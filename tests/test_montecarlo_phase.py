@@ -11,8 +11,8 @@ from repro.core import (
     SystemModel,
     exact_component_mttf,
     sample_component_ttf,
-    sample_system_ttf,
 )
+from repro.core.montecarlo import arrival_system_ttf
 from repro.errors import EstimationError
 from repro.masking import busy_idle_profile
 from repro.units import SECONDS_PER_DAY
@@ -93,14 +93,9 @@ class TestRandomPhaseArrival:
             hot_component,
             MonteCarloConfig(trials=30_000, seed=5, start_phase="random"),
         )
-        arrival = sample_component_ttf(
-            hot_component,
-            MonteCarloConfig(
-                trials=30_000,
-                seed=6,
-                method="arrival",
-                start_phase="random",
-            ),
+        arrival = arrival_system_ttf(
+            hot_component.alone(),
+            MonteCarloConfig(trials=30_000, seed=6, start_phase="random"),
         )
         pooled = math.hypot(
             inverse.std(ddof=1) / math.sqrt(inverse.size),
@@ -116,19 +111,13 @@ class TestRandomPhaseArrival:
             [Component("c", rate, day_profile, multiplicity=2)]
         )
         doubled = Component("d", 2 * rate, day_profile)
-        sys_samples = sample_system_ttf(
+        sys_samples = arrival_system_ttf(
             system,
-            MonteCarloConfig(
-                trials=30_000, seed=7, method="arrival",
-                start_phase="random",
-            ),
+            MonteCarloConfig(trials=30_000, seed=7, start_phase="random"),
         )
-        comp_samples = sample_component_ttf(
-            doubled,
-            MonteCarloConfig(
-                trials=30_000, seed=8, method="arrival",
-                start_phase="random",
-            ),
+        comp_samples = arrival_system_ttf(
+            doubled.alone(),
+            MonteCarloConfig(trials=30_000, seed=8, start_phase="random"),
         )
         pooled = math.hypot(
             sys_samples.std(ddof=1) / math.sqrt(sys_samples.size),

@@ -1,14 +1,23 @@
-"""Tests for series systems (repro.reliability.series)."""
+"""Series (first-failure) systems: the SOFR combination
+(repro.reliability.series) and the exact series system, a
+``SystemModel`` whose components' hazards superpose."""
 
 import math
 
-import numpy as np
 import pytest
 
+from repro.core import Component, SystemModel, first_principles_mttf
 from repro.errors import ConfigurationError
-from repro.reliability import SeriesSystem, sofr_mttf
-from repro.reliability.hazard import PiecewiseHazard, constant_hazard
-from repro.reliability.series import min_of_iid_mttf
+from repro.masking import PiecewiseProfile
+from repro.reliability import sofr_mttf
+
+
+def _mttf(system):
+    return first_principles_mttf(system).mttf_seconds
+
+
+def _component(name, rate, profile, multiplicity=1):
+    return Component(name, rate, profile, multiplicity=multiplicity)
 
 
 class TestSofrFormula:
@@ -39,75 +48,47 @@ class TestSeriesSystem:
         # For truly exponential components SOFR is exact: this is the
         # regime where the paper's Section 3.2.1 limit applies.
         lam1, lam2 = 0.3, 0.7
-        sys_ = SeriesSystem(
-            [constant_hazard(lam1, 2.0), constant_hazard(lam2, 2.0)]
+        always = PiecewiseProfile.constant(1.0, 2.0)
+        system = SystemModel(
+            [_component("a", lam1, always), _component("b", lam2, always)]
         )
-        assert sys_.mttf() == pytest.approx(1.0 / (lam1 + lam2), rel=1e-10)
+        assert _mttf(system) == pytest.approx(1.0 / (lam1 + lam2), rel=1e-10)
 
     def test_multiplicity_equals_enumeration(self):
-        h = PiecewiseHazard([0.0, 1.0, 3.0], [0.5, 0.0])
-        multi = SeriesSystem([h], multiplicities=[4])
-        enumerated = SeriesSystem([h, h, h, h])
-        assert multi.mttf() == pytest.approx(enumerated.mttf(), rel=1e-10)
+        profile = PiecewiseProfile([0.0, 1.0, 3.0], [1.0, 0.0])
+        multi = SystemModel([_component("c", 0.5, profile, 4)])
+        enumerated = SystemModel(
+            [_component(f"c{i}", 0.5, profile) for i in range(4)]
+        )
+        assert _mttf(multi) == pytest.approx(_mttf(enumerated), rel=1e-10)
 
     def test_system_mttf_below_component_mttf(self):
-        h = PiecewiseHazard([0.0, 2.0, 4.0], [0.9, 0.1])
-        single = SeriesSystem([h]).mttf()
-        system = SeriesSystem([h], multiplicities=[10]).mttf()
+        profile = PiecewiseProfile([0.0, 2.0, 4.0], [0.9, 0.1])
+        single = _mttf(SystemModel([_component("c", 1.0, profile)]))
+        system = _mttf(SystemModel([_component("c", 1.0, profile, 10)]))
         assert system < single
 
     def test_component_processes(self):
-        h1 = constant_hazard(1.0, 1.0)
-        h2 = constant_hazard(2.0, 1.0)
-        procs = SeriesSystem([h1, h2]).component_processes()
-        assert procs[0].mttf() == pytest.approx(1.0)
-        assert procs[1].mttf() == pytest.approx(0.5)
+        # Each instance's own process: its one-instance system.
+        always = PiecewiseProfile.constant(1.0, 1.0)
+        system = SystemModel(
+            [_component("a", 1.0, always), _component("b", 2.0, always, 3)]
+        )
+        a, b = (_mttf(c.alone()) for c in system.components)
+        assert a == pytest.approx(1.0)
+        assert b == pytest.approx(0.5)
 
     def test_component_count(self):
-        sys_ = SeriesSystem(
-            [constant_hazard(1.0, 1.0), constant_hazard(1.0, 1.0)],
-            multiplicities=[3, 5],
+        always = PiecewiseProfile.constant(1.0, 1.0)
+        system = SystemModel(
+            [_component("a", 1.0, always, 3), _component("b", 1.0, always, 5)]
         )
-        assert sys_.component_count == 8
+        assert system.component_count == 8
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigurationError):
-            SeriesSystem([])
+            SystemModel([])
 
     def test_rejects_bad_multiplicity(self):
         with pytest.raises(ConfigurationError):
-            SeriesSystem([constant_hazard(1.0, 1.0)], multiplicities=[0])
-
-    def test_rejects_mismatched_multiplicities(self):
-        with pytest.raises(ConfigurationError):
-            SeriesSystem([constant_hazard(1.0, 1.0)], multiplicities=[1, 2])
-
-
-class TestMinOfIid:
-    def test_exponential_min(self):
-        # min of n Exp(lam) is Exp(n*lam): SOFR is exact here.
-        lam = 0.8
-
-        def survival(t):
-            return np.exp(-lam * np.asarray(t))
-
-        for n in (1, 2, 5):
-            assert min_of_iid_mttf(survival, n) == pytest.approx(
-                1.0 / (n * lam), rel=1e-8
-            )
-
-    def test_halfnormal_matches_figure4_direction(self):
-        # For the Section 3.2.2 density SOFR *underestimates* the MTTF.
-        from scipy.special import erfc
-
-        def survival(t):
-            return erfc(np.asarray(t))
-
-        exact2 = min_of_iid_mttf(survival, 2)
-        sofr2 = 1.0 / (2 * math.sqrt(math.pi))
-        assert sofr2 < exact2
-        assert (exact2 - sofr2) / exact2 == pytest.approx(0.146, abs=0.01)
-
-    def test_rejects_bad_n(self):
-        with pytest.raises(ConfigurationError):
-            min_of_iid_mttf(lambda t: np.exp(-t), 0)
+            _component("c", 1.0, PiecewiseProfile.constant(1.0, 1.0), 0)

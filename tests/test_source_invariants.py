@@ -21,6 +21,9 @@ for three families of checks (DESIGN.md, "Static invariants"):
   ``multiprocessing`` or a ``ProcessPoolExecutor`` (the trace batch),
   and only ``methods/batch.py`` builds a ``ThreadPoolExecutor`` (the
   ordered map).
+* **the runtime dependencies** — no file imports SciPy, inside a
+  function or not, so pyproject's ``dependencies`` (NumPy alone) is the
+  whole runtime; the tests keep SciPy as an oracle.
 """
 
 import ast
@@ -305,6 +308,16 @@ def process_pools(module: Module):
             yield node.lineno, function, hit
 
 
+def scipy_imports(module: Module):
+    """Imports of SciPy, at module level or inside a function."""
+    for function, node in module.nodes:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for _, _, target in imports(node, module.name):
+                if target.split(".")[0] == "scipy":
+                    yield node.lineno, function, target
+                    break
+
+
 def thread_pools(module: Module):
     """Calls that build a ``ThreadPoolExecutor``, under any spelling."""
     for function, call, path in module.calls():
@@ -325,6 +338,7 @@ SCANS = {
     "engine-call": (engine_calls, HARNESS),
     "process-pool": (process_pools, EVERYWHERE),
     "thread-pool": (thread_pools, EVERYWHERE),
+    "scipy": (scipy_imports, EVERYWHERE),
 }
 
 
@@ -489,6 +503,16 @@ SEEDED = {
             Pool(2)  # breach
             multiprocessing.cpu_count()  # breach
         futures.ThreadPoolExecutor(2)
+    """),
+    "scipy": ("repro/analytical/fixture.py", """
+        import numpy as np
+        import scipy  # breach
+        from scipy import integrate  # breach
+        def curve(n):
+            from scipy.special import erfc  # breach
+            import scipy.integrate as quad  # breach
+            return np.sum(n)
+        from repro.scipy_like import erfc
     """),
     "thread-pool": ("repro/harness/fixture.py", """
         import concurrent.futures
