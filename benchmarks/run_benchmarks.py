@@ -33,7 +33,7 @@ import time
 from pathlib import Path
 
 from repro.core import Component, MonteCarloConfig, SystemModel
-from repro.core.kernel import clear_plan_cache
+from repro.core.kernel import clear_streams
 from repro.masking import busy_idle_profile
 from repro.methods import (
     ComponentCache,
@@ -112,9 +112,9 @@ def engine_cases(trials: int, points: int, workers: int, repeat: int):
     cpus = os.cpu_count() or 1
 
     def run(n_workers):
-        # Every row and repeat starts cold: it compiles its plans and
-        # draws its stream itself, instead of reusing the previous one's.
-        clear_plan_cache()
+        # Every row and repeat starts cold: it draws its stream itself,
+        # instead of reusing the previous one's.
+        clear_streams()
         return evaluate_design_space(
             space,
             methods=["sofr_only", "first_principles"],
@@ -364,12 +364,15 @@ def sampler_cases(
     * ``combined_sec54`` — sec5.4's nested ``combined`` workload (inner
       tables of 13,681 and 13,045 segments);
 
-    all at eight components. The plan is built by an untimed warm-up
-    draw. Each row carries a SHA-256 over the samples' float64 bytes,
-    so rows taken on two trees show bit-identity as well as speed.
+    all at eight components. An untimed warm-up draw builds the
+    system's combined intensity, which the system keeps. Every draw
+    compiles its plan, as every estimate's draw does, so each row
+    includes that compile. Each row carries a SHA-256 over the samples'
+    float64 bytes, so rows taken on two trees show bit-identity as well
+    as speed.
 
-    One ``sampler_<system>_plan_build`` row per system times what the
-    warm-up leaves out: compiling the intensity and building every
+    One ``sampler_<system>_plan_build`` row per system times the
+    compile alone: compiling the intensity and building every
     segment lookup that draws in either phase use, through the
     extended forms every draw evaluates (its queries reach every outer
     segment), so work moved from the draws into set-up shows.

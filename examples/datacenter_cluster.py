@@ -22,7 +22,6 @@ from repro import (
 )
 from repro.core.montecarlo import sample_system_ttf
 from repro.reliability import FailureProcess, exponentiality_report
-from repro.units import SECONDS_PER_DAY
 from repro.workloads import day_workload
 
 #: N = 1e8 bits/node at the 1e-8 errors/year/bit baseline = 1/year.

@@ -15,7 +15,10 @@ the apparatus to compare them:
 * :mod:`~repro.core.softarch` — the SoftArch probabilistic method;
 * :mod:`~repro.core.comparison` — discrepancy measurement;
 * :mod:`~repro.core.validity` — the λ·L validity advisor encoding the
-  paper's conclusions.
+  paper's conclusions;
+* :mod:`~repro.core.hybrid` — the paper's "best combination of
+  methodologies": AVF+SOFR where the system's hazard mass per iteration
+  is small, the exact MTTF elsewhere.
 
 Design-space sweeps run through the batch engine
 (:func:`repro.methods.evaluate_design_space`); ``core`` imports nothing
@@ -45,13 +48,7 @@ from .softarch import (
     softarch_mttf,
     timeline_from_intensity,
 )
-from .bounds import (
-    avf_error_bound,
-    avf_error_first_order,
-    corrected_avf_mttf,
-    phase_skew_coefficient,
-)
-from .hybrid import HybridEstimate, hybrid_component_mttf, hybrid_system_mttf
+from .hybrid import hybrid_regime, hybrid_system_mttf
 from .sofr import avf_sofr_mttf, sofr_mttf_from_components, sofr_mttf_from_values
 from .system import Component, SystemModel
 from .validity import (
@@ -81,12 +78,7 @@ __all__ = [
     "softarch_component_mttf",
     "softarch_mttf",
     "timeline_from_intensity",
-    "avf_error_bound",
-    "avf_error_first_order",
-    "corrected_avf_mttf",
-    "phase_skew_coefficient",
-    "HybridEstimate",
-    "hybrid_component_mttf",
+    "hybrid_regime",
     "hybrid_system_mttf",
     "avf_sofr_mttf",
     "sofr_mttf_from_components",

@@ -3,139 +3,55 @@
 The paper closes by motivating "future work to determine the best
 combination of methodologies that will provide the best MTTF estimates
 across all relevant scenarios". This module implements the obvious such
-combination, built from the validity analysis:
+combination, keyed on one number, the system's hazard mass per
+iteration (:func:`~repro.core.validity.system_hazard_mass`):
 
-* in the **safe** regime (tiny hazard mass per iteration) the AVF+SOFR
-  pipeline is exact to first order and costs almost nothing — use it;
-* in the **caution** regime the first-order phase-skew correction
-  (:mod:`repro.core.bounds`) removes the leading error at the same
-  cost — use the corrected estimator;
-* in the **unreliable** regime no closed-form shortcut is safe — fall
-  back to the exact first-principles renewal computation (equivalently
-  SoftArch), which this library makes as cheap as the masking profile's
-  segment count.
+* below :data:`~repro.core.validity.SAFE_MASS_THRESHOLD` the AVF and
+  SOFR steps are exact to first order (Sections 3.1.1 and 3.2.1), so the
+  AVF+SOFR pipeline runs, at almost no cost;
+* otherwise no closed-form shortcut is safe, so the exact
+  first-principles renewal MTTF runs, which costs as much as the
+  combined intensity's segment count.
 
-Every estimate records which path produced it and the a priori error
-bound that justified the choice, so downstream consumers can audit the
-decision.
+The estimate's method label, ``hybrid[avf+sofr]`` or
+``hybrid[first_principles]``, records which path produced it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 from ..reliability.metrics import MTTFEstimate
-from ..reliability.series import sofr_mttf
-from .avf import avf_mttf
-from .bounds import avf_error_bound, corrected_avf_mttf
-from .firstprinciples import exact_component_mttf, first_principles_mttf
-from .system import Component, SystemModel
+from .firstprinciples import first_principles_mttf
+from .sofr import avf_sofr_mttf
+from .system import SystemModel
 from .validity import (
     SAFE_MASS_THRESHOLD,
     UNRELIABLE_MASS_THRESHOLD,
     Regime,
+    _classify_mass,
+    system_hazard_mass,
 )
 
 
-@dataclass(frozen=True)
-class HybridEstimate:
-    """An MTTF with the method-selection audit trail.
+def hybrid_regime(system: SystemModel) -> Regime:
+    """The regime of the system's hazard mass per iteration.
 
-    Attributes
-    ----------
-    estimate:
-        The selected MTTF estimate.
-    regime:
-        The validity regime that drove the selection.
-    error_bound:
-        A priori bound on the *uncorrected* AVF-step error at this
-        configuration (``λ·V(L)/2`` summed over components); reported
-        even when an exact path was taken, as the audit trail.
+    SAFE below :data:`SAFE_MASS_THRESHOLD`, where :func:`hybrid_system_mttf`
+    runs AVF+SOFR; CAUTION below :data:`UNRELIABLE_MASS_THRESHOLD`; and
+    UNRELIABLE above it.
     """
-
-    estimate: MTTFEstimate
-    regime: Regime
-    error_bound: float
-
-    def __str__(self) -> str:
-        return (
-            f"{self.estimate} [regime={self.regime.value}, "
-            f"avf-bound={self.error_bound:.2e}]"
-        )
-
-
-def _component_regime(component: Component) -> Regime:
-    mass = component.intensity.mass
-    if mass < SAFE_MASS_THRESHOLD:
-        return Regime.SAFE
-    if mass < UNRELIABLE_MASS_THRESHOLD:
-        return Regime.CAUTION
-    return Regime.UNRELIABLE
-
-
-def hybrid_component_mttf(component: Component) -> HybridEstimate:
-    """Best-method MTTF for a single component."""
-    regime = _component_regime(component)
-    bound = avf_error_bound(component.rate_per_second, component.profile)
-    if regime is Regime.SAFE:
-        value = avf_mttf(component.rate_per_second, component.profile)
-        method = "hybrid[avf]"
-    elif regime is Regime.CAUTION:
-        value = corrected_avf_mttf(
-            component.rate_per_second, component.profile
-        )
-        method = "hybrid[avf+correction]"
-    else:
-        value = exact_component_mttf(
-            component.rate_per_second, component.profile
-        )
-        method = "hybrid[first_principles]"
-    return HybridEstimate(
-        estimate=MTTFEstimate(mttf_seconds=value, method=method),
-        regime=regime,
-        error_bound=bound,
+    return _classify_mass(
+        system_hazard_mass(system),
+        SAFE_MASS_THRESHOLD,
+        UNRELIABLE_MASS_THRESHOLD,
     )
 
 
-def hybrid_system_mttf(system: SystemModel) -> HybridEstimate:
-    """Best-method MTTF for a series system.
-
-    The SOFR combination is only used when the *system-level* hazard
-    mass per iteration is small (the Section-3.2 exponentiality
-    condition); otherwise the exact combined-hazard renewal value is
-    computed directly.
-    """
-    system_mass = sum(
-        c.multiplicity * c.intensity.mass for c in system.components
-    )
-    component_bound = sum(
-        c.multiplicity
-        * avf_error_bound(c.rate_per_second, c.profile)
-        for c in system.components
-    )
-    if system_mass < SAFE_MASS_THRESHOLD:
-        mttfs: list[float] = []
-        for comp in system.components:
-            per_component = hybrid_component_mttf(comp).estimate
-            mttfs.extend([per_component.mttf_seconds] * comp.multiplicity)
-        return HybridEstimate(
-            estimate=MTTFEstimate(
-                mttf_seconds=sofr_mttf(mttfs), method="hybrid[avf+sofr]"
-            ),
-            regime=Regime.SAFE,
-            error_bound=component_bound,
-        )
-    exact = first_principles_mttf(system)
-    regime = (
-        Regime.CAUTION
-        if system_mass < UNRELIABLE_MASS_THRESHOLD
-        else Regime.UNRELIABLE
-    )
-    return HybridEstimate(
-        estimate=MTTFEstimate(
-            mttf_seconds=exact.mttf_seconds,
-            method="hybrid[first_principles]",
-        ),
-        regime=regime,
-        error_bound=component_bound,
+def hybrid_system_mttf(system: SystemModel) -> MTTFEstimate:
+    """AVF+SOFR in the safe regime, the exact system MTTF elsewhere."""
+    if hybrid_regime(system) is Regime.SAFE:
+        return replace(avf_sofr_mttf(system), method="hybrid[avf+sofr]")
+    return replace(
+        first_principles_mttf(system), method="hybrid[first_principles]"
     )

@@ -1,13 +1,12 @@
-"""Compiled sampling kernels: fingerprint-cached intensity plans.
+"""Compiled sampling kernels: intensity plans.
 
 Every inverse-method Monte-Carlo draw runs through a **plan**: any
 :class:`~repro.reliability.hazard.CyclicIntensity` compiled into dense
 NumPy tables (breakpoints, rates, cumulative-hazard and cumulative-mass
-arrays), built once per design point and memoized on the content
-fingerprints, so no estimate rebuilds the combined intensity or walks the
-hazard objects' per-call ``np.unique(seg)`` scans. The object-graph
-sampler is the test oracle (``tests/sampler_oracle.py``), which
-:func:`inverse_ttf` must match bit for bit.
+arrays), so no draw walks the hazard objects' per-call
+``np.unique(seg)`` scans. The object-graph sampler is the test oracle
+(``tests/sampler_oracle.py``), which :func:`inverse_ttf` must match bit
+for bit.
 
 Three layers:
 
@@ -31,11 +30,12 @@ Three layers:
 * **Streams** — the exponentials and random-phase uniforms of each
   ``(seed, trials)`` pair, drawn once per process and shared read-only
   by every plan that draws at that seed (common random numbers).
-* **Plans** — a system's compiled combined intensity, kept under its
-  content fingerprint in a bounded process-wide LRU. A component
-  instance draws as its one-instance system
-  (:meth:`~repro.core.system.Component.alone`), so there is one kind of
-  plan and one inverse entry point, :func:`inverse_system_ttf`.
+* **Plans** — a system's compiled combined intensity, compiled by the
+  draw that needs it (the combined intensity itself is built once per
+  system and kept on it). A component instance draws as its
+  one-instance system (:meth:`~repro.core.system.Component.alone`), so
+  there is one kind of plan and one inverse entry point,
+  :func:`inverse_system_ttf`.
 """
 
 from __future__ import annotations
@@ -675,30 +675,8 @@ def _stream(seed: int, trials: int) -> _Stream:
 
 
 # ---------------------------------------------------------------------------
-# Fingerprint-keyed plan cache.
+# System draws.
 # ---------------------------------------------------------------------------
-
-#: Every plan compiled in this process, keyed by the system's content
-#: fingerprint. ``--all`` reuses a plan after at most 29 other distinct
-#: plans (34 hits, 164 misses at 1e5 trials and ``--workers 1``), so 64
-#: keeps every hit while keeping at most a quarter as many plans' tables
-#: and lookups alive as 256 did.
-_PLANS_CAP = 64
-_PLANS = _LRU(_PLANS_CAP)
-
-
-def plan_for_system(system: SystemModel) -> CompiledIntensity:
-    """The (memoized) compiled combined intensity of a series system.
-
-    A component instance's plan is :meth:`~repro.core.system.Component.
-    alone`'s, so one plan serves the instance and the one-component
-    point of the same component.
-    """
-    key = system.content_fingerprint
-    plan = _PLANS.get(key)
-    if plan is None:
-        plan = _PLANS.put(key, compile_intensity(system.combined_intensity()))
-    return plan
 
 
 def inverse_system_ttf(
@@ -708,14 +686,14 @@ def inverse_system_ttf(
 
     Every inverse draw comes here (``sample_system_ttf``, and through it
     every component instance as its one-instance system): the system's
-    plan, drawn by :func:`inverse_ttf` on the seed's shared stream. The
-    sampler oracle (``tests/sampler_oracle.py``) replaces this one
-    function to check every draw against the hazard objects.
+    combined intensity, compiled and drawn by :func:`inverse_ttf` on the
+    seed's shared stream. The sampler oracle
+    (``tests/sampler_oracle.py``) replaces this one function to check
+    every draw against the hazard objects.
     """
-    return inverse_ttf(plan_for_system(system), config)
+    return inverse_ttf(compile_intensity(system.combined_intensity()), config)
 
 
-def clear_plan_cache() -> None:
-    """Drop every cached plan and stream, so the next draw starts cold."""
-    _PLANS.clear()
+def clear_streams() -> None:
+    """Drop every drawn stream, so the next draw starts cold."""
     _STREAMS.clear()

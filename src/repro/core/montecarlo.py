@@ -130,9 +130,8 @@ def sample_system_ttf(
 ) -> np.ndarray:
     """Draw ``trials`` i.i.d. system times to failure (seconds).
 
-    Inverse draws against the system's compiled, fingerprint-cached
-    sampling plan (:func:`repro.core.kernel.inverse_system_ttf`), built
-    once per design point.
+    Inverse draws against the system's compiled sampling plan
+    (:func:`repro.core.kernel.inverse_system_ttf`).
     """
     return kernel.inverse_system_ttf(system, config)
 

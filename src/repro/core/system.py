@@ -70,22 +70,10 @@ class Component:
         system-level estimate of it (Monte Carlo, the closed form,
         SoftArch) is this instance's estimate. The SOFR step takes its
         component MTTFs this way (Section 4.2), and a cluster's instance
-        shares its system fingerprint, and so its cache entries and
-        sampling plan, with the one-component point of the same
-        component.
+        shares its system fingerprint, and so its cache entries, with
+        the one-component point of the same component.
         """
         return SystemModel([replace(self, multiplicity=1)])
-
-    @property
-    def lambda_l(self) -> float:
-        """The paper's validity parameter ``lambda * L`` for this component.
-
-        More precisely the hazard mass per period ``lambda * V(L)``, which
-        is the quantity whose smallness makes the AVF and SOFR assumptions
-        hold (Sections 3.1.1 and 3.2.1); the coarser classical form
-        ``lambda * L`` upper-bounds it.
-        """
-        return self.rate_per_second * self.profile.period
 
     @property
     def avf(self) -> float:
@@ -125,8 +113,7 @@ class SystemModel:
         Covers names, raw rates, multiplicities, profile contents and
         component order, so it identifies the exact series system an
         estimate was computed for. It keys the estimate cache
-        (:mod:`repro.methods.cache`) and the compiled sampling plans
-        (:mod:`repro.core.kernel`); a component instance is keyed as
+        (:mod:`repro.methods.cache`); a component instance is keyed as
         :meth:`Component.alone`.
         """
         fp = getattr(self, "_fingerprint", None)
@@ -155,19 +142,13 @@ class SystemModel:
         ``sum_i multiplicity_i * lambda_i * v_i(t)``.
 
         The merge (breakpoint union + per-segment rate sums) is pure in
-        the component contents, so the result is memoized under the
-        system's :attr:`content_fingerprint`, and the estimators that
-        need it share one build. Keying the cached value on the
-        fingerprint (rather than a bare lazy attribute) ties
-        invalidation to the same identity every other cache in the
-        stack uses.
+        the components, which are an immutable tuple, so it is built on
+        first use and kept on the system: the estimators that need it
+        share one build.
         """
-        cached = getattr(self, "_combined", None)
-        fingerprint = self.content_fingerprint
-        if cached is not None and cached[0] == fingerprint:
-            return cached[1]
-        intensity = self._build_combined_intensity()
-        self._combined = (fingerprint, intensity)
+        intensity = getattr(self, "_combined", None)
+        if intensity is None:
+            intensity = self._combined = self._build_combined_intensity()
         return intensity
 
     def _build_combined_intensity(self) -> CyclicIntensity:

@@ -11,8 +11,8 @@ The controlling dimensionless quantity is the hazard mass per iteration,
 ``λ·V(L)`` (upper-bounded by ``λ·L``): both steps are exact in the limit
 ``λ·L → 0`` (Sections 3.1.1 and 3.2.1) and drift as it grows. This
 module turns a :class:`~repro.core.system.SystemModel` into a structured
-report mirroring the paper's guidance, with exact error bounds computed
-from the closed forms when requested.
+report mirroring the paper's guidance, with each component's exact
+AVF-step error computed from the closed forms.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class ComponentValidity:
     lambda_mass: float  # λ·V(L): hazard mass per iteration
     avf: float
     regime: Regime
-    avf_step_error: float | None  # exact signed error when computed
+    avf_step_error: float | None  # exact signed error, if finite
 
 
 @dataclass(frozen=True)
@@ -104,23 +104,28 @@ def _classify_mass(mass: float, safe: float, unreliable: float) -> Regime:
     return Regime.UNRELIABLE
 
 
-def component_validity(
-    component: Component, compute_exact_error: bool = True
-) -> ComponentValidity:
+def system_hazard_mass(system: SystemModel) -> float:
+    """``Σ C_i·λ_i·V_i(L)``: the system's hazard mass per iteration.
+
+    The parameter of both the SOFR verdict and ``hybrid``'s rule, summed
+    over the components in their order.
+    """
+    return sum(
+        c.multiplicity * c.intensity.mass for c in system.components
+    )
+
+
+def component_validity(component: Component) -> ComponentValidity:
     """Assess the AVF step for one component."""
-    intensity = component.intensity
-    mass = intensity.mass
+    mass = component.intensity.mass
     regime = _classify_mass(
         mass, SAFE_MASS_THRESHOLD, UNRELIABLE_MASS_THRESHOLD
     )
     error = None
-    if compute_exact_error:
-        exact = exact_component_mttf(
-            component.rate_per_second, component.profile
-        )
-        approx = avf_mttf(component.rate_per_second, component.profile)
-        if math.isfinite(exact) and math.isfinite(approx) and exact > 0:
-            error = (approx - exact) / exact
+    exact = exact_component_mttf(component.rate_per_second, component.profile)
+    approx = avf_mttf(component.rate_per_second, component.profile)
+    if math.isfinite(exact) and math.isfinite(approx) and exact > 0:
+        error = (approx - exact) / exact
     return ComponentValidity(
         name=component.name,
         lambda_mass=mass,
@@ -130,9 +135,7 @@ def component_validity(
     )
 
 
-def validity_report(
-    system: SystemModel, compute_exact_errors: bool = True
-) -> ValidityReport:
+def validity_report(system: SystemModel) -> ValidityReport:
     """Assess both AVF and SOFR steps for a system (paper's conclusions).
 
     The AVF verdict is the worst per-component verdict. The SOFR verdict
@@ -140,12 +143,8 @@ def validity_report(
     grows with both C and per-component rates, exactly the combinations
     Figures 5/6 show failing.
     """
-    comps = [
-        component_validity(c, compute_exact_errors) for c in system.components
-    ]
-    system_mass = sum(
-        c.multiplicity * c.intensity.mass for c in system.components
-    )
+    comps = [component_validity(c) for c in system.components]
+    system_mass = system_hazard_mass(system)
     order = [Regime.SAFE, Regime.CAUTION, Regime.UNRELIABLE]
     avf_regime = max((c.regime for c in comps), key=order.index)
     sofr_regime = _classify_mass(

@@ -279,7 +279,7 @@ def exponentiality(engine: EngineOptions):
     "keyed on the hazard mass stays accurate everywhere.",
 )
 def hybrid_method(engine: EngineOptions):
-    from ..core.hybrid import hybrid_system_mttf
+    from ..core.hybrid import hybrid_regime
 
     severities = (
         (2, 1e-6), (100, 1e-4), (100, 3e-2), (5000, 3e-3), (50000, 0.1)
@@ -307,7 +307,7 @@ def hybrid_method(engine: EngineOptions):
     for (count, mass), (label, system), comparison in zip(
         severities, space, result_set
     ):
-        regime = hybrid_system_mttf(system).regime
+        regime = hybrid_regime(system)
         plain_err = comparison.error("avf_sofr")
         hybrid_err = comparison.error("hybrid")
         worst_hybrid = max(worst_hybrid, abs(hybrid_err))

@@ -102,5 +102,6 @@ def softarch(system: SystemModel, config: MethodConfig) -> MTTFEstimate:
 
 @register_method("hybrid")
 def hybrid(system: SystemModel, config: MethodConfig) -> MTTFEstimate:
-    """Validity-aware hybrid: AVF/corrected/exact per hazard-mass regime."""
-    return hybrid_system_mttf(system).estimate
+    """Validity-aware hybrid: AVF+SOFR below a system hazard mass of 1e-3
+    per iteration, the exact system MTTF above it."""
+    return hybrid_system_mttf(system)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..core.firstprinciples import first_principles_mttf
-from ..core.system import Component, SystemModel
+from ..core.system import SystemModel
 from ..reliability.metrics import MTTFEstimate
 from .base import MethodConfig
 from .registry import register_method

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -171,10 +170,6 @@ class TestSystemModel:
     def test_rejects_zero_multiplicity(self, day_profile):
         with pytest.raises(ConfigurationError):
             Component("a", 1e-6, day_profile, multiplicity=0)
-
-    def test_lambda_l(self, day_profile):
-        comp = Component("a", 2e-6, day_profile)
-        assert comp.lambda_l == pytest.approx(2e-6 * 86400.0)
 
     def test_nested_systems_merge(self):
         inner = PiecewiseProfile.from_segments([(0.5, 1.0), (0.5, 0.0)])

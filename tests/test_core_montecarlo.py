@@ -18,12 +18,11 @@ from repro.core import (
     monte_carlo_component_mttf,
     monte_carlo_mttf,
     sample_component_ttf,
-    sample_system_ttf,
 )
 from repro.core import montecarlo as mc
 from repro.core.montecarlo import _estimate_from_samples, arrival_system_ttf
 from repro.errors import EstimationError
-from repro.masking import PiecewiseProfile, busy_idle_profile
+from repro.masking import PiecewiseProfile
 
 
 class TestConfig:

@@ -1,7 +1,5 @@
 """Tests for the validity advisor."""
 
-import pytest
-
 from repro.core import (
     Component,
     Regime,
@@ -40,11 +38,6 @@ class TestComponentValidity:
     def test_intermediate_regime(self):
         comp = day_component(0.02 / SECONDS_PER_DAY)
         assert component_validity(comp).regime is Regime.CAUTION
-
-    def test_error_can_be_skipped(self):
-        comp = day_component(1e-9)
-        result = component_validity(comp, compute_exact_error=False)
-        assert result.avf_step_error is None
 
 
 class TestValidityReport:

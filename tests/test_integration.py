@@ -7,7 +7,6 @@ trustworthy.
 
 import math
 
-import numpy as np
 import pytest
 
 from repro import analyze

@@ -1,4 +1,4 @@
-"""Compiled sampling plans: tables, bit-identity, the plan cache.
+"""Compiled sampling plans: tables, bit-identity, the shared streams.
 
 Every inverse Monte-Carlo draw runs through a system's compiled plan
 (:func:`~repro.core.kernel.inverse_system_ttf`), and the plans promise
@@ -18,9 +18,8 @@ tables (NaN included), flat nested plans must match the oracle at every
 outer boundary, the sliced sampler must match the oracle at trial counts
 on both sides of every slice edge, the guard chain and clamps that run
 only when a reduction finds work must keep the bits on inputs that take
-each of them, a component instance must draw through its one-instance
-system's plan, and the plan cache must evict least recently used
-first. Each
+each of them, and a component instance must draw through its
+one-instance system's plan. Each
 ``(seed, trials)`` stream is drawn once, read-only, and shared by every
 plan and thread that draws at it, and lookups built by racing threads
 draw the oracle's bits.
@@ -48,10 +47,9 @@ from repro.core import (
 from repro.core import kernel as kernel_mod
 from repro.core import montecarlo as mc
 from repro.core.kernel import (
-    clear_plan_cache,
+    clear_streams,
     compile_intensity,
     inverse_system_ttf,
-    plan_for_system,
 )
 from repro.errors import ConfigurationError, ProfileError
 from repro.masking import NestedProfile, PiecewiseProfile, busy_idle_profile
@@ -72,11 +70,11 @@ from repro.workloads.longrun import (
 
 
 @pytest.fixture(autouse=True)
-def fresh_plan_cache():
-    """The plan cache is process-global; isolate it per test."""
-    clear_plan_cache()
+def fresh_streams():
+    """The stream cache is process-global; isolate it per test."""
+    clear_streams()
     yield
-    clear_plan_cache()
+    clear_streams()
 
 
 @pytest.fixture
@@ -740,7 +738,8 @@ def live_plan(request):
         return hazard, compile_intensity(hazard), 1
     if request.param == "component":
         component = Component("unit", rate, day_workload())
-        return component.intensity, plan_for_system(component.alone()), 0
+        plan = compile_intensity(component.alone().combined_intensity())
+        return component.intensity, plan, 0
     profile, live = {
         "day": (day_workload(), 0),
         "week": (week_workload(), 0),
@@ -752,7 +751,8 @@ def live_plan(request):
         ),
     }[request.param]
     system = SystemModel([Component("c", rate, profile, multiplicity=8)])
-    return system.combined_intensity(), plan_for_system(system), live
+    hazard = system.combined_intensity()
+    return hazard, compile_intensity(hazard), live
 
 
 class TestLiveSegmentClosedForms:
@@ -901,7 +901,6 @@ class TestPlanBitIdentity:
     def test_config_routing_is_transparent(self, piecewise_system):
         """``sample_system_ttf`` routes inverse draws through a plan."""
         routed = sample_system_ttf(piecewise_system, _config())
-        assert piecewise_system.content_fingerprint in kernel_mod._PLANS
         np.testing.assert_array_equal(
             routed, oracle.sample_system_ttf(piecewise_system, _config())
         )
@@ -910,7 +909,8 @@ class TestPlanBitIdentity:
         self, monkeypatch, piecewise_system, nested_system
     ):
         plans = [
-            plan_for_system(s) for s in (piecewise_system, nested_system)
+            compile_intensity(s.combined_intensity())
+            for s in (piecewise_system, nested_system)
         ]
 
         def refuse(*_args, **_kwargs):
@@ -944,7 +944,7 @@ class TestPlanBitIdentity:
         system = SystemModel([Component("c", 0.8, profile)])
         config = _config(trials=trials, start_phase=start_phase)
         legacy = oracle.sample_system_ttf(system, config)
-        clear_plan_cache()
+        clear_streams()
         via_plan = inverse_system_ttf(system, config)
         np.testing.assert_array_equal(via_plan, legacy)
 
@@ -1007,65 +1007,31 @@ class TestEngineBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# The process-wide plan cache.
+# One plan per system content.
 # ---------------------------------------------------------------------------
 
 
 class TestHydration:
-    """Plans are compiled once per content fingerprint and kept in a
-    bounded process-wide LRU."""
-
-    def test_plan_cache_evicts_least_recently_used(self):
-        profile = busy_idle_profile(1.0, 1.0, 0.5)
-        systems = [
-            SystemModel([Component(f"c{i}", 1e-3 * (i + 1), profile)])
-            for i in range(kernel_mod._PLANS_CAP + 2)
-        ]
-        first, second, *rest = systems
-        first_plan = plan_for_system(first)
-        second_plan = plan_for_system(second)
-        for system in rest[:-2]:
-            plan_for_system(system)
-        # Hits refresh recency.
-        assert plan_for_system(first) is first_plan
-        assert plan_for_system(second) is second_plan
-        plan_for_system(rest[-2])
-        plan_for_system(rest[-1])
-        assert plan_for_system(first) is first_plan
-        assert plan_for_system(second) is second_plan
-        evicted = {s.content_fingerprint for s in rest[:2]}
-        assert not evicted & set(kernel_mod._PLANS)
-        assert len(kernel_mod._PLANS) == kernel_mod._PLANS_CAP
-
-    def test_plan_for_system_memoizes(self, piecewise_system):
-        assert plan_for_system(piecewise_system) is plan_for_system(
-            piecewise_system
-        )
-
-    def test_identical_content_shares_a_plan(self, day_profile):
-        a = SystemModel(
-            [Component("x", 1e-4, day_profile, multiplicity=2)]
-        )
-        b = SystemModel(
-            [Component("x", 1e-4, day_profile, multiplicity=2)]
-        )
-        assert plan_for_system(a) is plan_for_system(b)
+    """Each draw compiles its system's combined intensity; a component
+    instance compiles the tables of its one-instance system."""
 
     def test_instance_shares_the_one_component_plan(self, day_profile):
         """A cluster's instance is its one-instance system: at every
-        multiplicity it draws through the plan of the one-component
-        point, which is its own intensity compiled."""
+        multiplicity it compiles the tables of the one-component point,
+        which are its own intensity compiled."""
         rate = 3.0 / SECONDS_PER_DAY
         point = SystemModel([Component("unit", rate, day_profile)])
-        plan = plan_for_system(point)
+        plan = compile_intensity(point.combined_intensity())
         for c in (1, 8, 5000):
             instance = Component("unit", rate, day_profile, multiplicity=c)
-            assert plan_for_system(instance.alone()) is plan
-        compiled = compile_intensity(instance.intensity)
-        for table in ("bp", "rates", "cum"):
-            assert getattr(plan, table).tobytes() == (
-                getattr(compiled, table).tobytes()
-            )
+            for compiled in (
+                compile_intensity(instance.alone().combined_intensity()),
+                compile_intensity(instance.intensity),
+            ):
+                for table in ("bp", "rates", "cum"):
+                    assert getattr(plan, table).tobytes() == (
+                        getattr(compiled, table).tobytes()
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -1134,7 +1100,7 @@ class TestStreams:
     def test_cache_is_capped_and_cleared(
         self, piecewise_system, counted_streams
     ):
-        plan = plan_for_system(piecewise_system)
+        plan = compile_intensity(piecewise_system.combined_intensity())
         cap = kernel_mod._STREAMS.cap
         for seed in range(cap + 3):
             kernel_mod.inverse_ttf(
@@ -1147,7 +1113,13 @@ class TestStreams:
         # The least recently used stream went; drawing it again redraws.
         kernel_mod.inverse_ttf(plan, _config(seed=0))
         assert counted_streams.count((0, 400)) == 2
-        clear_plan_cache()
+        # A hit refreshes: the oldest stream, once hit, outlives a miss.
+        oldest = next(iter(kernel_mod._STREAMS))
+        kernel_mod.inverse_ttf(plan, _config(seed=oldest[0]))
+        kernel_mod.inverse_ttf(plan, _config(seed=cap + 3))
+        assert oldest in set(kernel_mod._STREAMS)
+        assert counted_streams.count(oldest) == 1
+        clear_streams()
         assert len(kernel_mod._STREAMS) == 0
 
     def test_concurrent_draws_match_the_oracle(

@@ -1,7 +1,5 @@
 """Tests for vulnerability profiles (repro.masking.profile)."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -9,12 +9,10 @@ from repro.core import (
     Component,
     MonteCarloConfig,
     SystemModel,
-    exact_component_mttf,
     sample_component_ttf,
 )
 from repro.core.montecarlo import arrival_system_ttf
 from repro.errors import EstimationError
-from repro.masking import busy_idle_profile
 from repro.units import SECONDS_PER_DAY
 
 

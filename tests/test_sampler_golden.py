@@ -27,7 +27,7 @@ import sampler_oracle as oracle
 
 from repro.core import Component, MonteCarloConfig, SystemModel
 from repro.core import sample_system_ttf
-from repro.core.kernel import clear_plan_cache
+from repro.core.kernel import clear_streams
 from repro.harness import processor_profile
 from repro.ser import component_rate_per_second
 from repro.workloads import combined_workload, day_workload
@@ -86,10 +86,10 @@ def systems():
 
 
 @pytest.fixture(autouse=True)
-def fresh_plan_cache():
-    clear_plan_cache()
+def fresh_streams():
+    clear_streams()
     yield
-    clear_plan_cache()
+    clear_streams()
 
 
 @pytest.mark.parametrize("start_phase", ["zero", "random"])

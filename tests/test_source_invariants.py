@@ -1,4 +1,5 @@
-"""Static invariants of src/repro, checked on its AST.
+"""Static invariants of src/repro, checked on its AST (the unread-import
+scan also reads the tests, examples and benchmarks).
 
 Each file is parsed once (``ast.parse`` raises on a file it cannot
 parse, so no check skips unread code) and its imports resolved once,
@@ -24,6 +25,9 @@ for three families of checks (DESIGN.md, "Static invariants"):
 * **the runtime dependencies** — no file imports SciPy, inside a
   function or not, so pyproject's ``dependencies`` (NumPy alone) is the
   whole runtime; the tests keep SciPy as an oracle.
+* **every import is read** — in ``src/``, ``tests/``, ``examples/`` and
+  ``benchmarks/``, every name an import binds is read in its own file
+  (``__init__.py`` files, whose imports are re-exports, are left out).
 """
 
 import ast
@@ -34,7 +38,21 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+#: The trees the unread-import scan covers, relative to the repository
+#: root. perfbench/ is left to its own checks.
+IMPORT_TREES = ("src", "tests", "examples", "benchmarks")
+
+#: Imports run for what importing does, as ``(file, name)``: nothing
+#: reads the name.
+IMPORT_ALLOWANCES = {
+    # Importing the artifact modules runs their ``@artifact``
+    # decorators, which fill the registry.
+    ("src/repro/harness/registry.py", "experiments"),
+    ("src/repro/harness/registry.py", "ablations"),
+}
 
 #: Each layer and the subpackages of ``repro`` it must not import.
 FORBIDDEN = {
@@ -207,6 +225,18 @@ def src_modules() -> tuple[Module, ...]:
     )
 
 
+@functools.cache
+def tree_modules() -> tuple[Module, ...]:
+    """Every file of :data:`IMPORT_TREES` but ``__init__.py``, parsed
+    once per test run, named by its path from the repository root."""
+    return tuple(
+        Module.of(path.relative_to(ROOT).as_posix(), path.read_text("utf-8"))
+        for tree in IMPORT_TREES
+        for path in sorted((ROOT / tree).rglob("*.py"))
+        if path.name != "__init__.py"
+    )
+
+
 # -- the determinism scans: each yields (line, function, what) -----------
 
 
@@ -328,6 +358,49 @@ def thread_pools(module: Module):
             yield call.lineno, function, name
 
 
+def _read_names(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` reads: loads (an attribute chain's root is
+    one), the strings of an ``__all__`` list and the names inside string
+    annotations."""
+    read = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            if any(getattr(t, "id", None) == "__all__" for t in targets):
+                read.update(
+                    item.value for item in ast.walk(node.value)
+                    if isinstance(item, ast.Constant)
+                    and isinstance(item.value, str)
+                )
+        if isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for annotation in filter(None, annotations):
+        for item in ast.walk(annotation):
+            if isinstance(item, ast.Constant) and isinstance(item.value, str):
+                read |= _read_names(ast.parse(item.value, mode="eval"))
+    return read
+
+
+def unread_imports(module: Module):
+    """Names an import binds that nothing in the file reads."""
+    read = _read_names(module.tree)
+    for function, node in module.nodes:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+            isinstance(node, ast.ImportFrom) and node.module == "__future__"
+        ):
+            continue
+        for line, local, _ in imports(node, module.name):
+            if local and local not in read:
+                yield line, function, local
+
+
 #: Every scan with the files it covers.
 SCANS = {
     "wall-clock": (clock_reads, EVERYWHERE),
@@ -428,6 +501,32 @@ def test_only_experiment_run_calls_the_engine_in_the_harness():
     assert callers == {ENGINE_CALLER}
 
 
+# -- every import is read -----------------------------------------------
+
+
+def tree_unread_imports() -> list[tuple[str, int, str, str]]:
+    """``(file, line, function, name)`` for each unread import."""
+    return [
+        (module.rel, line, function, name)
+        for module in tree_modules()
+        for line, function, name in unread_imports(module)
+    ]
+
+
+def test_every_imported_name_is_read():
+    unread = [
+        f"{rel}:{line} {name} in {function}"
+        for rel, line, function, name in tree_unread_imports()
+        if (rel, name) not in IMPORT_ALLOWANCES
+    ]
+    assert unread == []
+
+
+def test_every_import_allowance_matches_an_unread_import():
+    unread = {(rel, name) for rel, _, _, name in tree_unread_imports()}
+    assert IMPORT_ALLOWANCES <= unread, IMPORT_ALLOWANCES - unread
+
+
 # -- one place per pool --------------------------------------------------
 
 
@@ -526,15 +625,49 @@ SEEDED = {
 }
 
 
+#: The unread-import scan's seeded breach, a test file.
+SEEDED_UNREAD = ("tests/test_fixture.py", """
+    from __future__ import annotations
+    import math  # breach
+    import numpy as np
+    import os.path
+    from typing import TYPE_CHECKING
+    from repro.core import kernel  # breach
+    from repro.core import Component, SystemModel as System
+    from repro.core.sofr import sofr_mttf as combine, avf_mttf as spare  # breach
+    if TYPE_CHECKING:
+        from repro.core import MonteCarloConfig
+        from repro.methods import MethodConfig
+    __all__ = ["Component"]
+    def draw(config: "MonteCarloConfig") -> System:
+        import json  # breach
+        return os.path.join(combine(np.ones(2)), config.name)
+    def typed(config: "dict[str, MethodConfig]"):
+        return config
+""")
+
+
+def _marked(source: str) -> list[int]:
+    """The lines of ``source`` that end in ``# breach``."""
+    return [
+        number
+        for number, text in enumerate(source.splitlines(), start=1)
+        if text.endswith("# breach")
+    ]
+
+
 @pytest.mark.parametrize("scan", sorted(SEEDED))
 def test_scan_catches_its_seeded_breach(scan):
     rel, source = SEEDED[scan]
     module = Module.of(rel, textwrap.dedent(source))
     find, scope = SCANS[scan]
     assert rel.startswith(scope)
-    marked = [
-        number
-        for number, text in enumerate(source.splitlines(), start=1)
-        if text.endswith("# breach")
-    ]
-    assert sorted(line for line, _, _ in find(module)) == marked
+    assert sorted(line for line, _, _ in find(module)) == _marked(source)
+
+
+def test_unread_import_scan_catches_its_seeded_breach():
+    rel, source = SEEDED_UNREAD
+    module = Module.of(rel, textwrap.dedent(source))
+    assert rel.partition("/")[0] in IMPORT_TREES
+    found = sorted(line for line, _, _ in unread_imports(module))
+    assert found == _marked(source)

@@ -1,7 +1,5 @@
 """Tests for unit conversions (repro.units)."""
 
-import math
-
 import pytest
 
 from repro import units

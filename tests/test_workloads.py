@@ -1,6 +1,5 @@
 """Tests for workload profiles, trace synthesis, and long-run builders."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
